@@ -256,6 +256,16 @@ def segment_loss(foundation, adapter, k, batch, target_slice) -> float:
     return model.mse_loss(adapted_model(foundation, adapter, k), batch, target_slice)
 
 
+def _trained_experts(adapter: MolaAdapter, layer: str, k: int, delta: np.ndarray):
+    """(p, expert) pairs that segment k trains in ``layer``.  With the
+    routing row frozen, zero-weight experts are left out: their gradient is
+    exactly zero, so Adam would move them by exactly zero anyway."""
+    frozen = adapter.frozen_logits[k - 1]
+    return [
+        (p, e) for p, e in enumerate(adapter.experts[layer]) if not frozen or delta[p] != 0.0
+    ]
+
+
 def segment_grads(foundation, adapter, k, batch, target_slice):
     """Loss and gradients w.r.t. the segment-k adaptation parameters.
 
@@ -265,25 +275,30 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
         dL/dA_p = delta_p * B_p^T @ G
         dL/ddelta_p = <G, B_p A_p>        (then softmax backward to logits)
 
-    Zero-weight experts get exact-zero gradients so hard routing leaves the
-    unused experts untouched even after optimizer updates.
+    The routing gradient is only formed while the segment's routing row is
+    trainable.  Experts that segment k does not train (see
+    adaptation_params) get no buffer; under trainable routing a zero-weight
+    expert gets exact-zero gradients, so it stays put under Adam.
     """
-    view = adapted_model(foundation, adapter, k)
-    loss, view_grads = model.loss_and_grads(view, batch, target_slice)
+    _check_segment(adapter, k)
+    deltas = {name: mixture_weights(adapter, name, k) for name in adapter.adapted_layers}
+    eff = {
+        name: effective_weight(foundation.params.get(name), adapter.experts[name], delta)
+        for name, delta in deltas.items()
+    }
+    loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
     grads: dict[str, np.ndarray] = {}
-    for name in adapter.adapted_layers:
-        g_eff = view_grads[name]
-        delta = mixture_weights(adapter, name, k)
-        d_delta = np.zeros(adapter.n_experts)
-        for p, e in enumerate(adapter.experts[name]):
+    for name, delta in deltas.items():
+        g_eff = eff_grads[name]
+        for p, e in _trained_experts(adapter, name, k, delta):
             if delta[p] != 0.0:
                 grads[f"{name}.expert{p}.b"] = delta[p] * (g_eff @ e.a_mat.T)
                 grads[f"{name}.expert{p}.a"] = delta[p] * (e.b_mat.T @ g_eff)
             else:
                 grads[f"{name}.expert{p}.b"] = np.zeros_like(e.b_mat)
                 grads[f"{name}.expert{p}.a"] = np.zeros_like(e.a_mat)
-            d_delta[p] = np.vdot(g_eff, e.b_mat @ e.a_mat)
         if not adapter.frozen_logits[k - 1]:
+            d_delta = np.array([np.vdot(g_eff, e.b_mat @ e.a_mat) for e in adapter.experts[name]])
             grads[f"{name}.logits.k{k}"] = delta * (d_delta - float(delta @ d_delta))
     return loss, grads
 
@@ -291,11 +306,13 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
 def adaptation_params(adapter: MolaAdapter, k: int) -> dict[str, np.ndarray]:
     """Mutable views of everything segment k trains, keyed like the grads
     from segment_grads.  Logit rows are views into the (K, P) table so
-    in-place optimizer updates land in the adapter."""
+    in-place optimizer updates land in the adapter.  With the routing row
+    frozen, experts of weight exactly 0 are not trained by segment k."""
     _check_segment(adapter, k)
     out: dict[str, np.ndarray] = {}
     for name in adapter.adapted_layers:
-        for p, e in enumerate(adapter.experts[name]):
+        delta = mixture_weights(adapter, name, k)
+        for p, e in _trained_experts(adapter, name, k, delta):
             out[f"{name}.expert{p}.a"] = e.a_mat
             out[f"{name}.expert{p}.b"] = e.b_mat
         if not adapter.frozen_logits[k - 1]:

@@ -111,7 +111,7 @@ def dataset_bottleneck(m: model.FoundationModel, ds: data.SeriesDataset,
     """
     w, b = linear_forecast_map(m)
     wins = data.windows(ds, m.lookback, m.head_out, split)
-    y_all = np.hstack([wnd.label for wnd in wins])
+    y_all = wins.label_block()  # (T, N*D), window-major columns
     rep = min_attainable_error(w, b, y_all)
     n = len(wins)
     d = ds.values.shape[1]
@@ -328,12 +328,19 @@ def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
 def window_set_hash(windows_seq) -> str:
     """Order-sensitive content hash of a window set; lets reports prove that
     paradigms were evaluated on identical data."""
-    h = hashlib.sha256()
-    for w in windows_seq:
-        h.update(np.int64(w.origin).tobytes())
-        h.update(np.ascontiguousarray(w.history).tobytes())
-        h.update(np.ascontiguousarray(w.label).tobytes())
-    return h.hexdigest()
+    ws = data.as_window_set(windows_seq)
+    n = len(ws)
+    # one row per window: origin (int64), history, label, all in native byte
+    # order, so the digest equals hashing the windows one after another
+    rows = np.concatenate(
+        [
+            ws.origin.astype(np.int64).reshape(n, 1).view(np.uint8),
+            np.ascontiguousarray(ws.history).reshape(n, -1).view(np.uint8),
+            np.ascontiguousarray(ws.label).reshape(n, -1).view(np.uint8),
+        ],
+        axis=1,
+    )
+    return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,

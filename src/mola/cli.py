@@ -517,20 +517,21 @@ def _destandardized_metrics(forecast_fn, ds, lookback, horizon, split):
         val_end=ds.val_end,
     )
 
-    def raw_fn(history):
-        pred = forecast_fn((history - stats.mean) / stats.std)
-        return pred * stats.std + stats.mean
+    def raw_fn(block):
+        # block columns are window-major (column i*D + c is channel c of
+        # window i), so the per-channel stats repeat once per window
+        n_windows = block.shape[1] // stats.mean.size
+        mean, std = np.tile(stats.mean, n_windows), np.tile(stats.std, n_windows)
+        pred = forecast_fn((block - mean) / std)
+        return pred * std + mean
 
     return train.evaluate_forecaster(raw_fn, raw_ds, lookback, horizon, split=split)
 
 
 def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
     wins = data.windows(ds, lookback, horizon, split)
-    rows = []
-    for w in wins:
-        err = np.asarray(forecast_fn(w.history)) - w.label
-        rows.append((err**2).mean(axis=1))
-    return np.asarray(rows)
+    err = train.forecast_windows(forecast_fn, wins, horizon) - wins.label
+    return (err**2).mean(axis=2)
 
 
 def cmd_analyze(kind: str, cfg: dict, cfg_hash: str, rd: Path) -> int:

@@ -4,6 +4,10 @@ Datasets are immutable after construction: an N x D float64 value matrix,
 per-channel names, and two split indices (train_end, val_end) marking the
 chronological train/val/test boundaries.  Window enumeration and
 standardization are pure functions that return new objects.
+
+The windows of a split form one :class:`WindowSet`: (N, L, D) histories and
+(N, T, D) labels that are read-only views into the dataset's values, so
+enumerating a split copies nothing and a training batch is one fancy index.
 """
 
 from __future__ import annotations
@@ -11,9 +15,11 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 COMPONENT_KINDS = ("sine", "trend", "ar1")
 DEFAULT_SPLIT = (0.7, 0.1, 0.2)
@@ -79,6 +85,58 @@ class WindowSample:
     history: np.ndarray  # (L, D)
     label: np.ndarray  # (T, D)
     origin: int
+
+
+@dataclass(frozen=True, eq=False)
+class WindowSet(Sequence):
+    """Windows stacked along a leading axis: a sequence of WindowSample.
+
+    An int index gives one WindowSample (views, no copy); a slice or an
+    index array gives a WindowSet.  Windows from :func:`windows` are views
+    into the dataset; a fancy index copies just the selected windows.
+    """
+
+    history: np.ndarray  # (N, L, D)
+    label: np.ndarray  # (N, T, D)
+    origin: np.ndarray  # (N,) int64
+
+    def __len__(self) -> int:
+        return self.origin.shape[0]
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            return WindowSample(
+                history=self.history[idx], label=self.label[idx], origin=int(self.origin[idx])
+            )
+        return WindowSet(history=self.history[idx], label=self.label[idx], origin=self.origin[idx])
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    def history_block(self) -> np.ndarray:
+        """Histories as one contiguous (L, N*D) column block; column i*D + c
+        is channel c of window i.  This is the layout every model consumes."""
+        n, lookback, d = self.history.shape
+        return np.ascontiguousarray(self.history.transpose(1, 0, 2)).reshape(lookback, n * d)
+
+    def label_block(self, first: int = 1, last: int | None = None) -> np.ndarray:
+        """Label rows first..last (1-based, inclusive) as a contiguous
+        (rows, N*D) block in the column order of :meth:`history_block`."""
+        lab = self.label[:, first - 1 : last]
+        n, rows, d = lab.shape
+        return np.ascontiguousarray(lab.transpose(1, 0, 2)).reshape(rows, n * d)
+
+
+def as_window_set(samples: Sequence[WindowSample]) -> WindowSet:
+    """A WindowSet as is, or a list of WindowSample stacked into one."""
+    if isinstance(samples, WindowSet):
+        return samples
+    return WindowSet(
+        history=np.stack([w.history for w in samples]),
+        label=np.stack([w.label for w in samples]),
+        origin=np.array([w.origin for w in samples], dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)
@@ -275,6 +333,11 @@ def window_origins(ds: SeriesDataset, lookback: int, horizon: int, split: str) -
     Labels never cross forward into a later split; val/test histories may
     reach back across the boundary (the usual benchmark convention).
     """
+    lo, hi = _origin_range(ds, lookback, horizon, split)
+    return list(range(lo, hi + 1))
+
+
+def _origin_range(ds: SeriesDataset, lookback: int, horizon: int, split: str) -> tuple[int, int]:
     if lookback < 1:
         raise ValueError(f"lookback must be >= 1, got {lookback}")
     if horizon < 1:
@@ -292,17 +355,18 @@ def window_origins(ds: SeriesDataset, lookback: int, horizon: int, split: str) -
         raise ValueError(
             f"{split} split too short for lookback={lookback}, horizon={horizon}"
         )
-    return list(range(lo, hi + 1))
+    return lo, hi
 
 
-def windows(ds: SeriesDataset, lookback: int, horizon: int, split: str) -> list[WindowSample]:
-    out = []
-    for n in window_origins(ds, lookback, horizon, split):
-        out.append(
-            WindowSample(
-                history=ds.values[n - lookback + 1 : n + 1],
-                label=ds.values[n + 1 : n + 1 + horizon],
-                origin=n,
-            )
-        )
-    return out
+def windows(ds: SeriesDataset, lookback: int, horizon: int, split: str) -> WindowSet:
+    """Every window of ``split`` (origins from :func:`window_origins`) as
+    read-only views into ``ds.values``; nothing is copied."""
+    lo, hi = _origin_range(ds, lookback, horizon, split)
+    # sliding_window_view puts the window axis last: (starts, D, len)
+    hist = sliding_window_view(ds.values, lookback, axis=0)[lo - lookback + 1 : hi - lookback + 2]
+    lab = sliding_window_view(ds.values, horizon, axis=0)[lo + 1 : hi + 2]
+    return WindowSet(
+        history=hist.transpose(0, 2, 1),
+        label=lab.transpose(0, 2, 1),
+        origin=np.arange(lo, hi + 1, dtype=np.int64),
+    )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from ._io import decode_array, encode_array, read_json, write_json
-from .data import WindowSample
+from .data import WindowSample, as_window_set
 
 ENCODER_KINDS = ("linear", "mlp2")
 ACTIVATIONS = ("relu", "tanh")
@@ -122,6 +122,10 @@ class ParamStore:
         self.get(name)
         self._trainable[name] = bool(flag)
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """A new name -> array dict holding the stored arrays (not copies)."""
+        return dict(self._arrays)
+
     def trainable_names(self) -> list[str]:
         return [n for n, t in self._trainable.items() if t]
 
@@ -188,13 +192,12 @@ def _activation_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarra
     return (z > 0.0).astype(np.float64) if activation == "relu" else 1.0 - a * a
 
 
-def _encode_cols(m: FoundationModel, x: np.ndarray, keep_cache: bool):
+def _encode_cols(m: FoundationModel, x: np.ndarray, keep_cache: bool, weights=None):
     spec = m.encoder_spec
+    weights = m.params.arrays() if weights is None else weights
     caches = []
     for i in range(spec.n_layers):
-        w = m.params.get(f"enc{i}.w")
-        b = m.params.get(f"enc{i}.b")
-        z = w @ x + b[:, None]
+        z = weights[f"enc{i}.w"] @ x + weights[f"enc{i}.b"][:, None]
         activated = i < spec.n_layers - 1
         a = _activate(z, spec.activation) if activated else z
         if keep_cache:
@@ -204,7 +207,10 @@ def _encode_cols(m: FoundationModel, x: np.ndarray, keep_cache: bool):
 
 
 def encode(m: FoundationModel, history: np.ndarray) -> np.ndarray:
-    """Representation of one (L, D) history window, shape (rep_dim, D)."""
+    """Representation of one (L, D) history window, shape (rep_dim, D).
+
+    Columns are independent, so an (L, N*D) block of N windows (see
+    ``WindowSet.history_block``) encodes to (rep_dim, N*D) in one call."""
     history = np.asarray(history, dtype=np.float64)
     if history.ndim != 2 or history.shape[0] != m.lookback:
         raise ValueError(
@@ -225,13 +231,15 @@ def decode(m: FoundationModel, rep: np.ndarray) -> np.ndarray:
 
 
 def forecast(m: FoundationModel, history: np.ndarray) -> np.ndarray:
+    """(L, D) history -> (head_out, D) forecast; also maps column blocks."""
     return decode(m, encode(m, history))
 
 
 def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice):
+    batch = as_window_set(batch)
     if len(batch) == 0:
         raise ValueError("empty batch")
-    label_len = batch[0].label.shape[0]
+    label_len = batch.label.shape[1]
     if target_slice is None:
         target_slice = (1, m.head_out)
     first, last = target_slice
@@ -244,14 +252,9 @@ def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice
         )
     if last > label_len:
         raise ValueError(f"target_slice {target_slice} exceeds label length {label_len}")
-    hist = np.stack([w.history for w in batch])  # (B, L, D)
-    lab = np.stack([w.label[first - 1 : last] for w in batch])  # (B, S, D)
-    if hist.shape[1] != m.lookback:
-        raise ValueError(f"history length {hist.shape[1]} != lookback {m.lookback}")
-    b, _, d = hist.shape
-    x = hist.transpose(1, 0, 2).reshape(m.lookback, b * d)
-    y = lab.transpose(1, 0, 2).reshape(m.head_out, b * d)
-    return x, y
+    if batch.history.shape[1] != m.lookback:
+        raise ValueError(f"history length {batch.history.shape[1]} != lookback {m.lookback}")
+    return batch.history_block(), batch.label_block(first, last)
 
 
 def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=None) -> float:
@@ -264,37 +267,46 @@ def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=Non
 
 
 def loss_and_grads(
-    m: FoundationModel, batch: Sequence[WindowSample], target_slice=None
+    m: FoundationModel, batch: Sequence[WindowSample], target_slice=None, overrides=None
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus gradients for the trainable entries only.
 
-    Frozen entries get no buffer at all, which is what lets adapted
-    views route gradients exclusively to their effective weights.
+    Frozen entries get no buffer at all.  ``overrides`` maps parameter
+    names to arrays used in place of m's entries, and each of them gets a
+    gradient even when m freezes it: that is how adaptation trains the
+    effective weights on top of a frozen model without building one per step.
     """
+    overrides = overrides or {}
+    weights = m.params.arrays()
+    unknown = set(overrides) - set(weights)
+    if unknown:
+        raise ValueError(f"overrides name unknown parameters {sorted(unknown)}")
+    weights.update(overrides)
+    trained = {n for n in weights if n in overrides or m.params.is_trainable(n)}
     x, y = _stack_batch(m, batch, target_slice)
-    rep, caches = _encode_cols(m, x, keep_cache=True)
-    head_w = m.params.get("head.w")
-    pred = head_w @ rep + m.params.get("head.b")[:, None]
+    rep, caches = _encode_cols(m, x, keep_cache=True, weights=weights)
+    head_w = weights["head.w"]
+    pred = head_w @ rep + weights["head.b"][:, None]
     diff = pred - y
     loss = float((diff * diff).mean())
 
     grads: dict[str, np.ndarray] = {}
     d_out = (2.0 / diff.size) * diff
-    if m.params.is_trainable("head.w"):
+    if "head.w" in trained:
         grads["head.w"] = d_out @ rep.T
-    if m.params.is_trainable("head.b"):
+    if "head.b" in trained:
         grads["head.b"] = d_out.sum(axis=1)
     d_x = head_w.T @ d_out
     spec = m.encoder_spec
     for i in reversed(range(spec.n_layers)):
         x_in, z, a, activated = caches[i]
         d_z = d_x * _activation_grad(z, a, spec.activation) if activated else d_x
-        if m.params.is_trainable(f"enc{i}.w"):
+        if f"enc{i}.w" in trained:
             grads[f"enc{i}.w"] = d_z @ x_in.T
-        if m.params.is_trainable(f"enc{i}.b"):
+        if f"enc{i}.b" in trained:
             grads[f"enc{i}.b"] = d_z.sum(axis=1)
         if i > 0:
-            d_x = m.params.get(f"enc{i}.w").T @ d_z
+            d_x = weights[f"enc{i}.w"].T @ d_z
     return loss, grads
 
 

@@ -53,36 +53,51 @@ def default_pretrain_config(seed: int = 0, learning_rate: float = 1e-3,
 
 @dataclass
 class AdamState:
+    """Adam moments of a fixed set of named tensors, kept as two flat
+    vectors.  ``m[name]`` and ``v[name]`` are shaped views into them, and
+    ``spans[name]`` is the (start, stop) of that tensor in the flat layout."""
+
+    spans: dict[str, tuple[int, int]]
+    flat_m: np.ndarray
+    flat_v: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
 
 
 def init_adam(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(v) for k, v in params.items()},
-        v={k: np.zeros_like(v) for k, v in params.items()},
-    )
+    spans, offset = {}, 0
+    for name, p in params.items():
+        spans[name] = (offset, offset + p.size)
+        offset += p.size
+    state = AdamState(spans=spans, flat_m=np.zeros(offset), flat_v=np.zeros(offset), m={}, v={})
+    for name, (a, b) in spans.items():
+        state.m[name] = state.flat_m[a:b].reshape(params[name].shape)
+        state.v[name] = state.flat_v[a:b].reshape(params[name].shape)
+    return state
 
 
 def adam_step(params, grads, state: AdamState, lr: float, adam=(0.9, 0.999, 1e-8)) -> None:
-    """In-place Adam update with bias correction.  Gradient entries whose
-    name was not registered at init time are ignored: that is the frozen
-    mask contract, untracked parameters never move."""
+    """In-place Adam update with bias correction, one vectorised update over
+    all registered tensors.  Gradient entries whose name was not registered
+    at init time are ignored: that is the frozen mask contract, untracked
+    parameters never move.  Every registered name needs a gradient."""
+    missing = [name for name in state.spans if name not in grads]
+    if missing:
+        raise ValueError(f"no gradient for registered parameters {missing}")
     b1, b2, eps = adam
+    g = np.concatenate([grads[name].ravel() for name in state.spans])
     state.t += 1
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for name, g in grads.items():
-        if name not in state.m:
-            continue
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        params[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.flat_m, state.flat_v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    for name, (a, b) in state.spans.items():
+        params[name] -= step[a:b].reshape(params[name].shape)
 
 
 # --- early stopping ---
@@ -171,7 +186,8 @@ def write_run_record(record: RunRecord, path) -> None:
 # --- generic fit loop ---
 
 
-def _fit(train_windows, params, loss_grads_fn, val_fn, config: TrainConfig, stage_key: int):
+def _fit(train_windows: data.WindowSet, params, loss_grads_fn, val_fn, config: TrainConfig,
+         stage_key: int):
     """Minimize via Adam with best-epoch snapshotting.  Returns
     (epochs, initial_val, best_epoch, best_val, stop_reason) and leaves
     `params` holding the best-validation snapshot."""
@@ -190,7 +206,7 @@ def _fit(train_windows, params, loss_grads_fn, val_fn, config: TrainConfig, stag
         perm = rng.permutation(n)
         total = 0.0
         for i in range(0, n, config.batch_size):
-            batch = [train_windows[j] for j in perm[i : i + config.batch_size]]
+            batch = train_windows[perm[i : i + config.batch_size]]
             loss, grads = loss_grads_fn(batch)
             adam_step(params, grads, state, config.learning_rate, config.adam)
             total += loss * len(batch)
@@ -332,13 +348,28 @@ def mola_forecast(foundation: model.FoundationModel, adapter: adapt.MolaAdapter,
 # --- evaluation ---
 
 
+def forecast_windows(forecast_fn, wins: data.WindowSet, rows: int) -> np.ndarray:
+    """Forecasts of all windows from one ``forecast_fn`` call on their
+    (L, N*D) history block; returned as an (N, rows, D) view of the
+    (rows, N*D) result."""
+    n, _, d = wins.history.shape
+    pred = np.asarray(forecast_fn(wins.history_block()), dtype=np.float64)
+    if pred.shape != (rows, n * d):
+        raise ValueError(f"forecast block shape {pred.shape} != ({rows}, {n * d}): "
+                         f"{rows} label rows for {n} windows of {d} channels")
+    return pred.reshape(rows, n, d).transpose(1, 0, 2)
+
+
 def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
                         split: str = "test", target_rows: tuple[int, int] | None = None) -> dict:
     """Per-step and step-averaged MSE/MAE of `forecast_fn` over a split.
 
-    The averaged row is defined as the mean of the per-step values.  With
-    target_rows=(first, last), forecast_fn must return just those label rows
-    (used for per-segment evaluation) and steps keep their absolute index.
+    `forecast_fn` is called once, on the (L, N*D) history block of all N
+    windows (column i*D + c is channel c of window i), and must return the
+    (rows, N*D) forecast block.  The averaged row is defined as the mean of
+    the per-step values.  With target_rows=(first, last), forecast_fn must
+    return just those label rows (used for per-segment evaluation) and steps
+    keep their absolute index.
     """
     wins = data.windows(ds, lookback, horizon, split)
     if target_rows is None:
@@ -347,14 +378,10 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
         first, last = target_rows
         if not 1 <= first <= last <= horizon:
             raise ValueError(f"target rows {target_rows} out of range 1..{horizon}")
-    labels = np.stack([w.label[first - 1 : last] for w in wins])
-    preds = np.empty_like(labels)
-    for i, w in enumerate(wins):
-        p = np.asarray(forecast_fn(w.history), dtype=np.float64)
-        if p.shape != labels[i].shape:
-            raise ValueError(f"forecast shape {p.shape} != label slice shape {labels[i].shape}")
-        preds[i] = p
-    err = preds - labels
+    preds = forecast_windows(forecast_fn, wins, last - first + 1)
+    # a C-ordered (N, rows, D) error array keeps the summation order of the
+    # means below the same as for stacked per-window forecasts
+    err = np.subtract(preds, wins.label[:, first - 1 : last], order="C")
     mse_steps = (err**2).mean(axis=(0, 2))
     mae_steps = np.abs(err).mean(axis=(0, 2))
     per_step = [

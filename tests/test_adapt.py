@@ -354,6 +354,67 @@ def test_adaptation_params_cover_experts_and_active_logits():
     assert "enc0.w.logits.k1" not in adapt.adaptation_params(ad, 1)
 
 
+def test_frozen_one_hot_routing_trains_only_the_segment_expert():
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    adapt.freeze_one_hot_routing(ad)
+    batch = make_batch(f.lookback, plan.horizon, d=2, n=4, seed=3)
+    for k in (1, 2):
+        want = {f"{layer}.expert{k - 1}.{part}" for layer in ad.adapted_layers for part in "ab"}
+        assert set(adapt.adaptation_params(ad, k)) == want
+        _, grads = adapt.segment_grads(f, ad, k, batch, plan.boundaries[k - 1])
+        assert set(grads) == want
+
+
+def test_soft_routing_still_produces_logit_gradients():
+    f, plan, ad = setup_adapter(experts=3, segments=2)
+    batch = make_batch(f.lookback, plan.horizon, d=2, n=4, seed=4)
+    _, grads = adapt.segment_grads(f, ad, 1, batch, plan.boundaries[0])
+    assert set(grads) == set(adapt.adaptation_params(ad, 1))
+    for layer in ad.adapted_layers:
+        assert grads[f"{layer}.logits.k1"].shape == (3,)
+        assert all(f"{layer}.expert{p}.a" in grads for p in range(3))
+
+
+def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise(monkeypatch):
+    from mola import train
+
+    f, plan, ad = setup_adapter(experts=2, segments=2, head_out=2)
+    adapt.freeze_one_hot_routing(ad)
+    spec = data.SynthSpec(
+        n_points=200, d_channels=2, noise_std=0.05, seed=5,
+        components=(data.SynthComponent(kind="sine", amplitude=1.0, period=12.0),),
+    )
+    ds = data.standardize(data.generate_synthetic(spec))
+
+    def snapshot():
+        return {
+            (layer, p): (e.a_mat.copy(), e.b_mat.copy())
+            for layer in ad.adapted_layers
+            for p, e in enumerate(ad.experts[layer])
+        }
+
+    # snaps[k]: every expert just before segment k trains; snaps[K + 1]: at the end
+    snaps = {}
+    real = adapt.adaptation_params
+
+    def recording(adapter, k):
+        snaps[k] = snapshot()
+        return real(adapter, k)
+
+    monkeypatch.setattr(adapt, "adaptation_params", recording)
+    cfg = train.TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=3, patience=3)
+    train.adapt_all_segments(f, plan, ad, ds, cfg)
+    snaps[plan.segments + 1] = snapshot()
+    for k in range(1, plan.segments + 1):
+        for (layer, p), (a_mat, b_mat) in snaps[k].items():
+            a_next, b_next = snaps[k + 1][(layer, p)]
+            if p == k - 1:
+                assert not np.array_equal(b_mat, b_next)  # the segment's own expert trained
+            else:
+                assert a_mat.tobytes() == a_next.tobytes()
+                assert b_mat.tobytes() == b_next.tobytes()
+
+
 # --- checkpoints ---
 
 

@@ -190,6 +190,43 @@ def test_eval_mola_paradigm(ws):
     assert len(ev["metrics"]["per_step"]) == 8
 
 
+def test_eval_destandardized_matches_per_window_metrics(ws):
+    from mola import adapt, data, model, train
+
+    synth_cfg = write_ini(ws / "s.ini", **base_sections())
+    src = ws / "data"
+    assert cli.main(["synth", "--config", synth_cfg, "--run-dir", str(src)]) == 0
+    sections = base_sections()
+    sections["dataset"] = {
+        "source": "csv", "csv_path": str(src / "data.csv"),
+        "lookback": 8, "horizon": 8, "split": "200,50,50",
+    }
+    cfg = write_ini(ws / "c.ini", **sections)
+    rd = ws / "run"
+    for cmd in ("pretrain", "adapt"):
+        assert cli.main([cmd, "--config", cfg, "--run-dir", str(rd)]) == 0
+    assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd), "--destandardized"]) == 0
+    report = json.loads((rd / "reports" / "eval_mola_test.json").read_text())
+    got = report["destandardized_metrics"]
+
+    raw = data.load_csv(src / "data.csv", counts=(200, 50, 50))
+    stats = data.standardize(raw).norm_stats
+    foundation = model.load_checkpoint(rd / "checkpoints" / "foundation.json")
+    adapter = adapt.load_adapter(rd / "checkpoints" / "adapter.json")
+    wins = list(data.windows(raw, 8, 8, "test"))
+    errs = []
+    for w in wins:
+        pred = train.mola_forecast(foundation, adapter, (w.history - stats.mean) / stats.std)
+        errs.append(pred * stats.std + stats.mean - w.label)
+    errs = np.array(errs)  # (N, T, D) in raw units
+    assert got["n_windows"] == len(wins)
+    for j, row in enumerate(got["per_step"]):
+        assert row["step"] == j + 1
+        assert row["mse"] == pytest.approx(float((errs[:, j] ** 2).mean()), rel=1e-12)
+        assert row["mae"] == pytest.approx(float(np.abs(errs[:, j]).mean()), rel=1e-12)
+    assert got["mse"] != pytest.approx(report["metrics"]["mse"], rel=1e-3)
+
+
 def test_train_baseline_rejects_mola(ws, capsys):
     cfg = write_ini(ws / "cfg.ini", **base_sections())
     assert cli.main(["train-baseline", "--config", cfg, "--run-dir", str(ws / "r")]) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from mola import data
+from mola import data, model
 
 
 def write_csv(path, rows, header):
@@ -244,6 +244,58 @@ def test_windows_no_leakage():
     for w in data.windows(ds, L, T, "test"):
         assert w.origin - L + 1 >= ds.val_end - L
         assert w.origin + 1 >= ds.val_end
+
+
+def test_window_set_is_a_view_of_the_values():
+    ds = make_ds(n=80, d=3)
+    for split in ("train", "val", "test"):
+        ws = data.windows(ds, lookback=6, horizon=4, split=split)
+        assert ws.history.shape == (len(ws), 6, 3) and ws.label.shape == (len(ws), 4, 3)
+        assert np.shares_memory(ws.history, ds.values)
+        assert np.shares_memory(ws.label, ds.values)
+        assert np.array_equal(ws.origin, data.window_origins(ds, 6, 4, split))
+
+
+def test_window_set_indexing():
+    ds = make_ds(n=80)
+    ws = data.windows(ds, lookback=5, horizon=3, split="train")
+    n = len(ws)
+    one = ws[2]
+    assert isinstance(one, data.WindowSample) and isinstance(one.origin, int)
+    assert one.origin == ws.origin[2]
+    assert np.shares_memory(one.history, ds.values)
+    assert np.array_equal(one.history, ds.values[one.origin - 4 : one.origin + 1])
+    assert ws[-1].origin == ws.origin[n - 1]
+    with pytest.raises(IndexError):
+        ws[n]
+    part = ws[3:7]
+    assert isinstance(part, data.WindowSet) and len(part) == 4
+    assert np.shares_memory(part.history, ds.values)
+    assert [w.origin for w in part] == [w.origin for w in list(ws)[3:7]]
+    idx = np.array([5, 0, 5, 9])
+    picked = ws[idx]
+    assert isinstance(picked, data.WindowSet)
+    assert not np.shares_memory(picked.history, ds.values)
+    assert [w.origin for w in picked] == [ws[int(i)].origin for i in idx]
+    for w, i in zip(picked, idx):
+        assert np.array_equal(w.history, ws[int(i)].history)
+        assert np.array_equal(w.label, ws[int(i)].label)
+
+
+def test_indexed_batch_stacks_like_np_stack():
+    ds = make_ds(n=120, d=3)
+    ws = data.windows(ds, lookback=6, horizon=5, split="train")
+    m = model.new_model(model.EncoderSpec(kind="linear", in_len=6), head_out=3, seed=0)
+    idx = np.random.default_rng(0).permutation(len(ws))[:7]
+    samples = [ws[int(i)] for i in idx]
+    hist = np.stack([w.history for w in samples])
+    lab = np.stack([w.label[1:4] for w in samples])
+    want_x = hist.transpose(1, 0, 2).reshape(6, 7 * 3)
+    want_y = lab.transpose(1, 0, 2).reshape(3, 7 * 3)
+    for batch in (ws[idx], samples):
+        x, y = model._stack_batch(m, batch, (2, 4))
+        assert x.tobytes() == want_x.tobytes() and x.shape == want_x.shape
+        assert y.tobytes() == want_y.tobytes() and y.shape == want_y.shape
 
 
 def test_windows_split_too_short():

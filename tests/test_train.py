@@ -86,6 +86,46 @@ def test_adam_ignores_grads_for_untracked_entries():
     assert w[0] != 1.0
 
 
+def test_flat_adam_matches_per_tensor_loop_bitwise():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 3), "b": (4,), "s": (2, 1, 5)}
+    params = {k: rng.normal(size=shp) for k, shp in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    lr = 0.05
+    frozen = np.ones(3)
+    state = train.init_adam(params)
+    for t in range(1, 21):
+        grads = {k: rng.normal(size=shp) for k, shp in shapes.items()}
+        train.adam_step(params, {**grads, "frozen": frozen}, state, lr, (b1, b2, eps))
+        c1 = 1.0 - b1**t
+        c2 = 1.0 - b2**t
+        for k, g in grads.items():
+            ref_m[k] *= b1
+            ref_m[k] += (1.0 - b1) * g
+            ref_v[k] *= b2
+            ref_v[k] += (1.0 - b2) * (g * g)
+            ref[k] -= lr * (ref_m[k] / c1) / (np.sqrt(ref_v[k] / c2) + eps)
+    assert state.t == 20
+    assert np.array_equal(frozen, np.ones(3))
+    for k in shapes:
+        assert params[k].tobytes() == ref[k].tobytes()
+        assert state.m[k].tobytes() == ref_m[k].tobytes()
+        assert state.v[k].tobytes() == ref_v[k].tobytes()
+        assert np.shares_memory(state.m[k], state.flat_m)
+
+
+def test_adam_missing_registered_grad_raises():
+    params = {"w": np.ones(2), "b": np.zeros(1)}
+    state = train.init_adam(params)
+    with pytest.raises(ValueError, match="b"):
+        train.adam_step(params, {"w": np.ones(2)}, state, lr=0.1)
+    assert state.t == 0
+    assert np.array_equal(params["w"], np.ones(2))
+
+
 def scalar_adam_reference(w0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     # independent recomputation, scalar formulas straight from the update rule
     w, m, v = w0, 0.0, 0.0
