@@ -2,7 +2,8 @@
 
 Canonical means sorted keys, compact separators, and a trailing newline,
 so that identical state always serializes to identical bytes.  Floats go
-through Python's repr, which round-trips float64 exactly.
+through Python's repr, which round-trips float64 exactly; NaN and infinity
+are refused rather than written as the non-standard ``NaN``/``Infinity``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,16 @@ import numpy as np
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Raises ValueError on NaN or infinity, which JSON cannot represent."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
+    try:
+        text = canonical_dumps(obj)
+    except ValueError as e:
+        raise ValueError(f"cannot write {path}: {e}") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_json(path):

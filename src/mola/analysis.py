@@ -15,7 +15,6 @@ dicts ready for JSON/CSV serialization.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, replace
 
@@ -49,8 +48,7 @@ def min_attainable_error(w, b, y) -> BottleneckReport:
     """Best-case squared error of y ~ W r + b over ALL inputs r.
 
     The relaxation treats the bias coordinate as free (r ranges over the
-    full L+1 dimensional space); see pinned_projection_residual for the
-    variant with the bias coordinate fixed at 1.
+    full L+1 dimensional space).
     """
     w = linalg.as_matrix(w)
     y = np.asarray(y, dtype=np.float64)
@@ -73,18 +71,6 @@ def min_attainable_error(w, b, y) -> BottleneckReport:
         ls_residual_sq=float(np.sum(resid * resid)),
         per_direction_energy=energies,
     )
-
-
-def pinned_projection_residual(w, b, y) -> float:
-    """Error floor with the bias coordinate pinned to 1: min_r ||y - Wr - b||^2."""
-    w = linalg.as_matrix(w)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    x = linalg.least_squares(w, y - b[:, None])
-    resid = w @ x + b[:, None] - y
-    return float(np.sum(resid * resid))
 
 
 def linear_forecast_map(m: model.FoundationModel) -> tuple[np.ndarray, np.ndarray]:
@@ -284,23 +270,26 @@ def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
     train_w = data.windows(ds, lookback, horizon, "train")
     val_w = data.windows(ds, lookback, horizon, "val")
     test_w = data.windows(ds, lookback, horizon, "test")
+    n_test, _, d = test_w.history.shape
     clouds, seeds, val_losses = [], [], []
     for i, t in enumerate(steps):
         seed = config.seed + i
-        cfg = replace(config, seed=seed)
         m = model.new_model(spec, head_out=1, seed=seed)
         params = {n: m.params.get(n) for n in m.params.trainable_names()}
-        train._fit(
+        record = train.fit(
+            f"probe-step-{t}",
             train_w,
             params,
             lambda batch, m=m, t=t: model.loss_and_grads(m, batch, (t, t)),
             lambda m=m, t=t: model.mse_loss(m, val_w, (t, t)),
-            cfg,
+            replace(config, seed=seed),
             stage_key=0,
         )
         seeds.append(seed)
-        val_losses.append(model.mse_loss(m, val_w, (t, t)))
-        clouds.append(np.stack([model.encode(m, w.history).mean(axis=1) for w in test_w]))
+        val_losses.append(record.best_val)
+        # one point per test window: its representation averaged over channels
+        rep = model.encode(m, test_w.history_block())
+        clouds.append(rep.reshape(-1, n_test, d).mean(axis=2).T)
     pairwise, same, cross = [], [], []
     for i in range(len(steps)):
         for j in range(i + 1, len(steps)):
@@ -418,20 +407,3 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
         "paradigms": paradigms,
         "delta": delta,
     }
-
-
-# --- flat-file output ---
-
-
-def write_csv(path, rows: list[dict], fieldnames=None) -> None:
-    """One dict per row; all rows must share the same keys in the same order."""
-    if not rows:
-        raise ValueError("no rows to write")
-    fieldnames = list(fieldnames) if fieldnames is not None else list(rows[0].keys())
-    for r in rows:
-        if list(r.keys()) != fieldnames:
-            raise ValueError(f"row fields {list(r.keys())} != header {fieldnames}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)

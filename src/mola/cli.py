@@ -66,7 +66,7 @@ DEFAULTS = {
         "pretrain_max_epochs": 5,
         "pretrain_patience": 2,
     },
-    "output": {"run_dir": "", "formats": "json,csv"},
+    "output": {"run_dir": ""},
     # defaults are the reference configuration for the closed-form counts
     "analysis": {
         "n_layers": 6,
@@ -343,6 +343,27 @@ def _write_report_csv(path: Path, rows: list[dict], cfg_hash: str) -> None:
     print(f"wrote {path}")
 
 
+def _step_rows(metrics: dict, **fixed) -> list[dict]:
+    """CSV rows of an evaluation: one per step, then the averaged row, each
+    led by the ``fixed`` columns."""
+    rows = [
+        {**fixed, "step": str(r["step"]), "mse": r["mse"], "mae": r["mae"]}
+        for r in metrics["per_step"]
+    ]
+    rows.append({**fixed, "step": "avg", "mse": metrics["mse"], "mae": metrics["mae"]})
+    return rows
+
+
+def _save_stages(rd: Path, cfg_hash: str, checkpoint: str, state: dict, records) -> None:
+    """Write checkpoints/<checkpoint>.json tagged with the config hash and
+    records/<stage>.jsonl for each run record, then print one line per stage."""
+    state["config_hash"] = cfg_hash
+    _io.write_json(rd / "checkpoints" / f"{checkpoint}.json", state)
+    for rec in records:
+        train.write_run_record(rec, rd / "records" / f"{rec.stage}.jsonl")
+        print(f"{rec.stage}: best_val={rec.best_val:.6g} stop={rec.stop_reason}")
+
+
 def _require_checkpoint(path: Path, hint: str):
     if not path.exists():
         raise UserError(f"missing checkpoint {path}; {hint}")
@@ -352,12 +373,13 @@ def _require_checkpoint(path: Path, hint: str):
 # --- commands ---
 
 
-def cmd_synth(cfg: dict, cfg_hash: str, rd: Path) -> int:
+def cmd_synth(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     if cfg["dataset"]["source"] != "synth":
         raise UserError("the synth command requires dataset.source=synth")
     spec = _synth_spec(cfg)
     mode, vals = _parse_split(cfg["dataset"]["split"])
     ds = data.generate_synthetic(spec, split=vals)
+    # the dataset format load_csv reads back: no report preamble
     path = rd / "data.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -368,34 +390,22 @@ def cmd_synth(cfg: dict, cfg_hash: str, rd: Path) -> int:
     return 0
 
 
-def cmd_pretrain(cfg: dict, cfg_hash: str, rd: Path) -> int:
-    if cfg["paradigm"]["kind"] != "mola":
-        raise UserError(
-            "pretrain is stage one of the mola paradigm; set paradigm.kind=mola "
-            "(arf/mtf use train-baseline)"
-        )
+def cmd_pretrain(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = _dataset(cfg)
     seg = cfg["dataset"]["horizon"] // cfg["paradigm"]["segments"]
     foundation, rec = train.pretrain(ds, _encoder_spec(cfg), seg, _train_config(cfg, "pretrain"))
-    state = model.model_state(foundation)
-    state["config_hash"] = cfg_hash
-    _io.write_json(rd / "checkpoints" / "foundation.json", state)
-    train.write_run_record(rec, rd / "records" / "pretrain.jsonl")
+    _save_stages(rd, cfg_hash, "foundation", model.model_state(foundation), [rec])
     _write_report(rd, "pretrain_summary.json", cfg_hash, {"summary": train.run_summary(rec)})
-    print(f"pretrain: best_val={rec.best_val:.6g} stop={rec.stop_reason}")
     return 0
 
 
-def cmd_adapt(cfg: dict, cfg_hash: str, rd: Path) -> int:
-    if cfg["paradigm"]["kind"] != "mola":
-        raise UserError("adapt requires paradigm.kind=mola")
+def cmd_adapt(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = _dataset(cfg)
     horizon = cfg["dataset"]["horizon"]
     segments = cfg["paradigm"]["segments"]
-    f_path = rd / "checkpoints" / "foundation.json"
-    if not f_path.exists():
-        raise UserError(f"no foundation checkpoint at {f_path}; run the pretrain command first")
-    foundation = model.load_checkpoint(f_path)
+    foundation = model.load_checkpoint(
+        _require_checkpoint(rd / "checkpoints" / "foundation.json", "run pretrain first")
+    )
     seg = horizon // segments
     if foundation.head_out != seg:
         raise UserError(
@@ -422,24 +432,16 @@ def cmd_adapt(cfg: dict, cfg_hash: str, rd: Path) -> int:
     adapter, records = train.adapt_all_segments(
         foundation, plan, adapter, ds, _train_config(cfg, "adapt")
     )
-    state = adapt.adapter_state(adapter)
-    state["config_hash"] = cfg_hash
-    _io.write_json(rd / "checkpoints" / "adapter.json", state)
-    for k, rec in enumerate(records, start=1):
-        train.write_run_record(rec, rd / "records" / f"segment-{k}.jsonl")
+    _save_stages(rd, cfg_hash, "adapter", adapt.adapter_state(adapter), records)
     _write_report(
         rd, "adapt_summary.json", cfg_hash,
         {"summaries": [train.run_summary(r) for r in records]},
     )
-    for rec in records:
-        print(f"{rec.stage}: best_val={rec.best_val:.6g} stop={rec.stop_reason}")
     return 0
 
 
-def cmd_train_baseline(cfg: dict, cfg_hash: str, rd: Path) -> int:
+def cmd_train_baseline(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     pk = cfg["paradigm"]["kind"]
-    if pk == "mola":
-        raise UserError("train-baseline handles arf and mtf; mola uses pretrain + adapt")
     ds = _dataset(cfg)
     spec = _encoder_spec(cfg)
     tc = _train_config(cfg, "baseline")
@@ -447,12 +449,8 @@ def cmd_train_baseline(cfg: dict, cfg_hash: str, rd: Path) -> int:
         m, rec = train.arf_train(ds, spec, tc)
     else:
         m, rec = train.mtf_train(ds, spec, cfg["dataset"]["horizon"], tc)
-    state = model.model_state(m)
-    state["config_hash"] = cfg_hash
-    _io.write_json(rd / "checkpoints" / f"{pk}.json", state)
-    train.write_run_record(rec, rd / "records" / f"{pk}.jsonl")
+    _save_stages(rd, cfg_hash, pk, model.model_state(m), [rec])
     _write_report(rd, f"{pk}_summary.json", cfg_hash, {"summary": train.run_summary(rec)})
-    print(f"{pk}: best_val={rec.best_val:.6g} stop={rec.stop_reason}")
     return 0
 
 
@@ -498,12 +496,9 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
             forecast_fn, ds, lookback, horizon, args.split
         )
     _write_report(rd, f"eval_{pk}_{args.split}.json", cfg_hash, payload)
-    rows = [
-        {"step": str(r["step"]), "mse": r["mse"], "mae": r["mae"]}
-        for r in metrics["per_step"]
-    ]
-    rows.append({"step": "avg", "mse": metrics["mse"], "mae": metrics["mae"]})
-    _write_report_csv(rd / "reports" / f"eval_{pk}_{args.split}.csv", rows, cfg_hash)
+    _write_report_csv(
+        rd / "reports" / f"eval_{pk}_{args.split}.csv", _step_rows(metrics), cfg_hash
+    )
     print(f"{pk} {args.split}: mse={metrics['mse']:.6g} mae={metrics['mae']:.6g}")
     return 0
 
@@ -534,138 +529,150 @@ def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
     return (err**2).mean(axis=2)
 
 
-def cmd_analyze(kind: str, cfg: dict, cfg_hash: str, rd: Path) -> int:
-    if kind == "params":
-        a = cfg["analysis"]
-        pc = analysis.param_counts(
-            a["n_layers"], a["d_model"], a["d_ff"], a["rank"], a["experts"], a["segments"]
-        )
-        _write_report(
-            rd, "params.json", cfg_hash,
-            {
-                "n_mola": pc.n_mola,
-                "n_backbone": pc.n_backbone,
-                "ratio": pc.ratio,
-                "inputs": {
-                    "n_layers": a["n_layers"], "d_model": a["d_model"], "d_ff": a["d_ff"],
-                    "rank": a["rank"], "experts": a["experts"], "segments": a["segments"],
-                },
+def cmd_params(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
+    a = cfg["analysis"]
+    pc = analysis.param_counts(
+        a["n_layers"], a["d_model"], a["d_ff"], a["rank"], a["experts"], a["segments"]
+    )
+    _write_report(
+        rd, "params.json", cfg_hash,
+        {
+            "n_mola": pc.n_mola,
+            "n_backbone": pc.n_backbone,
+            "ratio": pc.ratio,
+            "inputs": {
+                "n_layers": a["n_layers"], "d_model": a["d_model"], "d_ff": a["d_ff"],
+                "rank": a["rank"], "experts": a["experts"], "segments": a["segments"],
             },
-        )
-        print(f"n_mola={pc.n_mola} n_backbone={pc.n_backbone} ratio={pc.ratio:.3f}")
-        return 0
+        },
+    )
+    print(f"n_mola={pc.n_mola} n_backbone={pc.n_backbone} ratio={pc.ratio:.3f}")
+    return 0
 
-    if kind == "bottleneck":
-        m = model.load_checkpoint(
-            _require_checkpoint(
-                rd / "checkpoints" / "mtf.json", "train the mtf baseline first"
-            )
-        )
-        rep = analysis.dataset_bottleneck(m, _dataset(cfg), split="test")
-        _write_report(rd, "bottleneck.json", cfg_hash, rep)
-        print(
-            f"mean_min_error_sq={rep['mean_min_error_sq']:.6g} "
-            f"(rank {rep['rank']}, {rep['n_windows']} windows)"
-        )
-        return 0
 
-    if kind == "variance":
-        ds = _dataset(cfg)
-        lookback = cfg["dataset"]["lookback"]
-        horizon = cfg["dataset"]["horizon"]
-        samples = {}
-        for name in ("arf", "mtf", "mola"):
-            try:
-                fn = _forecaster_from_checkpoints(name, rd, horizon)
-            except UserError:
-                continue
-            samples[name] = _per_step_loss_samples(fn, ds, lookback, horizon, "test")
-        if not samples:
-            raise UserError("no usable checkpoints in this run directory; train a paradigm first")
-        blocks = {}
-        for name, arr in samples.items():
-            rep = analysis.variance_report(arr)
-            blocks[name] = {
-                "n_samples": int(arr.shape[0]),
-                "var_total": rep.var_total,
-                "var_sum": float(rep.var_terms.sum()),
-                "cov_sum": rep.cov_sum,
-                "identity_gap": rep.identity_gap,
-            }
-        names = list(samples)
-        comparisons = [
-            analysis.variance_compare(samples[a], samples[b], label_a=a, label_b=b)
-            for i, a in enumerate(names)
-            for b in names[i + 1 :]
-        ]
-        _write_report(
-            rd, "variance.json", cfg_hash,
-            {"split": "test", "horizon": horizon, "paradigms": blocks,
-             "comparisons": comparisons},
-        )
-        for name, block in blocks.items():
-            print(f"{name}: var_total={block['var_total']:.6g} cov_sum={block['cov_sum']:.6g}")
-        return 0
+def cmd_bottleneck(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
+    m = model.load_checkpoint(
+        _require_checkpoint(rd / "checkpoints" / "mtf.json", "train the mtf baseline first")
+    )
+    rep = analysis.dataset_bottleneck(m, _dataset(cfg), split="test")
+    _write_report(rd, "bottleneck.json", cfg_hash, rep)
+    print(
+        f"mean_min_error_sq={rep['mean_min_error_sq']:.6g} "
+        f"(rank {rep['rank']}, {rep['n_windows']} windows)"
+    )
+    return 0
 
-    if kind == "probe":
-        steps = [int(s) for s in cfg["analysis"]["probe_steps"].split(",") if s.strip()]
-        ds = _dataset(cfg)
-        rep = analysis.per_step_probe(
-            ds, cfg["dataset"]["lookback"], steps, config=_train_config(cfg, "baseline")
-        )
-        payload = {k: v for k, v in rep.items() if k != "clouds"}
-        _write_report(rd, "probe.json", cfg_hash, payload)
-        rows = []
-        for e, cloud in enumerate(rep["clouds"]):
-            for widx, (x0, x1) in enumerate(cloud):
-                rows.append(
-                    {"entry": e, "step": rep["steps"][e], "seed": rep["seeds"][e],
-                     "window": widx, "x0": float(x0), "x1": float(x1)}
-                )
-        _write_report_csv(rd / "reports" / "probe_points.csv", rows, cfg_hash)
-        for pair in rep["pairwise"]:
-            print(
-                f"steps {pair['step_i']} vs {pair['step_j']}: "
-                f"disparity={pair['disparity']:.4f}"
-            )
-        return 0
 
-    if kind == "compare":
-        if cfg["paradigm"]["kind"] != "mola":
-            raise UserError(
-                "compare trains all three paradigms and needs the mola settings; "
-                "set paradigm.kind=mola"
-            )
-        ds = _dataset(cfg)
-        rep = analysis.paradigm_compare(
-            ds,
-            _encoder_spec(cfg),
-            horizon=cfg["dataset"]["horizon"],
-            segments=cfg["paradigm"]["segments"],
-            config=_train_config(cfg, "baseline"),
-            n_experts=cfg["paradigm"]["experts"],
-            rank=cfg["paradigm"]["rank"],
-            placement=_placement(cfg),
-            routing=cfg["paradigm"]["routing"],
-            pretrain_config=_train_config(cfg, "pretrain"),
-        )
-        _write_report(rd, "compare.json", cfg_hash, rep)
-        rows = []
-        for name in ("arf", "mtf", "mola"):
-            metrics = rep["paradigms"][name]["metrics"]
-            for r in metrics["per_step"]:
-                rows.append(
-                    {"paradigm": name, "step": str(r["step"]), "mse": r["mse"], "mae": r["mae"]}
-                )
+def cmd_variance(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
+    ds = _dataset(cfg)
+    lookback = cfg["dataset"]["lookback"]
+    horizon = cfg["dataset"]["horizon"]
+    samples = {}
+    for name in ("arf", "mtf", "mola"):
+        try:
+            fn = _forecaster_from_checkpoints(name, rd, horizon)
+        except UserError:
+            continue
+        samples[name] = _per_step_loss_samples(fn, ds, lookback, horizon, "test")
+    if not samples:
+        raise UserError("no usable checkpoints in this run directory; train a paradigm first")
+    blocks = {}
+    for name, arr in samples.items():
+        rep = analysis.variance_report(arr)
+        blocks[name] = {
+            "n_samples": int(arr.shape[0]),
+            "var_total": rep.var_total,
+            "var_sum": float(rep.var_terms.sum()),
+            "cov_sum": rep.cov_sum,
+            "identity_gap": rep.identity_gap,
+        }
+    names = list(samples)
+    comparisons = [
+        analysis.variance_compare(samples[a], samples[b], label_a=a, label_b=b)
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    ]
+    _write_report(
+        rd, "variance.json", cfg_hash,
+        {"split": "test", "horizon": horizon, "paradigms": blocks,
+         "comparisons": comparisons},
+    )
+    for name, block in blocks.items():
+        print(f"{name}: var_total={block['var_total']:.6g} cov_sum={block['cov_sum']:.6g}")
+    return 0
+
+
+def cmd_probe(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
+    steps = [int(s) for s in cfg["analysis"]["probe_steps"].split(",") if s.strip()]
+    ds = _dataset(cfg)
+    rep = analysis.per_step_probe(
+        ds, cfg["dataset"]["lookback"], steps, config=_train_config(cfg, "baseline")
+    )
+    payload = {k: v for k, v in rep.items() if k != "clouds"}
+    _write_report(rd, "probe.json", cfg_hash, payload)
+    rows = []
+    for e, cloud in enumerate(rep["clouds"]):
+        for widx, (x0, x1) in enumerate(cloud):
             rows.append(
-                {"paradigm": name, "step": "avg", "mse": metrics["mse"], "mae": metrics["mae"]}
+                {"entry": e, "step": rep["steps"][e], "seed": rep["seeds"][e],
+                 "window": widx, "x0": float(x0), "x1": float(x1)}
             )
-        _write_report_csv(rd / "reports" / "compare.csv", rows, cfg_hash)
-        for key, val in rep["delta"].items():
-            print(f"{key}: {val:+.2f}%")
-        return 0
+    _write_report_csv(rd / "reports" / "probe_points.csv", rows, cfg_hash)
+    for pair in rep["pairwise"]:
+        print(
+            f"steps {pair['step_i']} vs {pair['step_j']}: "
+            f"disparity={pair['disparity']:.4f}"
+        )
+    return 0
 
-    raise UserError(f"unknown analyze kind {kind!r}")
+
+def cmd_compare(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
+    ds = _dataset(cfg)
+    rep = analysis.paradigm_compare(
+        ds,
+        _encoder_spec(cfg),
+        horizon=cfg["dataset"]["horizon"],
+        segments=cfg["paradigm"]["segments"],
+        config=_train_config(cfg, "baseline"),
+        n_experts=cfg["paradigm"]["experts"],
+        rank=cfg["paradigm"]["rank"],
+        placement=_placement(cfg),
+        routing=cfg["paradigm"]["routing"],
+        pretrain_config=_train_config(cfg, "pretrain"),
+    )
+    _write_report(rd, "compare.json", cfg_hash, rep)
+    rows = [
+        row
+        for name in ("arf", "mtf", "mola")
+        for row in _step_rows(rep["paradigms"][name]["metrics"], paradigm=name)
+    ]
+    _write_report_csv(rd / "reports" / "compare.csv", rows, cfg_hash)
+    for key, val in rep["delta"].items():
+        print(f"{key}: {val:+.2f}%")
+    return 0
+
+
+def cmd_analyze(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
+    return ANALYSES[args.kind](args, cfg, cfg_hash, rd)
+
+
+ANALYSES = {
+    "bottleneck": cmd_bottleneck,
+    "params": cmd_params,
+    "variance": cmd_variance,
+    "probe": cmd_probe,
+}
+
+# name -> (help, handler, the paradigm.kind values it accepts or None for any)
+COMMANDS = {
+    "synth": ("generate a synthetic dataset CSV", cmd_synth, None),
+    "pretrain": ("train the frozen per-segment foundation model", cmd_pretrain, ("mola",)),
+    "adapt": ("fit a mixture of low-rank experts per forecast segment", cmd_adapt, ("mola",)),
+    "train-baseline": ("train the arf or mtf baseline", cmd_train_baseline, ("arf", "mtf")),
+    "eval": ("evaluate the configured paradigm's checkpoints", cmd_eval, None),
+    "analyze": ("run a numerical analysis over run artifacts", cmd_analyze, None),
+    "compare": ("train and compare all three paradigms", cmd_compare, ("mola",)),
+}
 
 
 # --- entry point ---
@@ -682,9 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Segment-adapted low-rank forecasting workbench",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_):
-        p = sub.add_parser(name, help=help_)
+    commands = {}
+    for name, (help_, _, _) in COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override one config value (repeatable)")
@@ -692,39 +699,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override train.seed")
         p.add_argument("--fail-if-exists", action="store_true",
                        help="refuse to write into an existing run directory")
-        return p
-
-    add("synth", "generate a synthetic dataset CSV")
-    add("pretrain", "train the frozen per-segment foundation model")
-    add("adapt", "fit a mixture of low-rank experts per forecast segment")
-    add("train-baseline", "train the arf or mtf baseline")
-    p_eval = add("eval", "evaluate the configured paradigm's checkpoints")
-    p_eval.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p_eval.add_argument("--destandardized", action="store_true",
-                        help="also report metrics on the original data scale")
-    p_analyze = add("analyze", "run a numerical analysis over run artifacts")
-    p_analyze.add_argument(
-        "kind", choices=["bottleneck", "params", "variance", "probe", "compare"]
-    )
-    add("compare", "train and compare all three paradigms (alias for analyze compare)")
+    commands["eval"].add_argument("--split", choices=["train", "val", "test"], default="test")
+    commands["eval"].add_argument("--destandardized", action="store_true",
+                                  help="also report metrics on the original data scale")
+    commands["analyze"].add_argument("kind", choices=list(ANALYSES))
     return parser
 
 
 def _dispatch(args) -> int:
     cfg, cfg_hash = resolve_config(args)
+    _, handler, kinds = COMMANDS[args.command]
+    pk = cfg["paradigm"]["kind"]
+    if kinds is not None and pk not in kinds:
+        raise UserError(
+            f"mola {args.command} needs paradigm.kind={' or '.join(kinds)}, "
+            f"but paradigm.kind={pk}"
+        )
     rd = _prepare_run_dir(args, cfg, cfg_hash)
-    if args.command == "synth":
-        return cmd_synth(cfg, cfg_hash, rd)
-    if args.command == "pretrain":
-        return cmd_pretrain(cfg, cfg_hash, rd)
-    if args.command == "adapt":
-        return cmd_adapt(cfg, cfg_hash, rd)
-    if args.command == "train-baseline":
-        return cmd_train_baseline(cfg, cfg_hash, rd)
-    if args.command == "eval":
-        return cmd_eval(args, cfg, cfg_hash, rd)
-    kind = args.kind if args.command == "analyze" else "compare"
-    return cmd_analyze(kind, cfg, cfg_hash, rd)
+    return handler(args, cfg, cfg_hash, rd)
 
 
 def main(argv=None) -> int:

@@ -58,15 +58,6 @@ def as_matrix(values) -> Mat:
     return a
 
 
-def matmul(a, b) -> Mat:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def append_bias_column(w, b) -> Mat:
     """Return ``[W b]``: the weight matrix with the bias as an extra column.
 
@@ -83,12 +74,6 @@ def append_bias_column(w, b) -> Mat:
     if not np.isfinite(b).all():
         raise ValueError("bias entries must be finite")
     return np.hstack([w, b[:, None]])
-
-
-def frobenius(a) -> float:
-    """Frobenius norm of a matrix."""
-    a = as_matrix(a)
-    return math.sqrt(float((a * a).sum()))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .data import WindowSample, as_window_set
 
 ENCODER_KINDS = ("linear", "mlp2")
 ACTIVATIONS = ("relu", "tanh")
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class EncoderSpec:
     in_len: int
     hidden: tuple[int, ...] = ()
     activation: str = "relu"
-    channel_mode: str = "per-channel-shared"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -48,8 +47,6 @@ class EncoderSpec:
             raise ValueError(f"in_len must be >= 1, got {self.in_len}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.channel_mode != "per-channel-shared":
-            raise ValueError("the only supported channel_mode is 'per-channel-shared'")
         if self.kind == "linear" and self.hidden != ():
             raise ValueError("linear encoders take no hidden widths")
         if self.kind == "mlp2":
@@ -78,7 +75,6 @@ class EncoderSpec:
             "in_len": self.in_len,
             "hidden": list(self.hidden),
             "activation": self.activation,
-            "channel_mode": self.channel_mode,
         }
 
     @staticmethod
@@ -88,7 +84,6 @@ class EncoderSpec:
             in_len=int(d["in_len"]),
             hidden=tuple(d["hidden"]),
             activation=d["activation"],
-            channel_mode=d["channel_mode"],
         )
 
 
@@ -132,12 +127,6 @@ class ParamStore:
     def freeze_all(self) -> None:
         for n in self._trainable:
             self._trainable[n] = False
-
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for n in self.names():
-            out.add(n, self._arrays[n].copy(), self._trainable[n])
-        return out
 
 
 @dataclass
@@ -328,16 +317,6 @@ def ar_f_forecast(m: FoundationModel, history: np.ndarray, horizon: int) -> np.n
         out[t] = step[0]
         window = np.vstack([window[1:], step])
     return out
-
-
-def metrics(pred: np.ndarray, label: np.ndarray) -> tuple[float, float]:
-    """(MSE, MAE) over all entries of equally shaped arrays."""
-    pred = np.asarray(pred, dtype=np.float64)
-    label = np.asarray(label, dtype=np.float64)
-    if pred.shape != label.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {label.shape}")
-    diff = pred - label
-    return float((diff * diff).mean()), float(np.abs(diff).mean())
 
 
 def model_state(m: FoundationModel) -> dict:

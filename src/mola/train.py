@@ -170,38 +170,39 @@ def run_summary(record: RunRecord) -> dict:
 
 def write_run_record(record: RunRecord, path) -> None:
     """Line-delimited JSON: epoch 0 is the untrained validation loss, one
-    line per trained epoch, final line carries the summary plus wall time."""
-    parts = [_io.canonical_dumps({"stage": record.stage, "epoch": 0, "val_loss": record.initial_val})]
-    for e in record.epochs:
-        parts.append(
-            _io.canonical_dumps(
-                {"stage": record.stage, "epoch": e.epoch,
-                 "train_loss": e.train_loss, "val_loss": e.val_loss}
-            )
-        )
-    parts.append(_io.canonical_dumps({"summary": run_summary(record), "wall_time_s": record.wall_time_s}))
-    Path(path).write_text("".join(parts), encoding="utf-8")
+    line per trained epoch, final line carries the summary plus wall time.
+    A non-finite loss raises ValueError and nothing is written."""
+    lines = [{"stage": record.stage, "epoch": 0, "val_loss": record.initial_val}]
+    lines += [
+        {"stage": record.stage, "epoch": e.epoch,
+         "train_loss": e.train_loss, "val_loss": e.val_loss}
+        for e in record.epochs
+    ]
+    lines.append({"summary": run_summary(record), "wall_time_s": record.wall_time_s})
+    try:
+        text = "".join(_io.canonical_dumps(line) for line in lines)
+    except ValueError as e:
+        raise ValueError(f"cannot write {path}: {e}") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # --- generic fit loop ---
 
 
-def _fit(train_windows: data.WindowSet, params, loss_grads_fn, val_fn, config: TrainConfig,
-         stage_key: int):
-    """Minimize via Adam with best-epoch snapshotting.  Returns
-    (epochs, initial_val, best_epoch, best_val, stop_reason) and leaves
-    `params` holding the best-validation snapshot."""
+def fit(stage: str, train_windows: data.WindowSet, params, loss_grads_fn, val_fn,
+        config: TrainConfig, stage_key: int) -> RunRecord:
+    """Minimize via Adam with best-epoch snapshotting.  Returns the stage's
+    RunRecord, without final metrics or wall time, and leaves `params`
+    holding the best-validation snapshot."""
     n = len(train_windows)
     if n == 0:
         raise ValueError("no training windows")
     rng = np.random.default_rng([config.seed, stage_key])
     state = init_adam(params)
     stopper = EarlyStopper(config.patience)
-    initial_val = float(val_fn())
-    stopper.update(0, initial_val)
+    record = RunRecord(stage=stage, initial_val=float(val_fn()))
+    stopper.update(0, record.initial_val)
     best = {k: v.copy() for k, v in params.items()}
-    epochs: list[EpochStat] = []
-    stop_reason = "max_epochs"
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
         total = 0.0
@@ -211,15 +212,16 @@ def _fit(train_windows: data.WindowSet, params, loss_grads_fn, val_fn, config: T
             adam_step(params, grads, state, config.learning_rate, config.adam)
             total += loss * len(batch)
         val = float(val_fn())
-        epochs.append(EpochStat(epoch=epoch, train_loss=total / n, val_loss=val))
+        record.epochs.append(EpochStat(epoch=epoch, train_loss=total / n, val_loss=val))
         if stopper.update(epoch, val):
             best = {k: v.copy() for k, v in params.items()}
         if stopper.should_stop:
-            stop_reason = "early_stop"
+            record.stop_reason = "early_stop"
             break
     for k, v in params.items():
         np.copyto(v, best[k])
-    return epochs, initial_val, stopper.best_epoch, stopper.best_val, stop_reason
+    record.best_epoch, record.best_val = stopper.best_epoch, stopper.best_val
+    return record
 
 
 def _train_model(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, horizon: int,
@@ -230,7 +232,8 @@ def _train_model(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, horizo
     val_w = data.windows(ds, lookback, horizon, "val")
     m = model.new_model(encoder_spec, head_out=horizon, seed=config.seed)
     params = {name: m.params.get(name) for name in m.params.trainable_names()}
-    epochs, initial_val, best_epoch, best_val, reason = _fit(
+    record = fit(
+        stage,
         train_w,
         params,
         lambda batch: model.loss_and_grads(m, batch),
@@ -238,17 +241,10 @@ def _train_model(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, horizo
         config,
         stage_key=0,
     )
-    final = evaluate_forecaster(lambda h: model.forecast(m, h), ds, lookback, horizon, split="val")
-    record = RunRecord(
-        stage=stage,
-        initial_val=initial_val,
-        epochs=epochs,
-        best_epoch=best_epoch,
-        best_val=best_val,
-        stop_reason=reason,
-        wall_time_s=perf_counter() - t0,
-        final_metrics=final,
+    record.final_metrics = evaluate_forecaster(
+        lambda h: model.forecast(m, h), ds, lookback, horizon, split="val"
     )
+    record.wall_time_s = perf_counter() - t0
     return m, record
 
 
@@ -267,10 +263,6 @@ def pretrain(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, s_steps: i
 def mtf_train(ds, encoder_spec, horizon: int, config: TrainConfig | None = None):
     """Multi-target baseline: one model emitting all T steps at once."""
     return _train_model(ds, encoder_spec, horizon, config or TrainConfig(), stage="mtf")
-
-
-def mtf_forecast(m: model.FoundationModel, history: np.ndarray) -> np.ndarray:
-    return model.forecast(m, history)
 
 
 def arf_train(ds, encoder_spec, config: TrainConfig | None = None):
@@ -302,7 +294,8 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
         t0 = perf_counter()
         target = plan.boundaries[k - 1]
         params = adapt.adaptation_params(adapter, k)
-        epochs, initial_val, best_epoch, best_val, reason = _fit(
+        record = fit(
+            f"segment-{k}",
             train_w,
             params,
             lambda batch, k=k, target=target: adapt.segment_grads(
@@ -314,22 +307,12 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
         )
         adapter.frozen_logits[k - 1] = True
         view = adapt.adapted_model(foundation, adapter, k)
-        final = evaluate_forecaster(
+        record.final_metrics = evaluate_forecaster(
             lambda h, view=view: model.forecast(view, h),
             ds, lookback, plan.horizon, split="val", target_rows=target,
         )
-        records.append(
-            RunRecord(
-                stage=f"segment-{k}",
-                initial_val=initial_val,
-                epochs=epochs,
-                best_epoch=best_epoch,
-                best_val=best_val,
-                stop_reason=reason,
-                wall_time_s=perf_counter() - t0,
-                final_metrics=final,
-            )
-        )
+        record.wall_time_s = perf_counter() - t0
+        records.append(record)
     return adapter, records
 
 

@@ -116,15 +116,6 @@ def test_bottleneck_accepts_column_bias_and_1d_labels():
     assert a.min_error_sq == pytest.approx(c.min_error_sq, rel=1e-12)
 
 
-def test_pinned_oracle_upper_bounds_free_oracle():
-    # fixing the bias coordinate can only shrink the feasible set
-    for seed in range(10):
-        w, b, y = random_case(seed + 100)
-        rep = analysis.min_attainable_error(w, b, y)
-        pinned = analysis.pinned_projection_residual(w, b, y)
-        assert pinned >= rep.ls_residual_sq - 1e-10
-
-
 def test_dataset_bottleneck_matches_per_window_average():
     ds = sine_ds()
     spec = model.EncoderSpec(kind="linear", in_len=6)
@@ -343,19 +334,3 @@ def test_window_set_hash_sensitivity():
     assert a == b
     assert a != c
 
-
-# --- report files ---
-
-
-def test_write_csv_round_trip(tmp_path):
-    rows = [{"step": 1, "mse": 0.123456789012345}, {"step": 2, "mse": 2.0}]
-    path = tmp_path / "out.csv"
-    analysis.write_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,mse"
-    assert float(lines[1].split(",")[1]) == 0.123456789012345
-
-
-def test_write_csv_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ValueError):
-        analysis.write_csv(tmp_path / "x.csv", [{"a": 1}, {"b": 2}])

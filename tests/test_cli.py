@@ -50,10 +50,13 @@ def ws(tmp_path, monkeypatch):
     return tmp_path
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["--help"])
     assert e.value.code == 0
+    out = capsys.readouterr().out
+    for name in cli.COMMANDS:
+        assert name in out
 
 
 def test_module_entry_point_runs():
@@ -232,6 +235,35 @@ def test_train_baseline_rejects_mola(ws, capsys):
     assert cli.main(["train-baseline", "--config", cfg, "--run-dir", str(ws / "r")]) == 1
 
 
+@pytest.mark.parametrize(
+    "command", [name for name, (_, _, kinds) in cli.COMMANDS.items() if kinds is not None]
+)
+def test_command_rejects_other_paradigms_before_creating_run_dir(ws, capsys, command):
+    kinds = cli.COMMANDS[command][2]
+    wrong = next(k for k in ("arf", "mtf", "mola") if k not in kinds)
+    sections = base_sections() if wrong == "mola" else mtf_sections()
+    sections["paradigm"]["kind"] = wrong
+    cfg = write_ini(ws / "cfg.ini", **sections)
+    rd = ws / "r"
+    assert cli.main([command, "--config", cfg, "--run-dir", str(rd)]) == 1
+    err = capsys.readouterr().err
+    assert command in err and f"paradigm.kind={wrong}" in err
+    assert not rd.exists()
+
+
+def test_version_1_checkpoint_is_rejected(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "run"
+    assert cli.main(["pretrain", "--config", cfg, "--run-dir", str(rd)]) == 0
+    path = rd / "checkpoints" / "foundation.json"
+    state = json.loads(path.read_text())
+    assert state["format_version"] == 2
+    state["format_version"] = 1
+    path.write_text(json.dumps(state))
+    assert cli.main(["adapt", "--config", cfg, "--run-dir", str(rd)]) == 1
+    assert "unsupported checkpoint format_version 1" in capsys.readouterr().err
+
+
 # --- config handling ---
 
 
@@ -260,6 +292,13 @@ def test_unknown_config_key_is_user_error(ws, capsys):
         == 1
     )
     assert "bogus" in capsys.readouterr().err
+
+
+def test_output_formats_is_not_a_config_key(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **mtf_sections())
+    argv = ["synth", "--config", cfg, "--run-dir", str(ws / "r"), "--set", "output.formats=csv"]
+    assert cli.main(argv) == 1
+    assert "unknown config key output.formats" in capsys.readouterr().err
 
 
 def test_paradigm_specific_keys_rejected_for_baselines(ws, capsys):
@@ -328,6 +367,12 @@ def test_analyze_params_prints_reference_ratio(ws, capsys):
 def test_analyze_unknown_kind_is_usage_error(ws, capsys):
     cfg = write_ini(ws / "cfg.ini", **mtf_sections())
     assert cli.main(["analyze", "nonsense", "--config", cfg, "--run-dir", str(ws / "r")]) == 1
+
+
+def test_compare_is_not_an_analysis(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    assert cli.main(["analyze", "compare", "--config", cfg, "--run-dir", str(ws / "r")]) == 1
+    assert "invalid choice: 'compare'" in capsys.readouterr().err
 
 
 def test_analyze_bottleneck_on_mtf_checkpoint(ws, capsys):

@@ -37,13 +37,6 @@ def test_as_matrix_validates():
         linalg.as_matrix(np.zeros((0, 3)))
 
 
-def test_matmul_identity():
-    x = random_matrix(2, 5, seed=1)
-    assert np.array_equal(linalg.matmul(np.eye(2), x), x)
-    with pytest.raises(ValueError):
-        linalg.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
 def test_append_bias_column_shapes():
     w = random_matrix(4, 8, seed=2)
     b = np.arange(4.0)
@@ -55,11 +48,6 @@ def test_append_bias_column_shapes():
     assert np.array_equal(linalg.append_bias_column(w, b.reshape(4, 1)), wbar)
     with pytest.raises(ValueError):
         linalg.append_bias_column(w, np.arange(3.0))
-
-
-def test_frobenius_zero():
-    assert linalg.frobenius(np.zeros((3, 7))) == 0.0
-    assert linalg.frobenius(np.full((2, 2), 2.0)) == pytest.approx(4.0)
 
 
 # --- svd ---

@@ -76,8 +76,6 @@ def test_encoder_spec_validation():
         model.EncoderSpec(kind="linear", in_len=0)
     with pytest.raises(ValueError):
         model.EncoderSpec(kind="linear", in_len=8, activation="gelu")
-    with pytest.raises(ValueError):
-        model.EncoderSpec(kind="linear", in_len=8, channel_mode="independent")
     assert mlp_spec(16, 16, 2).rep_dim == 2
     assert linear_spec(16).rep_dim == 16
 
@@ -310,21 +308,6 @@ def test_ar_f_exact_recursion_stays_exact_and_misfit_accumulates():
             assert np.all(errs <= 1e-16)
         else:
             assert errs[T - 1] > errs[0]
-
-
-# --- metrics ---
-
-
-def test_metrics_examples():
-    a = np.random.default_rng(0).normal(size=(4, 3))
-    assert model.metrics(a, a) == (0.0, 0.0)
-    mse, mae = model.metrics(a + 2.0, a)
-    assert mse == pytest.approx(4.0)
-    assert mae == pytest.approx(2.0)
-    b = np.random.default_rng(1).normal(size=(4, 3))
-    mse, mae = model.metrics(a, b)
-    assert mse == pytest.approx(float(((a - b) ** 2).mean()))
-    assert mae == pytest.approx(float(np.abs(a - b).mean()))
 
 
 # --- checkpoints ---

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mola import adapt, data, model, train
+from mola import _io, adapt, data, model, train
 
 
 def sine_dataset(n_points=240, d=2, noise=0.0, seed=0, period=24.0):
@@ -345,7 +345,7 @@ def test_mtf_fits_noiseless_linear_recursion():
     cfg = small_config(learning_rate=1e-2, max_epochs=60, patience=60, batch_size=8)
     m, rec = train.mtf_train(ds, LIN8, 2, cfg)
     assert rec.best_val <= 1e-3
-    assert train.mtf_forecast(m, data.windows(ds, 8, 2, "test")[0].history).shape == (2, 2)
+    assert model.forecast(m, data.windows(ds, 8, 2, "test")[0].history).shape == (2, 2)
 
 
 def test_arf_train_is_single_step_foundation():
@@ -414,3 +414,20 @@ def test_run_summary_has_final_metrics_and_no_wall_time():
     assert summary["final_metrics"]["per_step"][0]["step"] == 1
     assert "wall_time_s" not in json.dumps(summary)
     assert rec.wall_time_s > 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_floats(tmp_path, bad):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="report.json"):
+        _io.write_json(path, {"loss": [1.0, bad]})
+    assert not path.exists()
+
+
+def test_run_record_with_infinite_best_val_is_not_written(tmp_path):
+    # best_val keeps its initial inf when no validation loss ever compared below it
+    rec = train.RunRecord(stage="pretrain", initial_val=1.0)
+    path = tmp_path / "pretrain.jsonl"
+    with pytest.raises(ValueError, match="pretrain.jsonl"):
+        train.write_run_record(rec, path)
+    assert not path.exists()
