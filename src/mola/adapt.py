@@ -14,6 +14,7 @@ adapted.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import _io, model, __version__
 
-ADAPTER_FORMAT_VERSION = 1
+ADAPTER_FORMAT_VERSION = 2
 
 # Off-entry logit for hard routing.  exp(-1e6) underflows to exactly 0.0,
 # so the resulting mixture weights are an exact one-hot vector.
@@ -147,7 +148,18 @@ class MolaAdapter:
     rank: int
     experts: dict[str, list[LoraExpert]]
     logits: dict[str, np.ndarray]  # per layer, shape (segments, n_experts)
+    foundation_sha256: str  # foundation_digest of the model the adapter was fitted on
     frozen_logits: list[bool] = field(default_factory=list)
+
+
+def foundation_digest(foundation: model.FoundationModel) -> str:
+    """sha256 over the foundation's parameter names, shapes and values."""
+    h = hashlib.sha256()
+    for name in foundation.params.names():
+        arr = np.ascontiguousarray(foundation.params.get(name), dtype="<f8")
+        h.update(f"{name}:{arr.shape};".encode("utf-8"))
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 def new_adapter(
@@ -157,11 +169,15 @@ def new_adapter(
     rank: int,
     seed: int,
     placement=None,
+    routing: str = "soft",
 ) -> MolaAdapter:
     """B starts at zero (adapted model == foundation on step one), A is
     Gaussian with variance 1/rank.  Expert p of layer i draws from
     default_rng([seed, i, p]) so a single expert is reproducible on its own.
+    routing="one-hot" applies freeze_one_hot_routing to the new adapter.
     """
+    if routing not in ("soft", "one-hot"):
+        raise ValueError(f"routing must be soft or one-hot, got {routing!r}")
     if not foundation.frozen:
         raise ValueError("foundation must be frozen before adaptation")
     if plan.seg_len != foundation.head_out:
@@ -194,15 +210,30 @@ def new_adapter(
             )
         experts[name] = lst
         logits[name] = np.zeros((plan.segments, n_experts))
-    return MolaAdapter(
+    adapter = MolaAdapter(
         plan=plan,
         adapted_layers=layers,
         n_experts=n_experts,
         rank=rank,
         experts=experts,
         logits=logits,
+        foundation_sha256=foundation_digest(foundation),
         frozen_logits=[False] * plan.segments,
     )
+    if routing == "one-hot":
+        freeze_one_hot_routing(adapter)
+    return adapter
+
+
+def check_settings(encoder_spec: model.EncoderSpec, horizon: int, segments: int,
+                   n_experts: int, rank: int, placement=None, routing: str = "soft") -> None:
+    """Raise the ValueError that adapting with these settings would raise, by
+    building the segment plan, a fresh frozen foundation and the adapter.
+    Their random draws are local, so no later result changes."""
+    plan = make_segment_plan(horizon, segments)
+    foundation = model.new_model(encoder_spec, plan.seg_len, seed=0)
+    foundation.freeze()
+    new_adapter(foundation, plan, n_experts, rank, seed=0, placement=placement, routing=routing)
 
 
 def freeze_one_hot_routing(adapter: MolaAdapter) -> None:
@@ -269,16 +300,17 @@ def _trained_experts(adapter: MolaAdapter, layer: str, k: int, delta: np.ndarray
 def segment_grads(foundation, adapter, k, batch, target_slice):
     """Loss and gradients w.r.t. the segment-k adaptation parameters.
 
-    Chain rule through W_eff = W + sum_p delta_p B_p A_p with dL/dW_eff = G:
+    Chain rule through W_eff = W + sum_p delta_p B_p A_p with dL/dW_eff = G,
+    one pass per trained expert around its product B_p^T G:
 
-        dL/dB_p = delta_p * G @ A_p^T
-        dL/dA_p = delta_p * B_p^T @ G
-        dL/ddelta_p = <G, B_p A_p>        (then softmax backward to logits)
+        dL/dA_p = delta_p * B_p^T G
+        dL/dB_p = delta_p * G A_p^T
+        dL/ddelta_p = <B_p^T G, A_p> = <G, B_p A_p>   (then softmax backward to logits)
 
     The routing gradient is only formed while the segment's routing row is
     trainable.  Experts that segment k does not train (see
     adaptation_params) get no buffer; under trainable routing a zero-weight
-    expert gets exact-zero gradients, so it stays put under Adam.
+    expert gets (signed) zero gradients, so it stays put under Adam.
     """
     _check_segment(adapter, k)
     deltas = {name: mixture_weights(adapter, name, k) for name in adapter.adapted_layers}
@@ -287,18 +319,18 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
         for name, delta in deltas.items()
     }
     loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
+    routed = not adapter.frozen_logits[k - 1]
     grads: dict[str, np.ndarray] = {}
     for name, delta in deltas.items():
         g_eff = eff_grads[name]
+        d_delta = np.empty(adapter.n_experts) if routed else None
         for p, e in _trained_experts(adapter, name, k, delta):
-            if delta[p] != 0.0:
-                grads[f"{name}.expert{p}.b"] = delta[p] * (g_eff @ e.a_mat.T)
-                grads[f"{name}.expert{p}.a"] = delta[p] * (e.b_mat.T @ g_eff)
-            else:
-                grads[f"{name}.expert{p}.b"] = np.zeros_like(e.b_mat)
-                grads[f"{name}.expert{p}.a"] = np.zeros_like(e.a_mat)
-        if not adapter.frozen_logits[k - 1]:
-            d_delta = np.array([np.vdot(g_eff, e.b_mat @ e.a_mat) for e in adapter.experts[name]])
+            bt_g = e.b_mat.T @ g_eff
+            grads[f"{name}.expert{p}.a"] = delta[p] * bt_g
+            grads[f"{name}.expert{p}.b"] = delta[p] * (g_eff @ e.a_mat.T)
+            if routed:
+                d_delta[p] = np.vdot(bt_g, e.a_mat)
+        if routed:
             grads[f"{name}.logits.k{k}"] = delta * (d_delta - float(delta @ d_delta))
     return loss, grads
 
@@ -341,6 +373,7 @@ def adapter_state(adapter: MolaAdapter) -> dict:
         "adapted_layers": list(adapter.adapted_layers),
         "n_experts": adapter.n_experts,
         "rank": adapter.rank,
+        "foundation_sha256": adapter.foundation_sha256,
         "frozen_logits": list(adapter.frozen_logits),
         "layers": layers,
     }
@@ -368,6 +401,7 @@ def adapter_from_state(state: dict) -> MolaAdapter:
         rank=int(state["rank"]),
         experts=experts,
         logits=logits,
+        foundation_sha256=state["foundation_sha256"],
         frozen_logits=[bool(f) for f in state["frozen_logits"]],
     )
 

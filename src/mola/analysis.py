@@ -346,14 +346,16 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
     segment).  Because segments train sequentially and experts stay shared,
     soft mixing lets later segments repurpose experts that earlier segments'
     frozen weights still point at; hard routing keeps the per-segment fits
-    independent, which matters when adaptations are large.
+    independent, which matters when adaptations are large.  Adapter
+    settings are checked before anything trains; the foundation trains with
+    ``pretrain_config``, by default ``config``.
     """
+    n_experts = segments if n_experts is None else n_experts
+    adapt.check_settings(encoder_spec, horizon, segments, n_experts, rank,
+                         placement=placement, routing=routing)
     config = config or train.TrainConfig()
-    if routing not in ("soft", "one-hot"):
-        raise ValueError(f"routing must be 'soft' or 'one-hot', got {routing!r}")
     lookback = encoder_spec.in_len
     plan = adapt.make_segment_plan(horizon, segments, lookback=lookback)
-    n_experts = segments if n_experts is None else n_experts
     paradigms: dict[str, dict] = {}
 
     def eval_with_audit(forecast_fn):
@@ -371,14 +373,10 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
     paradigms["mtf"] = eval_with_audit(lambda h: model.forecast(mtf_m, h))
     paradigms["mtf"]["records"] = [train.run_summary(mtf_rec)]
 
-    pre_cfg = pretrain_config or train.default_pretrain_config(
-        seed=config.seed, learning_rate=config.learning_rate, batch_size=config.batch_size
-    )
-    foundation, pre_rec = train.pretrain(ds, encoder_spec, plan.seg_len, pre_cfg)
+    foundation, pre_rec = train.pretrain(ds, encoder_spec, plan.seg_len,
+                                         pretrain_config or config)
     adapter = adapt.new_adapter(foundation, plan, n_experts, rank, seed=config.seed,
-                                placement=placement)
-    if routing == "one-hot":
-        adapt.freeze_one_hot_routing(adapter)
+                                placement=placement, routing=routing)
     adapter, seg_recs = train.adapt_all_segments(foundation, plan, adapter, ds, config)
     paradigms["mola"] = eval_with_audit(lambda h: train.mola_forecast(foundation, adapter, h))
     paradigms["mola"]["records"] = [train.run_summary(pre_rec)] + [

@@ -34,6 +34,10 @@ class UserError(Exception):
     """Bad input from the user: config, flags, or missing files."""
 
 
+class MissingCheckpoint(UserError):
+    """A checkpoint a command reads has not been written yet."""
+
+
 DEFAULTS = {
     "dataset": {
         "source": "synth",
@@ -156,8 +160,6 @@ def _validate(cfg: dict, user_set: set[str]) -> None:
     mode, _ = _parse_split(ds["split"])
     if mode == "counts" and ds["source"] == "synth":
         raise UserError("a counts split requires dataset.source=csv; use ratios for synth")
-    if cfg["model"]["kind"] == "linear" and cfg["model"]["hidden"]:
-        raise UserError("model.hidden only applies to model.kind=mlp2")
     pk = cfg["paradigm"]["kind"]
     if pk not in ("arf", "mtf", "mola"):
         raise UserError(f"paradigm.kind must be arf, mtf, or mola, got {pk!r}")
@@ -165,22 +167,18 @@ def _validate(cfg: dict, user_set: set[str]) -> None:
         for key in _MOLA_ONLY:
             if f"paradigm.{key}" in user_set:
                 raise UserError(f"paradigm.{key} only applies to paradigm.kind=mola")
-    else:
-        k = cfg["paradigm"]["segments"]
-        if k < 1 or ds["horizon"] % k != 0:
-            raise UserError(
-                f"mola needs segments to divide the horizon exactly: "
-                f"horizon={ds['horizon']}, segments={k}"
-            )
-        routing = cfg["paradigm"]["routing"]
-        if routing not in ("soft", "one-hot"):
-            raise UserError(f"paradigm.routing must be soft or one-hot, got {routing!r}")
-        if routing == "one-hot" and cfg["paradigm"]["experts"] != k:
-            raise UserError(
-                f"one-hot routing pins segment k to expert k and needs "
-                f"paradigm.experts == paradigm.segments; got experts="
-                f"{cfg['paradigm']['experts']}, segments={k}"
-            )
+    # build what the commands build, so a bad value fails before the run directory exists
+    try:
+        spec = _encoder_spec(cfg)
+        for stage in ("pretrain", "adapt", "baseline"):
+            _train_config(cfg, stage)
+        _int_list(cfg, "analysis", "probe_steps")
+        if pk == "mola":
+            p = cfg["paradigm"]
+            adapt.check_settings(spec, ds["horizon"], p["segments"], p["experts"], p["rank"],
+                                 placement=_placement(cfg), routing=p["routing"])
+    except ValueError as e:
+        raise UserError(str(e)) from None
 
 
 def _parse_split(raw: str):
@@ -253,13 +251,21 @@ def _dataset(cfg: dict) -> data.SeriesDataset:
     return data.standardize(raw)
 
 
+def _int_list(cfg: dict, section: str, key: str) -> list[int]:
+    raw = cfg[section][key]
+    try:
+        return [int(x) for x in raw.split(",") if x.strip()]
+    except ValueError:
+        raise UserError(
+            f"config value {section}.{key}={raw!r} is not a comma-separated list of integers"
+        ) from None
+
+
 def _encoder_spec(cfg: dict) -> model.EncoderSpec:
-    hidden_raw = cfg["model"]["hidden"]
-    hidden = tuple(int(x) for x in hidden_raw.split(",") if x.strip()) if hidden_raw else ()
     return model.EncoderSpec(
         kind=cfg["model"]["kind"],
         in_len=cfg["dataset"]["lookback"],
-        hidden=hidden,
+        hidden=tuple(_int_list(cfg, "model", "hidden")),
         activation=cfg["model"]["activation"],
     )
 
@@ -366,7 +372,7 @@ def _save_stages(rd: Path, cfg_hash: str, checkpoint: str, state: dict, records)
 
 def _require_checkpoint(path: Path, hint: str):
     if not path.exists():
-        raise UserError(f"missing checkpoint {path}; {hint}")
+        raise MissingCheckpoint(f"missing checkpoint {path}; {hint}")
     return path
 
 
@@ -406,13 +412,6 @@ def cmd_adapt(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     foundation = model.load_checkpoint(
         _require_checkpoint(rd / "checkpoints" / "foundation.json", "run pretrain first")
     )
-    seg = horizon // segments
-    if foundation.head_out != seg:
-        raise UserError(
-            f"foundation checkpoint predicts {foundation.head_out} steps per segment, "
-            f"but horizon/segments = {horizon}/{segments} = {seg}; "
-            "re-run pretrain with the current config"
-        )
     if foundation.lookback != cfg["dataset"]["lookback"]:
         raise UserError(
             f"foundation checkpoint lookback {foundation.lookback} != configured "
@@ -426,9 +425,8 @@ def cmd_adapt(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
         rank=cfg["paradigm"]["rank"],
         seed=cfg["train"]["seed"],
         placement=_placement(cfg),
+        routing=cfg["paradigm"]["routing"],
     )
-    if cfg["paradigm"]["routing"] == "one-hot":
-        adapt.freeze_one_hot_routing(adapter)
     adapter, records = train.adapt_all_segments(
         foundation, plan, adapter, ds, _train_config(cfg, "adapt")
     )
@@ -470,12 +468,15 @@ def _forecaster_from_checkpoints(pk: str, rd: Path, horizon: int):
             _require_checkpoint(cp / "arf.json", "run train-baseline first")
         )
         return lambda h: model.ar_f_forecast(m, h, horizon)
-    foundation = model.load_checkpoint(
-        _require_checkpoint(cp / "foundation.json", "run pretrain first")
-    )
-    adapter = adapt.load_adapter(
-        _require_checkpoint(cp / "adapter.json", "run adapt first")
-    )
+    foundation_path = _require_checkpoint(cp / "foundation.json", "run pretrain first")
+    adapter_path = _require_checkpoint(cp / "adapter.json", "run adapt first")
+    foundation = model.load_checkpoint(foundation_path)
+    adapter = adapt.load_adapter(adapter_path)
+    if adapter.foundation_sha256 != adapt.foundation_digest(foundation):
+        raise UserError(
+            f"{adapter_path} was fitted on a different foundation than {foundation_path}; "
+            "re-run adapt"
+        )
     if adapter.plan.horizon != horizon:
         raise UserError(
             f"adapter covers horizon {adapter.plan.horizon} but dataset.horizon={horizon}"
@@ -571,7 +572,7 @@ def cmd_variance(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     for name in ("arf", "mtf", "mola"):
         try:
             fn = _forecaster_from_checkpoints(name, rd, horizon)
-        except UserError:
+        except MissingCheckpoint:
             continue
         samples[name] = _per_step_loss_samples(fn, ds, lookback, horizon, "test")
     if not samples:
@@ -603,7 +604,7 @@ def cmd_variance(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
 
 
 def cmd_probe(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
-    steps = [int(s) for s in cfg["analysis"]["probe_steps"].split(",") if s.strip()]
+    steps = _int_list(cfg, "analysis", "probe_steps")
     ds = _dataset(cfg)
     rep = analysis.per_step_probe(
         ds, cfg["dataset"]["lookback"], steps, config=_train_config(cfg, "baseline")

@@ -41,13 +41,6 @@ class TrainConfig:
             raise ValueError(f"adam moments must satisfy 0 < beta < 1, eps > 0, got {self.adam}")
 
 
-def default_pretrain_config(seed: int = 0, learning_rate: float = 1e-3,
-                            batch_size: int = 32) -> TrainConfig:
-    """Pre-training budget: at most 5 epochs, patience 2."""
-    return TrainConfig(learning_rate=learning_rate, batch_size=batch_size,
-                       max_epochs=5, patience=2, seed=seed)
-
-
 # --- optimizer ---
 
 
@@ -254,8 +247,7 @@ def _train_model(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, horizo
 def pretrain(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, s_steps: int,
              config: TrainConfig | None = None):
     """Train the S-step foundation model; returned frozen at its best epoch."""
-    m, record = _train_model(ds, encoder_spec, s_steps, config or default_pretrain_config(),
-                             stage="pretrain")
+    m, record = _train_model(ds, encoder_spec, s_steps, config or TrainConfig(), stage="pretrain")
     m.freeze()
     return m, record
 

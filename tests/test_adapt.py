@@ -291,6 +291,15 @@ def test_one_hot_routing_requires_matching_counts():
             assert np.array_equal(delta, want)
 
 
+def test_new_adapter_applies_routing():
+    f, plan, manual = setup_adapter(experts=2, segments=2)
+    adapt.freeze_one_hot_routing(manual)
+    built = adapt.new_adapter(f, plan, n_experts=2, rank=2, seed=1, routing="one-hot")
+    assert adapt.adapter_state(built) == adapt.adapter_state(manual)
+    with pytest.raises(ValueError, match="routing"):
+        adapt.new_adapter(f, plan, n_experts=2, rank=2, seed=1, routing="diag")
+
+
 # --- gradients through the adapter ---
 
 
@@ -332,6 +341,32 @@ def test_segment_grads_match_finite_differences():
         ana = grads[f"{layer}.logits.k{k}"]
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(ana)), 1e-7)
         assert np.max(np.abs(ana - fd) / denom) <= 1e-4, layer
+
+
+def test_soft_routing_logit_gradient_is_inner_product_with_expert_update():
+    f, plan, ad = setup_adapter(experts=3, segments=2, head_out=3)
+    rng = np.random.default_rng(23)
+    for layer in ad.adapted_layers:
+        for e in ad.experts[layer]:
+            e.b_mat[:] = rng.normal(size=e.b_mat.shape) * 0.2
+        ad.logits[layer][:] = rng.normal(size=ad.logits[layer].shape) * 0.5
+    batch = make_batch(f.lookback, plan.horizon, d=2, n=4, seed=24)
+    k = 1
+    sl = plan.boundaries[k - 1]
+    _, grads = adapt.segment_grads(f, ad, k, batch, sl)
+    deltas = {layer: adapt.mixture_weights(ad, layer, k) for layer in ad.adapted_layers}
+    eff = {
+        layer: adapt.effective_weight(f.params.get(layer), ad.experts[layer], delta)
+        for layer, delta in deltas.items()
+    }
+    _, eff_grads = model.loss_and_grads(f, batch, sl, overrides=eff)
+    for layer, delta in deltas.items():
+        d_delta = np.array(
+            [np.vdot(eff_grads[layer], e.b_mat @ e.a_mat) for e in ad.experts[layer]]
+        )
+        want = delta * (d_delta - float(delta @ d_delta))
+        got = grads[f"{layer}.logits.k{k}"]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), layer
 
 
 def test_segment_grads_skip_frozen_logits():
@@ -433,6 +468,7 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     assert loaded.adapted_layers == ad.adapted_layers
     assert loaded.n_experts == ad.n_experts and loaded.rank == ad.rank
     assert loaded.frozen_logits == ad.frozen_logits
+    assert loaded.foundation_sha256 == ad.foundation_sha256 == adapt.foundation_digest(f)
     for layer in ad.adapted_layers:
         assert np.array_equal(loaded.logits[layer], ad.logits[layer])
         for e1, e2 in zip(loaded.experts[layer], ad.experts[layer]):

@@ -326,6 +326,21 @@ def test_paradigm_compare_one_hot_routing():
         analysis.paradigm_compare(ds, spec, horizon=4, segments=2, config=cfg, routing="diag")
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [dict(n_experts=3, routing="one-hot"), dict(routing="diag"), dict(rank=0)],
+)
+def test_paradigm_compare_refuses_bad_adapter_settings_before_training(monkeypatch, settings):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the adapter settings were checked")
+
+    monkeypatch.setattr(train, "arf_train", no_training)
+    ds = sine_ds(n_points=220)
+    spec = model.EncoderSpec(kind="linear", in_len=8)
+    with pytest.raises(ValueError):
+        analysis.paradigm_compare(ds, spec, horizon=4, segments=2, **settings)
+
+
 def test_window_set_hash_sensitivity():
     ds = sine_ds(n_points=220)
     a = analysis.window_set_hash(data.windows(ds, 8, 4, "test"))

@@ -331,6 +331,73 @@ def test_one_hot_routing_needs_square_expert_count(ws, capsys):
     assert "routing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, needle",
+    [
+        (["paradigm.rank=0"], "rank"),
+        (["paradigm.experts=0"], "n_experts"),
+        (["paradigm.placement=enc9.w"], "enc9.w"),
+        (["paradigm.routing=banana"], "routing"),
+        (["model.kind=mlp2", "model.hidden=16"], "hidden"),
+        (["model.activation=gelu"], "activation"),
+        (["train.batch_size=0"], "batch_size"),
+        (["train.learning_rate=-1"], "learning_rate"),
+        (["model.kind=mlp2", "model.hidden=16,x"], "model.hidden='16,x'"),
+    ],
+)
+def test_pretrain_refuses_unbuildable_settings_before_creating_run_dir(
+    ws, capsys, overrides, needle
+):
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "r"
+    argv = ["pretrain", "--config", cfg, "--run-dir", str(rd)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    assert needle in capsys.readouterr().err
+    assert not rd.exists()
+
+
+def test_probe_steps_must_be_integers(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **mtf_sections())
+    rd = ws / "r"
+    argv = ["analyze", "probe", "--config", cfg, "--run-dir", str(rd),
+            "--set", "analysis.probe_steps=1,a"]
+    assert cli.main(argv) == 1
+    assert "analysis.probe_steps='1,a'" in capsys.readouterr().err
+    assert not rd.exists()
+
+
+def test_eval_refuses_adapter_of_another_foundation(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "run"
+    for argv in (["pretrain"], ["adapt"], ["pretrain"], ["eval"]):
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    # a different foundation in the same run directory: the adapter is stale
+    assert cli.main(["pretrain", "--config", cfg, "--run-dir", str(rd), "--seed", "5"]) == 0
+    assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1
+    err = capsys.readouterr().err
+    assert "adapter.json" in err and "foundation.json" in err and "re-run adapt" in err
+    # variance skips paradigms that were never trained, not a stale pairing
+    assert cli.main(["analyze", "variance", "--config", cfg, "--run-dir", str(rd)]) == 1
+    assert "re-run adapt" in capsys.readouterr().err
+
+
+def test_version_1_adapter_is_rejected(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "run"
+    for argv in (["pretrain"], ["adapt"]):
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    path = rd / "checkpoints" / "adapter.json"
+    state = json.loads(path.read_text())
+    assert state["format_version"] == 2
+    state["format_version"] = 1
+    del state["foundation_sha256"]
+    path.write_text(json.dumps(state))
+    assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1
+    assert "unsupported adapter format version 1" in capsys.readouterr().err
+
+
 def test_internal_errors_exit_2(ws, monkeypatch, capsys):
     cfg = write_ini(ws / "cfg.ini", **base_sections())
 

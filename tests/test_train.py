@@ -42,9 +42,6 @@ def test_config_validation():
 
 
 def test_pretrain_default_budget():
-    cfg = train.default_pretrain_config()
-    assert cfg.max_epochs == 5
-    assert cfg.patience == 2
     base = train.TrainConfig()
     assert base.max_epochs == 10 and base.patience == 3
     assert base.learning_rate == 1e-3 and base.batch_size == 32
