@@ -59,8 +59,9 @@ def min_attainable_error(w, b, y) -> BottleneckReport:
     if y.shape[0] != wbar.shape[0]:
         raise ValueError(f"labels have {y.shape[0]} rows, map has {wbar.shape[0]} outputs")
     res = linalg.svd(wbar)
-    t_dim = wbar.shape[0]
-    energies = [float(np.sum((res.u[:, i] @ y) ** 2)) for i in range(res.rank, t_dim)]
+    outside = res.u[:, res.rank:].T @ y  # coordinates of y along each null direction
+    energies = np.einsum("ij,ij->i", outside, outside).tolist()
+    del outside  # as large as y, and not needed while least squares runs
     x = linalg.least_squares(wbar, y)
     resid = wbar @ x - y
     return BottleneckReport(

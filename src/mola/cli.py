@@ -376,6 +376,15 @@ def _require_checkpoint(path: Path, hint: str):
     return path
 
 
+def _load_model(path: Path, lookback: int) -> model.FoundationModel:
+    m = model.load_checkpoint(path)
+    if m.lookback != lookback:
+        raise UserError(
+            f"{path} was trained with lookback {m.lookback}, but dataset.lookback={lookback}"
+        )
+    return m
+
+
 # --- commands ---
 
 
@@ -409,14 +418,10 @@ def cmd_adapt(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = _dataset(cfg)
     horizon = cfg["dataset"]["horizon"]
     segments = cfg["paradigm"]["segments"]
-    foundation = model.load_checkpoint(
-        _require_checkpoint(rd / "checkpoints" / "foundation.json", "run pretrain first")
+    foundation = _load_model(
+        _require_checkpoint(rd / "checkpoints" / "foundation.json", "run pretrain first"),
+        cfg["dataset"]["lookback"],
     )
-    if foundation.lookback != cfg["dataset"]["lookback"]:
-        raise UserError(
-            f"foundation checkpoint lookback {foundation.lookback} != configured "
-            f"lookback {cfg['dataset']['lookback']}"
-        )
     plan = adapt.make_segment_plan(horizon, segments, lookback=foundation.lookback)
     adapter = adapt.new_adapter(
         foundation,
@@ -452,25 +457,21 @@ def cmd_train_baseline(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     return 0
 
 
-def _forecaster_from_checkpoints(pk: str, rd: Path, horizon: int):
+def _forecaster_from_checkpoints(pk: str, rd: Path, lookback: int, horizon: int):
     cp = rd / "checkpoints"
     if pk == "mtf":
-        m = model.load_checkpoint(
-            _require_checkpoint(cp / "mtf.json", "run train-baseline first")
-        )
+        m = _load_model(_require_checkpoint(cp / "mtf.json", "run train-baseline first"), lookback)
         if m.head_out != horizon:
             raise UserError(
                 f"mtf checkpoint predicts {m.head_out} steps but dataset.horizon={horizon}"
             )
         return lambda h: model.forecast(m, h)
     if pk == "arf":
-        m = model.load_checkpoint(
-            _require_checkpoint(cp / "arf.json", "run train-baseline first")
-        )
+        m = _load_model(_require_checkpoint(cp / "arf.json", "run train-baseline first"), lookback)
         return lambda h: model.ar_f_forecast(m, h, horizon)
     foundation_path = _require_checkpoint(cp / "foundation.json", "run pretrain first")
     adapter_path = _require_checkpoint(cp / "adapter.json", "run adapt first")
-    foundation = model.load_checkpoint(foundation_path)
+    foundation = _load_model(foundation_path, lookback)
     adapter = adapt.load_adapter(adapter_path)
     if adapter.foundation_sha256 != adapt.foundation_digest(foundation):
         raise UserError(
@@ -489,7 +490,7 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = _dataset(cfg)
     lookback = cfg["dataset"]["lookback"]
     horizon = cfg["dataset"]["horizon"]
-    forecast_fn = _forecaster_from_checkpoints(pk, rd, horizon)
+    forecast_fn = _forecaster_from_checkpoints(pk, rd, lookback, horizon)
     metrics = train.evaluate_forecaster(forecast_fn, ds, lookback, horizon, split=args.split)
     payload = {"paradigm": pk, "split": args.split, "metrics": metrics}
     if args.destandardized:
@@ -571,7 +572,7 @@ def cmd_variance(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     samples = {}
     for name in ("arf", "mtf", "mola"):
         try:
-            fn = _forecaster_from_checkpoints(name, rd, horizon)
+            fn = _forecaster_from_checkpoints(name, rd, lookback, horizon)
         except MissingCheckpoint:
             continue
         samples[name] = _per_step_loss_samples(fn, ds, lookback, horizon, "test")

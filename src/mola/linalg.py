@@ -4,8 +4,11 @@ Matrices are plain 2-D C-order float64 numpy arrays; :func:`as_matrix` is
 the single entry point that enforces shape and finiteness.  The SVD is a
 hand-rolled one-sided Jacobi iteration rather than a LAPACK call because
 everything downstream (rank decisions, null-space energies, pseudoinverse
-solves) must be deterministic and auditable at desk scale.  All routines
-are pure functions over immutable inputs.
+solves) must be deterministic and auditable at desk scale.  Each step of a
+sweep rotates a whole anti-diagonal of disjoint column pairs with one set
+of array operations; the step order depends on the matrix shape alone and
+reproduces the classic row-cyclic pair order, so results are repeatable
+bit for bit.  All routines are pure functions over immutable inputs.
 """
 
 from __future__ import annotations
@@ -101,6 +104,15 @@ def svd(a) -> SvdResult:
     singular values are filled in by Gram-Schmidt completion so that
     ``u`` is always a full orthogonal basis.
 
+    A sweep visits the pairs ``p < q`` in anti-diagonal steps: step ``s``
+    rotates every pair with ``p + q = s`` at once.  These pairs share no
+    column, so a step is one set of array operations, and every pair that
+    shares a column with ``(p, q)`` and precedes it in row-cyclic order
+    ``(0,1), (0,2), ..., (1,2), ...`` falls in an earlier step.  Each
+    rotation therefore sees the same two columns as in the row-cyclic
+    sweep, which keeps that order's convergence.  The steps are fixed by
+    the shape alone, so equal inputs give bitwise-equal results.
+
     Raises
     ------
     JacobiNonConvergence
@@ -119,29 +131,48 @@ def svd(a) -> SvdResult:
     return _svd_tall(a)
 
 
+def _sweep_steps(n: int) -> list[tuple[NDArray[np.intp], NDArray[np.intp]]]:
+    """The ``(p, q)`` index arrays of each anti-diagonal step of one sweep."""
+    steps = []
+    for s in range(1, 2 * n - 2):
+        p = np.arange(max(0, s - n + 1), (s + 1) // 2)
+        steps.append((p, s - p))
+    return steps
+
+
 def _svd_tall(a: Mat) -> SvdResult:
     m, n = a.shape
-    b = a.copy()
-    v = np.eye(n)
+    # Scaling by a power of two is exact and keeps the squared column norms
+    # clear of underflow and overflow; sigma is scaled back at the end.
+    exp = math.frexp(float(np.max(np.abs(a))))[1]
+    # Row i holds column i of the working matrix, then column i of V: one
+    # rotation acts on both, and a gather of rows reads contiguous memory.
+    work = np.hstack([np.ldexp(a.T, -exp), np.eye(n)])
+    steps = _sweep_steps(n)
     converged = False
     worst = math.inf
     for _ in range(JACOBI_MAX_SWEEPS):
         worst = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = float(b[:, p] @ b[:, p])
-                beta = float(b[:, q] @ b[:, q])
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                gamma = float(b[:, p] @ b[:, q])
-                rel = abs(gamma) / math.sqrt(alpha * beta)
-                worst = max(worst, rel)
-                if rel <= JACOBI_TOL:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * gamma, alpha - beta)
-                c, s = math.cos(theta), math.sin(theta)
-                _rotate_columns(b, p, q, c, s)
-                _rotate_columns(v, p, q, c, s)
+        for p, q in steps:
+            cols_p, cols_q = work[p], work[q]
+            bp, bq = cols_p[:, :m], cols_q[:, :m]
+            alpha = np.einsum("ij,ij->i", bp, bp)
+            beta = np.einsum("ij,ij->i", bq, bq)
+            gamma = np.einsum("ij,ij->i", bp, bq)
+            # pairs with a zero column are skipped and do not count as worst
+            live = (alpha != 0.0) & (beta != 0.0)
+            rel = np.zeros_like(gamma)
+            np.divide(np.abs(gamma), np.sqrt(alpha * beta), out=rel, where=live)
+            top = float(rel.max())
+            worst = max(worst, top)
+            if top <= JACOBI_TOL:
+                continue
+            # theta = 0 leaves a pair that already meets the tolerance as it is
+            theta = np.where(rel > JACOBI_TOL,
+                             0.5 * np.arctan2(2.0 * gamma, alpha - beta), 0.0)
+            c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+            work[p] = c * cols_p + s * cols_q
+            work[q] = c * cols_q - s * cols_p
         if worst <= JACOBI_TOL:
             converged = True
             break
@@ -151,34 +182,23 @@ def _svd_tall(a: Mat) -> SvdResult:
             f"{JACOBI_MAX_SWEEPS} sweeps (worst pair at {worst:.3e})"
         )
 
-    norms = np.sqrt((b * b).sum(axis=0))
+    b = work[:, :m]
+    norms = np.sqrt(np.einsum("ij,ij->i", b, b))
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
 
     # Columns with sigma well above underflow noise define U directly;
     # the rest of the orthogonal basis is completed from identity vectors.
     keep_tol = sigma[0] * max(m, n) * 1e-15
+    kept = int(np.count_nonzero((sigma > keep_tol) & (sigma > 0.0)))  # a prefix: sigma descends
     u = np.zeros((m, m))
-    kept = 0
-    for i, col in enumerate(order):
-        if sigma[i] > keep_tol and sigma[i] > 0.0:
-            u[:, kept] = b[:, col] / sigma[i]
-            kept += 1
-        else:
-            break
+    u[:, :kept] = (b[order[:kept]] / sigma[:kept, None]).T
     if kept < m:
         u[:, kept:] = _complete_basis(u[:, :kept])
 
-    vt = np.ascontiguousarray(v[:, order].T)
+    vt = work[order, m:]
     rank = int((sigma > sigma[0] * max(m, n) * RANK_REL_TOL).sum()) if sigma[0] > 0 else 0
-    return SvdResult(u=u, sigma=sigma, vt=vt, rank=rank)
-
-
-def _rotate_columns(mat: Mat, p: int, q: int, c: float, s: float) -> None:
-    col_p = c * mat[:, p] + s * mat[:, q]
-    col_q = -s * mat[:, p] + c * mat[:, q]
-    mat[:, p] = col_p
-    mat[:, q] = col_q
+    return SvdResult(u=u, sigma=np.ldexp(sigma, exp), vt=vt, rank=rank)
 
 
 def _complete_basis(u_part: Mat) -> Mat:
@@ -191,18 +211,19 @@ def _complete_basis(u_part: Mat) -> Mat:
     m, k = u_part.shape
     basis = np.zeros((m, m))
     basis[:, :k] = u_part
-    remaining = list(range(m))
+    taken = np.zeros(m, dtype=bool)
     for j in range(k, m):
         current = basis[:, :j]
         # residual norm^2 of e_i against an orthonormal basis is 1 - ||row_i||^2
-        scores = [1.0 - float(current[i] @ current[i]) for i in remaining]
-        pick = remaining[int(np.argmax(scores))]
+        scores = 1.0 - np.einsum("ij,ij->i", current, current)
+        scores[taken] = -math.inf
+        pick = int(np.argmax(scores))
+        taken[pick] = True
         e = np.zeros(m)
         e[pick] = 1.0
         r = e - current @ (current.T @ e)
         r -= current @ (current.T @ r)  # re-orthogonalize once
         basis[:, j] = r / math.sqrt(float(r @ r))
-        remaining.remove(pick)
     return basis[:, k:]
 
 

@@ -157,18 +157,28 @@ class FoundationModel:
         self.params.freeze_all()
 
 
+def _param_shapes(encoder_spec: EncoderSpec, head_out: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter of a model, in creation order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i in range(encoder_spec.n_layers):
+        out, fan_in = encoder_spec.layer_shape(i)
+        shapes[f"enc{i}.w"] = (out, fan_in)
+        shapes[f"enc{i}.b"] = (out,)
+    shapes["head.w"] = (head_out, encoder_spec.rep_dim)
+    shapes["head.b"] = (head_out,)
+    return shapes
+
+
 def new_model(encoder_spec: EncoderSpec, head_out: int, seed: int) -> FoundationModel:
     """Seeded init: weights ~ Uniform(+-1/sqrt(fan_in)), biases zero."""
     rng = np.random.default_rng(seed)
     params = ParamStore()
-    for i in range(encoder_spec.n_layers):
-        out, fan_in = encoder_spec.layer_shape(i)
-        bound = 1.0 / np.sqrt(fan_in)
-        params.add(f"enc{i}.w", rng.uniform(-bound, bound, size=(out, fan_in)))
-        params.add(f"enc{i}.b", np.zeros(out))
-    bound = 1.0 / np.sqrt(encoder_spec.rep_dim)
-    params.add("head.w", rng.uniform(-bound, bound, size=(head_out, encoder_spec.rep_dim)))
-    params.add("head.b", np.zeros(head_out))
+    for name, shape in _param_shapes(encoder_spec, head_out).items():
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[1])
+            params.add(name, rng.uniform(-bound, bound, size=shape))
+        else:
+            params.add(name, np.zeros(shape))
     return FoundationModel(encoder_spec=encoder_spec, head_out=head_out, params=params)
 
 
@@ -342,14 +352,23 @@ def model_from_state(state: dict) -> FoundationModel:
         raise ValueError(f"unsupported checkpoint format_version {state.get('format_version')!r}")
     if state.get("kind") != "foundation-model":
         raise ValueError(f"not a model checkpoint (kind={state.get('kind')!r})")
+    spec = EncoderSpec.from_dict(state["encoder_spec"])
+    head_out = int(state["head_out"])
+    expected = _param_shapes(spec, head_out)
+    names = [entry["name"] for entry in state["params"]]
+    if sorted(names) != sorted(expected):
+        raise ValueError(f"checkpoint parameters {names} do not match the {list(expected)} "
+                         f"of its encoder spec and head_out={head_out}")
     params = ParamStore()
     for entry in state["params"]:
-        params.add(entry["name"], decode_array(entry), entry["trainable"])
-    return FoundationModel(
-        encoder_spec=EncoderSpec.from_dict(state["encoder_spec"]),
-        head_out=int(state["head_out"]),
-        params=params,
-    )
+        array = decode_array(entry)
+        if array.shape != expected[entry["name"]]:
+            raise ValueError(
+                f"checkpoint parameter {entry['name']!r} has shape {array.shape}, but its "
+                f"encoder spec and head_out={head_out} imply {expected[entry['name']]}"
+            )
+        params.add(entry["name"], array, entry["trainable"])
+    return FoundationModel(encoder_spec=spec, head_out=head_out, params=params)
 
 
 def save_checkpoint(m: FoundationModel, path) -> None:

@@ -9,6 +9,7 @@ isolation.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -186,7 +187,9 @@ def fit(stage: str, train_windows: data.WindowSet, params, loss_grads_fn, val_fn
         config: TrainConfig, stage_key: int) -> RunRecord:
     """Minimize via Adam with best-epoch snapshotting.  Returns the stage's
     RunRecord, without final metrics or wall time, and leaves `params`
-    holding the best-validation snapshot."""
+    holding the best-validation snapshot.  When no epoch beats the
+    untrained validation loss, the stop reason is ``no_improvement`` and a
+    RuntimeWarning names the stage."""
     n = len(train_windows)
     if n == 0:
         raise ValueError("no training windows")
@@ -214,6 +217,15 @@ def fit(stage: str, train_windows: data.WindowSet, params, loss_grads_fn, val_fn
     for k, v in params.items():
         np.copyto(v, best[k])
     record.best_epoch, record.best_val = stopper.best_epoch, stopper.best_val
+    if record.best_epoch == 0:
+        record.stop_reason = "no_improvement"
+        trained_best = min(e.val_loss for e in record.epochs)
+        warnings.warn(
+            f"{stage}: no epoch improved on the untrained validation loss "
+            f"{record.initial_val:.6g} (best trained epoch: {trained_best:.6g}); "
+            "keeping the initialisation",
+            RuntimeWarning,
+        )
     return record
 
 

@@ -383,6 +383,23 @@ def test_eval_refuses_adapter_of_another_foundation(ws, capsys):
     assert "re-run adapt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["mola", "mtf", "arf"])
+def test_eval_refuses_checkpoint_of_another_lookback(ws, capsys, kind):
+    sections = base_sections()
+    if kind != "mola":
+        sections["paradigm"] = {"kind": kind}
+    cfg = write_ini(ws / "cfg.ini", **sections)
+    rd = ws / "run"
+    steps = [["pretrain"], ["adapt"]] if kind == "mola" else [["train-baseline"]]
+    for argv in steps:
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    argv = ["eval", "--config", cfg, "--run-dir", str(rd), "--set", "dataset.lookback=4"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    ckpt = "foundation.json" if kind == "mola" else f"{kind}.json"
+    assert ckpt in err and "lookback 8" in err and "dataset.lookback=4" in err
+
+
 def test_version_1_adapter_is_rejected(ws, capsys):
     cfg = write_ini(ws / "cfg.ini", **base_sections())
     rd = ws / "run"

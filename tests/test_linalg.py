@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -115,6 +117,131 @@ def test_svd_properties(m, n, seed, deficient):
     assert res.rank <= min(m, n)
     if deficient:
         assert res.rank <= max(1, min(m, n) // 2)
+
+
+# --- sweep order ---
+
+
+def row_cyclic_reference(a):
+    """One-sided Jacobi with one pair at a time, in row-cyclic order
+    (0,1), (0,2), ..., (1,2), ...; returns the rotated a, V and the sweeps."""
+    b, v = a.copy(), np.eye(a.shape[1])
+    for sweep in range(1, linalg.JACOBI_MAX_SWEEPS + 1):
+        worst = 0.0
+        for p in range(a.shape[1] - 1):
+            for q in range(p + 1, a.shape[1]):
+                alpha, beta = b[:, p] @ b[:, p], b[:, q] @ b[:, q]
+                if alpha == 0.0 or beta == 0.0:
+                    continue
+                gamma = b[:, p] @ b[:, q]
+                rel = abs(gamma) / math.sqrt(alpha * beta)
+                worst = max(worst, rel)
+                if rel > linalg.JACOBI_TOL:
+                    theta = 0.5 * math.atan2(2.0 * gamma, alpha - beta)
+                    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                                    [math.sin(theta), math.cos(theta)]])
+                    b[:, [p, q]] = b[:, [p, q]] @ rot
+                    v[:, [p, q]] = v[:, [p, q]] @ rot
+        if worst <= linalg.JACOBI_TOL:
+            return b, v, sweep
+    raise AssertionError("reference did not converge")
+
+
+def sweeps_needed(a, monkeypatch):
+    for cap in range(1, linalg.JACOBI_MAX_SWEEPS + 1):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", cap)
+        try:
+            linalg.svd(a)
+            return cap
+        except linalg.JacobiNonConvergence:
+            pass
+    raise AssertionError("svd did not converge")
+
+
+def test_sweep_steps_cover_every_pair_once_with_disjoint_columns():
+    for n in range(1, 12):
+        steps = linalg._sweep_steps(n)
+        pairs = []
+        for p, q in steps:
+            assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
+            pairs += list(zip(p.tolist(), q.tolist()))
+        assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert len(steps) == max(0, 2 * n - 3)
+
+
+SWEEP_CASES = {
+    "n1": random_matrix(5, 1, seed=1),
+    "n2": random_matrix(5, 2, seed=2),
+    "n3": random_matrix(5, 3, seed=3),
+    "n4": random_matrix(5, 4, seed=4),
+    "square": random_matrix(9, 9, seed=5),
+    "deficient": random_matrix(30, 12, seed=6, rank=5),
+    "zero_column": np.insert(random_matrix(7, 4, seed=7), 2, 0.0, axis=1),
+    "equal_columns": random_matrix(7, 4, seed=8)[:, [0, 1, 1, 2, 3]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_svd_follows_the_row_cyclic_rotations(name, monkeypatch):
+    a = SWEEP_CASES[name]
+    m, n = a.shape
+    b, v, ref_sweeps = row_cyclic_reference(a)
+    norms = np.sqrt((b * b).sum(axis=0))
+    order = np.argsort(-norms, kind="stable")
+    res = linalg.svd(a)
+    scale = max(norms[0], 1e-300)
+    assert np.max(np.abs(res.sigma - norms[order])) <= 1e-13 * scale
+    # right singular vectors of the null space are fixed only up to rounding
+    assert np.max(np.abs(res.vt[: res.rank] - v[:, order[: res.rank]].T)) <= 1e-12
+    ref = np.linalg.svd(a, compute_uv=False)
+    assert np.max(np.abs(res.sigma - ref)) <= 1e-12 * scale
+    assert np.linalg.norm(reconstruct(res, m, n) - a) <= 1e-12 * scale
+    assert np.linalg.norm(res.u.T @ res.u - np.eye(m)) <= 1e-12 * m
+    assert np.linalg.norm(res.vt @ res.vt.T - np.eye(n)) <= 1e-12 * n
+    assert sweeps_needed(a, monkeypatch) == ref_sweeps
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (2, 5), (3, 8)])
+def test_svd_wide_inputs(shape):
+    a = random_matrix(*shape, seed=sum(shape))
+    res = linalg.svd(a)
+    m, n = shape
+    assert res.u.shape == (m, m) and res.vt.shape == (n, n) and res.sigma.shape == (m,)
+    assert np.max(np.abs(res.sigma - np.linalg.svd(a, compute_uv=False))) <= 1e-12 * res.sigma[0]
+    assert np.linalg.norm(reconstruct(res, m, n) - a) <= 1e-12 * res.sigma[0]
+    assert np.linalg.norm(res.vt @ res.vt.T - np.eye(n)) <= 1e-12 * n
+
+
+def test_svd_zero_and_repeated_columns_set_the_rank():
+    assert linalg.svd(SWEEP_CASES["zero_column"]).rank == 4
+    assert linalg.svd(SWEEP_CASES["equal_columns"]).rank == 4
+
+
+def test_svd_is_bitwise_repeatable():
+    a = random_matrix(40, 17, seed=9)
+    first, second = linalg.svd(a), linalg.svd(a.copy())
+    for field in ("u", "sigma", "vt"):
+        assert np.array_equal(getattr(first, field), getattr(second, field))
+    assert first.rank == second.rank
+
+
+@pytest.mark.parametrize("power", [-600, -520, 520])
+def test_svd_scale_is_exact_far_from_unit_scale(power):
+    # at 2**-520 squared entries underflow to subnormals, at 2**520 they overflow
+    a = random_matrix(6, 4, seed=11)
+    res, scaled = linalg.svd(a), linalg.svd(np.ldexp(a, power))
+    assert np.array_equal(scaled.sigma, np.ldexp(res.sigma, power))
+    assert np.array_equal(scaled.u, res.u) and np.array_equal(scaled.vt, res.vt)
+
+
+def test_svd_at_the_floor_scale(monkeypatch):
+    a = random_matrix(336, 97, seed=10)
+    ref = np.linalg.svd(a, compute_uv=False)
+    # the row-cyclic order needs about 8 sweeps here; 12 leaves a margin
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 12)
+    res = linalg.svd(a)
+    assert np.max(np.abs(res.sigma - ref)) <= 1e-12 * ref[0]
+    assert res.rank == 97
 
 
 # --- least squares ---

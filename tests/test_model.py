@@ -329,3 +329,15 @@ def test_checkpoint_round_trip_exact(tmp_path):
     path2 = tmp_path / "model2.json"
     model.save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_with_wrong_parameter_shape_is_rejected(tmp_path):
+    m = model.new_model(mlp_spec(9, 7, 4, "relu"), head_out=5, seed=42)
+    state = model.model_state(m)
+    entry = next(e for e in state["params"] if e["name"] == "head.w")
+    entry.update(shape=[5, 3], data=[0.0] * 15)  # rep_dim is 4
+    with pytest.raises(ValueError, match=r"'head\.w' has shape \(5, 3\).*\(5, 4\)"):
+        model.model_from_state(state)
+    state["params"] = [e for e in state["params"] if e["name"] != "head.w"]
+    with pytest.raises(ValueError, match="do not match"):
+        model.model_from_state(state)

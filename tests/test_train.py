@@ -201,6 +201,15 @@ def test_pretrain_reduces_val_loss_and_freezes():
     assert rec.stop_reason in ("early_stop", "max_epochs")
 
 
+def test_untrained_stage_says_so():
+    ds = sine_dataset(n_points=80)
+    with pytest.warns(RuntimeWarning, match=r"pretrain: no epoch improved .* loss \d"):
+        m, rec = train.pretrain(ds, LIN8, 2, small_config(learning_rate=1e3))
+    assert rec.best_epoch == 0
+    assert rec.stop_reason == "no_improvement"
+    assert min(e.val_loss for e in rec.epochs) > rec.initial_val
+
+
 def test_pretrain_restores_best_epoch_weights():
     ds = sine_dataset()
     m, rec = train.pretrain(ds, LIN8, 2, small_config(max_epochs=4, learning_rate=1e-2))
