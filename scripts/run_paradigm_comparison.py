@@ -4,6 +4,11 @@ two-sine corpus: recursive one-step (arf), direct multi-step (mtf), and the
 segment-adapted mixture (mola).  Prints per-seed test MSE, the seed means,
 and the recursive baseline's first/last-step errors so accumulation is
 visible.
+
+``--experts`` sets the experts per adapted layer (default: one per
+segment); fewer experts than segments is the shared mixture, which needs
+``--routing soft``.  Invalid adapter settings stop the script before any
+training.
 """
 
 import argparse
@@ -12,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from mola import analysis, data, model, train
+from mola import adapt, analysis, data, model, train
 
 
 def main():
@@ -22,6 +27,8 @@ def main():
     ap.add_argument("--lookback", type=int, default=6)
     ap.add_argument("--horizon", type=int, default=32)
     ap.add_argument("--segments", type=int, default=4)
+    ap.add_argument("--experts", type=int, default=None,
+                    help="experts per adapted layer (default: --segments)")
     ap.add_argument("--rank", type=int, default=5)
     ap.add_argument("--hidden", type=int, nargs=2, default=(16, 8))
     ap.add_argument("--activation", default="tanh", choices=("relu", "tanh"))
@@ -30,6 +37,7 @@ def main():
     ap.add_argument("--max-epochs", type=int, default=300)
     ap.add_argument("--patience", type=int, default=30)
     args = ap.parse_args()
+    n_experts = args.segments if args.experts is None else args.experts
 
     ds = data.standardize(
         data.generate_synthetic(data.default_synth_spec(n_points=args.n_points))
@@ -38,6 +46,11 @@ def main():
         kind="mlp2", in_len=args.lookback, hidden=tuple(args.hidden),
         activation=args.activation,
     )
+    try:
+        adapt.check_settings(spec, args.horizon, args.segments, n_experts, args.rank,
+                             routing=args.routing)
+    except ValueError as e:
+        ap.error(str(e))
     names = ("arf", "mtf", "mola")
     mses = {n: [] for n in names}
     arf_first, arf_last = [], []
@@ -51,7 +64,7 @@ def main():
             warnings.filterwarnings("ignore", message="segment length")
             out = analysis.paradigm_compare(
                 ds, spec, horizon=args.horizon, segments=args.segments,
-                config=cfg, n_experts=args.segments, rank=args.rank,
+                config=cfg, n_experts=n_experts, rank=args.rank,
                 routing=args.routing, pretrain_config=cfg,
             )
         for n in names:

@@ -6,10 +6,19 @@ chosen set of weight matrices:
 
     W_eff(k) = W + sum_p delta[k, p] * B_p @ A_p,   delta[k] = softmax(logits[k])
 
-Experts (A_p, B_p) are shared across segments and keep training as later
-segments are fitted; the routing logits are one row per segment and can be
-frozen once that segment is done.  Biases and the prediction head are never
-adapted.
+Each adapted layer stores its P experts as two stacks, ``a[layer]`` of shape
+(P, r, d_in) and ``b[layer]`` of shape (P, d_out, r), next to its (K, P)
+routing logits; ``experts[layer][p]`` gives expert p's factors as views into
+the stacks.  A training step works on whole stacks: W_eff is one product of
+the concatenated factors, and the expert gradients are stacked matmuls, one
+gradient per stack.  A segment whose routing row is frozen uses only the
+basic slice of experts from its first to its last nonzero weight, so under
+one-hot routing segment k touches ``a[layer][k-1:k]`` and
+``b[layer][k-1:k]`` and nothing else.
+
+Experts are shared across segments and keep training as later segments are
+fitted; the routing logits are one row per segment and can be frozen once
+that segment is done.  Biases and the prediction head are never adapted.
 """
 
 from __future__ import annotations
@@ -17,12 +26,13 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _io, model, __version__
 
-ADAPTER_FORMAT_VERSION = 2
+ADAPTER_FORMAT_VERSION = 3
 
 # Off-entry logit for hard routing.  exp(-1e6) underflows to exactly 0.0,
 # so the resulting mixture weights are an exact one-hot vector.
@@ -70,45 +80,37 @@ def normalize_weights(logits: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-@dataclass
-class LoraExpert:
-    """One low-rank update, stored as the factor pair (B, A)."""
+class LoraExpert(NamedTuple):
+    """Expert p of one layer: views ``b[layer][p]`` and ``a[layer][p]`` into
+    the adapter's stacks, so writes into them land in the adapter."""
 
     b_mat: np.ndarray  # (d_out, r)
     a_mat: np.ndarray  # (r, d_in)
 
-    def __post_init__(self):
-        self.b_mat = np.asarray(self.b_mat, dtype=np.float64)
-        self.a_mat = np.asarray(self.a_mat, dtype=np.float64)
-        if self.b_mat.ndim != 2 or self.a_mat.ndim != 2:
-            raise ValueError("expert factors must be 2-D")
-        if self.b_mat.shape[1] != self.a_mat.shape[0]:
-            raise ValueError(
-                f"factor ranks disagree: B is {self.b_mat.shape}, A is {self.a_mat.shape}"
-            )
 
-    @property
-    def rank(self) -> int:
-        return self.b_mat.shape[1]
-
-
-def effective_weight(base: np.ndarray, experts, delta: np.ndarray) -> np.ndarray:
-    """base + sum_p delta[p] * B_p A_p.  Zero-weight terms are skipped so
-    they cannot perturb the result even at the floating-point level."""
+def effective_weight(base: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     delta: np.ndarray) -> np.ndarray:
+    """base + sum_p delta[p] * b[p] @ a[p] for the expert stacks a (P, r, d_in)
+    and b (P, d_out, r), as one product of the concatenated factors
+    [delta_1 B_1 ... delta_P B_P] (d_out, P*r) and [A_1; ...; A_P] (P*r, d_in).
+    A zero weight zeroes its expert's columns exactly.  For one expert of
+    weight 1 this is exactly W + B @ A."""
     base = np.asarray(base, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    if len(experts) != delta.size:
-        raise ValueError(f"{len(experts)} experts but {delta.size} mixture weights")
-    out = base.copy()
-    for w, e in zip(delta, experts):
-        if e.b_mat.shape[0] != base.shape[0] or e.a_mat.shape[1] != base.shape[1]:
-            raise ValueError(
-                f"expert update is {e.b_mat.shape[0]}x{e.a_mat.shape[1]}, "
-                f"base weight is {base.shape[0]}x{base.shape[1]}"
-            )
-        if w != 0.0:
-            out += w * (e.b_mat @ e.a_mat)
-    return out
+    if a.ndim != 3 or b.ndim != 3 or delta.ndim != 1:
+        raise ValueError(f"expected (P, r, d_in) and (P, d_out, r) stacks and (P,) weights, "
+                         f"got {a.shape}, {b.shape} and {delta.shape}")
+    n, d_out, rank = b.shape
+    if a.shape[:2] != (n, rank) or delta.size != n:
+        raise ValueError(f"expert stacks {a.shape} and {b.shape} do not match {delta.size} "
+                         f"mixture weights of rank-{rank} experts")
+    if (d_out, a.shape[2]) != base.shape:
+        raise ValueError(
+            f"expert update is {d_out}x{a.shape[2]}, "
+            f"base weight is {base.shape[0]}x{base.shape[1]}"
+        )
+    b_cat = (b.transpose(1, 0, 2) * delta[:, None]).reshape(d_out, n * rank)
+    return base + b_cat @ a.reshape(n * rank, a.shape[2])
 
 
 def adapter_placement(foundation: model.FoundationModel, requested=None) -> tuple[str, ...]:
@@ -146,10 +148,19 @@ class MolaAdapter:
     adapted_layers: tuple[str, ...]
     n_experts: int
     rank: int
-    experts: dict[str, list[LoraExpert]]
+    a: dict[str, np.ndarray]  # per layer, shape (n_experts, rank, d_in)
+    b: dict[str, np.ndarray]  # per layer, shape (n_experts, d_out, rank)
     logits: dict[str, np.ndarray]  # per layer, shape (segments, n_experts)
     foundation_sha256: str  # foundation_digest of the model the adapter was fitted on
     frozen_logits: list[bool] = field(default_factory=list)
+
+    @property
+    def experts(self) -> dict[str, list[LoraExpert]]:
+        """Per layer, one (B_p, A_p) view pair per expert."""
+        return {
+            name: [LoraExpert(b_mat=b_p, a_mat=a_p) for b_p, a_p in zip(self.b[name], self.a[name])]
+            for name in self.adapted_layers
+        }
 
 
 def foundation_digest(foundation: model.FoundationModel) -> str:
@@ -195,27 +206,24 @@ def new_adapter(
                 f"rank must satisfy 1 <= rank < min(d_out, d_in) = "
                 f"{min(d_out, d_in)} for layer {name!r}, got {rank}"
             )
-    experts: dict[str, list[LoraExpert]] = {}
+    a_stacks: dict[str, np.ndarray] = {}
+    b_stacks: dict[str, np.ndarray] = {}
     logits: dict[str, np.ndarray] = {}
     for i, name in enumerate(layers):
         d_out, d_in = foundation.params.get(name).shape
-        lst = []
-        for p in range(n_experts):
-            rng = np.random.default_rng([seed, i, p])
-            lst.append(
-                LoraExpert(
-                    b_mat=np.zeros((d_out, rank)),
-                    a_mat=rng.normal(0.0, np.sqrt(1.0 / rank), size=(rank, d_in)),
-                )
-            )
-        experts[name] = lst
+        a_stacks[name] = np.stack([
+            np.random.default_rng([seed, i, p]).normal(0.0, np.sqrt(1.0 / rank), size=(rank, d_in))
+            for p in range(n_experts)
+        ])
+        b_stacks[name] = np.zeros((n_experts, d_out, rank))
         logits[name] = np.zeros((plan.segments, n_experts))
     adapter = MolaAdapter(
         plan=plan,
         adapted_layers=layers,
         n_experts=n_experts,
         rank=rank,
-        experts=experts,
+        a=a_stacks,
+        b=b_stacks,
         logits=logits,
         foundation_sha256=foundation_digest(foundation),
         frozen_logits=[False] * plan.segments,
@@ -261,6 +269,25 @@ def mixture_weights(adapter: MolaAdapter, layer: str, k: int) -> np.ndarray:
     return normalize_weights(adapter.logits[layer][k - 1])
 
 
+def _expert_span(adapter: MolaAdapter, layer: str, k: int) -> tuple[slice, np.ndarray]:
+    """The experts segment k uses in ``layer``, as a basic slice of the
+    stacks, and the segment's full mixture weights.  A trainable routing row
+    uses every expert, since any weight may move off zero.  A frozen row
+    uses those from its first to its last nonzero weight: the rest add
+    exactly nothing to W_eff and would get exactly zero gradients."""
+    delta = mixture_weights(adapter, layer, k)
+    if not adapter.frozen_logits[k - 1]:
+        return slice(0, delta.size), delta
+    nonzero = delta.nonzero()[0]
+    return slice(nonzero[0], nonzero[-1] + 1), delta
+
+
+def _segment_weight(foundation, adapter: MolaAdapter, layer: str, span: slice,
+                    delta: np.ndarray) -> np.ndarray:
+    return effective_weight(foundation.params.get(layer), adapter.a[layer][span],
+                            adapter.b[layer][span], delta[span])
+
+
 def adapted_model(
     foundation: model.FoundationModel, adapter: MolaAdapter, k: int
 ) -> model.FoundationModel:
@@ -270,11 +297,7 @@ def adapted_model(
     params = model.ParamStore()
     for name in foundation.params.names():
         if name in adapter.adapted_layers:
-            eff = effective_weight(
-                foundation.params.get(name),
-                adapter.experts[name],
-                mixture_weights(adapter, name, k),
-            )
+            eff = _segment_weight(foundation, adapter, name, *_expert_span(adapter, name, k))
             params.add(name, eff, trainable=True)
         else:
             params.add(name, foundation.params.get(name), trainable=False)
@@ -287,84 +310,67 @@ def segment_loss(foundation, adapter, k, batch, target_slice) -> float:
     return model.mse_loss(adapted_model(foundation, adapter, k), batch, target_slice)
 
 
-def _trained_experts(adapter: MolaAdapter, layer: str, k: int, delta: np.ndarray):
-    """(p, expert) pairs that segment k trains in ``layer``.  With the
-    routing row frozen, zero-weight experts are left out: their gradient is
-    exactly zero, so Adam would move them by exactly zero anyway."""
-    frozen = adapter.frozen_logits[k - 1]
-    return [
-        (p, e) for p, e in enumerate(adapter.experts[layer]) if not frozen or delta[p] != 0.0
-    ]
-
-
 def segment_grads(foundation, adapter, k, batch, target_slice):
-    """Loss and gradients w.r.t. the segment-k adaptation parameters.
+    """Loss and gradients w.r.t. the segment-k adaptation parameters, keyed
+    like adaptation_params.
 
     Chain rule through W_eff = W + sum_p delta_p B_p A_p with dL/dW_eff = G,
-    one pass per trained expert around its product B_p^T G:
+    over the stacks of the experts the segment uses (see _expert_span):
 
-        dL/dA_p = delta_p * B_p^T G
-        dL/dB_p = delta_p * G A_p^T
+        dL/dA = delta * B^T G                (P, r, d_in)
+        dL/dB = delta * G A^T                (P, d_out, r)
         dL/ddelta_p = <B_p^T G, A_p> = <G, B_p A_p>   (then softmax backward to logits)
 
     The routing gradient is only formed while the segment's routing row is
-    trainable.  Experts that segment k does not train (see
-    adaptation_params) get no buffer; under trainable routing a zero-weight
-    expert gets (signed) zero gradients, so it stays put under Adam.
+    trainable; a zero-weight expert in the stacks gets (signed) zero
+    gradients, so it stays put under Adam.
     """
     _check_segment(adapter, k)
-    deltas = {name: mixture_weights(adapter, name, k) for name in adapter.adapted_layers}
-    eff = {
-        name: effective_weight(foundation.params.get(name), adapter.experts[name], delta)
-        for name, delta in deltas.items()
-    }
+    spans = {name: _expert_span(adapter, name, k) for name in adapter.adapted_layers}
+    eff = {name: _segment_weight(foundation, adapter, name, span, delta)
+           for name, (span, delta) in spans.items()}
     loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
     routed = not adapter.frozen_logits[k - 1]
     grads: dict[str, np.ndarray] = {}
-    for name, delta in deltas.items():
+    for name, (span, delta) in spans.items():
         g_eff = eff_grads[name]
-        d_delta = np.empty(adapter.n_experts) if routed else None
-        for p, e in _trained_experts(adapter, name, k, delta):
-            bt_g = e.b_mat.T @ g_eff
-            grads[f"{name}.expert{p}.a"] = delta[p] * bt_g
-            grads[f"{name}.expert{p}.b"] = delta[p] * (g_eff @ e.a_mat.T)
-            if routed:
-                d_delta[p] = np.vdot(bt_g, e.a_mat)
+        a, b = adapter.a[name][span], adapter.b[name][span]
+        weight = delta[span, None, None]
+        bt_g = b.transpose(0, 2, 1) @ g_eff
+        grads[f"{name}.a"] = weight * bt_g
+        grads[f"{name}.b"] = weight * (g_eff @ a.transpose(0, 2, 1))
         if routed:
+            d_delta = np.einsum("prd,prd->p", bt_g, a)
             grads[f"{name}.logits.k{k}"] = delta * (d_delta - float(delta @ d_delta))
     return loss, grads
 
 
 def adaptation_params(adapter: MolaAdapter, k: int) -> dict[str, np.ndarray]:
     """Mutable views of everything segment k trains, keyed like the grads
-    from segment_grads.  Logit rows are views into the (K, P) table so
-    in-place optimizer updates land in the adapter.  With the routing row
-    frozen, experts of weight exactly 0 are not trained by segment k."""
+    from segment_grads: per layer the slices of the A and B stacks that the
+    segment uses, and its row of the (K, P) logits table while that row is
+    trainable.  In-place optimizer updates land in the adapter."""
     _check_segment(adapter, k)
     out: dict[str, np.ndarray] = {}
     for name in adapter.adapted_layers:
-        delta = mixture_weights(adapter, name, k)
-        for p, e in _trained_experts(adapter, name, k, delta):
-            out[f"{name}.expert{p}.a"] = e.a_mat
-            out[f"{name}.expert{p}.b"] = e.b_mat
+        span, _ = _expert_span(adapter, name, k)
+        out[f"{name}.a"] = adapter.a[name][span]
+        out[f"{name}.b"] = adapter.b[name][span]
         if not adapter.frozen_logits[k - 1]:
             out[f"{name}.logits.k{k}"] = adapter.logits[name][k - 1]
     return out
 
 
 def adapter_state(adapter: MolaAdapter) -> dict:
-    layers = []
-    for name in adapter.adapted_layers:
-        layers.append(
-            {
-                "name": name,
-                "logits": _io.encode_array(adapter.logits[name]),
-                "experts": [
-                    {"a": _io.encode_array(e.a_mat), "b": _io.encode_array(e.b_mat)}
-                    for e in adapter.experts[name]
-                ],
-            }
-        )
+    layers = [
+        {
+            "name": name,
+            "logits": _io.encode_array(adapter.logits[name]),
+            "a": _io.encode_array(adapter.a[name]),
+            "b": _io.encode_array(adapter.b[name]),
+        }
+        for name in adapter.adapted_layers
+    ]
     return {
         "format_version": ADAPTER_FORMAT_VERSION,
         "kind": "mola-adapter",
@@ -385,21 +391,30 @@ def adapter_from_state(state: dict) -> MolaAdapter:
     if state.get("format_version") != ADAPTER_FORMAT_VERSION:
         raise ValueError(f"unsupported adapter format version {state.get('format_version')!r}")
     plan = make_segment_plan(state["plan"]["horizon"], state["plan"]["segments"])
-    experts: dict[str, list[LoraExpert]] = {}
+    n_experts, rank = int(state["n_experts"]), int(state["rank"])
+    a_stacks: dict[str, np.ndarray] = {}
+    b_stacks: dict[str, np.ndarray] = {}
     logits: dict[str, np.ndarray] = {}
     for entry in state["layers"]:
         name = entry["name"]
         logits[name] = _io.decode_array(entry["logits"])
-        experts[name] = [
-            LoraExpert(b_mat=_io.decode_array(e["b"]), a_mat=_io.decode_array(e["a"]))
-            for e in entry["experts"]
-        ]
+        a_stacks[name] = _io.decode_array(entry["a"])
+        b_stacks[name] = _io.decode_array(entry["b"])
+        a, b = a_stacks[name], b_stacks[name]
+        if (logits[name].shape != (plan.segments, n_experts) or a.ndim != 3 or b.ndim != 3
+                or a.shape[:2] != (n_experts, rank) or b.shape[::2] != (n_experts, rank)):
+            raise ValueError(
+                f"adapter layer {name!r} has logits {logits[name].shape}, A {a.shape} and "
+                f"B {b.shape}; expected ({plan.segments}, {n_experts}), "
+                f"({n_experts}, {rank}, d_in) and ({n_experts}, d_out, {rank})"
+            )
     return MolaAdapter(
         plan=plan,
         adapted_layers=tuple(state["adapted_layers"]),
-        n_experts=int(state["n_experts"]),
-        rank=int(state["rank"]),
-        experts=experts,
+        n_experts=n_experts,
+        rank=rank,
+        a=a_stacks,
+        b=b_stacks,
         logits=logits,
         foundation_sha256=state["foundation_sha256"],
         frozen_logits=[bool(f) for f in state["frozen_logits"]],

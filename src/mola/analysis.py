@@ -48,7 +48,10 @@ def min_attainable_error(w, b, y) -> BottleneckReport:
     """Best-case squared error of y ~ W r + b over ALL inputs r.
 
     The relaxation treats the bias coordinate as free (r ranges over the
-    full L+1 dimensional space).
+    full L+1 dimensional space).  ``[W b]`` is decomposed once: the floor is
+    the energy of y along the null directions of its left singular basis,
+    and ``ls_residual_sq``, the residual of the pseudoinverse solution built
+    from the same decomposition, checks that formula by another route.
     """
     w = linalg.as_matrix(w)
     y = np.asarray(y, dtype=np.float64)
@@ -62,7 +65,7 @@ def min_attainable_error(w, b, y) -> BottleneckReport:
     outside = res.u[:, res.rank:].T @ y  # coordinates of y along each null direction
     energies = np.einsum("ij,ij->i", outside, outside).tolist()
     del outside  # as large as y, and not needed while least squares runs
-    x = linalg.least_squares(wbar, y)
+    x = linalg.least_squares(wbar, y, res)
     resid = wbar @ x - y
     return BottleneckReport(
         wbar=wbar,

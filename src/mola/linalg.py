@@ -227,13 +227,16 @@ def _complete_basis(u_part: Mat) -> Mat:
     return basis[:, k:]
 
 
-def least_squares(a, y) -> Mat:
+def least_squares(a, y, decomposition: SvdResult | None = None) -> Mat:
     """Minimize ``||Y - A X||_F``; minimum-norm solution via SVD pseudoinverse.
 
     Parameters
     ----------
     a : matrix, m x n
     y : matrix, m x d
+    decomposition : SvdResult, optional
+        ``svd(a)``, when the caller already has it; ``a`` is not decomposed
+        again.
 
     Returns
     -------
@@ -247,7 +250,12 @@ def least_squares(a, y) -> Mat:
         raise ValueError(
             f"row mismatch: A has {a.shape[0]} rows, Y has {y.shape[0]}"
         )
-    res = svd(a)
+    res = svd(a) if decomposition is None else decomposition
+    if (res.u.shape[0], res.vt.shape[0]) != a.shape:
+        raise ValueError(
+            f"decomposition of a {res.u.shape[0]}x{res.vt.shape[0]} matrix "
+            f"given for a {a.shape[0]}x{a.shape[1]} one"
+        )
     r = res.rank
     if r == 0:
         return np.zeros((a.shape[1], y.shape[1]))

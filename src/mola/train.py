@@ -85,13 +85,24 @@ def adam_step(params, grads, state: AdamState, lr: float, adam=(0.9, 0.999, 1e-8
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     m, v = state.flat_m, state.flat_v
+    # in place, but each product, sum and quotient of
+    # lr * (m / c1) / (sqrt(v / c2) + eps) is formed as written, so the
+    # result is the textbook update bit for bit
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
-    v += (1.0 - b2) * (g * g)
-    step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g *= g
+    g *= 1.0 - b2
+    v += g
+    step = m / c1
+    step *= lr
+    den = v / c2
+    np.sqrt(den, out=den)
+    den += eps
+    step /= den
     for name, (a, b) in state.spans.items():
-        params[name] -= step[a:b].reshape(params[name].shape)
+        p = params[name]
+        p -= step[a:b].reshape(p.shape)
 
 
 # --- early stopping ---
@@ -143,6 +154,7 @@ class RunRecord:
     stop_reason: str = "max_epochs"
     wall_time_s: float = 0.0
     final_metrics: dict | None = None
+    drift: dict | None = None  # adaptation segments: val MSE at freeze vs final adapter
 
 
 def run_summary(record: RunRecord) -> dict:
@@ -159,6 +171,7 @@ def run_summary(record: RunRecord) -> dict:
         "best_val_loss": record.best_val,
         "stop_reason": record.stop_reason,
         "final_metrics": record.final_metrics,
+        "drift": record.drift,
     }
 
 
@@ -280,7 +293,12 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
                        config: TrainConfig | None = None):
     """Sequentially fit segments 1..K: each segment trains the shared experts
     plus its own routing row on its slice of the horizon-T labels, restores
-    its best-validation snapshot, then freezes the routing row."""
+    its best-validation snapshot, then freezes the routing row.
+
+    A segment's final metrics are its val metrics at freeze.  Later segments
+    keep training the shared experts, so after the last segment every
+    segment's val MSE is measured again with the final adapter; ``drift``
+    holds both values and their difference (final minus at freeze)."""
     config = config or TrainConfig()
     if adapter.plan != plan:
         raise ValueError("adapter was built for a different segment plan")
@@ -293,6 +311,13 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
     lookback = foundation.lookback
     train_w = data.windows(ds, lookback, plan.horizon, "train")
     val_w = data.windows(ds, lookback, plan.horizon, "val")
+
+    def val_metrics(k: int) -> dict:
+        return evaluate_forecaster(
+            lambda h: model.forecast(adapt.adapted_model(foundation, adapter, k), h),
+            ds, lookback, plan.horizon, split="val", target_rows=plan.boundaries[k - 1],
+        )
+
     records: list[RunRecord] = []
     for k in range(1, plan.segments + 1):
         t0 = perf_counter()
@@ -310,13 +335,13 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
             stage_key=k,
         )
         adapter.frozen_logits[k - 1] = True
-        view = adapt.adapted_model(foundation, adapter, k)
-        record.final_metrics = evaluate_forecaster(
-            lambda h, view=view: model.forecast(view, h),
-            ds, lookback, plan.horizon, split="val", target_rows=target,
-        )
+        record.final_metrics = val_metrics(k)
         record.wall_time_s = perf_counter() - t0
         records.append(record)
+    for k, record in enumerate(records, start=1):
+        at_freeze, final = record.final_metrics["mse"], val_metrics(k)["mse"]
+        record.drift = {"val_mse_at_freeze": at_freeze, "val_mse_final": final,
+                        "val_mse_change": final - at_freeze}
     return adapter, records
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from mola import adapt, data, model
+from mola import _io, adapt, data, model
 
 
 def make_foundation(kind="mlp2", lookback=8, head_out=4, seed=0, frozen=True):
@@ -91,53 +91,55 @@ def test_normalize_weights_simplex_and_shift_invariance(seed, p, shift):
 # --- effective weights ---
 
 
-def make_experts(d_out, d_in, r, p, seed=0):
+def make_stacks(d_out, d_in, r, p, seed=0):
+    """Random expert stacks a (p, r, d_in) and b (p, d_out, r)."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(p):
-        out.append(
-            adapt.LoraExpert(
-                b_mat=rng.normal(size=(d_out, r)),
-                a_mat=rng.normal(size=(r, d_in)),
-            )
-        )
+    return rng.normal(size=(p, r, d_in)), rng.normal(size=(p, d_out, r))
+
+
+def reference_effective_weight(base, a, b, delta):
+    """Scalar per-expert loop: base + sum_p delta_p B_p A_p, zero terms skipped."""
+    out = base.copy()
+    for w, a_p, b_p in zip(delta, a, b):
+        if w != 0.0:
+            out += w * (b_p @ a_p)
     return out
 
 
 def test_effective_weight_zero_b_is_identity():
     base = np.random.default_rng(1).normal(size=(5, 7))
-    experts = make_experts(5, 7, 2, 3, seed=2)
-    for e in experts:
-        e.b_mat[:] = 0.0
-    out = adapt.effective_weight(base, experts, np.array([0.2, 0.3, 0.5]))
+    a, b = make_stacks(5, 7, 2, 3, seed=2)
+    b[:] = 0.0
+    out = adapt.effective_weight(base, a, b, np.array([0.2, 0.3, 0.5]))
     assert np.array_equal(out, base)
 
 
 def test_effective_weight_single_expert_full_weight():
     base = np.random.default_rng(3).normal(size=(4, 6))
-    (e,) = make_experts(4, 6, 2, 1, seed=4)
-    out = adapt.effective_weight(base, [e], np.array([1.0]))
-    assert np.allclose(out, base + e.b_mat @ e.a_mat, atol=0)
+    a, b = make_stacks(4, 6, 2, 1, seed=4)
+    out = adapt.effective_weight(base, a, b, np.array([1.0]))
+    assert np.array_equal(out, base + b[0] @ a[0])
 
 
 def test_effective_weight_matches_term_expansion():
     base = np.random.default_rng(5).normal(size=(6, 5))
-    experts = make_experts(6, 5, 3, 3, seed=6)
+    a, b = make_stacks(6, 5, 3, 3, seed=6)
     delta = np.array([0.1, 0.6, 0.3])
-    hand = base.copy()
-    for p in range(3):
-        hand = hand + delta[p] * (experts[p].b_mat @ experts[p].a_mat)
-    out = adapt.effective_weight(base, experts, delta)
-    assert np.allclose(out, hand, atol=1e-15)
+    hand = reference_effective_weight(base, a, b, delta)
+    out = adapt.effective_weight(base, a, b, delta)
+    assert np.max(np.abs(out - hand)) <= 1e-12 * np.max(np.abs(hand))
 
 
 def test_effective_weight_shape_check():
     base = np.zeros((4, 6))
-    experts = make_experts(4, 5, 2, 1)
+    a, b = make_stacks(4, 5, 2, 1)
     with pytest.raises(ValueError):
-        adapt.effective_weight(base, experts, np.array([1.0]))
+        adapt.effective_weight(base, a, b, np.array([1.0]))
+    a, b = make_stacks(4, 6, 2, 2)
     with pytest.raises(ValueError):
-        adapt.effective_weight(base, make_experts(4, 6, 2, 2), np.array([1.0]))
+        adapt.effective_weight(base, a, b, np.array([1.0]))
+    with pytest.raises(ValueError):
+        adapt.effective_weight(base, a[0], b[0], np.array([1.0]))
 
 
 # --- placement ---
@@ -331,12 +333,12 @@ def test_segment_grads_match_finite_differences():
     loss, grads = adapt.segment_grads(f, ad, k, batch, sl)
     assert loss == pytest.approx(adapt.segment_loss(f, ad, k, batch, sl), rel=1e-12)
     for layer in ad.adapted_layers:
-        for p, e in enumerate(ad.experts[layer]):
-            for part, arr in (("a", e.a_mat), ("b", e.b_mat)):
-                fd = segment_fd(f, ad, k, batch, sl, arr)
-                ana = grads[f"{layer}.expert{p}.{part}"]
-                denom = np.maximum(np.maximum(np.abs(fd), np.abs(ana)), 1e-7)
-                assert np.max(np.abs(ana - fd) / denom) <= 1e-4, (layer, p, part)
+        for part, arr in (("a", ad.a[layer]), ("b", ad.b[layer])):
+            fd = segment_fd(f, ad, k, batch, sl, arr)
+            ana = grads[f"{layer}.{part}"]
+            assert ana.shape == arr.shape
+            denom = np.maximum(np.maximum(np.abs(fd), np.abs(ana)), 1e-7)
+            assert np.max(np.abs(ana - fd) / denom) <= 1e-4, (layer, part)
         fd = segment_fd(f, ad, k, batch, sl, ad.logits[layer][k - 1])
         ana = grads[f"{layer}.logits.k{k}"]
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(ana)), 1e-7)
@@ -356,7 +358,7 @@ def test_soft_routing_logit_gradient_is_inner_product_with_expert_update():
     _, grads = adapt.segment_grads(f, ad, k, batch, sl)
     deltas = {layer: adapt.mixture_weights(ad, layer, k) for layer in ad.adapted_layers}
     eff = {
-        layer: adapt.effective_weight(f.params.get(layer), ad.experts[layer], delta)
+        layer: adapt.effective_weight(f.params.get(layer), ad.a[layer], ad.b[layer], delta)
         for layer, delta in deltas.items()
     }
     _, eff_grads = model.loss_and_grads(f, batch, sl, overrides=eff)
@@ -382,8 +384,12 @@ def test_segment_grads_skip_frozen_logits():
 def test_adaptation_params_cover_experts_and_active_logits():
     f, plan, ad = setup_adapter(experts=2, segments=2)
     params = adapt.adaptation_params(ad, 1)
-    assert f"enc0.w.expert0.a" in params and f"enc1.w.expert1.b" in params
-    assert "enc0.w.logits.k1" in params
+    assert set(params) == {f"{layer}.{part}" for layer in ad.adapted_layers
+                           for part in ("a", "b", "logits.k1")}
+    for layer in ad.adapted_layers:  # the whole stacks, as views
+        assert params[f"{layer}.a"].base is ad.a[layer]
+        assert params[f"{layer}.a"].shape == ad.a[layer].shape
+        assert params[f"{layer}.b"].base is ad.b[layer]
     assert params["enc0.w.logits.k1"].base is ad.logits["enc0.w"]
     ad.frozen_logits[0] = True
     assert "enc0.w.logits.k1" not in adapt.adaptation_params(ad, 1)
@@ -394,10 +400,17 @@ def test_frozen_one_hot_routing_trains_only_the_segment_expert():
     adapt.freeze_one_hot_routing(ad)
     batch = make_batch(f.lookback, plan.horizon, d=2, n=4, seed=3)
     for k in (1, 2):
-        want = {f"{layer}.expert{k - 1}.{part}" for layer in ad.adapted_layers for part in "ab"}
-        assert set(adapt.adaptation_params(ad, k)) == want
+        want = {f"{layer}.{part}" for layer in ad.adapted_layers for part in "ab"}
+        params = adapt.adaptation_params(ad, k)
+        assert set(params) == want
+        for layer in ad.adapted_layers:  # the basic slice [k-1:k] of each stack
+            for part, stack in (("a", ad.a[layer]), ("b", ad.b[layer])):
+                view = params[f"{layer}.{part}"]
+                assert view.base is stack and view.shape == (1, *stack.shape[1:])
+                assert np.shares_memory(view, stack[k - 1])
         _, grads = adapt.segment_grads(f, ad, k, batch, plan.boundaries[k - 1])
-        assert set(grads) == want
+        assert {name: g.shape for name, g in grads.items()} == {
+            name: v.shape for name, v in params.items()}
 
 
 def test_soft_routing_still_produces_logit_gradients():
@@ -407,7 +420,67 @@ def test_soft_routing_still_produces_logit_gradients():
     assert set(grads) == set(adapt.adaptation_params(ad, 1))
     for layer in ad.adapted_layers:
         assert grads[f"{layer}.logits.k1"].shape == (3,)
-        assert all(f"{layer}.expert{p}.a" in grads for p in range(3))
+        assert grads[f"{layer}.a"].shape == ad.a[layer].shape
+        assert grads[f"{layer}.b"].shape == ad.b[layer].shape
+
+
+def reference_segment_grads(f, ad, k, batch, sl):
+    """Scalar per-expert loop over every expert with a trained weight: loss
+    and gradients keyed (layer, p, part), plus the logit gradient."""
+    deltas = {layer: adapt.mixture_weights(ad, layer, k) for layer in ad.adapted_layers}
+    eff = {layer: reference_effective_weight(f.params.get(layer), ad.a[layer], ad.b[layer], d)
+           for layer, d in deltas.items()}
+    loss, eff_grads = model.loss_and_grads(f, batch, sl, overrides=eff)
+    grads = {}
+    for layer, delta in deltas.items():
+        g = eff_grads[layer]
+        d_delta = np.zeros(ad.n_experts)
+        for p, e in enumerate(ad.experts[layer]):
+            grads[(layer, p, "a")] = delta[p] * (e.b_mat.T @ g)
+            grads[(layer, p, "b")] = delta[p] * (g @ e.a_mat.T)
+            d_delta[p] = np.vdot(g, e.b_mat @ e.a_mat)
+        grads[(layer, "logits")] = delta * (d_delta - float(delta @ d_delta))
+    return loss, grads
+
+
+@pytest.mark.parametrize("routing", ["soft", "one-hot"])
+def test_stacked_weights_and_grads_match_per_expert_loop(routing):
+    f, plan, ad = setup_adapter(experts=3, segments=3, head_out=2)
+    rng = np.random.default_rng(25)
+    for layer in ad.adapted_layers:
+        ad.b[layer][:] = rng.normal(size=ad.b[layer].shape) * 0.3
+        if routing == "soft":
+            ad.logits[layer][:] = rng.normal(size=ad.logits[layer].shape)
+    if routing == "one-hot":
+        adapt.freeze_one_hot_routing(ad)
+    batch = make_batch(f.lookback, plan.horizon, d=2, n=5, seed=26)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    for k in range(1, plan.segments + 1):
+        sl = plan.boundaries[k - 1]
+        view = adapt.adapted_model(f, ad, k)
+        for layer in ad.adapted_layers:
+            want = reference_effective_weight(f.params.get(layer), ad.a[layer], ad.b[layer],
+                                              adapt.mixture_weights(ad, layer, k))
+            if routing == "one-hot":  # one expert of weight 1: W + B_k A_k exactly
+                assert np.array_equal(view.params.get(layer), want)
+            assert close(view.params.get(layer), want), (k, layer)
+        loss, grads = adapt.segment_grads(f, ad, k, batch, sl)
+        ref_loss, ref = reference_segment_grads(f, ad, k, batch, sl)
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        for layer in ad.adapted_layers:
+            trained = range(ad.n_experts) if routing == "soft" else [k - 1]
+            for part in "ab":
+                got = grads[f"{layer}.{part}"]
+                assert got.shape[0] == len(trained)
+                for i, p in enumerate(trained):
+                    assert close(got[i], ref[(layer, p, part)]), (k, layer, p, part)
+            if routing == "soft":
+                assert close(grads[f"{layer}.logits.k{k}"], ref[(layer, "logits")])
+            else:
+                assert f"{layer}.logits.k{k}" not in grads
 
 
 def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise(monkeypatch):
@@ -477,3 +550,23 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "again.json"
     adapt.save_adapter(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_format_2_adapter_is_rejected():
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    state = adapt.adapter_state(ad)
+    assert state["format_version"] == 3
+    state["format_version"] = 2  # per-expert factor lists
+    for entry in state["layers"]:
+        entry["experts"] = [{"a": entry.pop("a"), "b": entry.pop("b")}]
+    with pytest.raises(ValueError, match="unsupported adapter format version 2"):
+        adapt.adapter_from_state(state)
+
+
+def test_adapter_with_inconsistent_stacks_is_rejected():
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    state = adapt.adapter_state(ad)
+    n, d_out, rank = ad.b["enc0.w"].shape
+    state["layers"][0]["b"] = _io.encode_array(np.zeros((n, d_out, rank + 1)))
+    with pytest.raises(ValueError, match="enc0.w"):
+        adapt.adapter_from_state(state)

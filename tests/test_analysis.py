@@ -1,3 +1,7 @@
+import runpy
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -53,6 +57,21 @@ def test_bottleneck_zero_for_labels_in_range():
     rep = analysis.min_attainable_error(w, b, y)
     assert rep.min_error_sq <= 1e-10
     assert rep.ls_residual_sq <= 1e-10
+
+
+def test_bottleneck_decomposes_each_map_once(monkeypatch):
+    calls = []
+    real = linalg.svd
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "svd", counting)
+    w, b, y = random_case(3, force_deficient=True)
+    rep = analysis.min_attainable_error(w, b, y)
+    assert calls == [(w.shape[0], w.shape[1] + 1)]
+    assert abs(rep.min_error_sq - rep.ls_residual_sq) <= 1e-8 * max(1.0, rep.ls_residual_sq)
 
 
 def test_bottleneck_strictly_positive_when_tall():
@@ -339,6 +358,28 @@ def test_paradigm_compare_refuses_bad_adapter_settings_before_training(monkeypat
     spec = model.EncoderSpec(kind="linear", in_len=8)
     with pytest.raises(ValueError):
         analysis.paradigm_compare(ds, spec, horizon=4, segments=2, **settings)
+
+
+def test_comparison_script_checks_expert_count_before_training(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_paradigm_comparison.py"
+    main = runpy.run_path(str(script))["main"]
+    calls = []
+
+    def stub_compare(*args, **kwargs):
+        calls.append(kwargs)
+        metrics = {"mse": 1.0, "per_step": [{"mse": 1.0}]}
+        return {"paradigms": {name: {"metrics": metrics} for name in ("arf", "mtf", "mola")}}
+
+    monkeypatch.setattr(analysis, "paradigm_compare", stub_compare)
+    monkeypatch.setattr(sys, "argv", ["run_paradigm_comparison.py", "--experts", "2"])
+    with pytest.raises(SystemExit) as exc:
+        main()  # one-hot routing needs one expert per segment
+    assert exc.value.code == 2 and calls == []
+    assert "one-hot routing requires n_experts == segments" in capsys.readouterr().err
+    monkeypatch.setattr(sys, "argv", ["run_paradigm_comparison.py", "--seeds", "1",
+                                      "--experts", "2", "--routing", "soft"])
+    main()
+    assert [(c["n_experts"], c["routing"]) for c in calls] == [(2, "soft")]
 
 
 def test_window_set_hash_sensitivity():

@@ -407,7 +407,7 @@ def test_version_1_adapter_is_rejected(ws, capsys):
         assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
     path = rd / "checkpoints" / "adapter.json"
     state = json.loads(path.read_text())
-    assert state["format_version"] == 2
+    assert state["format_version"] == 3
     state["format_version"] = 1
     del state["foundation_sha256"]
     path.write_text(json.dumps(state))

@@ -269,6 +269,16 @@ def test_least_squares_exact_recovery():
 def test_least_squares_dimension_mismatch():
     with pytest.raises(ValueError):
         linalg.least_squares(np.zeros((3, 2)), np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="decomposition"):
+        linalg.least_squares(np.ones((3, 2)), np.ones((3, 1)), linalg.svd(np.ones((3, 3))))
+
+
+@pytest.mark.parametrize("shape, rank", [((7, 4), None), ((5, 5), 2), ((3, 6), None)])
+def test_least_squares_reuses_a_given_decomposition(shape, rank):
+    a = random_matrix(*shape, seed=12, rank=rank)
+    y = random_matrix(shape[0], 2, seed=13)
+    res = linalg.svd(a)
+    assert np.array_equal(linalg.least_squares(a, y, res), linalg.least_squares(a, y))
 
 
 def test_least_squares_min_norm_vs_alternative():

@@ -236,12 +236,14 @@ def test_pretrain_no_windows_error():
 # --- adaptation ---
 
 
-def make_adapted(ds, segments=2, horizon=4, experts=2, rank=2, seed=0, cfg=None, pre_cfg=None):
+def make_adapted(ds, segments=2, horizon=4, experts=2, rank=2, seed=0, cfg=None, pre_cfg=None,
+                 routing="soft"):
     pre_cfg = pre_cfg or small_config(max_epochs=1, seed=seed)
     seg = horizon // segments
     foundation, _ = train.pretrain(ds, LIN8, seg, pre_cfg)
     plan = adapt.make_segment_plan(horizon, segments, lookback=8)
-    adapter = adapt.new_adapter(foundation, plan, n_experts=experts, rank=rank, seed=seed + 1)
+    adapter = adapt.new_adapter(foundation, plan, n_experts=experts, rank=rank, seed=seed + 1,
+                                routing=routing)
     cfg = cfg or small_config(max_epochs=2, seed=seed)
     adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
     return foundation, plan, adapter, records
@@ -294,6 +296,39 @@ def test_adapt_single_segment_and_forecast_identity():
     hist = data.windows(ds, 8, 4, "test")[0].history
     view = adapt.adapted_model(foundation, adapter, 1)
     assert np.array_equal(train.mola_forecast(foundation, adapter, hist), model.forecast(view, hist))
+
+
+def test_adapt_drift_matches_a_reloaded_adapter(tmp_path):
+    ds = sine_dataset(noise=0.1)
+    cfg = small_config(learning_rate=3e-2, max_epochs=4, patience=4)
+    foundation, plan, adapter, records = make_adapted(ds, segments=3, horizon=6, cfg=cfg)
+    path = tmp_path / "adapter.json"
+    adapt.save_adapter(adapter, path)
+    loaded = adapt.load_adapter(path)
+    for k, rec in enumerate(records, start=1):
+        again = train.evaluate_forecaster(
+            lambda h: model.forecast(adapt.adapted_model(foundation, loaded, k), h),
+            ds, 8, plan.horizon, split="val", target_rows=plan.boundaries[k - 1])
+        drift = train.run_summary(rec)["drift"]
+        assert drift == {"val_mse_at_freeze": rec.final_metrics["mse"],
+                         "val_mse_final": again["mse"],
+                         "val_mse_change": again["mse"] - rec.final_metrics["mse"]}
+        assert all(np.isfinite(v) for v in drift.values())
+    # later segments kept training the shared experts; the last one is as it froze
+    assert records[0].drift["val_mse_change"] != 0.0
+    assert records[-1].drift["val_mse_change"] == 0.0
+    *_, rerun = make_adapted(ds, segments=3, horizon=6, cfg=cfg)
+    assert [_io.canonical_dumps(train.run_summary(r)) for r in rerun] == [
+        _io.canonical_dumps(train.run_summary(r)) for r in records]
+
+
+def test_one_hot_adaptation_does_not_drift():
+    ds = sine_dataset(noise=0.1)
+    cfg = small_config(learning_rate=3e-2, max_epochs=4, patience=4)
+    *_, records = make_adapted(ds, segments=3, horizon=6, experts=3, cfg=cfg, routing="one-hot")
+    for rec in records:
+        assert rec.drift["val_mse_final"] == rec.drift["val_mse_at_freeze"]
+        assert rec.drift["val_mse_change"] == 0.0
 
 
 # --- concatenated inference ---
