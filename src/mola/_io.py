@@ -36,5 +36,14 @@ def encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": a.ravel().tolist()}
 
 
+def require_keys(obj, keys, what: str) -> None:
+    """Raise ValueError naming each of ``keys`` that the JSON object ``obj``
+    lacks (all of them when ``obj`` is not an object)."""
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
 def decode_array(d: dict) -> np.ndarray:
+    require_keys(d, ("shape", "data"), "encoded array")
     return np.array(d["data"], dtype=np.float64).reshape(d["shape"])

@@ -120,19 +120,16 @@ def adapter_placement(foundation: model.FoundationModel, requested=None) -> tupl
     (it is the shared readout the segments have in common) and biases are
     never adapted.
     """
-    default = tuple(
-        n for n in foundation.params.names() if n.startswith("enc") and n.endswith(".w")
-    )
+    default = tuple(n for n in foundation.params if n.startswith("enc") and n.endswith(".w"))
     if requested is None:
         return default
-    names = foundation.params.names()
     out = []
     for name in requested:
         if name.startswith("head"):
             raise ValueError(f"cannot adapt {name!r}: the head is frozen by design")
         if name.endswith(".b"):
             raise ValueError(f"cannot adapt {name!r}: biases are never adapted")
-        if name not in names:
+        if name not in foundation.params:
             raise ValueError(f"unknown layer {name!r}; adaptable layers are {list(default)}")
         out.append(name)
     if not out:
@@ -166,8 +163,8 @@ class MolaAdapter:
 def foundation_digest(foundation: model.FoundationModel) -> str:
     """sha256 over the foundation's parameter names, shapes and values."""
     h = hashlib.sha256()
-    for name in foundation.params.names():
-        arr = np.ascontiguousarray(foundation.params.get(name), dtype="<f8")
+    for name, arr in foundation.params.items():
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         h.update(f"{name}:{arr.shape};".encode("utf-8"))
         h.update(arr.tobytes())
     return h.hexdigest()
@@ -200,7 +197,7 @@ def new_adapter(
         raise ValueError(f"n_experts must be >= 1, got {n_experts}")
     layers = adapter_placement(foundation, requested=placement)
     for name in layers:
-        d_out, d_in = foundation.params.get(name).shape
+        d_out, d_in = foundation.params[name].shape
         if not 1 <= rank < min(d_out, d_in):
             raise ValueError(
                 f"rank must satisfy 1 <= rank < min(d_out, d_in) = "
@@ -210,7 +207,7 @@ def new_adapter(
     b_stacks: dict[str, np.ndarray] = {}
     logits: dict[str, np.ndarray] = {}
     for i, name in enumerate(layers):
-        d_out, d_in = foundation.params.get(name).shape
+        d_out, d_in = foundation.params[name].shape
         a_stacks[name] = np.stack([
             np.random.default_rng([seed, i, p]).normal(0.0, np.sqrt(1.0 / rank), size=(rank, d_in))
             for p in range(n_experts)
@@ -284,26 +281,22 @@ def _expert_span(adapter: MolaAdapter, layer: str, k: int) -> tuple[slice, np.nd
 
 def _segment_weight(foundation, adapter: MolaAdapter, layer: str, span: slice,
                     delta: np.ndarray) -> np.ndarray:
-    return effective_weight(foundation.params.get(layer), adapter.a[layer][span],
+    return effective_weight(foundation.params[layer], adapter.a[layer][span],
                             adapter.b[layer][span], delta[span])
 
 
 def adapted_model(
     foundation: model.FoundationModel, adapter: MolaAdapter, k: int
 ) -> model.FoundationModel:
-    """Materialize the segment-k model.  Adapted weights are fresh arrays and
-    trainable; everything else aliases the foundation and stays frozen."""
+    """Materialize the frozen segment-k model.  Adapted weights are fresh
+    arrays; everything else aliases the foundation.  Training goes through
+    segment_grads, which passes W_eff as overrides instead."""
     _check_segment(adapter, k)
-    params = model.ParamStore()
-    for name in foundation.params.names():
-        if name in adapter.adapted_layers:
-            eff = _segment_weight(foundation, adapter, name, *_expert_span(adapter, name, k))
-            params.add(name, eff, trainable=True)
-        else:
-            params.add(name, foundation.params.get(name), trainable=False)
-    return model.FoundationModel(
-        encoder_spec=foundation.encoder_spec, head_out=foundation.head_out, params=params
-    )
+    params = dict(foundation.params)
+    for name in adapter.adapted_layers:
+        params[name] = _segment_weight(foundation, adapter, name, *_expert_span(adapter, name, k))
+    return model.FoundationModel(encoder_spec=foundation.encoder_spec,
+                                 head_out=foundation.head_out, params=params, frozen=True)
 
 
 def segment_loss(foundation, adapter, k, batch, target_slice) -> float:
@@ -390,12 +383,21 @@ def adapter_from_state(state: dict) -> MolaAdapter:
         raise ValueError(f"not an adapter checkpoint: kind={state.get('kind')!r}")
     if state.get("format_version") != ADAPTER_FORMAT_VERSION:
         raise ValueError(f"unsupported adapter format version {state.get('format_version')!r}")
+    _io.require_keys(state, ("plan", "adapted_layers", "n_experts", "rank", "foundation_sha256",
+                             "frozen_logits", "layers"), "adapter checkpoint")
+    _io.require_keys(state["plan"], ("horizon", "segments"), "adapter plan")
     plan = make_segment_plan(state["plan"]["horizon"], state["plan"]["segments"])
     n_experts, rank = int(state["n_experts"]), int(state["rank"])
+    frozen_logits = state["frozen_logits"]
+    if (len(frozen_logits) != plan.segments
+            or not all(isinstance(f, bool) for f in frozen_logits)):
+        raise ValueError(f"adapter frozen_logits {frozen_logits} must hold one true or false "
+                         f"per segment, {plan.segments} in all")
     a_stacks: dict[str, np.ndarray] = {}
     b_stacks: dict[str, np.ndarray] = {}
     logits: dict[str, np.ndarray] = {}
     for entry in state["layers"]:
+        _io.require_keys(entry, ("name", "logits", "a", "b"), "adapter layer")
         name = entry["name"]
         logits[name] = _io.decode_array(entry["logits"])
         a_stacks[name] = _io.decode_array(entry["a"])
@@ -408,16 +410,19 @@ def adapter_from_state(state: dict) -> MolaAdapter:
                 f"B {b.shape}; expected ({plan.segments}, {n_experts}), "
                 f"({n_experts}, {rank}, d_in) and ({n_experts}, d_out, {rank})"
             )
+    if list(state["adapted_layers"]) != list(logits):
+        raise ValueError(f"adapter adapted_layers {state['adapted_layers']} do not match "
+                         f"its layers entries {list(logits)}")
     return MolaAdapter(
         plan=plan,
-        adapted_layers=tuple(state["adapted_layers"]),
+        adapted_layers=tuple(logits),
         n_experts=n_experts,
         rank=rank,
         a=a_stacks,
         b=b_stacks,
         logits=logits,
         foundation_sha256=state["foundation_sha256"],
-        frozen_logits=[bool(f) for f in state["frozen_logits"]],
+        frozen_logits=list(frozen_logits),
     )
 
 

@@ -84,11 +84,8 @@ def linear_forecast_map(m: model.FoundationModel) -> tuple[np.ndarray, np.ndarra
             f"error-floor analysis needs a linear model, got encoder kind "
             f"{m.encoder_spec.kind!r}"
         )
-    w_enc = m.params.get("enc0.w")
-    b_enc = m.params.get("enc0.b")
-    w_head = m.params.get("head.w")
-    b_head = m.params.get("head.b")
-    return w_head @ w_enc, w_head @ b_enc + b_head
+    p = m.params
+    return p["head.w"] @ p["enc0.w"], p["head.w"] @ p["enc0.b"] + p["head.b"]
 
 
 def dataset_bottleneck(m: model.FoundationModel, ds: data.SeriesDataset,
@@ -279,11 +276,10 @@ def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
     for i, t in enumerate(steps):
         seed = config.seed + i
         m = model.new_model(spec, head_out=1, seed=seed)
-        params = {n: m.params.get(n) for n in m.params.trainable_names()}
         record = train.fit(
             f"probe-step-{t}",
             train_w,
-            params,
+            m.params,
             lambda batch, m=m, t=t: model.loss_and_grads(m, batch, (t, t)),
             lambda m=m, t=t: model.mse_loss(m, val_w, (t, t)),
             replace(config, seed=seed),

@@ -7,6 +7,11 @@ channel of a multivariate window passes through the same L -> rep_dim
 map, so a batch of B windows with D channels is processed as B*D columns.
 Gradients are derived by hand for this fixed op set (affine, relu/tanh,
 MSE); there is no general autodiff graph.
+
+A model's parameters are a plain name -> array dict plus one ``frozen``
+bool for the whole model.  An unfrozen model trains every entry; a frozen
+one trains only what a caller passes in as ``overrides``, which is how
+adaptation puts low-rank updates on top of it.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from ._io import decode_array, encode_array, read_json, write_json
+from ._io import decode_array, encode_array, read_json, require_keys, write_json
 from .data import WindowSample, as_window_set
 
 ENCODER_KINDS = ("linear", "mlp2")
 ACTIVATIONS = ("relu", "tanh")
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,7 @@ class EncoderSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "EncoderSpec":
+        require_keys(d, ("kind", "in_len", "hidden", "activation"), "encoder_spec")
         return EncoderSpec(
             kind=d["kind"],
             in_len=int(d["in_len"]),
@@ -87,74 +93,34 @@ class EncoderSpec:
         )
 
 
-class ParamStore:
-    """Ordered name -> float64 array map with a per-entry trainable flag."""
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-        self._trainable: dict[str, bool] = {}
-
-    def add(self, name: str, array, trainable: bool = True) -> None:
-        if name in self._arrays:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._arrays[name] = np.asarray(array, dtype=np.float64)
-        self._trainable[name] = bool(trainable)
-
-    def names(self) -> list[str]:
-        return list(self._arrays)
-
-    def get(self, name: str) -> np.ndarray:
-        try:
-            return self._arrays[name]
-        except KeyError:
-            raise ValueError(f"unknown parameter {name!r}; have {self.names()}") from None
-
-    def is_trainable(self, name: str) -> bool:
-        self.get(name)
-        return self._trainable[name]
-
-    def set_trainable(self, name: str, flag: bool) -> None:
-        self.get(name)
-        self._trainable[name] = bool(flag)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """A new name -> array dict holding the stored arrays (not copies)."""
-        return dict(self._arrays)
-
-    def trainable_names(self) -> list[str]:
-        return [n for n, t in self._trainable.items() if t]
-
-    def freeze_all(self) -> None:
-        for n in self._trainable:
-            self._trainable[n] = False
-
-
-@dataclass
+@dataclass(eq=False)
 class FoundationModel:
-    """Encoder + linear head predicting ``head_out`` future steps at once."""
+    """Encoder + linear head predicting ``head_out`` future steps at once;
+    ``params`` holds the arrays of ``_param_shapes`` in its order."""
 
     encoder_spec: EncoderSpec
     head_out: int
-    params: ParamStore
+    params: dict[str, np.ndarray]
+    frozen: bool = False
 
     def __post_init__(self):
         if self.head_out < 1:
             raise ValueError(f"head_out must be >= 1, got {self.head_out}")
-        w = self.params.get("head.w")
-        want = (self.head_out, self.encoder_spec.rep_dim)
-        if w.shape != want:
-            raise ValueError(f"head weight shape {w.shape} != {want}")
+        expected = _param_shapes(self.encoder_spec, self.head_out)
+        if list(self.params) != list(expected):
+            raise ValueError(f"parameters {list(self.params)} do not match the {list(expected)} "
+                             f"of the encoder spec and head_out={self.head_out}")
+        for name, shape in expected.items():
+            if self.params[name].shape != shape:
+                raise ValueError(f"parameter {name!r} has shape {self.params[name].shape}, but "
+                                 f"the encoder spec and head_out={self.head_out} imply {shape}")
 
     @property
     def lookback(self) -> int:
         return self.encoder_spec.in_len
 
-    @property
-    def frozen(self) -> bool:
-        return not self.params.trainable_names()
-
     def freeze(self) -> None:
-        self.params.freeze_all()
+        self.frozen = True
 
 
 def _param_shapes(encoder_spec: EncoderSpec, head_out: int) -> dict[str, tuple[int, ...]]:
@@ -172,13 +138,13 @@ def _param_shapes(encoder_spec: EncoderSpec, head_out: int) -> dict[str, tuple[i
 def new_model(encoder_spec: EncoderSpec, head_out: int, seed: int) -> FoundationModel:
     """Seeded init: weights ~ Uniform(+-1/sqrt(fan_in)), biases zero."""
     rng = np.random.default_rng(seed)
-    params = ParamStore()
+    params = {}
     for name, shape in _param_shapes(encoder_spec, head_out).items():
         if len(shape) == 2:
             bound = 1.0 / np.sqrt(shape[1])
-            params.add(name, rng.uniform(-bound, bound, size=shape))
+            params[name] = rng.uniform(-bound, bound, size=shape)
         else:
-            params.add(name, np.zeros(shape))
+            params[name] = np.zeros(shape)
     return FoundationModel(encoder_spec=encoder_spec, head_out=head_out, params=params)
 
 
@@ -188,12 +154,12 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 
 def _activation_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
     # relu subgradient at 0 is taken as 0
-    return (z > 0.0).astype(np.float64) if activation == "relu" else 1.0 - a * a
+    return z > 0.0 if activation == "relu" else 1.0 - a * a
 
 
 def _encode_cols(m: FoundationModel, x: np.ndarray, keep_cache: bool, weights=None):
     spec = m.encoder_spec
-    weights = m.params.arrays() if weights is None else weights
+    weights = m.params if weights is None else weights
     caches = []
     for i in range(spec.n_layers):
         z = weights[f"enc{i}.w"] @ x + weights[f"enc{i}.b"][:, None]
@@ -226,7 +192,7 @@ def decode(m: FoundationModel, rep: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"rep must be (rep_dim={m.encoder_spec.rep_dim}, D), got {rep.shape}"
         )
-    return m.params.get("head.w") @ rep + m.params.get("head.b")[:, None]
+    return m.params["head.w"] @ rep + m.params["head.b"][:, None]
 
 
 def forecast(m: FoundationModel, history: np.ndarray) -> np.ndarray:
@@ -260,7 +226,7 @@ def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=Non
     """Mean squared error over batch x selected steps x channels."""
     x, y = _stack_batch(m, batch, target_slice)
     rep, _ = _encode_cols(m, x, keep_cache=False)
-    pred = m.params.get("head.w") @ rep + m.params.get("head.b")[:, None]
+    pred = m.params["head.w"] @ rep + m.params["head.b"][:, None]
     diff = pred - y
     return float((diff * diff).mean())
 
@@ -268,20 +234,19 @@ def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=Non
 def loss_and_grads(
     m: FoundationModel, batch: Sequence[WindowSample], target_slice=None, overrides=None
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus gradients for the trainable entries only.
+    """Loss plus gradients: for every entry of an unfrozen model, and only
+    for the ``overrides`` of a frozen one.
 
-    Frozen entries get no buffer at all.  ``overrides`` maps parameter
-    names to arrays used in place of m's entries, and each of them gets a
-    gradient even when m freezes it: that is how adaptation trains the
-    effective weights on top of a frozen model without building one per step.
+    ``overrides`` maps parameter names to arrays used in place of m's
+    entries: that is how adaptation trains the effective weights on top of
+    a frozen model without building one per step.
     """
     overrides = overrides or {}
-    weights = m.params.arrays()
-    unknown = set(overrides) - set(weights)
+    unknown = set(overrides) - set(m.params)
     if unknown:
         raise ValueError(f"overrides name unknown parameters {sorted(unknown)}")
-    weights.update(overrides)
-    trained = {n for n in weights if n in overrides or m.params.is_trainable(n)}
+    weights = {**m.params, **overrides}
+    trained = overrides if m.frozen else weights
     x, y = _stack_batch(m, batch, target_slice)
     rep, caches = _encode_cols(m, x, keep_cache=True, weights=weights)
     head_w = weights["head.w"]
@@ -336,14 +301,8 @@ def model_state(m: FoundationModel) -> dict:
         "kind": "foundation-model",
         "encoder_spec": m.encoder_spec.to_dict(),
         "head_out": m.head_out,
-        "params": [
-            {
-                "name": name,
-                "trainable": m.params.is_trainable(name),
-                **encode_array(m.params.get(name)),
-            }
-            for name in m.params.names()
-        ],
+        "frozen": m.frozen,
+        "params": [{"name": name, **encode_array(array)} for name, array in m.params.items()],
     }
 
 
@@ -352,23 +311,16 @@ def model_from_state(state: dict) -> FoundationModel:
         raise ValueError(f"unsupported checkpoint format_version {state.get('format_version')!r}")
     if state.get("kind") != "foundation-model":
         raise ValueError(f"not a model checkpoint (kind={state.get('kind')!r})")
-    spec = EncoderSpec.from_dict(state["encoder_spec"])
-    head_out = int(state["head_out"])
-    expected = _param_shapes(spec, head_out)
-    names = [entry["name"] for entry in state["params"]]
-    if sorted(names) != sorted(expected):
-        raise ValueError(f"checkpoint parameters {names} do not match the {list(expected)} "
-                         f"of its encoder spec and head_out={head_out}")
-    params = ParamStore()
+    require_keys(state, ("encoder_spec", "head_out", "frozen", "params"), "model checkpoint")
+    if not isinstance(state["frozen"], bool):
+        raise ValueError(f"model checkpoint 'frozen' must be true or false, got {state['frozen']!r}")
     for entry in state["params"]:
-        array = decode_array(entry)
-        if array.shape != expected[entry["name"]]:
-            raise ValueError(
-                f"checkpoint parameter {entry['name']!r} has shape {array.shape}, but its "
-                f"encoder spec and head_out={head_out} imply {expected[entry['name']]}"
-            )
-        params.add(entry["name"], array, entry["trainable"])
-    return FoundationModel(encoder_spec=spec, head_out=head_out, params=params)
+        require_keys(entry, ("name",), "model checkpoint parameter")
+    params = {entry["name"]: decode_array(entry) for entry in state["params"]}
+    if len(params) != len(state["params"]):
+        raise ValueError("model checkpoint names a parameter twice")
+    return FoundationModel(encoder_spec=EncoderSpec.from_dict(state["encoder_spec"]),
+                           head_out=int(state["head_out"]), params=params, frozen=state["frozen"])
 
 
 def save_checkpoint(m: FoundationModel, path) -> None:

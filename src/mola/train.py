@@ -249,11 +249,10 @@ def _train_model(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, horizo
     train_w = data.windows(ds, lookback, horizon, "train")
     val_w = data.windows(ds, lookback, horizon, "val")
     m = model.new_model(encoder_spec, head_out=horizon, seed=config.seed)
-    params = {name: m.params.get(name) for name in m.params.trainable_names()}
     record = fit(
         stage,
         train_w,
-        params,
+        m.params,
         lambda batch: model.loss_and_grads(m, batch),
         lambda: model.mse_loss(m, val_w),
         config,

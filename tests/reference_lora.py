@@ -17,11 +17,8 @@ from mola import data, model
 
 def segment_layers(foundation):
     # default adaptation placement: every encoder weight matrix, in
-    # parameter-store order
-    return [
-        n for n in foundation.params.names()
-        if n.startswith("enc") and n.endswith(".w")
-    ]
+    # parameter order
+    return [n for n in foundation.params if n.startswith("enc") and n.endswith(".w")]
 
 
 def lora_init(foundation, rank, seed, expert_index, layers):
@@ -41,14 +38,14 @@ def lora_init(foundation, rank, seed, expert_index, layers):
 def compose(foundation, pairs):
     """Model whose adapted weights are W + B @ A; the rest aliases the
     frozen foundation."""
-    ps = model.ParamStore()
-    for name in foundation.params.names():
+    ps = {}
+    for name, arr in foundation.params.items():
         if name in pairs:
-            eff = foundation.params.get(name).copy()
+            eff = arr.copy()
             eff += pairs[name]["b"] @ pairs[name]["a"]
-            ps.add(name, eff, trainable=True)
+            ps[name] = eff
         else:
-            ps.add(name, foundation.params.get(name), trainable=False)
+            ps[name] = arr
     return model.FoundationModel(
         encoder_spec=foundation.encoder_spec,
         head_out=foundation.head_out,

@@ -86,7 +86,7 @@ def test_analytic_gradients_match_central_differences():
             m = model.new_model(spec, head_out=4, seed=seed)
             batch = make_batch(6, 4, 2, n=5, seed=1000 + seed)
             _, grads = model.loss_and_grads(m, batch)
-            for name in m.params.trainable_names():
+            for name in m.params:
                 fd = fd_gradient(m, batch, None, name, h=1e-5)
                 denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-8)
                 assert np.max(np.abs(grads[name] - fd) / denom) <= 1e-5, (kind, seed, name)

@@ -242,7 +242,7 @@ def test_adapted_view_aliases_frozen_entries_and_trains_effective_weights():
     assert view.params.get("enc0.b") is f.params.get("enc0.b")
     assert view.params.get("head.w") is f.params.get("head.w")
     assert view.params.get("enc0.w") is not f.params.get("enc0.w")
-    assert set(view.params.trainable_names()) == {"enc0.w", "enc1.w"}
+    assert view.frozen
     with pytest.raises(ValueError):
         adapt.adapted_model(f, ad, 0)
     with pytest.raises(ValueError):
@@ -569,4 +569,28 @@ def test_adapter_with_inconsistent_stacks_is_rejected():
     n, d_out, rank = ad.b["enc0.w"].shape
     state["layers"][0]["b"] = _io.encode_array(np.zeros((n, d_out, rank + 1)))
     with pytest.raises(ValueError, match="enc0.w"):
+        adapt.adapter_from_state(state)
+
+
+@pytest.mark.parametrize("key", ["plan", "adapted_layers", "n_experts", "rank",
+                                 "foundation_sha256", "frozen_logits", "layers"])
+def test_adapter_with_missing_key_is_rejected(key):
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    state = adapt.adapter_state(ad)
+    del state[key]
+    with pytest.raises(ValueError, match=f"adapter checkpoint is missing '{key}'"):
+        adapt.adapter_from_state(state)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("frozen_logits", [False]),
+    ("frozen_logits", [0, 1]),
+    ("adapted_layers", ["enc0.w", "enc1.w", "enc2.w"]),
+    ("adapted_layers", ["enc1.w", "enc0.w"]),
+])
+def test_adapter_with_mismatched_fields_is_rejected(field, value):
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    state = adapt.adapter_state(ad)
+    state[field] = value
+    with pytest.raises(ValueError, match=f"adapter {field}"):
         adapt.adapter_from_state(state)

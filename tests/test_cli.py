@@ -257,11 +257,12 @@ def test_version_1_checkpoint_is_rejected(ws, capsys):
     assert cli.main(["pretrain", "--config", cfg, "--run-dir", str(rd)]) == 0
     path = rd / "checkpoints" / "foundation.json"
     state = json.loads(path.read_text())
-    assert state["format_version"] == 2
-    state["format_version"] = 1
-    path.write_text(json.dumps(state))
-    assert cli.main(["adapt", "--config", cfg, "--run-dir", str(rd)]) == 1
-    assert "unsupported checkpoint format_version 1" in capsys.readouterr().err
+    assert state["format_version"] == 3
+    for version in (1, 2):
+        state["format_version"] = version
+        path.write_text(json.dumps(state))
+        assert cli.main(["adapt", "--config", cfg, "--run-dir", str(rd)]) == 1
+        assert f"unsupported checkpoint format_version {version}" in capsys.readouterr().err
 
 
 # --- config handling ---
@@ -413,6 +414,26 @@ def test_version_1_adapter_is_rejected(ws, capsys):
     path.write_text(json.dumps(state))
     assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1
     assert "unsupported adapter format version 1" in capsys.readouterr().err
+
+
+def test_malformed_adapter_exits_1_naming_the_field(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "run"
+    for argv in (["pretrain"], ["adapt"]):
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    path = rd / "checkpoints" / "adapter.json"
+    good = json.loads(path.read_text())
+    for field, value in (("rank", None), ("frozen_logits", [False]),
+                         ("adapted_layers", ["enc0.w", "enc1.w"])):
+        state = dict(good)
+        if value is None:
+            del state[field]
+        else:
+            state[field] = value
+        path.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1, field
+        assert field in capsys.readouterr().err
 
 
 def test_internal_errors_exit_2(ws, monkeypatch, capsys):

@@ -91,7 +91,7 @@ def test_new_model_init_and_determinism():
     for name, fan_in in (("enc0.w", 8), ("enc1.w", 6), ("head.w", 3)):
         assert np.all(np.abs(m.params.get(name)) <= 1.0 / np.sqrt(fan_in))
     m2 = model.new_model(spec, head_out=4, seed=5)
-    for name in m.params.names():
+    for name in m.params:
         assert np.array_equal(m.params.get(name), m2.params.get(name))
 
 
@@ -177,13 +177,13 @@ def test_closed_form_single_linear_layer():
     m = model.new_model(linear_spec(3), head_out=2, seed=0)
     m.params.get("enc0.w")[:] = np.eye(3)
     m.params.get("enc0.b")[:] = 0.0
-    m.params.set_trainable("enc0.w", False)
-    m.params.set_trainable("enc0.b", False)
+    m.freeze()
     rng = np.random.default_rng(6)
     hist = rng.normal(size=(3, 1))
     label = rng.normal(size=(2, 1))
     batch = [data.WindowSample(history=hist, label=label, origin=2)]
-    loss, grads = model.loss_and_grads(m, batch)
+    head = {name: m.params[name] for name in ("head.w", "head.b")}
+    loss, grads = model.loss_and_grads(m, batch, overrides=head)
     pred = model.forecast(m, hist)
     norm = label.size
     assert set(grads) == {"head.w", "head.b"}
@@ -204,7 +204,7 @@ def test_gradients_match_finite_differences(spec_fn):
         m = model.new_model(spec_fn(), head_out=4, seed=seed)
         batch = make_batch(6, 4, 2, n=5, seed=200 + seed)
         _, grads = model.loss_and_grads(m, batch)
-        for name in m.params.trainable_names():
+        for name in m.params:
             fd = fd_gradient(m, batch, None, name)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-8)
             assert np.max(np.abs(grads[name] - fd) / denom) <= 1e-5, name
@@ -229,11 +229,15 @@ def test_target_slice_selects_steps():
 
 def test_frozen_entries_get_no_gradient_buffer():
     m = model.new_model(mlp_spec(5, 4, 2), head_out=2, seed=0)
-    m.params.set_trainable("enc0.w", False)
-    m.params.set_trainable("head.b", False)
-    _, grads = model.loss_and_grads(m, make_batch(5, 2, 2, n=4, seed=8))
-    assert "enc0.w" not in grads and "head.b" not in grads
-    assert "enc1.w" in grads
+    batch = make_batch(5, 2, 2, n=4, seed=8)
+    _, grads = model.loss_and_grads(m, batch)
+    assert list(grads) == ["head.w", "head.b", "enc1.w", "enc1.b", "enc0.w", "enc0.b"]
+    m.freeze()
+    assert model.loss_and_grads(m, batch)[1] == {}
+    overrides = {"enc1.w": m.params["enc1.w"].copy()}
+    _, frozen_grads = model.loss_and_grads(m, batch, overrides=overrides)
+    assert list(frozen_grads) == ["enc1.w"]
+    assert np.array_equal(frozen_grads["enc1.w"], grads["enc1.w"])
 
 
 def test_loss_and_grads_deterministic():
@@ -315,16 +319,16 @@ def test_ar_f_exact_recursion_stays_exact_and_misfit_accumulates():
 
 def test_checkpoint_round_trip_exact(tmp_path):
     m = model.new_model(mlp_spec(9, 7, 4, "relu"), head_out=5, seed=42)
-    m.params.set_trainable("enc0.b", False)
+    m.freeze()
     path = tmp_path / "model.json"
     model.save_checkpoint(m, path)
     loaded = model.load_checkpoint(path)
     assert loaded.encoder_spec == m.encoder_spec
     assert loaded.head_out == m.head_out
-    assert loaded.params.names() == m.params.names()
-    for name in m.params.names():
+    assert loaded.frozen
+    assert list(loaded.params) == list(m.params)
+    for name in m.params:
         assert np.array_equal(loaded.params.get(name), m.params.get(name))
-        assert loaded.params.is_trainable(name) == m.params.is_trainable(name)
     # a second save of the loaded model is byte-identical
     path2 = tmp_path / "model2.json"
     model.save_checkpoint(loaded, path2)
@@ -340,4 +344,28 @@ def test_checkpoint_with_wrong_parameter_shape_is_rejected(tmp_path):
         model.model_from_state(state)
     state["params"] = [e for e in state["params"] if e["name"] != "head.w"]
     with pytest.raises(ValueError, match="do not match"):
+        model.model_from_state(state)
+
+
+@pytest.mark.parametrize("key", ["encoder_spec", "head_out", "frozen", "params"])
+def test_checkpoint_with_missing_key_is_rejected(key):
+    state = model.model_state(model.new_model(mlp_spec(5, 4, 2), head_out=2, seed=0))
+    del state[key]
+    with pytest.raises(ValueError, match=f"model checkpoint is missing '{key}'"):
+        model.model_from_state(state)
+
+
+def test_checkpoint_with_malformed_entries_is_rejected():
+    m = model.new_model(mlp_spec(5, 4, 2), head_out=2, seed=0)
+    state = model.model_state(m)
+    del state["params"][0]["data"]
+    with pytest.raises(ValueError, match="missing 'data'"):
+        model.model_from_state(state)
+    state = model.model_state(m)
+    del state["encoder_spec"]["activation"]
+    with pytest.raises(ValueError, match="encoder_spec is missing 'activation'"):
+        model.model_from_state(state)
+    state = model.model_state(m)
+    state["frozen"] = 0
+    with pytest.raises(ValueError, match="'frozen' must be true or false"):
         model.model_from_state(state)

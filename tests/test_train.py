@@ -222,7 +222,7 @@ def test_pretrain_determinism():
     cfg = small_config(max_epochs=3, seed=5)
     m1, r1 = train.pretrain(ds, LIN8, 2, cfg)
     m2, r2 = train.pretrain(ds, LIN8, 2, cfg)
-    for name in m1.params.names():
+    for name in m1.params:
         assert np.array_equal(m1.params.get(name), m2.params.get(name))
     assert train.run_summary(r1) == train.run_summary(r2)
 
@@ -265,7 +265,7 @@ def test_adapt_freezes_logits_and_leaves_foundation_untouched():
     ds = sine_dataset()
     pre_cfg = small_config(max_epochs=1)
     foundation, _ = train.pretrain(ds, LIN8, 2, pre_cfg)
-    before = {n: foundation.params.get(n).copy() for n in foundation.params.names()}
+    before = {n: arr.copy() for n, arr in foundation.params.items()}
     plan = adapt.make_segment_plan(4, 2, lookback=8)
     adapter = adapt.new_adapter(foundation, plan, n_experts=2, rank=2, seed=1)
     adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, small_config())
@@ -374,7 +374,7 @@ def test_mtf_t1_coincides_with_s1_pretraining():
     cfg = small_config(max_epochs=3, seed=11)
     mtf, rec_m = train.mtf_train(ds, LIN8, 1, cfg)
     pre, rec_p = train.pretrain(ds, LIN8, 1, cfg)
-    for name in mtf.params.names():
+    for name in mtf.params:
         assert np.array_equal(mtf.params.get(name), pre.params.get(name))
     assert [e.val_loss for e in rec_m.epochs] == [e.val_loss for e in rec_p.epochs]
 
