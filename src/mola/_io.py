@@ -44,6 +44,28 @@ def require_keys(obj, keys, what: str) -> None:
         raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
 
 
+_KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
+
+
+def require_type(obj: dict, key: str, kind: type, what: str):
+    """``obj[key]``, or a ValueError naming the field when it is not a JSON
+    value of ``kind`` (int, bool, str or list; true and false are not
+    integers)."""
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} {key!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def decode_array(d: dict) -> np.ndarray:
     require_keys(d, ("shape", "data"), "encoded array")
-    return np.array(d["data"], dtype=np.float64).reshape(d["shape"])
+    shape = require_type(d, "shape", list, "encoded array")
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in shape):
+        raise ValueError(f"encoded array 'shape' must hold integers, got {shape!r}")
+    try:
+        array = np.array(require_type(d, "data", list, "encoded array"), dtype=np.float64)
+    except TypeError as e:
+        raise ValueError(f"encoded array 'data' must hold numbers: {e}") from None
+    if not np.isfinite(array).all():
+        raise ValueError("encoded array 'data' must hold finite numbers")
+    return array.reshape(shape)

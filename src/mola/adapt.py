@@ -16,9 +16,15 @@ basic slice of experts from its first to its last nonzero weight, so under
 one-hot routing segment k touches ``a[layer][k-1:k]`` and
 ``b[layer][k-1:k]`` and nothing else.
 
-Experts are shared across segments and keep training as later segments are
-fitted; the routing logits are one row per segment and can be frozen once
-that segment is done.  Biases and the prediction head are never adapted.
+The routing logits are one row per segment and can be frozen once that
+segment is done.  Under trainable (soft) routing the experts are shared:
+segments fit one after another, and later segments keep training the
+experts earlier ones use.  When every row is frozen and each segment has
+its own experts, as under one-hot routing, the segments share nothing but
+the frozen foundation, and a :class:`Lockstep` trains all K at once: one
+step stacks the K segments' W_eff into a (K, d_out, d_in) array and their
+gradients into the covering slice of the stacks.  Biases and the
+prediction head are never adapted.
 """
 
 from __future__ import annotations
@@ -94,23 +100,23 @@ def effective_weight(base: np.ndarray, a: np.ndarray, b: np.ndarray,
     and b (P, d_out, r), as one product of the concatenated factors
     [delta_1 B_1 ... delta_P B_P] (d_out, P*r) and [A_1; ...; A_P] (P*r, d_in).
     A zero weight zeroes its expert's columns exactly.  For one expert of
-    weight 1 this is exactly W + B @ A."""
+    weight 1 this is exactly W + B @ A.  Leading axes of a, b and delta
+    (K segments, say) carry over to the result: (K, d_out, d_in)."""
     base = np.asarray(base, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    if a.ndim != 3 or b.ndim != 3 or delta.ndim != 1:
-        raise ValueError(f"expected (P, r, d_in) and (P, d_out, r) stacks and (P,) weights, "
-                         f"got {a.shape}, {b.shape} and {delta.shape}")
-    n, d_out, rank = b.shape
-    if a.shape[:2] != (n, rank) or delta.size != n:
-        raise ValueError(f"expert stacks {a.shape} and {b.shape} do not match {delta.size} "
-                         f"mixture weights of rank-{rank} experts")
-    if (d_out, a.shape[2]) != base.shape:
+    if a.ndim < 3 or b.ndim != a.ndim or delta.ndim != a.ndim - 2:
+        raise ValueError(f"expected (..., P, r, d_in) and (..., P, d_out, r) stacks and "
+                         f"(..., P) weights, got {a.shape}, {b.shape} and {delta.shape}")
+    lead, (n, d_out, rank), d_in = b.shape[:-3], b.shape[-3:], a.shape[-1]
+    if a.shape[:-1] != lead + (n, rank) or delta.shape != lead + (n,):
+        raise ValueError(f"expert stacks {a.shape} and {b.shape} do not match mixture "
+                         f"weights {delta.shape} of rank-{rank} experts")
+    if (d_out, d_in) != base.shape:
         raise ValueError(
-            f"expert update is {d_out}x{a.shape[2]}, "
-            f"base weight is {base.shape[0]}x{base.shape[1]}"
+            f"expert update is {d_out}x{d_in}, base weight is {base.shape[0]}x{base.shape[1]}"
         )
-    b_cat = (b.transpose(1, 0, 2) * delta[:, None]).reshape(d_out, n * rank)
-    return base + b_cat @ a.reshape(n * rank, a.shape[2])
+    b_cat = (b.swapaxes(-3, -2) * delta[..., None, :, None]).reshape(lead + (d_out, n * rank))
+    return base + b_cat @ a.reshape(lead + (n * rank, d_in))
 
 
 def adapter_placement(foundation: model.FoundationModel, requested=None) -> tuple[str, ...]:
@@ -279,10 +285,60 @@ def _expert_span(adapter: MolaAdapter, layer: str, k: int) -> tuple[slice, np.nd
     return slice(nonzero[0], nonzero[-1] + 1), delta
 
 
-def _segment_weight(foundation, adapter: MolaAdapter, layer: str, span: slice,
-                    delta: np.ndarray) -> np.ndarray:
-    return effective_weight(foundation.params[layer], adapter.a[layer][span],
-                            adapter.b[layer][span], delta[span])
+@dataclass(frozen=True, eq=False)
+class Lockstep:
+    """How all K segments of an adapter train in one stacked step.  It
+    exists when every routing row is frozen and, in every layer, segment k
+    uses the k-th of K consecutive, equally wide slices of the expert
+    stacks, as under one-hot routing.  The segments then share nothing but
+    the frozen foundation.  Per layer, ``layers`` holds the basic slice of
+    the stacks covering all K segments and their (K, w) mixture weights,
+    fixed for the whole fit."""
+
+    layers: dict[str, tuple[slice, np.ndarray]]
+
+    def experts(self, adapter: MolaAdapter) -> dict[str, tuple]:
+        """Per layer, the covering slice as views with a leading K axis,
+        A (K, w, r, d_in) and B (K, w, d_out, r), and the (K, w) weights."""
+        out = {}
+        for name, (span, weights) in self.layers.items():
+            a, b = adapter.a[name][span], adapter.b[name][span]
+            out[name] = (a.reshape(*weights.shape, *a.shape[1:]),
+                         b.reshape(*weights.shape, *b.shape[1:]), weights)
+        return out
+
+
+def lockstep(adapter: MolaAdapter) -> Lockstep | None:
+    """The Lockstep of ``adapter``, or None when its segments are coupled
+    (a trainable routing row) or use the stacks in another pattern."""
+    if not all(adapter.frozen_logits):
+        return None
+    segments = range(1, adapter.plan.segments + 1)
+    layers = {}
+    for name in adapter.adapted_layers:
+        spans = [_expert_span(adapter, name, k) for k in segments]
+        start = spans[0][0].start
+        width = spans[0][0].stop - start
+        if any(span != slice(start + i * width, start + (i + 1) * width)
+               for i, (span, _) in enumerate(spans)):
+            return None
+        layers[name] = (slice(start, start + len(spans) * width),
+                        np.stack([delta[span] for span, delta in spans]))
+    return Lockstep(layers)
+
+
+def _trained_experts(adapter: MolaAdapter, k) -> tuple[dict[str, tuple], int | None]:
+    """Per layer, the A and B views and the mixture weights of the experts
+    segment k trains (see _expert_span), and k while its routing row is
+    trainable, else None.  For a Lockstep, its experts (all rows frozen)."""
+    if isinstance(k, Lockstep):
+        return k.experts(adapter), None
+    _check_segment(adapter, k)
+    out = {}
+    for name in adapter.adapted_layers:
+        span, delta = _expert_span(adapter, name, k)
+        out[name] = (adapter.a[name][span], adapter.b[name][span], delta[span])
+    return out, None if adapter.frozen_logits[k - 1] else k
 
 
 def adapted_model(
@@ -291,10 +347,9 @@ def adapted_model(
     """Materialize the frozen segment-k model.  Adapted weights are fresh
     arrays; everything else aliases the foundation.  Training goes through
     segment_grads, which passes W_eff as overrides instead."""
-    _check_segment(adapter, k)
     params = dict(foundation.params)
-    for name in adapter.adapted_layers:
-        params[name] = _segment_weight(foundation, adapter, name, *_expert_span(adapter, name, k))
+    for name, (a, b, weights) in _trained_experts(adapter, k)[0].items():
+        params[name] = effective_weight(foundation.params[name], a, b, weights)
     return model.FoundationModel(encoder_spec=foundation.encoder_spec,
                                  head_out=foundation.head_out, params=params, frozen=True)
 
@@ -317,40 +372,44 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     The routing gradient is only formed while the segment's routing row is
     trainable; a zero-weight expert in the stacks gets (signed) zero
     gradients, so it stays put under Adam.
+
+    With k a Lockstep, this is one step of all K segments at once: the
+    batch is K equal batches in segment order, target_slice holds one slice
+    per segment, W_eff is one (K, d_out, d_in) stack, and the loss is the
+    (K,) array of the segments' losses.  Each segment's loss and gradients
+    are bitwise those of its own step.
     """
-    _check_segment(adapter, k)
-    spans = {name: _expert_span(adapter, name, k) for name in adapter.adapted_layers}
-    eff = {name: _segment_weight(foundation, adapter, name, span, delta)
-           for name, (span, delta) in spans.items()}
+    experts, routed = _trained_experts(adapter, k)
+    eff = {name: effective_weight(foundation.params[name], a, b, weights)
+           for name, (a, b, weights) in experts.items()}
     loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
-    routed = not adapter.frozen_logits[k - 1]
     grads: dict[str, np.ndarray] = {}
-    for name, (span, delta) in spans.items():
-        g_eff = eff_grads[name]
-        a, b = adapter.a[name][span], adapter.b[name][span]
-        weight = delta[span, None, None]
-        bt_g = b.transpose(0, 2, 1) @ g_eff
-        grads[f"{name}.a"] = weight * bt_g
-        grads[f"{name}.b"] = weight * (g_eff @ a.transpose(0, 2, 1))
-        if routed:
+    for name, (a, b, weights) in experts.items():
+        g_eff = eff_grads[name][..., None, :, :]
+        weight = weights[..., None, None]
+        bt_g = b.swapaxes(-1, -2) @ g_eff
+        # a Lockstep's (K, w, ...) gradients flatten onto its covering slice
+        grads[f"{name}.a"] = (weight * bt_g).reshape(-1, *a.shape[-2:])
+        grads[f"{name}.b"] = (weight * (g_eff @ a.swapaxes(-1, -2))).reshape(-1, *b.shape[-2:])
+        if routed is not None:
             d_delta = np.einsum("prd,prd->p", bt_g, a)
-            grads[f"{name}.logits.k{k}"] = delta * (d_delta - float(delta @ d_delta))
+            grads[f"{name}.logits.k{routed}"] = weights * (d_delta - float(weights @ d_delta))
     return loss, grads
 
 
-def adaptation_params(adapter: MolaAdapter, k: int) -> dict[str, np.ndarray]:
+def adaptation_params(adapter: MolaAdapter, k) -> dict[str, np.ndarray]:
     """Mutable views of everything segment k trains, keyed like the grads
     from segment_grads: per layer the slices of the A and B stacks that the
     segment uses, and its row of the (K, P) logits table while that row is
-    trainable.  In-place optimizer updates land in the adapter."""
-    _check_segment(adapter, k)
+    trainable.  For a Lockstep, the slices that cover all K segments.
+    In-place optimizer updates land in the adapter."""
+    experts, routed = _trained_experts(adapter, k)
     out: dict[str, np.ndarray] = {}
-    for name in adapter.adapted_layers:
-        span, _ = _expert_span(adapter, name, k)
-        out[f"{name}.a"] = adapter.a[name][span]
-        out[f"{name}.b"] = adapter.b[name][span]
-        if not adapter.frozen_logits[k - 1]:
-            out[f"{name}.logits.k{k}"] = adapter.logits[name][k - 1]
+    for name, (a, b, _) in experts.items():
+        out[f"{name}.a"] = a.reshape(-1, *a.shape[-2:])
+        out[f"{name}.b"] = b.reshape(-1, *b.shape[-2:])
+        if routed is not None:
+            out[f"{name}.logits.k{routed}"] = adapter.logits[name][routed - 1]
     return out
 
 
@@ -386,9 +445,13 @@ def adapter_from_state(state: dict) -> MolaAdapter:
     _io.require_keys(state, ("plan", "adapted_layers", "n_experts", "rank", "foundation_sha256",
                              "frozen_logits", "layers"), "adapter checkpoint")
     _io.require_keys(state["plan"], ("horizon", "segments"), "adapter plan")
-    plan = make_segment_plan(state["plan"]["horizon"], state["plan"]["segments"])
-    n_experts, rank = int(state["n_experts"]), int(state["rank"])
-    frozen_logits = state["frozen_logits"]
+    plan = make_segment_plan(_io.require_type(state["plan"], "horizon", int, "adapter plan"),
+                             _io.require_type(state["plan"], "segments", int, "adapter plan"))
+    n_experts = _io.require_type(state, "n_experts", int, "adapter checkpoint")
+    rank = _io.require_type(state, "rank", int, "adapter checkpoint")
+    adapted_layers = _io.require_type(state, "adapted_layers", list, "adapter checkpoint")
+    foundation_sha256 = _io.require_type(state, "foundation_sha256", str, "adapter checkpoint")
+    frozen_logits = _io.require_type(state, "frozen_logits", list, "adapter checkpoint")
     if (len(frozen_logits) != plan.segments
             or not all(isinstance(f, bool) for f in frozen_logits)):
         raise ValueError(f"adapter frozen_logits {frozen_logits} must hold one true or false "
@@ -396,9 +459,9 @@ def adapter_from_state(state: dict) -> MolaAdapter:
     a_stacks: dict[str, np.ndarray] = {}
     b_stacks: dict[str, np.ndarray] = {}
     logits: dict[str, np.ndarray] = {}
-    for entry in state["layers"]:
+    for entry in _io.require_type(state, "layers", list, "adapter checkpoint"):
         _io.require_keys(entry, ("name", "logits", "a", "b"), "adapter layer")
-        name = entry["name"]
+        name = _io.require_type(entry, "name", str, "adapter layer")
         logits[name] = _io.decode_array(entry["logits"])
         a_stacks[name] = _io.decode_array(entry["a"])
         b_stacks[name] = _io.decode_array(entry["b"])
@@ -410,8 +473,8 @@ def adapter_from_state(state: dict) -> MolaAdapter:
                 f"B {b.shape}; expected ({plan.segments}, {n_experts}), "
                 f"({n_experts}, {rank}, d_in) and ({n_experts}, d_out, {rank})"
             )
-    if list(state["adapted_layers"]) != list(logits):
-        raise ValueError(f"adapter adapted_layers {state['adapted_layers']} do not match "
+    if adapted_layers != list(logits):
+        raise ValueError(f"adapter adapted_layers {adapted_layers} do not match "
                          f"its layers entries {list(logits)}")
     return MolaAdapter(
         plan=plan,
@@ -421,7 +484,7 @@ def adapter_from_state(state: dict) -> MolaAdapter:
         a=a_stacks,
         b=b_stacks,
         logits=logits,
-        foundation_sha256=state["foundation_sha256"],
+        foundation_sha256=foundation_sha256,
         frozen_logits=list(frozen_logits),
     )
 
@@ -431,4 +494,8 @@ def save_adapter(adapter: MolaAdapter, path) -> None:
 
 
 def load_adapter(path) -> MolaAdapter:
-    return adapter_from_state(_io.read_json(path))
+    """The adapter in the checkpoint at ``path``; a ValueError names the file."""
+    try:
+        return adapter_from_state(_io.read_json(path))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -276,14 +276,12 @@ def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
     for i, t in enumerate(steps):
         seed = config.seed + i
         m = model.new_model(spec, head_out=1, seed=seed)
-        record = train.fit(
-            f"probe-step-{t}",
+        [record] = train.fit(
+            [train.Stage(f"probe-step-{t}", 0, lambda: model.mse_loss(m, val_w, (t, t)),
+                         m.params)],
             train_w,
-            m.params,
-            lambda batch, m=m, t=t: model.loss_and_grads(m, batch, (t, t)),
-            lambda m=m, t=t: model.mse_loss(m, val_w, (t, t)),
+            lambda batch: model.loss_and_grads(m, batch, (t, t)),
             replace(config, seed=seed),
-            stage_key=0,
         )
         seeds.append(seed)
         val_losses.append(record.best_val)
@@ -343,10 +341,11 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
     all three on the same test windows.
 
     routing="one-hot" pins segment k to expert k (requires one expert per
-    segment).  Because segments train sequentially and experts stay shared,
-    soft mixing lets later segments repurpose experts that earlier segments'
+    segment).  Under soft mixing segments train one after another on shared
+    experts, so later segments repurpose experts that earlier segments'
     frozen weights still point at; hard routing keeps the per-segment fits
-    independent, which matters when adaptations are large.  Adapter
+    independent, which matters when adaptations are large, and trains all
+    segments in one lockstep fit (see train.adapt_all_segments).  Adapter
     settings are checked before anything trains; the foundation trains with
     ``pretrain_config``, by default ``config``.
     """

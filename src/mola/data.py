@@ -114,18 +114,45 @@ class WindowSet(Sequence):
         for i in range(len(self)):
             yield self[i]
 
-    def history_block(self) -> np.ndarray:
+    def history_block(self, groups: int | None = None) -> np.ndarray:
         """Histories as one contiguous (L, N*D) column block; column i*D + c
-        is channel c of window i.  This is the layout every model consumes."""
+        is channel c of window i.  This is the layout every model consumes.
+        With ``groups`` K, the N windows are K equal groups one after another
+        and the block is (K, L, N/K*D), one such block per group."""
         n, lookback, d = self.history.shape
-        return np.ascontiguousarray(self.history.transpose(1, 0, 2)).reshape(lookback, n * d)
+        if groups is None:
+            return np.ascontiguousarray(self.history.transpose(1, 0, 2)).reshape(lookback, n * d)
+        _check_groups(n, groups)
+        h = self.history.reshape(groups, n // groups, lookback, d).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(h).reshape(groups, lookback, n // groups * d)
 
-    def label_block(self, first: int = 1, last: int | None = None) -> np.ndarray:
+    def label_block(self, first=1, last=None) -> np.ndarray:
         """Label rows first..last (1-based, inclusive) as a contiguous
-        (rows, N*D) block in the column order of :meth:`history_block`."""
-        lab = self.label[:, first - 1 : last]
-        n, rows, d = lab.shape
-        return np.ascontiguousarray(lab.transpose(1, 0, 2)).reshape(rows, n * d)
+        (rows, N*D) block in the column order of :meth:`history_block`.
+        With ``first`` and ``last`` sequences of K rows, the windows are K
+        groups as in ``history_block(K)``, group k takes rows first[k] to
+        last[k] (equally many in every group), and the block is
+        (K, rows, N/K*D)."""
+        if isinstance(first, (int, np.integer)):
+            lab = self.label[:, first - 1 : last]
+            n, rows, d = lab.shape
+            return np.ascontiguousarray(lab.transpose(1, 0, 2)).reshape(rows, n * d)
+        first, last = np.asarray(first), np.asarray(last)
+        n, label_len, d = self.label.shape
+        k, rows = len(first), int(last[0] - first[0]) + 1
+        _check_groups(n, k)
+        if np.any(last - first + 1 != rows):
+            raise ValueError(f"label rows {first.tolist()} to {last.tolist()} "
+                             "differ in length between groups")
+        idx = first[:, None] - 1 + np.arange(rows)
+        # advanced indices on the group and row axes come first: (K, rows, N/K, D)
+        lab = self.label.reshape(k, n // k, label_len, d)[np.arange(k)[:, None], :, idx]
+        return lab.reshape(k, rows, n // k * d)
+
+
+def _check_groups(n: int, groups: int) -> None:
+    if groups < 1 or n % groups:
+        raise ValueError(f"{n} windows do not split into {groups} equal groups")
 
 
 def as_window_set(samples: Sequence[WindowSample]) -> WindowSet:

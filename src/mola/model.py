@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from ._io import decode_array, encode_array, read_json, require_keys, write_json
+from ._io import (decode_array, encode_array, read_json, require_keys, require_type,
+                  write_json)
 from .data import WindowSample, as_window_set
 
 ENCODER_KINDS = ("linear", "mlp2")
@@ -85,11 +86,14 @@ class EncoderSpec:
     @staticmethod
     def from_dict(d: dict) -> "EncoderSpec":
         require_keys(d, ("kind", "in_len", "hidden", "activation"), "encoder_spec")
+        hidden = require_type(d, "hidden", list, "encoder_spec")
+        if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
+            raise ValueError(f"encoder_spec 'hidden' must hold integers, got {hidden!r}")
         return EncoderSpec(
-            kind=d["kind"],
-            in_len=int(d["in_len"]),
-            hidden=tuple(d["hidden"]),
-            activation=d["activation"],
+            kind=require_type(d, "kind", str, "encoder_spec"),
+            in_len=require_type(d, "in_len", int, "encoder_spec"),
+            hidden=tuple(hidden),
+            activation=require_type(d, "activation", str, "encoder_spec"),
         )
 
 
@@ -162,7 +166,7 @@ def _encode_cols(m: FoundationModel, x: np.ndarray, keep_cache: bool, weights=No
     weights = m.params if weights is None else weights
     caches = []
     for i in range(spec.n_layers):
-        z = weights[f"enc{i}.w"] @ x + weights[f"enc{i}.b"][:, None]
+        z = weights[f"enc{i}.w"] @ x + weights[f"enc{i}.b"][..., None]
         activated = i < spec.n_layers - 1
         a = _activate(z, spec.activation) if activated else z
         if keep_cache:
@@ -200,11 +204,7 @@ def forecast(m: FoundationModel, history: np.ndarray) -> np.ndarray:
     return decode(m, encode(m, history))
 
 
-def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice):
-    batch = as_window_set(batch)
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    label_len = batch.label.shape[1]
+def _check_target(m: FoundationModel, target_slice, label_len: int) -> tuple[int, int]:
     if target_slice is None:
         target_slice = (1, m.head_out)
     first, last = target_slice
@@ -217,9 +217,27 @@ def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice
         )
     if last > label_len:
         raise ValueError(f"target_slice {target_slice} exceeds label length {label_len}")
+    return first, last
+
+
+def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice):
+    """The (L, B*D) history and (rows, B*D) label blocks of a batch.  With
+    one target slice per group, the batch is K equal groups of windows one
+    after another, and both blocks gain a leading K axis: group k's label
+    rows are those of slice k (see ``WindowSet.history_block``)."""
+    batch = as_window_set(batch)
+    if len(batch) == 0:
+        raise ValueError("empty batch")
     if batch.history.shape[1] != m.lookback:
         raise ValueError(f"history length {batch.history.shape[1]} != lookback {m.lookback}")
-    return batch.history_block(), batch.label_block(first, last)
+    label_len = batch.label.shape[1]
+    if target_slice is None or isinstance(target_slice[0], (int, np.integer)):
+        first, last = _check_target(m, target_slice, label_len)
+        return batch.history_block(), batch.label_block(first, last)
+    if len(target_slice) == 0:
+        raise ValueError("no target slices")
+    first, last = zip(*(_check_target(m, t, label_len) for t in target_slice))
+    return batch.history_block(len(first)), batch.label_block(first, last)
 
 
 def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=None) -> float:
@@ -233,13 +251,19 @@ def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=Non
 
 def loss_and_grads(
     m: FoundationModel, batch: Sequence[WindowSample], target_slice=None, overrides=None
-) -> tuple[float, dict[str, np.ndarray]]:
+):
     """Loss plus gradients: for every entry of an unfrozen model, and only
     for the ``overrides`` of a frozen one.
 
     ``overrides`` maps parameter names to arrays used in place of m's
     entries: that is how adaptation trains the effective weights on top of
     a frozen model without building one per step.
+
+    With a sequence of K target slices, the batch is K equal groups of
+    windows (see ``_stack_batch``) and every array gains a leading K axis:
+    overrides may be (K, ...) stacks, the loss is a (K,) array and each
+    gradient is K per-group gradients, each bitwise what the group alone
+    would give.
     """
     overrides = overrides or {}
     unknown = set(overrides) - set(m.params)
@@ -250,28 +274,30 @@ def loss_and_grads(
     x, y = _stack_batch(m, batch, target_slice)
     rep, caches = _encode_cols(m, x, keep_cache=True, weights=weights)
     head_w = weights["head.w"]
-    pred = head_w @ rep + weights["head.b"][:, None]
+    pred = head_w @ rep + weights["head.b"][..., None]
     diff = pred - y
-    loss = float((diff * diff).mean())
+    count = diff.shape[-2] * diff.shape[-1]
+    # the sum over the trailing axes, then one division: what .mean() does
+    loss = np.add.reduce(diff * diff, axis=(-2, -1)) / count
 
     grads: dict[str, np.ndarray] = {}
-    d_out = (2.0 / diff.size) * diff
+    d_out = (2.0 / count) * diff
     if "head.w" in trained:
-        grads["head.w"] = d_out @ rep.T
+        grads["head.w"] = d_out @ rep.swapaxes(-1, -2)
     if "head.b" in trained:
-        grads["head.b"] = d_out.sum(axis=1)
-    d_x = head_w.T @ d_out
+        grads["head.b"] = d_out.sum(axis=-1)
+    d_x = head_w.swapaxes(-1, -2) @ d_out
     spec = m.encoder_spec
     for i in reversed(range(spec.n_layers)):
         x_in, z, a, activated = caches[i]
         d_z = d_x * _activation_grad(z, a, spec.activation) if activated else d_x
         if f"enc{i}.w" in trained:
-            grads[f"enc{i}.w"] = d_z @ x_in.T
+            grads[f"enc{i}.w"] = d_z @ x_in.swapaxes(-1, -2)
         if f"enc{i}.b" in trained:
-            grads[f"enc{i}.b"] = d_z.sum(axis=1)
+            grads[f"enc{i}.b"] = d_z.sum(axis=-1)
         if i > 0:
-            d_x = weights[f"enc{i}.w"].T @ d_z
-    return loss, grads
+            d_x = weights[f"enc{i}.w"].swapaxes(-1, -2) @ d_z
+    return (float(loss) if loss.ndim == 0 else loss), grads
 
 
 def ar_f_forecast(m: FoundationModel, history: np.ndarray, horizon: int) -> np.ndarray:
@@ -312,15 +338,17 @@ def model_from_state(state: dict) -> FoundationModel:
     if state.get("kind") != "foundation-model":
         raise ValueError(f"not a model checkpoint (kind={state.get('kind')!r})")
     require_keys(state, ("encoder_spec", "head_out", "frozen", "params"), "model checkpoint")
-    if not isinstance(state["frozen"], bool):
-        raise ValueError(f"model checkpoint 'frozen' must be true or false, got {state['frozen']!r}")
-    for entry in state["params"]:
+    head_out = require_type(state, "head_out", int, "model checkpoint")
+    frozen = require_type(state, "frozen", bool, "model checkpoint")
+    entries = require_type(state, "params", list, "model checkpoint")
+    for entry in entries:
         require_keys(entry, ("name",), "model checkpoint parameter")
-    params = {entry["name"]: decode_array(entry) for entry in state["params"]}
-    if len(params) != len(state["params"]):
+        require_type(entry, "name", str, "model checkpoint parameter")
+    params = {entry["name"]: decode_array(entry) for entry in entries}
+    if len(params) != len(entries):
         raise ValueError("model checkpoint names a parameter twice")
     return FoundationModel(encoder_spec=EncoderSpec.from_dict(state["encoder_spec"]),
-                           head_out=int(state["head_out"]), params=params, frozen=state["frozen"])
+                           head_out=head_out, params=params, frozen=frozen)
 
 
 def save_checkpoint(m: FoundationModel, path) -> None:
@@ -328,4 +356,8 @@ def save_checkpoint(m: FoundationModel, path) -> None:
 
 
 def load_checkpoint(path) -> FoundationModel:
-    return model_from_state(read_json(path))
+    """The model in the checkpoint at ``path``; a ValueError names the file."""
+    try:
+        return model_from_state(read_json(path))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

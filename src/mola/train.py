@@ -4,13 +4,14 @@ adaptation, baselines, and forecast evaluation.
 All stochasticity is keyed off the run seed.  Batch order for a stage draws
 from default_rng([seed, stage_key]) with stage_key 0 for whole-model
 training and k for adaptation of segment k, so stages can be reproduced in
-isolation.
+isolation, also when independent segments train in one lockstep fit.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 from pathlib import Path
 from time import perf_counter
 
@@ -196,50 +197,81 @@ def write_run_record(record: RunRecord, path) -> None:
 # --- generic fit loop ---
 
 
-def fit(stage: str, train_windows: data.WindowSet, params, loss_grads_fn, val_fn,
-        config: TrainConfig, stage_key: int) -> RunRecord:
-    """Minimize via Adam with best-epoch snapshotting.  Returns the stage's
-    RunRecord, without final metrics or wall time, and leaves `params`
-    holding the best-validation snapshot.  When no epoch beats the
-    untrained validation loss, the stop reason is ``no_improvement`` and a
-    RuntimeWarning names the stage."""
+@dataclass
+class Stage:
+    """One fit of ``train.fit``: its record's name, the key of its batch
+    order, its validation loss, and the arrays it snapshots at its best
+    epoch and restores at the end."""
+
+    name: str
+    key: int
+    val_fn: Callable[[], float]
+    params: dict[str, np.ndarray]
+
+
+def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
+        config: TrainConfig, params=None) -> list[RunRecord]:
+    """Minimize via Adam with best-epoch snapshotting, one RunRecord per
+    stage, without final metrics or wall time.
+
+    Stages train in lockstep.  Each draws its batches from
+    default_rng([config.seed, stage.key]) and keeps its own early stopper;
+    a step gathers one batch per stage, in stage order, and
+    ``loss_grads_fn`` returns the loss of each (a scalar or a (K,) array)
+    and the gradients of ``params``, by default the only stage's arrays,
+    which one Adam step updates.  A stopped stage is no longer validated,
+    and its arrays end at its best snapshot, so stages that share nothing
+    but the step see exactly their own fit.  When no epoch beats a stage's
+    untrained validation loss, its stop reason is ``no_improvement`` and a
+    RuntimeWarning names it."""
     n = len(train_windows)
     if n == 0:
         raise ValueError("no training windows")
-    rng = np.random.default_rng([config.seed, stage_key])
+    if params is None:
+        if len(stages) != 1:
+            raise ValueError(f"{len(stages)} stages need the params they step together")
+        params = stages[0].params
+    rngs = [np.random.default_rng([config.seed, s.key]) for s in stages]
     state = init_adam(params)
-    stopper = EarlyStopper(config.patience)
-    record = RunRecord(stage=stage, initial_val=float(val_fn()))
-    stopper.update(0, record.initial_val)
-    best = {k: v.copy() for k, v in params.items()}
+    stoppers = [EarlyStopper(config.patience) for _ in stages]
+    records = [RunRecord(stage=s.name, initial_val=float(s.val_fn())) for s in stages]
+    for stopper, record in zip(stoppers, records):
+        stopper.update(0, record.initial_val)
+    best = [{k: v.copy() for k, v in s.params.items()} for s in stages]
+    active = list(range(len(stages)))
     for epoch in range(1, config.max_epochs + 1):
-        perm = rng.permutation(n)
-        total = 0.0
+        perms = np.stack([rng.permutation(n) for rng in rngs])
+        totals = np.zeros(len(stages))
         for i in range(0, n, config.batch_size):
-            batch = train_windows[perm[i : i + config.batch_size]]
-            loss, grads = loss_grads_fn(batch)
+            rows = perms[:, i : i + config.batch_size]
+            loss, grads = loss_grads_fn(train_windows[rows.ravel()])
             adam_step(params, grads, state, config.learning_rate, config.adam)
-            total += loss * len(batch)
-        val = float(val_fn())
-        record.epochs.append(EpochStat(epoch=epoch, train_loss=total / n, val_loss=val))
-        if stopper.update(epoch, val):
-            best = {k: v.copy() for k, v in params.items()}
-        if stopper.should_stop:
-            record.stop_reason = "early_stop"
+            totals += loss * rows.shape[1]
+        for j in list(active):
+            val = float(stages[j].val_fn())
+            records[j].epochs.append(
+                EpochStat(epoch=epoch, train_loss=float(totals[j] / n), val_loss=val))
+            if stoppers[j].update(epoch, val):
+                best[j] = {k: v.copy() for k, v in stages[j].params.items()}
+            if stoppers[j].should_stop:
+                records[j].stop_reason = "early_stop"
+                active.remove(j)
+        if not active:
             break
-    for k, v in params.items():
-        np.copyto(v, best[k])
-    record.best_epoch, record.best_val = stopper.best_epoch, stopper.best_val
-    if record.best_epoch == 0:
-        record.stop_reason = "no_improvement"
-        trained_best = min(e.val_loss for e in record.epochs)
-        warnings.warn(
-            f"{stage}: no epoch improved on the untrained validation loss "
-            f"{record.initial_val:.6g} (best trained epoch: {trained_best:.6g}); "
-            "keeping the initialisation",
-            RuntimeWarning,
-        )
-    return record
+    for stage, snapshot, stopper, record in zip(stages, best, stoppers, records):
+        for k, v in stage.params.items():
+            np.copyto(v, snapshot[k])
+        record.best_epoch, record.best_val = stopper.best_epoch, stopper.best_val
+        if record.best_epoch == 0:
+            record.stop_reason = "no_improvement"
+            trained_best = min(e.val_loss for e in record.epochs)
+            warnings.warn(
+                f"{stage.name}: no epoch improved on the untrained validation loss "
+                f"{record.initial_val:.6g} (best trained epoch: {trained_best:.6g}); "
+                "keeping the initialisation",
+                RuntimeWarning,
+            )
+    return records
 
 
 def _train_model(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, horizon: int,
@@ -249,14 +281,11 @@ def _train_model(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, horizo
     train_w = data.windows(ds, lookback, horizon, "train")
     val_w = data.windows(ds, lookback, horizon, "val")
     m = model.new_model(encoder_spec, head_out=horizon, seed=config.seed)
-    record = fit(
-        stage,
+    [record] = fit(
+        [Stage(stage, 0, lambda: model.mse_loss(m, val_w), m.params)],
         train_w,
-        m.params,
         lambda batch: model.loss_and_grads(m, batch),
-        lambda: model.mse_loss(m, val_w),
         config,
-        stage_key=0,
     )
     record.final_metrics = evaluate_forecaster(
         lambda h: model.forecast(m, h), ds, lookback, horizon, split="val"
@@ -290,14 +319,25 @@ def arf_train(ds, encoder_spec, config: TrainConfig | None = None):
 def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPlan,
                        adapter: adapt.MolaAdapter, ds: data.SeriesDataset,
                        config: TrainConfig | None = None):
-    """Sequentially fit segments 1..K: each segment trains the shared experts
-    plus its own routing row on its slice of the horizon-T labels, restores
-    its best-validation snapshot, then freezes the routing row.
+    """Fit segments 1..K: each segment trains the experts it uses plus its
+    own routing row on its slice of the horizon-T labels, restores its
+    best-validation snapshot, then freezes the routing row.
 
-    A segment's final metrics are its val metrics at freeze.  Later segments
-    keep training the shared experts, so after the last segment every
-    segment's val MSE is measured again with the final adapter; ``drift``
-    holds both values and their difference (final minus at freeze)."""
+    When the segments share no trainable parameter (see adapt.lockstep:
+    every routing row frozen, each segment on its own experts, as under
+    one-hot routing), one lockstep fit trains all K: a step stacks the K
+    segments' batches, W_eff and gradients, and makes one Adam step.  Each
+    segment keeps its own batch order, early stopping and snapshot, so its
+    record and experts are bitwise those of fitting it alone.  Otherwise
+    (soft routing) segments fit one after another, and later segments keep
+    training the shared experts.
+
+    A segment's final metrics are its val metrics at freeze.  After the last
+    segment every segment's val MSE is measured again with the final
+    adapter; ``drift`` holds both values and their difference (final minus
+    at freeze), exactly 0 when the segments share no experts.  Segments of
+    one lockstep fit share its wall time, which covers the fit and their
+    final validation."""
     config = config or TrainConfig()
     if adapter.plan != plan:
         raise ValueError("adapter was built for a different segment plan")
@@ -317,26 +357,31 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
             ds, lookback, plan.horizon, split="val", target_rows=plan.boundaries[k - 1],
         )
 
+    def stage(k: int) -> Stage:
+        return Stage(f"segment-{k}", k,
+                     lambda: adapt.segment_loss(foundation, adapter, k, val_w,
+                                                plan.boundaries[k - 1]),
+                     adapt.adaptation_params(adapter, k))
+
+    lock = adapt.lockstep(adapter)
+    segments = list(range(1, plan.segments + 1))
+    groups = ([(segments, lock, plan.boundaries)] if lock is not None
+              else [([k], k, plan.boundaries[k - 1]) for k in segments])
     records: list[RunRecord] = []
-    for k in range(1, plan.segments + 1):
+    for group, step, targets in groups:
         t0 = perf_counter()
-        target = plan.boundaries[k - 1]
-        params = adapt.adaptation_params(adapter, k)
-        record = fit(
-            f"segment-{k}",
-            train_w,
-            params,
-            lambda batch, k=k, target=target: adapt.segment_grads(
-                foundation, adapter, k, batch, target),
-            lambda k=k, target=target: adapt.segment_loss(
-                foundation, adapter, k, val_w, target),
-            config,
-            stage_key=k,
+        group_records = fit(
+            [stage(k) for k in group], train_w,
+            lambda batch: adapt.segment_grads(foundation, adapter, step, batch, targets),
+            config, adapt.adaptation_params(adapter, step),
         )
-        adapter.frozen_logits[k - 1] = True
-        record.final_metrics = val_metrics(k)
-        record.wall_time_s = perf_counter() - t0
-        records.append(record)
+        for k, record in zip(group, group_records):
+            adapter.frozen_logits[k - 1] = True
+            record.final_metrics = val_metrics(k)
+        wall_time = perf_counter() - t0
+        for record in group_records:
+            record.wall_time_s = wall_time
+        records += group_records
     for k, record in enumerate(records, start=1):
         at_freeze, final = record.final_metrics["mse"], val_metrics(k)["mse"]
         record.drift = {"val_mse_at_freeze": at_freeze, "val_mse_final": final,

@@ -486,13 +486,27 @@ def test_stacked_weights_and_grads_match_per_expert_loop(routing):
 def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise(monkeypatch):
     from mola import train
 
-    f, plan, ad = setup_adapter(experts=2, segments=2, head_out=2)
-    adapt.freeze_one_hot_routing(ad)
     spec = data.SynthSpec(
         n_points=200, d_channels=2, noise_std=0.05, seed=5,
         components=(data.SynthComponent(kind="sine", amplitude=1.0, period=12.0),),
     )
     ds = data.standardize(data.generate_synthetic(spec))
+    cfg = train.TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=3, patience=3)
+
+    def one_hot_adapter():
+        f, plan, ad = setup_adapter(experts=2, segments=2, head_out=2)
+        adapt.freeze_one_hot_routing(ad)
+        return f, plan, ad
+
+    f, plan, ad = one_hot_adapter()
+    assert adapt.lockstep(ad) is not None
+    train.adapt_all_segments(f, plan, ad, ds, cfg)
+    lockstep_experts = {layer: (ad.a[layer].copy(), ad.b[layer].copy())
+                        for layer in ad.adapted_layers}
+
+    # the same fits one segment at a time, with every expert snapshotted
+    # just before each segment trains
+    f, plan, ad = one_hot_adapter()
 
     def snapshot():
         return {
@@ -510,7 +524,7 @@ def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise(monkeypatch):
         return real(adapter, k)
 
     monkeypatch.setattr(adapt, "adaptation_params", recording)
-    cfg = train.TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=3, patience=3)
+    monkeypatch.setattr(adapt, "lockstep", lambda adapter: None)
     train.adapt_all_segments(f, plan, ad, ds, cfg)
     snaps[plan.segments + 1] = snapshot()
     for k in range(1, plan.segments + 1):
@@ -521,6 +535,10 @@ def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise(monkeypatch):
             else:
                 assert a_mat.tobytes() == a_next.tobytes()
                 assert b_mat.tobytes() == b_next.tobytes()
+    # the lockstep fit of both segments ends at exactly the sequential experts
+    for layer, (a, b) in lockstep_experts.items():
+        assert a.tobytes() == ad.a[layer].tobytes()
+        assert b.tobytes() == ad.b[layer].tobytes()
 
 
 # --- checkpoints ---
@@ -579,6 +597,28 @@ def test_adapter_with_missing_key_is_rejected(key):
     state = adapt.adapter_state(ad)
     del state[key]
     with pytest.raises(ValueError, match=f"adapter checkpoint is missing '{key}'"):
+        adapt.adapter_from_state(state)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ((), "rank", None),
+    ((), "n_experts", "2"),
+    ((), "frozen_logits", 3),
+    ((), "layers", 5),
+    ((), "adapted_layers", 5),
+    ((), "foundation_sha256", 7),
+    (("plan",), "horizon", None),
+    (("layers", 0), "name", 5),
+])
+def test_adapter_with_wrong_json_types_is_rejected(where, key, value):
+    # a malformed file is a ValueError naming the field (mola exits 1), not a TypeError
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    state = adapt.adapter_state(ad)
+    obj = state
+    for step in where:
+        obj = obj[step]
+    obj[key] = value
+    with pytest.raises(ValueError, match=f"'{key}' must be"):
         adapt.adapter_from_state(state)
 
 

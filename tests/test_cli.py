@@ -436,6 +436,21 @@ def test_malformed_adapter_exits_1_naming_the_field(ws, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_malformed_adapter_error_names_the_file(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "run"
+    for argv in (["pretrain"], ["adapt"]):
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    path = rd / "checkpoints" / "adapter.json"
+    state = json.loads(path.read_text())
+    del state["rank"]
+    path.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "'rank'" in err
+
+
 def test_internal_errors_exit_2(ws, monkeypatch, capsys):
     cfg = write_ini(ws / "cfg.ini", **base_sections())
 

@@ -298,6 +298,25 @@ def test_indexed_batch_stacks_like_np_stack():
         assert y.tobytes() == want_y.tobytes() and y.shape == want_y.shape
 
 
+def test_grouped_blocks_stack_each_groups_block():
+    # K equal groups of windows: block k is group k's own block, with its
+    # own label rows
+    ds = make_ds(n=120, d=3)
+    ws = data.windows(ds, lookback=6, horizon=6, split="train")
+    idx = np.random.default_rng(1).permutation(len(ws))[:12]
+    batch, firsts, lasts = ws[idx], (1, 3, 5), (2, 4, 6)
+    x, y = batch.history_block(3), batch.label_block(firsts, lasts)
+    assert x.shape == (3, 6, 4 * 3) and y.shape == (3, 2, 4 * 3)
+    for k in range(3):
+        group = ws[idx[4 * k : 4 * (k + 1)]]
+        assert x[k].tobytes() == group.history_block().tobytes()
+        assert y[k].tobytes() == group.label_block(firsts[k], lasts[k]).tobytes()
+    with pytest.raises(ValueError, match="equal groups"):
+        ws[idx[:11]].history_block(3)
+    with pytest.raises(ValueError, match="differ in length"):
+        batch.label_block((1, 3, 5), (2, 4, 5))
+
+
 def test_windows_split_too_short():
     ds = make_ds(n=40)
     with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -227,6 +230,40 @@ def test_target_slice_selects_steps():
         model.loss_and_grads(m, [])
 
 
+@pytest.mark.parametrize("spec_fn", [lambda: linear_spec(6), lambda: mlp_spec(6, activation="relu"),
+                                     lambda: mlp_spec(6)])
+def test_stacked_loss_and_grads_equal_per_group_calls_bitwise(spec_fn):
+    # K groups of windows with one target slice each, in one call, give the
+    # K losses and gradients of K separate calls, bit for bit; for an
+    # unfrozen model, and for a frozen one with (K, ...) weight overrides
+    wins = make_batch(6, 12, 2, n=45, seed=4)
+    k, b = 3, 15
+    slices = ((1, 4), (5, 8), (9, 12))
+    groups = [wins[np.arange(i * b, (i + 1) * b)] for i in range(k)]
+    m = model.new_model(spec_fn(), head_out=4, seed=2)
+    loss, grads = model.loss_and_grads(m, wins, slices)
+    assert loss.shape == (k,) and set(grads) == set(m.params)
+    for i in range(k):
+        want_loss, want = model.loss_and_grads(m, groups[i], slices[i])
+        assert loss[i] == want_loss
+        for name, g in want.items():
+            assert grads[name][i].tobytes() == g.tobytes(), name
+    m.freeze()
+    rng = np.random.default_rng(9)
+    stacks = {name: m.params[name] + 0.1 * rng.normal(size=(k, *m.params[name].shape))
+              for name in m.params if name.endswith(".w")}
+    loss, grads = model.loss_and_grads(m, wins, slices, overrides=stacks)
+    assert set(grads) == set(stacks)
+    for i in range(k):
+        want_loss, want = model.loss_and_grads(
+            m, groups[i], slices[i], overrides={n: w[i] for n, w in stacks.items()})
+        assert loss[i] == want_loss
+        for name, g in want.items():
+            assert grads[name][i].tobytes() == g.tobytes(), name
+    with pytest.raises(ValueError, match="equal groups"):
+        model.loss_and_grads(m, wins[np.arange(44)], slices, overrides=stacks)
+
+
 def test_frozen_entries_get_no_gradient_buffer():
     m = model.new_model(mlp_spec(5, 4, 2), head_out=2, seed=0)
     batch = make_batch(5, 2, 2, n=4, seed=8)
@@ -353,6 +390,35 @@ def test_checkpoint_with_missing_key_is_rejected(key):
     del state[key]
     with pytest.raises(ValueError, match=f"model checkpoint is missing '{key}'"):
         model.model_from_state(state)
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ((), "head_out", None),
+    ((), "params", 5),
+    (("encoder_spec",), "in_len", "5"),
+    (("encoder_spec",), "hidden", 4),
+    (("params", 0), "name", 3),
+    (("params", 0), "shape", "3x5"),
+    (("params", 0), "data", [None] * 15),
+])
+def test_checkpoint_with_wrong_json_types_is_rejected(where, key, value):
+    # a malformed file is a ValueError naming the field (mola exits 1), not a TypeError
+    state = model.model_state(model.new_model(mlp_spec(5, 3, 2), head_out=2, seed=0))
+    obj = state
+    for step in where:
+        obj = obj[step]
+    obj[key] = value
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        model.model_from_state(state)
+
+
+def test_checkpoint_load_errors_name_the_file(tmp_path):
+    state = model.model_state(model.new_model(mlp_spec(5, 3, 2), head_out=2, seed=0))
+    state["head_out"] = None
+    path = tmp_path / "foundation.json"
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'head_out'"):
+        model.load_checkpoint(path)
 
 
 def test_checkpoint_with_malformed_entries_is_rejected():

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import reference_lora
 from mola import _io, adapt, data, model, train
 
 
@@ -290,12 +292,22 @@ def test_adapt_single_segment_and_forecast_identity():
     foundation, plan, adapter, records = None, None, None, None
     foundation, _ = train.pretrain(ds, LIN8, 4, small_config(max_epochs=1))
     plan = adapt.make_segment_plan(4, 1, lookback=8)
-    adapter = adapt.new_adapter(foundation, plan, n_experts=2, rank=2, seed=2)
-    adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, small_config())
-    assert len(records) == 1
     hist = data.windows(ds, 8, 4, "test")[0].history
-    view = adapt.adapted_model(foundation, adapter, 1)
-    assert np.array_equal(train.mola_forecast(foundation, adapter, hist), model.forecast(view, hist))
+    # soft routing over two experts, and one-hot routing of one expert,
+    # which is a lockstep fit of a single segment
+    for routing, experts in (("soft", 2), ("one-hot", 1)):
+        adapter = adapt.new_adapter(foundation, plan, n_experts=experts, rank=2, seed=2,
+                                    routing=routing)
+        assert (adapt.lockstep(adapter) is not None) == (routing == "one-hot")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds,
+                                                        small_config())
+        assert len(records) == 1
+        assert all(type(e.train_loss) is float for e in records[0].epochs)
+        view = adapt.adapted_model(foundation, adapter, 1)
+        assert np.array_equal(train.mola_forecast(foundation, adapter, hist),
+                              model.forecast(view, hist))
 
 
 def test_adapt_drift_matches_a_reloaded_adapter(tmp_path):
@@ -329,6 +341,88 @@ def test_one_hot_adaptation_does_not_drift():
     for rec in records:
         assert rec.drift["val_mse_final"] == rec.drift["val_mse_at_freeze"]
         assert rec.drift["val_mse_change"] == 0.0
+
+
+def test_one_hot_segments_fit_in_lockstep_as_if_alone(monkeypatch):
+    # K=4 one-hot segments fitted in one lockstep fit match the independent
+    # per-segment LoRA trainer bit for bit, also when they stop at
+    # different epochs
+    ds = data.standardize(data.generate_synthetic(data.default_synth_spec(n_points=400, seed=5)))
+    spec = model.EncoderSpec(kind="mlp2", in_len=8, hidden=(8, 5))
+    foundation, _ = train.pretrain(ds, spec, 4, small_config(learning_rate=1e-2, max_epochs=3))
+    cfg = small_config(learning_rate=3e-2, max_epochs=12, patience=2, seed=11)
+    plan = adapt.make_segment_plan(16, 4, lookback=8)
+    adapter = adapt.new_adapter(foundation, plan, n_experts=4, rank=2, seed=11, routing="one-hot")
+    steps = []
+    real = adapt.segment_grads
+
+    def recording(foundation, adapter, k, batch, target_slice):
+        steps.append(k)
+        return real(foundation, adapter, k, batch, target_slice)
+
+    monkeypatch.setattr(adapt, "segment_grads", recording)
+    adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
+    # one stacked step per batch for all four segments
+    assert steps and all(isinstance(k, adapt.Lockstep) for k in steps)
+    assert len({len(rec.epochs) for rec in records}) > 1
+
+    ref = reference_lora.train_all_segments(foundation, ds, 16, 4, rank=2, seed=11, config=cfg)
+    for k, (rec, (pairs, initial_val, epochs)) in enumerate(zip(records, ref), start=1):
+        assert rec.initial_val == initial_val
+        assert [(e.train_loss, e.val_loss) for e in rec.epochs] == epochs
+        best_val, best_epoch, bad = initial_val, 0, 0
+        for epoch, (_, val) in enumerate(epochs, start=1):
+            if val < best_val:
+                best_val, best_epoch, bad = val, epoch, 0
+            else:
+                bad += 1
+        assert (rec.best_epoch, rec.best_val) == (best_epoch, best_val)
+        want_reason = ("no_improvement" if best_epoch == 0
+                       else "early_stop" if bad >= cfg.patience else "max_epochs")
+        assert rec.stop_reason == want_reason
+        for name in adapter.adapted_layers:
+            expert = adapter.experts[name][k - 1]
+            assert expert.b_mat.tobytes() == pairs[name]["b"].tobytes()
+            assert expert.a_mat.tobytes() == pairs[name]["a"].tobytes()
+    assert {rec.stop_reason for rec in records} >= {"early_stop"}
+    # the segments of one fit share its wall time
+    assert len({rec.wall_time_s for rec in records}) == 1
+
+
+def test_soft_segments_still_train_one_after_another(monkeypatch):
+    # soft routing couples the segments through the shared experts, so
+    # segment 2 starts from the experts segment 1 left behind
+    ds = sine_dataset(noise=0.1)
+    foundation, _ = train.pretrain(ds, LIN8, 2, small_config(max_epochs=1))
+    plan = adapt.make_segment_plan(4, 2, lookback=8)
+    adapter = adapt.new_adapter(foundation, plan, n_experts=2, rank=2, seed=1)
+    assert adapt.lockstep(adapter) is None
+
+    def stacks():
+        return {name: (adapter.a[name].copy(), adapter.b[name].copy())
+                for name in adapter.adapted_layers}
+
+    initial, first_step, after_fit = stacks(), {}, []
+    real_grads, real_fit = adapt.segment_grads, train.fit
+
+    def recording_grads(foundation, adapter, k, batch, target_slice):
+        first_step.setdefault(k, stacks())
+        return real_grads(foundation, adapter, k, batch, target_slice)
+
+    def recording_fit(stages, *args, **kwargs):
+        records = real_fit(stages, *args, **kwargs)
+        after_fit.append(stacks())
+        return records
+
+    monkeypatch.setattr(adapt, "segment_grads", recording_grads)
+    monkeypatch.setattr(train, "fit", recording_fit)
+    train.adapt_all_segments(foundation, plan, adapter, ds,
+                             small_config(learning_rate=3e-2, max_epochs=3, patience=3))
+    assert sorted(first_step) == [1, 2] and len(after_fit) == 2
+    for name, (a, b) in first_step[2].items():
+        assert a.tobytes() == after_fit[0][name][0].tobytes()
+        assert b.tobytes() == after_fit[0][name][1].tobytes()
+        assert not np.array_equal(b, initial[name][1])
 
 
 # --- concatenated inference ---
