@@ -6,8 +6,15 @@ chronological train/val/test boundaries.  Window enumeration and
 standardization are pure functions that return new objects.
 
 The windows of a split form one :class:`WindowSet`: (N, L, D) histories and
-(N, T, D) labels that are read-only views into the dataset's values, so
-enumerating a split copies nothing and a training batch is one fancy index.
+(N, T, D) labels that are read-only views into the dataset's values, plus
+the run of rows they slide over, so enumerating a split copies nothing.  A
+training batch is a :class:`Batch`, the window indices alone; the model
+gathers its history block and just the label rows it needs straight from
+the WindowSet's rows, one copy per block.
+
+CSV files are read once; plain records are parsed by numpy's C reader, and
+anything else (quotes, a wrong field count, a bad or non-finite cell) by a
+cell-by-cell scan whose errors name the row.
 """
 
 from __future__ import annotations
@@ -94,11 +101,18 @@ class WindowSet(Sequence):
     An int index gives one WindowSample (views, no copy); a slice or an
     index array gives a WindowSet.  Windows from :func:`windows` are views
     into the dataset; a fancy index copies just the selected windows.
+
+    ``series``, set by :func:`windows` alone, is the (N + L + T - 1, D) run
+    of dataset rows the windows slide over: window i has history rows
+    i..i+L-1 and label rows i+L..i+L+T-1 of it.  A :class:`Batch` then
+    gathers a block with one ``take`` of series rows, several times faster
+    than fancy-indexing the (N, W, D) window views.
     """
 
     history: np.ndarray  # (N, L, D)
     label: np.ndarray  # (N, T, D)
     origin: np.ndarray  # (N,) int64
+    series: np.ndarray | None = None  # (N + L + T - 1, D) or None
 
     def __len__(self) -> int:
         return self.origin.shape[0]
@@ -122,9 +136,7 @@ class WindowSet(Sequence):
         n, lookback, d = self.history.shape
         if groups is None:
             return np.ascontiguousarray(self.history.transpose(1, 0, 2)).reshape(lookback, n * d)
-        _check_groups(n, groups)
-        h = self.history.reshape(groups, n // groups, lookback, d).transpose(0, 2, 1, 3)
-        return np.ascontiguousarray(h).reshape(groups, lookback, n // groups * d)
+        return Batch(self, np.arange(n)).history_block(groups)
 
     def label_block(self, first=1, last=None) -> np.ndarray:
         """Label rows first..last (1-based, inclusive) as a contiguous
@@ -137,22 +149,75 @@ class WindowSet(Sequence):
             lab = self.label[:, first - 1 : last]
             n, rows, d = lab.shape
             return np.ascontiguousarray(lab.transpose(1, 0, 2)).reshape(rows, n * d)
-        first, last = np.asarray(first), np.asarray(last)
-        n, label_len, d = self.label.shape
-        k, rows = len(first), int(last[0] - first[0]) + 1
-        _check_groups(n, k)
-        if np.any(last - first + 1 != rows):
-            raise ValueError(f"label rows {first.tolist()} to {last.tolist()} "
-                             "differ in length between groups")
-        idx = first[:, None] - 1 + np.arange(rows)
-        # advanced indices on the group and row axes come first: (K, rows, N/K, D)
-        lab = self.label.reshape(k, n // k, label_len, d)[np.arange(k)[:, None], :, idx]
-        return lab.reshape(k, rows, n // k * d)
+        return Batch(self, np.arange(len(self))).label_block(first, last)
 
 
-def _check_groups(n: int, groups: int) -> None:
-    if groups < 1 or n % groups:
-        raise ValueError(f"{n} windows do not split into {groups} equal groups")
+@dataclass(frozen=True, eq=False)
+class Batch(Sequence):
+    """The windows ``windows[rows]`` as a sequence of WindowSample, not yet
+    copied.  Its blocks are bitwise those of the WindowSet ``windows[rows]``,
+    but each is gathered straight from ``windows`` in one copy, reading only
+    the label rows it returns."""
+
+    windows: WindowSet
+    rows: np.ndarray  # (B,) window indices, 0 <= rows < len(windows)
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows)
+        # as unsigned, a negative index is huge: one max checks both bounds
+        if rows.ndim != 1 or rows.size and rows.astype(np.uintp).max() >= len(self.windows):
+            raise IndexError(f"batch rows must be a 1-D array of window indices "
+                             f"0..{len(self.windows) - 1}")
+        object.__setattr__(self, "rows", rows)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, i: int) -> WindowSample:
+        return self.windows[int(self.rows[i])]
+
+    def history_block(self, groups: int | None = None) -> np.ndarray:
+        """As :meth:`WindowSet.history_block` of ``windows[rows]``."""
+        lookback = self.windows.history.shape[1]
+        return self._gather(self.windows.history, 0, np.arange(lookback), groups)
+
+    def label_block(self, first=1, last=None) -> np.ndarray:
+        """As :meth:`WindowSet.label_block` of ``windows[rows]``."""
+        label_len = self.windows.label.shape[1]
+        if isinstance(first, (int, np.integer)):
+            steps, groups = np.arange(label_len)[first - 1 : last], None
+        else:
+            first, last = np.asarray(first), np.asarray(last)
+            n_rows = int(last[0] - first[0]) + 1
+            if np.any(last - first + 1 != n_rows):
+                raise ValueError(f"label rows {first.tolist()} to {last.tolist()} "
+                                 "differ in length between groups")
+            if first.min() < 1 or last.max() > label_len:
+                raise ValueError(f"label rows {first.tolist()} to {last.tolist()} "
+                                 f"outside 1..{label_len}")
+            steps, groups = first[:, None] - 1 + np.arange(n_rows), len(first)
+        return self._gather(self.windows.label, self.windows.history.shape[1], steps, groups)
+
+    def _gather(self, windows: np.ndarray, offset: int, steps: np.ndarray,
+                groups: int | None) -> np.ndarray:
+        """Rows ``steps`` of the batch's windows in the (N, W, D) window
+        array ``windows``, which starts at row ``offset`` of each window of
+        the set, as one contiguous (r, B*D) block in one copy: one take of
+        series rows when the set has a series, else one fancy index.  With
+        ``groups`` K the windows are K equal consecutive groups, ``steps`` is
+        (r,) or one (K, r) row per group, and the block is (K, r, B/K*D)."""
+        k = 1 if groups is None else groups
+        if k < 1 or len(self) % k:
+            raise ValueError(f"{len(self)} windows do not split into {k} equal groups")
+        rows, steps = self.rows.reshape(k, 1, -1), steps.reshape(-1, steps.shape[-1], 1)
+        series = self.windows.series
+        if series is None:
+            block = windows[rows, steps]
+        else:
+            block = series[offset:].take(rows + steps, axis=0)
+        # block is (K, r, B/K, D)
+        return block.reshape(*block.shape[0 if groups is not None else 1 : 2],
+                             block.shape[2] * windows.shape[2])
 
 
 def as_window_set(samples: Sequence[WindowSample]) -> WindowSet:
@@ -273,55 +338,93 @@ def load_csv(
     the 1-based data row.  The split comes from exactly one of ``ratios``
     (fractions of N) or ``counts`` (explicit row counts per split; the
     file is truncated to their sum).
+
+    Numbers are parsed by numpy's C reader when every line is a plain
+    record (no quotes, the header's field count) of finite values; any other
+    file goes through a cell-by-cell scan that names the offending row.
+    Both give every value bitwise as ``float(cell.strip())``.
     """
     if (ratios is None) == (counts is None):
         raise ValueError("provide exactly one of ratios= or counts=")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header row required") from None
-        if len(header) < 2:
-            raise ValueError(f"{path}: need a timestamp column plus at least one channel")
-        channel_names = [h.strip() for h in header[1:]]
-        stamps: list[str] = []
-        rows: list[list[float]] = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-            stamps.append(row[0])
-            parsed = []
-            for name, cell in zip(channel_names, row[1:]):
-                text = cell.strip()
-                if text == "":
-                    raise ValueError(f"{path}: missing value at row {i}, column {name!r}")
-                try:
-                    x = float(text)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric cell {text!r} at row {i}, column {name!r}"
-                    ) from None
-                if not math.isfinite(x):
-                    raise ValueError(f"{path}: non-finite value at row {i}, column {name!r}")
-                parsed.append(x)
-            rows.append(parsed)
-    if not rows:
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, header row required") from None
+    if len(header) < 2:
+        raise ValueError(f"{path}: need a timestamp column plus at least one channel")
+    channel_names = [h.strip() for h in header[1:]]
+    parsed = _parse_plain_records(lines, len(header))
+    if parsed is None:
+        stamps, values = _scan_rows(reader, path, header, channel_names)
+    else:
+        stamps, values = parsed
+    if not stamps:
         raise ValueError(f"{path}: no data rows")
     _check_monotone(stamps, path)
-    values = np.array(rows, dtype=np.float64)
     if counts is not None:
         a, b, c = counts
         if min(a, b) < 1 or c < 0:
             raise ValueError(f"counts must be positive (test may be 0), got {counts}")
         total = a + b + c
-        if total > len(rows):
-            raise ValueError(f"{path}: counts {counts} sum to {total} but the file has {len(rows)} data rows")
+        if total > len(stamps):
+            raise ValueError(f"{path}: counts {counts} sum to {total} but the file has {len(stamps)} data rows")
         values = values[:total]
         train_end, val_end = a, a + b
     else:
-        train_end, val_end = _split_from_ratios(len(rows), ratios)
+        train_end, val_end = _split_from_ratios(len(stamps), ratios)
     return SeriesDataset(values=values, channel_names=channel_names, train_end=train_end, val_end=val_end)
+
+
+def _parse_plain_records(lines: list[str], n_fields: int):
+    """(timestamps, (N, n_fields - 1) values) of the data lines after the
+    header, parsed by ``np.loadtxt``, or None unless every line is a plain
+    record with ``n_fields`` fields and finite values.  Without quotes a
+    record is one line split at its commas, so then ``csv`` reads the same
+    fields, and numpy converts each stripped cell with the parser behind
+    ``float``."""
+    body = lines[1:]
+    if not body or any('"' in line for line in lines):
+        return None
+    if any(line.count(",") != n_fields - 1 for line in body):
+        return None
+    try:
+        values = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
+                            usecols=range(1, n_fields), ndmin=2, quotechar=None)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return [line[: line.index(",")] for line in body], values
+
+
+def _scan_rows(reader, path, header: list[str], channel_names: list[str]):
+    """(timestamps, values) of the data rows, cell by cell; the first bad
+    row or cell raises a ValueError naming its 1-based row."""
+    stamps: list[str] = []
+    rows: list[list[float]] = []
+    for i, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
+        stamps.append(row[0])
+        parsed = []
+        for name, cell in zip(channel_names, row[1:]):
+            text = cell.strip()
+            if text == "":
+                raise ValueError(f"{path}: missing value at row {i}, column {name!r}")
+            try:
+                x = float(text)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-numeric cell {text!r} at row {i}, column {name!r}"
+                ) from None
+            if not math.isfinite(x):
+                raise ValueError(f"{path}: non-finite value at row {i}, column {name!r}")
+            parsed.append(x)
+        rows.append(parsed)
+    return stamps, np.array(rows, dtype=np.float64)
 
 
 def _check_monotone(stamps: list[str], path) -> None:
@@ -392,8 +495,11 @@ def windows(ds: SeriesDataset, lookback: int, horizon: int, split: str) -> Windo
     # sliding_window_view puts the window axis last: (starts, D, len)
     hist = sliding_window_view(ds.values, lookback, axis=0)[lo - lookback + 1 : hi - lookback + 2]
     lab = sliding_window_view(ds.values, horizon, axis=0)[lo + 1 : hi + 2]
+    series = ds.values[lo - lookback + 1 : hi + horizon + 1]
+    series.flags.writeable = False
     return WindowSet(
         history=hist.transpose(0, 2, 1),
         label=lab.transpose(0, 2, 1),
         origin=np.arange(lo, hi + 1, dtype=np.int64),
+        series=series,
     )

@@ -12,6 +12,11 @@ A model's parameters are a plain name -> array dict plus one ``frozen``
 bool for the whole model.  An unfrozen model trains every entry; a frozen
 one trains only what a caller passes in as ``overrides``, which is how
 adaptation puts low-rank updates on top of it.
+
+Passes without gradients (encode, decode, forecast, mse_loss) keep no
+cache, so each layer's output is formed in place in the array its matmul
+allocated, bitwise what the training forward computes; no pass writes
+into an array it was handed.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._io import (decode_array, encode_array, read_json, require_keys, require_type,
                   write_json)
-from .data import WindowSample, as_window_set
+from .data import Batch, WindowSample, as_window_set
 
 ENCODER_KINDS = ("linear", "mlp2")
 ACTIVATIONS = ("relu", "tanh")
@@ -152,8 +157,8 @@ def new_model(encoder_spec: EncoderSpec, head_out: int, seed: int) -> Foundation
     return FoundationModel(encoder_spec=encoder_spec, head_out=head_out, params=params)
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+def _activate(z: np.ndarray, activation: str, out=None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out) if activation == "relu" else np.tanh(z, out=out)
 
 
 def _activation_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
@@ -166,9 +171,14 @@ def _encode_cols(m: FoundationModel, x: np.ndarray, keep_cache: bool, weights=No
     weights = m.params if weights is None else weights
     caches = []
     for i in range(spec.n_layers):
-        z = weights[f"enc{i}.w"] @ x + weights[f"enc{i}.b"][..., None]
+        z = weights[f"enc{i}.w"] @ x
+        z += weights[f"enc{i}.b"][..., None]
         activated = i < spec.n_layers - 1
-        a = _activate(z, spec.activation) if activated else z
+        if activated:
+            # without a cache nothing reads z again, so it is activated in place
+            a = _activate(z, spec.activation, out=None if keep_cache else z)
+        else:
+            a = z
         if keep_cache:
             caches.append((x, z, a, activated))
         x = a
@@ -196,7 +206,9 @@ def decode(m: FoundationModel, rep: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"rep must be (rep_dim={m.encoder_spec.rep_dim}, D), got {rep.shape}"
         )
-    return m.params["head.w"] @ rep + m.params["head.b"][:, None]
+    out = m.params["head.w"] @ rep
+    out += m.params["head.b"][:, None]
+    return out
 
 
 def forecast(m: FoundationModel, history: np.ndarray) -> np.ndarray:
@@ -221,16 +233,21 @@ def _check_target(m: FoundationModel, target_slice, label_len: int) -> tuple[int
 
 
 def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice):
-    """The (L, B*D) history and (rows, B*D) label blocks of a batch.  With
-    one target slice per group, the batch is K equal groups of windows one
-    after another, and both blocks gain a leading K axis: group k's label
-    rows are those of slice k (see ``WindowSet.history_block``)."""
-    batch = as_window_set(batch)
+    """The (L, B*D) history and (rows, B*D) label blocks of a batch, each
+    copied once: a data.Batch gathers them straight from its window set,
+    reading only the label rows the target slices select.  With one target
+    slice per group, the batch is K equal groups of windows one after
+    another, and both blocks gain a leading K axis: group k's label rows are
+    those of slice k (see ``WindowSet.history_block``)."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    if batch.history.shape[1] != m.lookback:
-        raise ValueError(f"history length {batch.history.shape[1]} != lookback {m.lookback}")
-    label_len = batch.label.shape[1]
+    if isinstance(batch, Batch):
+        source = batch.windows
+    else:
+        source = batch = as_window_set(batch)
+    if source.history.shape[1] != m.lookback:
+        raise ValueError(f"history length {source.history.shape[1]} != lookback {m.lookback}")
+    label_len = source.label.shape[1]
     if target_slice is None or isinstance(target_slice[0], (int, np.integer)):
         first, last = _check_target(m, target_slice, label_len)
         return batch.history_block(), batch.label_block(first, last)
@@ -244,9 +261,13 @@ def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=Non
     """Mean squared error over batch x selected steps x channels."""
     x, y = _stack_batch(m, batch, target_slice)
     rep, _ = _encode_cols(m, x, keep_cache=False)
-    pred = m.params["head.w"] @ rep + m.params["head.b"][:, None]
-    diff = pred - y
-    return float((diff * diff).mean())
+    # in place on arrays this call allocated: the prediction becomes the
+    # squared error, bitwise (pred - y) ** 2
+    diff = m.params["head.w"] @ rep
+    diff += m.params["head.b"][:, None]
+    diff -= y
+    diff *= diff
+    return float(diff.mean())
 
 
 def loss_and_grads(
@@ -274,8 +295,9 @@ def loss_and_grads(
     x, y = _stack_batch(m, batch, target_slice)
     rep, caches = _encode_cols(m, x, keep_cache=True, weights=weights)
     head_w = weights["head.w"]
-    pred = head_w @ rep + weights["head.b"][..., None]
-    diff = pred - y
+    diff = head_w @ rep
+    diff += weights["head.b"][..., None]
+    diff -= y
     count = diff.shape[-2] * diff.shape[-1]
     # the sum over the trailing axes, then one division: what .mean() does
     loss = np.add.reduce(diff * diff, axis=(-2, -1)) / count

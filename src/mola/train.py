@@ -216,10 +216,11 @@ def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
 
     Stages train in lockstep.  Each draws its batches from
     default_rng([config.seed, stage.key]) and keeps its own early stopper;
-    a step gathers one batch per stage, in stage order, and
-    ``loss_grads_fn`` returns the loss of each (a scalar or a (K,) array)
-    and the gradients of ``params``, by default the only stage's arrays,
-    which one Adam step updates.  A stopped stage is no longer validated,
+    a step hands ``loss_grads_fn`` one batch per stage, in stage order, as
+    one data.Batch of window indices, which the model gathers straight into
+    its blocks.  ``loss_grads_fn`` returns the loss of each stage (a scalar
+    or a (K,) array) and the gradients of ``params``, by default the only
+    stage's arrays, which one Adam step updates.  A stopped stage is no longer validated,
     and its arrays end at its best snapshot, so stages that share nothing
     but the step see exactly their own fit.  When no epoch beats a stage's
     untrained validation loss, its stop reason is ``no_improvement`` and a
@@ -244,7 +245,7 @@ def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
         totals = np.zeros(len(stages))
         for i in range(0, n, config.batch_size):
             rows = perms[:, i : i + config.batch_size]
-            loss, grads = loss_grads_fn(train_windows[rows.ravel()])
+            loss, grads = loss_grads_fn(data.Batch(train_windows, rows.ravel()))
             adam_step(params, grads, state, config.learning_rate, config.adam)
             totals += loss * rows.shape[1]
         for j in list(active):
@@ -333,11 +334,13 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
     training the shared experts.
 
     A segment's final metrics are its val metrics at freeze.  After the last
-    segment every segment's val MSE is measured again with the final
-    adapter; ``drift`` holds both values and their difference (final minus
-    at freeze), exactly 0 when the segments share no experts.  Segments of
-    one lockstep fit share its wall time, which covers the fit and their
-    final validation."""
+    fit every segment's val MSE is measured again with the final adapter;
+    ``drift`` holds both values and their difference (final minus at
+    freeze), exactly 0 when the segments share no experts.  Nothing changes
+    the adapter after the last fit, so its segments (all K of a lockstep,
+    segment K otherwise) reuse their at-freeze value instead of a second
+    pass.  Segments of one lockstep fit share its wall time, which covers
+    the fit and their final validation."""
     config = config or TrainConfig()
     if adapter.plan != plan:
         raise ValueError("adapter was built for a different segment plan")
@@ -382,8 +385,10 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
         for record in group_records:
             record.wall_time_s = wall_time
         records += group_records
+    last_fit = groups[-1][0]
     for k, record in enumerate(records, start=1):
-        at_freeze, final = record.final_metrics["mse"], val_metrics(k)["mse"]
+        at_freeze = record.final_metrics["mse"]
+        final = at_freeze if k in last_fit else val_metrics(k)["mse"]
         record.drift = {"val_mse_at_freeze": at_freeze, "val_mse_final": final,
                         "val_mse_change": final - at_freeze}
     return adapter, records
@@ -438,8 +443,10 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
     # a C-ordered (N, rows, D) error array keeps the summation order of the
     # means below the same as for stacked per-window forecasts
     err = np.subtract(preds, wins.label[:, first - 1 : last], order="C")
-    mse_steps = (err**2).mean(axis=(0, 2))
-    mae_steps = np.abs(err).mean(axis=(0, 2))
+    # err is this call's own array: |err| and then |err|**2, which is
+    # bitwise err**2, are formed in place
+    mae_steps = np.abs(err, out=err).mean(axis=(0, 2))
+    mse_steps = np.multiply(err, err, out=err).mean(axis=(0, 2))
     per_step = [
         {"step": s, "mse": float(mse_steps[j]), "mae": float(mae_steps[j])}
         for j, s in enumerate(range(first, last + 1))

@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +156,76 @@ def test_load_csv_requires_exactly_one_split_mode(tmp_path):
         data.load_csv(p)
     with pytest.raises(ValueError):
         data.load_csv(p, ratios=(0.7, 0.1, 0.2), counts=(7, 1, 2))
+
+
+def _cells_as_float(path):
+    """Every numeric cell of a CSV file as float(cell.strip()), by csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(cell.strip()) for cell in row[1:]] for row in rows])
+
+
+def _count_scans(monkeypatch):
+    scans = []
+    real = data._scan_rows
+
+    def counting(*args):
+        scans.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(data, "_scan_rows", counting)
+    return scans
+
+
+def test_load_csv_values_are_bitwise_float_of_each_cell(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    doubles = rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)
+    cells = [repr(float(x)) for x in doubles] + ["%.4f" % x for x in rng.normal(size=40) * 50]
+    cells += ["5e-324", "2.225073858507201e-308", "-0.0", "0.0", " 1.25 ", "\t-3.5", "1e+22  "]
+    stamps = [f"t{i:03d}" for i in range(len(cells) // 2)]
+    lines = ["date,a,b"] + [f"{t},{cells[2 * i]},{cells[2 * i + 1]}" for i, t in enumerate(stamps)]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("\n".join(lines[:3] + ['t900,"2.5"," 7e-3 "', "t901,1_000,-0.0"]) + "\n",
+                      encoding="utf-8")
+    underscored = tmp_path / "underscored.csv"
+    underscored.write_text("date,a\nt0,1_000\nt1,0.5\n", encoding="utf-8")
+    scans = _count_scans(monkeypatch)
+    for path, scanned in ((plain, False), (quoted, True), (underscored, True)):
+        want = _cells_as_float(path)
+        got = data.load_csv(path, counts=(1, 1, len(want) - 2)).values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), path.name
+        assert (path in scans) == scanned, path.name
+    assert _cells_as_float(underscored)[0, 0] == 1000.0
+    assert np.signbit(data.load_csv(quoted, counts=(1, 1, 2)).values[-1, 1])
+
+
+@pytest.mark.parametrize("line, message", [
+    ("t4,1.0,2.0,3.0", "row 5 has 4 fields, expected 3"),
+    ("", "row 5 has 0 fields, expected 3"),
+    ("# sensor reset", "row 5 has 1 fields, expected 3"),
+    ("t4,nan,2.0", "non-finite value at row 5, column 'a'"),
+    ("t4,1.0,-inf", "non-finite value at row 5, column 'b'"),
+    ("t4,1.0,1e400", "non-finite value at row 5, column 'b'"),
+])
+def test_load_csv_bad_rows_keep_their_message_and_row(tmp_path, line, message):
+    # the bad line is data row 5 of 9
+    lines = ["date,a,b"] + [f"t{i},{i}.5,{-i}" for i in range(4)] + [line]
+    lines += [f"t{i},{i}.5,{-i}" for i in range(5, 9)]
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+        data.load_csv(p, ratios=(0.7, 0.1, 0.2))
+
+
+def test_load_csv_keeps_a_hash_prefixed_record(tmp_path):
+    # '#' starts no comment: a full record whose timestamp begins with it is
+    # a data row like any other
+    p = tmp_path / "hash.csv"
+    write_csv(p, [["#0", 1.0], ["#1", 2.0], ["#2", 3.0]], header=["date", "a"])
+    ds = data.load_csv(p, counts=(1, 1, 1))
+    assert ds.values[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
 # --- standardization ---
@@ -315,6 +387,47 @@ def test_grouped_blocks_stack_each_groups_block():
         ws[idx[:11]].history_block(3)
     with pytest.raises(ValueError, match="differ in length"):
         batch.label_block((1, 3, 5), (2, 4, 5))
+
+
+def test_batch_gathers_the_blocks_of_the_indexed_set():
+    # a Batch copies nothing until a block is asked for, then gathers just
+    # the rows it needs, bitwise the blocks of the fancy-indexed WindowSet
+    ds = make_ds(n=120, d=3)
+    ws = data.windows(ds, lookback=6, horizon=6, split="train")
+    idx = np.random.default_rng(2).permutation(len(ws))[:12]
+    batch, picked = data.Batch(ws, idx), ws[idx]
+    assert len(batch) == 12 and np.shares_memory(batch[3].history, ds.values)
+    assert batch[3].origin == picked[3].origin and batch[0].history.shape == (6, 3)
+    pairs = [
+        (batch.history_block(), picked.history_block()),
+        (batch.label_block(2, 4), picked.label_block(2, 4)),
+        (batch.history_block(3), picked.history_block(3)),
+        (batch.label_block((1, 3, 5), (2, 4, 6)), picked.label_block((1, 3, 5), (2, 4, 6))),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    m = model.new_model(model.EncoderSpec(kind="linear", in_len=6), head_out=2, seed=0)
+    for target in ((3, 4), ((1, 2), (3, 4), (5, 6))):
+        for got, want in zip(model._stack_batch(m, batch, target),
+                             model._stack_batch(m, picked, target)):
+            assert got.tobytes() == want.tobytes()
+    # windows of data.windows are gathered from the series they slide over;
+    # a fancy-indexed set has no series and takes one fancy index instead
+    assert ws.series is not None and picked.series is None
+    assert ws.series[4 : 4 + 6].tobytes() == ws.history[4].tobytes()
+    assert ws.series[4 + 6 : 4 + 12].tobytes() == ws.label[4].tobytes()
+    got = data.Batch(picked, [5, 1, 0, 2]).label_block((1, 4), (3, 6))
+    assert got.tobytes() == data.Batch(ws, idx[[5, 1, 0, 2]]).label_block((1, 4), (3, 6)).tobytes()
+    with pytest.raises(ValueError, match="equal groups"):
+        batch.history_block(5)
+    with pytest.raises(ValueError, match="outside 1..6"):
+        batch.label_block((1, 5), (3, 7))
+    for bad in ([0, len(ws)], [-1, 2], [[0, 1]]):
+        with pytest.raises(IndexError):
+            data.Batch(ws, np.array(bad))
+    with pytest.raises(ValueError, match="empty batch"):
+        model._stack_batch(m, data.Batch(ws, idx[:0]), None)
 
 
 def test_windows_split_too_short():

@@ -264,6 +264,44 @@ def test_stacked_loss_and_grads_equal_per_group_calls_bitwise(spec_fn):
         model.loss_and_grads(m, wins[np.arange(44)], slices, overrides=stacks)
 
 
+@pytest.mark.parametrize("spec_fn", [lambda: linear_spec(6), lambda: mlp_spec(6, activation="relu"),
+                                     lambda: mlp_spec(6, activation="tanh")])
+def test_no_grad_passes_are_bitwise_the_cached_forward_and_write_only_their_own_arrays(spec_fn):
+    # encode, decode, forecast and mse_loss compute in place; they must give
+    # the bits of the training forward and leave every array they were
+    # handed (input block, windows, parameters, overrides) as it was
+    wins = make_batch(6, 4, 3, n=20, seed=12)
+    m = model.new_model(spec_fn(), head_out=4, seed=5)
+    rng = np.random.default_rng(3)
+    for arr in m.params.values():  # nonzero biases, and some relu units off
+        arr += 0.5 * rng.normal(size=arr.shape)
+    x = wins.history_block()
+    batch = data.Batch(wins, rng.permutation(len(wins))[:7])
+
+    def snapshot(*extra):
+        return [a.tobytes() for a in (x, wins.history, wins.label, *m.params.values(), *extra)]
+
+    before = snapshot()
+    rep, _ = model._encode_cols(m, x, keep_cache=True)
+    want = m.params["head.w"] @ rep + m.params["head.b"][:, None]
+    rep_bytes = rep.tobytes()
+    assert model.encode(m, x).tobytes() == rep_bytes
+    assert model.decode(m, rep).tobytes() == want.tobytes()
+    assert rep.tobytes() == rep_bytes
+    assert model.forecast(m, x).tobytes() == want.tobytes()
+    for b, target in ((wins, None), (wins, (1, 4)), (batch, None)):
+        assert model.mse_loss(m, b, target) == model.loss_and_grads(m, b, target)[0]
+    assert model.mse_loss(m, batch) == model.mse_loss(m, wins[batch.rows])
+    assert snapshot() == before
+    m.freeze()
+    overrides = {name: arr + 0.1 * rng.normal(size=(2, *arr.shape))
+                 for name, arr in m.params.items() if name.endswith(".w")}
+    before = snapshot(*overrides.values())
+    loss, _ = model.loss_and_grads(m, wins[np.arange(20)], ((1, 4), (1, 4)), overrides=overrides)
+    assert loss.shape == (2,)
+    assert snapshot(*overrides.values()) == before
+
+
 def test_frozen_entries_get_no_gradient_buffer():
     m = model.new_model(mlp_spec(5, 4, 2), head_out=2, seed=0)
     batch = make_batch(5, 2, 2, n=4, seed=8)

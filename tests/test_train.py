@@ -343,6 +343,37 @@ def test_one_hot_adaptation_does_not_drift():
         assert rec.drift["val_mse_change"] == 0.0
 
 
+@pytest.mark.parametrize("routing, experts, passes", [("soft", 2, 3 + 2), ("one-hot", 3, 3)])
+def test_last_fit_validates_its_segments_once(monkeypatch, routing, experts, passes):
+    # nothing changes the adapter after the last fit (segment K under soft
+    # routing, the whole lockstep under one-hot), so its segments keep their
+    # at-freeze val MSE as the final one instead of a second pass
+    ds = sine_dataset(noise=0.1)
+    foundation, _ = train.pretrain(ds, LIN8, 2, small_config(max_epochs=1))
+    plan = adapt.make_segment_plan(6, 3, lookback=8)
+    adapter = adapt.new_adapter(foundation, plan, n_experts=experts, rank=2, seed=1,
+                                routing=routing)
+    calls = []
+    real = train.evaluate_forecaster
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["target_rows"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train, "evaluate_forecaster", counting)
+    cfg = small_config(learning_rate=3e-2, max_epochs=3, patience=3)
+    adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
+    assert len(calls) == passes
+    monkeypatch.undo()
+    for k, rec in enumerate(records, start=1):
+        again = train.evaluate_forecaster(
+            lambda h: model.forecast(adapt.adapted_model(foundation, adapter, k), h),
+            ds, 8, plan.horizon, split="val", target_rows=plan.boundaries[k - 1])
+        assert rec.drift == {"val_mse_at_freeze": rec.final_metrics["mse"],
+                             "val_mse_final": again["mse"],
+                             "val_mse_change": again["mse"] - rec.final_metrics["mse"]}
+
+
 def test_one_hot_segments_fit_in_lockstep_as_if_alone(monkeypatch):
     # K=4 one-hot segments fitted in one lockstep fit match the independent
     # per-segment LoRA trainer bit for bit, also when they stop at
