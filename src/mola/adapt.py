@@ -1,8 +1,8 @@
 """Per-segment low-rank adaptation of a frozen forecasting model.
 
 A foundation model that predicts one segment of S steps is specialized to
-each horizon segment k by adding a mixture of rank-r expert updates to a
-chosen set of weight matrices:
+each horizon segment k by adding a mixture of rank-r expert updates to
+every encoder weight matrix:
 
     W_eff(k) = W + sum_p delta[k, p] * B_p @ A_p,   delta[k] = softmax(logits[k])
 
@@ -119,28 +119,11 @@ def effective_weight(base: np.ndarray, a: np.ndarray, b: np.ndarray,
     return base + b_cat @ a.reshape(lead + (n * rank, d_in))
 
 
-def adapter_placement(foundation: model.FoundationModel, requested=None) -> tuple[str, ...]:
-    """Resolve which weight matrices get expert updates.
-
-    Default: every encoder weight matrix.  The head stays frozen by design
-    (it is the shared readout the segments have in common) and biases are
-    never adapted.
-    """
-    default = tuple(n for n in foundation.params if n.startswith("enc") and n.endswith(".w"))
-    if requested is None:
-        return default
-    out = []
-    for name in requested:
-        if name.startswith("head"):
-            raise ValueError(f"cannot adapt {name!r}: the head is frozen by design")
-        if name.endswith(".b"):
-            raise ValueError(f"cannot adapt {name!r}: biases are never adapted")
-        if name not in foundation.params:
-            raise ValueError(f"unknown layer {name!r}; adaptable layers are {list(default)}")
-        out.append(name)
-    if not out:
-        raise ValueError("placement resolved to no layers")
-    return tuple(out)
+def _encoder_weights(foundation: model.FoundationModel) -> tuple[str, ...]:
+    """The weight matrices an adapter adapts: every encoder weight matrix.
+    The head stays frozen by design (it is the shared readout the segments
+    have in common) and biases are never adapted."""
+    return tuple(n for n in foundation.params if n.startswith("enc") and n.endswith(".w"))
 
 
 @dataclass
@@ -182,7 +165,6 @@ def new_adapter(
     n_experts: int,
     rank: int,
     seed: int,
-    placement=None,
     routing: str = "soft",
 ) -> MolaAdapter:
     """B starts at zero (adapted model == foundation on step one), A is
@@ -201,7 +183,7 @@ def new_adapter(
         )
     if n_experts < 1:
         raise ValueError(f"n_experts must be >= 1, got {n_experts}")
-    layers = adapter_placement(foundation, requested=placement)
+    layers = _encoder_weights(foundation)
     for name in layers:
         d_out, d_in = foundation.params[name].shape
         if not 1 <= rank < min(d_out, d_in):
@@ -237,14 +219,30 @@ def new_adapter(
 
 
 def check_settings(encoder_spec: model.EncoderSpec, horizon: int, segments: int,
-                   n_experts: int, rank: int, placement=None, routing: str = "soft") -> None:
+                   n_experts: int, rank: int, routing: str = "soft") -> None:
     """Raise the ValueError that adapting with these settings would raise, by
     building the segment plan, a fresh frozen foundation and the adapter.
     Their random draws are local, so no later result changes."""
     plan = make_segment_plan(horizon, segments)
     foundation = model.new_model(encoder_spec, plan.seg_len, seed=0)
     foundation.freeze()
-    new_adapter(foundation, plan, n_experts, rank, seed=0, placement=placement, routing=routing)
+    new_adapter(foundation, plan, n_experts, rank, seed=0, routing=routing)
+
+
+def check_fits(adapter: MolaAdapter, foundation: model.FoundationModel) -> None:
+    """Raise a ValueError naming the first adapted layer that is not one of
+    the foundation's encoder weight matrices, or whose expert stacks do not
+    match that matrix's shape."""
+    weights = _encoder_weights(foundation)
+    for name in adapter.adapted_layers:
+        if name not in weights:
+            raise ValueError(f"adapter layer {name!r} is not an encoder weight matrix of the "
+                             f"foundation; those are {list(weights)}")
+        d_out, d_in = foundation.params[name].shape
+        a, b = adapter.a[name], adapter.b[name]
+        if a.shape[2] != d_in or b.shape[1] != d_out:
+            raise ValueError(f"adapter layer {name!r} has A {a.shape} and B {b.shape}, but the "
+                             f"foundation's {name} is {d_out}x{d_in}")
 
 
 def freeze_one_hot_routing(adapter: MolaAdapter) -> None:

@@ -252,8 +252,7 @@ def cloud_disparity(a, b) -> float:
 
 
 def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
-                   config: train.TrainConfig | None = None,
-                   hidden=(16, 2), activation: str = "tanh") -> dict:
+                   config: train.TrainConfig | None = None) -> dict:
     """Train one single-output model per requested step and compare the
     representation clouds they form on the common test windows.
 
@@ -266,8 +265,8 @@ def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
         raise ValueError(f"steps must be positive, got {steps}")
     config = config or train.TrainConfig()
     horizon = max(steps)
-    spec = model.EncoderSpec(kind="mlp2", in_len=lookback, hidden=tuple(hidden),
-                             activation=activation)
+    # a 2-D representation: each cloud is written out as (x0, x1) points
+    spec = model.EncoderSpec(kind="mlp2", in_len=lookback, hidden=(16, 2), activation="tanh")
     train_w = data.windows(ds, lookback, horizon, "train")
     val_w = data.windows(ds, lookback, horizon, "val")
     test_w = data.windows(ds, lookback, horizon, "test")
@@ -334,7 +333,7 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
                      horizon: int, segments: int,
                      config: train.TrainConfig | None = None,
                      n_experts: int | None = None, rank: int = 1,
-                     placement=None, routing: str = "soft",
+                     routing: str = "soft",
                      pretrain_config: train.TrainConfig | None = None) -> dict:
     """Train the recursive single-step baseline, the direct multi-step
     baseline, and the segment-adapted model on identical data and evaluate
@@ -350,8 +349,7 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
     ``pretrain_config``, by default ``config``.
     """
     n_experts = segments if n_experts is None else n_experts
-    adapt.check_settings(encoder_spec, horizon, segments, n_experts, rank,
-                         placement=placement, routing=routing)
+    adapt.check_settings(encoder_spec, horizon, segments, n_experts, rank, routing=routing)
     config = config or train.TrainConfig()
     lookback = encoder_spec.in_len
     plan = adapt.make_segment_plan(horizon, segments, lookback=lookback)
@@ -375,7 +373,7 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
     foundation, pre_rec = train.pretrain(ds, encoder_spec, plan.seg_len,
                                          pretrain_config or config)
     adapter = adapt.new_adapter(foundation, plan, n_experts, rank, seed=config.seed,
-                                placement=placement, routing=routing)
+                                routing=routing)
     adapter, seg_recs = train.adapt_all_segments(foundation, plan, adapter, ds, config)
     paradigms["mola"] = eval_with_audit(lambda h: train.mola_forecast(foundation, adapter, h))
     paradigms["mola"]["records"] = [train.run_summary(pre_rec)] + [

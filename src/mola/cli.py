@@ -44,7 +44,6 @@ DEFAULTS = {
         "csv_path": "",
         "n_points": 2000,
         "d_channels": 2,
-        "components": "",
         "noise_std": 0.1,
         "synth_seed": 0,
         "lookback": 16,
@@ -57,7 +56,6 @@ DEFAULTS = {
         "segments": 4,
         "experts": 4,
         "rank": 1,
-        "placement": "",
         "routing": "soft",
     },
     "train": {
@@ -66,7 +64,6 @@ DEFAULTS = {
         "max_epochs": 10,
         "patience": 3,
         "seed": 0,
-        "adaptation_learning_rate": "",
         "pretrain_max_epochs": 5,
         "pretrain_patience": 2,
     },
@@ -139,8 +136,8 @@ def resolve_config(args) -> tuple[dict, str]:
     return cfg, cfg_hash
 
 
-_SYNTH_ONLY = ("n_points", "d_channels", "components", "noise_std", "synth_seed")
-_MOLA_ONLY = ("segments", "experts", "rank", "placement", "routing")
+_SYNTH_ONLY = ("n_points", "d_channels", "noise_std", "synth_seed")
+_MOLA_ONLY = ("segments", "experts", "rank", "routing")
 
 
 def _validate(cfg: dict, user_set: set[str]) -> None:
@@ -170,13 +167,13 @@ def _validate(cfg: dict, user_set: set[str]) -> None:
     # build what the commands build, so a bad value fails before the run directory exists
     try:
         spec = _encoder_spec(cfg)
-        for stage in ("pretrain", "adapt", "baseline"):
+        for stage in ("pretrain", "baseline"):
             _train_config(cfg, stage)
         _int_list(cfg, "analysis", "probe_steps")
         if pk == "mola":
             p = cfg["paradigm"]
             adapt.check_settings(spec, ds["horizon"], p["segments"], p["experts"], p["rank"],
-                                 placement=_placement(cfg), routing=p["routing"])
+                                 routing=p["routing"])
     except ValueError as e:
         raise UserError(str(e)) from None
 
@@ -193,45 +190,15 @@ def _parse_split(raw: str):
         raise UserError(f"unparseable dataset.split: {raw!r}") from None
 
 
-def _parse_components(raw: str):
-    comps = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, argstr = part.partition("(")
-        name = name.strip()
-        if argstr and not argstr.endswith(")"):
-            raise UserError(f"bad component syntax (missing close paren): {part!r}")
-        kwargs = {}
-        for pair in argstr.rstrip(")").split(","):
-            pair = pair.strip()
-            if not pair:
-                continue
-            if "=" not in pair:
-                raise UserError(f"component arguments must be key=value, got {pair!r}")
-            k, v = pair.split("=", 1)
-            try:
-                kwargs[k.strip()] = float(v)
-            except ValueError:
-                raise UserError(f"component argument {pair!r} is not numeric") from None
-        try:
-            comps.append(data.SynthComponent(kind=name, **kwargs))
-        except (TypeError, ValueError) as e:
-            raise UserError(f"bad component {part!r}: {e}") from None
-    return tuple(comps)
-
-
 # --- config -> domain objects ---
 
 
 def _synth_spec(cfg: dict) -> data.SynthSpec:
     ds = cfg["dataset"]
-    comps = _parse_components(ds["components"]) or data.default_synth_spec().components
     return data.SynthSpec(
         n_points=ds["n_points"],
         d_channels=ds["d_channels"],
-        components=comps,
+        components=data.default_synth_spec().components,
         noise_std=ds["noise_std"],
         seed=ds["synth_seed"],
     )
@@ -272,36 +239,15 @@ def _encoder_spec(cfg: dict) -> model.EncoderSpec:
 
 def _train_config(cfg: dict, stage: str) -> train.TrainConfig:
     t = cfg["train"]
-    if stage == "pretrain":
-        return train.TrainConfig(
-            learning_rate=t["learning_rate"],
-            batch_size=t["batch_size"],
-            max_epochs=t["pretrain_max_epochs"],
-            patience=t["pretrain_patience"],
-            seed=t["seed"],
-        )
-    lr = t["learning_rate"]
-    if stage == "adapt" and t["adaptation_learning_rate"]:
-        try:
-            lr = float(t["adaptation_learning_rate"])
-        except ValueError:
-            raise UserError(
-                f"train.adaptation_learning_rate is not a number: "
-                f"{t['adaptation_learning_rate']!r}"
-            ) from None
+    # pretraining has its own epoch budget; every other stage shares one
+    prefix = "pretrain_" if stage == "pretrain" else ""
     return train.TrainConfig(
-        learning_rate=lr,
+        learning_rate=t["learning_rate"],
         batch_size=t["batch_size"],
-        max_epochs=t["max_epochs"],
-        patience=t["patience"],
+        max_epochs=t[f"{prefix}max_epochs"],
+        patience=t[f"{prefix}patience"],
         seed=t["seed"],
     )
-
-
-def _placement(cfg: dict):
-    raw = cfg["paradigm"]["placement"]
-    names = [s.strip() for s in raw.split(",") if s.strip()]
-    return names or None
 
 
 # --- run directory plumbing ---
@@ -429,7 +375,6 @@ def cmd_adapt(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
         n_experts=cfg["paradigm"]["experts"],
         rank=cfg["paradigm"]["rank"],
         seed=cfg["train"]["seed"],
-        placement=_placement(cfg),
         routing=cfg["paradigm"]["routing"],
     )
     adapter, records = train.adapt_all_segments(
@@ -478,6 +423,10 @@ def _forecaster_from_checkpoints(pk: str, rd: Path, lookback: int, horizon: int)
             f"{adapter_path} was fitted on a different foundation than {foundation_path}; "
             "re-run adapt"
         )
+    try:
+        adapt.check_fits(adapter, foundation)
+    except ValueError as e:
+        raise UserError(f"{adapter_path}: {e}") from None
     if adapter.plan.horizon != horizon:
         raise UserError(
             f"adapter covers horizon {adapter.plan.horizon} but dataset.horizon={horizon}"
@@ -505,30 +454,21 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     return 0
 
 
+def _forecast_errors(forecast_fn, ds, lookback, horizon, split) -> np.ndarray:
+    """(N, T, D) forecast errors over a split's windows, C-ordered."""
+    wins = data.windows(ds, lookback, horizon, split)
+    return np.subtract(train.forecast_windows(forecast_fn, wins, horizon), wins.label, order="C")
+
+
 def _destandardized_metrics(forecast_fn, ds, lookback, horizon, split):
-    stats = ds.norm_stats
-    raw_ds = data.SeriesDataset(
-        values=data.destandardize(ds.values, stats),
-        channel_names=ds.channel_names,
-        train_end=ds.train_end,
-        val_end=ds.val_end,
-    )
-
-    def raw_fn(block):
-        # block columns are window-major (column i*D + c is channel c of
-        # window i), so the per-channel stats repeat once per window
-        n_windows = block.shape[1] // stats.mean.size
-        mean, std = np.tile(stats.mean, n_windows), np.tile(stats.std, n_windows)
-        pred = forecast_fn((block - mean) / std)
-        return pred * std + mean
-
-    return train.evaluate_forecaster(raw_fn, raw_ds, lookback, horizon, split=split)
+    # the per-channel mean cancels: a raw error is the standardized one times the std
+    err = _forecast_errors(forecast_fn, ds, lookback, horizon, split)
+    err *= ds.norm_stats.std
+    return train.error_metrics(err, split, 1)
 
 
 def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
-    wins = data.windows(ds, lookback, horizon, split)
-    err = train.forecast_windows(forecast_fn, wins, horizon) - wins.label
-    return (err**2).mean(axis=2)
+    return (_forecast_errors(forecast_fn, ds, lookback, horizon, split) ** 2).mean(axis=2)
 
 
 def cmd_params(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
@@ -638,7 +578,6 @@ def cmd_compare(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
         config=_train_config(cfg, "baseline"),
         n_experts=cfg["paradigm"]["experts"],
         rank=cfg["paradigm"]["rank"],
-        placement=_placement(cfg),
         routing=cfg["paradigm"]["routing"],
         pretrain_config=_train_config(cfg, "pretrain"),
     )

@@ -452,11 +452,6 @@ def standardize(ds: SeriesDataset) -> SeriesDataset:
     return replace(ds, values=(ds.values - mean) / std, norm_stats=stats)
 
 
-def destandardize(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Inverse of :func:`standardize` for value arrays shaped (..., D)."""
-    return values * stats.std + stats.mean
-
-
 def window_origins(ds: SeriesDataset, lookback: int, horizon: int, split: str) -> list[int]:
     """Origins n of stride-1 windows whose labels lie inside ``split``.
 

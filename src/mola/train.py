@@ -441,19 +441,25 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
             raise ValueError(f"target rows {target_rows} out of range 1..{horizon}")
     preds = forecast_windows(forecast_fn, wins, last - first + 1)
     # a C-ordered (N, rows, D) error array keeps the summation order of the
-    # means below the same as for stacked per-window forecasts
+    # means in error_metrics the same as for stacked per-window forecasts
     err = np.subtract(preds, wins.label[:, first - 1 : last], order="C")
-    # err is this call's own array: |err| and then |err|**2, which is
-    # bitwise err**2, are formed in place
+    return error_metrics(err, split, first)
+
+
+def error_metrics(err: np.ndarray, split: str, first: int) -> dict:
+    """The metrics dict of evaluate_forecaster from an (N, rows, D) array of
+    forecast errors whose rows are steps first, first + 1, ...; ``err`` is
+    overwritten."""
+    # |err| and then |err|**2, which is bitwise err**2, are formed in place
     mae_steps = np.abs(err, out=err).mean(axis=(0, 2))
     mse_steps = np.multiply(err, err, out=err).mean(axis=(0, 2))
     per_step = [
-        {"step": s, "mse": float(mse_steps[j]), "mae": float(mae_steps[j])}
-        for j, s in enumerate(range(first, last + 1))
+        {"step": first + j, "mse": float(mse_steps[j]), "mae": float(mae_steps[j])}
+        for j in range(err.shape[1])
     ]
     return {
         "split": split,
-        "n_windows": len(wins),
+        "n_windows": err.shape[0],
         "per_step": per_step,
         "mse": float(np.mean(mse_steps)),
         "mae": float(np.mean(mae_steps)),

@@ -146,19 +146,10 @@ def test_effective_weight_shape_check():
 
 
 def test_adapter_placement_defaults():
-    assert adapt.adapter_placement(make_foundation("mlp2")) == ("enc0.w", "enc1.w")
-    assert adapt.adapter_placement(make_foundation("linear")) == ("enc0.w",)
-
-
-def test_adapter_placement_rejects_head_and_biases():
-    f = make_foundation("mlp2")
-    with pytest.raises(ValueError, match="head"):
-        adapt.adapter_placement(f, requested=["enc0.w", "head.w"])
-    with pytest.raises(ValueError, match="bias"):
-        adapt.adapter_placement(f, requested=["enc0.b"])
-    with pytest.raises(ValueError, match="unknown"):
-        adapt.adapter_placement(f, requested=["enc7.w"])
-    assert adapt.adapter_placement(f, requested=["enc1.w"]) == ("enc1.w",)
+    plan = adapt.make_segment_plan(8, 2)
+    for kind, layers in (("mlp2", ("enc0.w", "enc1.w")), ("linear", ("enc0.w",))):
+        adapter = adapt.new_adapter(make_foundation(kind), plan, n_experts=2, rank=1, seed=0)
+        assert adapter.adapted_layers == layers
 
 
 # --- adapter construction ---

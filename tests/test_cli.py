@@ -1,7 +1,9 @@
 import configparser
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,9 +62,11 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point_runs():
-    out = subprocess.run(
-        [sys.executable, "-m", "mola.cli", "--help"], capture_output=True, text=True
-    )
+    # the child imports the same package as this test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "mola.cli", "--help"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     assert "synth" in out.stdout and "analyze" in out.stdout
 
@@ -85,10 +89,10 @@ def test_synth_writes_csv_and_manifest_round_trip(ws):
 
 def test_synth_invalid_component_is_user_error(ws, capsys):
     cfg = write_ini(
-        ws / "cfg.ini", **base_sections(dataset={"components": "sine(period=0)"})
+        ws / "cfg.ini", **base_sections(dataset={"noise_std": -1})
     )
     assert cli.main(["synth", "--config", cfg, "--run-dir", str(ws / "r")]) == 1
-    assert "period" in capsys.readouterr().err
+    assert "noise_std" in capsys.readouterr().err
 
 
 # --- pretrain / adapt ---
@@ -295,11 +299,16 @@ def test_unknown_config_key_is_user_error(ws, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_output_formats_is_not_a_config_key(ws, capsys):
+@pytest.mark.parametrize(
+    "key",
+    ["output.formats", "dataset.components", "paradigm.placement",
+     "train.adaptation_learning_rate"],
+)
+def test_output_formats_is_not_a_config_key(ws, capsys, key):
     cfg = write_ini(ws / "cfg.ini", **mtf_sections())
-    argv = ["synth", "--config", cfg, "--run-dir", str(ws / "r"), "--set", "output.formats=csv"]
+    argv = ["synth", "--config", cfg, "--run-dir", str(ws / "r"), "--set", f"{key}=1"]
     assert cli.main(argv) == 1
-    assert "unknown config key output.formats" in capsys.readouterr().err
+    assert f"unknown config key {key}" in capsys.readouterr().err
 
 
 def test_paradigm_specific_keys_rejected_for_baselines(ws, capsys):
@@ -337,7 +346,7 @@ def test_one_hot_routing_needs_square_expert_count(ws, capsys):
     [
         (["paradigm.rank=0"], "rank"),
         (["paradigm.experts=0"], "n_experts"),
-        (["paradigm.placement=enc9.w"], "enc9.w"),
+        (["paradigm.segments=0"], "segments must be >= 1"),
         (["paradigm.routing=banana"], "routing"),
         (["model.kind=mlp2", "model.hidden=16"], "hidden"),
         (["model.activation=gelu"], "activation"),
@@ -434,6 +443,27 @@ def test_malformed_adapter_exits_1_naming_the_field(ws, capsys):
         capsys.readouterr()
         assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1, field
         assert field in capsys.readouterr().err
+
+
+def test_eval_refuses_adapter_layers_the_foundation_lacks(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **base_sections(model={"kind": "mlp2", "hidden": "6,3"}))
+    rd = ws / "run"
+    for argv in (["pretrain"], ["adapt"]):
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    path = rd / "checkpoints" / "adapter.json"
+    good = json.loads(path.read_text())
+    assert good["adapted_layers"] == ["enc0.w", "enc1.w"]
+    # an unknown layer, the head, and two encoder layers whose stacks are swapped
+    for names in (["enc9.w", "enc1.w"], ["head.w", "enc1.w"], ["enc1.w", "enc0.w"]):
+        state = json.loads(json.dumps(good))
+        state["adapted_layers"] = names
+        for entry, name in zip(state["layers"], names):
+            entry["name"] = name
+        path.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1, names
+        err = capsys.readouterr().err
+        assert "adapter.json" in err and repr(names[0]) in err, err
 
 
 def test_malformed_adapter_error_names_the_file(ws, capsys):
