@@ -11,34 +11,33 @@ Each adapted layer stores its P experts as two stacks, ``a[layer]`` of shape
 routing logits; ``experts[layer][p]`` gives expert p's factors as views into
 the stacks.  A training step works on whole stacks: W_eff is one product of
 the concatenated factors, and the expert gradients are stacked matmuls, one
-gradient per stack.  A segment whose routing row is frozen uses only the
-basic slice of experts from its first to its last nonzero weight, so under
-one-hot routing segment k touches ``a[layer][k-1:k]`` and
-``b[layer][k-1:k]`` and nothing else.
+gradient per stack.
 
-The routing logits are one row per segment and can be frozen once that
-segment is done.  Under trainable (soft) routing the experts are shared:
-segments fit one after another, and later segments keep training the
-experts earlier ones use.  When every row is frozen and each segment has
-its own experts, as under one-hot routing, the segments share nothing but
-the frozen foundation, and a :class:`Lockstep` trains all K at once: one
-step stacks the K segments' W_eff into a (K, d_out, d_in) array and their
-gradients into the covering slice of the stacks.  Biases and the
-prediction head are never adapted.
+An adapter's ``routing`` says how segments use the experts.  Under soft
+routing segment k uses every expert at softmax(logits[k]) and trains its
+routing row with them; the experts are shared, so segments fit one after
+another.  Under one-hot routing (P == K) segment k uses expert k alone at
+weight 1.0, which is what the softmax of its one-hot row gives, and no row
+trains.  The segments then share nothing but the frozen foundation, and one
+step trains all K at once on the whole stacks with a K axis: their W_eff
+form one (K, d_out, d_in) array.  Biases and the prediction head are never
+adapted.
 """
 
 from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _io, model, __version__
 
-ADAPTER_FORMAT_VERSION = 3
+ADAPTER_FORMAT_VERSION = 4
+
+ROUTINGS = ("soft", "one-hot")
 
 # Off-entry logit for hard routing.  exp(-1e6) underflows to exactly 0.0,
 # so the resulting mixture weights are an exact one-hot vector.
@@ -138,7 +137,7 @@ class MolaAdapter:
     b: dict[str, np.ndarray]  # per layer, shape (n_experts, d_out, rank)
     logits: dict[str, np.ndarray]  # per layer, shape (segments, n_experts)
     foundation_sha256: str  # foundation_digest of the model the adapter was fitted on
-    frozen_logits: list[bool] = field(default_factory=list)
+    routing: str = "soft"  # one of ROUTINGS
 
     @property
     def experts(self) -> dict[str, list[LoraExpert]]:
@@ -172,7 +171,7 @@ def new_adapter(
     default_rng([seed, i, p]) so a single expert is reproducible on its own.
     routing="one-hot" applies freeze_one_hot_routing to the new adapter.
     """
-    if routing not in ("soft", "one-hot"):
+    if routing not in ROUTINGS:
         raise ValueError(f"routing must be soft or one-hot, got {routing!r}")
     if not foundation.frozen:
         raise ValueError("foundation must be frozen before adaptation")
@@ -211,7 +210,6 @@ def new_adapter(
         b=b_stacks,
         logits=logits,
         foundation_sha256=foundation_digest(foundation),
-        frozen_logits=[False] * plan.segments,
     )
     if routing == "one-hot":
         freeze_one_hot_routing(adapter)
@@ -245,8 +243,16 @@ def check_fits(adapter: MolaAdapter, foundation: model.FoundationModel) -> None:
                              f"foundation's {name} is {d_out}x{d_in}")
 
 
+def _one_hot_logits(segments: int) -> np.ndarray:
+    """The (K, K) routing logits that pin segment k to expert k: 0.0 on the
+    diagonal and ONE_HOT_OFF_LOGIT elsewhere."""
+    logits = np.full((segments, segments), ONE_HOT_OFF_LOGIT)
+    np.fill_diagonal(logits, 0.0)
+    return logits
+
+
 def freeze_one_hot_routing(adapter: MolaAdapter) -> None:
-    """Pin segment k to expert k and freeze all routing.  This turns the
+    """Pin segment k to expert k and set one-hot routing.  This turns the
     mixture into independent per-segment rank-r updates (the ablation where
     nothing is shared but the backbone)."""
     if adapter.n_experts != adapter.plan.segments:
@@ -255,9 +261,8 @@ def freeze_one_hot_routing(adapter: MolaAdapter) -> None:
             f"{adapter.n_experts} experts for {adapter.plan.segments} segments"
         )
     for name in adapter.adapted_layers:
-        adapter.logits[name][:] = ONE_HOT_OFF_LOGIT
-        np.fill_diagonal(adapter.logits[name], 0.0)
-    adapter.frozen_logits[:] = [True] * adapter.plan.segments
+        adapter.logits[name][:] = _one_hot_logits(adapter.plan.segments)
+    adapter.routing = "one-hot"
 
 
 def _check_segment(adapter: MolaAdapter, k: int) -> None:
@@ -270,73 +275,25 @@ def mixture_weights(adapter: MolaAdapter, layer: str, k: int) -> np.ndarray:
     return normalize_weights(adapter.logits[layer][k - 1])
 
 
-def _expert_span(adapter: MolaAdapter, layer: str, k: int) -> tuple[slice, np.ndarray]:
-    """The experts segment k uses in ``layer``, as a basic slice of the
-    stacks, and the segment's full mixture weights.  A trainable routing row
-    uses every expert, since any weight may move off zero.  A frozen row
-    uses those from its first to its last nonzero weight: the rest add
-    exactly nothing to W_eff and would get exactly zero gradients."""
-    delta = mixture_weights(adapter, layer, k)
-    if not adapter.frozen_logits[k - 1]:
-        return slice(0, delta.size), delta
-    nonzero = delta.nonzero()[0]
-    return slice(nonzero[0], nonzero[-1] + 1), delta
-
-
-@dataclass(frozen=True, eq=False)
-class Lockstep:
-    """How all K segments of an adapter train in one stacked step.  It
-    exists when every routing row is frozen and, in every layer, segment k
-    uses the k-th of K consecutive, equally wide slices of the expert
-    stacks, as under one-hot routing.  The segments then share nothing but
-    the frozen foundation.  Per layer, ``layers`` holds the basic slice of
-    the stacks covering all K segments and their (K, w) mixture weights,
-    fixed for the whole fit."""
-
-    layers: dict[str, tuple[slice, np.ndarray]]
-
-    def experts(self, adapter: MolaAdapter) -> dict[str, tuple]:
-        """Per layer, the covering slice as views with a leading K axis,
-        A (K, w, r, d_in) and B (K, w, d_out, r), and the (K, w) weights."""
-        out = {}
-        for name, (span, weights) in self.layers.items():
-            a, b = adapter.a[name][span], adapter.b[name][span]
-            out[name] = (a.reshape(*weights.shape, *a.shape[1:]),
-                         b.reshape(*weights.shape, *b.shape[1:]), weights)
-        return out
-
-
-def lockstep(adapter: MolaAdapter) -> Lockstep | None:
-    """The Lockstep of ``adapter``, or None when its segments are coupled
-    (a trainable routing row) or use the stacks in another pattern."""
-    if not all(adapter.frozen_logits):
-        return None
-    segments = range(1, adapter.plan.segments + 1)
-    layers = {}
-    for name in adapter.adapted_layers:
-        spans = [_expert_span(adapter, name, k) for k in segments]
-        start = spans[0][0].start
-        width = spans[0][0].stop - start
-        if any(span != slice(start + i * width, start + (i + 1) * width)
-               for i, (span, _) in enumerate(spans)):
-            return None
-        layers[name] = (slice(start, start + len(spans) * width),
-                        np.stack([delta[span] for span, delta in spans]))
-    return Lockstep(layers)
-
-
-def _trained_experts(adapter: MolaAdapter, k) -> tuple[dict[str, tuple], int | None]:
+def _segment_experts(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
     """Per layer, the A and B views and the mixture weights of the experts
-    segment k trains (see _expert_span), and k while its routing row is
-    trainable, else None.  For a Lockstep, its experts (all rows frozen)."""
-    if isinstance(k, Lockstep):
-        return k.experts(adapter), None
+    segment k uses: under soft routing the whole stacks at softmax(logits[k]),
+    under one-hot routing the slice [k-1:k] at weight 1.0.  With k None
+    (one-hot routing only), all K segments at once: the whole stacks with a
+    K axis, A (K, 1, r, d_in) and B (K, 1, d_out, r), at weights (K, 1)."""
+    if k is None:
+        if adapter.routing != "one-hot":
+            raise ValueError(f"only one-hot routing steps all segments at once, "
+                             f"not {adapter.routing!r}")
+        ones = np.ones((adapter.plan.segments, 1))
+        return {name: (adapter.a[name][:, None], adapter.b[name][:, None], ones)
+                for name in adapter.adapted_layers}
     _check_segment(adapter, k)
-    out = {}
-    for name in adapter.adapted_layers:
-        span, delta = _expert_span(adapter, name, k)
-        out[name] = (adapter.a[name][span], adapter.b[name][span], delta[span])
-    return out, None if adapter.frozen_logits[k - 1] else k
+    if adapter.routing == "one-hot":
+        return {name: (adapter.a[name][k - 1 : k], adapter.b[name][k - 1 : k], np.ones(1))
+                for name in adapter.adapted_layers}
+    return {name: (adapter.a[name], adapter.b[name], mixture_weights(adapter, name, k))
+            for name in adapter.adapted_layers}
 
 
 def adapted_model(
@@ -346,7 +303,7 @@ def adapted_model(
     arrays; everything else aliases the foundation.  Training goes through
     segment_grads, which passes W_eff as overrides instead."""
     params = dict(foundation.params)
-    for name, (a, b, weights) in _trained_experts(adapter, k)[0].items():
+    for name, (a, b, weights) in _segment_experts(adapter, k).items():
         params[name] = effective_weight(foundation.params[name], a, b, weights)
     return model.FoundationModel(encoder_spec=foundation.encoder_spec,
                                  head_out=foundation.head_out, params=params, frozen=True)
@@ -361,23 +318,23 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     like adaptation_params.
 
     Chain rule through W_eff = W + sum_p delta_p B_p A_p with dL/dW_eff = G,
-    over the stacks of the experts the segment uses (see _expert_span):
+    over the stacks of the experts the segment uses (see _segment_experts):
 
         dL/dA = delta * B^T G                (P, r, d_in)
         dL/dB = delta * G A^T                (P, d_out, r)
         dL/ddelta_p = <B_p^T G, A_p> = <G, B_p A_p>   (then softmax backward to logits)
 
-    The routing gradient is only formed while the segment's routing row is
-    trainable; a zero-weight expert in the stacks gets (signed) zero
-    gradients, so it stays put under Adam.
+    The routing gradient is only formed under soft routing; a zero-weight
+    expert in the stacks gets (signed) zero gradients, so it stays put
+    under Adam.
 
-    With k a Lockstep, this is one step of all K segments at once: the
-    batch is K equal batches in segment order, target_slice holds one slice
-    per segment, W_eff is one (K, d_out, d_in) stack, and the loss is the
-    (K,) array of the segments' losses.  Each segment's loss and gradients
-    are bitwise those of its own step.
+    With k None (one-hot routing), this is one step of all K segments at
+    once: the batch is K equal batches in segment order, target_slice holds
+    one slice per segment, W_eff is one (K, d_out, d_in) stack, and the loss
+    is the (K,) array of the segments' losses.  Each segment's loss and
+    gradients are bitwise those of its own step.
     """
-    experts, routed = _trained_experts(adapter, k)
+    experts = _segment_experts(adapter, k)
     eff = {name: effective_weight(foundation.params[name], a, b, weights)
            for name, (a, b, weights) in experts.items()}
     loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
@@ -386,28 +343,27 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
         g_eff = eff_grads[name][..., None, :, :]
         weight = weights[..., None, None]
         bt_g = b.swapaxes(-1, -2) @ g_eff
-        # a Lockstep's (K, w, ...) gradients flatten onto its covering slice
+        # all K segments' (K, 1, ...) gradients flatten onto the whole stacks
         grads[f"{name}.a"] = (weight * bt_g).reshape(-1, *a.shape[-2:])
         grads[f"{name}.b"] = (weight * (g_eff @ a.swapaxes(-1, -2))).reshape(-1, *b.shape[-2:])
-        if routed is not None:
+        if adapter.routing == "soft":
             d_delta = np.einsum("prd,prd->p", bt_g, a)
-            grads[f"{name}.logits.k{routed}"] = weights * (d_delta - float(weights @ d_delta))
+            grads[f"{name}.logits.k{k}"] = weights * (d_delta - float(weights @ d_delta))
     return loss, grads
 
 
-def adaptation_params(adapter: MolaAdapter, k) -> dict[str, np.ndarray]:
+def adaptation_params(adapter: MolaAdapter, k: int | None) -> dict[str, np.ndarray]:
     """Mutable views of everything segment k trains, keyed like the grads
-    from segment_grads: per layer the slices of the A and B stacks that the
-    segment uses, and its row of the (K, P) logits table while that row is
-    trainable.  For a Lockstep, the slices that cover all K segments.
-    In-place optimizer updates land in the adapter."""
-    experts, routed = _trained_experts(adapter, k)
+    from segment_grads: per layer the A and B stacks, or under one-hot
+    routing their slice [k-1:k], and under soft routing row k of the (K, P)
+    logits table.  With k None (one-hot routing), the whole stacks of all K
+    segments.  In-place optimizer updates land in the adapter."""
     out: dict[str, np.ndarray] = {}
-    for name, (a, b, _) in experts.items():
+    for name, (a, b, _) in _segment_experts(adapter, k).items():
         out[f"{name}.a"] = a.reshape(-1, *a.shape[-2:])
         out[f"{name}.b"] = b.reshape(-1, *b.shape[-2:])
-        if routed is not None:
-            out[f"{name}.logits.k{routed}"] = adapter.logits[name][routed - 1]
+        if adapter.routing == "soft":
+            out[f"{name}.logits.k{k}"] = adapter.logits[name][k - 1]
     return out
 
 
@@ -430,7 +386,7 @@ def adapter_state(adapter: MolaAdapter) -> dict:
         "n_experts": adapter.n_experts,
         "rank": adapter.rank,
         "foundation_sha256": adapter.foundation_sha256,
-        "frozen_logits": list(adapter.frozen_logits),
+        "routing": adapter.routing,
         "layers": layers,
     }
 
@@ -441,7 +397,7 @@ def adapter_from_state(state: dict) -> MolaAdapter:
     if state.get("format_version") != ADAPTER_FORMAT_VERSION:
         raise ValueError(f"unsupported adapter format version {state.get('format_version')!r}")
     _io.require_keys(state, ("plan", "adapted_layers", "n_experts", "rank", "foundation_sha256",
-                             "frozen_logits", "layers"), "adapter checkpoint")
+                             "routing", "layers"), "adapter checkpoint")
     _io.require_keys(state["plan"], ("horizon", "segments"), "adapter plan")
     plan = make_segment_plan(_io.require_type(state["plan"], "horizon", int, "adapter plan"),
                              _io.require_type(state["plan"], "segments", int, "adapter plan"))
@@ -449,11 +405,12 @@ def adapter_from_state(state: dict) -> MolaAdapter:
     rank = _io.require_type(state, "rank", int, "adapter checkpoint")
     adapted_layers = _io.require_type(state, "adapted_layers", list, "adapter checkpoint")
     foundation_sha256 = _io.require_type(state, "foundation_sha256", str, "adapter checkpoint")
-    frozen_logits = _io.require_type(state, "frozen_logits", list, "adapter checkpoint")
-    if (len(frozen_logits) != plan.segments
-            or not all(isinstance(f, bool) for f in frozen_logits)):
-        raise ValueError(f"adapter frozen_logits {frozen_logits} must hold one true or false "
-                         f"per segment, {plan.segments} in all")
+    routing = _io.require_type(state, "routing", str, "adapter checkpoint")
+    if routing not in ROUTINGS:
+        raise ValueError(f"adapter routing {routing!r} must be one of {list(ROUTINGS)}")
+    if routing == "one-hot" and n_experts != plan.segments:
+        raise ValueError(f"adapter routing 'one-hot' needs one expert per segment, but "
+                         f"n_experts is {n_experts} for {plan.segments} segments")
     a_stacks: dict[str, np.ndarray] = {}
     b_stacks: dict[str, np.ndarray] = {}
     logits: dict[str, np.ndarray] = {}
@@ -474,6 +431,11 @@ def adapter_from_state(state: dict) -> MolaAdapter:
     if adapted_layers != list(logits):
         raise ValueError(f"adapter adapted_layers {adapted_layers} do not match "
                          f"its layers entries {list(logits)}")
+    if routing == "one-hot":
+        for name, table in logits.items():
+            if not np.array_equal(table, _one_hot_logits(plan.segments)):
+                raise ValueError(f"adapter routing 'one-hot' does not match the logits of "
+                                 f"layer {name!r}, which must pin segment k to expert k")
     return MolaAdapter(
         plan=plan,
         adapted_layers=tuple(logits),
@@ -483,7 +445,7 @@ def adapter_from_state(state: dict) -> MolaAdapter:
         b=b_stacks,
         logits=logits,
         foundation_sha256=foundation_sha256,
-        frozen_logits=list(frozen_logits),
+        routing=routing,
     )
 
 

@@ -339,12 +339,13 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
     baseline, and the segment-adapted model on identical data and evaluate
     all three on the same test windows.
 
-    routing="one-hot" pins segment k to expert k (requires one expert per
-    segment).  Under soft mixing segments train one after another on shared
-    experts, so later segments repurpose experts that earlier segments'
-    frozen weights still point at; hard routing keeps the per-segment fits
-    independent, which matters when adaptations are large, and trains all
-    segments in one lockstep fit (see train.adapt_all_segments).  Adapter
+    ``routing`` becomes the adapter's routing.  "one-hot" pins segment k to
+    expert k (requires one expert per segment).  Under soft mixing segments
+    train one after another on shared experts, so later segments repurpose
+    experts that earlier segments' mixing weights still point at; one-hot
+    routing keeps the per-segment fits independent, which matters when
+    adaptations are large, and trains all segments in one lockstep fit (see
+    train.adapt_all_segments).  Adapter
     settings are checked before anything trains; the foundation trains with
     ``pretrain_config``, by default ``config``.
     """

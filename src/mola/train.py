@@ -109,6 +109,11 @@ def adam_step(params, grads, state: AdamState, lr: float, adam=(0.9, 0.999, 1e-8
 # --- early stopping ---
 
 
+# A stage diverged when its val loss is non-finite or above this many times
+# its untrained val loss.
+DIVERGENCE_FACTOR = 1e6
+
+
 class EarlyStopper:
     """Stop after `patience` consecutive epochs without strict val-loss
     improvement.  Ties keep the earlier epoch as best."""
@@ -222,9 +227,11 @@ def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
     or a (K,) array) and the gradients of ``params``, by default the only
     stage's arrays, which one Adam step updates.  A stopped stage is no longer validated,
     and its arrays end at its best snapshot, so stages that share nothing
-    but the step see exactly their own fit.  When no epoch beats a stage's
-    untrained validation loss, its stop reason is ``no_improvement`` and a
-    RuntimeWarning names it."""
+    but the step see exactly their own fit.  A stage stops at the first
+    epoch whose val loss is non-finite or above DIVERGENCE_FACTOR times its
+    untrained val loss, with stop reason ``diverged``.  Otherwise, when no
+    epoch beats its untrained val loss, its stop reason is
+    ``no_improvement``.  Either way a RuntimeWarning names the stage."""
     n = len(train_windows)
     if n == 0:
         raise ValueError("no training windows")
@@ -254,7 +261,10 @@ def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
                 EpochStat(epoch=epoch, train_loss=float(totals[j] / n), val_loss=val))
             if stoppers[j].update(epoch, val):
                 best[j] = {k: v.copy() for k, v in stages[j].params.items()}
-            if stoppers[j].should_stop:
+            if not np.isfinite(val) or val > DIVERGENCE_FACTOR * records[j].initial_val:
+                records[j].stop_reason = "diverged"
+                active.remove(j)
+            elif stoppers[j].should_stop:
                 records[j].stop_reason = "early_stop"
                 active.remove(j)
         if not active:
@@ -263,7 +273,14 @@ def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
         for k, v in stage.params.items():
             np.copyto(v, snapshot[k])
         record.best_epoch, record.best_val = stopper.best_epoch, stopper.best_val
-        if record.best_epoch == 0:
+        if record.stop_reason == "diverged":
+            warnings.warn(
+                f"{stage.name}: diverged at epoch {len(record.epochs)}: validation loss "
+                f"{record.epochs[-1].val_loss:.6g} against {record.initial_val:.6g} untrained; "
+                f"keeping epoch {record.best_epoch}",
+                RuntimeWarning,
+            )
+        elif record.best_epoch == 0:
             record.stop_reason = "no_improvement"
             trained_best = min(e.val_loss for e in record.epochs)
             warnings.warn(
@@ -320,24 +337,24 @@ def arf_train(ds, encoder_spec, config: TrainConfig | None = None):
 def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPlan,
                        adapter: adapt.MolaAdapter, ds: data.SeriesDataset,
                        config: TrainConfig | None = None):
-    """Fit segments 1..K: each segment trains the experts it uses plus its
-    own routing row on its slice of the horizon-T labels, restores its
-    best-validation snapshot, then freezes the routing row.
+    """Fit segments 1..K on their slices of the horizon-T labels, each
+    restored to its best-validation snapshot.  ``adapter.routing`` picks the
+    fit:
 
-    When the segments share no trainable parameter (see adapt.lockstep:
-    every routing row frozen, each segment on its own experts, as under
-    one-hot routing), one lockstep fit trains all K: a step stacks the K
-    segments' batches, W_eff and gradients, and makes one Adam step.  Each
-    segment keeps its own batch order, early stopping and snapshot, so its
-    record and experts are bitwise those of fitting it alone.  Otherwise
-    (soft routing) segments fit one after another, and later segments keep
-    training the shared experts.
+    - soft: segments fit one after another.  Each trains every expert and
+      its own routing row, and later segments keep training the experts
+      earlier ones use.
+    - one-hot: the segments share nothing but the frozen foundation, so one
+      lockstep fit trains all K: a step stacks the K segments' batches,
+      W_eff and gradients, and makes one Adam step.  Each segment keeps its
+      own batch order, early stopping and snapshot, so its record and
+      expert are bitwise those of fitting it alone.
 
     A segment's final metrics are its val metrics at freeze.  After the last
     fit every segment's val MSE is measured again with the final adapter;
     ``drift`` holds both values and their difference (final minus at
-    freeze), exactly 0 when the segments share no experts.  Nothing changes
-    the adapter after the last fit, so its segments (all K of a lockstep,
+    freeze), exactly 0 under one-hot routing.  Nothing changes the adapter
+    after the last fit, so its segments (all K under one-hot routing,
     segment K otherwise) reuse their at-freeze value instead of a second
     pass.  Segments of one lockstep fit share its wall time, which covers
     the fit and their final validation."""
@@ -366,9 +383,8 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
                                                 plan.boundaries[k - 1]),
                      adapt.adaptation_params(adapter, k))
 
-    lock = adapt.lockstep(adapter)
     segments = list(range(1, plan.segments + 1))
-    groups = ([(segments, lock, plan.boundaries)] if lock is not None
+    groups = ([(segments, None, plan.boundaries)] if adapter.routing == "one-hot"
               else [([k], k, plan.boundaries[k - 1]) for k in segments])
     records: list[RunRecord] = []
     for group, step, targets in groups:
@@ -379,7 +395,6 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
             config, adapt.adaptation_params(adapter, step),
         )
         for k, record in zip(group, group_records):
-            adapter.frozen_logits[k - 1] = True
             record.final_metrics = val_metrics(k)
         wall_time = perf_counter() - t0
         for record in group_records:

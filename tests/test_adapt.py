@@ -169,7 +169,7 @@ def test_new_adapter_shapes_and_init():
             assert e.a_mat.shape == (2, d_in) and np.any(e.a_mat != 0.0)
         assert ad.logits[layer].shape == (2, 3)
         assert np.all(ad.logits[layer] == 0.0)
-    assert ad.frozen_logits == [False, False]
+    assert ad.routing == "soft"
 
 
 def test_new_adapter_seed_determinism():
@@ -273,9 +273,10 @@ def test_one_hot_routing_requires_matching_counts():
     f, plan, ad = setup_adapter(experts=3, segments=2)
     with pytest.raises(ValueError, match="n_experts"):
         adapt.freeze_one_hot_routing(ad)
+    assert ad.routing == "soft"
     f2, plan2, ad2 = setup_adapter(experts=2, segments=2)
     adapt.freeze_one_hot_routing(ad2)
-    assert ad2.frozen_logits == [True, True]
+    assert ad2.routing == "one-hot"
     for layer in ad2.adapted_layers:
         for k in (1, 2):
             delta = adapt.mixture_weights(ad2, layer, k)
@@ -362,16 +363,6 @@ def test_soft_routing_logit_gradient_is_inner_product_with_expert_update():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), layer
 
 
-def test_segment_grads_skip_frozen_logits():
-    f, plan, ad = setup_adapter(experts=2, segments=2)
-    batch = make_batch(f.lookback, plan.horizon, d=2, n=3, seed=1)
-    ad.frozen_logits[0] = True
-    _, grads = adapt.segment_grads(f, ad, 1, batch, plan.boundaries[0])
-    assert not any(key.endswith(".logits.k1") for key in grads)
-    _, grads2 = adapt.segment_grads(f, ad, 2, batch, plan.boundaries[1])
-    assert any(key.endswith(".logits.k2") for key in grads2)
-
-
 def test_adaptation_params_cover_experts_and_active_logits():
     f, plan, ad = setup_adapter(experts=2, segments=2)
     params = adapt.adaptation_params(ad, 1)
@@ -382,7 +373,7 @@ def test_adaptation_params_cover_experts_and_active_logits():
         assert params[f"{layer}.a"].shape == ad.a[layer].shape
         assert params[f"{layer}.b"].base is ad.b[layer]
     assert params["enc0.w.logits.k1"].base is ad.logits["enc0.w"]
-    ad.frozen_logits[0] = True
+    adapt.freeze_one_hot_routing(ad)
     assert "enc0.w.logits.k1" not in adapt.adaptation_params(ad, 1)
 
 
@@ -402,6 +393,20 @@ def test_frozen_one_hot_routing_trains_only_the_segment_expert():
         _, grads = adapt.segment_grads(f, ad, k, batch, plan.boundaries[k - 1])
         assert {name: g.shape for name, g in grads.items()} == {
             name: v.shape for name, v in params.items()}
+    # k=None: all segments at once, on the whole stacks
+    params = adapt.adaptation_params(ad, None)
+    assert set(params) == want
+    for layer in ad.adapted_layers:
+        for part, stack in (("a", ad.a[layer]), ("b", ad.b[layer])):
+            view = params[f"{layer}.{part}"]
+            assert view.base is stack and view.shape == stack.shape
+    rows = np.concatenate([np.arange(3)] * plan.segments)
+    _, grads = adapt.segment_grads(f, ad, None, data.Batch(batch, rows), plan.boundaries)
+    assert {name: g.shape for name, g in grads.items()} == {
+        name: v.shape for name, v in params.items()}
+    soft = setup_adapter(experts=2, segments=2)[2]
+    with pytest.raises(ValueError, match="one-hot"):
+        adapt.adaptation_params(soft, None)
 
 
 def test_soft_routing_still_produces_logit_gradients():
@@ -474,7 +479,10 @@ def test_stacked_weights_and_grads_match_per_expert_loop(routing):
                 assert f"{layer}.logits.k{k}" not in grads
 
 
-def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise(monkeypatch):
+def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise():
+    # under one-hot routing segment 1's fit does not depend on expert 2:
+    # re-drawing expert 2 leaves segment 1's expert and record bitwise as
+    # they were, while expert 2 itself ends elsewhere
     from mola import train
 
     spec = data.SynthSpec(
@@ -484,52 +492,21 @@ def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise(monkeypatch):
     ds = data.standardize(data.generate_synthetic(spec))
     cfg = train.TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=3, patience=3)
 
-    def one_hot_adapter():
+    def fit(redraw):
         f, plan, ad = setup_adapter(experts=2, segments=2, head_out=2)
         adapt.freeze_one_hot_routing(ad)
-        return f, plan, ad
+        if redraw:
+            for layer in ad.adapted_layers:
+                ad.a[layer][1] = np.random.default_rng(99).normal(size=ad.a[layer][1].shape)
+        _, records = train.adapt_all_segments(f, plan, ad, ds, cfg)
+        return ad, records
 
-    f, plan, ad = one_hot_adapter()
-    assert adapt.lockstep(ad) is not None
-    train.adapt_all_segments(f, plan, ad, ds, cfg)
-    lockstep_experts = {layer: (ad.a[layer].copy(), ad.b[layer].copy())
-                        for layer in ad.adapted_layers}
-
-    # the same fits one segment at a time, with every expert snapshotted
-    # just before each segment trains
-    f, plan, ad = one_hot_adapter()
-
-    def snapshot():
-        return {
-            (layer, p): (e.a_mat.copy(), e.b_mat.copy())
-            for layer in ad.adapted_layers
-            for p, e in enumerate(ad.experts[layer])
-        }
-
-    # snaps[k]: every expert just before segment k trains; snaps[K + 1]: at the end
-    snaps = {}
-    real = adapt.adaptation_params
-
-    def recording(adapter, k):
-        snaps[k] = snapshot()
-        return real(adapter, k)
-
-    monkeypatch.setattr(adapt, "adaptation_params", recording)
-    monkeypatch.setattr(adapt, "lockstep", lambda adapter: None)
-    train.adapt_all_segments(f, plan, ad, ds, cfg)
-    snaps[plan.segments + 1] = snapshot()
-    for k in range(1, plan.segments + 1):
-        for (layer, p), (a_mat, b_mat) in snaps[k].items():
-            a_next, b_next = snaps[k + 1][(layer, p)]
-            if p == k - 1:
-                assert not np.array_equal(b_mat, b_next)  # the segment's own expert trained
-            else:
-                assert a_mat.tobytes() == a_next.tobytes()
-                assert b_mat.tobytes() == b_next.tobytes()
-    # the lockstep fit of both segments ends at exactly the sequential experts
-    for layer, (a, b) in lockstep_experts.items():
-        assert a.tobytes() == ad.a[layer].tobytes()
-        assert b.tobytes() == ad.b[layer].tobytes()
+    (ad, records), (again, records_again) = fit(False), fit(True)
+    assert train.run_summary(records[0]) == train.run_summary(records_again[0])
+    for layer in ad.adapted_layers:
+        assert ad.a[layer][0].tobytes() == again.a[layer][0].tobytes()
+        assert ad.b[layer][0].tobytes() == again.b[layer][0].tobytes()
+        assert not np.array_equal(ad.b[layer][1], again.b[layer][1])
 
 
 # --- checkpoints ---
@@ -542,14 +519,13 @@ def test_adapter_checkpoint_round_trip(tmp_path):
         for e in ad.experts[layer]:
             e.b_mat[:] = rng.normal(size=e.b_mat.shape)
         ad.logits[layer][:] = rng.normal(size=ad.logits[layer].shape)
-    ad.frozen_logits[0] = True
     path = tmp_path / "adapter.json"
     adapt.save_adapter(ad, path)
     loaded = adapt.load_adapter(path)
     assert loaded.plan == ad.plan
     assert loaded.adapted_layers == ad.adapted_layers
     assert loaded.n_experts == ad.n_experts and loaded.rank == ad.rank
-    assert loaded.frozen_logits == ad.frozen_logits
+    assert loaded.routing == ad.routing == "soft"
     assert loaded.foundation_sha256 == ad.foundation_sha256 == adapt.foundation_digest(f)
     for layer in ad.adapted_layers:
         assert np.array_equal(loaded.logits[layer], ad.logits[layer])
@@ -561,10 +537,21 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_one_hot_adapter_checkpoint_round_trip(tmp_path):
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    adapt.freeze_one_hot_routing(ad)
+    path = tmp_path / "adapter.json"
+    adapt.save_adapter(ad, path)
+    assert adapt.adapter_state(ad)["routing"] == "one-hot"
+    loaded = adapt.load_adapter(path)
+    assert loaded.routing == "one-hot"
+    assert adapt.adapter_state(loaded) == adapt.adapter_state(ad)
+
+
 def test_format_2_adapter_is_rejected():
     f, plan, ad = setup_adapter(experts=2, segments=2)
     state = adapt.adapter_state(ad)
-    assert state["format_version"] == 3
+    assert state["format_version"] == 4
     state["format_version"] = 2  # per-expert factor lists
     for entry in state["layers"]:
         entry["experts"] = [{"a": entry.pop("a"), "b": entry.pop("b")}]
@@ -582,7 +569,7 @@ def test_adapter_with_inconsistent_stacks_is_rejected():
 
 
 @pytest.mark.parametrize("key", ["plan", "adapted_layers", "n_experts", "rank",
-                                 "foundation_sha256", "frozen_logits", "layers"])
+                                 "foundation_sha256", "routing", "layers"])
 def test_adapter_with_missing_key_is_rejected(key):
     f, plan, ad = setup_adapter(experts=2, segments=2)
     state = adapt.adapter_state(ad)
@@ -594,7 +581,7 @@ def test_adapter_with_missing_key_is_rejected(key):
 @pytest.mark.parametrize("where, key, value", [
     ((), "rank", None),
     ((), "n_experts", "2"),
-    ((), "frozen_logits", 3),
+    ((), "routing", 3),
     ((), "layers", 5),
     ((), "adapted_layers", 5),
     ((), "foundation_sha256", 7),
@@ -614,8 +601,8 @@ def test_adapter_with_wrong_json_types_is_rejected(where, key, value):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("frozen_logits", [False]),
-    ("frozen_logits", [0, 1]),
+    ("routing", "diag"),
+    ("routing", "one-hot"),  # over soft logits
     ("adapted_layers", ["enc0.w", "enc1.w", "enc2.w"]),
     ("adapted_layers", ["enc1.w", "enc0.w"]),
 ])

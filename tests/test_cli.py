@@ -417,7 +417,7 @@ def test_version_1_adapter_is_rejected(ws, capsys):
         assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
     path = rd / "checkpoints" / "adapter.json"
     state = json.loads(path.read_text())
-    assert state["format_version"] == 3
+    assert state["format_version"] == 4
     state["format_version"] = 1
     del state["foundation_sha256"]
     path.write_text(json.dumps(state))
@@ -432,7 +432,7 @@ def test_malformed_adapter_exits_1_naming_the_field(ws, capsys):
         assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
     path = rd / "checkpoints" / "adapter.json"
     good = json.loads(path.read_text())
-    for field, value in (("rank", None), ("frozen_logits", [False]),
+    for field, value in (("rank", None), ("routing", "diag"),
                          ("adapted_layers", ["enc0.w", "enc1.w"])):
         state = dict(good)
         if value is None:
@@ -443,6 +443,45 @@ def test_malformed_adapter_exits_1_naming_the_field(ws, capsys):
         capsys.readouterr()
         assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1, field
         assert field in capsys.readouterr().err
+
+
+def test_adapt_writes_the_routing(ws):
+    # soft by default, one-hot when paradigm.routing says so
+    for routing, paradigm in (("soft", {}), ("one-hot", {"routing": "one-hot", "experts": 4})):
+        cfg = write_ini(ws / f"{routing}.ini", **base_sections(paradigm=paradigm))
+        rd = ws / routing
+        for argv in (["pretrain"], ["adapt"]):
+            assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+        state = json.loads((rd / "checkpoints" / "adapter.json").read_text())
+        assert state["routing"] == routing and "frozen_logits" not in state
+
+
+def test_eval_refuses_an_adapter_whose_routing_does_not_hold(ws, capsys):
+    # an unknown routing, one-hot over soft logits (4 experts for 4
+    # segments), one-hot with 2 experts for 4 segments, and format 3
+    runs = {}
+    for experts in (4, 2):
+        cfg = write_ini(ws / f"e{experts}.ini", **base_sections(paradigm={"experts": experts}))
+        rd = ws / f"e{experts}"
+        for argv in (["pretrain"], ["adapt"]):
+            assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+        runs[experts] = cfg, rd
+    for experts, change, want in (
+        (4, {"routing": "diag"}, "routing"),
+        (4, {"routing": "one-hot"}, "routing"),
+        (2, {"routing": "one-hot"}, "routing"),
+        (4, {"format_version": 3, "frozen_logits": [True] * 4}, "format version 3"),
+    ):
+        cfg, rd = runs[experts]
+        path = rd / "checkpoints" / "adapter.json"
+        good = path.read_text()
+        path.write_text(json.dumps({**json.loads(good), **change}))
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1, change
+        err = capsys.readouterr().err
+        assert "adapter.json" in err and want in err, (change, err)
+        path.write_text(good)
+        assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 0
 
 
 def test_eval_refuses_adapter_layers_the_foundation_lacks(ws, capsys):

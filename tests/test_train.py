@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -204,12 +203,50 @@ def test_pretrain_reduces_val_loss_and_freezes():
 
 
 def test_untrained_stage_says_so():
+    # at lr 1 both epochs are worse than the initialisation (val losses
+    # about 31 and 77 against 0.69), but not by DIVERGENCE_FACTOR
     ds = sine_dataset(n_points=80)
     with pytest.warns(RuntimeWarning, match=r"pretrain: no epoch improved .* loss \d"):
-        m, rec = train.pretrain(ds, LIN8, 2, small_config(learning_rate=1e3))
+        m, rec = train.pretrain(ds, LIN8, 2, small_config(learning_rate=1.0))
     assert rec.best_epoch == 0
     assert rec.stop_reason == "no_improvement"
+    assert len(rec.epochs) == 2
     assert min(e.val_loss for e in rec.epochs) > rec.initial_val
+    assert max(e.val_loss for e in rec.epochs) < train.DIVERGENCE_FACTOR * rec.initial_val
+
+
+def test_diverged_stage_says_so():
+    # at lr 1e3 the first epoch's val loss is about 6e13 against an
+    # untrained 0.69: the stage stops there and keeps its initialisation
+    ds = sine_dataset(n_points=80)
+    init = model.new_model(LIN8, head_out=2, seed=0)
+    with pytest.warns(RuntimeWarning, match=r"pretrain: diverged at epoch 1") as caught:
+        m, rec = train.pretrain(ds, LIN8, 2, small_config(learning_rate=1e3, max_epochs=4))
+    assert not any("no epoch improved" in str(w.message) for w in caught)
+    assert rec.stop_reason == "diverged"
+    assert rec.best_epoch == 0 and len(rec.epochs) == 1
+    assert rec.epochs[0].val_loss > train.DIVERGENCE_FACTOR * rec.initial_val
+    for name, arr in init.params.items():
+        assert np.array_equal(m.params[name], arr)
+
+
+def test_a_diverged_lockstep_segment_leaves_the_fit():
+    # two stages share one step; stage "b" reports a non-finite val loss at
+    # epoch 2 and stops there, while "a" runs its full budget
+    windows = data.windows(sine_dataset(n_points=80), 8, 2, "train")
+    params = {"w": np.zeros(2)}
+    vals = {"a": iter([1.0, 0.9, 0.8, 0.7]), "b": iter([1.0, 0.5, float("nan")])}
+    stages = [train.Stage(name, i, lambda name=name: next(vals[name]), {"w": params["w"][i:i + 1]})
+              for i, name in enumerate("ab")]
+
+    def loss_grads(batch):
+        return np.zeros(2), {"w": np.ones(2)}
+
+    cfg = small_config(max_epochs=3, patience=3)
+    with pytest.warns(RuntimeWarning, match="b: diverged at epoch 2"):
+        rec_a, rec_b = train.fit(stages, windows, loss_grads, cfg, params)
+    assert (rec_a.stop_reason, len(rec_a.epochs)) == ("max_epochs", 3)
+    assert (rec_b.stop_reason, len(rec_b.epochs), rec_b.best_epoch) == ("diverged", 2, 1)
 
 
 def test_pretrain_restores_best_epoch_weights():
@@ -270,8 +307,10 @@ def test_adapt_freezes_logits_and_leaves_foundation_untouched():
     before = {n: arr.copy() for n, arr in foundation.params.items()}
     plan = adapt.make_segment_plan(4, 2, lookback=8)
     adapter = adapt.new_adapter(foundation, plan, n_experts=2, rank=2, seed=1)
+    logits = {name: table.copy() for name, table in adapter.logits.items()}
     adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, small_config())
-    assert adapter.frozen_logits == [True, True]
+    assert adapter.routing == "soft"
+    assert all(not np.array_equal(logits[n], adapter.logits[n]) for n in logits)
     assert [r.stage for r in records] == ["segment-1", "segment-2"]
     for n, arr in before.items():
         assert np.array_equal(arr, foundation.params.get(n))
@@ -298,11 +337,8 @@ def test_adapt_single_segment_and_forecast_identity():
     for routing, experts in (("soft", 2), ("one-hot", 1)):
         adapter = adapt.new_adapter(foundation, plan, n_experts=experts, rank=2, seed=2,
                                     routing=routing)
-        assert (adapt.lockstep(adapter) is not None) == (routing == "one-hot")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds,
-                                                        small_config())
+        assert adapter.routing == routing
+        adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, small_config())
         assert len(records) == 1
         assert all(type(e.train_loss) is float for e in records[0].epochs)
         view = adapt.adapted_model(foundation, adapter, 1)
@@ -394,7 +430,7 @@ def test_one_hot_segments_fit_in_lockstep_as_if_alone(monkeypatch):
     monkeypatch.setattr(adapt, "segment_grads", recording)
     adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
     # one stacked step per batch for all four segments
-    assert steps and all(isinstance(k, adapt.Lockstep) for k in steps)
+    assert steps and all(k is None for k in steps)
     assert len({len(rec.epochs) for rec in records}) > 1
 
     ref = reference_lora.train_all_segments(foundation, ds, 16, 4, rank=2, seed=11, config=cfg)
@@ -427,7 +463,7 @@ def test_soft_segments_still_train_one_after_another(monkeypatch):
     foundation, _ = train.pretrain(ds, LIN8, 2, small_config(max_epochs=1))
     plan = adapt.make_segment_plan(4, 2, lookback=8)
     adapter = adapt.new_adapter(foundation, plan, n_experts=2, rank=2, seed=1)
-    assert adapt.lockstep(adapter) is None
+    assert adapter.routing == "soft"
 
     def stacks():
         return {name: (adapter.a[name].copy(), adapter.b[name].copy())
