@@ -26,6 +26,7 @@ adapted.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -114,8 +115,14 @@ def effective_weight(base: np.ndarray, a: np.ndarray, b: np.ndarray,
         raise ValueError(
             f"expert update is {d_out}x{d_in}, base weight is {base.shape[0]}x{base.shape[1]}"
         )
-    b_cat = (b.swapaxes(-3, -2) * delta[..., None, :, None]).reshape(lead + (d_out, n * rank))
-    return base + b_cat @ a.reshape(lead + (n * rank, d_in))
+    return _effective_weight(base, a, b, delta)
+
+
+def _effective_weight(base, a, b, delta):
+    """effective_weight without its checks, for inputs check_fits passed."""
+    *lead, n, d_out, rank = b.shape
+    b_cat = (b.swapaxes(-3, -2) * delta[..., None, :, None]).reshape(*lead, d_out, n * rank)
+    return base + b_cat @ a.reshape(*lead, n * rank, a.shape[-1])
 
 
 def _encoder_weights(foundation: model.FoundationModel) -> tuple[str, ...]:
@@ -227,15 +234,30 @@ def check_settings(encoder_spec: model.EncoderSpec, horizon: int, segments: int,
     new_adapter(foundation, plan, n_experts, rank, seed=0, routing=routing)
 
 
+def _check_stacks(name: str, logits: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  segments: int, n_experts: int, rank: int) -> None:
+    if (logits.shape != (segments, n_experts) or a.ndim != 3 or b.ndim != 3
+            or a.shape[:2] != (n_experts, rank) or b.shape[::2] != (n_experts, rank)):
+        raise ValueError(
+            f"adapter layer {name!r} has logits {logits.shape}, A {a.shape} and "
+            f"B {b.shape}; expected ({segments}, {n_experts}), "
+            f"({n_experts}, {rank}, d_in) and ({n_experts}, d_out, {rank})"
+        )
+
+
 def check_fits(adapter: MolaAdapter, foundation: model.FoundationModel) -> None:
     """Raise a ValueError naming the first adapted layer that is not one of
-    the foundation's encoder weight matrices, or whose expert stacks do not
-    match that matrix's shape."""
+    the foundation's encoder weight matrices, whose logits and expert stacks
+    disagree with the adapter's shape, or whose stacks do not match that
+    matrix's shape.  These are the checks of effective_weight on the
+    arrays segment_grads builds W_eff from."""
     weights = _encoder_weights(foundation)
     for name in adapter.adapted_layers:
         if name not in weights:
             raise ValueError(f"adapter layer {name!r} is not an encoder weight matrix of the "
                              f"foundation; those are {list(weights)}")
+        _check_stacks(name, adapter.logits[name], adapter.a[name], adapter.b[name],
+                      adapter.plan.segments, adapter.n_experts, adapter.rank)
         d_out, d_in = foundation.params[name].shape
         a, b = adapter.a[name], adapter.b[name]
         if a.shape[2] != d_in or b.shape[1] != d_out:
@@ -270,9 +292,12 @@ def _check_segment(adapter: MolaAdapter, k: int) -> None:
         raise ValueError(f"segment index {k} out of range 1..{adapter.plan.segments}")
 
 
-def mixture_weights(adapter: MolaAdapter, layer: str, k: int) -> np.ndarray:
-    _check_segment(adapter, k)
-    return normalize_weights(adapter.logits[layer][k - 1])
+@functools.lru_cache(maxsize=16)
+def _ones(shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only mixture weights of 1.0, made once per shape."""
+    ones = np.ones(shape)
+    ones.flags.writeable = False
+    return ones
 
 
 def _segment_experts(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
@@ -281,18 +306,18 @@ def _segment_experts(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
     under one-hot routing the slice [k-1:k] at weight 1.0.  With k None
     (one-hot routing only), all K segments at once: the whole stacks with a
     K axis, A (K, 1, r, d_in) and B (K, 1, d_out, r), at weights (K, 1)."""
+    a, b = adapter.a, adapter.b
     if k is None:
         if adapter.routing != "one-hot":
             raise ValueError(f"only one-hot routing steps all segments at once, "
                              f"not {adapter.routing!r}")
-        ones = np.ones((adapter.plan.segments, 1))
-        return {name: (adapter.a[name][:, None], adapter.b[name][:, None], ones)
-                for name in adapter.adapted_layers}
+        ones = _ones((adapter.plan.segments, 1))
+        return {name: (a[name][:, None], b[name][:, None], ones) for name in adapter.adapted_layers}
     _check_segment(adapter, k)
     if adapter.routing == "one-hot":
-        return {name: (adapter.a[name][k - 1 : k], adapter.b[name][k - 1 : k], np.ones(1))
+        return {name: (a[name][k - 1 : k], b[name][k - 1 : k], _ones((1,)))
                 for name in adapter.adapted_layers}
-    return {name: (adapter.a[name], adapter.b[name], mixture_weights(adapter, name, k))
+    return {name: (a[name], b[name], normalize_weights(adapter.logits[name][k - 1]))
             for name in adapter.adapted_layers}
 
 
@@ -333,20 +358,24 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     one slice per segment, W_eff is one (K, d_out, d_in) stack, and the loss
     is the (K,) array of the segments' losses.  Each segment's loss and
     gradients are bitwise those of its own step.
+
+    W_eff is formed without effective_weight's shape checks, which are
+    check_fits' and run once per fit in train.adapt_all_segments.
     """
     experts = _segment_experts(adapter, k)
-    eff = {name: effective_weight(foundation.params[name], a, b, weights)
+    eff = {name: _effective_weight(foundation.params[name], a, b, weights)
            for name, (a, b, weights) in experts.items()}
     loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
     grads: dict[str, np.ndarray] = {}
+    soft = adapter.routing == "soft"
     for name, (a, b, weights) in experts.items():
         g_eff = eff_grads[name][..., None, :, :]
         weight = weights[..., None, None]
         bt_g = b.swapaxes(-1, -2) @ g_eff
         # all K segments' (K, 1, ...) gradients flatten onto the whole stacks
-        grads[f"{name}.a"] = (weight * bt_g).reshape(-1, *a.shape[-2:])
-        grads[f"{name}.b"] = (weight * (g_eff @ a.swapaxes(-1, -2))).reshape(-1, *b.shape[-2:])
-        if adapter.routing == "soft":
+        grads[name + ".a"] = (weight * bt_g).reshape(-1, *a.shape[-2:])
+        grads[name + ".b"] = (weight * (g_eff @ a.swapaxes(-1, -2))).reshape(-1, *b.shape[-2:])
+        if soft:
             d_delta = np.einsum("prd,prd->p", bt_g, a)
             grads[f"{name}.logits.k{k}"] = weights * (d_delta - float(weights @ d_delta))
     return loss, grads
@@ -420,14 +449,8 @@ def adapter_from_state(state: dict) -> MolaAdapter:
         logits[name] = _io.decode_array(entry["logits"])
         a_stacks[name] = _io.decode_array(entry["a"])
         b_stacks[name] = _io.decode_array(entry["b"])
-        a, b = a_stacks[name], b_stacks[name]
-        if (logits[name].shape != (plan.segments, n_experts) or a.ndim != 3 or b.ndim != 3
-                or a.shape[:2] != (n_experts, rank) or b.shape[::2] != (n_experts, rank)):
-            raise ValueError(
-                f"adapter layer {name!r} has logits {logits[name].shape}, A {a.shape} and "
-                f"B {b.shape}; expected ({plan.segments}, {n_experts}), "
-                f"({n_experts}, {rank}, d_in) and ({n_experts}, d_out, {rank})"
-            )
+        _check_stacks(name, logits[name], a_stacks[name], b_stacks[name], plan.segments,
+                      n_experts, rank)
     if adapted_layers != list(logits):
         raise ValueError(f"adapter adapted_layers {adapted_layers} do not match "
                          f"its layers entries {list(logits)}")

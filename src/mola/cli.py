@@ -307,12 +307,14 @@ def _step_rows(metrics: dict, **fixed) -> list[dict]:
 
 
 def _save_stages(rd: Path, cfg_hash: str, checkpoint: str, state: dict, records) -> None:
-    """Write checkpoints/<checkpoint>.json tagged with the config hash and
-    records/<stage>.jsonl for each run record, then print one line per stage."""
+    """Write records/<stage>.jsonl for each run record, then
+    checkpoints/<checkpoint>.json tagged with the config hash, so that no
+    checkpoint is written without its records; print one line per stage."""
+    for rec in records:
+        train.write_run_record(rec, rd / "records" / f"{rec.stage}.jsonl")
     state["config_hash"] = cfg_hash
     _io.write_json(rd / "checkpoints" / f"{checkpoint}.json", state)
     for rec in records:
-        train.write_run_record(rec, rd / "records" / f"{rec.stage}.jsonl")
         print(f"{rec.stage}: best_val={rec.best_val:.6g} stop={rec.stop_reason}")
 
 

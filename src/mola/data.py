@@ -20,6 +20,7 @@ cell-by-cell scan whose errors name the row.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from collections.abc import Sequence
@@ -157,7 +158,8 @@ class Batch(Sequence):
     """The windows ``windows[rows]`` as a sequence of WindowSample, not yet
     copied.  Its blocks are bitwise those of the WindowSet ``windows[rows]``,
     but each is gathered straight from ``windows`` in one copy, reading only
-    the label rows it returns."""
+    the label rows it returns.  A slice of a Batch is the Batch of those
+    rows; its rows were checked with the whole."""
 
     windows: WindowSet
     rows: np.ndarray  # (B,) window indices, 0 <= rows < len(windows)
@@ -173,51 +175,68 @@ class Batch(Sequence):
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def __getitem__(self, i: int) -> WindowSample:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            part = object.__new__(Batch)  # in bounds already: skip the check
+            object.__setattr__(part, "windows", self.windows)
+            object.__setattr__(part, "rows", self.rows[i])
+            return part
         return self.windows[int(self.rows[i])]
 
     def history_block(self, groups: int | None = None) -> np.ndarray:
         """As :meth:`WindowSet.history_block` of ``windows[rows]``."""
         lookback = self.windows.history.shape[1]
-        return self._gather(self.windows.history, 0, np.arange(lookback), groups)
+        return self._gather(self.windows.history, 0, (0,), lookback, groups)
 
     def label_block(self, first=1, last=None) -> np.ndarray:
         """As :meth:`WindowSet.label_block` of ``windows[rows]``."""
         label_len = self.windows.label.shape[1]
         if isinstance(first, (int, np.integer)):
-            steps, groups = np.arange(label_len)[first - 1 : last], None
+            steps = range(label_len)[first - 1 : last]
+            starts, n_rows, groups = (steps.start,), len(steps), None
         else:
-            first, last = np.asarray(first), np.asarray(last)
-            n_rows = int(last[0] - first[0]) + 1
-            if np.any(last - first + 1 != n_rows):
-                raise ValueError(f"label rows {first.tolist()} to {last.tolist()} "
+            first, last = tuple(first), tuple(last)
+            n_rows = last[0] - first[0] + 1
+            if any(b - a + 1 != n_rows for a, b in zip(first, last)):
+                raise ValueError(f"label rows {list(first)} to {list(last)} "
                                  "differ in length between groups")
-            if first.min() < 1 or last.max() > label_len:
-                raise ValueError(f"label rows {first.tolist()} to {last.tolist()} "
+            if min(first) < 1 or max(last) > label_len:
+                raise ValueError(f"label rows {list(first)} to {list(last)} "
                                  f"outside 1..{label_len}")
-            steps, groups = first[:, None] - 1 + np.arange(n_rows), len(first)
-        return self._gather(self.windows.label, self.windows.history.shape[1], steps, groups)
+            starts, groups = tuple(a - 1 for a in first), len(first)
+        return self._gather(self.windows.label, self.windows.history.shape[1], starts, n_rows,
+                            groups)
 
-    def _gather(self, windows: np.ndarray, offset: int, steps: np.ndarray,
+    def _gather(self, windows: np.ndarray, offset: int, starts: tuple[int, ...], n_rows: int,
                 groups: int | None) -> np.ndarray:
-        """Rows ``steps`` of the batch's windows in the (N, W, D) window
-        array ``windows``, which starts at row ``offset`` of each window of
-        the set, as one contiguous (r, B*D) block in one copy: one take of
-        series rows when the set has a series, else one fancy index.  With
-        ``groups`` K the windows are K equal consecutive groups, ``steps`` is
-        (r,) or one (K, r) row per group, and the block is (K, r, B/K*D)."""
+        """Rows starts[k] .. starts[k] + n_rows - 1 of the batch's windows in
+        the (N, W, D) window array ``windows``, which starts at row ``offset``
+        of each window of the set, as one contiguous (r, B*D) block in one
+        copy: one take of series rows when the set has a series, else one
+        fancy index.  With ``groups`` K the windows are K equal consecutive
+        groups, ``starts`` holds one start or one per group, and the block is
+        (K, r, B/K*D)."""
         k = 1 if groups is None else groups
         if k < 1 or len(self) % k:
             raise ValueError(f"{len(self)} windows do not split into {k} equal groups")
-        rows, steps = self.rows.reshape(k, 1, -1), steps.reshape(-1, steps.shape[-1], 1)
+        rows, steps = self.rows.reshape(k, 1, -1), _steps(starts, n_rows)
         series = self.windows.series
         if series is None:
             block = windows[rows, steps]
         else:
             block = series[offset:].take(rows + steps, axis=0)
         # block is (K, r, B/K, D)
-        return block.reshape(*block.shape[0 if groups is not None else 1 : 2],
-                             block.shape[2] * windows.shape[2])
+        width = block.shape[2] * block.shape[3]
+        return block.reshape(k, n_rows, width) if groups else block.reshape(n_rows, width)
+
+
+@functools.lru_cache(maxsize=64)
+def _steps(starts: tuple[int, ...], n_rows: int) -> np.ndarray:
+    """The read-only (len(starts), n_rows, 1) window rows starts[k] + j a
+    block gathers, built once per distinct block shape instead of per batch."""
+    steps = np.add.outer(np.asarray(starts, dtype=np.intp), np.arange(n_rows))[..., None]
+    steps.flags.writeable = False
+    return steps
 
 
 def as_window_set(samples: Sequence[WindowSample]) -> WindowSet:

@@ -132,20 +132,39 @@ class FoundationModel:
         self.frozen = True
 
 
+# (weight, bias) names of encoder layers 0 and 1, spelled once
+_LAYERS = (("enc0.w", "enc0.b"), ("enc1.w", "enc1.b"))
+
+
 def _param_shapes(encoder_spec: EncoderSpec, head_out: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter of a model, in creation order."""
     shapes: dict[str, tuple[int, ...]] = {}
-    for i in range(encoder_spec.n_layers):
+    for i, (w_name, b_name) in enumerate(_LAYERS[: encoder_spec.n_layers]):
         out, fan_in = encoder_spec.layer_shape(i)
-        shapes[f"enc{i}.w"] = (out, fan_in)
-        shapes[f"enc{i}.b"] = (out,)
+        shapes[w_name] = (out, fan_in)
+        shapes[b_name] = (out,)
     shapes["head.w"] = (head_out, encoder_spec.rep_dim)
     shapes["head.b"] = (head_out,)
     return shapes
 
 
+def _packed(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Copies of ``arrays`` as views into one contiguous float64 buffer, in
+    their order, so that an optimizer sees a whole model as one run of
+    memory (see ``train.init_adam``)."""
+    buffer = np.empty(sum(np.size(a) for a in arrays.values()))
+    params, offset = {}, 0
+    for name, array in arrays.items():
+        view = buffer[offset : offset + np.size(array)].reshape(np.shape(array))
+        view[...] = array
+        params[name] = view
+        offset += view.size
+    return params
+
+
 def new_model(encoder_spec: EncoderSpec, head_out: int, seed: int) -> FoundationModel:
-    """Seeded init: weights ~ Uniform(+-1/sqrt(fan_in)), biases zero."""
+    """Seeded init: weights ~ Uniform(+-1/sqrt(fan_in)), biases zero; the
+    arrays are views into one buffer."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in _param_shapes(encoder_spec, head_out).items():
@@ -154,7 +173,7 @@ def new_model(encoder_spec: EncoderSpec, head_out: int, seed: int) -> Foundation
             params[name] = rng.uniform(-bound, bound, size=shape)
         else:
             params[name] = np.zeros(shape)
-    return FoundationModel(encoder_spec=encoder_spec, head_out=head_out, params=params)
+    return FoundationModel(encoder_spec=encoder_spec, head_out=head_out, params=_packed(params))
 
 
 def _activate(z: np.ndarray, activation: str, out=None) -> np.ndarray:
@@ -163,17 +182,21 @@ def _activate(z: np.ndarray, activation: str, out=None) -> np.ndarray:
 
 def _activation_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
     # relu subgradient at 0 is taken as 0
-    return z > 0.0 if activation == "relu" else 1.0 - a * a
+    if activation == "relu":
+        return z > 0.0
+    square = a * a
+    return np.subtract(1.0, square, out=square)
 
 
 def _encode_cols(m: FoundationModel, x: np.ndarray, keep_cache: bool, weights=None):
     spec = m.encoder_spec
     weights = m.params if weights is None else weights
+    n_layers = spec.n_layers
     caches = []
-    for i in range(spec.n_layers):
-        z = weights[f"enc{i}.w"] @ x
-        z += weights[f"enc{i}.b"][..., None]
-        activated = i < spec.n_layers - 1
+    for i, (w_name, b_name) in enumerate(_LAYERS[:n_layers]):
+        z = weights[w_name] @ x
+        z += weights[b_name][..., None]
+        activated = i < n_layers - 1
         if activated:
             # without a cache nothing reads z again, so it is activated in place
             a = _activate(z, spec.activation, out=None if keep_cache else z)
@@ -286,11 +309,13 @@ def loss_and_grads(
     gradient is K per-group gradients, each bitwise what the group alone
     would give.
     """
-    overrides = overrides or {}
-    unknown = set(overrides) - set(m.params)
-    if unknown:
-        raise ValueError(f"overrides name unknown parameters {sorted(unknown)}")
-    weights = {**m.params, **overrides}
+    if overrides:
+        unknown = overrides.keys() - m.params.keys()
+        if unknown:
+            raise ValueError(f"overrides name unknown parameters {sorted(unknown)}")
+        weights = {**m.params, **overrides}
+    else:
+        overrides, weights = {}, m.params
     trained = overrides if m.frozen else weights
     x, y = _stack_batch(m, batch, target_slice)
     rep, caches = _encode_cols(m, x, keep_cache=True, weights=weights)
@@ -307,18 +332,19 @@ def loss_and_grads(
     if "head.w" in trained:
         grads["head.w"] = d_out @ rep.swapaxes(-1, -2)
     if "head.b" in trained:
-        grads["head.b"] = d_out.sum(axis=-1)
+        grads["head.b"] = np.add.reduce(d_out, axis=-1)
     d_x = head_w.swapaxes(-1, -2) @ d_out
-    spec = m.encoder_spec
-    for i in reversed(range(spec.n_layers)):
+    activation = m.encoder_spec.activation
+    for i in reversed(range(len(caches))):
         x_in, z, a, activated = caches[i]
-        d_z = d_x * _activation_grad(z, a, spec.activation) if activated else d_x
-        if f"enc{i}.w" in trained:
-            grads[f"enc{i}.w"] = d_z @ x_in.swapaxes(-1, -2)
-        if f"enc{i}.b" in trained:
-            grads[f"enc{i}.b"] = d_z.sum(axis=-1)
+        w_name, b_name = _LAYERS[i]
+        d_z = d_x * _activation_grad(z, a, activation) if activated else d_x
+        if w_name in trained:
+            grads[w_name] = d_z @ x_in.swapaxes(-1, -2)
+        if b_name in trained:
+            grads[b_name] = np.add.reduce(d_z, axis=-1)
         if i > 0:
-            d_x = weights[f"enc{i}.w"].swapaxes(-1, -2) @ d_z
+            d_x = weights[w_name].swapaxes(-1, -2) @ d_z
     return (float(loss) if loss.ndim == 0 else loss), grads
 
 
@@ -370,7 +396,7 @@ def model_from_state(state: dict) -> FoundationModel:
     if len(params) != len(entries):
         raise ValueError("model checkpoint names a parameter twice")
     return FoundationModel(encoder_spec=EncoderSpec.from_dict(state["encoder_spec"]),
-                           head_out=head_out, params=params, frozen=frozen)
+                           head_out=head_out, params=_packed(params), frozen=frozen)
 
 
 def save_checkpoint(m: FoundationModel, path) -> None:

@@ -50,14 +50,45 @@ class TrainConfig:
 class AdamState:
     """Adam moments of a fixed set of named tensors, kept as two flat
     vectors.  ``m[name]`` and ``v[name]`` are shaped views into them, and
-    ``spans[name]`` is the (start, stop) of that tensor in the flat layout."""
+    ``spans[name]`` is the (start, stop) of that tensor in the flat layout.
 
+    ``runs`` pairs each run of registered arrays that lie back to back in
+    one buffer (a whole packed model is one run) with its slice of the flat
+    ``step`` buffer, both as views made once; ``grad`` is the flat gradient
+    buffer.  ``params`` is the dict the state was made for."""
+
+    params: dict[str, np.ndarray]
     spans: dict[str, tuple[int, int]]
     flat_m: np.ndarray
     flat_v: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    grad: np.ndarray
+    step: np.ndarray
+    runs: list[tuple[np.ndarray, np.ndarray]]
     t: int = 0
+
+
+def _memory_runs(params: dict[str, np.ndarray]) -> list[tuple[np.ndarray, int]]:
+    """(view, size) of each run of consecutive ``params`` that lie back to
+    back in one C-contiguous float64 buffer: the array itself for a run of
+    one, else a flat view of the run's memory."""
+    runs: list[list] = []  # [first array, buffer or None, start, size]
+    for p in params.values():
+        root = p
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        if not (p.flags.c_contiguous and root.flags.c_contiguous
+                and p.dtype == root.dtype == np.float64):
+            runs.append([p, None, 0, p.size])  # joins no run
+            continue
+        start = (p.__array_interface__["data"][0] - root.__array_interface__["data"][0]) // 8
+        if runs and runs[-1][1] is root and runs[-1][2] + runs[-1][3] == start:
+            runs[-1][3] += p.size
+        else:
+            runs.append([p, root, start, p.size])
+    return [(p if size == p.size else root.reshape(-1)[start : start + size], size)
+            for p, root, start, size in runs]
 
 
 def init_adam(params: dict[str, np.ndarray]) -> AdamState:
@@ -65,23 +96,34 @@ def init_adam(params: dict[str, np.ndarray]) -> AdamState:
     for name, p in params.items():
         spans[name] = (offset, offset + p.size)
         offset += p.size
-    state = AdamState(spans=spans, flat_m=np.zeros(offset), flat_v=np.zeros(offset), m={}, v={})
+    state = AdamState(params=params, spans=spans, flat_m=np.zeros(offset),
+                      flat_v=np.zeros(offset), m={}, v={}, grad=np.empty(offset),
+                      step=np.empty(offset), runs=[])
     for name, (a, b) in spans.items():
         state.m[name] = state.flat_m[a:b].reshape(params[name].shape)
         state.v[name] = state.flat_v[a:b].reshape(params[name].shape)
+    offset = 0
+    for view, size in _memory_runs(params):
+        state.runs.append((view, state.step[offset : offset + size].reshape(view.shape)))
+        offset += size
     return state
 
 
 def adam_step(params, grads, state: AdamState, lr: float, adam=(0.9, 0.999, 1e-8)) -> None:
     """In-place Adam update with bias correction, one vectorised update over
-    all registered tensors.  Gradient entries whose name was not registered
-    at init time are ignored: that is the frozen mask contract, untracked
-    parameters never move.  Every registered name needs a gradient."""
-    missing = [name for name in state.spans if name not in grads]
-    if missing:
+    all registered tensors and one subtraction per run of them in memory.
+    ``params`` must be the dict given to init_adam.  Gradient entries whose
+    name was not registered at init time are ignored: that is the frozen
+    mask contract, untracked parameters never move.  Every registered name
+    needs a gradient."""
+    if params is not state.params:
+        raise ValueError("adam_step needs the params dict its state was made for")
+    if not grads.keys() >= state.spans.keys():
+        missing = [name for name in state.spans if name not in grads]
         raise ValueError(f"no gradient for registered parameters {missing}")
     b1, b2, eps = adam
-    g = np.concatenate([grads[name].ravel() for name in state.spans])
+    g, step = state.grad, state.step
+    np.concatenate([grads[name].ravel() for name in state.spans], out=g)
     state.t += 1
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
@@ -90,20 +132,19 @@ def adam_step(params, grads, state: AdamState, lr: float, adam=(0.9, 0.999, 1e-8
     # lr * (m / c1) / (sqrt(v / c2) + eps) is formed as written, so the
     # result is the textbook update bit for bit
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=step)
     v *= b2
     g *= g
     g *= 1.0 - b2
     v += g
-    step = m / c1
+    np.divide(m, c1, out=step)
     step *= lr
-    den = v / c2
+    den = np.divide(v, c2, out=g)
     np.sqrt(den, out=den)
     den += eps
     step /= den
-    for name, (a, b) in state.spans.items():
-        p = params[name]
-        p -= step[a:b].reshape(p.shape)
+    for run, run_step in state.runs:
+        run -= run_step
 
 
 # --- early stopping ---
@@ -163,14 +204,22 @@ class RunRecord:
     drift: dict | None = None  # adaptation segments: val MSE at freeze vs final adapter
 
 
+def _json_loss(loss: float) -> float | None:
+    """An epoch's loss as JSON: a non-finite one, as a diverged epoch has,
+    is null, since JSON has no NaN or infinity."""
+    return loss if np.isfinite(loss) else None
+
+
 def run_summary(record: RunRecord) -> dict:
     """Summary dict for reports.  Deliberately excludes wall time so that
-    fixed-seed reruns serialize byte-identically."""
+    fixed-seed reruns serialize byte-identically.  Non-finite epoch losses
+    are null."""
     return {
         "stage": record.stage,
         "initial_val_loss": record.initial_val,
         "epochs": [
-            {"epoch": e.epoch, "train_loss": e.train_loss, "val_loss": e.val_loss}
+            {"epoch": e.epoch, "train_loss": _json_loss(e.train_loss),
+             "val_loss": _json_loss(e.val_loss)}
             for e in record.epochs
         ],
         "best_epoch": record.best_epoch,
@@ -184,14 +233,13 @@ def run_summary(record: RunRecord) -> dict:
 def write_run_record(record: RunRecord, path) -> None:
     """Line-delimited JSON: epoch 0 is the untrained validation loss, one
     line per trained epoch, final line carries the summary plus wall time.
-    A non-finite loss raises ValueError and nothing is written."""
+    A non-finite epoch loss is written as null; any other non-finite value
+    (the untrained or best validation loss) raises ValueError and nothing
+    is written."""
+    summary = run_summary(record)
     lines = [{"stage": record.stage, "epoch": 0, "val_loss": record.initial_val}]
-    lines += [
-        {"stage": record.stage, "epoch": e.epoch,
-         "train_loss": e.train_loss, "val_loss": e.val_loss}
-        for e in record.epochs
-    ]
-    lines.append({"summary": run_summary(record), "wall_time_s": record.wall_time_s})
+    lines += [{"stage": record.stage, **epoch} for epoch in summary["epochs"]]
+    lines.append({"summary": summary, "wall_time_s": record.wall_time_s})
     try:
         text = "".join(_io.canonical_dumps(line) for line in lines)
     except ValueError as e:
@@ -247,14 +295,21 @@ def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
         stopper.update(0, record.initial_val)
     best = [{k: v.copy() for k, v in s.params.items()} for s in stages]
     active = list(range(len(stages)))
+    k, size = len(stages), config.batch_size
+    whole = n - n % size  # windows in full batches
     for epoch in range(1, config.max_epochs + 1):
         perms = np.stack([rng.permutation(n) for rng in rngs])
-        totals = np.zeros(len(stages))
-        for i in range(0, n, config.batch_size):
-            rows = perms[:, i : i + config.batch_size]
-            loss, grads = loss_grads_fn(data.Batch(train_windows, rows.ravel()))
+        # every step's K batches one after another, in step order, checked
+        # as one Batch; step i's rows are then one slice of it
+        order = np.concatenate([perms[:, :whole].reshape(k, -1, size).swapaxes(0, 1).ravel(),
+                                perms[:, whole:].ravel()])
+        epoch_batch = data.Batch(train_windows, order)
+        totals = np.zeros(k)
+        for i in range(0, n, size):
+            stop = min(i + size, n)
+            loss, grads = loss_grads_fn(epoch_batch[k * i : k * stop])
             adam_step(params, grads, state, config.learning_rate, config.adam)
-            totals += loss * rows.shape[1]
+            totals += loss * (stop - i)
         for j in list(active):
             val = float(stages[j].val_fn())
             records[j].epochs.append(
@@ -389,6 +444,7 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
     records: list[RunRecord] = []
     for group, step, targets in groups:
         t0 = perf_counter()
+        adapt.check_fits(adapter, foundation)
         group_records = fit(
             [stage(k) for k in group], train_w,
             lambda batch: adapt.segment_grads(foundation, adapter, step, batch, targets),

@@ -279,7 +279,7 @@ def test_one_hot_routing_requires_matching_counts():
     assert ad2.routing == "one-hot"
     for layer in ad2.adapted_layers:
         for k in (1, 2):
-            delta = adapt.mixture_weights(ad2, layer, k)
+            delta = adapt.normalize_weights(ad2.logits[layer][k - 1])
             want = np.zeros(2)
             want[k - 1] = 1.0
             assert np.array_equal(delta, want)
@@ -348,7 +348,8 @@ def test_soft_routing_logit_gradient_is_inner_product_with_expert_update():
     k = 1
     sl = plan.boundaries[k - 1]
     _, grads = adapt.segment_grads(f, ad, k, batch, sl)
-    deltas = {layer: adapt.mixture_weights(ad, layer, k) for layer in ad.adapted_layers}
+    deltas = {layer: adapt.normalize_weights(ad.logits[layer][k - 1])
+              for layer in ad.adapted_layers}
     eff = {
         layer: adapt.effective_weight(f.params.get(layer), ad.a[layer], ad.b[layer], delta)
         for layer, delta in deltas.items()
@@ -423,7 +424,8 @@ def test_soft_routing_still_produces_logit_gradients():
 def reference_segment_grads(f, ad, k, batch, sl):
     """Scalar per-expert loop over every expert with a trained weight: loss
     and gradients keyed (layer, p, part), plus the logit gradient."""
-    deltas = {layer: adapt.mixture_weights(ad, layer, k) for layer in ad.adapted_layers}
+    deltas = {layer: adapt.normalize_weights(ad.logits[layer][k - 1])
+              for layer in ad.adapted_layers}
     eff = {layer: reference_effective_weight(f.params.get(layer), ad.a[layer], ad.b[layer], d)
            for layer, d in deltas.items()}
     loss, eff_grads = model.loss_and_grads(f, batch, sl, overrides=eff)
@@ -459,7 +461,7 @@ def test_stacked_weights_and_grads_match_per_expert_loop(routing):
         view = adapt.adapted_model(f, ad, k)
         for layer in ad.adapted_layers:
             want = reference_effective_weight(f.params.get(layer), ad.a[layer], ad.b[layer],
-                                              adapt.mixture_weights(ad, layer, k))
+                                              adapt.normalize_weights(ad.logits[layer][k - 1]))
             if routing == "one-hot":  # one expert of weight 1: W + B_k A_k exactly
                 assert np.array_equal(view.params.get(layer), want)
             assert close(view.params.get(layer), want), (k, layer)

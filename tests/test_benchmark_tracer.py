@@ -8,7 +8,7 @@ so the tracer module is loaded from its file.
 import importlib.util
 from pathlib import Path
 
-from mola import data, model, train
+from mola import adapt, data, model, train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +55,38 @@ def test_loss_and_grads_spans_count_the_columns_of_their_batch():
     cols = [tracer.work[i] for i, span in enumerate(tracer.spans) if span[0] == name_id]
     assert n_train % 8 != 0  # the last, shorter batch is counted too
     assert cols == [min(8, n_train - i) * ds.d_channels for i in range(0, n_train, 8)]
+
+
+def test_every_training_step_goes_through_the_traced_functions():
+    # perfbench's per-layer table counts model.loss_and_grads,
+    # adapt.segment_grads and train.adam_step spans; a step that bypassed
+    # one of them would leave that table silently wrong
+    tracing = _load_tracing()
+    ds = data.standardize(data.generate_synthetic(data.default_synth_spec(n_points=200)))
+    spec = model.EncoderSpec(kind="mlp2", in_len=6, hidden=(6, 4), activation="tanh")
+    config = train.TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=2, patience=2)
+    plan = adapt.make_segment_plan(8, 4, lookback=6)
+    steps_per_epoch = {h: -(-len(data.windows(ds, 6, h, "train")) // 16) for h in (2, 8)}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        foundation, pre = train.pretrain(ds, spec, 2, config)
+        soft = adapt.new_adapter(foundation, plan, n_experts=2, rank=2, seed=0)
+        _, soft_records = train.adapt_all_segments(foundation, plan, soft, ds, config)
+        one_hot = adapt.new_adapter(foundation, plan, n_experts=4, rank=2, seed=0,
+                                    routing="one-hot")
+        _, one_hot_records = train.adapt_all_segments(foundation, plan, one_hot, ds, config)
+    finally:
+        tracer.uninstall()
+    pretrain_steps = len(pre.epochs) * steps_per_epoch[2]
+    # soft segments fit one after another, one-hot ones in one lockstep fit
+    adapt_steps = (sum(len(r.epochs) for r in soft_records)
+                   + max(len(r.epochs) for r in one_hot_records)) * steps_per_epoch[8]
+    names = [tracer.names[span[0]] for span in tracer.spans]
+    assert names.count("model.loss_and_grads") == pretrain_steps + adapt_steps
+    assert names.count("adapt.segment_grads") == adapt_steps
+    assert names.count("train.adam_step") == pretrain_steps + adapt_steps
+    for span in tracer.spans:  # an adaptation step's loss runs inside its segment_grads
+        if tracer.names[span[0]] == "model.loss_and_grads" and span[3] >= 0:
+            parent = tracer.names[tracer.spans[span[3]][0]]
+            assert parent in ("train.pretrain", "adapt.segment_grads")

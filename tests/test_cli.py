@@ -143,6 +143,26 @@ def test_pretrain_rerun_summary_is_byte_identical(ws):
     assert (rd / "reports" / "pretrain_summary.json").read_bytes() == first
 
 
+def test_diverged_pretrain_records_its_nan_epoch_as_null(ws):
+    # a stage whose val loss turns NaN still writes its record, and no file
+    # of the run holds the NaN or an Infinity
+    cfg = write_ini(ws / "cfg.ini", **base_sections(train={"learning_rate": 1e300}))
+    rd = ws / "run"
+    with pytest.warns(RuntimeWarning, match="pretrain: diverged at epoch 1"):
+        assert cli.main(["pretrain", "--config", cfg, "--run-dir", str(rd)]) == 0
+    lines = [json.loads(line)
+             for line in (rd / "records" / "pretrain.jsonl").read_text().splitlines()]
+    assert lines[1] == {"stage": "pretrain", "epoch": 1, "train_loss": None, "val_loss": None}
+    assert lines[-1]["summary"]["stop_reason"] == "diverged"
+    assert lines[-1]["summary"]["best_epoch"] == 0
+    assert (rd / "checkpoints" / "foundation.json").exists()
+    files = [p for p in rd.rglob("*") if p.is_file()]
+    assert len(files) >= 4
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert "NaN" not in text and "Infinity" not in text, path
+
+
 def test_fail_if_exists_flag(ws, capsys):
     cfg = write_ini(ws / "cfg.ini", **base_sections())
     rd = ws / "run"

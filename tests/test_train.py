@@ -148,6 +148,84 @@ def test_adam_multi_step_matches_scalar_reference():
     assert abs(w[0] - want) <= 1e-14
 
 
+def test_adam_runs_follow_memory():
+    # a packed model is one run, adapter stacks are one run each, and
+    # arrays of one buffer merge only where they lie back to back
+    m = model.new_model(model.EncoderSpec(kind="mlp2", in_len=6, hidden=(5, 4)), 3, seed=0)
+    buffer = m.params["enc0.w"].base
+    assert all(p.base is buffer for p in m.params.values())
+    state = train.init_adam(m.params)
+    [(run, step)] = state.runs
+    assert run.shape == buffer.shape and np.shares_memory(run, buffer)
+    assert step.shape == buffer.shape and np.shares_memory(step, state.step)
+    adjacent = {name: m.params[name] for name in ("enc0.w", "enc0.b", "enc1.w")}
+    assert len(train.init_adam(adjacent).runs) == 1
+    apart = {name: m.params[name] for name in ("enc0.w", "enc1.w", "head.b")}
+    assert [run.shape for run, _ in train.init_adam(apart).runs] == [(5, 6), (4, 5), (3,)]
+    backwards = {name: m.params[name] for name in ("enc0.b", "enc0.w")}
+    assert len(train.init_adam(backwards).runs) == 2
+    m.freeze()
+    plan = adapt.make_segment_plan(6, 2, lookback=6)
+    for routing, k in (("soft", 1), ("one-hot", None)):
+        ad = adapt.new_adapter(m, plan, n_experts=2, rank=2, seed=0, routing=routing)
+        params = adapt.adaptation_params(ad, k)
+        runs = train.init_adam(params).runs
+        assert [run is p for (run, _), p in zip(runs, params.values())] == [True] * len(params)
+
+
+def test_adam_step_refuses_another_params_dict():
+    params = {"w": np.ones(2)}
+    state = train.init_adam(params)
+    with pytest.raises(ValueError, match="params dict"):
+        train.adam_step(dict(params), {"w": np.ones(2)}, state, lr=0.1)
+    assert state.t == 0
+
+
+def separate_storage(m):
+    """m with each array in a buffer of its own."""
+    return model.FoundationModel(m.encoder_spec, m.head_out,
+                                 {name: p.copy() for name, p in m.params.items()}, m.frozen)
+
+
+def test_packed_storage_trains_bitwise_as_separate_arrays(monkeypatch):
+    # the one-buffer layout of new_model changes the memory, not a bit of
+    # any result: pretraining and both kinds of adaptation give the same
+    # params and records on a model whose arrays are apart
+    ds = data.standardize(data.generate_synthetic(data.default_synth_spec(n_points=300, seed=3)))
+    spec = model.EncoderSpec(kind="mlp2", in_len=8, hidden=(8, 5), activation="tanh")
+    cfg = small_config(learning_rate=1e-2, max_epochs=3, patience=3)
+    real_new_model = model.new_model
+    runs = {}
+
+    def pretrain(separate):
+        if separate:
+            monkeypatch.setattr(model, "new_model",
+                                lambda *a, **kw: separate_storage(real_new_model(*a, **kw)))
+        real_init = train.init_adam
+        monkeypatch.setattr(train, "init_adam",
+                            lambda params: runs.setdefault(separate, real_init(params)))
+        foundation, record = train.pretrain(ds, spec, 4, cfg)
+        monkeypatch.undo()
+        return foundation, train.run_summary(record)
+
+    packed, packed_record = pretrain(False)
+    apart, apart_record = pretrain(True)
+    assert (len(runs[False].runs), len(runs[True].runs)) == (1, 6)
+    assert packed_record == apart_record
+    for name, p in packed.params.items():
+        assert p.tobytes() == apart.params[name].tobytes()
+    apart = separate_storage(packed)
+    plan = adapt.make_segment_plan(16, 4, lookback=8)
+    for routing in ("soft", "one-hot"):
+        results = []
+        for foundation in (packed, apart):
+            adapter = adapt.new_adapter(foundation, plan, n_experts=4, rank=2, seed=5,
+                                        routing=routing)
+            adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
+            results.append((adapt.adapter_state(adapter), [train.run_summary(r) for r in records]))
+        assert results[0] == results[1], routing
+
+
 # --- early stopping on constructed traces ---
 
 
