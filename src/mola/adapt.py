@@ -9,24 +9,26 @@ every encoder weight matrix:
 Each adapted layer stores its P experts as two stacks, ``a[layer]`` of shape
 (P, r, d_in) and ``b[layer]`` of shape (P, d_out, r), next to its (K, P)
 routing logits; ``experts[layer][p]`` gives expert p's factors as views into
-the stacks.  A training step works on whole stacks: W_eff is one product of
-the concatenated factors, and the expert gradients are stacked matmuls, one
-gradient per stack.
+the stacks.  The stacks of all layers are views into one buffer, layer by
+layer A then B, so the arrays one step trains lie back to back and Adam
+updates them as one run of memory.  A training step works on whole stacks:
+W_eff is one product of the concatenated factors, and the expert gradients
+are stacked matmuls, one gradient per stack.
 
 An adapter's ``routing`` says how segments use the experts.  Under soft
 routing segment k uses every expert at softmax(logits[k]) and trains its
 routing row with them; the experts are shared, so segments fit one after
 another.  Under one-hot routing (P == K) segment k uses expert k alone at
 weight 1.0, which is what the softmax of its one-hot row gives, and no row
-trains.  The segments then share nothing but the frozen foundation, and one
-step trains all K at once on the whole stacks with a K axis: their W_eff
-form one (K, d_out, d_in) array.  Biases and the prediction head are never
-adapted.
+trains.  A step then forms W + B_k @ A_k and the expert gradients B_k^T G
+and G A_k^T with no weight at all, since multiplying by 1.0 changes no bit.
+The segments share nothing but the frozen foundation, and one step trains
+all K at once on the whole stacks with a K axis: their W_eff form one
+(K, d_out, d_in) array.  Biases and the prediction head are never adapted.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -208,6 +210,7 @@ def new_adapter(
         ])
         b_stacks[name] = np.zeros((n_experts, d_out, rank))
         logits[name] = np.zeros((plan.segments, n_experts))
+    a_stacks, b_stacks = _packed_stacks(a_stacks, b_stacks)
     adapter = MolaAdapter(
         plan=plan,
         adapted_layers=layers,
@@ -221,6 +224,15 @@ def new_adapter(
     if routing == "one-hot":
         freeze_one_hot_routing(adapter)
     return adapter
+
+
+def _packed_stacks(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
+    """Copies of the A and B stacks as views into one buffer, layer by layer
+    A then B: the order of adaptation_params, so the stacks a one-hot step
+    trains are one run of memory (see train.init_adam)."""
+    packed = model._packed({f"{name}.{part}": stacks[name]
+                            for name in a for part, stacks in (("a", a), ("b", b))})
+    return {name: packed[f"{name}.a"] for name in a}, {name: packed[f"{name}.b"] for name in a}
 
 
 def check_settings(encoder_spec: model.EncoderSpec, horizon: int, segments: int,
@@ -292,33 +304,22 @@ def _check_segment(adapter: MolaAdapter, k: int) -> None:
         raise ValueError(f"segment index {k} out of range 1..{adapter.plan.segments}")
 
 
-@functools.lru_cache(maxsize=16)
-def _ones(shape: tuple[int, ...]) -> np.ndarray:
-    """Read-only mixture weights of 1.0, made once per shape."""
-    ones = np.ones(shape)
-    ones.flags.writeable = False
-    return ones
-
-
-def _segment_experts(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
-    """Per layer, the A and B views and the mixture weights of the experts
-    segment k uses: under soft routing the whole stacks at softmax(logits[k]),
-    under one-hot routing the slice [k-1:k] at weight 1.0.  With k None
-    (one-hot routing only), all K segments at once: the whole stacks with a
-    K axis, A (K, 1, r, d_in) and B (K, 1, d_out, r), at weights (K, 1)."""
+def _segment_stacks(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
+    """Per layer, the A and B views of the experts segment k uses: the whole
+    stacks under soft routing, the slice [k-1:k] under one-hot routing.
+    With k None (one-hot routing only), all K segments at once: the whole
+    stacks, whose expert k is segment k's."""
     a, b = adapter.a, adapter.b
     if k is None:
         if adapter.routing != "one-hot":
             raise ValueError(f"only one-hot routing steps all segments at once, "
                              f"not {adapter.routing!r}")
-        ones = _ones((adapter.plan.segments, 1))
-        return {name: (a[name][:, None], b[name][:, None], ones) for name in adapter.adapted_layers}
-    _check_segment(adapter, k)
-    if adapter.routing == "one-hot":
-        return {name: (a[name][k - 1 : k], b[name][k - 1 : k], _ones((1,)))
-                for name in adapter.adapted_layers}
-    return {name: (a[name], b[name], normalize_weights(adapter.logits[name][k - 1]))
-            for name in adapter.adapted_layers}
+    else:
+        _check_segment(adapter, k)
+        if adapter.routing == "one-hot":
+            return {name: (a[name][k - 1 : k], b[name][k - 1 : k])
+                    for name in adapter.adapted_layers}
+    return {name: (a[name], b[name]) for name in adapter.adapted_layers}
 
 
 def adapted_model(
@@ -328,7 +329,10 @@ def adapted_model(
     arrays; everything else aliases the foundation.  Training goes through
     segment_grads, which passes W_eff as overrides instead."""
     params = dict(foundation.params)
-    for name, (a, b, weights) in _segment_experts(adapter, k).items():
+    for name, (a, b) in _segment_stacks(adapter, k).items():
+        # under one-hot routing expert k alone, at the 1.0 of its softmax row
+        weights = (np.ones(1) if adapter.routing == "one-hot"
+                   else normalize_weights(adapter.logits[name][k - 1]))
         params[name] = effective_weight(foundation.params[name], a, b, weights)
     return model.FoundationModel(encoder_spec=foundation.encoder_spec,
                                  head_out=foundation.head_out, params=params, frozen=True)
@@ -343,15 +347,16 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     like adaptation_params.
 
     Chain rule through W_eff = W + sum_p delta_p B_p A_p with dL/dW_eff = G,
-    over the stacks of the experts the segment uses (see _segment_experts):
+    over the stacks of the experts the segment uses (see _segment_stacks):
 
         dL/dA = delta * B^T G                (P, r, d_in)
         dL/dB = delta * G A^T                (P, d_out, r)
         dL/ddelta_p = <B_p^T G, A_p> = <G, B_p A_p>   (then softmax backward to logits)
 
-    The routing gradient is only formed under soft routing; a zero-weight
-    expert in the stacks gets (signed) zero gradients, so it stays put
-    under Adam.
+    Under soft routing a zero-weight expert in the stacks gets (signed) zero
+    gradients, so it stays put under Adam.  Under one-hot routing the one
+    expert's weight is 1.0, so W_eff is W + B @ A, the gradients are B^T G
+    and G A^T, and no routing gradient is formed.
 
     With k None (one-hot routing), this is one step of all K segments at
     once: the batch is K equal batches in segment order, target_slice holds
@@ -362,22 +367,39 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     W_eff is formed without effective_weight's shape checks, which are
     check_fits' and run once per fit in train.adapt_all_segments.
     """
-    experts = _segment_experts(adapter, k)
-    eff = {name: _effective_weight(foundation.params[name], a, b, weights)
-           for name, (a, b, weights) in experts.items()}
+    stacks = _segment_stacks(adapter, k)
+    if adapter.routing == "one-hot":
+        return _one_hot_grads(foundation, stacks, k is not None, batch, target_slice)
+    weights = {name: normalize_weights(adapter.logits[name][k - 1]) for name in stacks}
+    eff = {name: _effective_weight(foundation.params[name], a, b, weights[name])
+           for name, (a, b) in stacks.items()}
     loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
     grads: dict[str, np.ndarray] = {}
-    soft = adapter.routing == "soft"
-    for name, (a, b, weights) in experts.items():
-        g_eff = eff_grads[name][..., None, :, :]
-        weight = weights[..., None, None]
+    for name, (a, b) in stacks.items():
+        g_eff, delta = eff_grads[name], weights[name]
+        weight = delta[:, None, None]
         bt_g = b.swapaxes(-1, -2) @ g_eff
-        # all K segments' (K, 1, ...) gradients flatten onto the whole stacks
-        grads[name + ".a"] = (weight * bt_g).reshape(-1, *a.shape[-2:])
-        grads[name + ".b"] = (weight * (g_eff @ a.swapaxes(-1, -2))).reshape(-1, *b.shape[-2:])
-        if soft:
-            d_delta = np.einsum("prd,prd->p", bt_g, a)
-            grads[f"{name}.logits.k{k}"] = weights * (d_delta - float(weights @ d_delta))
+        grads[name + ".a"] = weight * bt_g
+        grads[name + ".b"] = weight * (g_eff @ a.swapaxes(-1, -2))
+        d_delta = np.einsum("prd,prd->p", bt_g, a)
+        grads[f"{name}.logits.k{k}"] = delta * (d_delta - float(delta @ d_delta))
+    return loss, grads
+
+
+def _one_hot_grads(foundation, stacks, one_segment: bool, batch, target_slice):
+    """segment_grads under one-hot routing, on stacks of one expert per
+    segment: (1, ...) slices for one segment, whose W_eff and G are one
+    (d_out, d_in) matrix, or the (K, ...) stacks of all K segments."""
+    eff = {}
+    for name, (a, b) in stacks.items():
+        w_eff = foundation.params[name] + b @ a
+        eff[name] = w_eff[0] if one_segment else w_eff
+    loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
+    grads: dict[str, np.ndarray] = {}
+    for name, (a, b) in stacks.items():
+        g_eff = eff_grads[name]
+        grads[name + ".a"] = b.swapaxes(-1, -2) @ g_eff
+        grads[name + ".b"] = g_eff @ a.swapaxes(-1, -2)
     return loss, grads
 
 
@@ -388,9 +410,8 @@ def adaptation_params(adapter: MolaAdapter, k: int | None) -> dict[str, np.ndarr
     logits table.  With k None (one-hot routing), the whole stacks of all K
     segments.  In-place optimizer updates land in the adapter."""
     out: dict[str, np.ndarray] = {}
-    for name, (a, b, _) in _segment_experts(adapter, k).items():
-        out[f"{name}.a"] = a.reshape(-1, *a.shape[-2:])
-        out[f"{name}.b"] = b.reshape(-1, *b.shape[-2:])
+    for name, (a, b) in _segment_stacks(adapter, k).items():
+        out[f"{name}.a"], out[f"{name}.b"] = a, b
         if adapter.routing == "soft":
             out[f"{name}.logits.k{k}"] = adapter.logits[name][k - 1]
     return out
@@ -459,6 +480,7 @@ def adapter_from_state(state: dict) -> MolaAdapter:
             if not np.array_equal(table, _one_hot_logits(plan.segments)):
                 raise ValueError(f"adapter routing 'one-hot' does not match the logits of "
                                  f"layer {name!r}, which must pin segment k to expert k")
+    a_stacks, b_stacks = _packed_stacks(a_stacks, b_stacks)
     return MolaAdapter(
         plan=plan,
         adapted_layers=tuple(logits),

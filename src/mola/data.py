@@ -10,7 +10,7 @@ The windows of a split form one :class:`WindowSet`: (N, L, D) histories and
 the run of rows they slide over, so enumerating a split copies nothing.  A
 training batch is a :class:`Batch`, the window indices alone; the model
 gathers its history block and just the label rows it needs straight from
-the WindowSet's rows, one copy per block.
+the WindowSet's rows, both in one take.
 
 CSV files are read once; plain records are parsed by numpy's C reader, and
 anything else (quotes, a wrong field count, a bad or non-finite cell) by a
@@ -152,14 +152,24 @@ class WindowSet(Sequence):
             return np.ascontiguousarray(lab.transpose(1, 0, 2)).reshape(rows, n * d)
         return Batch(self, np.arange(len(self))).label_block(first, last)
 
+    def blocks(self, first=1, last=None) -> tuple[np.ndarray, np.ndarray]:
+        """``history_block(K)`` and ``label_block(first, last)``, with K
+        groups for K-row sequences ``first`` and ``last`` and none for ints
+        (see :meth:`Batch.blocks`)."""
+        if isinstance(first, (int, np.integer)):
+            return self.history_block(), self.label_block(first, last)
+        return Batch(self, np.arange(len(self))).blocks(first, last)
+
 
 @dataclass(frozen=True, eq=False)
 class Batch(Sequence):
     """The windows ``windows[rows]`` as a sequence of WindowSample, not yet
     copied.  Its blocks are bitwise those of the WindowSet ``windows[rows]``,
     but each is gathered straight from ``windows`` in one copy, reading only
-    the label rows it returns.  A slice of a Batch is the Batch of those
-    rows; its rows were checked with the whole."""
+    the label rows it returns, and :meth:`blocks` gathers the history and
+    label blocks of a step together.  ``rows`` must be integers.  A slice of
+    a Batch is the Batch of those rows; its rows were checked with the
+    whole."""
 
     windows: WindowSet
     rows: np.ndarray  # (B,) window indices, 0 <= rows < len(windows)
@@ -167,7 +177,8 @@ class Batch(Sequence):
     def __post_init__(self):
         rows = np.asarray(self.rows)
         # as unsigned, a negative index is huge: one max checks both bounds
-        if rows.ndim != 1 or rows.size and rows.astype(np.uintp).max() >= len(self.windows):
+        if (rows.ndim != 1 or rows.dtype.kind not in "iu"
+                or rows.size and rows.astype(np.uintp).max() >= len(self.windows)):
             raise IndexError(f"batch rows must be a 1-D array of window indices "
                              f"0..{len(self.windows) - 1}")
         object.__setattr__(self, "rows", rows)
@@ -186,57 +197,80 @@ class Batch(Sequence):
     def history_block(self, groups: int | None = None) -> np.ndarray:
         """As :meth:`WindowSet.history_block` of ``windows[rows]``."""
         lookback = self.windows.history.shape[1]
-        return self._gather(self.windows.history, 0, (0,), lookback, groups)
+        return self._gather(self.windows.history, 0, _window_rows(0, (0,), lookback), groups)
 
     def label_block(self, first=1, last=None) -> np.ndarray:
         """As :meth:`WindowSet.label_block` of ``windows[rows]``."""
-        label_len = self.windows.label.shape[1]
+        lookback = self.windows.history.shape[1]
+        starts, n_rows, groups = self._label_rows(first, last)
+        return self._gather(self.windows.label, lookback, _window_rows(0, starts, n_rows), groups)
+
+    def blocks(self, first=1, last=None) -> tuple[np.ndarray, np.ndarray]:
+        """``history_block(K)`` and ``label_block(first, last)``, K being the
+        number of groups ``first`` and ``last`` give (None for one row
+        range).  With a series, both come from one take of the L history
+        rows and then the label rows of every window, split into the two
+        blocks: with K groups they are views of one (K, L + rows, B/K*D)
+        block, each group's rows contiguous.  Without a series, they come
+        from the two fancy indexes of the blocks."""
+        starts, n_rows, groups = self._label_rows(first, last)
+        if self.windows.series is None:
+            return self.history_block(groups), self.label_block(first, last)
+        lookback = self.windows.history.shape[1]
+        block = self._gather(None, 0, _window_rows(lookback, starts, n_rows), groups)
+        return block[..., :lookback, :], block[..., lookback:, :]
+
+    def _label_rows(self, first, last) -> tuple[tuple[int, ...], int, int | None]:
+        """(starts, rows, groups) of label rows first..last (1-based,
+        inclusive): the window row of each group's first label row, counted
+        from the first history row, the rows per group, and the number of
+        groups (None for one int range)."""
+        lookback, label_len = self.windows.history.shape[1], self.windows.label.shape[1]
         if isinstance(first, (int, np.integer)):
             steps = range(label_len)[first - 1 : last]
-            starts, n_rows, groups = (steps.start,), len(steps), None
-        else:
-            first, last = tuple(first), tuple(last)
-            n_rows = last[0] - first[0] + 1
-            if any(b - a + 1 != n_rows for a, b in zip(first, last)):
-                raise ValueError(f"label rows {list(first)} to {list(last)} "
-                                 "differ in length between groups")
-            if min(first) < 1 or max(last) > label_len:
-                raise ValueError(f"label rows {list(first)} to {list(last)} "
-                                 f"outside 1..{label_len}")
-            starts, groups = tuple(a - 1 for a in first), len(first)
-        return self._gather(self.windows.label, self.windows.history.shape[1], starts, n_rows,
-                            groups)
+            return (lookback + steps.start,), len(steps), None
+        first, last = tuple(first), tuple(last)
+        n_rows = last[0] - first[0] + 1
+        if any(b - a + 1 != n_rows for a, b in zip(first, last)):
+            raise ValueError(f"label rows {list(first)} to {list(last)} "
+                             "differ in length between groups")
+        if min(first) < 1 or max(last) > label_len:
+            raise ValueError(f"label rows {list(first)} to {list(last)} "
+                             f"outside 1..{label_len}")
+        return tuple(lookback + a - 1 for a in first), n_rows, len(first)
 
-    def _gather(self, windows: np.ndarray, offset: int, starts: tuple[int, ...], n_rows: int,
+    def _gather(self, windows: np.ndarray | None, shift: int, offsets: np.ndarray,
                 groups: int | None) -> np.ndarray:
-        """Rows starts[k] .. starts[k] + n_rows - 1 of the batch's windows in
-        the (N, W, D) window array ``windows``, which starts at row ``offset``
-        of each window of the set, as one contiguous (r, B*D) block in one
-        copy: one take of series rows when the set has a series, else one
-        fancy index.  With ``groups`` K the windows are K equal consecutive
-        groups, ``starts`` holds one start or one per group, and the block is
-        (K, r, B/K*D)."""
+        """Window rows ``offsets`` (see _window_rows) of the batch's windows
+        as one contiguous (W, B*D) block in one copy: one take of series rows
+        when the set has a series, else one fancy index of the (N, W', D)
+        window array ``windows``, whose row 0 is window row ``shift``.  With
+        ``groups`` K the windows are K equal consecutive groups and the block
+        is (K, W, B/K*D)."""
         k = 1 if groups is None else groups
         if k < 1 or len(self) % k:
             raise ValueError(f"{len(self)} windows do not split into {k} equal groups")
-        rows, steps = self.rows.reshape(k, 1, -1), _steps(starts, n_rows)
+        rows = self.rows.reshape(k, 1, -1)
         series = self.windows.series
         if series is None:
-            block = windows[rows, steps]
+            block = windows[rows, offsets - shift]
         else:
-            block = series[offset:].take(rows + steps, axis=0)
-        # block is (K, r, B/K, D)
-        width = block.shape[2] * block.shape[3]
+            block = series.take(rows + offsets, axis=0)
+        # block is (K, W, B/K, D)
+        n_rows, width = block.shape[1], block.shape[2] * block.shape[3]
         return block.reshape(k, n_rows, width) if groups else block.reshape(n_rows, width)
 
 
 @functools.lru_cache(maxsize=64)
-def _steps(starts: tuple[int, ...], n_rows: int) -> np.ndarray:
-    """The read-only (len(starts), n_rows, 1) window rows starts[k] + j a
-    block gathers, built once per distinct block shape instead of per batch."""
-    steps = np.add.outer(np.asarray(starts, dtype=np.intp), np.arange(n_rows))[..., None]
-    steps.flags.writeable = False
-    return steps
+def _window_rows(lead: int, starts: tuple[int, ...], n_rows: int) -> np.ndarray:
+    """The read-only (len(starts), lead + n_rows, 1) rows a block gathers
+    from each window, counted from its first history row: rows 0..lead-1,
+    then rows starts[k] .. starts[k] + n_rows - 1 for group k.  Built once
+    per distinct block shape instead of per batch."""
+    offsets = np.array([[*range(lead), *range(s, s + n_rows)] for s in starts],
+                       dtype=np.intp).reshape(len(starts), lead + n_rows, 1)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def as_window_set(samples: Sequence[WindowSample]) -> WindowSet:
@@ -321,10 +355,17 @@ def generate_synthetic(spec: SynthSpec, split: tuple[float, float, float] = DEFA
             values += ramp[:, None]
         else:  # ar1
             innov = rng.normal(size=(n, d)) * comp.amplitude
-            series = np.zeros((n, d))
-            series[0] = innov[0] / math.sqrt(1.0 - comp.ar_coeff**2)
-            for i in range(1, n):
-                series[i] = comp.ar_coeff * series[i - 1] + innov[i]
+            first = innov[0] / math.sqrt(1.0 - comp.ar_coeff**2)
+            series = np.empty((n, d))
+            # one channel at a time on Python floats: the same IEEE multiply
+            # and add per step as a numpy row update, without its overhead
+            for c in range(d):
+                x = float(first[c])
+                column = [x]
+                for e in innov[1:, c].tolist():
+                    x = comp.ar_coeff * x + e
+                    column.append(x)
+                series[:, c] = column
             values += series
     if spec.noise_std > 0:
         values += rng.normal(size=(n, d)) * spec.noise_std

@@ -256,10 +256,10 @@ def _check_target(m: FoundationModel, target_slice, label_len: int) -> tuple[int
 
 
 def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice):
-    """The (L, B*D) history and (rows, B*D) label blocks of a batch, each
-    copied once: a data.Batch gathers them straight from its window set,
-    reading only the label rows the target slices select.  With one target
-    slice per group, the batch is K equal groups of windows one after
+    """The (L, B*D) history and (rows, B*D) label blocks of a batch, copied
+    once: a data.Batch gathers both straight from its window set in one
+    take, reading only the label rows the target slices select.  With one
+    target slice per group, the batch is K equal groups of windows one after
     another, and both blocks gain a leading K axis: group k's label rows are
     those of slice k (see ``WindowSet.history_block``)."""
     if len(batch) == 0:
@@ -273,11 +273,11 @@ def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice
     label_len = source.label.shape[1]
     if target_slice is None or isinstance(target_slice[0], (int, np.integer)):
         first, last = _check_target(m, target_slice, label_len)
-        return batch.history_block(), batch.label_block(first, last)
-    if len(target_slice) == 0:
+    elif len(target_slice) == 0:
         raise ValueError("no target slices")
-    first, last = zip(*(_check_target(m, t, label_len) for t in target_slice))
-    return batch.history_block(len(first)), batch.label_block(first, last)
+    else:
+        first, last = zip(*(_check_target(m, t, label_len) for t in target_slice))
+    return batch.blocks(first, last)
 
 
 def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=None) -> float:

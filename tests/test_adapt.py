@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -369,10 +371,10 @@ def test_adaptation_params_cover_experts_and_active_logits():
     params = adapt.adaptation_params(ad, 1)
     assert set(params) == {f"{layer}.{part}" for layer in ad.adapted_layers
                            for part in ("a", "b", "logits.k1")}
-    for layer in ad.adapted_layers:  # the whole stacks, as views
-        assert params[f"{layer}.a"].base is ad.a[layer]
-        assert params[f"{layer}.a"].shape == ad.a[layer].shape
-        assert params[f"{layer}.b"].base is ad.b[layer]
+    for layer in ad.adapted_layers:  # the whole stacks, sharing their memory
+        for part, stack in (("a", ad.a[layer]), ("b", ad.b[layer])):
+            view = params[f"{layer}.{part}"]
+            assert view.shape == stack.shape and np.shares_memory(view, stack)
     assert params["enc0.w.logits.k1"].base is ad.logits["enc0.w"]
     adapt.freeze_one_hot_routing(ad)
     assert "enc0.w.logits.k1" not in adapt.adaptation_params(ad, 1)
@@ -389,8 +391,9 @@ def test_frozen_one_hot_routing_trains_only_the_segment_expert():
         for layer in ad.adapted_layers:  # the basic slice [k-1:k] of each stack
             for part, stack in (("a", ad.a[layer]), ("b", ad.b[layer])):
                 view = params[f"{layer}.{part}"]
-                assert view.base is stack and view.shape == (1, *stack.shape[1:])
+                assert view.shape == (1, *stack.shape[1:])
                 assert np.shares_memory(view, stack[k - 1])
+                assert not np.shares_memory(view, stack[2 - k])
         _, grads = adapt.segment_grads(f, ad, k, batch, plan.boundaries[k - 1])
         assert {name: g.shape for name, g in grads.items()} == {
             name: v.shape for name, v in params.items()}
@@ -400,7 +403,7 @@ def test_frozen_one_hot_routing_trains_only_the_segment_expert():
     for layer in ad.adapted_layers:
         for part, stack in (("a", ad.a[layer]), ("b", ad.b[layer])):
             view = params[f"{layer}.{part}"]
-            assert view.base is stack and view.shape == stack.shape
+            assert view.shape == stack.shape and np.shares_memory(view, stack)
     rows = np.concatenate([np.arange(3)] * plan.segments)
     _, grads = adapt.segment_grads(f, ad, None, data.Batch(batch, rows), plan.boundaries)
     assert {name: g.shape for name, g in grads.items()} == {
@@ -481,6 +484,49 @@ def test_stacked_weights_and_grads_match_per_expert_loop(routing):
                 assert f"{layer}.logits.k{k}" not in grads
 
 
+def weight_one_grads(f, ad, k, batch, sl):
+    """One-hot segment_grads as the soft formula forms them, each expert at
+    mixture weight 1.0 multiplied in: on (1, ...) slices for segment k, and
+    for k None on (K, 1, ...) stacks of one expert per segment."""
+    if k is None:
+        stacks = {layer: (ad.a[layer][:, None], ad.b[layer][:, None],
+                          np.ones((ad.plan.segments, 1))) for layer in ad.adapted_layers}
+    else:
+        stacks = {layer: (ad.a[layer][k - 1 : k], ad.b[layer][k - 1 : k], np.ones(1))
+                  for layer in ad.adapted_layers}
+    eff = {layer: adapt.effective_weight(f.params[layer], a, b, w)
+           for layer, (a, b, w) in stacks.items()}
+    loss, eff_grads = model.loss_and_grads(f, batch, sl, overrides=eff)
+    grads = {}
+    for layer, (a, b, w) in stacks.items():
+        g, weight = eff_grads[layer][..., None, :, :], w[..., None, None]
+        grads[f"{layer}.a"] = (weight * (b.swapaxes(-1, -2) @ g)).reshape(-1, *a.shape[-2:])
+        grads[f"{layer}.b"] = (weight * (g @ a.swapaxes(-1, -2))).reshape(-1, *b.shape[-2:])
+    return loss, grads
+
+
+def test_one_hot_segment_grads_are_the_weight_one_formula_bitwise():
+    # one-hot steps form W + B A, B^T G and G A^T without the weight 1.0;
+    # x * 1.0 is exact, so every loss and gradient keeps its bits
+    f, plan, ad = setup_adapter(experts=3, segments=3, head_out=2)
+    adapt.freeze_one_hot_routing(ad)
+    rng = np.random.default_rng(27)
+    for layer in ad.adapted_layers:
+        ad.b[layer][:] = rng.normal(size=ad.b[layer].shape) * 0.3
+    ws = make_batch(f.lookback, plan.horizon, d=2, n=5, seed=28)
+    lockstep = data.Batch(ws, np.concatenate([rng.permutation(len(ws))[:4] for _ in range(3)]))
+    cases = [(k, ws, plan.boundaries[k - 1]) for k in (1, 2, 3)]
+    for k, batch, sl in cases + [(None, lockstep, plan.boundaries)]:
+        loss, grads = adapt.segment_grads(f, ad, k, batch, sl)
+        want_loss, want = weight_one_grads(f, ad, k, batch, sl)
+        assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert g.shape == want[name].shape and g.tobytes() == want[name].tobytes(), (k, name)
+    with pytest.raises(ValueError, match="segment index"):
+        adapt.segment_grads(f, ad, 4, ws, plan.boundaries[0])
+
+
 def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise():
     # under one-hot routing segment 1's fit does not depend on expert 2:
     # re-drawing expert 2 leaves segment 1's expert and record bitwise as
@@ -548,6 +594,30 @@ def test_one_hot_adapter_checkpoint_round_trip(tmp_path):
     loaded = adapt.load_adapter(path)
     assert loaded.routing == "one-hot"
     assert adapt.adapter_state(loaded) == adapt.adapter_state(ad)
+
+
+def test_adapter_stacks_are_views_into_one_buffer():
+    # new_adapter and adapter_from_state lay the stacks out back to back,
+    # layer by layer A then B; expert and adaptation_params views write
+    # into them, and the checkpoint holds the bytes of separate stacks
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    adapt.freeze_one_hot_routing(ad)
+    separate = adapt.adapter_state(dataclasses.replace(
+        ad, a={k: v.copy() for k, v in ad.a.items()}, b={k: v.copy() for k, v in ad.b.items()}))
+    assert _io.canonical_dumps(adapt.adapter_state(ad)) == _io.canonical_dumps(separate)
+    for adapter in (ad, adapt.adapter_from_state(separate)):
+        buffer, offset = adapter.a["enc0.w"].base, 0
+        for layer in adapter.adapted_layers:
+            for stack in (adapter.a[layer], adapter.b[layer]):
+                assert stack.base is buffer and stack.flags.c_contiguous
+                assert np.shares_memory(stack, buffer[offset : offset + stack.size])
+                offset += stack.size
+        assert offset == buffer.size
+    before = ad.a["enc0.w"][0].copy()
+    ad.experts["enc1.w"][1].b_mat[:] = 2.0
+    adapt.adaptation_params(ad, None)["enc0.w.a"][0] += 1.0
+    assert (ad.b["enc1.w"][1] == 2.0).all()
+    assert np.array_equal(ad.a["enc0.w"][0], before + 1.0)
 
 
 def test_format_2_adapter_is_rejected():

@@ -61,6 +61,22 @@ def test_ar1_lag1_autocorrelation():
     assert 0.85 <= rho <= 0.95
 
 
+def test_ar1_component_follows_its_recursion_exactly():
+    # x[0] = e[0] / sqrt(1 - a^2) and x[i] = a * x[i-1] + e[i], each a
+    # multiply then an add in IEEE double, on the draws of the spec's rng
+    spec = data.SynthSpec(
+        n_points=300,
+        d_channels=3,
+        components=(data.SynthComponent(kind="ar1", amplitude=0.3, ar_coeff=0.9),),
+        noise_std=0.0,
+        seed=11,
+    )
+    x = data.generate_synthetic(spec).values
+    innov = np.random.default_rng(11).normal(size=(300, 3)) * 0.3
+    assert np.array_equal(x[0], innov[0] / math.sqrt(1.0 - 0.9**2))
+    assert np.array_equal(x[1:], 0.9 * x[:-1] + innov[1:])
+
+
 def test_trend_component_is_monotone():
     spec = sine_spec(
         components=(data.SynthComponent(kind="trend", amplitude=2.0),), n_points=10
@@ -428,6 +444,36 @@ def test_batch_gathers_the_blocks_of_the_indexed_set():
             data.Batch(ws, np.array(bad))
     with pytest.raises(ValueError, match="empty batch"):
         model._stack_batch(m, data.Batch(ws, idx[:0]), None)
+
+
+def test_batch_blocks_gather_history_and_labels_in_one_take():
+    # blocks(first, last) is history_block(K) and label_block(first, last)
+    # bitwise, for a whole window's labels, one slice and K slices; with a
+    # series both come from one take, without one from two fancy indexes
+    ds = make_ds(n=120, d=3)
+    ws = data.windows(ds, lookback=6, horizon=6, split="train")
+    idx = np.random.default_rng(4).permutation(len(ws))[:12]
+    picked = ws[idx]
+    cases = ((1, None, None), (3, 4, None), ((1, 3, 5), (2, 4, 6), 3))
+    for source in (data.Batch(ws, idx), data.Batch(picked, np.arange(12)), picked):
+        for first, last, groups in cases:
+            x, y = source.blocks(first, last)
+            want_x, want_y = picked.history_block(groups), picked.label_block(first, last)
+            assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
+            assert y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
+    x, y = data.Batch(ws, idx).blocks(3, 4)
+    assert x.base is y.base and x.flags.c_contiguous and y.flags.c_contiguous
+    with pytest.raises(ValueError, match="equal groups"):
+        data.Batch(ws, idx[:11]).blocks((1, 3, 5), (2, 4, 6))
+
+
+def test_batch_refuses_rows_that_are_not_integers():
+    # bools would gather windows 0 and 1, and floats fail only at the take
+    ws = data.windows(make_ds(n=60), lookback=4, horizon=2, split="train")
+    for bad in (np.array([True, False, True]), np.array([1.0, 0.0]), np.array([])):
+        with pytest.raises(IndexError, match="window indices"):
+            data.Batch(ws, bad)
+    assert data.Batch(ws, [2, 0]).rows.tolist() == [2, 0]
 
 
 def test_windows_split_too_short():

@@ -149,8 +149,8 @@ def test_adam_multi_step_matches_scalar_reference():
 
 
 def test_adam_runs_follow_memory():
-    # a packed model is one run, adapter stacks are one run each, and
-    # arrays of one buffer merge only where they lie back to back
+    # a packed model is one run, and arrays of one buffer merge only where
+    # they lie back to back
     m = model.new_model(model.EncoderSpec(kind="mlp2", in_len=6, hidden=(5, 4)), 3, seed=0)
     buffer = m.params["enc0.w"].base
     assert all(p.base is buffer for p in m.params.values())
@@ -166,11 +166,22 @@ def test_adam_runs_follow_memory():
     assert len(train.init_adam(backwards).runs) == 2
     m.freeze()
     plan = adapt.make_segment_plan(6, 2, lookback=6)
-    for routing, k in (("soft", 1), ("one-hot", None)):
-        ad = adapt.new_adapter(m, plan, n_experts=2, rank=2, seed=0, routing=routing)
-        params = adapt.adaptation_params(ad, k)
-        runs = train.init_adam(params).runs
-        assert [run is p for (run, _), p in zip(runs, params.values())] == [True] * len(params)
+    # an adapter's stacks share one buffer, layer by layer A then B: a soft
+    # step's A and B of a layer are one run and its logits row another, and
+    # a one-hot lockstep step's stacks are one run of the whole buffer
+    soft = adapt.new_adapter(m, plan, n_experts=2, rank=2, seed=0)
+    params = adapt.adaptation_params(soft, 1)
+    runs = [run for run, _ in train.init_adam(params).runs]
+    assert [run.size for run in runs] == [
+        size for layer in soft.adapted_layers
+        for size in (soft.a[layer].size + soft.b[layer].size, 2)]
+    for run, layer in zip(runs[::2], soft.adapted_layers):
+        assert np.shares_memory(run, soft.a[layer]) and np.shares_memory(run, soft.b[layer])
+    assert runs[1] is params["enc0.w.logits.k1"]
+    one_hot = adapt.new_adapter(m, plan, n_experts=2, rank=2, seed=0, routing="one-hot")
+    buffer = one_hot.a["enc0.w"].base
+    [(run, _)] = train.init_adam(adapt.adaptation_params(one_hot, None)).runs
+    assert run.shape == buffer.shape and np.shares_memory(run, buffer)
 
 
 def test_adam_step_refuses_another_params_dict():
@@ -214,6 +225,8 @@ def test_packed_storage_trains_bitwise_as_separate_arrays(monkeypatch):
     assert packed_record == apart_record
     for name, p in packed.params.items():
         assert p.tobytes() == apart.params[name].tobytes()
+    # the same for adapters, whose stacks share one buffer: the apart run
+    # trains stacks of their own
     apart = separate_storage(packed)
     plan = adapt.make_segment_plan(16, 4, lookback=8)
     for routing in ("soft", "one-hot"):
@@ -221,6 +234,9 @@ def test_packed_storage_trains_bitwise_as_separate_arrays(monkeypatch):
         for foundation in (packed, apart):
             adapter = adapt.new_adapter(foundation, plan, n_experts=4, rank=2, seed=5,
                                         routing=routing)
+            if foundation is apart:
+                adapter.a = {name: a.copy() for name, a in adapter.a.items()}
+                adapter.b = {name: b.copy() for name, b in adapter.b.items()}
             adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
             results.append((adapt.adapter_state(adapter), [train.run_summary(r) for r in records]))
         assert results[0] == results[1], routing
