@@ -270,7 +270,7 @@ def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
     train_w = data.windows(ds, lookback, horizon, "train")
     val_w = data.windows(ds, lookback, horizon, "val")
     test_w = data.windows(ds, lookback, horizon, "test")
-    n_test, _, d = test_w.history.shape
+    n_test, d = len(test_w), test_w.series.shape[1]
     clouds, seeds, val_losses = [], [], []
     for i, t in enumerate(steps):
         seed = config.seed + i

@@ -25,8 +25,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, _io, adapt, analysis, data, model, train
 
 
@@ -166,6 +164,8 @@ def _validate(cfg: dict, user_set: set[str]) -> None:
                 raise UserError(f"paradigm.{key} only applies to paradigm.kind=mola")
     # build what the commands build, so a bad value fails before the run directory exists
     try:
+        if ds["source"] == "synth":
+            _synth_spec(cfg)
         spec = _encoder_spec(cfg)
         for stage in ("pretrain", "baseline"):
             _train_config(cfg, stage)
@@ -404,14 +404,19 @@ def cmd_train_baseline(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     return 0
 
 
+def _load_mtf(rd: Path, lookback: int, horizon: int) -> model.FoundationModel:
+    """The mtf checkpoint, refused unless it fits dataset.lookback and dataset.horizon."""
+    m = _load_model(_require_checkpoint(rd / "checkpoints" / "mtf.json",
+                                        "run train-baseline first"), lookback)
+    if m.head_out != horizon:
+        raise UserError(f"mtf checkpoint predicts {m.head_out} steps but dataset.horizon={horizon}")
+    return m
+
+
 def _forecaster_from_checkpoints(pk: str, rd: Path, lookback: int, horizon: int):
     cp = rd / "checkpoints"
     if pk == "mtf":
-        m = _load_model(_require_checkpoint(cp / "mtf.json", "run train-baseline first"), lookback)
-        if m.head_out != horizon:
-            raise UserError(
-                f"mtf checkpoint predicts {m.head_out} steps but dataset.horizon={horizon}"
-            )
+        m = _load_mtf(rd, lookback, horizon)
         return lambda h: model.forecast(m, h)
     if pk == "arf":
         m = _load_model(_require_checkpoint(cp / "arf.json", "run train-baseline first"), lookback)
@@ -456,21 +461,15 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     return 0
 
 
-def _forecast_errors(forecast_fn, ds, lookback, horizon, split) -> np.ndarray:
-    """(N, T, D) forecast errors over a split's windows, C-ordered."""
-    wins = data.windows(ds, lookback, horizon, split)
-    return np.subtract(train.forecast_windows(forecast_fn, wins, horizon), wins.label, order="C")
-
-
 def _destandardized_metrics(forecast_fn, ds, lookback, horizon, split):
     # the per-channel mean cancels: a raw error is the standardized one times the std
-    err = _forecast_errors(forecast_fn, ds, lookback, horizon, split)
+    err = train.forecast_errors(forecast_fn, ds, lookback, horizon, split)
     err *= ds.norm_stats.std
     return train.error_metrics(err, split, 1)
 
 
 def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
-    return (_forecast_errors(forecast_fn, ds, lookback, horizon, split) ** 2).mean(axis=2)
+    return (train.forecast_errors(forecast_fn, ds, lookback, horizon, split) ** 2).mean(axis=2)
 
 
 def cmd_params(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
@@ -495,9 +494,7 @@ def cmd_params(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
 
 
 def cmd_bottleneck(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
-    m = model.load_checkpoint(
-        _require_checkpoint(rd / "checkpoints" / "mtf.json", "train the mtf baseline first")
-    )
+    m = _load_mtf(rd, cfg["dataset"]["lookback"], cfg["dataset"]["horizon"])
     rep = analysis.dataset_bottleneck(m, _dataset(cfg), split="test")
     _write_report(rd, "bottleneck.json", cfg_hash, rep)
     print(

@@ -5,12 +5,12 @@ per-channel names, and two split indices (train_end, val_end) marking the
 chronological train/val/test boundaries.  Window enumeration and
 standardization are pure functions that return new objects.
 
-The windows of a split form one :class:`WindowSet`: (N, L, D) histories and
-(N, T, D) labels that are read-only views into the dataset's values, plus
-the run of rows they slide over, so enumerating a split copies nothing.  A
-training batch is a :class:`Batch`, the window indices alone; the model
-gathers its history block and just the label rows it needs straight from
-the WindowSet's rows, both in one take.
+The windows of a split form one :class:`WindowSet`: the read-only run of
+dataset rows they slide over plus the row where each window starts, so
+enumerating a split copies nothing.  Indexing a WindowSet with a slice or
+with window rows (a training batch) picks starts, not rows, and the model
+gathers a batch's history block and just the label rows it needs in one
+take of series rows.
 
 CSV files are read once; plain records are parsed by numpy's C reader, and
 anything else (quotes, a wrong field count, a bad or non-finite cell) by a
@@ -24,7 +24,7 @@ import functools
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -74,6 +74,8 @@ class SynthSpec:
             raise ValueError(f"d_channels must be >= 1, got {self.d_channels}")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "components", tuple(self.components))
 
 
@@ -95,137 +97,96 @@ class WindowSample:
     origin: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class WindowSet(Sequence):
-    """Windows stacked along a leading axis: a sequence of WindowSample.
+    """Windows of one read-only (M, D) ``series``: window i has history rows
+    starts[i] .. starts[i] + L - 1 of it and the T label rows after them.
 
-    An int index gives one WindowSample (views, no copy); a slice or an
-    index array gives a WindowSet.  Windows from :func:`windows` are views
-    into the dataset; a fancy index copies just the selected windows.
-
-    ``series``, set by :func:`windows` alone, is the (N + L + T - 1, D) run
-    of dataset rows the windows slide over: window i has history rows
-    i..i+L-1 and label rows i+L..i+L+T-1 of it.  A :class:`Batch` then
-    gathers a block with one ``take`` of series rows, several times faster
-    than fancy-indexing the (N, W, D) window views.
+    A sequence of WindowSample: an int index gives one window (views, no
+    copy); a slice or a 1-D integer array gives the WindowSet of those
+    windows over the same series, again without a copy.  Every block is one
+    ``take`` of series rows.  Treat a WindowSet as read-only; it is not
+    frozen because a training step makes one, and slots with a plain
+    ``__init__`` make and read it fastest.
     """
 
-    history: np.ndarray  # (N, L, D)
-    label: np.ndarray  # (N, T, D)
+    series: np.ndarray  # (M, D), read-only
+    starts: np.ndarray  # (N,) intp, series row of each window's first history row
     origin: np.ndarray  # (N,) int64
-    series: np.ndarray | None = None  # (N + L + T - 1, D) or None
+    lookback: int
+    horizon: int
 
     def __len__(self) -> int:
-        return self.origin.shape[0]
+        return self.starts.shape[0]
 
     def __getitem__(self, idx):
-        if isinstance(idx, (int, np.integer)):
-            return WindowSample(
-                history=self.history[idx], label=self.label[idx], origin=int(self.origin[idx])
-            )
-        return WindowSet(history=self.history[idx], label=self.label[idx], origin=self.origin[idx])
+        # a slice stays in bounds, so it is not checked: a training epoch
+        # checks its window rows once and then takes a slice per step
+        if not isinstance(idx, slice):
+            if isinstance(idx, (int, np.integer)):
+                s, lookback = int(self.starts[idx]), self.lookback
+                return WindowSample(history=self.series[s : s + lookback],
+                                    label=self.series[s + lookback : s + lookback + self.horizon],
+                                    origin=int(self.origin[idx]))
+            idx = np.asarray(idx)
+            # as unsigned, a negative index is huge: one max checks both bounds
+            if (idx.ndim != 1 or idx.dtype.kind not in "iu"
+                    or idx.size and idx.astype(np.uintp).max() >= len(self)):
+                raise IndexError(f"window rows must be a 1-D array of window indices "
+                                 f"0..{len(self) - 1}")
+        return WindowSet(self.series, self.starts[idx], self.origin[idx], self.lookback,
+                         self.horizon)
 
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]
 
-    def history_block(self, groups: int | None = None) -> np.ndarray:
+    @property
+    def history(self) -> np.ndarray:
+        """(N, L, D) histories: a view when the starts are consecutive, else a copy."""
+        return self._rows(0, self.lookback)
+
+    @property
+    def label(self) -> np.ndarray:
+        """(N, T, D) labels: a view when the starts are consecutive, else a copy."""
+        return self._rows(self.lookback, self.horizon)
+
+    def _rows(self, shift: int, n_rows: int) -> np.ndarray:
+        # sliding_window_view puts the window axis last: (starts, D, n_rows)
+        view = sliding_window_view(self.series[shift:], n_rows, axis=0)
+        s = self.starts
+        if len(s) and (np.diff(s) == 1).all():
+            return view[s[0] : s[-1] + 1].transpose(0, 2, 1)
+        return view[s].transpose(0, 2, 1)
+
+    def history_block(self) -> np.ndarray:
         """Histories as one contiguous (L, N*D) column block; column i*D + c
-        is channel c of window i.  This is the layout every model consumes.
-        With ``groups`` K, the N windows are K equal groups one after another
-        and the block is (K, L, N/K*D), one such block per group."""
-        n, lookback, d = self.history.shape
-        if groups is None:
-            return np.ascontiguousarray(self.history.transpose(1, 0, 2)).reshape(lookback, n * d)
-        return Batch(self, np.arange(n)).history_block(groups)
+        is channel c of window i.  This is the layout every model consumes."""
+        return self._gather(_window_rows(0, (0,), self.lookback), None)
 
-    def label_block(self, first=1, last=None) -> np.ndarray:
+    def label_block(self, first: int = 1, last: int | None = None) -> np.ndarray:
         """Label rows first..last (1-based, inclusive) as a contiguous
-        (rows, N*D) block in the column order of :meth:`history_block`.
-        With ``first`` and ``last`` sequences of K rows, the windows are K
-        groups as in ``history_block(K)``, group k takes rows first[k] to
-        last[k] (equally many in every group), and the block is
-        (K, rows, N/K*D)."""
-        if isinstance(first, (int, np.integer)):
-            lab = self.label[:, first - 1 : last]
-            n, rows, d = lab.shape
-            return np.ascontiguousarray(lab.transpose(1, 0, 2)).reshape(rows, n * d)
-        return Batch(self, np.arange(len(self))).label_block(first, last)
+        (rows, N*D) block in the column order of :meth:`history_block`."""
+        starts, n_rows, _ = self._label_rows(first, last)
+        return self._gather(_window_rows(0, starts, n_rows), None)
 
     def blocks(self, first=1, last=None) -> tuple[np.ndarray, np.ndarray]:
-        """``history_block(K)`` and ``label_block(first, last)``, with K
-        groups for K-row sequences ``first`` and ``last`` and none for ints
-        (see :meth:`Batch.blocks`)."""
-        if isinstance(first, (int, np.integer)):
-            return self.history_block(), self.label_block(first, last)
-        return Batch(self, np.arange(len(self))).blocks(first, last)
-
-
-@dataclass(frozen=True, eq=False)
-class Batch(Sequence):
-    """The windows ``windows[rows]`` as a sequence of WindowSample, not yet
-    copied.  Its blocks are bitwise those of the WindowSet ``windows[rows]``,
-    but each is gathered straight from ``windows`` in one copy, reading only
-    the label rows it returns, and :meth:`blocks` gathers the history and
-    label blocks of a step together.  ``rows`` must be integers.  A slice of
-    a Batch is the Batch of those rows; its rows were checked with the
-    whole."""
-
-    windows: WindowSet
-    rows: np.ndarray  # (B,) window indices, 0 <= rows < len(windows)
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows)
-        # as unsigned, a negative index is huge: one max checks both bounds
-        if (rows.ndim != 1 or rows.dtype.kind not in "iu"
-                or rows.size and rows.astype(np.uintp).max() >= len(self.windows)):
-            raise IndexError(f"batch rows must be a 1-D array of window indices "
-                             f"0..{len(self.windows) - 1}")
-        object.__setattr__(self, "rows", rows)
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            part = object.__new__(Batch)  # in bounds already: skip the check
-            object.__setattr__(part, "windows", self.windows)
-            object.__setattr__(part, "rows", self.rows[i])
-            return part
-        return self.windows[int(self.rows[i])]
-
-    def history_block(self, groups: int | None = None) -> np.ndarray:
-        """As :meth:`WindowSet.history_block` of ``windows[rows]``."""
-        lookback = self.windows.history.shape[1]
-        return self._gather(self.windows.history, 0, _window_rows(0, (0,), lookback), groups)
-
-    def label_block(self, first=1, last=None) -> np.ndarray:
-        """As :meth:`WindowSet.label_block` of ``windows[rows]``."""
-        lookback = self.windows.history.shape[1]
+        """The history block and the block of label rows first..last, both
+        from one take of the L history rows and then the label rows of every
+        window.  With K-row sequences ``first`` and ``last``, the windows are
+        K equal groups one after another, group k takes label rows first[k]
+        to last[k] (equally many in every group), and the blocks are views
+        of one (K, L + rows, N/K*D) block, each group's rows contiguous."""
         starts, n_rows, groups = self._label_rows(first, last)
-        return self._gather(self.windows.label, lookback, _window_rows(0, starts, n_rows), groups)
-
-    def blocks(self, first=1, last=None) -> tuple[np.ndarray, np.ndarray]:
-        """``history_block(K)`` and ``label_block(first, last)``, K being the
-        number of groups ``first`` and ``last`` give (None for one row
-        range).  With a series, both come from one take of the L history
-        rows and then the label rows of every window, split into the two
-        blocks: with K groups they are views of one (K, L + rows, B/K*D)
-        block, each group's rows contiguous.  Without a series, they come
-        from the two fancy indexes of the blocks."""
-        starts, n_rows, groups = self._label_rows(first, last)
-        if self.windows.series is None:
-            return self.history_block(groups), self.label_block(first, last)
-        lookback = self.windows.history.shape[1]
-        block = self._gather(None, 0, _window_rows(lookback, starts, n_rows), groups)
-        return block[..., :lookback, :], block[..., lookback:, :]
+        block = self._gather(_window_rows(self.lookback, starts, n_rows), groups)
+        return block[..., : self.lookback, :], block[..., self.lookback :, :]
 
     def _label_rows(self, first, last) -> tuple[tuple[int, ...], int, int | None]:
         """(starts, rows, groups) of label rows first..last (1-based,
         inclusive): the window row of each group's first label row, counted
         from the first history row, the rows per group, and the number of
         groups (None for one int range)."""
-        lookback, label_len = self.windows.history.shape[1], self.windows.label.shape[1]
+        lookback, label_len = self.lookback, self.horizon
         if isinstance(first, (int, np.integer)):
             steps = range(label_len)[first - 1 : last]
             return (lookback + steps.start,), len(steps), None
@@ -239,24 +200,16 @@ class Batch(Sequence):
                              f"outside 1..{label_len}")
         return tuple(lookback + a - 1 for a in first), n_rows, len(first)
 
-    def _gather(self, windows: np.ndarray | None, shift: int, offsets: np.ndarray,
-                groups: int | None) -> np.ndarray:
-        """Window rows ``offsets`` (see _window_rows) of the batch's windows
-        as one contiguous (W, B*D) block in one copy: one take of series rows
-        when the set has a series, else one fancy index of the (N, W', D)
-        window array ``windows``, whose row 0 is window row ``shift``.  With
-        ``groups`` K the windows are K equal consecutive groups and the block
-        is (K, W, B/K*D)."""
+    def _gather(self, offsets: np.ndarray, groups: int | None) -> np.ndarray:
+        """Window rows ``offsets`` (see _window_rows) of every window as one
+        contiguous (W, N*D) block, in one take of series rows.  With
+        ``groups`` K the windows are K equal consecutive groups and the
+        block is (K, W, N/K*D)."""
         k = 1 if groups is None else groups
         if k < 1 or len(self) % k:
             raise ValueError(f"{len(self)} windows do not split into {k} equal groups")
-        rows = self.rows.reshape(k, 1, -1)
-        series = self.windows.series
-        if series is None:
-            block = windows[rows, offsets - shift]
-        else:
-            block = series.take(rows + offsets, axis=0)
-        # block is (K, W, B/K, D)
+        block = self.series.take(self.starts.reshape(k, 1, -1) + offsets, axis=0)
+        # block is (K, W, N/K, D)
         n_rows, width = block.shape[1], block.shape[2] * block.shape[3]
         return block.reshape(k, n_rows, width) if groups else block.reshape(n_rows, width)
 
@@ -274,14 +227,18 @@ def _window_rows(lead: int, starts: tuple[int, ...], n_rows: int) -> np.ndarray:
 
 
 def as_window_set(samples: Sequence[WindowSample]) -> WindowSet:
-    """A WindowSet as is, or a list of WindowSample stacked into one."""
+    """A WindowSet as is, or a list of WindowSample laid end to end, each
+    sample's history and then its label, as the series of a new one."""
     if isinstance(samples, WindowSet):
         return samples
-    return WindowSet(
-        history=np.stack([w.history for w in samples]),
-        label=np.stack([w.label for w in samples]),
-        origin=np.array([w.origin for w in samples], dtype=np.int64),
-    )
+    lookback, horizon = samples[0].history.shape[0], samples[0].label.shape[0]
+    rows = np.stack([np.concatenate([w.history, w.label]) for w in samples])
+    series = rows.reshape(-1, rows.shape[2])
+    series.flags.writeable = False
+    return WindowSet(series=series,
+                     starts=np.arange(len(samples), dtype=np.intp) * (lookback + horizon),
+                     origin=np.array([w.origin for w in samples], dtype=np.int64),
+                     lookback=lookback, horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -544,17 +501,12 @@ def _origin_range(ds: SeriesDataset, lookback: int, horizon: int, split: str) ->
 
 
 def windows(ds: SeriesDataset, lookback: int, horizon: int, split: str) -> WindowSet:
-    """Every window of ``split`` (origins from :func:`window_origins`) as
-    read-only views into ``ds.values``; nothing is copied."""
+    """Every window of ``split`` (origins from :func:`window_origins`) over
+    the read-only run of ``ds.values`` rows they slide over; nothing is
+    copied."""
     lo, hi = _origin_range(ds, lookback, horizon, split)
-    # sliding_window_view puts the window axis last: (starts, D, len)
-    hist = sliding_window_view(ds.values, lookback, axis=0)[lo - lookback + 1 : hi - lookback + 2]
-    lab = sliding_window_view(ds.values, horizon, axis=0)[lo + 1 : hi + 2]
     series = ds.values[lo - lookback + 1 : hi + horizon + 1]
     series.flags.writeable = False
-    return WindowSet(
-        history=hist.transpose(0, 2, 1),
-        label=lab.transpose(0, 2, 1),
-        origin=np.arange(lo, hi + 1, dtype=np.int64),
-        series=series,
-    )
+    return WindowSet(series=series, starts=np.arange(hi - lo + 1, dtype=np.intp),
+                     origin=np.arange(lo, hi + 1, dtype=np.int64),
+                     lookback=lookback, horizon=horizon)

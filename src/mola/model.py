@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._io import (decode_array, encode_array, read_json, require_keys, require_type,
                   write_json)
-from .data import Batch, WindowSample, as_window_set
+from .data import WindowSample, as_window_set
 
 ENCODER_KINDS = ("linear", "mlp2")
 ACTIVATIONS = ("relu", "tanh")
@@ -257,26 +257,22 @@ def _check_target(m: FoundationModel, target_slice, label_len: int) -> tuple[int
 
 def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice):
     """The (L, B*D) history and (rows, B*D) label blocks of a batch, copied
-    once: a data.Batch gathers both straight from its window set in one
+    once: ``WindowSet.blocks`` gathers both from the batch's series in one
     take, reading only the label rows the target slices select.  With one
     target slice per group, the batch is K equal groups of windows one after
     another, and both blocks gain a leading K axis: group k's label rows are
-    those of slice k (see ``WindowSet.history_block``)."""
+    those of slice k."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    if isinstance(batch, Batch):
-        source = batch.windows
-    else:
-        source = batch = as_window_set(batch)
-    if source.history.shape[1] != m.lookback:
-        raise ValueError(f"history length {source.history.shape[1]} != lookback {m.lookback}")
-    label_len = source.label.shape[1]
+    batch = as_window_set(batch)
+    if batch.lookback != m.lookback:
+        raise ValueError(f"history length {batch.lookback} != lookback {m.lookback}")
     if target_slice is None or isinstance(target_slice[0], (int, np.integer)):
-        first, last = _check_target(m, target_slice, label_len)
+        first, last = _check_target(m, target_slice, batch.horizon)
     elif len(target_slice) == 0:
         raise ValueError("no target slices")
     else:
-        first, last = zip(*(_check_target(m, t, label_len) for t in target_slice))
+        first, last = zip(*(_check_target(m, t, batch.horizon) for t in target_slice))
     return batch.blocks(first, last)
 
 

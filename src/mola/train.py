@@ -38,6 +38,8 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         b1, b2, eps = self.adam
         if not (0 < b1 < 1 and 0 < b2 < 1 and eps > 0):
             raise ValueError(f"adam moments must satisfy 0 < beta < 1, eps > 0, got {self.adam}")
@@ -270,8 +272,8 @@ def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
     Stages train in lockstep.  Each draws its batches from
     default_rng([config.seed, stage.key]) and keeps its own early stopper;
     a step hands ``loss_grads_fn`` one batch per stage, in stage order, as
-    one data.Batch of window indices, which the model gathers straight into
-    its blocks.  ``loss_grads_fn`` returns the loss of each stage (a scalar
+    one WindowSet ``train_windows[rows]``, which the model gathers straight
+    into its blocks.  ``loss_grads_fn`` returns the loss of each stage (a scalar
     or a (K,) array) and the gradients of ``params``, by default the only
     stage's arrays, which one Adam step updates.  A stopped stage is no longer validated,
     and its arrays end at its best snapshot, so stages that share nothing
@@ -300,10 +302,10 @@ def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
     for epoch in range(1, config.max_epochs + 1):
         perms = np.stack([rng.permutation(n) for rng in rngs])
         # every step's K batches one after another, in step order, checked
-        # as one Batch; step i's rows are then one slice of it
+        # as one set of window rows; step i's batch is then one slice of it
         order = np.concatenate([perms[:, :whole].reshape(k, -1, size).swapaxes(0, 1).ravel(),
                                 perms[:, whole:].ravel()])
-        epoch_batch = data.Batch(train_windows, order)
+        epoch_batch = train_windows[order]
         totals = np.zeros(k)
         for i in range(0, n, size):
             stop = min(i + size, n)
@@ -480,16 +482,23 @@ def mola_forecast(foundation: model.FoundationModel, adapter: adapt.MolaAdapter,
 # --- evaluation ---
 
 
-def forecast_windows(forecast_fn, wins: data.WindowSet, rows: int) -> np.ndarray:
-    """Forecasts of all windows from one ``forecast_fn`` call on their
-    (L, N*D) history block; returned as an (N, rows, D) view of the
-    (rows, N*D) result."""
-    n, _, d = wins.history.shape
+def forecast_errors(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
+                    split: str, first: int = 1, last: int | None = None) -> np.ndarray:
+    """C-ordered (N, rows, D) errors of the forecasts of label rows
+    first..last (default: all T) over a split's N windows.  ``forecast_fn``
+    is called once, on the (L, N*D) history block of all windows, and must
+    return the (rows, N*D) forecast block."""
+    wins = data.windows(ds, lookback, horizon, split)
+    last = horizon if last is None else last
+    n, rows, d = len(wins), last - first + 1, wins.series.shape[1]
     pred = np.asarray(forecast_fn(wins.history_block()), dtype=np.float64)
     if pred.shape != (rows, n * d):
         raise ValueError(f"forecast block shape {pred.shape} != ({rows}, {n * d}): "
                          f"{rows} label rows for {n} windows of {d} channels")
-    return pred.reshape(rows, n, d).transpose(1, 0, 2)
+    # a C-ordered (N, rows, D) error array keeps the summation order of the
+    # means in error_metrics the same as for stacked per-window forecasts
+    return np.subtract(pred.reshape(rows, n, d).transpose(1, 0, 2),
+                       wins.label[:, first - 1 : last], order="C")
 
 
 def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
@@ -503,17 +512,13 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
     return just those label rows (used for per-segment evaluation) and steps
     keep their absolute index.
     """
-    wins = data.windows(ds, lookback, horizon, split)
     if target_rows is None:
         first, last = 1, horizon
     else:
         first, last = target_rows
         if not 1 <= first <= last <= horizon:
             raise ValueError(f"target rows {target_rows} out of range 1..{horizon}")
-    preds = forecast_windows(forecast_fn, wins, last - first + 1)
-    # a C-ordered (N, rows, D) error array keeps the summation order of the
-    # means in error_metrics the same as for stacked per-window forecasts
-    err = np.subtract(preds, wins.label[:, first - 1 : last], order="C")
+    err = forecast_errors(forecast_fn, ds, lookback, horizon, split, first, last)
     return error_metrics(err, split, first)
 
 

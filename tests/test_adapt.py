@@ -405,7 +405,7 @@ def test_frozen_one_hot_routing_trains_only_the_segment_expert():
             view = params[f"{layer}.{part}"]
             assert view.shape == stack.shape and np.shares_memory(view, stack)
     rows = np.concatenate([np.arange(3)] * plan.segments)
-    _, grads = adapt.segment_grads(f, ad, None, data.Batch(batch, rows), plan.boundaries)
+    _, grads = adapt.segment_grads(f, ad, None, batch[rows], plan.boundaries)
     assert {name: g.shape for name, g in grads.items()} == {
         name: v.shape for name, v in params.items()}
     soft = setup_adapter(experts=2, segments=2)[2]
@@ -514,7 +514,7 @@ def test_one_hot_segment_grads_are_the_weight_one_formula_bitwise():
     for layer in ad.adapted_layers:
         ad.b[layer][:] = rng.normal(size=ad.b[layer].shape) * 0.3
     ws = make_batch(f.lookback, plan.horizon, d=2, n=5, seed=28)
-    lockstep = data.Batch(ws, np.concatenate([rng.permutation(len(ws))[:4] for _ in range(3)]))
+    lockstep = ws[np.concatenate([rng.permutation(len(ws))[:4] for _ in range(3)])]
     cases = [(k, ws, plan.boundaries[k - 1]) for k in (1, 2, 3)]
     for k, batch, sl in cases + [(None, lockstep, plan.boundaries)]:
         loss, grads = adapt.segment_grads(f, ad, k, batch, sl)

@@ -387,6 +387,6 @@ def test_window_set_hash_sensitivity():
     a = analysis.window_set_hash(data.windows(ds, 8, 4, "test"))
     b = analysis.window_set_hash(data.windows(ds, 8, 4, "test"))
     c = analysis.window_set_hash(data.windows(ds, 8, 4, "val"))
-    assert a == b
+    assert a == b == analysis.window_set_hash(list(data.windows(ds, 8, 4, "test")))
     assert a != c
 

@@ -373,6 +373,9 @@ def test_one_hot_routing_needs_square_expert_count(ws, capsys):
         (["train.batch_size=0"], "batch_size"),
         (["train.learning_rate=-1"], "learning_rate"),
         (["model.kind=mlp2", "model.hidden=16,x"], "model.hidden='16,x'"),
+        (["train.seed=-1"], "seed must be >= 0, got -1"),
+        (["dataset.synth_seed=-1"], "seed must be >= 0, got -1"),
+        (["dataset.n_points=0"], "n_points must be >= 1"),
     ],
 )
 def test_pretrain_refuses_unbuildable_settings_before_creating_run_dir(
@@ -593,6 +596,13 @@ def test_analyze_bottleneck_on_mtf_checkpoint(ws, capsys):
     assert rep["mean_min_error_sq"] >= 0.0
     assert np.isfinite(rep["mean_min_error_sq"])
     assert "mean_min_error_sq" in capsys.readouterr().out
+    # the checks of eval: no report of another lookback or horizon than the
+    # config it is stamped with
+    for item, needle in (("dataset.lookback=4", "lookback 8"), ("dataset.horizon=4", "predicts 8")):
+        argv = ["analyze", "bottleneck", "--config", cfg, "--run-dir", str(rd), "--set", item]
+        assert cli.main(argv) == 1
+        assert needle in capsys.readouterr().err
+    assert json.loads((rd / "reports" / "bottleneck.json").read_text()) == rep
 
 
 def test_analyze_bottleneck_requires_checkpoint(ws, capsys):

@@ -358,32 +358,57 @@ def test_window_set_indexing():
         ws[n]
     part = ws[3:7]
     assert isinstance(part, data.WindowSet) and len(part) == 4
-    assert np.shares_memory(part.history, ds.values)
+    assert part.series is ws.series
+    for arr in (part.history, part.label):  # consecutive starts: views
+        assert np.shares_memory(arr, ds.values)
     assert [w.origin for w in part] == [w.origin for w in list(ws)[3:7]]
     idx = np.array([5, 0, 5, 9])
     picked = ws[idx]
     assert isinstance(picked, data.WindowSet)
+    # a set of window rows picks starts over the same series; its stacked
+    # histories and labels are copies
+    assert picked.series is ws.series
     assert not np.shares_memory(picked.history, ds.values)
+    assert not np.shares_memory(picked.label, ds.values)
     assert [w.origin for w in picked] == [ws[int(i)].origin for i in idx]
     for w, i in zip(picked, idx):
         assert np.array_equal(w.history, ws[int(i)].history)
         assert np.array_equal(w.label, ws[int(i)].label)
+    assert np.array_equal(picked.history, np.stack([w.history for w in picked]))
+    assert np.array_equal(picked.label, np.stack([w.label for w in picked]))
 
 
 def test_indexed_batch_stacks_like_np_stack():
+    # np.stack of the windows is the ground truth for a batch's blocks, for
+    # one label slice and for K groups with a slice each, on a set of window
+    # rows and on a list of samples
     ds = make_ds(n=120, d=3)
-    ws = data.windows(ds, lookback=6, horizon=5, split="train")
-    m = model.new_model(model.EncoderSpec(kind="linear", in_len=6), head_out=3, seed=0)
-    idx = np.random.default_rng(0).permutation(len(ws))[:7]
+    ws = data.windows(ds, lookback=6, horizon=6, split="train")
+    m = model.new_model(model.EncoderSpec(kind="linear", in_len=6), head_out=2, seed=0)
+    idx = np.random.default_rng(0).permutation(len(ws))[:12]
     samples = [ws[int(i)] for i in idx]
     hist = np.stack([w.history for w in samples])
-    lab = np.stack([w.label[1:4] for w in samples])
-    want_x = hist.transpose(1, 0, 2).reshape(6, 7 * 3)
-    want_y = lab.transpose(1, 0, 2).reshape(3, 7 * 3)
-    for batch in (ws[idx], samples):
-        x, y = model._stack_batch(m, batch, (2, 4))
-        assert x.tobytes() == want_x.tobytes() and x.shape == want_x.shape
-        assert y.tobytes() == want_y.tobytes() and y.shape == want_y.shape
+    lab = np.stack([w.label for w in samples])
+
+    def cols(a):  # (n, rows, D) windows -> the (rows, n*D) column block
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    groups = [slice(4 * k, 4 * k + 4) for k in range(3)]
+    cases = [
+        ((3, 4), cols(hist), cols(lab[:, 2:4])),
+        (((1, 2), (3, 4), (5, 6)), np.stack([cols(hist[g]) for g in groups]),
+         np.stack([cols(lab[g, 2 * k : 2 * k + 2]) for k, g in enumerate(groups)])),
+    ]
+    for batch in (ws[idx], samples, data.as_window_set(samples)):
+        for target, want_x, want_y in cases:
+            x, y = model._stack_batch(m, batch, target)
+            assert x.tobytes() == want_x.tobytes() and x.shape == want_x.shape
+            assert y.tobytes() == want_y.tobytes() and y.shape == want_y.shape
+        batch = data.as_window_set(batch)
+        assert batch.history_block().tobytes() == cols(hist).tobytes()
+        assert batch.label_block(2, 5).tobytes() == cols(lab[:, 1:5]).tobytes()
+    with pytest.raises(ValueError, match="empty batch"):
+        model._stack_batch(m, ws[idx[:0]], None)
 
 
 def test_grouped_blocks_stack_each_groups_block():
@@ -393,87 +418,48 @@ def test_grouped_blocks_stack_each_groups_block():
     ws = data.windows(ds, lookback=6, horizon=6, split="train")
     idx = np.random.default_rng(1).permutation(len(ws))[:12]
     batch, firsts, lasts = ws[idx], (1, 3, 5), (2, 4, 6)
-    x, y = batch.history_block(3), batch.label_block(firsts, lasts)
+    x, y = batch.blocks(firsts, lasts)
     assert x.shape == (3, 6, 4 * 3) and y.shape == (3, 2, 4 * 3)
     for k in range(3):
         group = ws[idx[4 * k : 4 * (k + 1)]]
         assert x[k].tobytes() == group.history_block().tobytes()
         assert y[k].tobytes() == group.label_block(firsts[k], lasts[k]).tobytes()
     with pytest.raises(ValueError, match="equal groups"):
-        ws[idx[:11]].history_block(3)
+        ws[idx[:11]].blocks(firsts, lasts)
     with pytest.raises(ValueError, match="differ in length"):
-        batch.label_block((1, 3, 5), (2, 4, 5))
-
-
-def test_batch_gathers_the_blocks_of_the_indexed_set():
-    # a Batch copies nothing until a block is asked for, then gathers just
-    # the rows it needs, bitwise the blocks of the fancy-indexed WindowSet
-    ds = make_ds(n=120, d=3)
-    ws = data.windows(ds, lookback=6, horizon=6, split="train")
-    idx = np.random.default_rng(2).permutation(len(ws))[:12]
-    batch, picked = data.Batch(ws, idx), ws[idx]
-    assert len(batch) == 12 and np.shares_memory(batch[3].history, ds.values)
-    assert batch[3].origin == picked[3].origin and batch[0].history.shape == (6, 3)
-    pairs = [
-        (batch.history_block(), picked.history_block()),
-        (batch.label_block(2, 4), picked.label_block(2, 4)),
-        (batch.history_block(3), picked.history_block(3)),
-        (batch.label_block((1, 3, 5), (2, 4, 6)), picked.label_block((1, 3, 5), (2, 4, 6))),
-    ]
-    for got, want in pairs:
-        assert got.shape == want.shape and got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
-    m = model.new_model(model.EncoderSpec(kind="linear", in_len=6), head_out=2, seed=0)
-    for target in ((3, 4), ((1, 2), (3, 4), (5, 6))):
-        for got, want in zip(model._stack_batch(m, batch, target),
-                             model._stack_batch(m, picked, target)):
-            assert got.tobytes() == want.tobytes()
-    # windows of data.windows are gathered from the series they slide over;
-    # a fancy-indexed set has no series and takes one fancy index instead
-    assert ws.series is not None and picked.series is None
-    assert ws.series[4 : 4 + 6].tobytes() == ws.history[4].tobytes()
-    assert ws.series[4 + 6 : 4 + 12].tobytes() == ws.label[4].tobytes()
-    got = data.Batch(picked, [5, 1, 0, 2]).label_block((1, 4), (3, 6))
-    assert got.tobytes() == data.Batch(ws, idx[[5, 1, 0, 2]]).label_block((1, 4), (3, 6)).tobytes()
-    with pytest.raises(ValueError, match="equal groups"):
-        batch.history_block(5)
+        batch.blocks((1, 3, 5), (2, 4, 5))
     with pytest.raises(ValueError, match="outside 1..6"):
-        batch.label_block((1, 5), (3, 7))
-    for bad in ([0, len(ws)], [-1, 2], [[0, 1]]):
-        with pytest.raises(IndexError):
-            data.Batch(ws, np.array(bad))
-    with pytest.raises(ValueError, match="empty batch"):
-        model._stack_batch(m, data.Batch(ws, idx[:0]), None)
+        batch.blocks((1, 5), (3, 7))
 
 
 def test_batch_blocks_gather_history_and_labels_in_one_take():
-    # blocks(first, last) is history_block(K) and label_block(first, last)
-    # bitwise, for a whole window's labels, one slice and K slices; with a
-    # series both come from one take, without one from two fancy indexes
+    # blocks(first, last) is history_block() and label_block(first, last)
+    # bitwise, for a whole window's labels and for one slice, as two views
+    # of one take
     ds = make_ds(n=120, d=3)
     ws = data.windows(ds, lookback=6, horizon=6, split="train")
     idx = np.random.default_rng(4).permutation(len(ws))[:12]
-    picked = ws[idx]
-    cases = ((1, None, None), (3, 4, None), ((1, 3, 5), (2, 4, 6), 3))
-    for source in (data.Batch(ws, idx), data.Batch(picked, np.arange(12)), picked):
-        for first, last, groups in cases:
+    for source in (ws, ws[idx], ws[2:9]):
+        for first, last in ((1, None), (3, 4)):
             x, y = source.blocks(first, last)
-            want_x, want_y = picked.history_block(groups), picked.label_block(first, last)
+            want_x, want_y = source.history_block(), source.label_block(first, last)
             assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
             assert y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
-    x, y = data.Batch(ws, idx).blocks(3, 4)
-    assert x.base is y.base and x.flags.c_contiguous and y.flags.c_contiguous
-    with pytest.raises(ValueError, match="equal groups"):
-        data.Batch(ws, idx[:11]).blocks((1, 3, 5), (2, 4, 6))
+            assert x.base is y.base and x.flags.c_contiguous and y.flags.c_contiguous
 
 
 def test_batch_refuses_rows_that_are_not_integers():
-    # bools would gather windows 0 and 1, and floats fail only at the take
+    # window rows are 1-D integer indices in range: bools would pick
+    # windows 1, 0, 1, floats fail only at the take, and a negative row
+    # would wrap around
     ws = data.windows(make_ds(n=60), lookback=4, horizon=2, split="train")
-    for bad in (np.array([True, False, True]), np.array([1.0, 0.0]), np.array([])):
+    bad_rows = (np.array([True, False, True]), np.array([1.0, 0.0]), np.array([]),
+                [0, len(ws)], [-1, 2], [[0, 1]])
+    for bad in bad_rows:
         with pytest.raises(IndexError, match="window indices"):
-            data.Batch(ws, bad)
-    assert data.Batch(ws, [2, 0]).rows.tolist() == [2, 0]
+            ws[bad]
+    assert ws[[2, 0]].origin.tolist() == [ws[2].origin, ws[0].origin]
+    assert len(ws[np.array([], dtype=np.int64)]) == 0
 
 
 def test_windows_split_too_short():
