@@ -6,14 +6,18 @@ hand-rolled one-sided Jacobi iteration rather than a LAPACK call because
 everything downstream (rank decisions, null-space energies, pseudoinverse
 solves) must be deterministic and auditable at desk scale.  Each step of a
 sweep rotates a whole anti-diagonal of disjoint column pairs with one set
-of array operations; the step order depends on the matrix shape alone and
-reproduces the classic row-cyclic pair order, so results are repeatable
-bit for bit.  All routines are pure functions over immutable inputs.
+of array operations: the columns are rows of a working matrix, a step's
+two sides are two runs of consecutive rows, and they are rotated in place
+through row views, with the column norms of both sides taken in one pass.
+The step order depends on the matrix shape alone and reproduces the
+classic row-cyclic pair order, so results are repeatable bit for bit.
+All routines are pure functions over immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,22 +117,30 @@ def svd(a) -> SvdResult:
     sweep, which keeps that order's convergence.  The steps are fixed by
     the shape alone, so equal inputs give bitwise-equal results.
 
+    The p columns of a step are consecutive rows of the working matrix
+    and its q columns the following rows in reverse, so a step rotates two
+    row views in place, and alpha and beta (the squared norms of the p and
+    q columns) come from one pass over the rows that span both.
+
     Raises
     ------
+    ValueError
+        If ``sigma_1`` exceeds the float64 range, although every entry of
+        ``a`` is finite.
     JacobiNonConvergence
         If the pair tolerance is not met within ``JACOBI_MAX_SWEEPS``.
     """
     a = as_matrix(a)
     m, n = a.shape
     if m < n:
-        flipped = _svd_tall(a.T)
+        flipped = _svd_tall(a.T, (m, n))
         return SvdResult(
             u=np.ascontiguousarray(flipped.vt.T),
             sigma=flipped.sigma,
             vt=np.ascontiguousarray(flipped.u.T),
             rank=flipped.rank,
         )
-    return _svd_tall(a)
+    return _svd_tall(a, (m, n))
 
 
 def _sweep_steps(n: int) -> list[tuple[NDArray[np.intp], NDArray[np.intp]]]:
@@ -140,30 +152,52 @@ def _sweep_steps(n: int) -> list[tuple[NDArray[np.intp], NDArray[np.intp]]]:
     return steps
 
 
-def _svd_tall(a: Mat) -> SvdResult:
+def _step_slices(n: int) -> list[tuple[slice, slice, slice]]:
+    """Each step of :func:`_sweep_steps` as row slices ``(p, q, span)``.
+
+    Step ``s`` rotates the rows ``p = lo .. hi - 1`` against
+    ``q = s - p = s - lo`` down to ``s - hi + 1``: both are runs of
+    consecutive rows, q in descending order.  ``span`` is rows ``lo`` to
+    ``s - lo``: p, then row ``s / 2`` when ``s`` is even, then q reversed.
+    """
+    slices = []
+    for p, q in _sweep_steps(n):
+        lo, hi = int(p[0]), int(p[-1]) + 1
+        top = int(q[0])
+        # q[-1] = s - hi + 1 >= 1, so the descending stop never wraps to -1
+        slices.append((slice(lo, hi), slice(top, int(q[-1]) - 1, -1), slice(lo, top + 1)))
+    return slices
+
+
+def _svd_tall(a: Mat, shape: tuple[int, int]) -> SvdResult:
+    """SVD of ``a`` with ``m >= n``; ``shape`` is the caller's, for messages."""
     m, n = a.shape
     # Scaling by a power of two is exact and keeps the squared column norms
     # clear of underflow and overflow; sigma is scaled back at the end.
     exp = math.frexp(float(np.max(np.abs(a))))[1]
     # Row i holds column i of the working matrix, then column i of V: one
-    # rotation acts on both, and a gather of rows reads contiguous memory.
+    # rotation acts on both, and a step's p and q rows are row views.
     work = np.hstack([np.ldexp(a.T, -exp), np.eye(n)])
-    steps = _sweep_steps(n)
+    steps = _step_slices(n)
+    # c*P, s*Q, c*Q and s*P of a step; a step has at most n // 2 pairs
+    products = np.empty((4, n // 2, m + n))
     converged = False
     worst = math.inf
     for _ in range(JACOBI_MAX_SWEEPS):
         worst = 0.0
-        for p, q in steps:
-            cols_p, cols_q = work[p], work[q]
-            bp, bq = cols_p[:, :m], cols_q[:, :m]
-            alpha = np.einsum("ij,ij->i", bp, bp)
-            beta = np.einsum("ij,ij->i", bq, bq)
-            gamma = np.einsum("ij,ij->i", bp, bq)
+        for rows_p, rows_q, span in steps:
+            k = rows_p.stop - rows_p.start
+            cols_p, cols_q = work[rows_p], work[rows_q]
+            # squared norms of p, the middle row of an even step, q reversed
+            b = work[span, :m]
+            norms = np.einsum("ij,ij->i", b, b)
+            alpha, beta = norms[:k], norms[::-1][:k]
+            gamma = np.einsum("ij,ij->i", cols_p[:, :m], cols_q[:, :m])
             # pairs with a zero column are skipped and do not count as worst
             live = (alpha != 0.0) & (beta != 0.0)
-            rel = np.zeros_like(gamma)
+            rel = np.zeros(k)
             np.divide(np.abs(gamma), np.sqrt(alpha * beta), out=rel, where=live)
-            top = float(rel.max())
+            top = float(np.maximum.reduce(rel))
             worst = max(worst, top)
             if top <= JACOBI_TOL:
                 continue
@@ -171,21 +205,32 @@ def _svd_tall(a: Mat) -> SvdResult:
             theta = np.where(rel > JACOBI_TOL,
                              0.5 * np.arctan2(2.0 * gamma, alpha - beta), 0.0)
             c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-            work[p] = c * cols_p + s * cols_q
-            work[q] = c * cols_q - s * cols_p
+            cp, sq, cq, sp = products[:, :k]
+            np.multiply(c, cols_p, out=cp)
+            np.multiply(s, cols_q, out=sq)
+            np.multiply(c, cols_q, out=cq)
+            np.multiply(s, cols_p, out=sp)
+            np.add(cp, sq, out=cols_p)
+            np.subtract(cq, sp, out=cols_q)
         if worst <= JACOBI_TOL:
             converged = True
             break
     if not converged:
         raise JacobiNonConvergence(
-            f"one-sided Jacobi did not converge on a {m}x{n} matrix within "
-            f"{JACOBI_MAX_SWEEPS} sweeps (worst pair at {worst:.3e})"
+            f"one-sided Jacobi did not converge on a {shape[0]}x{shape[1]} matrix "
+            f"within {JACOBI_MAX_SWEEPS} sweeps (worst pair at {worst:.3e})"
         )
 
     b = work[:, :m]
     norms = np.sqrt(np.einsum("ij,ij->i", b, b))
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
+    # the scale-back is exact unless it leaves the float64 range
+    if math.frexp(float(sigma[0]))[1] + exp > sys.float_info.max_exp:
+        raise ValueError(
+            f"the largest singular value of a {shape[0]}x{shape[1]} matrix exceeds "
+            f"the float64 range (sigma_1 = {float(sigma[0])!r} * 2**{exp})"
+        )
 
     # Columns with sigma well above underflow noise define U directly;
     # the rest of the orthogonal basis is completed from identity vectors.

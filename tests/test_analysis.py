@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from mola import analysis, data, linalg, model, train
 
+# an overflow or invalid value inside a kernel is a bug, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def sine_ds(n_points=200, d=2, noise=0.05, seed=0):
     spec = data.SynthSpec(
@@ -88,6 +91,13 @@ def test_bottleneck_formula_matches_projection_oracle_50_draws():
         w, b, y = random_case(seed, force_deficient=(seed % 3 == 0))
         rep = analysis.min_attainable_error(w, b, y)
         assert abs(rep.min_error_sq - rep.ls_residual_sq) <= 1e-8 * max(1.0, rep.ls_residual_sq)
+
+
+def test_bottleneck_refuses_a_map_whose_singular_values_overflow():
+    # [W b] is finite, but its sigma_1 is not; a floor from an infinite
+    # sigma would be garbage (both the floor and the residual are 0 here)
+    with pytest.raises(ValueError, match="4x4 matrix exceeds the float64 range"):
+        analysis.min_attainable_error(np.full((4, 3), 1e308), np.zeros(4), np.ones((4, 2)))
 
 
 def test_bottleneck_energy_recomputation_and_fields():

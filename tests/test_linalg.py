@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+import reference_jacobi
 from mola import linalg
+
+# an overflow or invalid value inside a kernel is a bug, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def random_matrix(m, n, seed, rank=None):
@@ -169,6 +173,18 @@ def test_sweep_steps_cover_every_pair_once_with_disjoint_columns():
         assert len(steps) == max(0, 2 * n - 3)
 
 
+def test_step_slices_select_each_steps_rows():
+    for n in range(1, 13):
+        rows = np.arange(n)
+        steps, slices = linalg._sweep_steps(n), linalg._step_slices(n)
+        assert len(slices) == len(steps)
+        for s, ((p, q), (rows_p, rows_q, span)) in enumerate(zip(steps, slices), start=1):
+            assert np.array_equal(rows[rows_p], p)
+            assert np.array_equal(rows[rows_q], q)
+            middle = [s // 2] if s % 2 == 0 else []
+            assert np.array_equal(rows[span], np.concatenate([p, middle, q[::-1]]))
+
+
 SWEEP_CASES = {
     "n1": random_matrix(5, 1, seed=1),
     "n2": random_matrix(5, 2, seed=2),
@@ -215,6 +231,45 @@ def test_svd_wide_inputs(shape):
 def test_svd_zero_and_repeated_columns_set_the_rank():
     assert linalg.svd(SWEEP_CASES["zero_column"]).rank == 4
     assert linalg.svd(SWEEP_CASES["equal_columns"]).rank == 4
+
+
+REFERENCE_CASES = {
+    "floor_336x97": random_matrix(336, 97, seed=20),
+    "floor_192x97": random_matrix(192, 97, seed=21),
+    "floor_96x49_zero_last": np.hstack([random_matrix(96, 48, seed=22), np.zeros((96, 1))]),
+    "floor_48x25_rank12_bias": np.hstack([random_matrix(48, 24, seed=23, rank=12), np.ones((48, 1))]),
+    **{f"sweep_{name}": a for name, a in SWEEP_CASES.items()},
+    "wide_3x8": random_matrix(3, 8, seed=11),
+    "one_by_one": np.array([[-2.5]]),
+    "column_5x1": random_matrix(5, 1, seed=25),
+    "all_zero_4x3": np.zeros((4, 3)),
+    "ldexp_520": np.ldexp(random_matrix(6, 4, seed=11), 520),
+    "ldexp_minus_600": np.ldexp(random_matrix(6, 4, seed=11), -600),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_svd_is_bitwise_the_gather_scatter_reference(name):
+    a = REFERENCE_CASES[name]
+    res, ref = linalg.svd(a), reference_jacobi.svd(a)
+    for field in ("u", "sigma", "vt"):
+        assert np.array_equal(getattr(res, field), getattr(ref, field)), field
+    assert res.rank == ref.rank
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5, 3)])
+def test_svd_refuses_a_singular_value_beyond_float64(shape):
+    # every entry is finite, but sigma_1 = sqrt(m n) * max > max
+    a = np.full(shape, np.finfo(np.float64).max)
+    with pytest.raises(ValueError, match=rf"{shape[0]}x{shape[1]} matrix exceeds the float64 range"):
+        linalg.svd(a)
+    with pytest.raises(ValueError, match="float64 range"):
+        linalg.least_squares(a, np.ones((shape[0], 1)))
+
+
+def test_svd_keeps_a_singular_value_at_the_top_of_float64():
+    res = linalg.svd(np.full((2, 2), np.finfo(np.float64).max / 2))
+    assert res.sigma[0] == np.finfo(np.float64).max and res.rank == 1
 
 
 def test_svd_is_bitwise_repeatable():
