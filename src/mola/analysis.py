@@ -376,7 +376,7 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
     adapter = adapt.new_adapter(foundation, plan, n_experts, rank, seed=config.seed,
                                 routing=routing)
     adapter, seg_recs = train.adapt_all_segments(foundation, plan, adapter, ds, config)
-    paradigms["mola"] = eval_with_audit(lambda h: train.mola_forecast(foundation, adapter, h))
+    paradigms["mola"] = eval_with_audit(train.mola_forecaster(foundation, adapter))
     paradigms["mola"]["records"] = [train.run_summary(pre_rec)] + [
         train.run_summary(r) for r in seg_recs
     ]

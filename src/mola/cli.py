@@ -25,6 +25,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, _io, adapt, analysis, data, model, train
 
 
@@ -438,7 +440,7 @@ def _forecaster_from_checkpoints(pk: str, rd: Path, lookback: int, horizon: int)
         raise UserError(
             f"adapter covers horizon {adapter.plan.horizon} but dataset.horizon={horizon}"
         )
-    return lambda h: train.mola_forecast(foundation, adapter, h)
+    return train.mola_forecaster(foundation, adapter)
 
 
 def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
@@ -463,13 +465,26 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
 
 def _destandardized_metrics(forecast_fn, ds, lookback, horizon, split):
     # the per-channel mean cancels: a raw error is the standardized one times the std
-    err = train.forecast_errors(forecast_fn, ds, lookback, horizon, split)
-    err *= ds.norm_stats.std
-    return train.error_metrics(err, split, 1)
+    std = ds.norm_stats.std
+
+    def destandardize(err):
+        err *= std
+        return err
+
+    # map, unlike a generator expression, keeps no reference to the block
+    # it handed on while the next one is made
+    errs = train.forecast_errors(forecast_fn, ds, lookback, horizon, split)
+    return train.error_metrics(map(destandardize, errs), split, 1, horizon)
 
 
 def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
-    return (train.forecast_errors(forecast_fn, ds, lookback, horizon, split) ** 2).mean(axis=2)
+    """(N, T) per-window squared error of each step, averaged over channels,
+    built one forecast block at a time."""
+    samples = []
+    for err in train.forecast_errors(forecast_fn, ds, lookback, horizon, split):
+        samples.append(np.square(err, out=err).mean(axis=2))
+        del err  # dropped before the next block is made
+    return np.concatenate(samples, axis=1)
 
 
 def cmd_params(args, cfg: dict, cfg_hash: str, rd: Path) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 from pathlib import Path
 from time import perf_counter
 
@@ -468,37 +468,80 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
 
 
 def mola_forecast(foundation: model.FoundationModel, adapter: adapt.MolaAdapter,
-                  history: np.ndarray) -> np.ndarray:
+                  history: np.ndarray, target_rows: tuple[int, int] | None = None) -> np.ndarray:
     """Concatenated inference: segment k's adapted view fills rows
-    boundaries[k] of the T-step forecast."""
+    boundaries[k] of the T-step forecast.
+
+    ``target_rows=(first, last)`` asks for label rows first..last only,
+    which must start and end on segment boundaries; the default is all T
+    rows.  The rows of one segment are its view's forecast itself, not a
+    copy, so a caller that asks for one segment at a time (see
+    :func:`mola_forecaster`) never holds more than one segment's rows."""
+    plan = adapter.plan
+    first, last = (1, plan.horizon) if target_rows is None else target_rows
+    if not 1 <= first <= last <= plan.horizon or (first - 1) % plan.seg_len or last % plan.seg_len:
+        raise ValueError(f"target rows {target_rows} are not whole segments of "
+                         f"{plan.seg_len} rows within 1..{plan.horizon}")
     history = np.asarray(history, dtype=np.float64)
-    out = np.empty((adapter.plan.horizon, history.shape[1]))
-    for k, (lo, hi) in enumerate(adapter.plan.boundaries, start=1):
-        view = adapt.adapted_model(foundation, adapter, k)
-        out[lo - 1 : hi] = model.forecast(view, history)
+    segments = range((first - 1) // plan.seg_len + 1, last // plan.seg_len + 1)
+    pieces = (model.forecast(adapt.adapted_model(foundation, adapter, k), history)
+              for k in segments)
+    if len(segments) == 1:
+        return next(pieces)
+    out = np.empty((last - first + 1, history.shape[1]))
+    for row, piece in zip(range(0, out.shape[0], plan.seg_len), pieces):
+        out[row : row + plan.seg_len] = piece
     return out
+
+
+def mola_forecaster(foundation: model.FoundationModel, adapter: adapt.MolaAdapter):
+    """The forecast_fn of :func:`evaluate_forecaster` for a mola model: the
+    T-step forecast as K row blocks, one :func:`mola_forecast` call per
+    segment, all on the one history block it is given."""
+    return lambda history: (mola_forecast(foundation, adapter, history, target_rows=rows)
+                            for rows in adapter.plan.boundaries)
 
 
 # --- evaluation ---
 
 
 def forecast_errors(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
-                    split: str, first: int = 1, last: int | None = None) -> np.ndarray:
-    """C-ordered (N, rows, D) errors of the forecasts of label rows
-    first..last (default: all T) over a split's N windows.  ``forecast_fn``
-    is called once, on the (L, N*D) history block of all windows, and must
-    return the (rows, N*D) forecast block."""
+                    split: str, first: int = 1, last: int | None = None) -> Iterator[np.ndarray]:
+    """Yield the errors of the forecasts of label rows first..last
+    (default: all T) over a split's N windows, as C-ordered (N, r, D)
+    arrays, one per forecast block, in row order.
+
+    ``forecast_fn`` is called once, on the (L, N*D) history block of all
+    windows.  It returns the (rows, N*D) forecast block, or an iterable of
+    consecutive (r, N*D) row blocks that together cover the rows.  A block
+    is dropped once its errors are made, and the errors once the consumer
+    asks for the next block; a consumer that drops them too holds at most
+    the history block, one forecast block and its errors at a time, not a
+    whole-horizon forecast next to a whole-horizon error array."""
     wins = data.windows(ds, lookback, horizon, split)
     last = horizon if last is None else last
     n, rows, d = len(wins), last - first + 1, wins.series.shape[1]
-    pred = np.asarray(forecast_fn(wins.history_block()), dtype=np.float64)
-    if pred.shape != (rows, n * d):
-        raise ValueError(f"forecast block shape {pred.shape} != ({rows}, {n * d}): "
-                         f"{rows} label rows for {n} windows of {d} channels")
-    # a C-ordered (N, rows, D) error array keeps the summation order of the
-    # means in error_metrics the same as for stacked per-window forecasts
-    return np.subtract(pred.reshape(rows, n, d).transpose(1, 0, 2),
-                       wins.label[:, first - 1 : last], order="C")
+    labels = wins.label
+    blocks = forecast_fn(wins.history_block())
+    done = 0
+    for pred in (blocks,) if isinstance(blocks, np.ndarray) else blocks:
+        pred = np.asarray(pred, dtype=np.float64)
+        if pred.ndim != 2 or pred.shape[1] != n * d or not 0 < len(pred) <= rows - done:
+            raise ValueError(f"forecast block shape {pred.shape} does not fit label rows "
+                             f"{first + done}..{last} of {n} windows of {d} channels "
+                             f"({n * d} columns)")
+        r = len(pred)
+        # a C-ordered (N, r, D) error array keeps the summation order of the
+        # means in error_metrics the same as for stacked per-window forecasts
+        err = np.subtract(pred.reshape(r, n, d).transpose(1, 0, 2),
+                          labels[:, first - 1 + done : first - 1 + done + r], order="C")
+        del pred
+        yield err
+        del err
+        done += r
+    if done != rows:
+        raise ValueError(f"forecast blocks cover {done} of the {rows} label rows "
+                         f"{first}..{last}")
 
 
 def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
@@ -507,10 +550,14 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
 
     `forecast_fn` is called once, on the (L, N*D) history block of all N
     windows (column i*D + c is channel c of window i), and must return the
-    (rows, N*D) forecast block.  The averaged row is defined as the mean of
-    the per-step values.  With target_rows=(first, last), forecast_fn must
-    return just those label rows (used for per-segment evaluation) and steps
-    keep their absolute index.
+    (rows, N*D) forecast block, or an iterable of consecutive row blocks of
+    it (see :func:`forecast_errors`).  Each block is scored on its own and
+    dropped before the next is made, so scoring holds the history block
+    plus one block's forecast and errors, and the metrics are bitwise those
+    of scoring the whole forecast at once.  The averaged row is defined as
+    the mean of the per-step values.  With target_rows=(first, last),
+    forecast_fn must return just those label rows (used for per-segment
+    evaluation) and steps keep their absolute index.
     """
     if target_rows is None:
         first, last = 1, horizon
@@ -518,24 +565,36 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
         first, last = target_rows
         if not 1 <= first <= last <= horizon:
             raise ValueError(f"target rows {target_rows} out of range 1..{horizon}")
-    err = forecast_errors(forecast_fn, ds, lookback, horizon, split, first, last)
-    return error_metrics(err, split, first)
+    errs = forecast_errors(forecast_fn, ds, lookback, horizon, split, first, last)
+    return error_metrics(errs, split, first, last)
 
 
-def error_metrics(err: np.ndarray, split: str, first: int) -> dict:
-    """The metrics dict of evaluate_forecaster from an (N, rows, D) array of
-    forecast errors whose rows are steps first, first + 1, ...; ``err`` is
-    overwritten."""
-    # |err| and then |err|**2, which is bitwise err**2, are formed in place
-    mae_steps = np.abs(err, out=err).mean(axis=(0, 2))
-    mse_steps = np.multiply(err, err, out=err).mean(axis=(0, 2))
+def error_metrics(errs, split: str, first: int, last: int) -> dict:
+    """The metrics dict of evaluate_forecaster from the (N, r, D) error
+    blocks of steps first..last, in step order, as forecast_errors yields
+    them; each block is overwritten and dropped before the next is asked
+    for."""
+    mse, mae = [], []
+    for err in errs:
+        r = err.shape[1]
+        if r == 1 and last > first:
+            # numpy sums a one-row array over windows and channels as one
+            # run, but a row of a longer array window after window; a zero
+            # second row keeps the order, and so the bits, of the whole array
+            err = np.concatenate([err, np.zeros_like(err)], axis=1)
+        n_windows = err.shape[0]
+        # |err| and then |err|**2, which is bitwise err**2, are formed in place
+        mae.append(np.abs(err, out=err).mean(axis=(0, 2))[:r])
+        mse.append(np.multiply(err, err, out=err).mean(axis=(0, 2))[:r])
+        del err
+    mse_steps, mae_steps = np.concatenate(mse), np.concatenate(mae)
     per_step = [
         {"step": first + j, "mse": float(mse_steps[j]), "mae": float(mae_steps[j])}
-        for j in range(err.shape[1])
+        for j in range(len(mse_steps))
     ]
     return {
         "split": split,
-        "n_windows": err.shape[0],
+        "n_windows": n_windows,
         "per_step": per_step,
         "mse": float(np.mean(mse_steps)),
         "mae": float(np.mean(mae_steps)),

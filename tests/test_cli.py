@@ -254,6 +254,42 @@ def test_eval_destandardized_matches_per_window_metrics(ws):
     assert got["mse"] != pytest.approx(report["metrics"]["mse"], rel=1e-3)
 
 
+@pytest.mark.parametrize("horizon, segments", [(8, 4), (4, 4)])
+def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forecast(
+        horizon, segments):
+    # eval --destandardized and analyze variance score the mola forecast one
+    # segment at a time; both must give bitwise what the whole (N, T, D)
+    # error array gives, also for segments of one row
+    from mola import adapt, data, model, train
+
+    ds = data.standardize(data.generate_synthetic(data.default_synth_spec(n_points=400, seed=3)))
+    foundation = model.new_model(model.EncoderSpec(kind="linear", in_len=8),
+                                 head_out=horizon // segments, seed=1)
+    foundation.freeze()
+    adapter = adapt.new_adapter(foundation, adapt.make_segment_plan(horizon, segments),
+                                n_experts=2, rank=2, seed=1)
+    rng = np.random.default_rng(1)
+    for name in adapter.adapted_layers:
+        adapter.b[name][:] = rng.normal(size=adapter.b[name].shape)
+        adapter.logits[name][:] = rng.normal(size=adapter.logits[name].shape)
+    blocks = train.mola_forecaster(foundation, adapter)
+    [err] = train.forecast_errors(lambda h: train.mola_forecast(foundation, adapter, h),
+                                  ds, 8, horizon, "test")
+    want_samples = (err ** 2).mean(axis=2)
+    raw = err * ds.norm_stats.std
+    want_mse, want_mae = (raw * raw).mean(axis=(0, 2)), np.abs(raw).mean(axis=(0, 2))
+
+    got = cli._destandardized_metrics(blocks, ds, 8, horizon, "test")
+    assert got["n_windows"] == err.shape[0]
+    assert [r["step"] for r in got["per_step"]] == list(range(1, horizon + 1))
+    assert [r["mse"] for r in got["per_step"]] == want_mse.tolist()
+    assert [r["mae"] for r in got["per_step"]] == want_mae.tolist()
+    assert (got["mse"], got["mae"]) == (float(np.mean(want_mse)), float(np.mean(want_mae)))
+    samples = cli._per_step_loss_samples(blocks, ds, 8, horizon, "test")
+    assert samples.shape == want_samples.shape
+    assert samples.tobytes() == want_samples.tobytes()
+
+
 def test_train_baseline_rejects_mola(ws, capsys):
     cfg = write_ini(ws / "cfg.ini", **base_sections())
     assert cli.main(["train-baseline", "--config", cfg, "--run-dir", str(ws / "r")]) == 1

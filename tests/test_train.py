@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -621,6 +622,44 @@ def test_mola_forecast_rows_come_from_their_segment():
     assert not np.array_equal(out[0:2], out[2:4])
 
 
+def random_mola(horizon, segments, routing, seed=0):
+    """An untrained frozen linear foundation and an adapter whose experts
+    (and, under soft routing, mixing rows) are random, so that every
+    segment's rows come from a different view."""
+    foundation = model.new_model(LIN8, head_out=horizon // segments, seed=seed)
+    foundation.freeze()
+    plan = adapt.make_segment_plan(horizon, segments, lookback=8)
+    adapter = adapt.new_adapter(foundation, plan, n_experts=segments if routing == "one-hot" else 2,
+                                rank=2, seed=seed, routing=routing)
+    rng = np.random.default_rng(seed)
+    for name in adapter.adapted_layers:
+        adapter.b[name][:] = rng.normal(size=adapter.b[name].shape)
+        if routing == "soft":
+            adapter.logits[name][:] = rng.normal(size=adapter.logits[name].shape)
+    return foundation, adapter
+
+
+@pytest.mark.parametrize("segments", [1, 2, 4])
+def test_mola_forecast_target_rows_are_rows_of_the_whole_forecast(segments):
+    foundation, adapter = random_mola(8, segments, "soft")
+    hist = data.windows(sine_dataset(), 8, 8, "test").history_block()
+    whole = train.mola_forecast(foundation, adapter, hist)
+    assert whole.shape == (8, hist.shape[1])
+    seg = 8 // segments
+    for first in range(1, 9, seg):
+        for last in range(first + seg - 1, 9, seg):
+            rows = train.mola_forecast(foundation, adapter, hist, target_rows=(first, last))
+            assert rows.tobytes() == whole[first - 1 : last].tobytes()
+
+
+@pytest.mark.parametrize("rows", [(0, 2), (1, 10), (2, 4), (3, 5), (1, 3), (5, 4), (3, 2)])
+def test_mola_forecast_rejects_rows_that_are_not_whole_segments(rows):
+    foundation, adapter = random_mola(8, 4, "soft")
+    hist = data.windows(sine_dataset(), 8, 8, "test")[0].history
+    with pytest.raises(ValueError, match="whole segments"):
+        train.mola_forecast(foundation, adapter, hist, target_rows=rows)
+
+
 # --- baselines ---
 
 
@@ -683,6 +722,93 @@ def test_evaluate_forecaster_rejects_bad_shape():
     m = model.new_model(LIN8, head_out=2, seed=23)
     with pytest.raises(ValueError):
         train.evaluate_forecaster(lambda h: model.forecast(m, h), ds, 8, 3, split="test")
+
+
+def row_blocks(forecast_fn, bounds):
+    """A forecaster that hands the forecast of ``forecast_fn`` over as the
+    row blocks (lo, hi) of ``bounds``."""
+    return lambda h: (forecast_fn(h)[lo - 1 : hi] for lo, hi in bounds)
+
+
+@pytest.mark.parametrize("routing", ["soft", "one-hot"])
+@pytest.mark.parametrize("horizon, segments, d", [(8, 4, 2), (4, 4, 2), (6, 3, 1), (4, 4, 1)])
+def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, d):
+    # segments of one row and single channels included: numpy sums those
+    # blocks in another order unless error_metrics keeps the whole array's
+    ds = sine_dataset(d=d, noise=0.1)
+    foundation, adapter = random_mola(horizon, segments, routing)
+    def whole(h):
+        return train.mola_forecast(foundation, adapter, h)
+
+    blocks = train.mola_forecaster(foundation, adapter)
+    for split in ("val", "test"):
+        want = train.evaluate_forecaster(whole, ds, 8, horizon, split=split)
+        got = train.evaluate_forecaster(blocks, ds, 8, horizon, split=split)
+        assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
+        [err] = train.forecast_errors(whole, ds, 8, horizon, split)
+        parts = list(train.forecast_errors(blocks, ds, 8, horizon, split))
+        assert [p.shape[1] for p in parts] == [horizon // segments] * segments
+        assert np.concatenate(parts, axis=1).tobytes() == err.tobytes()
+    # rows of whole segments: steps keep their absolute index
+    seg = horizon // segments
+    first, last = (seg + 1, horizon) if segments > 1 else (1, horizon)
+    rows = [b for b in adapter.plan.boundaries if b[0] >= first]
+    want = train.evaluate_forecaster(
+        lambda h: train.mola_forecast(foundation, adapter, h, target_rows=(first, last)),
+        ds, 8, horizon, target_rows=(first, last))
+    got = train.evaluate_forecaster(
+        lambda h: (train.mola_forecast(foundation, adapter, h, target_rows=b) for b in rows),
+        ds, 8, horizon, target_rows=(first, last))
+    assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
+    assert [r["step"] for r in got["per_step"]] == list(range(first, last + 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_uneven_row_blocks_score_like_the_whole_forecast(d):
+    ds = sine_dataset(d=d, noise=0.1)
+    m = model.new_model(LIN8, head_out=7, seed=24)
+    def whole(h):
+        return model.forecast(m, h)
+
+    want = train.evaluate_forecaster(whole, ds, 8, 7)
+    # numpy's means over the whole (N, T, D) error array
+    [err] = train.forecast_errors(whole, ds, 8, 7, "test")
+    assert [r["mse"] for r in want["per_step"]] == (err * err).mean(axis=(0, 2)).tolist()
+    assert [r["mae"] for r in want["per_step"]] == np.abs(err).mean(axis=(0, 2)).tolist()
+    # one-row blocks among longer ones, and a generator of one block
+    for bounds in ([(1, 1), (2, 4), (5, 5), (6, 7)], [(1, 7)]):
+        got = train.evaluate_forecaster(row_blocks(whole, bounds), ds, 8, 7)
+        assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
+
+
+@pytest.mark.parametrize("bounds", [[(1, 2)], [(1, 2), (2, 4)], [(1, 3), (3, 4)], [(1, 4), (5, 4)]])
+def test_evaluate_forecaster_rejects_blocks_that_miss_the_rows(bounds):
+    ds = sine_dataset()
+    m = model.new_model(LIN8, head_out=4, seed=25)
+    blocks = row_blocks(lambda h: model.forecast(m, h), bounds)
+    with pytest.raises(ValueError, match="forecast block"):
+        train.evaluate_forecaster(blocks, ds, 8, 4)
+
+
+def test_scoring_segment_blocks_never_holds_a_whole_horizon_array():
+    # T = 32 in K = 4 segments over 8 history rows: the forecast block and
+    # the error array of the whole horizon are 32 rows each, while history,
+    # one segment's forecast and its errors are 8 rows each
+    ds = sine_dataset(n_points=20_000, d=4, noise=0.1)
+    foundation, adapter = random_mola(32, 4, "one-hot")
+    n = len(data.windows(ds, 8, 32, "test"))
+    row = n * ds.d_channels * 8  # bytes of one float64 row of the (., N*D) blocks
+    forecaster = train.mola_forecaster(foundation, adapter)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        metrics = train.evaluate_forecaster(forecaster, ds, 8, 32)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert metrics["n_windows"] == n > 1000
+    assert peak < 1.25 * (8 + 2 * 8) * row, f"peak {peak / row:.1f} rows"
 
 
 # --- records on disk ---
