@@ -9,11 +9,10 @@ representations. Optionally dumps the clouds for plotting.
 """
 
 import argparse
-import csv
 
 import numpy as np
 
-from mola import analysis, data, train
+from mola import _io, analysis, data, train
 
 
 def main():
@@ -58,10 +57,8 @@ def main():
     print(f"mean same-step {same:.4f}   mean cross-step {cross:.4f}")
     print(f"cross/same ratio {cross / same:.2f}")
     if args.dump_clouds:
-        with open(args.dump_clouds, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["base_seed", "entry", "step", "seed", "window", "x0", "x1"])
-            w.writerows(rows)
+        _io.write_csv(args.dump_clouds,
+                      ["base_seed", "entry", "step", "seed", "window", "x0", "x1"], rows)
         print(f"clouds written to {args.dump_clouds}")
 
 

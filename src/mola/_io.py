@@ -1,4 +1,5 @@
-"""Canonical JSON helpers for checkpoints, records, and reports.
+"""Canonical JSON helpers for checkpoints, records, and reports, and the
+one CSV writer.
 
 Canonical means sorted keys, compact separators, and a trailing newline,
 so that identical state always serializes to identical bytes.  Floats go
@@ -8,6 +9,7 @@ are refused rather than written as the non-standard ``NaN``/``Infinity``.
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -29,6 +31,17 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_csv(path, header: list, rows, preamble: tuple[str, ...] = ()) -> None:
+    """Write UTF-8 CSV: the ``preamble`` lines, each ended by LF, then
+    ``header`` and ``rows`` (lists of fields) in the csv module's default
+    dialect, which quotes fields as needed and ends each row with CR LF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in preamble)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def encode_array(a: np.ndarray) -> dict:

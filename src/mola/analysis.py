@@ -54,9 +54,6 @@ def min_attainable_error(w, b, y) -> BottleneckReport:
     from the same decomposition, checks that formula by another route.
     """
     w = linalg.as_matrix(w)
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
     y = linalg.as_matrix(y)
     wbar = linalg.append_bias_column(w, b)
     if y.shape[0] != wbar.shape[0]:
@@ -311,10 +308,9 @@ def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
 # --- paradigm comparison ---
 
 
-def window_set_hash(windows_seq) -> str:
+def window_set_hash(ws: data.WindowSet) -> str:
     """Order-sensitive content hash of a window set; lets reports prove that
     paradigms were evaluated on identical data."""
-    ws = data.as_window_set(windows_seq)
     n = len(ws)
     # one row per window: origin (int64), history, label, all in native byte
     # order, so the digest equals hashing the windows one after another

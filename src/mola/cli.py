@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
-import csv
 import hashlib
 import os
 import sys
@@ -289,11 +288,11 @@ def _write_report(rd: Path, name: str, cfg_hash: str, payload: dict) -> None:
 
 
 def _write_report_csv(path: Path, rows: list[dict], cfg_hash: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# tool_version={__version__}\n# config_hash={cfg_hash}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    """Rows of equal keys, under a header of the first row's keys, after two
+    comment lines naming the tool version and config hash."""
+    header = list(rows[0])
+    _io.write_csv(path, header, ([row[k] for k in header] for row in rows),
+                  preamble=(f"# tool_version={__version__}", f"# config_hash={cfg_hash}"))
     print(f"wrote {path}")
 
 
@@ -346,11 +345,8 @@ def cmd_synth(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = data.generate_synthetic(spec, split=vals)
     # the dataset format load_csv reads back: no report preamble
     path = rd / "data.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", *ds.channel_names])
-        for i, row in enumerate(ds.values):
-            writer.writerow([i, *[repr(float(v)) for v in row]])
+    _io.write_csv(path, ["timestamp", *ds.channel_names],
+                  ([i, *[repr(float(v)) for v in row]] for i, row in enumerate(ds.values)))
     print(f"wrote {path} ({ds.values.shape[0]} rows, {ds.values.shape[1]} channels)")
     return 0
 

@@ -7,10 +7,10 @@ standardization are pure functions that return new objects.
 
 The windows of a split form one :class:`WindowSet`: the read-only run of
 dataset rows they slide over plus the row where each window starts, so
-enumerating a split copies nothing.  Indexing a WindowSet with a slice or
-with window rows (a training batch) picks starts, not rows, and the model
-gathers a batch's history block and just the label rows it needs in one
-take of series rows.
+enumerating a split copies nothing.  :func:`windows` makes every window
+set; indexing one with a slice or with window rows (a training batch)
+picks starts, not rows, and the model gathers a batch's history block and
+just the label rows it needs in one take of series rows.
 
 CSV files are read once; plain records are parsed by numpy's C reader, and
 anything else (quotes, a wrong field count, a bad or non-finite cell) by a
@@ -102,6 +102,10 @@ class WindowSet(Sequence):
     """Windows of one read-only (M, D) ``series``: window i has history rows
     starts[i] .. starts[i] + L - 1 of it and the T label rows after them.
 
+    Every set comes from :func:`windows` or from indexing one, so the series
+    is a run of dataset rows starting at row ``series_start``, and a
+    window's origin is its start plus a constant.
+
     A sequence of WindowSample: an int index gives one window (views, no
     copy); a slice or a 1-D integer array gives the WindowSet of those
     windows over the same series, again without a copy.  Every block is one
@@ -112,7 +116,7 @@ class WindowSet(Sequence):
 
     series: np.ndarray  # (M, D), read-only
     starts: np.ndarray  # (N,) intp, series row of each window's first history row
-    origin: np.ndarray  # (N,) int64
+    series_start: int  # dataset row of series row 0
     lookback: int
     horizon: int
 
@@ -127,19 +131,20 @@ class WindowSet(Sequence):
                 s, lookback = int(self.starts[idx]), self.lookback
                 return WindowSample(history=self.series[s : s + lookback],
                                     label=self.series[s + lookback : s + lookback + self.horizon],
-                                    origin=int(self.origin[idx]))
+                                    origin=self.series_start + s + lookback - 1)
             idx = np.asarray(idx)
             # as unsigned, a negative index is huge: one max checks both bounds
             if (idx.ndim != 1 or idx.dtype.kind not in "iu"
                     or idx.size and idx.astype(np.uintp).max() >= len(self)):
                 raise IndexError(f"window rows must be a 1-D array of window indices "
                                  f"0..{len(self) - 1}")
-        return WindowSet(self.series, self.starts[idx], self.origin[idx], self.lookback,
+        return WindowSet(self.series, self.starts[idx], self.series_start, self.lookback,
                          self.horizon)
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
+    @property
+    def origin(self) -> np.ndarray:
+        """(N,) int64 origins: the dataset row of each window's last history row."""
+        return (self.starts + (self.series_start + self.lookback - 1)).astype(np.int64, copy=False)
 
     @property
     def history(self) -> np.ndarray:
@@ -188,14 +193,16 @@ class WindowSet(Sequence):
         groups (None for one int range)."""
         lookback, label_len = self.lookback, self.horizon
         if isinstance(first, (int, np.integer)):
-            steps = range(label_len)[first - 1 : last]
-            return (lookback + steps.start,), len(steps), None
+            last = label_len if last is None else last
+            if not 1 <= first <= last <= label_len:
+                raise ValueError(f"label rows {first} to {last} outside 1..{label_len}")
+            return (lookback + first - 1,), last - first + 1, None
         first, last = tuple(first), tuple(last)
         n_rows = last[0] - first[0] + 1
         if any(b - a + 1 != n_rows for a, b in zip(first, last)):
             raise ValueError(f"label rows {list(first)} to {list(last)} "
                              "differ in length between groups")
-        if min(first) < 1 or max(last) > label_len:
+        if n_rows < 1 or min(first) < 1 or max(last) > label_len:
             raise ValueError(f"label rows {list(first)} to {list(last)} "
                              f"outside 1..{label_len}")
         return tuple(lookback + a - 1 for a in first), n_rows, len(first)
@@ -224,21 +231,6 @@ def _window_rows(lead: int, starts: tuple[int, ...], n_rows: int) -> np.ndarray:
                        dtype=np.intp).reshape(len(starts), lead + n_rows, 1)
     offsets.flags.writeable = False
     return offsets
-
-
-def as_window_set(samples: Sequence[WindowSample]) -> WindowSet:
-    """A WindowSet as is, or a list of WindowSample laid end to end, each
-    sample's history and then its label, as the series of a new one."""
-    if isinstance(samples, WindowSet):
-        return samples
-    lookback, horizon = samples[0].history.shape[0], samples[0].label.shape[0]
-    rows = np.stack([np.concatenate([w.history, w.label]) for w in samples])
-    series = rows.reshape(-1, rows.shape[2])
-    series.flags.writeable = False
-    return WindowSet(series=series,
-                     starts=np.arange(len(samples), dtype=np.intp) * (lookback + horizon),
-                     origin=np.array([w.origin for w in samples], dtype=np.int64),
-                     lookback=lookback, horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -508,5 +500,4 @@ def windows(ds: SeriesDataset, lookback: int, horizon: int, split: str) -> Windo
     series = ds.values[lo - lookback + 1 : hi + horizon + 1]
     series.flags.writeable = False
     return WindowSet(series=series, starts=np.arange(hi - lo + 1, dtype=np.intp),
-                     origin=np.arange(lo, hi + 1, dtype=np.int64),
-                     lookback=lookback, horizon=horizon)
+                     series_start=lo - lookback + 1, lookback=lookback, horizon=horizon)

@@ -66,14 +66,10 @@ def as_matrix(values) -> Mat:
 
 
 def append_bias_column(w, b) -> Mat:
-    """Return ``[W b]``: the weight matrix with the bias as an extra column.
-
-    ``b`` may be a length-``rows`` vector or a ``rows x 1`` matrix.
-    """
+    """Return ``[W b]``: the weight matrix with the bias, a length-``rows``
+    vector, as an extra column."""
     w = as_matrix(w)
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 2 and b.shape[1] == 1:
-        b = b[:, 0]
     if b.ndim != 1 or b.shape[0] != w.shape[0]:
         raise ValueError(
             f"bias must have one entry per row: W is {w.shape}, b has shape {b.shape}"

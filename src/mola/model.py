@@ -22,14 +22,13 @@ into an array it was handed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from ._io import (decode_array, encode_array, read_json, require_keys, require_type,
                   write_json)
-from .data import WindowSample, as_window_set
+from .data import WindowSet
 
 ENCODER_KINDS = ("linear", "mlp2")
 ACTIVATIONS = ("relu", "tanh")
@@ -255,7 +254,7 @@ def _check_target(m: FoundationModel, target_slice, label_len: int) -> tuple[int
     return first, last
 
 
-def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice):
+def _stack_batch(m: FoundationModel, batch: WindowSet, target_slice):
     """The (L, B*D) history and (rows, B*D) label blocks of a batch, copied
     once: ``WindowSet.blocks`` gathers both from the batch's series in one
     take, reading only the label rows the target slices select.  With one
@@ -264,7 +263,6 @@ def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice
     those of slice k."""
     if len(batch) == 0:
         raise ValueError("empty batch")
-    batch = as_window_set(batch)
     if batch.lookback != m.lookback:
         raise ValueError(f"history length {batch.lookback} != lookback {m.lookback}")
     if target_slice is None or isinstance(target_slice[0], (int, np.integer)):
@@ -276,7 +274,7 @@ def _stack_batch(m: FoundationModel, batch: Sequence[WindowSample], target_slice
     return batch.blocks(first, last)
 
 
-def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=None) -> float:
+def mse_loss(m: FoundationModel, batch: WindowSet, target_slice=None) -> float:
     """Mean squared error over batch x selected steps x channels."""
     x, y = _stack_batch(m, batch, target_slice)
     rep, _ = _encode_cols(m, x, keep_cache=False)
@@ -290,7 +288,7 @@ def mse_loss(m: FoundationModel, batch: Sequence[WindowSample], target_slice=Non
 
 
 def loss_and_grads(
-    m: FoundationModel, batch: Sequence[WindowSample], target_slice=None, overrides=None
+    m: FoundationModel, batch: WindowSet, target_slice=None, overrides=None
 ):
     """Loss plus gradients: for every entry of an unfrozen model, and only
     for the ``overrides`` of a frozen one.

@@ -27,7 +27,6 @@ class TrainConfig:
     max_epochs: int = 10
     patience: int = 3
     seed: int = 0
-    adam: tuple = (0.9, 0.999, 1e-8)
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -40,31 +39,30 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        b1, b2, eps = self.adam
-        if not (0 < b1 < 1 and 0 < b2 < 1 and eps > 0):
-            raise ValueError(f"adam moments must satisfy 0 < beta < 1, eps > 0, got {self.adam}")
 
 
 # --- optimizer ---
 
 
+# Adam's moment decay rates and denominator epsilon, the textbook defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments of a fixed set of named tensors, kept as two flat
-    vectors.  ``m[name]`` and ``v[name]`` are shaped views into them, and
-    ``spans[name]`` is the (start, stop) of that tensor in the flat layout.
+    vectors in the order of ``params``, the dict the state was made for.
 
     ``runs`` pairs each run of registered arrays that lie back to back in
     one buffer (a whole packed model is one run) with its slice of the flat
     ``step`` buffer, both as views made once; ``grad`` is the flat gradient
-    buffer.  ``params`` is the dict the state was made for."""
+    buffer."""
 
     params: dict[str, np.ndarray]
-    spans: dict[str, tuple[int, int]]
     flat_m: np.ndarray
     flat_v: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
     grad: np.ndarray
     step: np.ndarray
     runs: list[tuple[np.ndarray, np.ndarray]]
@@ -94,16 +92,9 @@ def _memory_runs(params: dict[str, np.ndarray]) -> list[tuple[np.ndarray, int]]:
 
 
 def init_adam(params: dict[str, np.ndarray]) -> AdamState:
-    spans, offset = {}, 0
-    for name, p in params.items():
-        spans[name] = (offset, offset + p.size)
-        offset += p.size
-    state = AdamState(params=params, spans=spans, flat_m=np.zeros(offset),
-                      flat_v=np.zeros(offset), m={}, v={}, grad=np.empty(offset),
-                      step=np.empty(offset), runs=[])
-    for name, (a, b) in spans.items():
-        state.m[name] = state.flat_m[a:b].reshape(params[name].shape)
-        state.v[name] = state.flat_v[a:b].reshape(params[name].shape)
+    total = sum(p.size for p in params.values())
+    state = AdamState(params=params, flat_m=np.zeros(total), flat_v=np.zeros(total),
+                      grad=np.empty(total), step=np.empty(total), runs=[])
     offset = 0
     for view, size in _memory_runs(params):
         state.runs.append((view, state.step[offset : offset + size].reshape(view.shape)))
@@ -111,21 +102,21 @@ def init_adam(params: dict[str, np.ndarray]) -> AdamState:
     return state
 
 
-def adam_step(params, grads, state: AdamState, lr: float, adam=(0.9, 0.999, 1e-8)) -> None:
-    """In-place Adam update with bias correction, one vectorised update over
-    all registered tensors and one subtraction per run of them in memory.
-    ``params`` must be the dict given to init_adam.  Gradient entries whose
-    name was not registered at init time are ignored: that is the frozen
-    mask contract, untracked parameters never move.  Every registered name
-    needs a gradient."""
+def adam_step(params, grads, state: AdamState, lr: float) -> None:
+    """In-place Adam update with bias correction (ADAM_BETA1, ADAM_BETA2,
+    ADAM_EPS), one vectorised update over all registered tensors and one
+    subtraction per run of them in memory.  ``params`` must be the dict
+    given to init_adam.  Gradient entries whose name was not registered at
+    init time are ignored: that is the frozen mask contract, untracked
+    parameters never move.  Every registered name needs a gradient."""
     if params is not state.params:
         raise ValueError("adam_step needs the params dict its state was made for")
-    if not grads.keys() >= state.spans.keys():
-        missing = [name for name in state.spans if name not in grads]
+    if not grads.keys() >= params.keys():
+        missing = [name for name in params if name not in grads]
         raise ValueError(f"no gradient for registered parameters {missing}")
-    b1, b2, eps = adam
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     g, step = state.grad, state.step
-    np.concatenate([grads[name].ravel() for name in state.spans], out=g)
+    np.concatenate([grads[name].ravel() for name in params], out=g)
     state.t += 1
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
@@ -310,7 +301,7 @@ def fit(stages: list[Stage], train_windows: data.WindowSet, loss_grads_fn,
         for i in range(0, n, size):
             stop = min(i + size, n)
             loss, grads = loss_grads_fn(epoch_batch[k * i : k * stop])
-            adam_step(params, grads, state, config.learning_rate, config.adam)
+            adam_step(params, grads, state, config.learning_rate)
             totals += loss * (stop - i)
         for j in list(active):
             val = float(stages[j].val_fn())

@@ -57,7 +57,7 @@ def train_segment(foundation, pairs, train_w, val_w, target, config, stage_key):
     """Adam with bias correction + strict-improvement early stopping on one
     segment's label rows.  Leaves `pairs` at the best-validation snapshot
     and returns (initial_val, [(train_loss, val_loss) per epoch])."""
-    b1, b2, eps = config.adam
+    b1, b2, eps = 0.9, 0.999, 1e-8  # the textbook Adam constants
     flat = {}
     for name, pair in pairs.items():
         flat[f"{name}.b"] = pair["b"]
@@ -80,7 +80,7 @@ def train_segment(foundation, pairs, train_w, val_w, target, config, stage_key):
         perm = rng.permutation(n)
         total = 0.0
         for i in range(0, n, config.batch_size):
-            batch = [train_w[j] for j in perm[i : i + config.batch_size]]
+            batch = train_w[perm[i : i + config.batch_size]]
             view = compose(foundation, pairs)
             loss, g_view = model.loss_and_grads(view, batch, target)
             total += loss * len(batch)

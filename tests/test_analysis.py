@@ -1,3 +1,4 @@
+import hashlib
 import runpy
 import sys
 from pathlib import Path
@@ -138,11 +139,12 @@ def test_bottleneck_appending_output_row_never_decreases(seed):
     assert grown >= base - 1e-8 * max(1.0, base)
 
 
-def test_bottleneck_accepts_column_bias_and_1d_labels():
+def test_bottleneck_takes_a_bias_vector_and_label_columns():
     w, b, y = random_case(13)
-    a = analysis.min_attainable_error(w, b[:, None], y[:, 0])
-    c = analysis.min_attainable_error(w, b, y[:, :1])
-    assert a.min_error_sq == pytest.approx(c.min_error_sq, rel=1e-12)
+    with pytest.raises(ValueError, match="one entry per row"):
+        analysis.min_attainable_error(w, b[:, None], y)
+    with pytest.raises(ValueError, match="2-D"):
+        analysis.min_attainable_error(w, b, y[:, 0])
 
 
 def test_dataset_bottleneck_matches_per_window_average():
@@ -394,9 +396,21 @@ def test_comparison_script_checks_expert_count_before_training(monkeypatch, caps
 
 def test_window_set_hash_sensitivity():
     ds = sine_ds(n_points=220)
-    a = analysis.window_set_hash(data.windows(ds, 8, 4, "test"))
+    wins = data.windows(ds, 8, 4, "test")
+    a = analysis.window_set_hash(wins)
     b = analysis.window_set_hash(data.windows(ds, 8, 4, "test"))
     c = analysis.window_set_hash(data.windows(ds, 8, 4, "val"))
-    assert a == b == analysis.window_set_hash(list(data.windows(ds, 8, 4, "test")))
+    # the digest hashes each window's int64 origin, history and label in
+    # native byte order, one window after another
+    origins = data.window_origins(ds, 8, 4, "test")
+    want = hashlib.sha256(b"".join(
+        np.int64(n).tobytes() + ds.values[n - 7 : n + 1].tobytes()
+        + ds.values[n + 1 : n + 5].tobytes() for n in origins)).hexdigest()
+    assert a == b == want
     assert a != c
+    picked = np.array([3, 0, 3])
+    want = hashlib.sha256(b"".join(
+        np.int64(w.origin).tobytes() + w.history.tobytes() + w.label.tobytes()
+        for w in (wins[int(i)] for i in picked))).hexdigest()
+    assert analysis.window_set_hash(wins[picked]) == want
 

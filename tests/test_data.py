@@ -371,6 +371,9 @@ def test_window_set_indexing():
     assert not np.shares_memory(picked.history, ds.values)
     assert not np.shares_memory(picked.label, ds.values)
     assert [w.origin for w in picked] == [ws[int(i)].origin for i in idx]
+    # origins derive from the starts, also through an index of an index
+    assert picked.origin.dtype == np.int64
+    assert picked[1:3].origin.tolist() == ws.origin[idx[1:3]].tolist()
     for w, i in zip(picked, idx):
         assert np.array_equal(w.history, ws[int(i)].history)
         assert np.array_equal(w.label, ws[int(i)].label)
@@ -380,8 +383,7 @@ def test_window_set_indexing():
 
 def test_indexed_batch_stacks_like_np_stack():
     # np.stack of the windows is the ground truth for a batch's blocks, for
-    # one label slice and for K groups with a slice each, on a set of window
-    # rows and on a list of samples
+    # one label slice and for K groups with a slice each
     ds = make_ds(n=120, d=3)
     ws = data.windows(ds, lookback=6, horizon=6, split="train")
     m = model.new_model(model.EncoderSpec(kind="linear", in_len=6), head_out=2, seed=0)
@@ -399,14 +401,13 @@ def test_indexed_batch_stacks_like_np_stack():
         (((1, 2), (3, 4), (5, 6)), np.stack([cols(hist[g]) for g in groups]),
          np.stack([cols(lab[g, 2 * k : 2 * k + 2]) for k, g in enumerate(groups)])),
     ]
-    for batch in (ws[idx], samples, data.as_window_set(samples)):
-        for target, want_x, want_y in cases:
-            x, y = model._stack_batch(m, batch, target)
-            assert x.tobytes() == want_x.tobytes() and x.shape == want_x.shape
-            assert y.tobytes() == want_y.tobytes() and y.shape == want_y.shape
-        batch = data.as_window_set(batch)
-        assert batch.history_block().tobytes() == cols(hist).tobytes()
-        assert batch.label_block(2, 5).tobytes() == cols(lab[:, 1:5]).tobytes()
+    batch = ws[idx]
+    for target, want_x, want_y in cases:
+        x, y = model._stack_batch(m, batch, target)
+        assert x.tobytes() == want_x.tobytes() and x.shape == want_x.shape
+        assert y.tobytes() == want_y.tobytes() and y.shape == want_y.shape
+    assert batch.history_block().tobytes() == cols(hist).tobytes()
+    assert batch.label_block(2, 5).tobytes() == cols(lab[:, 1:5]).tobytes()
     with pytest.raises(ValueError, match="empty batch"):
         model._stack_batch(m, ws[idx[:0]], None)
 
@@ -430,6 +431,22 @@ def test_grouped_blocks_stack_each_groups_block():
         batch.blocks((1, 3, 5), (2, 4, 5))
     with pytest.raises(ValueError, match="outside 1..6"):
         batch.blocks((1, 5), (3, 7))
+
+
+def test_label_rows_outside_the_horizon_are_refused():
+    # an int range of label rows is checked like the grouped ranges: rows
+    # outside 1..T, or a range that runs backwards, raise instead of
+    # giving a clipped or empty block
+    ws = data.windows(make_ds(n=120, d=3), lookback=6, horizon=8, split="train")
+    for first, last in ((0, 3), (7, 12), (9, None), (5, 4)):
+        with pytest.raises(ValueError, match="outside 1..8"):
+            ws.label_block(first, last)
+        with pytest.raises(ValueError, match="outside 1..8"):
+            ws.blocks(first, last)
+    with pytest.raises(ValueError, match="outside 1..8"):
+        ws[:4].blocks((3, 2), (2, 1))
+    assert ws.label_block(8, 8).shape == (1, len(ws) * 3)
+    assert ws.label_block(3).shape == (6, len(ws) * 3)
 
 
 def test_batch_blocks_gather_history_and_labels_in_one_take():

@@ -50,10 +50,9 @@ def test_append_bias_column_shapes():
     assert wbar.shape == (4, 9)
     assert np.array_equal(wbar[:, :8], w)
     assert np.array_equal(wbar[:, 8], b)
-    # column-vector bias is accepted too
-    assert np.array_equal(linalg.append_bias_column(w, b.reshape(4, 1)), wbar)
-    with pytest.raises(ValueError):
-        linalg.append_bias_column(w, np.arange(3.0))
+    for bad in (np.arange(3.0), b.reshape(4, 1)):  # one entry per row, as a vector
+        with pytest.raises(ValueError, match="one entry per row"):
+            linalg.append_bias_column(w, bad)
 
 
 # --- svd ---

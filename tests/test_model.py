@@ -19,6 +19,15 @@ def make_batch(lookback, horizon, d, n, seed):
     return data.windows(ds, lookback, horizon, "train")
 
 
+def one_window(history, label):
+    """The WindowSet of one window with these history and label rows: the
+    train split of a dataset that holds them and one row after them."""
+    values = np.concatenate([history, label, np.zeros((1, history.shape[1]))])
+    ds = data.SeriesDataset(values=values, channel_names=[f"c{i}" for i in range(history.shape[1])],
+                            train_end=len(values) - 1, val_end=len(values))
+    return data.windows(ds, len(history), len(label), "train")
+
+
 def linear_spec(lookback, activation="relu"):
     return model.EncoderSpec(kind="linear", in_len=lookback, activation=activation)
 
@@ -168,7 +177,7 @@ def test_loss_zero_at_perfect_fit():
     m = model.new_model(mlp_spec(5, 4, 2), head_out=3, seed=1)
     hist = np.random.default_rng(5).normal(size=(5, 2))
     label = model.forecast(m, hist)
-    batch = [data.WindowSample(history=hist, label=label, origin=4)]
+    batch = one_window(hist, label)
     loss, grads = model.loss_and_grads(m, batch)
     assert loss == pytest.approx(0.0, abs=1e-24)
     for g in grads.values():
@@ -184,7 +193,7 @@ def test_closed_form_single_linear_layer():
     rng = np.random.default_rng(6)
     hist = rng.normal(size=(3, 1))
     label = rng.normal(size=(2, 1))
-    batch = [data.WindowSample(history=hist, label=label, origin=2)]
+    batch = one_window(hist, label)
     head = {name: m.params[name] for name in ("head.w", "head.b")}
     loss, grads = model.loss_and_grads(m, batch, overrides=head)
     pred = model.forecast(m, hist)
@@ -227,7 +236,7 @@ def test_target_slice_selects_steps():
     with pytest.raises(ValueError):
         model.mse_loss(m, batch, target_slice=(6, 7))  # runs past the label
     with pytest.raises(ValueError):
-        model.loss_and_grads(m, [])
+        model.loss_and_grads(m, batch[:0])
 
 
 @pytest.mark.parametrize("spec_fn", [lambda: linear_spec(6), lambda: mlp_spec(6, activation="relu"),
@@ -292,7 +301,11 @@ def test_no_grad_passes_are_bitwise_the_cached_forward_and_write_only_their_own_
     assert model.forecast(m, x).tobytes() == want.tobytes()
     for b, target in ((wins, None), (wins, (1, 4)), (batch, None)):
         assert model.mse_loss(m, b, target) == model.loss_and_grads(m, b, target)[0]
-    assert model.mse_loss(m, batch) == model.mse_loss(m, [wins[int(i)] for i in rows])
+    # the batch's loss is that of the np.stack of its windows, bit for bit
+    hist, lab = (np.stack([getattr(wins[int(i)], f) for i in rows]) for f in ("history", "label"))
+    cols = [a.transpose(1, 0, 2).reshape(a.shape[1], -1) for a in (hist, lab)]
+    err = model.forecast(m, cols[0]) - cols[1]
+    assert model.mse_loss(m, batch) == float((err**2).mean())
     assert snapshot() == before
     m.freeze()
     overrides = {name: arr + 0.1 * rng.normal(size=(2, *arr.shape))

@@ -3,6 +3,8 @@
 A public module-level function or class of ``mola`` that no code in
 ``src/``, ``scripts/`` or ``perfbench/`` refers to exists only for the
 tests; such code is deleted together with its tests instead of kept.
+Each exception in ``ALLOWED`` must name a definition that still exists
+and that still only tests use.
 """
 
 import ast
@@ -49,19 +51,36 @@ def _public_definitions(tree) -> dict[str, ast.AST]:
     }
 
 
-def test_every_public_name_is_used_outside_tests():
+def _public_names() -> tuple[set[str], set[str]]:
+    """(``module.name`` of every public definition of the package, those of
+    them that code outside the tests refers to)."""
     files = [p for d in ("src", "scripts", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
-    unused = []
+    defined, used = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        own = _public_definitions(trees[path])
-        for name, definition in own.items():
-            used = any(
+        for name, definition in _public_definitions(trees[path]).items():
+            defined.add(f"{path.stem}.{name}")
+            if any(
                 name in (_own_references(node) if p == path else _references(node, path.stem))
                 for p, tree in trees.items()
                 for node in tree.body
                 if node is not definition
-            )
-            if not used and f"{path.stem}.{name}" not in ALLOWED:
-                unused.append(f"{path.stem}.{name}")
+            ):
+                used.add(f"{path.stem}.{name}")
+    return defined, used
+
+
+def test_every_public_name_is_used_outside_tests():
+    defined, used = _public_names()
+    unused = sorted(defined - used - ALLOWED.keys())
     assert unused == [], f"public names only tests use: {unused}"
+
+
+def test_every_allowed_name_exists_and_only_tests_use_it():
+    # an exception outlives its reason when its name is gone or the program
+    # has started to use it
+    defined, used = _public_names()
+    missing = sorted(ALLOWED.keys() - defined)
+    assert missing == [], f"ALLOWED names that no longer exist: {missing}"
+    in_use = sorted(ALLOWED.keys() & used)
+    assert in_use == [], f"ALLOWED names that code outside the tests uses: {in_use}"
