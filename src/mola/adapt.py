@@ -365,7 +365,7 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     gradients are bitwise those of its own step.
 
     W_eff is formed without effective_weight's shape checks, which are
-    check_fits' and run once per fit in train.adapt_all_segments.
+    check_fits' and run once before the fits of train.adapt_all_segments.
     """
     stacks = _segment_stacks(adapter, k)
     if adapter.routing == "one-hot":

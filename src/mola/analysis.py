@@ -121,7 +121,6 @@ class ParamCount:
     n_mola: int
     n_backbone: int
     ratio: float
-    inputs: tuple[int, int, int, int, int, int]  # (n_layers, d_model, d_ff, rank, experts, segments)
 
 
 def param_counts(n_layers: int, d_model: int, d_ff: int, rank: int,
@@ -148,7 +147,6 @@ def param_counts(n_layers: int, d_model: int, d_ff: int, rank: int,
         n_mola=n_mola,
         n_backbone=n_backbone,
         ratio=n_mola / n_backbone,
-        inputs=(n_layers, d_model, d_ff, rank, n_experts, segments),
     )
 
 
@@ -314,15 +312,11 @@ def window_set_hash(ws: data.WindowSet) -> str:
     n = len(ws)
     # one row per window: origin (int64), history, label, all in native byte
     # order, so the digest equals hashing the windows one after another
-    rows = np.concatenate(
-        [
-            ws.origin.astype(np.int64).reshape(n, 1).view(np.uint8),
-            np.ascontiguousarray(ws.history).reshape(n, -1).view(np.uint8),
-            np.ascontiguousarray(ws.label).reshape(n, -1).view(np.uint8),
-        ],
-        axis=1,
-    )
-    return hashlib.sha256(rows.tobytes()).hexdigest()
+    history = ws.history_block().reshape(ws.lookback, n, -1).transpose(1, 0, 2)
+    windows = np.concatenate([history, ws.labels()], axis=1).reshape(n, -1)
+    rows = np.concatenate([ws.origin.reshape(n, 1).view(np.uint8), windows.view(np.uint8)],
+                          axis=1)
+    return hashlib.sha256(rows).hexdigest()
 
 
 def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,

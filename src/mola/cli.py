@@ -445,12 +445,14 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     lookback = cfg["dataset"]["lookback"]
     horizon = cfg["dataset"]["horizon"]
     forecast_fn = _forecaster_from_checkpoints(pk, rd, lookback, horizon)
-    metrics = train.evaluate_forecaster(forecast_fn, ds, lookback, horizon, split=args.split)
-    payload = {"paradigm": pk, "split": args.split, "metrics": metrics}
+    payload = {"paradigm": pk, "split": args.split}
     if args.destandardized:
-        payload["destandardized_metrics"] = _destandardized_metrics(
-            forecast_fn, ds, lookback, horizon, args.split
-        )
+        payload["metrics"], payload["destandardized_metrics"] = _metrics_and_destandardized(
+            forecast_fn, ds, lookback, horizon, args.split)
+    else:
+        payload["metrics"] = train.evaluate_forecaster(forecast_fn, ds, lookback, horizon,
+                                                       split=args.split)
+    metrics = payload["metrics"]
     _write_report(rd, f"eval_{pk}_{args.split}.json", cfg_hash, payload)
     _write_report_csv(
         rd / "reports" / f"eval_{pk}_{args.split}.csv", _step_rows(metrics), cfg_hash
@@ -459,18 +461,17 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     return 0
 
 
-def _destandardized_metrics(forecast_fn, ds, lookback, horizon, split):
+def _metrics_and_destandardized(forecast_fn, ds, lookback, horizon, split):
+    """The metrics of evaluate_forecaster, and the same in the units of the
+    raw data, from one forecast of the split."""
     # the per-channel mean cancels: a raw error is the standardized one times the std
     std = ds.norm_stats.std
-
-    def destandardize(err):
-        err *= std
-        return err
-
-    # map, unlike a generator expression, keeps no reference to the block
-    # it handed on while the next one is made
-    errs = train.forecast_errors(forecast_fn, ds, lookback, horizon, split)
-    return train.error_metrics(map(destandardize, errs), split, 1, horizon)
+    steps, raw = train.StepErrors(1, horizon), train.StepErrors(1, horizon)
+    for err in train.forecast_errors(forecast_fn, ds, lookback, horizon, split):
+        raw.add(err * std)
+        steps.add(err)
+        del err
+    return steps.metrics(split), raw.metrics(split)
 
 
 def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
@@ -679,14 +680,9 @@ def main(argv=None) -> int:
             print("error: a subcommand is required", file=sys.stderr)
             return 1
         return _dispatch(args)
-    except UserError as e:
+    except (UserError, ValueError, OSError, configparser.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, configparser.Error) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except SystemExit:
-        raise
     except Exception as e:  # anything else is a bug, not a usage problem
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -9,8 +9,10 @@ The windows of a split form one :class:`WindowSet`: the read-only run of
 dataset rows they slide over plus the row where each window starts, so
 enumerating a split copies nothing.  :func:`windows` makes every window
 set; indexing one with a slice or with window rows (a training batch)
-picks starts, not rows, and the model gathers a batch's history block and
-just the label rows it needs in one take of series rows.
+picks starts, not rows.  Every read of window rows beyond one window's
+views is one ``take`` of series rows: the column blocks the model consumes
+and the window-major label rows evaluation scores against.  This module
+alone knows where a window's rows lie and which label rows exist.
 
 CSV files are read once; plain records are parsed by numpy's C reader, and
 anything else (quotes, a wrong field count, a bad or non-finite cell) by a
@@ -27,7 +29,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 COMPONENT_KINDS = ("sine", "trend", "ar1")
 DEFAULT_SPLIT = (0.7, 0.1, 0.2)
@@ -108,8 +109,8 @@ class WindowSet(Sequence):
 
     A sequence of WindowSample: an int index gives one window (views, no
     copy); a slice or a 1-D integer array gives the WindowSet of those
-    windows over the same series, again without a copy.  Every block is one
-    ``take`` of series rows.  Treat a WindowSet as read-only; it is not
+    windows over the same series, again without a copy.  Every other read
+    is one ``take`` of series rows.  Treat a WindowSet as read-only; it is not
     frozen because a training step makes one, and slots with a plain
     ``__init__`` make and read it fastest.
     """
@@ -146,24 +147,6 @@ class WindowSet(Sequence):
         """(N,) int64 origins: the dataset row of each window's last history row."""
         return (self.starts + (self.series_start + self.lookback - 1)).astype(np.int64, copy=False)
 
-    @property
-    def history(self) -> np.ndarray:
-        """(N, L, D) histories: a view when the starts are consecutive, else a copy."""
-        return self._rows(0, self.lookback)
-
-    @property
-    def label(self) -> np.ndarray:
-        """(N, T, D) labels: a view when the starts are consecutive, else a copy."""
-        return self._rows(self.lookback, self.horizon)
-
-    def _rows(self, shift: int, n_rows: int) -> np.ndarray:
-        # sliding_window_view puts the window axis last: (starts, D, n_rows)
-        view = sliding_window_view(self.series[shift:], n_rows, axis=0)
-        s = self.starts
-        if len(s) and (np.diff(s) == 1).all():
-            return view[s[0] : s[-1] + 1].transpose(0, 2, 1)
-        return view[s].transpose(0, 2, 1)
-
     def history_block(self) -> np.ndarray:
         """Histories as one contiguous (L, N*D) column block; column i*D + c
         is channel c of window i.  This is the layout every model consumes."""
@@ -174,6 +157,12 @@ class WindowSet(Sequence):
         (rows, N*D) block in the column order of :meth:`history_block`."""
         starts, n_rows, _ = self._label_rows(first, last)
         return self._gather(_window_rows(0, starts, n_rows), None)
+
+    def labels(self, first: int = 1, last: int | None = None) -> np.ndarray:
+        """Label rows first..last (1-based, inclusive) of every window as a
+        C-ordered (N, rows, D) array, window-major, in one take."""
+        (start,), n_rows, _ = self._label_rows(first, last)
+        return self.series.take(self.starts[:, None] + np.arange(start, start + n_rows), axis=0)
 
     def blocks(self, first=1, last=None) -> tuple[np.ndarray, np.ndarray]:
         """The history block and the block of label rows first..last, both

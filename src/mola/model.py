@@ -238,19 +238,17 @@ def forecast(m: FoundationModel, history: np.ndarray) -> np.ndarray:
     return decode(m, encode(m, history))
 
 
-def _check_target(m: FoundationModel, target_slice, label_len: int) -> tuple[int, int]:
+def _check_target(m: FoundationModel, target_slice) -> tuple[int, int]:
+    """The label rows (first, last) of a target slice, one per head output
+    (default: the first head_out); the window set checks that they exist."""
     if target_slice is None:
         target_slice = (1, m.head_out)
     first, last = target_slice
-    if not (1 <= first <= last):
-        raise ValueError(f"bad target_slice {target_slice}")
     if last - first + 1 != m.head_out:
         raise ValueError(
             f"target_slice {target_slice} selects {last - first + 1} steps "
             f"but the head has {m.head_out} outputs"
         )
-    if last > label_len:
-        raise ValueError(f"target_slice {target_slice} exceeds label length {label_len}")
     return first, last
 
 
@@ -266,11 +264,11 @@ def _stack_batch(m: FoundationModel, batch: WindowSet, target_slice):
     if batch.lookback != m.lookback:
         raise ValueError(f"history length {batch.lookback} != lookback {m.lookback}")
     if target_slice is None or isinstance(target_slice[0], (int, np.integer)):
-        first, last = _check_target(m, target_slice, batch.horizon)
+        first, last = _check_target(m, target_slice)
     elif len(target_slice) == 0:
         raise ValueError("no target slices")
     else:
-        first, last = zip(*(_check_target(m, t, batch.horizon) for t in target_slice))
+        first, last = zip(*(_check_target(m, t) for t in target_slice))
     return batch.blocks(first, last)
 
 

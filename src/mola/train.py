@@ -72,16 +72,16 @@ class AdamState:
 def _memory_runs(params: dict[str, np.ndarray]) -> list[tuple[np.ndarray, int]]:
     """(view, size) of each run of consecutive ``params`` that lie back to
     back in one C-contiguous float64 buffer: the array itself for a run of
-    one, else a flat view of the run's memory."""
-    runs: list[list] = []  # [first array, buffer or None, start, size]
-    for p in params.values():
+    one, else a flat view of the run's memory.  Any other array is refused."""
+    runs: list[list] = []  # [first array, buffer, start, size]
+    for name, p in params.items():
         root = p
         while isinstance(root.base, np.ndarray):
             root = root.base
         if not (p.flags.c_contiguous and root.flags.c_contiguous
                 and p.dtype == root.dtype == np.float64):
-            runs.append([p, None, 0, p.size])  # joins no run
-            continue
+            raise ValueError(f"parameter {name!r} is not a C-contiguous float64 array "
+                             "in a C-contiguous float64 buffer")
         start = (p.__array_interface__["data"][0] - root.__array_interface__["data"][0]) // 8
         if runs and runs[-1][1] is root and runs[-1][2] + runs[-1][3] == start:
             runs[-1][3] += p.size
@@ -435,9 +435,10 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
     groups = ([(segments, None, plan.boundaries)] if adapter.routing == "one-hot"
               else [([k], k, plan.boundaries[k - 1]) for k in segments])
     records: list[RunRecord] = []
+    # a fit changes values in place, never shapes
+    adapt.check_fits(adapter, foundation)
     for group, step, targets in groups:
         t0 = perf_counter()
-        adapt.check_fits(adapter, foundation)
         group_records = fit(
             [stage(k) for k in group], train_w,
             lambda batch: adapt.segment_grads(foundation, adapter, step, batch, targets),
@@ -512,7 +513,6 @@ def forecast_errors(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon:
     wins = data.windows(ds, lookback, horizon, split)
     last = horizon if last is None else last
     n, rows, d = len(wins), last - first + 1, wins.series.shape[1]
-    labels = wins.label
     blocks = forecast_fn(wins.history_block())
     done = 0
     for pred in (blocks,) if isinstance(blocks, np.ndarray) else blocks:
@@ -523,9 +523,10 @@ def forecast_errors(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon:
                              f"({n * d} columns)")
         r = len(pred)
         # a C-ordered (N, r, D) error array keeps the summation order of the
-        # means in error_metrics the same as for stacked per-window forecasts
-        err = np.subtract(pred.reshape(r, n, d).transpose(1, 0, 2),
-                          labels[:, first - 1 + done : first - 1 + done + r], order="C")
+        # means in StepErrors the same as for stacked per-window forecasts;
+        # the forecast is subtracted into the block's label rows in place
+        err = wins.labels(first + done, first + done + r - 1)
+        np.subtract(pred.reshape(r, n, d).transpose(1, 0, 2), err, out=err)
         del pred
         yield err
         del err
@@ -548,45 +549,44 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
     of scoring the whole forecast at once.  The averaged row is defined as
     the mean of the per-step values.  With target_rows=(first, last),
     forecast_fn must return just those label rows (used for per-segment
-    evaluation) and steps keep their absolute index.
+    evaluation) and steps keep their absolute index; rows outside 1..T
+    raise the ValueError of the window set's label read.
     """
-    if target_rows is None:
-        first, last = 1, horizon
-    else:
-        first, last = target_rows
-        if not 1 <= first <= last <= horizon:
-            raise ValueError(f"target rows {target_rows} out of range 1..{horizon}")
-    errs = forecast_errors(forecast_fn, ds, lookback, horizon, split, first, last)
-    return error_metrics(errs, split, first, last)
+    first, last = (1, horizon) if target_rows is None else target_rows
+    steps = StepErrors(first, last)
+    for err in forecast_errors(forecast_fn, ds, lookback, horizon, split, first, last):
+        steps.add(err)
+        del err  # dropped before the next block is made
+    return steps.metrics(split)
 
 
-def error_metrics(errs, split: str, first: int, last: int) -> dict:
-    """The metrics dict of evaluate_forecaster from the (N, r, D) error
-    blocks of steps first..last, in step order, as forecast_errors yields
-    them; each block is overwritten and dropped before the next is asked
-    for."""
-    mse, mae = [], []
-    for err in errs:
+class StepErrors:
+    """Per-step MSE and MAE of steps first..last, reduced one (N, r, D)
+    error block at a time in step order, so that one stream of blocks can
+    feed more than one set of metrics."""
+
+    def __init__(self, first: int, last: int):
+        self.first, self.last, self.n_windows = first, last, 0
+        self.mse: list[np.ndarray] = []
+        self.mae: list[np.ndarray] = []
+
+    def add(self, err: np.ndarray) -> None:
+        """Reduce the next block of errors, overwriting ``err``."""
         r = err.shape[1]
-        if r == 1 and last > first:
+        if r == 1 and self.last > self.first:
             # numpy sums a one-row array over windows and channels as one
             # run, but a row of a longer array window after window; a zero
             # second row keeps the order, and so the bits, of the whole array
             err = np.concatenate([err, np.zeros_like(err)], axis=1)
-        n_windows = err.shape[0]
+        self.n_windows = err.shape[0]
         # |err| and then |err|**2, which is bitwise err**2, are formed in place
-        mae.append(np.abs(err, out=err).mean(axis=(0, 2))[:r])
-        mse.append(np.multiply(err, err, out=err).mean(axis=(0, 2))[:r])
-        del err
-    mse_steps, mae_steps = np.concatenate(mse), np.concatenate(mae)
-    per_step = [
-        {"step": first + j, "mse": float(mse_steps[j]), "mae": float(mae_steps[j])}
-        for j in range(len(mse_steps))
-    ]
-    return {
-        "split": split,
-        "n_windows": n_windows,
-        "per_step": per_step,
-        "mse": float(np.mean(mse_steps)),
-        "mae": float(np.mean(mae_steps)),
-    }
+        self.mae.append(np.abs(err, out=err).mean(axis=(0, 2))[:r])
+        self.mse.append(np.multiply(err, err, out=err).mean(axis=(0, 2))[:r])
+
+    def metrics(self, split: str) -> dict:
+        """The metrics dict of evaluate_forecaster for the blocks added."""
+        mse, mae = np.concatenate(self.mse), np.concatenate(self.mae)
+        per_step = [{"step": self.first + j, "mse": float(a), "mae": float(b)}
+                    for j, (a, b) in enumerate(zip(mse, mae))]
+        return {"split": split, "n_windows": self.n_windows, "per_step": per_step,
+                "mse": float(np.mean(mse)), "mae": float(np.mean(mae))}

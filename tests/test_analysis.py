@@ -414,3 +414,20 @@ def test_window_set_hash_sensitivity():
         for w in (wins[int(i)] for i in picked))).hexdigest()
     assert analysis.window_set_hash(wins[picked]) == want
 
+
+def test_window_set_hash_is_pinned():
+    # digests of exactly representable values: how window rows are read
+    # must not change them, or reports hashed before and after such a
+    # change stop comparing equal
+    values = np.arange(60 * 3, dtype=np.float64).reshape(60, 3) / 4 - 7
+    ds = data.SeriesDataset(values=values, channel_names=["a", "b", "c"],
+                            train_end=30, val_end=42)
+    ws = data.windows(ds, 5, 3, "test")
+    assert len(ws) == 16
+    assert analysis.window_set_hash(ws) == (
+        "c9c0d8a6c4f9a14b78149d7f44ddb5e887a89c01c01ac3f2b678aa0b561c67c8")
+    assert analysis.window_set_hash(ws[np.array([4, 0, 4, 2])]) == (
+        "57cb48c2dd600336dc2bc7288a285bcbc5f9ce569be5f160eaa9aeb567818882")
+    assert analysis.window_set_hash(ws[2:6]) == (
+        "d86575a6bfc0100f451c8d3ce503ead52d9f226895a67c37e6fa9b1510ab5447")
+

@@ -254,6 +254,29 @@ def test_eval_destandardized_matches_per_window_metrics(ws):
     assert got["mse"] != pytest.approx(report["metrics"]["mse"], rel=1e-3)
 
 
+def test_eval_destandardized_forecasts_the_split_once(ws, monkeypatch):
+    # both metric sets come from one forecast: K mola_forecast calls, one
+    # per segment, with or without --destandardized, and the same metrics
+    from mola import train
+
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "run"
+    for cmd in ("pretrain", "adapt"):
+        assert cli.main([cmd, "--config", cfg, "--run-dir", str(rd)]) == 0
+    calls = []
+    forecast = train.mola_forecast
+    monkeypatch.setattr(train, "mola_forecast",
+                        lambda *a, **kw: calls.append(kw) or forecast(*a, **kw))
+    reports = []
+    for flags in ([], ["--destandardized"]):
+        calls.clear()
+        assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd), *flags]) == 0
+        assert len(calls) == 4
+        reports.append(json.loads((rd / "reports" / "eval_mola_test.json").read_text()))
+    assert reports[1]["metrics"] == reports[0]["metrics"]
+    assert "destandardized_metrics" in reports[1]
+
+
 @pytest.mark.parametrize("horizon, segments", [(8, 4), (4, 4)])
 def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forecast(
         horizon, segments):
@@ -279,7 +302,8 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
     raw = err * ds.norm_stats.std
     want_mse, want_mae = (raw * raw).mean(axis=(0, 2)), np.abs(raw).mean(axis=(0, 2))
 
-    got = cli._destandardized_metrics(blocks, ds, 8, horizon, "test")
+    metrics, got = cli._metrics_and_destandardized(blocks, ds, 8, horizon, "test")
+    assert metrics == train.evaluate_forecaster(blocks, ds, 8, horizon, "test")
     assert got["n_windows"] == err.shape[0]
     assert [r["step"] for r in got["per_step"]] == list(range(1, horizon + 1))
     assert [r["mse"] for r in got["per_step"]] == want_mse.tolist()

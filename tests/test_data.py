@@ -338,10 +338,12 @@ def test_window_set_is_a_view_of_the_values():
     ds = make_ds(n=80, d=3)
     for split in ("train", "val", "test"):
         ws = data.windows(ds, lookback=6, horizon=4, split=split)
-        assert ws.history.shape == (len(ws), 6, 3) and ws.label.shape == (len(ws), 4, 3)
-        assert np.shares_memory(ws.history, ds.values)
-        assert np.shares_memory(ws.label, ds.values)
+        assert np.shares_memory(ws.series, ds.values) and not ws.series.flags.writeable
         assert np.array_equal(ws.origin, data.window_origins(ds, 6, 4, split))
+        first = ws[0]
+        assert first.history.shape == (6, 3) and first.label.shape == (4, 3)
+        assert np.shares_memory(first.history, ds.values)
+        assert np.shares_memory(first.label, ds.values)
 
 
 def test_window_set_indexing():
@@ -359,17 +361,15 @@ def test_window_set_indexing():
     part = ws[3:7]
     assert isinstance(part, data.WindowSet) and len(part) == 4
     assert part.series is ws.series
-    for arr in (part.history, part.label):  # consecutive starts: views
-        assert np.shares_memory(arr, ds.values)
     assert [w.origin for w in part] == [w.origin for w in list(ws)[3:7]]
     idx = np.array([5, 0, 5, 9])
     picked = ws[idx]
     assert isinstance(picked, data.WindowSet)
-    # a set of window rows picks starts over the same series; its stacked
-    # histories and labels are copies
+    # a set of window rows picks starts over the same series; the arrays
+    # read from it are copies
     assert picked.series is ws.series
-    assert not np.shares_memory(picked.history, ds.values)
-    assert not np.shares_memory(picked.label, ds.values)
+    assert not np.shares_memory(picked.history_block(), ds.values)
+    assert not np.shares_memory(picked.labels(), ds.values)
     assert [w.origin for w in picked] == [ws[int(i)].origin for i in idx]
     # origins derive from the starts, also through an index of an index
     assert picked.origin.dtype == np.int64
@@ -377,8 +377,7 @@ def test_window_set_indexing():
     for w, i in zip(picked, idx):
         assert np.array_equal(w.history, ws[int(i)].history)
         assert np.array_equal(w.label, ws[int(i)].label)
-    assert np.array_equal(picked.history, np.stack([w.history for w in picked]))
-    assert np.array_equal(picked.label, np.stack([w.label for w in picked]))
+    assert np.array_equal(picked.labels(), np.stack([w.label for w in picked]))
 
 
 def test_indexed_batch_stacks_like_np_stack():
@@ -447,6 +446,25 @@ def test_label_rows_outside_the_horizon_are_refused():
         ws[:4].blocks((3, 2), (2, 1))
     assert ws.label_block(8, 8).shape == (1, len(ws) * 3)
     assert ws.label_block(3).shape == (6, len(ws) * 3)
+
+
+def test_labels_are_each_windows_label_rows():
+    # labels(first, last) is the (N, rows, D) stack of label rows
+    # first..last of every window, C-ordered, for the whole set, a slice and
+    # a set of window rows alike
+    ds = make_ds(n=120, d=3)
+    ws = data.windows(ds, lookback=6, horizon=5, split="train")
+    idx = np.array([7, 0, 7, 3, len(ws) - 1])
+    for source in (ws, ws[2:9], ws[idx]):
+        for first, last in ((1, None), (2, 4), (5, 5)):
+            got = source.labels(first, last)
+            stop = 5 if last is None else last
+            want = np.stack([ds.values[n + first : n + stop + 1] for n in source.origin])
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+    for first, last in ((0, 3), (4, 6), (6, None), (4, 3)):
+        with pytest.raises(ValueError, match="outside 1..5"):
+            ws.labels(first, last)
 
 
 def test_batch_blocks_gather_history_and_labels_in_one_take():

@@ -233,8 +233,10 @@ def test_target_slice_selects_steps():
     assert loss_a == pytest.approx(float(np.mean(hand)), rel=1e-12)
     with pytest.raises(ValueError):
         model.mse_loss(m, batch, target_slice=(1, 3))  # length 3 != head_out
-    with pytest.raises(ValueError):
-        model.mse_loss(m, batch, target_slice=(6, 7))  # runs past the label
+    # label rows are checked where they are read
+    for past in ((6, 7), (0, 1)):
+        with pytest.raises(ValueError, match="outside 1..6"):
+            model.mse_loss(m, batch, target_slice=past)
     with pytest.raises(ValueError):
         model.loss_and_grads(m, batch[:0])
 
@@ -289,7 +291,7 @@ def test_no_grad_passes_are_bitwise_the_cached_forward_and_write_only_their_own_
     batch = wins[rows]
 
     def snapshot(*extra):
-        return [a.tobytes() for a in (x, wins.history, wins.label, *m.params.values(), *extra)]
+        return [a.tobytes() for a in (x, wins.series, *m.params.values(), *extra)]
 
     before = snapshot()
     rep, _ = model._encode_cols(m, x, keep_cache=True)

@@ -147,6 +147,18 @@ def test_adam_multi_step_matches_scalar_reference():
     assert abs(w[0] - want) <= 1e-14
 
 
+def test_adam_refuses_arrays_outside_a_c_contiguous_float64_buffer():
+    # every model and adapter array is a view into one packed float64
+    # buffer; anything else has no place in a memory run
+    buffer = np.zeros(12)
+    ok = {"a": buffer[:4], "b": buffer[4:]}
+    assert len(train.init_adam(ok).runs) == 1
+    for bad in (np.zeros((3, 4))[:, ::2], np.zeros(4, dtype=np.float32),
+                np.zeros((3, 4), order="F")[:, 0]):
+        with pytest.raises(ValueError, match="'b' is not a C-contiguous float64"):
+            train.init_adam({"a": buffer[:4], "b": bad})
+
+
 def test_adam_runs_follow_memory():
     # a packed model is one run, and arrays of one buffer merge only where
     # they lie back to back
@@ -713,6 +725,10 @@ def test_evaluate_forecaster_target_rows():
         lambda h: model.forecast(m, h), ds, 8, 4, split="val", target_rows=(3, 4)
     )
     assert [row["step"] for row in out["per_step"]] == [3, 4]
+    # rows past the horizon are refused by the window set's label read
+    with pytest.raises(ValueError, match="outside 1..4"):
+        train.evaluate_forecaster(lambda h: model.forecast(m, h), ds, 8, 4, split="val",
+                                  target_rows=(4, 5))
 
 
 def test_evaluate_forecaster_rejects_bad_shape():
@@ -732,7 +748,7 @@ def row_blocks(forecast_fn, bounds):
 @pytest.mark.parametrize("horizon, segments, d", [(8, 4, 2), (4, 4, 2), (6, 3, 1), (4, 4, 1)])
 def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, d):
     # segments of one row and single channels included: numpy sums those
-    # blocks in another order unless error_metrics keeps the whole array's
+    # blocks in another order unless StepErrors keeps the whole array's
     ds = sine_dataset(d=d, noise=0.1)
     foundation, adapter = random_mola(horizon, segments, routing)
     def whole(h):
