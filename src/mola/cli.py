@@ -325,12 +325,32 @@ def _require_checkpoint(path: Path, hint: str):
     return path
 
 
-def _load_model(path: Path, lookback: int) -> model.FoundationModel:
+def _refuse_mismatch(path: Path, section: str, pairs) -> None:
+    """Raise a UserError naming the first ``(key, checkpoint value, config
+    value)`` of ``pairs`` whose values differ."""
+    for key, saved, configured in pairs:
+        if saved != configured:
+            raise UserError(
+                f"{path} was trained with {section}.{key}={saved}, "
+                f"but {section}.{key}={configured}"
+            )
+
+
+def _load_model(path: Path, spec: model.EncoderSpec) -> model.FoundationModel:
+    """The checkpoint at ``path``, refused unless the config's encoder
+    ``spec`` describes its encoder."""
     m = model.load_checkpoint(path)
-    if m.lookback != lookback:
+    if m.lookback != spec.in_len:
         raise UserError(
-            f"{path} was trained with lookback {m.lookback}, but dataset.lookback={lookback}"
+            f"{path} was trained with lookback {m.lookback}, but dataset.lookback={spec.in_len}"
         )
+    saved = m.encoder_spec
+    pairs = [("kind", saved.kind, spec.kind),
+             ("hidden", ",".join(map(str, saved.hidden)), ",".join(map(str, spec.hidden)))]
+    # a linear encoder applies no activation
+    if spec.kind == "mlp2":
+        pairs.append(("activation", saved.activation, spec.activation))
+    _refuse_mismatch(path, "model", pairs)
     return m
 
 
@@ -366,7 +386,7 @@ def cmd_adapt(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     segments = cfg["paradigm"]["segments"]
     foundation = _load_model(
         _require_checkpoint(rd / "checkpoints" / "foundation.json", "run pretrain first"),
-        cfg["dataset"]["lookback"],
+        _encoder_spec(cfg),
     )
     plan = adapt.make_segment_plan(horizon, segments, lookback=foundation.lookback)
     adapter = adapt.new_adapter(
@@ -402,26 +422,32 @@ def cmd_train_baseline(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     return 0
 
 
-def _load_mtf(rd: Path, lookback: int, horizon: int) -> model.FoundationModel:
-    """The mtf checkpoint, refused unless it fits dataset.lookback and dataset.horizon."""
+def _load_mtf(rd: Path, cfg: dict) -> model.FoundationModel:
+    """The mtf checkpoint, refused unless the config's model and dataset.horizon
+    describe it."""
+    horizon = cfg["dataset"]["horizon"]
     m = _load_model(_require_checkpoint(rd / "checkpoints" / "mtf.json",
-                                        "run train-baseline first"), lookback)
+                                        "run train-baseline first"), _encoder_spec(cfg))
     if m.head_out != horizon:
         raise UserError(f"mtf checkpoint predicts {m.head_out} steps but dataset.horizon={horizon}")
     return m
 
 
-def _forecaster_from_checkpoints(pk: str, rd: Path, lookback: int, horizon: int):
+def _forecaster_from_checkpoints(pk: str, rd: Path, cfg: dict):
+    """The forecaster of paradigm ``pk``'s checkpoints, refused unless the
+    config describes them."""
     cp = rd / "checkpoints"
+    horizon = cfg["dataset"]["horizon"]
     if pk == "mtf":
-        m = _load_mtf(rd, lookback, horizon)
+        m = _load_mtf(rd, cfg)
         return lambda h: model.forecast(m, h)
+    spec = _encoder_spec(cfg)
     if pk == "arf":
-        m = _load_model(_require_checkpoint(cp / "arf.json", "run train-baseline first"), lookback)
+        m = _load_model(_require_checkpoint(cp / "arf.json", "run train-baseline first"), spec)
         return lambda h: model.ar_f_forecast(m, h, horizon)
     foundation_path = _require_checkpoint(cp / "foundation.json", "run pretrain first")
     adapter_path = _require_checkpoint(cp / "adapter.json", "run adapt first")
-    foundation = _load_model(foundation_path, lookback)
+    foundation = _load_model(foundation_path, spec)
     adapter = adapt.load_adapter(adapter_path)
     if adapter.foundation_sha256 != adapt.foundation_digest(foundation):
         raise UserError(
@@ -436,6 +462,15 @@ def _forecaster_from_checkpoints(pk: str, rd: Path, lookback: int, horizon: int)
         raise UserError(
             f"adapter covers horizon {adapter.plan.horizon} but dataset.horizon={horizon}"
         )
+    # only a kind = mola config sets the paradigm keys; another kind holds defaults
+    p = cfg["paradigm"]
+    if p["kind"] == "mola":
+        _refuse_mismatch(adapter_path, "paradigm", [
+            ("segments", adapter.plan.segments, p["segments"]),
+            ("experts", adapter.n_experts, p["experts"]),
+            ("rank", adapter.rank, p["rank"]),
+            ("routing", adapter.routing, p["routing"]),
+        ])
     return train.mola_forecaster(foundation, adapter)
 
 
@@ -444,7 +479,7 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = _dataset(cfg)
     lookback = cfg["dataset"]["lookback"]
     horizon = cfg["dataset"]["horizon"]
-    forecast_fn = _forecaster_from_checkpoints(pk, rd, lookback, horizon)
+    forecast_fn = _forecaster_from_checkpoints(pk, rd, cfg)
     payload = {"paradigm": pk, "split": args.split}
     if args.destandardized:
         payload["metrics"], payload["destandardized_metrics"] = _metrics_and_destandardized(
@@ -506,7 +541,7 @@ def cmd_params(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
 
 
 def cmd_bottleneck(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
-    m = _load_mtf(rd, cfg["dataset"]["lookback"], cfg["dataset"]["horizon"])
+    m = _load_mtf(rd, cfg)
     rep = analysis.dataset_bottleneck(m, _dataset(cfg), split="test")
     _write_report(rd, "bottleneck.json", cfg_hash, rep)
     print(
@@ -523,7 +558,7 @@ def cmd_variance(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     samples = {}
     for name in ("arf", "mtf", "mola"):
         try:
-            fn = _forecaster_from_checkpoints(name, rd, lookback, horizon)
+            fn = _forecaster_from_checkpoints(name, rd, cfg)
         except MissingCheckpoint:
             continue
         samples[name] = _per_step_loss_samples(fn, ds, lookback, horizon, "test")

@@ -9,8 +9,11 @@ sweep rotates a whole anti-diagonal of disjoint column pairs with one set
 of array operations: the columns are rows of a working matrix, a step's
 two sides are two runs of consecutive rows, and they are rotated in place
 through row views, with the column norms of both sides taken in one pass.
-The step order depends on the matrix shape alone and reproduces the
-classic row-cyclic pair order, so results are repeatable bit for bit.
+Each call builds every step's views and scratch buffers once, so a step
+makes no array: it runs its array operations into those buffers, and
+rotates its q rows through a contiguous copy.  The step order depends on
+the matrix shape alone and reproduces the classic row-cyclic pair order,
+so results are repeatable bit for bit, signed zeros included.
 All routines are pure functions over immutable inputs.
 """
 
@@ -116,7 +119,13 @@ def svd(a) -> SvdResult:
     The p columns of a step are consecutive rows of the working matrix
     and its q columns the following rows in reverse, so a step rotates two
     row views in place, and alpha and beta (the squared norms of the p and
-    q columns) come from one pass over the rows that span both.
+    q columns) come from one pass over the rows that span both.  A call
+    builds the views and scratch buffers of every step once (a plan of the
+    sweep), and each step writes into them: it copies its reversed q rows
+    into a contiguous buffer, forms s*P and s*Q into two more, updates P
+    and the copy in place and copies the copy back.  Every product and sum
+    is the one ``c*P + s*Q`` and ``c*Q - s*P`` would form, so the result
+    is the same to the byte, signed zeros included.
 
     Raises
     ------
@@ -165,6 +174,89 @@ def _step_slices(n: int) -> list[tuple[slice, slice, slice]]:
     return slices
 
 
+def _step_plan(work: Mat, m: int) -> list[tuple]:
+    """Every view the steps of one sweep read and write, built once per call.
+
+    For each step of :func:`_step_slices` the tuple holds the p and q row
+    views of ``work`` and the first ``m`` columns of the span, of p and of
+    q; then the span's squared norms and their alpha and beta ends; then
+    k-length views of per-call scratch: gamma, rel, a pair mask, theta, c
+    and s, c and s as (k, 1) columns, and (k, m + n) rows of three buffers
+    for q's rows copied contiguous, s*P and s*Q.  Steps with the same span
+    length share these views.
+    """
+    n, width = work.shape
+    half = n // 2  # a step has at most n // 2 pairs
+    norms = np.empty(n)
+    gamma, rel, theta, c, s = np.empty((5, half))
+    mask = np.empty(half, dtype=bool)
+    q_rows, sp, sq = np.empty((3, half, width))
+    by_k = [(gamma[:k], rel[:k], mask[:k], theta[:k], c[:k], s[:k], c[:k, None],
+             s[:k, None], q_rows[:k], sp[:k], sq[:k]) for k in range(half + 1)]
+    # a span of j = 2k or 2k + 1 rows: p, the middle row of an even step, q reversed
+    by_span = [(norms[:j], norms[:j // 2], norms[:j][::-1][:j // 2], *by_k[j // 2])
+               for j in range(n + 1)]
+    plan = []
+    for p, q, span in _step_slices(n):
+        cols_p, cols_q = work[p], work[q]
+        plan.append((cols_p, cols_q, work[span, :m], cols_p[:, :m], cols_q[:, :m],
+                     *by_span[span.stop - span.start]))
+    return plan
+
+
+def _jacobi_sweeps(work: Mat, m: int, shape: tuple[int, int]) -> None:
+    """Rotate the rows of ``work`` in place until every pair of their first
+    ``m`` columns meets ``JACOBI_TOL``; raise JacobiNonConvergence otherwise."""
+    plan = _step_plan(work, m)
+    worst = math.inf
+    for _ in range(JACOBI_MAX_SWEEPS):
+        worst = 0.0
+        for (cols_p, cols_q, span_m, p_m, q_m, norms, alpha, beta, gamma, rel,
+             mask, theta, c, s, c_col, s_col, q_rows, sp, sq) in plan:
+            np.einsum("ij,ij->i", span_m, span_m, out=norms)
+            np.einsum("ij,ij->i", p_m, q_m, out=gamma)
+            # rel = |gamma| / sqrt(alpha * beta), with theta and c as scratch;
+            # pairs with a zero column are skipped and do not count as worst
+            # (norms are >= 0, so the smaller is 0 exactly when either is)
+            np.minimum(alpha, beta, out=theta)
+            np.not_equal(theta, 0.0, out=mask)
+            np.multiply(alpha, beta, out=theta)
+            np.sqrt(theta, out=theta)
+            np.absolute(gamma, out=c)
+            rel.fill(0.0)
+            np.divide(c, theta, out=rel, where=mask)
+            top = float(np.maximum.reduce(rel))
+            worst = max(worst, top)
+            if top <= JACOBI_TOL:
+                continue
+            # theta = atan2(2 gamma, alpha - beta) / 2, with c and s as
+            # scratch; theta = 0 leaves a pair that meets the tolerance as it is
+            np.multiply(gamma, 2.0, out=c)
+            np.subtract(alpha, beta, out=s)
+            np.arctan2(c, s, out=c)
+            np.greater(rel, JACOBI_TOL, out=mask)
+            theta.fill(0.0)
+            np.multiply(c, 0.5, out=theta, where=mask)
+            np.cos(theta, out=c)
+            np.sin(theta, out=s)
+            # P <- c*P + s*Q and Q <- c*Q - s*P, with Q's reversed rows
+            # rotated in a contiguous copy
+            np.copyto(q_rows, cols_q)
+            np.multiply(s_col, cols_p, out=sp)
+            np.multiply(s_col, q_rows, out=sq)
+            np.multiply(cols_p, c_col, out=cols_p)
+            np.add(cols_p, sq, out=cols_p)
+            np.multiply(q_rows, c_col, out=q_rows)
+            np.subtract(q_rows, sp, out=q_rows)
+            np.copyto(cols_q, q_rows)
+        if worst <= JACOBI_TOL:
+            return
+    raise JacobiNonConvergence(
+        f"one-sided Jacobi did not converge on a {shape[0]}x{shape[1]} matrix "
+        f"within {JACOBI_MAX_SWEEPS} sweeps (worst pair at {worst:.3e})"
+    )
+
+
 def _svd_tall(a: Mat, shape: tuple[int, int]) -> SvdResult:
     """SVD of ``a`` with ``m >= n``; ``shape`` is the caller's, for messages."""
     m, n = a.shape
@@ -174,48 +266,7 @@ def _svd_tall(a: Mat, shape: tuple[int, int]) -> SvdResult:
     # Row i holds column i of the working matrix, then column i of V: one
     # rotation acts on both, and a step's p and q rows are row views.
     work = np.hstack([np.ldexp(a.T, -exp), np.eye(n)])
-    steps = _step_slices(n)
-    # c*P, s*Q, c*Q and s*P of a step; a step has at most n // 2 pairs
-    products = np.empty((4, n // 2, m + n))
-    converged = False
-    worst = math.inf
-    for _ in range(JACOBI_MAX_SWEEPS):
-        worst = 0.0
-        for rows_p, rows_q, span in steps:
-            k = rows_p.stop - rows_p.start
-            cols_p, cols_q = work[rows_p], work[rows_q]
-            # squared norms of p, the middle row of an even step, q reversed
-            b = work[span, :m]
-            norms = np.einsum("ij,ij->i", b, b)
-            alpha, beta = norms[:k], norms[::-1][:k]
-            gamma = np.einsum("ij,ij->i", cols_p[:, :m], cols_q[:, :m])
-            # pairs with a zero column are skipped and do not count as worst
-            live = (alpha != 0.0) & (beta != 0.0)
-            rel = np.zeros(k)
-            np.divide(np.abs(gamma), np.sqrt(alpha * beta), out=rel, where=live)
-            top = float(np.maximum.reduce(rel))
-            worst = max(worst, top)
-            if top <= JACOBI_TOL:
-                continue
-            # theta = 0 leaves a pair that already meets the tolerance as it is
-            theta = np.where(rel > JACOBI_TOL,
-                             0.5 * np.arctan2(2.0 * gamma, alpha - beta), 0.0)
-            c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-            cp, sq, cq, sp = products[:, :k]
-            np.multiply(c, cols_p, out=cp)
-            np.multiply(s, cols_q, out=sq)
-            np.multiply(c, cols_q, out=cq)
-            np.multiply(s, cols_p, out=sp)
-            np.add(cp, sq, out=cols_p)
-            np.subtract(cq, sp, out=cols_q)
-        if worst <= JACOBI_TOL:
-            converged = True
-            break
-    if not converged:
-        raise JacobiNonConvergence(
-            f"one-sided Jacobi did not converge on a {shape[0]}x{shape[1]} matrix "
-            f"within {JACOBI_MAX_SWEEPS} sweeps (worst pair at {worst:.3e})"
-        )
+    _jacobi_sweeps(work, m, shape)
 
     b = work[:, :m]
     norms = np.sqrt(np.einsum("ij,ij->i", b, b))

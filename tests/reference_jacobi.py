@@ -3,8 +3,9 @@
 Each anti-diagonal step gathers its p and q rows with fancy indexing,
 takes alpha, beta and gamma from three separate norm passes and scatters
 the rotated rows back.  The rotations, their order and every tolerance
-are those of `linalg.svd`, which rotates row views in place instead, so
-the two must agree bit for bit.
+are those of `linalg.svd`, which rotates row views in place into buffers
+built once per call instead, so the two must agree byte for byte in u,
+sigma and vt, signed zeros included, and in the rank.
 
 Shares only the substrate with the package: input checks, the sweep
 order, the basis completion, the result type and the tolerances.

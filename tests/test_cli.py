@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -491,6 +492,54 @@ def test_eval_refuses_checkpoint_of_another_lookback(ws, capsys, kind):
     err = capsys.readouterr().err
     ckpt = "foundation.json" if kind == "mola" else f"{kind}.json"
     assert ckpt in err and "lookback 8" in err and "dataset.lookback=4" in err
+
+
+@pytest.fixture(scope="module")
+def mlp2_mola_run(tmp_path_factory):
+    """A run directory with a foundation and an adapter: mlp2 (8, 4), four
+    segments, four experts, rank 2, soft routing."""
+    root = tmp_path_factory.mktemp("mlp2_mola")
+    sections = base_sections(model={"kind": "mlp2", "hidden": "8,4", "activation": "tanh"},
+                             paradigm={"experts": 4, "rank": 2, "routing": "soft"})
+    cfg = write_ini(root / "cfg.ini", **sections)
+    rd = root / "run"
+    for argv in (["pretrain"], ["adapt"]):
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    return cfg, rd
+
+
+@pytest.mark.parametrize("items, saved, configured", [
+    (["model.kind=linear", "model.hidden="], "model.kind=mlp2", "model.kind=linear"),
+    (["model.hidden=16,4"], "model.hidden=8,4", "model.hidden=16,4"),
+    (["model.activation=relu"], "model.activation=tanh", "model.activation=relu"),
+    (["paradigm.segments=8"], "paradigm.segments=4", "paradigm.segments=8"),
+    (["paradigm.experts=2"], "paradigm.experts=4", "paradigm.experts=2"),
+    (["paradigm.rank=1"], "paradigm.rank=2", "paradigm.rank=1"),
+    (["paradigm.routing=one-hot"], "paradigm.routing=soft", "paradigm.routing=one-hot"),
+])
+def test_eval_refuses_checkpoints_the_config_does_not_describe(
+        mlp2_mola_run, tmp_path, capsys, items, saved, configured):
+    cfg, trained = mlp2_mola_run
+    rd = tmp_path / "run"
+    shutil.copytree(trained, rd)
+    argv = ["eval", "--config", cfg, "--run-dir", str(rd)]
+    for item in items:
+        argv += ["--set", item]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    ckpt = "adapter.json" if saved.startswith("paradigm") else "foundation.json"
+    assert ckpt in err and saved in err and configured in err
+    assert not (rd / "reports" / "eval_mola_test.json").exists()
+
+
+def test_eval_leaves_train_only_keys_free(mlp2_mola_run, tmp_path):
+    cfg, trained = mlp2_mola_run
+    rd = tmp_path / "run"
+    shutil.copytree(trained, rd)
+    argv = ["eval", "--config", cfg, "--run-dir", str(rd),
+            "--set", "train.learning_rate=0.5", "--set", "train.max_epochs=3"]
+    assert cli.main(argv) == 0
+    assert (rd / "reports" / "eval_mola_test.json").exists()
 
 
 def test_version_1_adapter_is_rejected(ws, capsys):
