@@ -12,7 +12,9 @@ set; indexing one with a slice or with window rows (a training batch)
 picks starts, not rows.  Every read of window rows beyond one window's
 views is one ``take`` of series rows: the column blocks the model consumes
 and the window-major label rows evaluation scores against.  This module
-alone knows where a window's rows lie and which label rows exist.
+alone knows where a window's rows lie and which label rows exist.  A pass
+over a whole set gathers it one :meth:`WindowSet.chunks` slice at a time,
+in chunks whose products round as those of the whole set's block.
 
 CSV files are read once; plain records are parsed by numpy's C reader, and
 anything else (quotes, a wrong field count, a bad or non-finite cell) by a
@@ -32,6 +34,15 @@ import numpy as np
 
 COMPONENT_KINDS = ("sine", "trend", "ar1")
 DEFAULT_SPLIT = (0.7, 0.1, 0.2)
+
+# Column budget of one chunk of a whole-split pass (WindowSet.chunks).  A
+# chunk's products must round as the matching columns of the whole block's
+# do.  With OpenBLAS 0.3.31 that holds only when every chunk boundary falls
+# on a multiple of 8 columns and every chunk is wide enough to stay off the
+# small-matrix GEMM path: at lookback 96, mlp2 (32, 16) and a 48-row head on
+# one BLAS thread, chunks of 2048 columns or more kept the bits and 1536 did
+# not.  Do not lower it without the bitwise tests in tests/test_train.py.
+_CHUNK_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -146,6 +157,16 @@ class WindowSet(Sequence):
     def origin(self) -> np.ndarray:
         """(N,) int64 origins: the dataset row of each window's last history row."""
         return (self.starts + (self.series_start + self.lookback - 1)).astype(np.int64, copy=False)
+
+    def chunks(self) -> list[slice]:
+        """The window slices a whole-set pass works through one at a time:
+        W = 8 * ceil(_CHUNK_COLUMNS / (8 * D)) windows each, the remainder
+        merged into the last, so every chunk has W to 2W - 1 windows and a
+        set of fewer than 2W windows is one chunk.  Nothing is copied."""
+        width = 8 * -(-_CHUNK_COLUMNS // (8 * self.series.shape[1]))
+        n = len(self)
+        bounds = [i * width for i in range(max(1, n // width))] + [n]
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     def history_block(self) -> np.ndarray:
         """Histories as one contiguous (L, N*D) column block; column i*D + c

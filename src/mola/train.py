@@ -487,11 +487,12 @@ def mola_forecast(foundation: model.FoundationModel, adapter: adapt.MolaAdapter,
 
 
 def mola_forecaster(foundation: model.FoundationModel, adapter: adapt.MolaAdapter):
-    """The forecast_fn of :func:`evaluate_forecaster` for a mola model: the
-    T-step forecast as K row blocks, one :func:`mola_forecast` call per
-    segment, all on the one history block it is given."""
-    return lambda history: (mola_forecast(foundation, adapter, history, target_rows=rows)
-                            for rows in adapter.plan.boundaries)
+    """The forecast_fn of :func:`evaluate_forecaster` for a mola model: one
+    callable per segment, each the :func:`mola_forecast` of that segment's
+    rows, so scoring holds one segment's errors at a time."""
+    return tuple(lambda history, rows=rows: mola_forecast(foundation, adapter, history,
+                                                          target_rows=rows)
+                 for rows in adapter.plan.boundaries)
 
 
 # --- evaluation ---
@@ -503,31 +504,43 @@ def forecast_errors(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon:
     (default: all T) over a split's N windows, as C-ordered (N, r, D)
     arrays, one per forecast block, in row order.
 
-    ``forecast_fn`` is called once, on the (L, N*D) history block of all
-    windows.  It returns the (rows, N*D) forecast block, or an iterable of
-    consecutive (r, N*D) row blocks that together cover the rows.  A block
-    is dropped once its errors are made, and the errors once the consumer
-    asks for the next block; a consumer that drops them too holds at most
-    the history block, one forecast block and its errors at a time, not a
-    whole-horizon forecast next to a whole-horizon error array."""
+    ``forecast_fn`` maps the (L, n*D) history block of n windows (column
+    i*D + c is channel c of window i) to their (rows, n*D) forecast block.
+    It may also be a sequence of such callables, each giving the next
+    (r, n*D) block of consecutive rows, which together cover the rows.
+    Each callable is called once per window chunk of the split (see
+    ``WindowSet.chunks``), on that chunk's history block, and each chunk's
+    forecast is subtracted in place into its windows of the block's label
+    rows.  So a consumer that drops each error array before asking for the
+    next holds one block's errors plus one chunk's history and forecast,
+    never the whole split's history block, and every error is bitwise that
+    of forecasting the whole block at once.  A split of one chunk is
+    forecast as one (L, N*D) block."""
     wins = data.windows(ds, lookback, horizon, split)
     last = horizon if last is None else last
-    n, rows, d = len(wins), last - first + 1, wins.series.shape[1]
-    blocks = forecast_fn(wins.history_block())
+    rows, d = last - first + 1, wins.series.shape[1]
+    chunks = wins.chunks()
     done = 0
-    for pred in (blocks,) if isinstance(blocks, np.ndarray) else blocks:
-        pred = np.asarray(pred, dtype=np.float64)
-        if pred.ndim != 2 or pred.shape[1] != n * d or not 0 < len(pred) <= rows - done:
-            raise ValueError(f"forecast block shape {pred.shape} does not fit label rows "
-                             f"{first + done}..{last} of {n} windows of {d} channels "
-                             f"({n * d} columns)")
-        r = len(pred)
-        # a C-ordered (N, r, D) error array keeps the summation order of the
-        # means in StepErrors the same as for stacked per-window forecasts;
-        # the forecast is subtracted into the block's label rows in place
-        err = wins.labels(first + done, first + done + r - 1)
-        np.subtract(pred.reshape(r, n, d).transpose(1, 0, 2), err, out=err)
-        del pred
+    for fn in forecast_fn if isinstance(forecast_fn, (list, tuple)) else (forecast_fn,):
+        err = None
+        for part in chunks:
+            n_part = part.stop - part.start
+            pred = np.asarray(fn(wins[part].history_block()), dtype=np.float64)
+            # the block's first chunk sets its rows, and every later chunk repeats them
+            room = rows - done if err is None else err.shape[1]
+            if (pred.ndim != 2 or pred.shape[1] != n_part * d or not 0 < len(pred) <= room
+                    or err is not None and len(pred) != room):
+                raise ValueError(f"forecast block shape {pred.shape} does not fit label rows "
+                                 f"{first + done}..{last} of {n_part} windows of {d} "
+                                 f"channels ({n_part * d} columns)")
+            r = len(pred)
+            if err is None:
+                err = wins.labels(first + done, first + done + r - 1)
+            # a C-ordered (N, r, D) error array keeps the summation order of
+            # the means in StepErrors the same as for stacked per-window
+            # forecasts; the forecast is subtracted into the label rows in place
+            np.subtract(pred.reshape(r, n_part, d).transpose(1, 0, 2), err[part], out=err[part])
+            del pred
         yield err
         del err
         done += r
@@ -540,13 +553,14 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
                         split: str = "test", target_rows: tuple[int, int] | None = None) -> dict:
     """Per-step and step-averaged MSE/MAE of `forecast_fn` over a split.
 
-    `forecast_fn` is called once, on the (L, N*D) history block of all N
-    windows (column i*D + c is channel c of window i), and must return the
-    (rows, N*D) forecast block, or an iterable of consecutive row blocks of
-    it (see :func:`forecast_errors`).  Each block is scored on its own and
-    dropped before the next is made, so scoring holds the history block
-    plus one block's forecast and errors, and the metrics are bitwise those
-    of scoring the whole forecast at once.  The averaged row is defined as
+    `forecast_fn` maps the (L, n*D) history block of n windows (column
+    i*D + c is channel c of window i) to their (rows, n*D) forecast block,
+    or is a sequence of callables that give consecutive row blocks of it
+    (see :func:`forecast_errors`).  Each is called once per window chunk of
+    the split.  Each block is scored on its own and dropped before the next
+    is made, so scoring holds one block's errors plus one chunk's history
+    and forecast, and the metrics are bitwise those of scoring the forecast
+    of the whole history block at once.  The averaged row is defined as
     the mean of the per-step values.  With target_rows=(first, last),
     forecast_fn must return just those label rows (used for per-segment
     evaluation) and steps keep their absolute index; rows outside 1..T

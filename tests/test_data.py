@@ -483,6 +483,28 @@ def test_batch_blocks_gather_history_and_labels_in_one_take():
             assert x.base is y.base and x.flags.c_contiguous and y.flags.c_contiguous
 
 
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 300])
+def test_chunks_are_window_slices_of_whole_8_column_runs(d):
+    # the chunks of a whole-split pass: W = 8 * ceil(budget / (8 * D))
+    # windows each (a multiple of 8 columns), the remainder merged into the
+    # last, and one chunk for fewer than 2W windows
+    budget = data._CHUNK_COLUMNS
+    width = 8 * math.ceil(budget / (8 * d))
+    for n in (0, 1, budget // d, width, 2 * width - 1, 2 * width, 2 * width + 1, 5 * width + 7):
+        ws = data.WindowSet(np.zeros((n + 3, d)), np.arange(n, dtype=np.intp), 0, 2, 2)
+        chunks = ws.chunks()
+        assert [c.step for c in chunks] == [None] * len(chunks)
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        assert len(chunks) == max(1, n // width)
+        if len(chunks) > 1:
+            assert all(c.stop - c.start == width for c in chunks[:-1])
+            assert width <= chunks[-1].stop - chunks[-1].start < 2 * width
+            assert (width * d) % 8 == 0 and width * d >= budget
+        part = ws[chunks[-1]]  # views, not copies
+        assert part.series is ws.series and (n == 0 or np.shares_memory(part.starts, ws.starts))
+
+
 def test_batch_refuses_rows_that_are_not_integers():
     # window rows are 1-D integer indices in range: bools would pick
     # windows 1, 0, 1, floats fail only at the take, and a negative row

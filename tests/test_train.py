@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_lora
-from mola import _io, adapt, data, model, train
+from mola import _io, adapt, cli, data, model, train
 
 
 def sine_dataset(n_points=240, d=2, noise=0.0, seed=0, period=24.0):
@@ -740,8 +744,8 @@ def test_evaluate_forecaster_rejects_bad_shape():
 
 def row_blocks(forecast_fn, bounds):
     """A forecaster that hands the forecast of ``forecast_fn`` over as the
-    row blocks (lo, hi) of ``bounds``."""
-    return lambda h: (forecast_fn(h)[lo - 1 : hi] for lo, hi in bounds)
+    row blocks (lo, hi) of ``bounds``, one callable per block."""
+    return [lambda h, lo=lo, hi=hi: forecast_fn(h)[lo - 1 : hi] for lo, hi in bounds]
 
 
 @pytest.mark.parametrize("routing", ["soft", "one-hot"])
@@ -771,7 +775,7 @@ def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, 
         lambda h: train.mola_forecast(foundation, adapter, h, target_rows=(first, last)),
         ds, 8, horizon, target_rows=(first, last))
     got = train.evaluate_forecaster(
-        lambda h: (train.mola_forecast(foundation, adapter, h, target_rows=b) for b in rows),
+        [lambda h, b=b: train.mola_forecast(foundation, adapter, h, target_rows=b) for b in rows],
         ds, 8, horizon, target_rows=(first, last))
     assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
     assert [r["step"] for r in got["per_step"]] == list(range(first, last + 1))
@@ -789,7 +793,7 @@ def test_uneven_row_blocks_score_like_the_whole_forecast(d):
     [err] = train.forecast_errors(whole, ds, 8, 7, "test")
     assert [r["mse"] for r in want["per_step"]] == (err * err).mean(axis=(0, 2)).tolist()
     assert [r["mae"] for r in want["per_step"]] == np.abs(err).mean(axis=(0, 2)).tolist()
-    # one-row blocks among longer ones, and a generator of one block
+    # one-row blocks among longer ones, and a sequence of one block
     for bounds in ([(1, 1), (2, 4), (5, 5), (6, 7)], [(1, 7)]):
         got = train.evaluate_forecaster(row_blocks(whole, bounds), ds, 8, 7)
         assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
@@ -823,6 +827,148 @@ def test_scoring_segment_blocks_never_holds_a_whole_horizon_array():
         tracemalloc.stop()
     assert metrics["n_windows"] == n > 1000
     assert peak < 1.25 * (8 + 2 * 8) * row, f"peak {peak / row:.1f} rows"
+
+
+# --- whole-split passes in window chunks ---
+
+
+ETTH_SPEC = model.EncoderSpec(kind="mlp2", in_len=96, hidden=(32, 16), activation="relu")
+
+
+def etth_split(n_windows, d=7, seed=0):
+    """A standardized d-channel dataset whose val and test splits each hold
+    exactly ``n_windows`` windows of lookback 96 and horizon 192."""
+    rows, train_end = n_windows + 191, 96 + 192 + 32
+    values = np.random.default_rng(seed).normal(size=(train_end + 2 * rows, d))
+    return data.standardize(data.SeriesDataset(
+        values=values, channel_names=[f"c{c}" for c in range(d)],
+        train_end=train_end, val_end=train_end + rows))
+
+
+def etth_mola(seed=0):
+    """An untrained frozen foundation of etth_cli_soft's shapes (mlp2
+    (32, 16) relu, lookback 96, 48-row head) and a soft adapter (K = P = 4,
+    rank 4) with random experts and mixing rows."""
+    foundation = model.new_model(ETTH_SPEC, head_out=48, seed=seed)
+    foundation.freeze()
+    adapter = adapt.new_adapter(foundation, adapt.make_segment_plan(192, 4), 4, 4, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in adapter.adapted_layers:
+        adapter.b[name][:] = 0.1 * rng.normal(size=adapter.b[name].shape)
+        adapter.logits[name][:] = rng.normal(size=adapter.logits[name].shape)
+    return foundation, adapter
+
+
+def whole_split_passes(ds, foundation, adapter):
+    """The bytes of every no-gradient pass over a split: val losses,
+    evaluation of one forecaster and of the mola forecaster, its error
+    arrays and eval --destandardized's metrics."""
+    val = data.windows(ds, 96, 192, "val")
+    bounds = adapter.plan.boundaries
+    losses = [model.mse_loss(foundation, val), model.mse_loss(foundation, val, bounds[2]),
+              *(adapt.segment_loss(foundation, adapter, k, val, bounds[k - 1]) for k in (1, 4))]
+    forecaster = train.mola_forecaster(foundation, adapter)
+    metrics = [
+        train.evaluate_forecaster(lambda h: model.forecast(foundation, h), ds, 96, 192,
+                                  split="val", target_rows=bounds[1]),
+        train.evaluate_forecaster(forecaster, ds, 96, 192),
+        *cli._metrics_and_destandardized(forecaster, ds, 96, 192, "test"),
+    ]
+    errors = [err.tobytes() for err in train.forecast_errors(forecaster, ds, 96, 192, "test")]
+    return [x.hex() for x in losses], [_io.canonical_dumps(m) for m in metrics], errors
+
+
+@pytest.mark.parametrize("n_windows, d, n_chunks", [
+    (292, 7, 1),  # 2044 columns, below the 2048-column budget
+    (256, 8, 1),  # 2048 columns, at it
+    (293, 7, 1),  # 2051 columns, above it, but fewer than two chunks of 296 windows
+    (592, 7, 2),  # two chunks of 296 windows
+    (2690, 7, 9),  # etth_cli_soft's test split: eight of 296, the remainder merged into a ninth
+])
+def test_chunked_passes_are_bitwise_one_chunk_passes(monkeypatch, n_windows, d, n_chunks):
+    ds = etth_split(n_windows, d)
+    foundation, adapter = etth_mola()
+    for split in ("val", "test"):
+        assert len(data.windows(ds, 96, 192, split).chunks()) == n_chunks
+    chunked = whole_split_passes(ds, foundation, adapter)
+    monkeypatch.setattr(data, "_CHUNK_COLUMNS", 10**9)
+    assert len(data.windows(ds, 96, 192, "test").chunks()) == 1
+    assert whole_split_passes(ds, foundation, adapter) == chunked
+
+
+def test_chunked_passes_are_bitwise_one_chunk_passes_on_one_blas_thread():
+    # perfbench pins BLAS to one thread, where chunks too narrow for the
+    # budget round differently while two threads still hide it (see
+    # data._CHUNK_COLUMNS); run the 9-chunk case in a process of its own
+    code = ("import test_train\n"
+            "from mola import data\n"
+            "ds, (f, a) = test_train.etth_split(2690), test_train.etth_mola()\n"
+            "chunked = test_train.whole_split_passes(ds, f, a)\n"
+            "data._CHUNK_COLUMNS = 10**9\n"
+            "assert test_train.whole_split_passes(ds, f, a) == chunked, 'chunks changed bits'\n")
+    path = os.pathsep.join([str(Path(model.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_whole_split_passes_never_hold_the_split_history_block():
+    # the (L, N*D) history block of all windows is what a pass of one chunk
+    # gathers; passes over 9 chunks hold a 48-row array of the split plus
+    # one chunk's blocks and activations
+    ds = etth_split(2690)
+    foundation, adapter = etth_mola()
+    val = data.windows(ds, 96, 192, "val")
+    assert len(val.chunks()) >= 3
+    history_bytes = 96 * len(val) * ds.d_channels * 8
+    passes = {
+        "mse_loss": lambda: model.mse_loss(foundation, val),
+        "segment_loss": lambda: adapt.segment_loss(foundation, adapter, 2, val, (49, 96)),
+        "forecast": lambda: train.evaluate_forecaster(
+            lambda h: model.forecast(foundation, h), ds, 96, 192, "val", target_rows=(1, 48)),
+        "mola": lambda: train.evaluate_forecaster(
+            train.mola_forecaster(foundation, adapter), ds, 96, 192, "val"),
+    }
+    tracemalloc.start()
+    try:
+        for name, run in passes.items():
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - held
+            assert peak < history_bytes, f"{name}: peak {peak / history_bytes:.2f} history blocks"
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", ["compare_onehot", "at_the_budget"])
+def test_a_split_within_the_budget_is_one_block(monkeypatch, case):
+    # compare_onehot's test split (726 columns) and one of exactly 2048
+    # columns: each forecast callable is called once, on the history block
+    # of the whole split, and mse_loss gathers the whole split at once
+    if case == "compare_onehot":
+        ds = data.standardize(data.generate_synthetic(data.default_synth_spec()))
+        spec, lookback, horizon = model.EncoderSpec("mlp2", 6, (16, 8), "tanh"), 6, 32
+    else:
+        ds, spec, lookback, horizon = etth_split(256, d=8), ETTH_SPEC, 96, 192
+    m = model.new_model(spec, head_out=horizon // 4, seed=0)
+    wins = data.windows(ds, lookback, horizon, "test")
+    assert len(wins) * ds.d_channels <= data._CHUNK_COLUMNS
+    calls = []
+
+    def forecast(h):
+        calls.append(h.tobytes())
+        return model.forecast(m, h)
+
+    train.evaluate_forecaster([forecast] * 4, ds, lookback, horizon)
+    assert calls == [wins.history_block().tobytes()] * 4
+    stack_batch, batches = model._stack_batch, []
+    monkeypatch.setattr(model, "_stack_batch",
+                        lambda mdl, batch, target: batches.append(len(batch))
+                        or stack_batch(mdl, batch, target))
+    model.mse_loss(m, wins, (1, horizon // 4))
+    assert batches == [len(wins)]
 
 
 # --- records on disk ---
