@@ -312,8 +312,8 @@ def window_set_hash(ws: data.WindowSet) -> str:
     n = len(ws)
     # one row per window: origin (int64), history, label, all in native byte
     # order, so the digest equals hashing the windows one after another
-    history = ws.history_block().reshape(ws.lookback, n, -1).transpose(1, 0, 2)
-    windows = np.concatenate([history, ws.labels()], axis=1).reshape(n, -1)
+    block = np.concatenate(ws.blocks())  # (L + T, N*D)
+    windows = block.reshape(len(block), n, -1).transpose(1, 0, 2).reshape(n, -1)
     rows = np.concatenate([ws.origin.reshape(n, 1).view(np.uint8), windows.view(np.uint8)],
                           axis=1)
     return hashlib.sha256(rows).hexdigest()

@@ -516,7 +516,7 @@ def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
     for err in train.forecast_errors(forecast_fn, ds, lookback, horizon, split):
         samples.append(np.square(err, out=err).mean(axis=2))
         del err  # dropped before the next block is made
-    return np.concatenate(samples, axis=1)
+    return np.ascontiguousarray(np.concatenate(samples).T)
 
 
 def cmd_params(args, cfg: dict, cfg_hash: str, rd: Path) -> int:

@@ -10,11 +10,13 @@ dataset rows they slide over plus the row where each window starts, so
 enumerating a split copies nothing.  :func:`windows` makes every window
 set; indexing one with a slice or with window rows (a training batch)
 picks starts, not rows.  Every read of window rows beyond one window's
-views is one ``take`` of series rows: the column blocks the model consumes
-and the window-major label rows evaluation scores against.  This module
-alone knows where a window's rows lie and which label rows exist.  A pass
-over a whole set gathers it one :meth:`WindowSet.chunks` slice at a time,
-in chunks whose products round as those of the whole set's block.
+views is one ``take`` of series rows into the (rows, N*D) column layout
+that models consume and errors are scored in.  This module alone knows
+where a window's rows lie and which label rows exist.  Every pass without
+gradients over a whole set, each val loss and each evaluation, is one
+:meth:`WindowSet.errors`, which gathers and forecasts the set one
+:meth:`WindowSet.chunks` slice at a time, in chunks whose products round as
+those of the whole set's block.
 
 CSV files are read once; plain records are parsed by numpy's C reader, and
 anything else (quotes, a wrong field count, a bad or non-finite cell) by a
@@ -159,7 +161,7 @@ class WindowSet(Sequence):
         return (self.starts + (self.series_start + self.lookback - 1)).astype(np.int64, copy=False)
 
     def chunks(self) -> list[slice]:
-        """The window slices a whole-set pass works through one at a time:
+        """The window slices :meth:`errors` works through one at a time:
         W = 8 * ceil(_CHUNK_COLUMNS / (8 * D)) windows each, the remainder
         merged into the last, so every chunk has W to 2W - 1 windows and a
         set of fewer than 2W windows is one chunk.  Nothing is copied."""
@@ -167,6 +169,32 @@ class WindowSet(Sequence):
         n = len(self)
         bounds = [i * width for i in range(max(1, n // width))] + [n]
         return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    def errors(self, forecast_fn, first: int = 1, last: int | None = None) -> np.ndarray:
+        """Forecast minus label rows first..last (1-based, inclusive) as one
+        contiguous (rows, N*D) block in the column order of
+        :meth:`history_block`: the one pass behind every val loss and every
+        evaluation.
+
+        The label rows are read once; ``forecast_fn`` maps the (L, n*D)
+        history block of each :meth:`chunks` slice to its (rows, n*D)
+        forecast, which is subtracted in place into the chunk's columns.  So
+        the pass never holds the set's history block, and each error is
+        bitwise that of forecasting the whole block at once."""
+        if len(self) == 0:
+            raise ValueError("no windows to score")
+        err = self.label_block(first, last)
+        d = self.series.shape[1]
+        for part in self.chunks():
+            cols = err[:, part.start * d : part.stop * d]
+            pred = np.asarray(forecast_fn(self[part].history_block()), dtype=np.float64)
+            if pred.shape != cols.shape:
+                raise ValueError(f"forecast block shape {pred.shape} is not the {cols.shape} "
+                                 f"of label rows {first}..{first + len(err) - 1} of "
+                                 f"{part.stop - part.start} windows of {d} channels")
+            np.subtract(pred, cols, out=cols)
+            del pred  # dropped before the next chunk is gathered
+        return err
 
     def history_block(self) -> np.ndarray:
         """Histories as one contiguous (L, N*D) column block; column i*D + c
@@ -178,12 +206,6 @@ class WindowSet(Sequence):
         (rows, N*D) block in the column order of :meth:`history_block`."""
         starts, n_rows, _ = self._label_rows(first, last)
         return self._gather(_window_rows(0, starts, n_rows), None)
-
-    def labels(self, first: int = 1, last: int | None = None) -> np.ndarray:
-        """Label rows first..last (1-based, inclusive) of every window as a
-        C-ordered (N, rows, D) array, window-major, in one take."""
-        (start,), n_rows, _ = self._label_rows(first, last)
-        return self.series.take(self.starts[:, None] + np.arange(start, start + n_rows), axis=0)
 
     def blocks(self, first=1, last=None) -> tuple[np.ndarray, np.ndarray]:
         """The history block and the block of label rows first..last, both

@@ -17,11 +17,10 @@ Passes without gradients (encode, decode, forecast, mse_loss) keep no
 cache, so each layer's output is formed in place in the array its matmul
 allocated, bitwise what the training forward computes; no pass writes
 into an array it was handed.  encode, decode and forecast map whatever
-column block they are given.  mse_loss gathers and forecasts a whole split
-in window chunks (``WindowSet.chunks``), so it never holds the split's
-(L, N*D) history block, and writes each chunk's squared errors into one
-(rows, N*D) array whose one mean is the loss, bitwise the loss of the whole
-block at once.
+column block they are given.  mse_loss is the mean of the squared error
+block of ``WindowSet.errors``, the pass every evaluation also scores
+through, so it never holds the split's (L, N*D) history block and is
+bitwise the loss of the whole block at once.
 """
 
 from __future__ import annotations
@@ -279,25 +278,11 @@ def _stack_batch(m: FoundationModel, batch: WindowSet, target_slice):
 
 def mse_loss(m: FoundationModel, batch: WindowSet, target_slice=None) -> float:
     """Mean squared error over batch x selected steps x channels, for one
-    target slice (first, last).
-
-    The batch is gathered and forecast one chunk of ``batch.chunks()`` at a
-    time, and each chunk's squared errors fill their columns of one
-    (rows, N*D) array, whose mean is bitwise that of the whole batch's."""
+    target slice (first, last): the mean of the (rows, N*D) error block of
+    ``batch.errors``, squared in place."""
     first, last = _check_target(m, target_slice)
-    cols = batch.series.shape[1]
-    squares = np.empty((last - first + 1, len(batch) * cols))
-    for part in batch.chunks():
-        x, y = _stack_batch(m, batch[part], (first, last))
-        rep, _ = _encode_cols(m, x, keep_cache=False)
-        # in place on arrays this call allocated: the prediction becomes the
-        # error, squared bitwise as (pred - y) ** 2
-        diff = m.params["head.w"] @ rep
-        diff += m.params["head.b"][:, None]
-        diff -= y
-        np.multiply(diff, diff, out=squares[:, part.start * cols : part.stop * cols])
-        del x, y, rep, diff  # dropped before the next chunk is gathered
-    return float(squares.mean())
+    err = batch.errors(lambda history: forecast(m, history), first, last)
+    return float(np.multiply(err, err, out=err).mean())
 
 
 def loss_and_grads(

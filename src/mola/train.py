@@ -501,52 +501,31 @@ def mola_forecaster(foundation: model.FoundationModel, adapter: adapt.MolaAdapte
 def forecast_errors(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
                     split: str, first: int = 1, last: int | None = None) -> Iterator[np.ndarray]:
     """Yield the errors of the forecasts of label rows first..last
-    (default: all T) over a split's N windows, as C-ordered (N, r, D)
-    arrays, one per forecast block, in row order.
+    (default: all T) over a split's N windows, as C-ordered (r, N, D) views
+    of the (r, N*D) blocks of ``WindowSet.errors``, one per forecast block,
+    in row order.
 
     ``forecast_fn`` maps the (L, n*D) history block of n windows (column
     i*D + c is channel c of window i) to their (rows, n*D) forecast block.
-    It may also be a sequence of such callables, each giving the next
-    (r, n*D) block of consecutive rows, which together cover the rows.
-    Each callable is called once per window chunk of the split (see
-    ``WindowSet.chunks``), on that chunk's history block, and each chunk's
-    forecast is subtracted in place into its windows of the block's label
-    rows.  So a consumer that drops each error array before asking for the
-    next holds one block's errors plus one chunk's history and forecast,
-    never the whole split's history block, and every error is bitwise that
-    of forecasting the whole block at once.  A split of one chunk is
-    forecast as one (L, N*D) block."""
+    A sequence of n such callables gives n equal blocks of consecutive rows,
+    the next callable the next block; rows that do not split into n equal
+    blocks raise ValueError.  Each callable is called once per window chunk
+    of the split, so a consumer that drops each error block before asking
+    for the next holds one block's errors plus one chunk's history and
+    forecast, and every error is bitwise that of forecasting the whole
+    history block at once."""
     wins = data.windows(ds, lookback, horizon, split)
     last = horizon if last is None else last
-    rows, d = last - first + 1, wins.series.shape[1]
-    chunks = wins.chunks()
-    done = 0
-    for fn in forecast_fn if isinstance(forecast_fn, (list, tuple)) else (forecast_fn,):
-        err = None
-        for part in chunks:
-            n_part = part.stop - part.start
-            pred = np.asarray(fn(wins[part].history_block()), dtype=np.float64)
-            # the block's first chunk sets its rows, and every later chunk repeats them
-            room = rows - done if err is None else err.shape[1]
-            if (pred.ndim != 2 or pred.shape[1] != n_part * d or not 0 < len(pred) <= room
-                    or err is not None and len(pred) != room):
-                raise ValueError(f"forecast block shape {pred.shape} does not fit label rows "
-                                 f"{first + done}..{last} of {n_part} windows of {d} "
-                                 f"channels ({n_part * d} columns)")
-            r = len(pred)
-            if err is None:
-                err = wins.labels(first + done, first + done + r - 1)
-            # a C-ordered (N, r, D) error array keeps the summation order of
-            # the means in StepErrors the same as for stacked per-window
-            # forecasts; the forecast is subtracted into the label rows in place
-            np.subtract(pred.reshape(r, n_part, d).transpose(1, 0, 2), err[part], out=err[part])
-            del pred
-        yield err
-        del err
-        done += r
-    if done != rows:
-        raise ValueError(f"forecast blocks cover {done} of the {rows} label rows "
-                         f"{first}..{last}")
+    fns = forecast_fn if isinstance(forecast_fn, (list, tuple)) else (forecast_fn,)
+    rows = last - first + 1
+    if not fns or rows % len(fns):
+        raise ValueError(f"label rows {first}..{last} do not split into {len(fns)} equal "
+                         "forecast blocks")
+    r = rows // len(fns)
+    for i, fn in enumerate(fns):
+        err = wins.errors(fn, first + i * r, first + (i + 1) * r - 1)
+        yield err.reshape(r, len(wins), -1)
+        del err  # dropped before the next block is made
 
 
 def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
@@ -555,13 +534,12 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
 
     `forecast_fn` maps the (L, n*D) history block of n windows (column
     i*D + c is channel c of window i) to their (rows, n*D) forecast block,
-    or is a sequence of callables that give consecutive row blocks of it
-    (see :func:`forecast_errors`).  Each is called once per window chunk of
-    the split.  Each block is scored on its own and dropped before the next
-    is made, so scoring holds one block's errors plus one chunk's history
-    and forecast, and the metrics are bitwise those of scoring the forecast
-    of the whole history block at once.  The averaged row is defined as
-    the mean of the per-step values.  With target_rows=(first, last),
+    or is a sequence of callables that give equal consecutive row blocks of
+    it (see :func:`forecast_errors`).  Each is called once per window chunk
+    of the split.  Each block is scored on its own and dropped before the
+    next is made, so scoring holds one block's errors plus one chunk's
+    history and forecast.  The averaged row is defined as the mean of the
+    per-step values.  With target_rows=(first, last),
     forecast_fn must return just those label rows (used for per-segment
     evaluation) and steps keep their absolute index; rows outside 1..T
     raise the ValueError of the window set's label read.
@@ -575,7 +553,7 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
 
 
 class StepErrors:
-    """Per-step MSE and MAE of steps first..last, reduced one (N, r, D)
+    """Per-step MSE and MAE of steps first..last, reduced one (r, N, D)
     error block at a time in step order, so that one stream of blocks can
     feed more than one set of metrics."""
 
@@ -585,17 +563,12 @@ class StepErrors:
         self.mae: list[np.ndarray] = []
 
     def add(self, err: np.ndarray) -> None:
-        """Reduce the next block of errors, overwriting ``err``."""
-        r = err.shape[1]
-        if r == 1 and self.last > self.first:
-            # numpy sums a one-row array over windows and channels as one
-            # run, but a row of a longer array window after window; a zero
-            # second row keeps the order, and so the bits, of the whole array
-            err = np.concatenate([err, np.zeros_like(err)], axis=1)
-        self.n_windows = err.shape[0]
+        """Reduce the next block of errors, overwriting ``err``; a step's
+        mean sums its one contiguous row of N*D errors."""
+        self.n_windows = err.shape[1]
         # |err| and then |err|**2, which is bitwise err**2, are formed in place
-        self.mae.append(np.abs(err, out=err).mean(axis=(0, 2))[:r])
-        self.mse.append(np.multiply(err, err, out=err).mean(axis=(0, 2))[:r])
+        self.mae.append(np.abs(err, out=err).mean(axis=(1, 2)))
+        self.mse.append(np.multiply(err, err, out=err).mean(axis=(1, 2)))
 
     def metrics(self, split: str) -> dict:
         """The metrics dict of evaluate_forecaster for the blocks added."""

@@ -282,7 +282,7 @@ def test_eval_destandardized_forecasts_the_split_once(ws, monkeypatch):
 def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forecast(
         horizon, segments):
     # eval --destandardized and analyze variance score the mola forecast one
-    # segment at a time; both must give bitwise what the whole (N, T, D)
+    # segment at a time; both must give bitwise what the whole (T, N, D)
     # error array gives, also for segments of one row
     from mola import adapt, data, model, train
 
@@ -299,19 +299,19 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
     blocks = train.mola_forecaster(foundation, adapter)
     [err] = train.forecast_errors(lambda h: train.mola_forecast(foundation, adapter, h),
                                   ds, 8, horizon, "test")
-    want_samples = (err ** 2).mean(axis=2)
+    want_samples = (err ** 2).mean(axis=2).T  # (N, T)
     raw = err * ds.norm_stats.std
-    want_mse, want_mae = (raw * raw).mean(axis=(0, 2)), np.abs(raw).mean(axis=(0, 2))
+    want_mse, want_mae = (raw * raw).mean(axis=(1, 2)), np.abs(raw).mean(axis=(1, 2))
 
     metrics, got = cli._metrics_and_destandardized(blocks, ds, 8, horizon, "test")
     assert metrics == train.evaluate_forecaster(blocks, ds, 8, horizon, "test")
-    assert got["n_windows"] == err.shape[0]
+    assert got["n_windows"] == err.shape[1]
     assert [r["step"] for r in got["per_step"]] == list(range(1, horizon + 1))
     assert [r["mse"] for r in got["per_step"]] == want_mse.tolist()
     assert [r["mae"] for r in got["per_step"]] == want_mae.tolist()
     assert (got["mse"], got["mae"]) == (float(np.mean(want_mse)), float(np.mean(want_mae)))
     samples = cli._per_step_loss_samples(blocks, ds, 8, horizon, "test")
-    assert samples.shape == want_samples.shape
+    assert samples.shape == want_samples.shape and samples.flags.c_contiguous
     assert samples.tobytes() == want_samples.tobytes()
 
 

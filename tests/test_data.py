@@ -369,7 +369,7 @@ def test_window_set_indexing():
     # read from it are copies
     assert picked.series is ws.series
     assert not np.shares_memory(picked.history_block(), ds.values)
-    assert not np.shares_memory(picked.labels(), ds.values)
+    assert not np.shares_memory(picked.label_block(), ds.values)
     assert [w.origin for w in picked] == [ws[int(i)].origin for i in idx]
     # origins derive from the starts, also through an index of an index
     assert picked.origin.dtype == np.int64
@@ -377,7 +377,8 @@ def test_window_set_indexing():
     for w, i in zip(picked, idx):
         assert np.array_equal(w.history, ws[int(i)].history)
         assert np.array_equal(w.label, ws[int(i)].label)
-    assert np.array_equal(picked.labels(), np.stack([w.label for w in picked]))
+    labels = np.stack([w.label for w in picked], axis=1)  # (T, N, D)
+    assert picked.label_block().tobytes() == labels.tobytes()
 
 
 def test_indexed_batch_stacks_like_np_stack():
@@ -448,23 +449,23 @@ def test_label_rows_outside_the_horizon_are_refused():
     assert ws.label_block(3).shape == (6, len(ws) * 3)
 
 
-def test_labels_are_each_windows_label_rows():
-    # labels(first, last) is the (N, rows, D) stack of label rows
-    # first..last of every window, C-ordered, for the whole set, a slice and
-    # a set of window rows alike
+def test_label_block_is_each_windows_label_rows():
+    # label_block(first, last) is label rows first..last of every window in
+    # the column layout of history_block, (rows, N*D) and C-ordered, for the
+    # whole set, a slice and a set of window rows alike
     ds = make_ds(n=120, d=3)
     ws = data.windows(ds, lookback=6, horizon=5, split="train")
     idx = np.array([7, 0, 7, 3, len(ws) - 1])
     for source in (ws, ws[2:9], ws[idx]):
         for first, last in ((1, None), (2, 4), (5, 5)):
-            got = source.labels(first, last)
+            got = source.label_block(first, last)
             stop = 5 if last is None else last
-            want = np.stack([ds.values[n + first : n + stop + 1] for n in source.origin])
-            assert got.shape == want.shape and got.flags.c_contiguous
+            want = np.stack([ds.values[n + first : n + stop + 1] for n in source.origin], axis=1)
+            assert got.shape == (stop - first + 1, len(source) * 3) and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
     for first, last in ((0, 3), (4, 6), (6, None), (4, 3)):
         with pytest.raises(ValueError, match="outside 1..5"):
-            ws.labels(first, last)
+            ws.label_block(first, last)
 
 
 def test_batch_blocks_gather_history_and_labels_in_one_take():
@@ -503,6 +504,34 @@ def test_chunks_are_window_slices_of_whole_8_column_runs(d):
             assert (width * d) % 8 == 0 and width * d >= budget
         part = ws[chunks[-1]]  # views, not copies
         assert part.series is ws.series and (n == 0 or np.shares_memory(part.starts, ws.starts))
+
+
+def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch):
+    # errors(fn, first, last) is fn's forecast minus label_block(first,
+    # last), with fn called once per chunk on that chunk's history block;
+    # a columnwise fn gives every column the bits of one call on the whole
+    ds = make_ds(n=200, d=3)
+    monkeypatch.setattr(data, "_CHUNK_COLUMNS", 24)  # chunks of 8 windows
+    ws = data.windows(ds, lookback=6, horizon=5, split="train")
+    assert len(ws.chunks()) > 3
+    calls = []
+
+    def fn(history):
+        calls.append(history.shape[1] // 3)
+        return history[-3:] * 1.5
+
+    err = ws.errors(fn, 2, 4)
+    want = ws.history_block()[-3:] * 1.5 - ws.label_block(2, 4)
+    assert err.shape == want.shape and err.tobytes() == want.tobytes()
+    assert calls == [c.stop - c.start for c in ws.chunks()]
+    # a forecast of another shape is refused, also one that would broadcast
+    for bad in (lambda h: h[-3:, :1], lambda h: h[-2:], lambda h: h[-3:].ravel()):
+        with pytest.raises(ValueError, match="forecast block shape"):
+            ws.errors(bad, 2, 4)
+    with pytest.raises(ValueError, match="outside 1..5"):
+        ws.errors(fn, 4, 6)
+    with pytest.raises(ValueError, match="no windows"):
+        ws[:0].errors(fn)
 
 
 def test_batch_refuses_rows_that_are_not_integers():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference_lora
-from mola import _io, adapt, cli, data, model, train
+from mola import _io, adapt, analysis, cli, data, model, train
 
 
 def sine_dataset(n_points=240, d=2, noise=0.0, seed=0, period=24.0):
@@ -751,8 +751,8 @@ def row_blocks(forecast_fn, bounds):
 @pytest.mark.parametrize("routing", ["soft", "one-hot"])
 @pytest.mark.parametrize("horizon, segments, d", [(8, 4, 2), (4, 4, 2), (6, 3, 1), (4, 4, 1)])
 def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, d):
-    # segments of one row and single channels included: numpy sums those
-    # blocks in another order unless StepErrors keeps the whole array's
+    # segments of one row and single channels included: each step's mean
+    # sums the same contiguous row of errors whichever block it is in
     ds = sine_dataset(d=d, noise=0.1)
     foundation, adapter = random_mola(horizon, segments, routing)
     def whole(h):
@@ -765,8 +765,8 @@ def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, 
         assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
         [err] = train.forecast_errors(whole, ds, 8, horizon, split)
         parts = list(train.forecast_errors(blocks, ds, 8, horizon, split))
-        assert [p.shape[1] for p in parts] == [horizon // segments] * segments
-        assert np.concatenate(parts, axis=1).tobytes() == err.tobytes()
+        assert [p.shape[0] for p in parts] == [horizon // segments] * segments
+        assert np.concatenate(parts).tobytes() == err.tobytes()
     # rows of whole segments: steps keep their absolute index
     seg = horizon // segments
     first, last = (seg + 1, horizon) if segments > 1 else (1, horizon)
@@ -782,30 +782,59 @@ def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, 
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_uneven_row_blocks_score_like_the_whole_forecast(d):
+def test_one_row_blocks_score_like_the_whole_forecast(d):
     ds = sine_dataset(d=d, noise=0.1)
     m = model.new_model(LIN8, head_out=7, seed=24)
     def whole(h):
         return model.forecast(m, h)
 
     want = train.evaluate_forecaster(whole, ds, 8, 7)
-    # numpy's means over the whole (N, T, D) error array
+    # numpy's means over each step's row of the whole (T, N, D) error array
     [err] = train.forecast_errors(whole, ds, 8, 7, "test")
-    assert [r["mse"] for r in want["per_step"]] == (err * err).mean(axis=(0, 2)).tolist()
-    assert [r["mae"] for r in want["per_step"]] == np.abs(err).mean(axis=(0, 2)).tolist()
-    # one-row blocks among longer ones, and a sequence of one block
-    for bounds in ([(1, 1), (2, 4), (5, 5), (6, 7)], [(1, 7)]):
+    assert err.shape == (7, len(data.windows(ds, 8, 7, "test")), d) and err.flags.c_contiguous
+    assert [r["mse"] for r in want["per_step"]] == (err * err).mean(axis=(1, 2)).tolist()
+    assert [r["mae"] for r in want["per_step"]] == np.abs(err).mean(axis=(1, 2)).tolist()
+    # seven one-row blocks, and a sequence of one block
+    for bounds in ([(t, t) for t in range(1, 8)], [(1, 7)]):
         got = train.evaluate_forecaster(row_blocks(whole, bounds), ds, 8, 7)
         assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
 
 
-@pytest.mark.parametrize("bounds", [[(1, 2)], [(1, 2), (2, 4)], [(1, 3), (3, 4)], [(1, 4), (5, 4)]])
+@pytest.mark.parametrize("bounds", [[(1, 2)], [(1, 2), (2, 4)], [(1, 3), (3, 4)], [(1, 4), (5, 4)],
+                                    [(1, 1), (2, 4)], [(1, 1), (2, 2), (3, 4)]])
 def test_evaluate_forecaster_rejects_blocks_that_miss_the_rows(bounds):
+    # a sequence of n callables is n equal blocks of consecutive rows
     ds = sine_dataset()
     m = model.new_model(LIN8, head_out=4, seed=25)
     blocks = row_blocks(lambda h: model.forecast(m, h), bounds)
     with pytest.raises(ValueError, match="forecast block"):
         train.evaluate_forecaster(blocks, ds, 8, 4)
+
+
+@pytest.mark.parametrize("target, n_windows", [((1, 48), 2690), ((49, 96), 592), ((3, 4), None)])
+def test_val_loss_is_the_mean_of_the_evaluation_error_block(target, n_windows):
+    # mse_loss and forecast_errors are one pass: the loss is bitwise the
+    # flat mean of the squared errors evaluation scores
+    if n_windows is None:
+        ds, spec, lookback, horizon = sine_dataset(d=2, noise=0.1), LIN8, 8, 6
+    else:
+        ds, spec, lookback, horizon = etth_split(n_windows), ETTH_SPEC, 96, 192
+    m = model.new_model(spec, head_out=target[1] - target[0] + 1, seed=3)
+    wins = data.windows(ds, lookback, horizon, "val")
+    [err] = train.forecast_errors(lambda h: model.forecast(m, h), ds, lookback, horizon, "val",
+                                  *target)
+    want = float((err * err).mean())
+    assert model.mse_loss(m, wins, target).hex() == want.hex()
+
+
+def test_passes_over_no_windows_raise():
+    # a mean over no windows would be NaN: the pass refuses the empty set
+    m = model.new_model(LIN8, head_out=2, seed=4)
+    wins = data.windows(sine_dataset(), 8, 2, "val")[:0]
+    with pytest.raises(ValueError, match="no windows"):
+        model.mse_loss(m, wins)
+    with pytest.raises(ValueError, match="no windows"):
+        wins.errors(lambda h: model.forecast(m, h))
 
 
 def test_scoring_segment_blocks_never_holds_a_whole_horizon_array():
@@ -862,7 +891,8 @@ def etth_mola(seed=0):
 def whole_split_passes(ds, foundation, adapter):
     """The bytes of every no-gradient pass over a split: val losses,
     evaluation of one forecaster and of the mola forecaster, its error
-    arrays and eval --destandardized's metrics."""
+    arrays, eval --destandardized's metrics, analyze variance's loss
+    samples and the test windows' hash."""
     val = data.windows(ds, 96, 192, "val")
     bounds = adapter.plan.boundaries
     losses = [model.mse_loss(foundation, val), model.mse_loss(foundation, val, bounds[2]),
@@ -875,6 +905,8 @@ def whole_split_passes(ds, foundation, adapter):
         *cli._metrics_and_destandardized(forecaster, ds, 96, 192, "test"),
     ]
     errors = [err.tobytes() for err in train.forecast_errors(forecaster, ds, 96, 192, "test")]
+    errors += [cli._per_step_loss_samples(forecaster, ds, 96, 192, "test").tobytes(),
+               analysis.window_set_hash(data.windows(ds, 96, 192, "test"))]
     return [x.hex() for x in losses], [_io.canonical_dumps(m) for m in metrics], errors
 
 
@@ -946,7 +978,7 @@ def test_whole_split_passes_never_hold_the_split_history_block():
 def test_a_split_within_the_budget_is_one_block(monkeypatch, case):
     # compare_onehot's test split (726 columns) and one of exactly 2048
     # columns: each forecast callable is called once, on the history block
-    # of the whole split, and mse_loss gathers the whole split at once
+    # of the whole split, and so is mse_loss's forecast
     if case == "compare_onehot":
         ds = data.standardize(data.generate_synthetic(data.default_synth_spec()))
         spec, lookback, horizon = model.EncoderSpec("mlp2", 6, (16, 8), "tanh"), 6, 32
@@ -963,12 +995,12 @@ def test_a_split_within_the_budget_is_one_block(monkeypatch, case):
 
     train.evaluate_forecaster([forecast] * 4, ds, lookback, horizon)
     assert calls == [wins.history_block().tobytes()] * 4
-    stack_batch, batches = model._stack_batch, []
-    monkeypatch.setattr(model, "_stack_batch",
-                        lambda mdl, batch, target: batches.append(len(batch))
-                        or stack_batch(mdl, batch, target))
+    calls.clear()
+    model_forecast = model.forecast
+    monkeypatch.setattr(model, "forecast", lambda mdl, h: calls.append(h.tobytes())
+                        or model_forecast(mdl, h))
     model.mse_loss(m, wins, (1, horizon // 4))
-    assert batches == [len(wins)]
+    assert calls == [wins.history_block().tobytes()]
 
 
 # --- records on disk ---
