@@ -63,13 +63,16 @@ def min_attainable_error(w, b, y) -> BottleneckReport:
     energies = np.einsum("ij,ij->i", outside, outside).tolist()
     del outside  # as large as y, and not needed while least squares runs
     x = linalg.least_squares(wbar, y, res)
-    resid = wbar @ x - y
+    # formed in place, so the floor holds one label-sized array beside y
+    resid = wbar @ x
+    resid -= y
+    np.multiply(resid, resid, out=resid)
     return BottleneckReport(
         wbar=wbar,
         svd=res,
         rank=res.rank,
         min_error_sq=float(sum(energies)),
-        ls_residual_sq=float(np.sum(resid * resid)),
+        ls_residual_sq=float(np.sum(resid)),
         per_direction_energy=energies,
     )
 

@@ -11,9 +11,11 @@ two sides are two runs of consecutive rows, and they are rotated in place
 through row views, with the column norms of both sides taken in one pass.
 Each call builds every step's views and scratch buffers once, so a step
 makes no array: it runs its array operations into those buffers, and
-rotates its q rows through a contiguous copy.  The step order depends on
-the matrix shape alone and reproduces the classic row-cyclic pair order,
-so results are repeatable bit for bit, signed zeros included.
+rotates its q rows through a contiguous copy; its two norm passes call
+numpy's C einsum kernel directly, without ``np.einsum``'s Python dispatch.
+The step order depends on the matrix shape alone and reproduces the
+classic row-cyclic pair order, so results are repeatable bit for bit,
+signed zeros included.
 All routines are pure functions over immutable inputs.
 """
 
@@ -24,6 +26,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+# the C kernel that np.einsum calls when optimize is False (its default):
+# the same bytes without about 1.6 us of Python dispatch per call, which a
+# Jacobi step pays twice; tests/test_linalg.py checks that np.einsum still
+# calls this very object
+from numpy._core.multiarray import c_einsum as _c_einsum
 from numpy.typing import NDArray
 
 Mat = NDArray[np.float64]
@@ -209,48 +216,53 @@ def _jacobi_sweeps(work: Mat, m: int, shape: tuple[int, int]) -> None:
     ``m`` columns meets ``JACOBI_TOL``; raise JacobiNonConvergence otherwise."""
     plan = _step_plan(work, m)
     worst = math.inf
-    for _ in range(JACOBI_MAX_SWEEPS):
-        worst = 0.0
-        for (cols_p, cols_q, span_m, p_m, q_m, norms, alpha, beta, gamma, rel,
-             mask, theta, c, s, c_col, s_col, q_rows, sp, sq) in plan:
-            np.einsum("ij,ij->i", span_m, span_m, out=norms)
-            np.einsum("ij,ij->i", p_m, q_m, out=gamma)
-            # rel = |gamma| / sqrt(alpha * beta), with theta and c as scratch;
-            # pairs with a zero column are skipped and do not count as worst
-            # (norms are >= 0, so the smaller is 0 exactly when either is)
-            np.minimum(alpha, beta, out=theta)
-            np.not_equal(theta, 0.0, out=mask)
-            np.multiply(alpha, beta, out=theta)
-            np.sqrt(theta, out=theta)
-            np.absolute(gamma, out=c)
-            rel.fill(0.0)
-            np.divide(c, theta, out=rel, where=mask)
-            top = float(np.maximum.reduce(rel))
-            worst = max(worst, top)
-            if top <= JACOBI_TOL:
-                continue
-            # theta = atan2(2 gamma, alpha - beta) / 2, with c and s as
-            # scratch; theta = 0 leaves a pair that meets the tolerance as it is
-            np.multiply(gamma, 2.0, out=c)
-            np.subtract(alpha, beta, out=s)
-            np.arctan2(c, s, out=c)
-            np.greater(rel, JACOBI_TOL, out=mask)
-            theta.fill(0.0)
-            np.multiply(c, 0.5, out=theta, where=mask)
-            np.cos(theta, out=c)
-            np.sin(theta, out=s)
-            # P <- c*P + s*Q and Q <- c*Q - s*P, with Q's reversed rows
-            # rotated in a contiguous copy
-            np.copyto(q_rows, cols_q)
-            np.multiply(s_col, cols_p, out=sp)
-            np.multiply(s_col, q_rows, out=sq)
-            np.multiply(cols_p, c_col, out=cols_p)
-            np.add(cols_p, sq, out=cols_p)
-            np.multiply(q_rows, c_col, out=q_rows)
-            np.subtract(q_rows, sp, out=q_rows)
-            np.copyto(cols_q, q_rows)
-        if worst <= JACOBI_TOL:
-            return
+    # A norm can be subnormal although nonzero (rank deficiency, say a zero
+    # or repeated row of the input, leaves such columns); alpha * beta then
+    # underflows to 0 while the mask holds, rel = |gamma| / 0 = inf, and the
+    # pair is rotated, as it should be, with no warning.
+    with np.errstate(divide="ignore"):
+        for _ in range(JACOBI_MAX_SWEEPS):
+            worst = 0.0
+            for (cols_p, cols_q, span_m, p_m, q_m, norms, alpha, beta, gamma, rel,
+                 mask, theta, c, s, c_col, s_col, q_rows, sp, sq) in plan:
+                _c_einsum("ij,ij->i", span_m, span_m, out=norms)
+                _c_einsum("ij,ij->i", p_m, q_m, out=gamma)
+                # rel = |gamma| / sqrt(alpha * beta), with theta and c as scratch;
+                # pairs with a zero column are skipped and do not count as worst
+                # (norms are >= 0, so the smaller is 0 exactly when either is)
+                np.minimum(alpha, beta, out=theta)
+                np.not_equal(theta, 0.0, out=mask)
+                np.multiply(alpha, beta, out=theta)
+                np.sqrt(theta, out=theta)
+                np.absolute(gamma, out=c)
+                rel.fill(0.0)
+                np.divide(c, theta, out=rel, where=mask)
+                top = float(np.maximum.reduce(rel))
+                worst = max(worst, top)
+                if top <= JACOBI_TOL:
+                    continue
+                # theta = atan2(2 gamma, alpha - beta) / 2, with c and s as
+                # scratch; theta = 0 leaves a pair that meets the tolerance as it is
+                np.multiply(gamma, 2.0, out=c)
+                np.subtract(alpha, beta, out=s)
+                np.arctan2(c, s, out=c)
+                np.greater(rel, JACOBI_TOL, out=mask)
+                theta.fill(0.0)
+                np.multiply(c, 0.5, out=theta, where=mask)
+                np.cos(theta, out=c)
+                np.sin(theta, out=s)
+                # P <- c*P + s*Q and Q <- c*Q - s*P, with Q's reversed rows
+                # rotated in a contiguous copy
+                np.copyto(q_rows, cols_q)
+                np.multiply(s_col, cols_p, out=sp)
+                np.multiply(s_col, q_rows, out=sq)
+                np.multiply(cols_p, c_col, out=cols_p)
+                np.add(cols_p, sq, out=cols_p)
+                np.multiply(q_rows, c_col, out=q_rows)
+                np.subtract(q_rows, sp, out=q_rows)
+                np.copyto(cols_q, q_rows)
+            if worst <= JACOBI_TOL:
+                return
     raise JacobiNonConvergence(
         f"one-sided Jacobi did not converge on a {shape[0]}x{shape[1]} matrix "
         f"within {JACOBI_MAX_SWEEPS} sweeps (worst pair at {worst:.3e})"
@@ -299,23 +311,30 @@ def _complete_basis(u_part: Mat) -> Mat:
     Greedy choice: at each step take the identity vector with the largest
     residual against the current basis (deterministic, and the residual
     norm is bounded below by sqrt((m - k) / m), so normalization is safe).
+    The residuals come from the basis's squared row norms, which each new
+    column updates by its own squares, and ``current.T @ e_i`` is row i of
+    the basis, so a step makes three passes over the basis, not five.
     """
     m, k = u_part.shape
     basis = np.zeros((m, m))
     basis[:, :k] = u_part
     taken = np.zeros(m, dtype=bool)
+    # squared row norms of the basis so far, one rank-one update per column
+    row_sq = np.einsum("ij,ij->i", u_part, u_part)
     for j in range(k, m):
         current = basis[:, :j]
         # residual norm^2 of e_i against an orthonormal basis is 1 - ||row_i||^2
-        scores = 1.0 - np.einsum("ij,ij->i", current, current)
+        scores = 1.0 - row_sq
         scores[taken] = -math.inf
         pick = int(np.argmax(scores))
         taken[pick] = True
         e = np.zeros(m)
         e[pick] = 1.0
-        r = e - current @ (current.T @ e)
+        r = e - current @ current[pick]  # current.T @ e is row pick, exactly
         r -= current @ (current.T @ r)  # re-orthogonalize once
-        basis[:, j] = r / math.sqrt(float(r @ r))
+        r /= math.sqrt(float(r @ r))
+        basis[:, j] = r
+        row_sq += r * r
     return basis[:, k:]
 
 

@@ -571,7 +571,12 @@ class StepErrors:
         self.mse.append(np.multiply(err, err, out=err).mean(axis=(1, 2)))
 
     def metrics(self, split: str) -> dict:
-        """The metrics dict of evaluate_forecaster for the blocks added."""
+        """The metrics dict of evaluate_forecaster for the blocks added;
+        ValueError unless they hold exactly the steps first..last."""
+        added = sum(len(block) for block in self.mse)
+        if added != self.last - self.first + 1:
+            raise ValueError(f"errors of {added} steps were added for steps "
+                             f"{self.first}..{self.last}")
         mse, mae = np.concatenate(self.mse), np.concatenate(self.mae)
         per_step = [{"step": self.first + j, "mse": float(a), "mae": float(b)}
                     for j, (a, b) in enumerate(zip(mse, mae))]

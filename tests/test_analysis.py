@@ -1,6 +1,7 @@
 import hashlib
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,23 @@ def test_dataset_bottleneck_matches_per_window_average():
     # fresh models have zero biases, so the bias column adds nothing to the rank
     assert out["rank"] == 6
     assert out["mean_min_error_sq"] > 0.0
+
+
+def test_dataset_bottleneck_forms_its_residual_in_place():
+    # floor_svd's largest floor: the label block of (L, T) = (96, 336), then
+    # the residual beside it, formed in place, plus x and U^T y of 97 rows
+    ds = data.standardize(data.generate_synthetic(data.default_synth_spec(n_points=4000, seed=0)))
+    m = model.new_model(model.EncoderSpec(kind="linear", in_len=96), head_out=336, seed=0)
+    block = 336 * len(data.windows(ds, 96, 336, "test")) * ds.d_channels * 8
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        analysis.dataset_bottleneck(m, ds, "test")
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3 * block, f"peak {peak / block:.2f} label blocks"
 
 
 def test_dataset_bottleneck_requires_linear_encoder():

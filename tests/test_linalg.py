@@ -244,6 +244,11 @@ REFERENCE_CASES = {
     "all_zero_4x3": np.zeros((4, 3)),
     "ldexp_520": np.ldexp(random_matrix(6, 4, seed=11), 520),
     "ldexp_minus_600": np.ldexp(random_matrix(6, 4, seed=11), -600),
+    # 335 completion steps, each choosing among nearly equal residuals
+    "rank1_336x97": random_matrix(336, 97, seed=24, rank=1),
+    # a zero row leaves a column whose squared norm is subnormal: alpha * beta
+    # underflows to 0 although neither is 0, and the pair rotates with no warning
+    "zero_row_14x14": np.vstack([np.zeros((1, 14)), random_matrix(14, 14, seed=0)[1:]]),
 }
 
 
@@ -270,6 +275,10 @@ def structured_matrix(m, n, seed, kind):
         a[:, rng.integers(n)] = 0.0
     elif kind == "repeated_column":
         a[:, rng.integers(n)] = a[:, rng.integers(n)]
+    elif kind == "zero_row":
+        a[rng.integers(m)] = 0.0
+    elif kind == "repeated_row":
+        a[rng.integers(m)] = a[rng.integers(m)]
     elif kind == "integer":
         a = np.round(3.0 * a)
     return a
@@ -280,7 +289,8 @@ def structured_matrix(m, n, seed, kind):
     m=st.integers(1, 24),
     n=st.integers(1, 24),
     seed=st.integers(0, 2**31),
-    kind=st.sampled_from(["gaussian", "deficient", "zero_column", "repeated_column", "integer"]),
+    kind=st.sampled_from(["gaussian", "deficient", "zero_column", "repeated_column",
+                          "zero_row", "repeated_row", "integer"]),
     power=st.sampled_from([0, -600, 600]),
 )
 def test_svd_is_bitwise_the_reference_on_any_input(m, n, seed, kind, power):
@@ -301,6 +311,22 @@ def test_svd_refuses_a_singular_value_beyond_float64(shape):
 def test_svd_keeps_a_singular_value_at_the_top_of_float64():
     res = linalg.svd(np.full((2, 2), np.finfo(np.float64).max / 2))
     assert res.sigma[0] == np.finfo(np.float64).max and res.rank == 1
+
+
+def test_jacobi_norms_come_from_the_kernel_np_einsum_calls():
+    # np.einsum hands "ij,ij->i" to this kernel when optimize is False; a
+    # numpy that routes it elsewhere must fail here, not change the bits
+    assert linalg._c_einsum is np.einsum._implementation.__globals__["c_einsum"]
+    rng = np.random.default_rng(26)
+    for m, n in [(336, 97), (192, 97), (96, 49), (5, 4)]:
+        work = rng.normal(size=(n, m + n))
+        slices = linalg._step_slices(n)
+        for p, q, span in (slices[0], slices[n // 2], slices[n - 2], slices[-1]):
+            for x, y in [(work[span, :m], work[span, :m]), (work[p, :m], work[q, :m])]:
+                want, got = np.empty(len(x)), np.empty(len(x))
+                np.einsum("ij,ij->i", x, y, out=want)
+                linalg._c_einsum("ij,ij->i", x, y, out=got)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_svd_is_bitwise_repeatable():

@@ -811,6 +811,16 @@ def test_evaluate_forecaster_rejects_blocks_that_miss_the_rows(bounds):
         train.evaluate_forecaster(blocks, ds, 8, 4)
 
 
+@pytest.mark.parametrize("rows", [[], [2], [1, 1], [2, 2], [1, 1, 1, 1]])
+def test_step_errors_refuse_blocks_that_miss_steps_first_to_last(rows):
+    # steps 3..5: a stream that stops early, or runs on, yields no metrics
+    steps = train.StepErrors(3, 5)
+    for r in rows:
+        steps.add(np.ones((r, 4, 2)))
+    with pytest.raises(ValueError, match=rf"errors of {sum(rows)} steps were added for steps 3..5"):
+        steps.metrics("test")
+
+
 @pytest.mark.parametrize("target, n_windows", [((1, 48), 2690), ((49, 96), 592), ((3, 4), None)])
 def test_val_loss_is_the_mean_of_the_evaluation_error_block(target, n_windows):
     # mse_loss and forecast_errors are one pass: the loss is bitwise the
