@@ -33,10 +33,6 @@ class UserError(Exception):
     """Bad input from the user: config, flags, or missing files."""
 
 
-class MissingCheckpoint(UserError):
-    """A checkpoint a command reads has not been written yet."""
-
-
 DEFAULTS = {
     "dataset": {
         "source": "synth",
@@ -67,17 +63,19 @@ DEFAULTS = {
         "pretrain_patience": 2,
     },
     "output": {"run_dir": ""},
-    # defaults are the reference configuration for the closed-form counts
-    "analysis": {
-        "n_layers": 6,
-        "d_model": 512,
-        "d_ff": 1024,
-        "rank": 8,
-        "experts": 4,
-        "segments": 6,
-        "probe_steps": "1,16,32",
-    },
+    "analysis": {"probe_steps": "1,16,32"},
 }
+
+# paradigm.kind -> its checkpoints (checkpoints/<name>.json) -> the command that writes each
+CHECKPOINTS = {
+    "arf": {"arf": "train-baseline"},
+    "mtf": {"mtf": "train-baseline"},
+    "mola": {"foundation": "pretrain", "adapter": "adapt"},
+}
+
+# the paper's reference configuration, whose closed-form counts `analyze params` reports
+_REFERENCE_COUNTS = {"n_layers": 6, "d_model": 512, "d_ff": 1024, "rank": 8, "experts": 4,
+                     "segments": 6}
 
 
 # --- config resolution ---
@@ -157,26 +155,23 @@ def _validate(cfg: dict, user_set: set[str]) -> None:
     if mode == "counts" and ds["source"] == "synth":
         raise UserError("a counts split requires dataset.source=csv; use ratios for synth")
     pk = cfg["paradigm"]["kind"]
-    if pk not in ("arf", "mtf", "mola"):
-        raise UserError(f"paradigm.kind must be arf, mtf, or mola, got {pk!r}")
+    if pk not in CHECKPOINTS:
+        raise UserError(f"paradigm.kind must be one of {', '.join(CHECKPOINTS)}, got {pk!r}")
     if pk != "mola":
         for key in _MOLA_ONLY:
             if f"paradigm.{key}" in user_set:
                 raise UserError(f"paradigm.{key} only applies to paradigm.kind=mola")
     # build what the commands build, so a bad value fails before the run directory exists
-    try:
-        if ds["source"] == "synth":
-            _synth_spec(cfg)
-        spec = _encoder_spec(cfg)
-        for stage in ("pretrain", "baseline"):
-            _train_config(cfg, stage)
-        _int_list(cfg, "analysis", "probe_steps")
-        if pk == "mola":
-            p = cfg["paradigm"]
-            adapt.check_settings(spec, ds["horizon"], p["segments"], p["experts"], p["rank"],
-                                 routing=p["routing"])
-    except ValueError as e:
-        raise UserError(str(e)) from None
+    if ds["source"] == "synth":
+        _synth_spec(cfg)
+    spec = _encoder_spec(cfg)
+    for stage in ("pretrain", "baseline"):
+        _train_config(cfg, stage)
+    _int_list(cfg, "analysis", "probe_steps")
+    if pk == "mola":
+        p = cfg["paradigm"]
+        adapt.check_settings(spec, ds["horizon"], p["segments"], p["experts"], p["rank"],
+                             routing=p["routing"])
 
 
 def _parse_split(raw: str):
@@ -269,15 +264,6 @@ def _prepare_run_dir(args, cfg: dict, cfg_hash: str) -> Path:
         print(f"warning: run directory exists, overwriting artifacts: {rd}", file=sys.stderr)
     for sub in ("checkpoints", "records", "reports"):
         (rd / sub).mkdir(parents=True, exist_ok=True)
-    _io.write_json(
-        rd / "manifest.json",
-        {
-            "tool_version": __version__,
-            "config_hash": cfg_hash,
-            "command": args.command,
-            "config": cfg,
-        },
-    )
     return rd
 
 
@@ -319,9 +305,12 @@ def _save_stages(rd: Path, cfg_hash: str, checkpoint: str, state: dict, records)
         print(f"{rec.stage}: best_val={rec.best_val:.6g} stop={rec.stop_reason}")
 
 
-def _require_checkpoint(path: Path, hint: str):
+def _checkpoint(rd: Path, pk: str, name: str) -> Path:
+    """checkpoints/<name>.json of paradigm ``pk``, or a UserError naming the
+    command that writes it."""
+    path = rd / "checkpoints" / f"{name}.json"
     if not path.exists():
-        raise MissingCheckpoint(f"missing checkpoint {path}; {hint}")
+        raise UserError(f"missing checkpoint {path}; run {CHECKPOINTS[pk][name]} first")
     return path
 
 
@@ -336,9 +325,9 @@ def _refuse_mismatch(path: Path, section: str, pairs) -> None:
             )
 
 
-def _load_model(path: Path, spec: model.EncoderSpec) -> model.FoundationModel:
+def _load_model(path: Path, spec: model.EncoderSpec, head_out: int) -> model.FoundationModel:
     """The checkpoint at ``path``, refused unless the config's encoder
-    ``spec`` describes its encoder."""
+    ``spec`` describes its encoder and its head predicts ``head_out`` steps."""
     m = model.load_checkpoint(path)
     if m.lookback != spec.in_len:
         raise UserError(
@@ -351,6 +340,8 @@ def _load_model(path: Path, spec: model.EncoderSpec) -> model.FoundationModel:
     if spec.kind == "mlp2":
         pairs.append(("activation", saved.activation, spec.activation))
     _refuse_mismatch(path, "model", pairs)
+    if m.head_out != head_out:
+        raise UserError(f"{path} predicts {m.head_out} steps, but this command needs {head_out}")
     return m
 
 
@@ -384,10 +375,8 @@ def cmd_adapt(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = _dataset(cfg)
     horizon = cfg["dataset"]["horizon"]
     segments = cfg["paradigm"]["segments"]
-    foundation = _load_model(
-        _require_checkpoint(rd / "checkpoints" / "foundation.json", "run pretrain first"),
-        _encoder_spec(cfg),
-    )
+    foundation = _load_model(_checkpoint(rd, "mola", "foundation"), _encoder_spec(cfg),
+                             horizon // segments)
     plan = adapt.make_segment_plan(horizon, segments, lookback=foundation.lookback)
     adapter = adapt.new_adapter(
         foundation,
@@ -422,33 +411,21 @@ def cmd_train_baseline(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     return 0
 
 
-def _load_mtf(rd: Path, cfg: dict) -> model.FoundationModel:
-    """The mtf checkpoint, refused unless the config's model and dataset.horizon
-    describe it."""
-    horizon = cfg["dataset"]["horizon"]
-    m = _load_model(_require_checkpoint(rd / "checkpoints" / "mtf.json",
-                                        "run train-baseline first"), _encoder_spec(cfg))
-    if m.head_out != horizon:
-        raise UserError(f"mtf checkpoint predicts {m.head_out} steps but dataset.horizon={horizon}")
-    return m
-
-
 def _forecaster_from_checkpoints(pk: str, rd: Path, cfg: dict):
     """The forecaster of paradigm ``pk``'s checkpoints, refused unless the
     config describes them."""
-    cp = rd / "checkpoints"
-    horizon = cfg["dataset"]["horizon"]
-    if pk == "mtf":
-        m = _load_mtf(rd, cfg)
-        return lambda h: model.forecast(m, h)
+    path = {name: _checkpoint(rd, pk, name) for name in CHECKPOINTS[pk]}
     spec = _encoder_spec(cfg)
+    horizon = cfg["dataset"]["horizon"]
     if pk == "arf":
-        m = _load_model(_require_checkpoint(cp / "arf.json", "run train-baseline first"), spec)
+        m = _load_model(path["arf"], spec, 1)
         return lambda h: model.ar_f_forecast(m, h, horizon)
-    foundation_path = _require_checkpoint(cp / "foundation.json", "run pretrain first")
-    adapter_path = _require_checkpoint(cp / "adapter.json", "run adapt first")
-    foundation = _load_model(foundation_path, spec)
+    if pk == "mtf":
+        m = _load_model(path["mtf"], spec, horizon)
+        return lambda h: model.forecast(m, h)
+    foundation_path, adapter_path = path["foundation"], path["adapter"]
     adapter = adapt.load_adapter(adapter_path)
+    foundation = _load_model(foundation_path, spec, adapter.plan.seg_len)
     if adapter.foundation_sha256 != adapt.foundation_digest(foundation):
         raise UserError(
             f"{adapter_path} was fitted on a different foundation than {foundation_path}; "
@@ -477,36 +454,27 @@ def _forecaster_from_checkpoints(pk: str, rd: Path, cfg: dict):
 def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     pk = cfg["paradigm"]["kind"]
     ds = _dataset(cfg)
-    lookback = cfg["dataset"]["lookback"]
     horizon = cfg["dataset"]["horizon"]
     forecast_fn = _forecaster_from_checkpoints(pk, rd, cfg)
-    payload = {"paradigm": pk, "split": args.split}
-    if args.destandardized:
-        payload["metrics"], payload["destandardized_metrics"] = _metrics_and_destandardized(
-            forecast_fn, ds, lookback, horizon, args.split)
-    else:
-        payload["metrics"] = train.evaluate_forecaster(forecast_fn, ds, lookback, horizon,
-                                                       split=args.split)
-    metrics = payload["metrics"]
+    steps = train.StepErrors(1, horizon)
+    raw = train.StepErrors(1, horizon) if args.destandardized else None
+    for err in train.forecast_errors(forecast_fn, ds, cfg["dataset"]["lookback"], horizon,
+                                     args.split):
+        if raw is not None:
+            # the per-channel mean cancels: a raw error is the standardized one times the std
+            raw.add(err * ds.norm_stats.std)
+        steps.add(err)  # overwrites err, so it comes last
+        del err  # dropped before the next block is made
+    metrics = steps.metrics(args.split)
+    payload = {"paradigm": pk, "split": args.split, "metrics": metrics}
+    if raw is not None:
+        payload["destandardized_metrics"] = raw.metrics(args.split)
     _write_report(rd, f"eval_{pk}_{args.split}.json", cfg_hash, payload)
     _write_report_csv(
         rd / "reports" / f"eval_{pk}_{args.split}.csv", _step_rows(metrics), cfg_hash
     )
     print(f"{pk} {args.split}: mse={metrics['mse']:.6g} mae={metrics['mae']:.6g}")
     return 0
-
-
-def _metrics_and_destandardized(forecast_fn, ds, lookback, horizon, split):
-    """The metrics of evaluate_forecaster, and the same in the units of the
-    raw data, from one forecast of the split."""
-    # the per-channel mean cancels: a raw error is the standardized one times the std
-    std = ds.norm_stats.std
-    steps, raw = train.StepErrors(1, horizon), train.StepErrors(1, horizon)
-    for err in train.forecast_errors(forecast_fn, ds, lookback, horizon, split):
-        raw.add(err * std)
-        steps.add(err)
-        del err
-    return steps.metrics(split), raw.metrics(split)
 
 
 def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
@@ -520,28 +488,18 @@ def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
 
 
 def cmd_params(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
-    a = cfg["analysis"]
-    pc = analysis.param_counts(
-        a["n_layers"], a["d_model"], a["d_ff"], a["rank"], a["experts"], a["segments"]
-    )
-    _write_report(
-        rd, "params.json", cfg_hash,
-        {
-            "n_mola": pc.n_mola,
-            "n_backbone": pc.n_backbone,
-            "ratio": pc.ratio,
-            "inputs": {
-                "n_layers": a["n_layers"], "d_model": a["d_model"], "d_ff": a["d_ff"],
-                "rank": a["rank"], "experts": a["experts"], "segments": a["segments"],
-            },
-        },
-    )
+    ref = _REFERENCE_COUNTS
+    pc = analysis.param_counts(ref["n_layers"], ref["d_model"], ref["d_ff"], ref["rank"],
+                               ref["experts"], ref["segments"])
+    _write_report(rd, "params.json", cfg_hash,
+                  {"n_mola": pc.n_mola, "n_backbone": pc.n_backbone, "ratio": pc.ratio,
+                   "inputs": ref})
     print(f"n_mola={pc.n_mola} n_backbone={pc.n_backbone} ratio={pc.ratio:.3f}")
     return 0
 
 
 def cmd_bottleneck(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
-    m = _load_mtf(rd, cfg)
+    m = _load_model(_checkpoint(rd, "mtf", "mtf"), _encoder_spec(cfg), cfg["dataset"]["horizon"])
     rep = analysis.dataset_bottleneck(m, _dataset(cfg), split="test")
     _write_report(rd, "bottleneck.json", cfg_hash, rep)
     print(
@@ -555,13 +513,13 @@ def cmd_variance(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = _dataset(cfg)
     lookback = cfg["dataset"]["lookback"]
     horizon = cfg["dataset"]["horizon"]
-    samples = {}
-    for name in ("arf", "mtf", "mola"):
-        try:
-            fn = _forecaster_from_checkpoints(name, rd, cfg)
-        except MissingCheckpoint:
-            continue
-        samples[name] = _per_step_loss_samples(fn, ds, lookback, horizon, "test")
+    # a paradigm with a checkpoint not yet written is skipped
+    samples = {
+        pk: _per_step_loss_samples(_forecaster_from_checkpoints(pk, rd, cfg), ds, lookback,
+                                   horizon, "test")
+        for pk, names in CHECKPOINTS.items()
+        if all((rd / "checkpoints" / f"{name}.json").exists() for name in names)
+    }
     if not samples:
         raise UserError("no usable checkpoints in this run directory; train a paradigm first")
     blocks = {}
@@ -630,7 +588,7 @@ def cmd_compare(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     _write_report(rd, "compare.json", cfg_hash, rep)
     rows = [
         row
-        for name in ("arf", "mtf", "mola")
+        for name in CHECKPOINTS
         for row in _step_rows(rep["paradigms"][name]["metrics"], paradigm=name)
     ]
     _write_report_csv(rd / "reports" / "compare.csv", rows, cfg_hash)
@@ -703,7 +661,12 @@ def _dispatch(args) -> int:
             f"but paradigm.kind={pk}"
         )
     rd = _prepare_run_dir(args, cfg, cfg_hash)
-    return handler(args, cfg, cfg_hash, rd)
+    status = handler(args, cfg, cfg_hash, rd)
+    # written on success only, so it always describes the last command that worked
+    if status == 0:
+        _io.write_json(rd / "manifest.json", {"tool_version": __version__, "config_hash": cfg_hash,
+                                              "command": args.command, "config": cfg})
+    return status
 
 
 def main(argv=None) -> int:

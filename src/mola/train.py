@@ -476,14 +476,9 @@ def mola_forecast(foundation: model.FoundationModel, adapter: adapt.MolaAdapter,
                          f"{plan.seg_len} rows within 1..{plan.horizon}")
     history = np.asarray(history, dtype=np.float64)
     segments = range((first - 1) // plan.seg_len + 1, last // plan.seg_len + 1)
-    pieces = (model.forecast(adapt.adapted_model(foundation, adapter, k), history)
-              for k in segments)
-    if len(segments) == 1:
-        return next(pieces)
-    out = np.empty((last - first + 1, history.shape[1]))
-    for row, piece in zip(range(0, out.shape[0], plan.seg_len), pieces):
-        out[row : row + plan.seg_len] = piece
-    return out
+    pieces = [model.forecast(adapt.adapted_model(foundation, adapter, k), history)
+              for k in segments]
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def mola_forecaster(foundation: model.FoundationModel, adapter: adapt.MolaAdapter):

@@ -1,6 +1,8 @@
 import configparser
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -280,12 +282,13 @@ def test_eval_destandardized_forecasts_the_split_once(ws, monkeypatch):
 
 @pytest.mark.parametrize("horizon, segments", [(8, 4), (4, 4)])
 def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forecast(
-        horizon, segments):
+        ws, horizon, segments):
     # eval --destandardized and analyze variance score the mola forecast one
     # segment at a time; both must give bitwise what the whole (T, N, D)
     # error array gives, also for segments of one row
     from mola import adapt, data, model, train
 
+    # the dataset of the config below
     ds = data.standardize(data.generate_synthetic(data.default_synth_spec(n_points=400, seed=3)))
     foundation = model.new_model(model.EncoderSpec(kind="linear", in_len=8),
                                  head_out=horizon // segments, seed=1)
@@ -303,8 +306,18 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
     raw = err * ds.norm_stats.std
     want_mse, want_mae = (raw * raw).mean(axis=(1, 2)), np.abs(raw).mean(axis=(1, 2))
 
-    metrics, got = cli._metrics_and_destandardized(blocks, ds, 8, horizon, "test")
-    assert metrics == train.evaluate_forecaster(blocks, ds, 8, horizon, "test")
+    rd = ws / "run"
+    (rd / "checkpoints").mkdir(parents=True)
+    model.save_checkpoint(foundation, rd / "checkpoints" / "foundation.json")
+    adapt.save_adapter(adapter, rd / "checkpoints" / "adapter.json")
+    cfg = write_ini(ws / "cfg.ini", **base_sections(
+        dataset={"n_points": 400, "synth_seed": 3, "noise_std": 0.1, "horizon": horizon},
+        paradigm={"segments": segments}))
+    assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd), "--destandardized"]) == 0
+    report = json.loads((rd / "reports" / "eval_mola_test.json").read_text())
+    # JSON floats round-trip exactly, so these compare bits
+    assert report["metrics"] == train.evaluate_forecaster(blocks, ds, 8, horizon, "test")
+    got = report["destandardized_metrics"]
     assert got["n_windows"] == err.shape[1]
     assert [r["step"] for r in got["per_step"]] == list(range(1, horizon + 1))
     assert [r["mse"] for r in got["per_step"]] == want_mse.tolist()
@@ -313,6 +326,31 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
     samples = cli._per_step_loss_samples(blocks, ds, 8, horizon, "test")
     assert samples.shape == want_samples.shape and samples.flags.c_contiguous
     assert samples.tobytes() == want_samples.tobytes()
+
+
+def test_arf_checkpoint_of_several_steps_is_refused_naming_it(ws, capsys):
+    # an mtf checkpoint of horizon 2 put where the arf checkpoint belongs
+    cfg = write_ini(ws / "cfg.ini", **mtf_sections(dataset={"horizon": 2}))
+    rd = ws / "run"
+    assert cli.main(["train-baseline", "--config", cfg, "--run-dir", str(rd)]) == 0
+    shutil.copy(rd / "checkpoints" / "mtf.json", rd / "checkpoints" / "arf.json")
+    argv = ["eval", "--config", cfg, "--run-dir", str(rd), "--set", "paradigm.kind=arf"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "arf.json" in err and "predicts 2 steps" in err and "needs 1" in err
+
+
+def test_failed_command_leaves_the_manifest_as_it_was(ws):
+    cfg = write_ini(ws / "cfg.ini", **mtf_sections())
+    rd = ws / "run"
+    assert cli.main(["train-baseline", "--config", cfg, "--run-dir", str(rd)]) == 0
+    manifest = (rd / "manifest.json").read_bytes()
+    argv = ["eval", "--config", cfg, "--run-dir", str(rd), "--set", "dataset.lookback=4"]
+    assert cli.main(argv) == 1
+    assert (rd / "manifest.json").read_bytes() == manifest
+    # a failed first command in a new directory writes none
+    assert cli.main(["eval", "--config", cfg, "--run-dir", str(ws / "new")]) == 1
+    assert not (ws / "new" / "manifest.json").exists()
 
 
 def test_train_baseline_rejects_mola(ws, capsys):
@@ -383,7 +421,8 @@ def test_unknown_config_key_is_user_error(ws, capsys):
 @pytest.mark.parametrize(
     "key",
     ["output.formats", "dataset.components", "paradigm.placement",
-     "train.adaptation_learning_rate"],
+     "train.adaptation_learning_rate", "analysis.n_layers", "analysis.d_model",
+     "analysis.d_ff", "analysis.rank", "analysis.experts", "analysis.segments"],
 )
 def test_output_formats_is_not_a_config_key(ws, capsys, key):
     cfg = write_ini(ws / "cfg.ini", **mtf_sections())
@@ -681,8 +720,10 @@ def test_analyze_params_prints_reference_ratio(ws, capsys):
     out = capsys.readouterr().out
     assert "0.047" in out
     rep = json.loads((rd / "reports" / "params.json").read_text())
-    assert rep["n_mola"] == 590112  # default counting inputs are the reference ones
+    assert rep["n_mola"] == 590112  # the paper's reference configuration
     assert rep["n_backbone"] == 12595200
+    assert rep["inputs"] == {"n_layers": 6, "d_model": 512, "d_ff": 1024, "rank": 8,
+                             "experts": 4, "segments": 6}
 
 
 def test_analyze_unknown_kind_is_usage_error(ws, capsys):
@@ -790,3 +831,39 @@ def test_csv_dataset_source_with_counts_split(ws):
     rd = ws / "run"
     assert cli.main(["train-baseline", "--config", cfg, "--run-dir", str(rd)]) == 0
     assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 0
+
+
+# --- the README's walkthrough ---
+
+
+# command -> the files it writes into its run directory, besides manifest.json
+WALKTHROUGH_FILES = {
+    "synth": ["data.csv"],
+    "pretrain": ["checkpoints/foundation.json", "records/pretrain.jsonl",
+                 "reports/pretrain_summary.json"],
+    "adapt": ["checkpoints/adapter.json", "records/segment-1.jsonl", "reports/adapt_summary.json"],
+    "eval": ["reports/eval_mola_test.json", "reports/eval_mola_test.csv"],
+    "compare": ["reports/compare.json", "reports/compare.csv"],
+    "analyze": ["reports/params.json"],
+}
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch):
+    # the ini block and the `mola ...` command block of the README's CLI
+    # walkthrough: each command runs at a tiny size in the directories it names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI walkthrough", 1)[1].split("\n## ", 1)[0]
+    ini = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    block = re.search(r"```\n(mola .*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines()]
+    assert [argv[0] for argv in commands] == list(WALKTHROUGH_FILES)
+    monkeypatch.chdir(tmp_path)
+    small = ["--set", "dataset.n_points=400", "--set", "train.max_epochs=1",
+             "--set", "train.pretrain_max_epochs=1"]
+    for argv in commands:
+        (tmp_path / argv[argv.index("--config") + 1]).write_text(ini, encoding="utf-8")
+        assert cli.main([*argv, *small]) == 0, argv
+        rd = tmp_path / argv[argv.index("--run-dir") + 1]
+        for name in ["manifest.json", *WALKTHROUGH_FILES[argv[0]]]:
+            assert (rd / name).is_file(), (argv, name)
+            assert f"`{name}`" in readme, name

@@ -901,18 +901,21 @@ def etth_mola(seed=0):
 def whole_split_passes(ds, foundation, adapter):
     """The bytes of every no-gradient pass over a split: val losses,
     evaluation of one forecaster and of the mola forecaster, its error
-    arrays, eval --destandardized's metrics, analyze variance's loss
-    samples and the test windows' hash."""
+    arrays, the destandardized metrics of eval --destandardized (its second
+    StepErrors), analyze variance's loss samples and the test windows' hash."""
     val = data.windows(ds, 96, 192, "val")
     bounds = adapter.plan.boundaries
     losses = [model.mse_loss(foundation, val), model.mse_loss(foundation, val, bounds[2]),
               *(adapt.segment_loss(foundation, adapter, k, val, bounds[k - 1]) for k in (1, 4))]
     forecaster = train.mola_forecaster(foundation, adapter)
+    raw = train.StepErrors(1, 192)
+    for err in train.forecast_errors(forecaster, ds, 96, 192, "test"):
+        raw.add(err * ds.norm_stats.std)
     metrics = [
         train.evaluate_forecaster(lambda h: model.forecast(foundation, h), ds, 96, 192,
                                   split="val", target_rows=bounds[1]),
         train.evaluate_forecaster(forecaster, ds, 96, 192),
-        *cli._metrics_and_destandardized(forecaster, ds, 96, 192, "test"),
+        raw.metrics("test"),
     ]
     errors = [err.tobytes() for err in train.forecast_errors(forecaster, ds, 96, 192, "test")]
     errors += [cli._per_step_loss_samples(forecaster, ds, 96, 192, "test").tobytes(),
