@@ -121,7 +121,8 @@ def effective_weight(base: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _effective_weight(base, a, b, delta):
-    """effective_weight without its checks, for inputs check_fits passed."""
+    """effective_weight without its checks, for the stacks of an adapter
+    that check_fits passed on this foundation."""
     *lead, n, d_out, rank = b.shape
     b_cat = (b.swapaxes(-3, -2) * delta[..., None, :, None]).reshape(*lead, d_out, n * rank)
     return base + b_cat @ a.reshape(*lead, n * rank, a.shape[-1])
@@ -182,13 +183,6 @@ def new_adapter(
     """
     if routing not in ROUTINGS:
         raise ValueError(f"routing must be soft or one-hot, got {routing!r}")
-    if not foundation.frozen:
-        raise ValueError("foundation must be frozen before adaptation")
-    if plan.seg_len != foundation.head_out:
-        raise ValueError(
-            f"plan segment length {plan.seg_len} != foundation head_out "
-            f"{foundation.head_out}; the head must predict exactly one segment"
-        )
     if n_experts < 1:
         raise ValueError(f"n_experts must be >= 1, got {n_experts}")
     layers = _encoder_weights(foundation)
@@ -221,6 +215,7 @@ def new_adapter(
         logits=logits,
         foundation_sha256=foundation_digest(foundation),
     )
+    check_fits(adapter, foundation)
     if routing == "one-hot":
         freeze_one_hot_routing(adapter)
     return adapter
@@ -258,11 +253,17 @@ def _check_stacks(name: str, logits: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def check_fits(adapter: MolaAdapter, foundation: model.FoundationModel) -> None:
-    """Raise a ValueError naming the first adapted layer that is not one of
-    the foundation's encoder weight matrices, whose logits and expert stacks
-    disagree with the adapter's shape, or whose stacks do not match that
-    matrix's shape.  These are the checks of effective_weight on the
-    arrays segment_grads builds W_eff from."""
+    """The one rule for an adapter on a foundation: raise a ValueError
+    unless the foundation is frozen, its head predicts one segment of the
+    plan, every adapted layer is one of its encoder weight matrices with
+    logits and expert stacks of the adapter's and that matrix's shapes (the
+    checks of effective_weight on the arrays segment_grads builds W_eff
+    from), and the adapter was fitted on it (foundation_sha256)."""
+    if not foundation.frozen:
+        raise ValueError("foundation must be frozen before adaptation")
+    if adapter.plan.seg_len != foundation.head_out:
+        raise ValueError(f"plan segment length {adapter.plan.seg_len} != foundation head_out "
+                         f"{foundation.head_out}; the head must predict exactly one segment")
     weights = _encoder_weights(foundation)
     for name in adapter.adapted_layers:
         if name not in weights:
@@ -275,6 +276,8 @@ def check_fits(adapter: MolaAdapter, foundation: model.FoundationModel) -> None:
         if a.shape[2] != d_in or b.shape[1] != d_out:
             raise ValueError(f"adapter layer {name!r} has A {a.shape} and B {b.shape}, but the "
                              f"foundation's {name} is {d_out}x{d_in}")
+    if adapter.foundation_sha256 != foundation_digest(foundation):
+        raise ValueError("the adapter was fitted on another foundation")
 
 
 def _one_hot_logits(segments: int) -> np.ndarray:
@@ -364,8 +367,9 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     is the (K,) array of the segments' losses.  Each segment's loss and
     gradients are bitwise those of its own step.
 
-    W_eff is formed without effective_weight's shape checks, which are
-    check_fits' and run once before the fits of train.adapt_all_segments.
+    W_eff is formed without effective_weight's shape checks: check_fits,
+    the whole rule for an adapter on its foundation, runs them once before
+    the fits of train.adapt_all_segments.
     """
     stacks = _segment_stacks(adapter, k)
     if adapter.routing == "one-hot":

@@ -7,9 +7,9 @@ INI file with sections [dataset], [model], [paradigm], [train], [output],
     built-in defaults < config file < --set section.key=value < --seed/--run-dir
 
 Artifacts land in a run directory (checkpoints/, records/, reports/,
-manifest.json).  Every JSON/CSV report embeds the tool version and a hash
-of the fully resolved config, so any file can be traced to the exact
-settings that produced it.
+manifest.json), made with the first file a command writes.  Every JSON/CSV
+report embeds the tool version and a hash of the fully resolved config, so
+any file can be traced to the exact settings that produced it.
 
 Exit codes: 0 success, 1 user/config error, 2 internal error.
 """
@@ -72,6 +72,9 @@ CHECKPOINTS = {
     "mtf": {"mtf": "train-baseline"},
     "mola": {"foundation": "pretrain", "adapter": "adapt"},
 }
+# command -> the paradigm kinds whose checkpoints it writes
+_KINDS = {cmd: tuple(pk for pk, writers in CHECKPOINTS.items() if cmd in writers.values())
+          for ckpts in CHECKPOINTS.values() for cmd in ckpts.values()}
 
 # the paper's reference configuration, whose closed-form counts `analyze params` reports
 _REFERENCE_COUNTS = {"n_layers": 6, "d_model": 512, "d_ff": 1024, "rank": 8, "experts": 4,
@@ -262,20 +265,26 @@ def _prepare_run_dir(args, cfg: dict, cfg_hash: str) -> Path:
         if args.fail_if_exists:
             raise UserError(f"run directory already exists: {rd}")
         print(f"warning: run directory exists, overwriting artifacts: {rd}", file=sys.stderr)
-    for sub in ("checkpoints", "records", "reports"):
-        (rd / sub).mkdir(parents=True, exist_ok=True)
     return rd
 
 
+def _artifact(rd: Path, *parts: str) -> Path:
+    """``rd/parts``, with its folder made, so that folders appear with their first file."""
+    path = rd.joinpath(*parts)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_report(rd: Path, name: str, cfg_hash: str, payload: dict) -> None:
-    path = rd / "reports" / name
+    path = _artifact(rd, "reports", name)
     _io.write_json(path, {"tool_version": __version__, "config_hash": cfg_hash, **payload})
     print(f"wrote {path}")
 
 
-def _write_report_csv(path: Path, rows: list[dict], cfg_hash: str) -> None:
-    """Rows of equal keys, under a header of the first row's keys, after two
-    comment lines naming the tool version and config hash."""
+def _write_report_csv(rd: Path, name: str, rows: list[dict], cfg_hash: str) -> None:
+    """reports/<name>: rows of equal keys, under a header of the first row's
+    keys, after two comment lines naming the tool version and config hash."""
+    path = _artifact(rd, "reports", name)
     header = list(rows[0])
     _io.write_csv(path, header, ([row[k] for k in header] for row in rows),
                   preamble=(f"# tool_version={__version__}", f"# config_hash={cfg_hash}"))
@@ -298,9 +307,9 @@ def _save_stages(rd: Path, cfg_hash: str, checkpoint: str, state: dict, records)
     checkpoints/<checkpoint>.json tagged with the config hash, so that no
     checkpoint is written without its records; print one line per stage."""
     for rec in records:
-        train.write_run_record(rec, rd / "records" / f"{rec.stage}.jsonl")
+        train.write_run_record(rec, _artifact(rd, "records", f"{rec.stage}.jsonl"))
     state["config_hash"] = cfg_hash
-    _io.write_json(rd / "checkpoints" / f"{checkpoint}.json", state)
+    _io.write_json(_artifact(rd, "checkpoints", f"{checkpoint}.json"), state)
     for rec in records:
         print(f"{rec.stage}: best_val={rec.best_val:.6g} stop={rec.stop_reason}")
 
@@ -355,7 +364,7 @@ def cmd_synth(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     mode, vals = _parse_split(cfg["dataset"]["split"])
     ds = data.generate_synthetic(spec, split=vals)
     # the dataset format load_csv reads back: no report preamble
-    path = rd / "data.csv"
+    path = _artifact(rd, "data.csv")
     _io.write_csv(path, ["timestamp", *ds.channel_names],
                   ([i, *[repr(float(v)) for v in row]] for i, row in enumerate(ds.values)))
     print(f"wrote {path} ({ds.values.shape[0]} rows, {ds.values.shape[1]} channels)")
@@ -364,8 +373,9 @@ def cmd_synth(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
 
 def cmd_pretrain(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = _dataset(cfg)
-    seg = cfg["dataset"]["horizon"] // cfg["paradigm"]["segments"]
-    foundation, rec = train.pretrain(ds, _encoder_spec(cfg), seg, _train_config(cfg, "pretrain"))
+    plan = adapt.make_segment_plan(cfg["dataset"]["horizon"], cfg["paradigm"]["segments"])
+    foundation, rec = train.pretrain(ds, _encoder_spec(cfg), plan.seg_len,
+                                     _train_config(cfg, "pretrain"))
     _save_stages(rd, cfg_hash, "foundation", model.model_state(foundation), [rec])
     _write_report(rd, "pretrain_summary.json", cfg_hash, {"summary": train.run_summary(rec)})
     return 0
@@ -373,22 +383,15 @@ def cmd_pretrain(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
 
 def cmd_adapt(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     ds = _dataset(cfg)
-    horizon = cfg["dataset"]["horizon"]
-    segments = cfg["paradigm"]["segments"]
-    foundation = _load_model(_checkpoint(rd, "mola", "foundation"), _encoder_spec(cfg),
-                             horizon // segments)
-    plan = adapt.make_segment_plan(horizon, segments, lookback=foundation.lookback)
-    adapter = adapt.new_adapter(
-        foundation,
-        plan,
-        n_experts=cfg["paradigm"]["experts"],
-        rank=cfg["paradigm"]["rank"],
-        seed=cfg["train"]["seed"],
-        routing=cfg["paradigm"]["routing"],
-    )
-    adapter, records = train.adapt_all_segments(
-        foundation, plan, adapter, ds, _train_config(cfg, "adapt")
-    )
+    p = cfg["paradigm"]
+    path = _checkpoint(rd, "mola", "foundation")
+    plan = adapt.make_segment_plan(cfg["dataset"]["horizon"], p["segments"],
+                                   lookback=cfg["dataset"]["lookback"])
+    foundation = _load_model(path, _encoder_spec(cfg), plan.seg_len)
+    adapter = adapt.new_adapter(foundation, plan, n_experts=p["experts"], rank=p["rank"],
+                                seed=cfg["train"]["seed"], routing=p["routing"])
+    adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds,
+                                                _train_config(cfg, "adapt"))
     _save_stages(rd, cfg_hash, "adapter", adapt.adapter_state(adapter), records)
     _write_report(
         rd, "adapt_summary.json", cfg_hash,
@@ -426,19 +429,12 @@ def _forecaster_from_checkpoints(pk: str, rd: Path, cfg: dict):
     foundation_path, adapter_path = path["foundation"], path["adapter"]
     adapter = adapt.load_adapter(adapter_path)
     foundation = _load_model(foundation_path, spec, adapter.plan.seg_len)
-    if adapter.foundation_sha256 != adapt.foundation_digest(foundation):
-        raise UserError(
-            f"{adapter_path} was fitted on a different foundation than {foundation_path}; "
-            "re-run adapt"
-        )
     try:
         adapt.check_fits(adapter, foundation)
     except ValueError as e:
-        raise UserError(f"{adapter_path}: {e}") from None
-    if adapter.plan.horizon != horizon:
-        raise UserError(
-            f"adapter covers horizon {adapter.plan.horizon} but dataset.horizon={horizon}"
-        )
+        raise UserError(f"{adapter_path} does not fit {foundation_path}: {e}; "
+                        "re-run adapt") from None
+    _refuse_mismatch(adapter_path, "dataset", [("horizon", adapter.plan.horizon, horizon)])
     # only a kind = mola config sets the paradigm keys; another kind holds defaults
     p = cfg["paradigm"]
     if p["kind"] == "mola":
@@ -470,9 +466,7 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     if raw is not None:
         payload["destandardized_metrics"] = raw.metrics(args.split)
     _write_report(rd, f"eval_{pk}_{args.split}.json", cfg_hash, payload)
-    _write_report_csv(
-        rd / "reports" / f"eval_{pk}_{args.split}.csv", _step_rows(metrics), cfg_hash
-    )
+    _write_report_csv(rd, f"eval_{pk}_{args.split}.csv", _step_rows(metrics), cfg_hash)
     print(f"{pk} {args.split}: mse={metrics['mse']:.6g} mae={metrics['mae']:.6g}")
     return 0
 
@@ -563,7 +557,7 @@ def cmd_probe(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
                 {"entry": e, "step": rep["steps"][e], "seed": rep["seeds"][e],
                  "window": widx, "x0": float(x0), "x1": float(x1)}
             )
-    _write_report_csv(rd / "reports" / "probe_points.csv", rows, cfg_hash)
+    _write_report_csv(rd, "probe_points.csv", rows, cfg_hash)
     for pair in rep["pairwise"]:
         print(
             f"steps {pair['step_i']} vs {pair['step_j']}: "
@@ -591,7 +585,7 @@ def cmd_compare(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
         for name in CHECKPOINTS
         for row in _step_rows(rep["paradigms"][name]["metrics"], paradigm=name)
     ]
-    _write_report_csv(rd / "reports" / "compare.csv", rows, cfg_hash)
+    _write_report_csv(rd, "compare.csv", rows, cfg_hash)
     for key, val in rep["delta"].items():
         print(f"{key}: {val:+.2f}%")
     return 0
@@ -611,9 +605,10 @@ ANALYSES = {
 # name -> (help, handler, the paradigm.kind values it accepts or None for any)
 COMMANDS = {
     "synth": ("generate a synthetic dataset CSV", cmd_synth, None),
-    "pretrain": ("train the frozen per-segment foundation model", cmd_pretrain, ("mola",)),
-    "adapt": ("fit a mixture of low-rank experts per forecast segment", cmd_adapt, ("mola",)),
-    "train-baseline": ("train the arf or mtf baseline", cmd_train_baseline, ("arf", "mtf")),
+    "pretrain": ("train the frozen per-segment foundation model", cmd_pretrain, _KINDS["pretrain"]),
+    "adapt": ("fit a mixture of low-rank experts per forecast segment", cmd_adapt, _KINDS["adapt"]),
+    "train-baseline": ("train the arf or mtf baseline", cmd_train_baseline,
+                       _KINDS["train-baseline"]),
     "eval": ("evaluate the configured paradigm's checkpoints", cmd_eval, None),
     "analyze": ("run a numerical analysis over run artifacts", cmd_analyze, None),
     "compare": ("train and compare all three paradigms", cmd_compare, ("mola",)),
@@ -664,8 +659,9 @@ def _dispatch(args) -> int:
     status = handler(args, cfg, cfg_hash, rd)
     # written on success only, so it always describes the last command that worked
     if status == 0:
-        _io.write_json(rd / "manifest.json", {"tool_version": __version__, "config_hash": cfg_hash,
-                                              "command": args.command, "config": cfg})
+        _io.write_json(_artifact(rd, "manifest.json"), {
+            "tool_version": __version__, "config_hash": cfg_hash, "command": args.command,
+            "config": cfg})
     return status
 
 

@@ -405,16 +405,15 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
     after the last fit, so its segments (all K under one-hot routing,
     segment K otherwise) reuse their at-freeze value instead of a second
     pass.  Segments of one lockstep fit share its wall time, which covers
-    the fit and their final validation."""
+    the fit and their final validation.
+
+    An adapter that does not fit the foundation (adapt.check_fits, which
+    includes being built on it) raises a ValueError before anything trains."""
     config = config or TrainConfig()
     if adapter.plan != plan:
         raise ValueError("adapter was built for a different segment plan")
-    if not foundation.frozen:
-        raise ValueError("foundation must be frozen before adaptation")
-    if plan.seg_len != foundation.head_out:
-        raise ValueError(
-            f"plan segment length {plan.seg_len} != foundation head_out {foundation.head_out}"
-        )
+    # a fit changes values in place, never shapes, so one check covers every step
+    adapt.check_fits(adapter, foundation)
     lookback = foundation.lookback
     train_w = data.windows(ds, lookback, plan.horizon, "train")
     val_w = data.windows(ds, lookback, plan.horizon, "val")
@@ -435,8 +434,6 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
     groups = ([(segments, None, plan.boundaries)] if adapter.routing == "one-hot"
               else [([k], k, plan.boundaries[k - 1]) for k in segments])
     records: list[RunRecord] = []
-    # a fit changes values in place, never shapes
-    adapt.check_fits(adapter, foundation)
     for group, step, targets in groups:
         t0 = perf_counter()
         group_records = fit(

@@ -209,6 +209,19 @@ def test_plan_head_mismatch_rejected():
         adapt.new_adapter(f, plan, 2, 2, seed=0)
 
 
+def test_check_fits_is_the_whole_rule_for_an_adapter_on_its_foundation():
+    f = make_foundation("mlp2", head_out=4, seed=0)
+    ad = adapt.new_adapter(f, adapt.make_segment_plan(8, 2), 2, 2, seed=0)
+    adapt.check_fits(ad, f)
+    # a frozen foundation of the same shapes and other values, the same one
+    # unfrozen, and one whose head predicts another segment length
+    for other, match in ((make_foundation("mlp2", seed=1), "fitted on another foundation"),
+                         (make_foundation("mlp2", frozen=False), "frozen"),
+                         (make_foundation("mlp2", head_out=2), "head")):
+        with pytest.raises(ValueError, match=match):
+            adapt.check_fits(ad, other)
+
+
 # --- adapted views ---
 
 

@@ -353,15 +353,28 @@ def test_failed_command_leaves_the_manifest_as_it_was(ws):
     assert not (ws / "new" / "manifest.json").exists()
 
 
+def test_failed_first_command_leaves_no_run_dir(ws, capsys):
+    rd = ws / "r"
+    # no checkpoint to evaluate: the command fails before it writes a file
+    assert cli.main(["eval", "--set", "paradigm.kind=mtf", "--run-dir", str(rd)]) == 1
+    assert "train-baseline" in capsys.readouterr().err
+    assert not rd.exists()
+    assert cli.main(["synth", "--run-dir", str(rd), "--fail-if-exists"]) == 0
+    assert sorted(p.name for p in rd.iterdir()) == ["data.csv", "manifest.json"]
+
+
 def test_train_baseline_rejects_mola(ws, capsys):
     cfg = write_ini(ws / "cfg.ini", **base_sections())
     assert cli.main(["train-baseline", "--config", cfg, "--run-dir", str(ws / "r")]) == 1
 
 
-@pytest.mark.parametrize(
-    "command", [name for name, (_, _, kinds) in cli.COMMANDS.items() if kinds is not None]
-)
+KIND_LIMITED = [name for name, (_, _, kinds) in cli.COMMANDS.items() if kinds is not None]
+
+
+@pytest.mark.parametrize("command", KIND_LIMITED)
 def test_command_rejects_other_paradigms_before_creating_run_dir(ws, capsys, command):
+    # the kinds of the checkpoint writers come from cli.CHECKPOINTS: none may drop out
+    assert KIND_LIMITED == ["pretrain", "adapt", "train-baseline", "compare"]
     kinds = cli.COMMANDS[command][2]
     wrong = next(k for k in ("arf", "mtf", "mola") if k not in kinds)
     sections = base_sections() if wrong == "mola" else mtf_sections()
@@ -514,6 +527,18 @@ def test_eval_refuses_adapter_of_another_foundation(ws, capsys):
     # variance skips paradigms that were never trained, not a stale pairing
     assert cli.main(["analyze", "variance", "--config", cfg, "--run-dir", str(rd)]) == 1
     assert "re-run adapt" in capsys.readouterr().err
+
+
+def test_eval_refuses_adapter_of_another_horizon_naming_it(ws, capsys):
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "run"
+    for argv in (["pretrain"], ["adapt"]):
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    argv = ["eval", "--config", cfg, "--run-dir", str(rd), "--set", "dataset.horizon=16"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "adapter.json" in err and "dataset.horizon=8" in err and "dataset.horizon=16" in err
+    assert not (rd / "reports" / "eval_mola_test.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["mola", "mtf", "arf"])

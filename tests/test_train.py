@@ -435,6 +435,25 @@ def test_adapt_plan_mismatch_errors():
         train.adapt_all_segments(foundation, other, adapter, ds, small_config())
 
 
+@pytest.mark.parametrize("routing", ["soft", "one-hot"])
+def test_adapt_refuses_an_adapter_built_on_another_foundation(routing):
+    # two frozen foundations of the same shapes but different values
+    ds = sine_dataset()
+    plan = adapt.make_segment_plan(4, 2, lookback=8)
+    built_on, other = (model.new_model(LIN8, head_out=2, seed=seed) for seed in (0, 1))
+    for foundation in (built_on, other):
+        foundation.freeze()
+    adapter = adapt.new_adapter(built_on, plan, n_experts=2, rank=2, seed=0, routing=routing)
+    arrays = {f"{name}.{part}": stacks[name].copy() for name in adapter.adapted_layers
+              for part, stacks in (("a", adapter.a), ("b", adapter.b), ("logits", adapter.logits))}
+    with pytest.raises(ValueError, match="fitted on another foundation"):
+        train.adapt_all_segments(other, plan, adapter, ds, small_config())
+    for key, before in arrays.items():
+        name, part = key.rsplit(".", 1)
+        assert getattr(adapter, part)[name].tobytes() == before.tobytes(), key
+    assert adapter.foundation_sha256 == adapt.foundation_digest(built_on)
+
+
 def test_adapt_single_segment_and_forecast_identity():
     ds = sine_dataset()
     foundation, plan, adapter, records = None, None, None, None
