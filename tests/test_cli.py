@@ -785,6 +785,22 @@ def test_analyze_bottleneck_requires_checkpoint(ws, capsys):
     assert cli.main(["analyze", "bottleneck", "--config", cfg, "--run-dir", str(ws / "r")]) == 1
 
 
+def test_analyze_bottleneck_reports_an_svd_that_does_not_converge(ws, capsys, monkeypatch):
+    cfg = write_ini(ws / "cfg.ini", **mtf_sections())
+    rd = ws / "run"
+    assert cli.main(["train-baseline", "--config", cfg, "--run-dir", str(rd)]) == 0
+    capsys.readouterr()
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert cli.main(["analyze", "bottleneck", "--config", cfg, "--run-dir", str(rd)]) == 1
+    # [W b] of a lookback-8, horizon-8 map
+    assert "error: the SVD of a 8x9 matrix did not converge" in capsys.readouterr().err
+    assert not (rd / "reports" / "bottleneck.json").exists()
+
+
 def test_analyze_variance_compares_paradigms(ws):
     rd = ws / "run"
     cfg_mtf = write_ini(ws / "m.ini", **mtf_sections())

@@ -1,11 +1,13 @@
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-import reference_jacobi
 from mola import linalg
 
 # an overflow or invalid value inside a kernel is a bug, not a warning
@@ -97,9 +99,12 @@ def test_svd_matches_reference_singular_values():
 
 
 def test_svd_nonconvergence_is_explicit(monkeypatch):
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-    with pytest.raises(linalg.JacobiNonConvergence):
-        linalg.svd(random_matrix(4, 4, seed=5))
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(ValueError, match="SVD of a 4x3 matrix did not converge"):
+        linalg.svd(random_matrix(4, 3, seed=5))
 
 
 @hyp_settings(max_examples=40)
@@ -122,68 +127,10 @@ def test_svd_properties(m, n, seed, deficient):
         assert res.rank <= max(1, min(m, n) // 2)
 
 
-# --- sweep order ---
+# --- the SVD contract on structured inputs ---
 
 
-def row_cyclic_reference(a):
-    """One-sided Jacobi with one pair at a time, in row-cyclic order
-    (0,1), (0,2), ..., (1,2), ...; returns the rotated a, V and the sweeps."""
-    b, v = a.copy(), np.eye(a.shape[1])
-    for sweep in range(1, linalg.JACOBI_MAX_SWEEPS + 1):
-        worst = 0.0
-        for p in range(a.shape[1] - 1):
-            for q in range(p + 1, a.shape[1]):
-                alpha, beta = b[:, p] @ b[:, p], b[:, q] @ b[:, q]
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                gamma = b[:, p] @ b[:, q]
-                rel = abs(gamma) / math.sqrt(alpha * beta)
-                worst = max(worst, rel)
-                if rel > linalg.JACOBI_TOL:
-                    theta = 0.5 * math.atan2(2.0 * gamma, alpha - beta)
-                    rot = np.array([[math.cos(theta), -math.sin(theta)],
-                                    [math.sin(theta), math.cos(theta)]])
-                    b[:, [p, q]] = b[:, [p, q]] @ rot
-                    v[:, [p, q]] = v[:, [p, q]] @ rot
-        if worst <= linalg.JACOBI_TOL:
-            return b, v, sweep
-    raise AssertionError("reference did not converge")
-
-
-def sweeps_needed(a, monkeypatch):
-    for cap in range(1, linalg.JACOBI_MAX_SWEEPS + 1):
-        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", cap)
-        try:
-            linalg.svd(a)
-            return cap
-        except linalg.JacobiNonConvergence:
-            pass
-    raise AssertionError("svd did not converge")
-
-
-def test_sweep_steps_cover_every_pair_once_with_disjoint_columns():
-    for n in range(1, 12):
-        steps = linalg._sweep_steps(n)
-        pairs = []
-        for p, q in steps:
-            assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
-            pairs += list(zip(p.tolist(), q.tolist()))
-        assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
-        assert len(steps) == max(0, 2 * n - 3)
-
-
-def test_step_slices_select_each_steps_rows():
-    for n in range(1, 13):
-        rows = np.arange(n)
-        steps, slices = linalg._sweep_steps(n), linalg._step_slices(n)
-        assert len(slices) == len(steps)
-        for s, ((p, q), (rows_p, rows_q, span)) in enumerate(zip(steps, slices), start=1):
-            assert np.array_equal(rows[rows_p], p)
-            assert np.array_equal(rows[rows_q], q)
-            middle = [s // 2] if s % 2 == 0 else []
-            assert np.array_equal(rows[span], np.concatenate([p, middle, q[::-1]]))
-
-
+# small inputs that once followed the Jacobi's sweeps one rotation at a time
 SWEEP_CASES = {
     "n1": random_matrix(5, 1, seed=1),
     "n2": random_matrix(5, 2, seed=2),
@@ -194,26 +141,6 @@ SWEEP_CASES = {
     "zero_column": np.insert(random_matrix(7, 4, seed=7), 2, 0.0, axis=1),
     "equal_columns": random_matrix(7, 4, seed=8)[:, [0, 1, 1, 2, 3]],
 }
-
-
-@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
-def test_svd_follows_the_row_cyclic_rotations(name, monkeypatch):
-    a = SWEEP_CASES[name]
-    m, n = a.shape
-    b, v, ref_sweeps = row_cyclic_reference(a)
-    norms = np.sqrt((b * b).sum(axis=0))
-    order = np.argsort(-norms, kind="stable")
-    res = linalg.svd(a)
-    scale = max(norms[0], 1e-300)
-    assert np.max(np.abs(res.sigma - norms[order])) <= 1e-13 * scale
-    # right singular vectors of the null space are fixed only up to rounding
-    assert np.max(np.abs(res.vt[: res.rank] - v[:, order[: res.rank]].T)) <= 1e-12
-    ref = np.linalg.svd(a, compute_uv=False)
-    assert np.max(np.abs(res.sigma - ref)) <= 1e-12 * scale
-    assert np.linalg.norm(reconstruct(res, m, n) - a) <= 1e-12 * scale
-    assert np.linalg.norm(res.u.T @ res.u - np.eye(m)) <= 1e-12 * m
-    assert np.linalg.norm(res.vt @ res.vt.T - np.eye(n)) <= 1e-12 * n
-    assert sweeps_needed(a, monkeypatch) == ref_sweeps
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (2, 5), (3, 8)])
@@ -244,11 +171,12 @@ REFERENCE_CASES = {
     "all_zero_4x3": np.zeros((4, 3)),
     "ldexp_520": np.ldexp(random_matrix(6, 4, seed=11), 520),
     "ldexp_minus_600": np.ldexp(random_matrix(6, 4, seed=11), -600),
-    # 335 completion steps, each choosing among nearly equal residuals
+    # a 335-column null space of u
     "rank1_336x97": random_matrix(336, 97, seed=24, rank=1),
-    # a zero row leaves a column whose squared norm is subnormal: alpha * beta
-    # underflows to 0 although neither is 0, and the pair rotates with no warning
+    # a zero row: rank 13, with no warning
     "zero_row_14x14": np.vstack([np.zeros((1, 14)), random_matrix(14, 14, seed=0)[1:]]),
+    # sigma = 1, 1e-10, 1e-13 about the rank threshold 4 * 1e-12: rank 2
+    "graded_4x3": np.vstack([np.diag([1.0, 1e-10, 1e-13]), np.zeros((1, 3))]),
 }
 
 
@@ -259,10 +187,44 @@ def assert_same_bytes(res, ref):
     assert res.rank == ref.rank
 
 
+def assert_svd_contract(a):
+    """u m x m and vt n x n orthogonal, sigma descending and within
+    1e-12 sigma_1 of numpy's, a reconstructed within 1e-12 sigma_1, and the
+    rank rule; the reconstruction error is divided by sigma_1 before its
+    norm, so inputs near the ends of the float64 range square nothing out
+    of it."""
+    m, n = a.shape
+    res = linalg.svd(a)
+    assert res.u.shape == (m, m) and res.sigma.shape == (min(m, n),) and res.vt.shape == (n, n)
+    ref = np.linalg.svd(a, compute_uv=False)
+    scale = ref[0] if ref[0] > 0.0 else 1.0
+    assert np.all(res.sigma >= 0.0) and np.all(np.diff(res.sigma) <= 0.0)
+    assert np.max(np.abs(res.sigma - ref)) <= 1e-12 * scale
+    assert np.linalg.norm((reconstruct(res, m, n) - a) / scale) <= 1e-12
+    assert np.linalg.norm(res.u.T @ res.u - np.eye(m)) <= 1e-12 * m
+    assert np.linalg.norm(res.vt @ res.vt.T - np.eye(n)) <= 1e-12 * n
+    tol = max(m, n) * res.sigma[0] * linalg.RANK_REL_TOL
+    assert res.rank == int(np.count_nonzero(res.sigma > tol))
+
+
+def lapack_reference(a):
+    """numpy's LAPACK SVD of ``a`` times the power of two that puts its
+    largest entry in [0.5, 1), with sigma scaled back and the rank rule."""
+    m, n = a.shape
+    exp = int(np.frexp(np.max(np.abs(a)))[1])
+    u, sigma, vt = np.linalg.svd(np.ldexp(a, -exp), full_matrices=True)
+    rank = int(np.count_nonzero(sigma > sigma[0] * max(m, n) * linalg.RANK_REL_TOL))
+    return linalg.SvdResult(u=u, sigma=np.ldexp(sigma, exp), vt=vt, rank=rank)
+
+
+# The name is kept from the gather/scatter Jacobi step that was the byte
+# reference before LAPACK; the reference is now lapack_reference, and every
+# case must also meet the SVD contract.
 @pytest.mark.parametrize("name", list(REFERENCE_CASES))
 def test_svd_is_bitwise_the_gather_scatter_reference(name):
     a = REFERENCE_CASES[name]
-    assert_same_bytes(linalg.svd(a), reference_jacobi.svd(a))
+    assert_svd_contract(a)
+    assert_same_bytes(linalg.svd(a), lapack_reference(a))
 
 
 def structured_matrix(m, n, seed, kind):
@@ -295,7 +257,8 @@ def structured_matrix(m, n, seed, kind):
 )
 def test_svd_is_bitwise_the_reference_on_any_input(m, n, seed, kind, power):
     a = np.ldexp(structured_matrix(m, n, seed, kind), power)
-    assert_same_bytes(linalg.svd(a), reference_jacobi.svd(a))
+    assert_svd_contract(a)
+    assert_same_bytes(linalg.svd(a), lapack_reference(a))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5, 3)])
@@ -309,24 +272,12 @@ def test_svd_refuses_a_singular_value_beyond_float64(shape):
 
 
 def test_svd_keeps_a_singular_value_at_the_top_of_float64():
-    res = linalg.svd(np.full((2, 2), np.finfo(np.float64).max / 2))
-    assert res.sigma[0] == np.finfo(np.float64).max and res.rank == 1
-
-
-def test_jacobi_norms_come_from_the_kernel_np_einsum_calls():
-    # np.einsum hands "ij,ij->i" to this kernel when optimize is False; a
-    # numpy that routes it elsewhere must fail here, not change the bits
-    assert linalg._c_einsum is np.einsum._implementation.__globals__["c_einsum"]
-    rng = np.random.default_rng(26)
-    for m, n in [(336, 97), (192, 97), (96, 49), (5, 4)]:
-        work = rng.normal(size=(n, m + n))
-        slices = linalg._step_slices(n)
-        for p, q, span in (slices[0], slices[n // 2], slices[n - 2], slices[-1]):
-            for x, y in [(work[span, :m], work[span, :m]), (work[p, :m], work[q, :m])]:
-                want, got = np.empty(len(x)), np.empty(len(x))
-                np.einsum("ij,ij->i", x, y, out=want)
-                linalg._c_einsum("ij,ij->i", x, y, out=got)
-                assert got.tobytes() == want.tobytes()
+    top = np.finfo(np.float64).max
+    # the exact sigma_1 is top, but LAPACK rounds it up by one ulp to 2**1024
+    with pytest.raises(ValueError, match="2x2 matrix exceeds the float64 range"):
+        linalg.svd(np.full((2, 2), top / 2))
+    res = linalg.svd(np.full((2, 2), top / 4))
+    assert abs(res.sigma[0] - top / 2) <= 2 * np.spacing(top / 2) and res.rank == 1
 
 
 def test_svd_is_bitwise_repeatable():
@@ -343,14 +294,36 @@ def test_svd_scale_is_exact_far_from_unit_scale(power):
     assert np.array_equal(scaled.u, res.u) and np.array_equal(scaled.vt, res.vt)
 
 
-def test_svd_at_the_floor_scale(monkeypatch):
+def test_svd_at_the_floor_scale():
     a = random_matrix(336, 97, seed=10)
     ref = np.linalg.svd(a, compute_uv=False)
-    # the row-cyclic order needs about 8 sweeps here; 12 leaves a margin
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 12)
     res = linalg.svd(a)
     assert np.max(np.abs(res.sigma - ref)) <= 1e-12 * ref[0]
     assert res.rank == 97
+
+
+FLOOR_CASES = ["floor_336x97", "floor_192x97", "floor_96x49_zero_last", "floor_48x25_rank12_bias"]
+
+
+def test_floor_svd_bytes_do_not_depend_on_the_blas_thread_count():
+    # BLAS runs inside LAPACK's SVD, and a threaded kernel may split its
+    # sums by thread; the floor shapes must give the same bytes on 1 and 2
+    code = ("import hashlib, test_linalg\n"
+            "from mola import linalg\n"
+            "for name in test_linalg.FLOOR_CASES:\n"
+            "    res = linalg.svd(test_linalg.REFERENCE_CASES[name])\n"
+            "    h = hashlib.sha256(res.u.tobytes() + res.sigma.tobytes() + res.vt.tobytes())\n"
+            "    print(name, res.rank, h.hexdigest())\n")
+    path = os.pathsep.join([str(Path(linalg.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout)
+    assert len(digests[0].splitlines()) == len(FLOOR_CASES)
+    assert digests[0] == digests[1]
 
 
 # --- least squares ---
