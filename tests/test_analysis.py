@@ -390,26 +390,81 @@ def test_paradigm_compare_refuses_bad_adapter_settings_before_training(monkeypat
         analysis.paradigm_compare(ds, spec, horizon=4, segments=2, **settings)
 
 
-def test_comparison_script_checks_expert_count_before_training(monkeypatch, capsys):
+def comparison_script():
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_paradigm_comparison.py"
-    main = runpy.run_path(str(script))["main"]
-    calls = []
+    return runpy.run_path(str(script))["main"]
 
-    def stub_compare(*args, **kwargs):
-        calls.append(kwargs)
-        metrics = {"mse": 1.0, "per_step": [{"mse": 1.0}]}
-        return {"paradigms": {name: {"metrics": metrics} for name in ("arf", "mtf", "mola")}}
 
-    monkeypatch.setattr(analysis, "paradigm_compare", stub_compare)
-    monkeypatch.setattr(sys, "argv", ["run_paradigm_comparison.py", "--experts", "2"])
-    with pytest.raises(SystemExit) as exc:
-        main()  # one-hot routing needs one expert per segment
-    assert exc.value.code == 2 and calls == []
-    assert "one-hot routing requires n_experts == segments" in capsys.readouterr().err
+def test_comparison_script_checks_expert_count_before_training(monkeypatch, capsys):
+    main = comparison_script()
+    fitted, adapters = [], []
+
+    def untrained(ds, spec, horizon, cfg):
+        fitted.append(horizon)
+        m = model.new_model(spec, head_out=horizon, seed=cfg.seed)
+        m.freeze()
+        return m, None
+
+    def recorded(foundation, plan, adapter, ds, cfg):
+        adapters.append((adapter.n_experts, adapter.routing))
+        return adapter, []
+
+    monkeypatch.setattr(train, "pretrain", untrained)
+    monkeypatch.setattr(train, "adapt_all_segments", recorded)
+    for argv, message in [
+        (["--experts", "2"], "one-hot routing requires n_experts == segments"),
+        # every cell is checked before the first one trains
+        (["--horizon", "32", "12", "--segments", "8"], "segments must divide horizon"),
+    ]:
+        monkeypatch.setattr(sys, "argv", ["run_paradigm_comparison.py", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2 and fitted == []
+        assert message in capsys.readouterr().err
     monkeypatch.setattr(sys, "argv", ["run_paradigm_comparison.py", "--seeds", "1",
-                                      "--experts", "2", "--routing", "soft"])
+                                      "--n-points", "400", "--experts", "2", "--routing", "soft"])
     main()
-    assert [(c["n_experts"], c["routing"]) for c in calls] == [(2, "soft")]
+    assert adapters == [(2, "soft")]
+
+
+@pytest.mark.filterwarnings("ignore:segment length")
+@pytest.mark.parametrize("encoder", [[], ["--hidden"]], ids=["mlp2", "linear"])
+def test_comparison_grid_fits_each_horizon_once_and_scores_as_paradigm_compare(
+        monkeypatch, capsys, encoder):
+    main = comparison_script()
+    fitted = []
+    pretrain = train.pretrain
+
+    def counted(ds, spec, horizon, cfg):
+        fitted.append(horizon)
+        return pretrain(ds, spec, horizon, cfg)
+
+    monkeypatch.setattr(train, "pretrain", counted)
+    monkeypatch.setattr(sys, "argv", ["run_paradigm_comparison.py", "--seeds", "1",
+                                      "--n-points", "400", "--max-epochs", "3", *encoder,
+                                      "--horizon", "8", "16", "--segments", "2", "4"])
+    results = main()
+    monkeypatch.undo()
+    # arf, mtf and foundations at T/K: five fits where four compares make twelve
+    assert sorted(fitted) == [1, 2, 4, 8, 16]
+    out = capsys.readouterr().out
+    ds = data.standardize(data.generate_synthetic(data.default_synth_spec(n_points=400)))
+    spec = (model.EncoderSpec(kind="linear", in_len=6, activation="tanh") if encoder
+            else model.EncoderSpec(kind="mlp2", in_len=6, hidden=(16, 8), activation="tanh"))
+    cfg = train.TrainConfig(learning_rate=1e-2, max_epochs=3, patience=30, seed=0)
+    assert list(results) == [(8, 2), (8, 4), (16, 2), (16, 4)]
+    for (horizon, segments), [row] in results.items():
+        want = analysis.paradigm_compare(ds, spec, horizon, segments, config=cfg, rank=5,
+                                         routing="one-hot")["paradigms"]
+        for name in ("arf", "mtf", "mola"):
+            assert row[name]["mse"] == want[name]["metrics"]["mse"], (horizon, segments, name)
+        assert f"seed  0  T={horizon} K={segments}  arf={row['arf']['mse']:.4f}" in out
+        if encoder:
+            mtf, _ = train.mtf_train(ds, spec, horizon, cfg)
+            assert row["floor"] == analysis.dataset_bottleneck(mtf, ds, "test")
+            assert f"rank={row['floor']['rank']} floor/elem=" in out
+        else:
+            assert "floor" not in row
 
 
 def test_window_set_hash_sensitivity():

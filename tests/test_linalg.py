@@ -82,22 +82,6 @@ def test_svd_seeded_reconstruction():
     assert err <= 1e-10
 
 
-def test_svd_descending_and_nonnegative():
-    a = random_matrix(6, 6, seed=3)
-    res = linalg.svd(a)
-    assert np.all(res.sigma >= 0.0)
-    assert np.all(np.diff(res.sigma) <= 0.0)
-
-
-def test_svd_matches_reference_singular_values():
-    for seed in range(8):
-        m, n = (seed % 6) + 1, ((seed * 3) % 7) + 1
-        a = random_matrix(m, n, seed=100 + seed)
-        res = linalg.svd(a)
-        ref = np.linalg.svd(a, compute_uv=False)
-        assert np.allclose(res.sigma, ref, rtol=1e-10, atol=1e-12)
-
-
 def test_svd_nonconvergence_is_explicit(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -105,26 +89,6 @@ def test_svd_nonconvergence_is_explicit(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(ValueError, match="SVD of a 4x3 matrix did not converge"):
         linalg.svd(random_matrix(4, 3, seed=5))
-
-
-@hyp_settings(max_examples=40)
-@given(
-    m=st.integers(1, 32),
-    n=st.integers(1, 32),
-    seed=st.integers(0, 2**31),
-    deficient=st.booleans(),
-)
-def test_svd_properties(m, n, seed, deficient):
-    rank = max(1, min(m, n) // 2) if deficient else None
-    a = random_matrix(m, n, seed, rank=rank)
-    res = linalg.svd(a)
-    scale = max(np.linalg.norm(a), 1e-30)
-    assert np.linalg.norm(reconstruct(res, m, n) - a) / scale <= 1e-10
-    assert np.linalg.norm(res.u.T @ res.u - np.eye(m)) <= 1e-10 * m
-    assert np.linalg.norm(res.vt @ res.vt.T - np.eye(n)) <= 1e-10 * n
-    assert res.rank <= min(m, n)
-    if deficient:
-        assert res.rank <= max(1, min(m, n) // 2)
 
 
 # --- the SVD contract on structured inputs ---
@@ -143,17 +107,6 @@ SWEEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("shape", [(1, 4), (2, 5), (3, 8)])
-def test_svd_wide_inputs(shape):
-    a = random_matrix(*shape, seed=sum(shape))
-    res = linalg.svd(a)
-    m, n = shape
-    assert res.u.shape == (m, m) and res.vt.shape == (n, n) and res.sigma.shape == (m,)
-    assert np.max(np.abs(res.sigma - np.linalg.svd(a, compute_uv=False))) <= 1e-12 * res.sigma[0]
-    assert np.linalg.norm(reconstruct(res, m, n) - a) <= 1e-12 * res.sigma[0]
-    assert np.linalg.norm(res.vt @ res.vt.T - np.eye(n)) <= 1e-12 * n
-
-
 def test_svd_zero_and_repeated_columns_set_the_rank():
     assert linalg.svd(SWEEP_CASES["zero_column"]).rank == 4
     assert linalg.svd(SWEEP_CASES["equal_columns"]).rank == 4
@@ -165,7 +118,13 @@ REFERENCE_CASES = {
     "floor_96x49_zero_last": np.hstack([random_matrix(96, 48, seed=22), np.zeros((96, 1))]),
     "floor_48x25_rank12_bias": np.hstack([random_matrix(48, 24, seed=23, rank=12), np.ones((48, 1))]),
     **{f"sweep_{name}": a for name, a in SWEEP_CASES.items()},
+    "wide_1x4": random_matrix(1, 4, seed=5),
+    "wide_2x5": random_matrix(2, 5, seed=7),
     "wide_3x8": random_matrix(3, 8, seed=11),
+    "square_6x6": random_matrix(6, 6, seed=3),
+    # small shapes against numpy's sigma, one seed each
+    **{f"seeded_{m}x{n}": random_matrix(m, n, seed=100 + s)
+       for s in range(8) for m, n in [((s % 6) + 1, ((s * 3) % 7) + 1)]},
     "one_by_one": np.array([[-2.5]]),
     "column_5x1": random_matrix(5, 1, seed=25),
     "all_zero_4x3": np.zeros((4, 3)),
@@ -228,8 +187,11 @@ def test_svd_is_bitwise_the_gather_scatter_reference(name):
 
 
 def structured_matrix(m, n, seed, kind):
+    """A matrix of the kind, and the rank planted into it (min(m, n) unless
+    the kind is deficient)."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(m, n))
+    r = min(m, n)
     if kind == "deficient":
         r = int(rng.integers(1, min(m, n) + 1))
         a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
@@ -243,22 +205,25 @@ def structured_matrix(m, n, seed, kind):
         a[rng.integers(m)] = a[rng.integers(m)]
     elif kind == "integer":
         a = np.round(3.0 * a)
-    return a
+    return a, r
 
 
 @hyp_settings(max_examples=60, deadline=None)
 @given(
-    m=st.integers(1, 24),
-    n=st.integers(1, 24),
+    m=st.integers(1, 32),
+    n=st.integers(1, 32),
     seed=st.integers(0, 2**31),
     kind=st.sampled_from(["gaussian", "deficient", "zero_column", "repeated_column",
                           "zero_row", "repeated_row", "integer"]),
     power=st.sampled_from([0, -600, 600]),
 )
 def test_svd_is_bitwise_the_reference_on_any_input(m, n, seed, kind, power):
-    a = np.ldexp(structured_matrix(m, n, seed, kind), power)
+    a, planted = structured_matrix(m, n, seed, kind)
+    a = np.ldexp(a, power)
     assert_svd_contract(a)
-    assert_same_bytes(linalg.svd(a), lapack_reference(a))
+    res = linalg.svd(a)
+    assert_same_bytes(res, lapack_reference(a))
+    assert res.rank <= planted
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (5, 3)])

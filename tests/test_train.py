@@ -706,6 +706,22 @@ def test_mtf_t1_coincides_with_s1_pretraining():
     assert [e.val_loss for e in rec_m.epochs] == [e.val_loss for e in rec_p.epochs]
 
 
+@pytest.mark.parametrize("spec", [LIN8, model.EncoderSpec(kind="mlp2", in_len=8, hidden=(6, 4),
+                                                          activation="tanh")],
+                         ids=["linear", "mlp2"])
+def test_pretrain_is_the_arf_and_mtf_fit_at_their_horizons(spec):
+    # a sweep keeps one fit per horizon and uses it for arf (1), mtf (T) and
+    # every foundation (T/K), so the three must be one fit byte for byte
+    ds = sine_dataset()
+    cfg = small_config(learning_rate=1e-2, max_epochs=3, seed=7)
+    for horizon, (m, _) in [(1, train.arf_train(ds, spec, cfg)),
+                            (6, train.mtf_train(ds, spec, 6, cfg))]:
+        pre, _ = train.pretrain(ds, spec, horizon, cfg)
+        assert list(pre.params) == list(m.params)
+        for name in m.params:
+            assert pre.params[name].tobytes() == m.params[name].tobytes(), (horizon, name)
+
+
 def test_mtf_fits_noiseless_linear_recursion():
     # noise-free sine obeys an exact order-2 linear recursion, so a linear
     # encoder + head can drive val MSE to ~0; check training actually gets there
