@@ -312,14 +312,22 @@ def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
 def window_set_hash(ws: data.WindowSet) -> str:
     """Order-sensitive content hash of a window set; lets reports prove that
     paradigms were evaluated on identical data."""
-    n = len(ws)
     # one row per window: origin (int64), history, label, all in native byte
-    # order, so the digest equals hashing the windows one after another
-    block = np.concatenate(ws.blocks())  # (L + T, N*D)
-    windows = block.reshape(len(block), n, -1).transpose(1, 0, 2).reshape(n, -1)
-    rows = np.concatenate([ws.origin.reshape(n, 1).view(np.uint8), windows.view(np.uint8)],
-                          axis=1)
-    return hashlib.sha256(rows).hexdigest()
+    # order, so the digest equals hashing the windows one after another;
+    # fed one window chunk at a time
+    digest, lookback, d = hashlib.sha256(), ws.lookback, ws.series.shape[1]
+    for part in ws.chunks():
+        chunk = ws[part]
+        history, label = chunk.blocks()  # (L, n*D) and (T, n*D)
+        n = len(chunk)
+        rows = np.empty((n, 1 + (lookback + ws.horizon) * d))
+        rows.view(np.int64)[:, 0] = chunk.origin
+        windows = rows[:, 1:].reshape(n, -1, d)  # (n, L + T, D) view
+        windows[:, :lookback] = history.reshape(lookback, n, d).transpose(1, 0, 2)
+        windows[:, lookback:] = label.reshape(-1, n, d).transpose(1, 0, 2)
+        digest.update(rows)
+        del history, label, rows, windows  # dropped before the next chunk is gathered
+    return digest.hexdigest()
 
 
 def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,

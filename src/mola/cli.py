@@ -473,12 +473,18 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
 
 def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
     """(N, T) per-window squared error of each step, averaged over channels,
-    built one forecast block at a time."""
-    samples = []
+    filled one forecast block at a time: the blocks of a chunk of windows
+    give its rows of the array, one block its columns."""
+    samples = np.empty((len(data.windows(ds, lookback, horizon, split)), horizon))
+    step = window = 0
     for err in train.forecast_errors(forecast_fn, ds, lookback, horizon, split):
-        samples.append(np.square(err, out=err).mean(axis=2))
+        r, n = err.shape[:2]
+        samples[window : window + n, step : step + r] = np.square(err, out=err).mean(axis=2).T
         del err  # dropped before the next block is made
-    return np.ascontiguousarray(np.concatenate(samples).T)
+        step += r
+        if step == horizon:
+            step, window = 0, window + n
+    return samples
 
 
 def cmd_params(args, cfg: dict, cfg_hash: str, rd: Path) -> int:

@@ -14,9 +14,11 @@ views is one ``take`` of series rows into the (rows, N*D) column layout
 that models consume and errors are scored in.  This module alone knows
 where a window's rows lie and which label rows exist.  Every pass without
 gradients over a whole set, each val loss and each evaluation, is one
-:meth:`WindowSet.errors`, which gathers and forecasts the set one
-:meth:`WindowSet.chunks` slice at a time, in chunks whose products round as
-those of the whole set's block.
+:meth:`WindowSet.errors`, which gathers, forecasts and yields the errors
+of the set one :meth:`WindowSet.chunks` slice at a time, in chunks whose
+products round as those of the whole set's block; callers reduce each
+chunk's errors before asking for the next, so no pass holds a block of the
+whole set.
 
 CSV files are read once; plain records are parsed by numpy's C reader, and
 anything else (quotes, a wrong field count, a bad or non-finite cell) by a
@@ -29,7 +31,7 @@ import csv
 import functools
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,13 +39,16 @@ import numpy as np
 COMPONENT_KINDS = ("sine", "trend", "ar1")
 DEFAULT_SPLIT = (0.7, 0.1, 0.2)
 
-# Column budget of one chunk of a whole-split pass (WindowSet.chunks).  A
-# chunk's products must round as the matching columns of the whole block's
-# do.  With OpenBLAS 0.3.31 that holds only when every chunk boundary falls
-# on a multiple of 8 columns and every chunk is wide enough to stay off the
-# small-matrix GEMM path: at lookback 96, mlp2 (32, 16) and a 48-row head on
-# one BLAS thread, chunks of 2048 columns or more kept the bits and 1536 did
-# not.  Do not lower it without the bitwise tests in tests/test_train.py.
+# Column budget of one chunk of a whole-split pass (WindowSet.chunks), which
+# holds one chunk's rows at a time.  A chunk's products must round as the
+# matching columns of the whole block's do, so that forecasts and errors do
+# not depend on the chunking; losses and metrics, summed chunk by chunk, do
+# through their summation order.  With OpenBLAS 0.3.31 the products keep
+# their bits only when every chunk boundary falls on a multiple of 8 columns
+# and every chunk is wide enough to stay off the small-matrix GEMM path: at
+# lookback 96, mlp2 (32, 16) and a 48-row head on one BLAS thread, chunks of
+# 2048 columns or more kept the bits and 1536 did not.  Do not lower it
+# without the bitwise tests in tests/test_train.py.
 _CHUNK_COLUMNS = 2048
 
 
@@ -170,31 +175,52 @@ class WindowSet(Sequence):
         bounds = [i * width for i in range(max(1, n // width))] + [n]
         return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    def errors(self, forecast_fn, first: int = 1, last: int | None = None) -> np.ndarray:
-        """Forecast minus label rows first..last (1-based, inclusive) as one
-        contiguous (rows, N*D) block in the column order of
-        :meth:`history_block`: the one pass behind every val loss and every
-        evaluation.
+    def errors(self, forecast_fn, first: int = 1, last: int | None = None) -> Iterator[np.ndarray]:
+        """Yield forecast minus label rows first..last (1-based, inclusive)
+        one :meth:`chunks` slice at a time, as C-contiguous (r, n*D) blocks
+        in the column order of :meth:`history_block`: the one pass behind
+        every val loss and every evaluation.
 
-        The label rows are read once; ``forecast_fn`` maps the (L, n*D)
-        history block of each :meth:`chunks` slice to its (rows, n*D)
-        forecast, which is subtracted in place into the chunk's columns.  So
-        the pass never holds the set's history block, and each error is
-        bitwise that of forecasting the whole block at once."""
+        ``forecast_fn`` maps the (L, n*D) history block of a chunk to its
+        (rows, n*D) forecast.  A sequence of k such callables splits the
+        rows into k equal blocks of consecutive rows, the i-th callable
+        giving the i-th; rows that do not split so raise ValueError.  Each
+        chunk's history is gathered once, in one take, for every callable;
+        each callable's label rows are gathered in a take of their own, and
+        its forecast is subtracted from them in place and yielded: chunk by
+        chunk, row block by row block.  So the pass holds one chunk's history
+        and one block of its rows, never a block of the whole set, and each
+        error is bitwise that of forecasting the whole set's history block
+        at once.  A yielded block belongs to the caller until it asks for
+        the next."""
         if len(self) == 0:
             raise ValueError("no windows to score")
-        err = self.label_block(first, last)
+        fns = forecast_fn if isinstance(forecast_fn, (list, tuple)) else (forecast_fn,)
+        _, rows, _ = self._label_rows(first, last)
+        if not fns or rows % len(fns):
+            raise ValueError(f"label rows {first}..{first + rows - 1} do not split into "
+                             f"{len(fns)} equal forecast blocks")
+        return self._error_blocks(fns, first, rows // len(fns))
+
+    def _error_blocks(self, fns, first: int, r: int) -> Iterator[np.ndarray]:
+        """The blocks of :meth:`errors`, whose arguments it has checked."""
         d = self.series.shape[1]
         for part in self.chunks():
-            cols = err[:, part.start * d : part.stop * d]
-            pred = np.asarray(forecast_fn(self[part].history_block()), dtype=np.float64)
-            if pred.shape != cols.shape:
-                raise ValueError(f"forecast block shape {pred.shape} is not the {cols.shape} "
-                                 f"of label rows {first}..{first + len(err) - 1} of "
-                                 f"{part.stop - part.start} windows of {d} channels")
-            np.subtract(pred, cols, out=cols)
-            del pred  # dropped before the next chunk is gathered
-        return err
+            chunk = self[part]
+            history = chunk.history_block()
+            for i, fn in enumerate(fns):
+                a = first + i * r
+                err = chunk.label_block(a, a + r - 1)
+                pred = np.asarray(fn(history), dtype=np.float64)
+                if pred.shape != err.shape:
+                    raise ValueError(f"forecast block shape {pred.shape} is not the {err.shape} "
+                                     f"of label rows {a}..{a + r - 1} of "
+                                     f"{part.stop - part.start} windows of {d} channels")
+                np.subtract(pred, err, out=err)
+                del pred  # dropped before the block is yielded
+                yield err
+                del err  # the caller's, dropped before the next block is gathered
+            del history  # dropped before the next chunk is gathered
 
     def history_block(self) -> np.ndarray:
         """Histories as one contiguous (L, N*D) column block; column i*D + c

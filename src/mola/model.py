@@ -17,10 +17,13 @@ Passes without gradients (encode, decode, forecast, mse_loss) keep no
 cache, so each layer's output is formed in place in the array its matmul
 allocated, bitwise what the training forward computes; no pass writes
 into an array it was handed.  encode, decode and forecast map whatever
-column block they are given.  mse_loss is the mean of the squared error
-block of ``WindowSet.errors``, the pass every evaluation also scores
-through, so it never holds the split's (L, N*D) history block and is
-bitwise the loss of the whole block at once.
+column block they are given.  mse_loss reduces the chunks of
+``WindowSet.errors``, the pass every evaluation also scores through, one
+at a time, so it holds one chunk's rows, never a block of the whole
+split.  Its errors are bitwise those of the whole block at once; its
+loss sums the chunks' sums in chunk order, so it is bitwise numpy's mean
+for a split of one chunk and differs from it only by summation order
+otherwise.
 """
 
 from __future__ import annotations
@@ -278,11 +281,16 @@ def _stack_batch(m: FoundationModel, batch: WindowSet, target_slice):
 
 def mse_loss(m: FoundationModel, batch: WindowSet, target_slice=None) -> float:
     """Mean squared error over batch x selected steps x channels, for one
-    target slice (first, last): the mean of the (rows, N*D) error block of
-    ``batch.errors``, squared in place."""
+    target slice (first, last): the sum of each chunk's sum of squared
+    errors from ``batch.errors``, in chunk order, over their count.  With
+    one chunk that is bitwise numpy's mean of the block."""
     first, last = _check_target(m, target_slice)
-    err = batch.errors(lambda history: forecast(m, history), first, last)
-    return float(np.multiply(err, err, out=err).mean())
+    total, count = 0.0, 0
+    for err in batch.errors(lambda history: forecast(m, history), first, last):
+        total += np.add.reduce(np.multiply(err, err, out=err), axis=None)
+        count += err.size
+        del err  # dropped before the next chunk is gathered
+    return float(total / count)
 
 
 def loss_and_grads(

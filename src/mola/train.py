@@ -493,30 +493,22 @@ def mola_forecaster(foundation: model.FoundationModel, adapter: adapt.MolaAdapte
 def forecast_errors(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
                     split: str, first: int = 1, last: int | None = None) -> Iterator[np.ndarray]:
     """Yield the errors of the forecasts of label rows first..last
-    (default: all T) over a split's N windows, as C-ordered (r, N, D) views
-    of the (r, N*D) blocks of ``WindowSet.errors``, one per forecast block,
-    in row order.
+    (default: all T) over a split's windows, as C-ordered (r, n, D) views
+    of the (r, n*D) blocks of ``WindowSet.errors``: window chunk by window
+    chunk, and within a chunk one block per forecast callable, in row order.
 
     ``forecast_fn`` maps the (L, n*D) history block of n windows (column
     i*D + c is channel c of window i) to their (rows, n*D) forecast block.
-    A sequence of n such callables gives n equal blocks of consecutive rows,
-    the next callable the next block; rows that do not split into n equal
+    A sequence of k such callables gives k equal blocks of consecutive rows,
+    the next callable the next block; rows that do not split into k equal
     blocks raise ValueError.  Each callable is called once per window chunk
-    of the split, so a consumer that drops each error block before asking
-    for the next holds one block's errors plus one chunk's history and
-    forecast, and every error is bitwise that of forecasting the whole
-    history block at once."""
+    of the split, on a history gathered once for all of them, so a consumer
+    that drops each error block before asking for the next holds one
+    chunk's rows and forecast, and every error is bitwise that of
+    forecasting the whole history block at once."""
     wins = data.windows(ds, lookback, horizon, split)
-    last = horizon if last is None else last
-    fns = forecast_fn if isinstance(forecast_fn, (list, tuple)) else (forecast_fn,)
-    rows = last - first + 1
-    if not fns or rows % len(fns):
-        raise ValueError(f"label rows {first}..{last} do not split into {len(fns)} equal "
-                         "forecast blocks")
-    r = rows // len(fns)
-    for i, fn in enumerate(fns):
-        err = wins.errors(fn, first + i * r, first + (i + 1) * r - 1)
-        yield err.reshape(r, len(wins), -1)
+    for err in wins.errors(forecast_fn, first, last):
+        yield err.reshape(len(err), -1, ds.d_channels)
         del err  # dropped before the next block is made
 
 
@@ -528,13 +520,13 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
     i*D + c is channel c of window i) to their (rows, n*D) forecast block,
     or is a sequence of callables that give equal consecutive row blocks of
     it (see :func:`forecast_errors`).  Each is called once per window chunk
-    of the split.  Each block is scored on its own and dropped before the
-    next is made, so scoring holds one block's errors plus one chunk's
-    history and forecast.  The averaged row is defined as the mean of the
-    per-step values.  With target_rows=(first, last),
-    forecast_fn must return just those label rows (used for per-segment
-    evaluation) and steps keep their absolute index; rows outside 1..T
-    raise the ValueError of the window set's label read.
+    of the split.  Each block is reduced on its own and dropped before the
+    next is made, so scoring holds one chunk's rows and forecast.  The
+    averaged row is defined as the mean of the per-step values.  With
+    target_rows=(first, last), forecast_fn must return just those label
+    rows (used for per-segment evaluation) and steps keep their absolute
+    index; rows outside 1..T raise the ValueError of the window set's label
+    read.
     """
     first, last = (1, horizon) if target_rows is None else target_rows
     steps = StepErrors(first, last)
@@ -545,32 +537,52 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
 
 
 class StepErrors:
-    """Per-step MSE and MAE of steps first..last, reduced one (r, N, D)
-    error block at a time in step order, so that one stream of blocks can
-    feed more than one set of metrics."""
+    """Per-step MSE and MAE of steps first..last, summed one (r, n, D)
+    error block at a time, so that one stream of blocks can feed more than
+    one set of metrics.
+
+    Blocks come as :func:`forecast_errors` yields them: each holds the next
+    r steps, and after step ``last`` the next block starts again at step
+    ``first`` with the next windows.  A step's MSE and MAE are the sums of
+    its blocks' sums of e**2 and |e|, in the order added, over its count of
+    errors; with one block per step that is bitwise numpy's mean of the
+    step's row."""
 
     def __init__(self, first: int, last: int):
-        self.first, self.last, self.n_windows = first, last, 0
-        self.mse: list[np.ndarray] = []
-        self.mae: list[np.ndarray] = []
+        self.first, self.last = first, last
+        steps = last - first + 1
+        self.sq_sum, self.abs_sum = np.zeros(steps), np.zeros(steps)
+        self.windows = np.zeros(steps, dtype=np.int64)  # windows added per step
+        self.count = np.zeros(steps, dtype=np.int64)  # errors added per step
+        self.added = 0  # steps of every block added
+        self.overran = False  # a block ran past step last
 
     def add(self, err: np.ndarray) -> None:
-        """Reduce the next block of errors, overwriting ``err``; a step's
-        mean sums its one contiguous row of N*D errors."""
-        self.n_windows = err.shape[1]
+        """Sum the next block of errors into its steps, overwriting ``err``."""
+        r, n = err.shape[:2]
+        j = self.added % len(self.count)
+        self.added += r
+        if j + r > len(self.count):
+            self.overran = True
+            return
         # |err| and then |err|**2, which is bitwise err**2, are formed in place
-        self.mae.append(np.abs(err, out=err).mean(axis=(1, 2)))
-        self.mse.append(np.multiply(err, err, out=err).mean(axis=(1, 2)))
+        self.abs_sum[j : j + r] += np.add.reduce(np.abs(err, out=err), axis=(1, 2))
+        self.sq_sum[j : j + r] += np.add.reduce(np.multiply(err, err, out=err), axis=(1, 2))
+        self.windows[j : j + r] += n
+        self.count[j : j + r] += err[0].size
 
     def metrics(self, split: str) -> dict:
         """The metrics dict of evaluate_forecaster for the blocks added;
-        ValueError unless they hold exactly the steps first..last."""
-        added = sum(len(block) for block in self.mse)
-        if added != self.last - self.first + 1:
-            raise ValueError(f"errors of {added} steps were added for steps "
-                             f"{self.first}..{self.last}")
-        mse, mae = np.concatenate(self.mse), np.concatenate(self.mae)
+        ValueError unless they cover the steps first..last, each step over
+        the same windows."""
+        steps = len(self.count)
+        if (self.overran or not self.added or self.added % steps
+                or (self.windows != self.windows[0]).any()):
+            raise ValueError(f"errors of {self.added} steps were added for steps "
+                             f"{self.first}..{self.last}, over "
+                             f"{sorted(set(self.windows.tolist()))} windows per step")
+        mse, mae = self.sq_sum / self.count, self.abs_sum / self.count
         per_step = [{"step": self.first + j, "mse": float(a), "mae": float(b)}
                     for j, (a, b) in enumerate(zip(mse, mae))]
-        return {"split": split, "n_windows": self.n_windows, "per_step": per_step,
+        return {"split": split, "n_windows": int(self.windows[0]), "per_step": per_step,
                 "mse": float(np.mean(mse)), "mae": float(np.mean(mae))}

@@ -507,27 +507,48 @@ def test_chunks_are_window_slices_of_whole_8_column_runs(d):
 
 
 def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch):
-    # errors(fn, first, last) is fn's forecast minus label_block(first,
-    # last), with fn called once per chunk on that chunk's history block;
-    # a columnwise fn gives every column the bits of one call on the whole
+    # errors(fn, first, last) yields fn's forecast minus label_block(first,
+    # last) chunk by chunk, with fn called once per chunk on that chunk's
+    # history block; a columnwise fn gives every column the bits of one
+    # call on the whole.  k callables give k row blocks per chunk, each
+    # forecast from the chunk's one history block
     ds = make_ds(n=200, d=3)
     monkeypatch.setattr(data, "_CHUNK_COLUMNS", 24)  # chunks of 8 windows
     ws = data.windows(ds, lookback=6, horizon=5, split="train")
-    assert len(ws.chunks()) > 3
+    chunks = ws.chunks()
+    assert len(chunks) > 3
     calls = []
 
     def fn(history):
         calls.append(history.shape[1] // 3)
         return history[-3:] * 1.5
 
-    err = ws.errors(fn, 2, 4)
     want = ws.history_block()[-3:] * 1.5 - ws.label_block(2, 4)
-    assert err.shape == want.shape and err.tobytes() == want.tobytes()
-    assert calls == [c.stop - c.start for c in ws.chunks()]
+    blocks = list(ws.errors(fn, 2, 4))
+    assert [b.shape for b in blocks] == [(3, 3 * (c.stop - c.start)) for c in chunks]
+    assert all(b.flags.c_contiguous for b in blocks)
+    assert np.concatenate(blocks, axis=1).tobytes() == want.tobytes()
+    assert calls == [c.stop - c.start for c in chunks]
+    histories = []
+
+    def row(i):
+        def forecast(history):
+            histories.append(history)
+            return fn(history)[i : i + 1]
+        return forecast
+
+    calls.clear()
+    blocks = list(ws.errors([row(0), row(1), row(2)], 2, 4))
+    assert len(blocks) == 3 * len(chunks)
+    assert np.concatenate([np.concatenate(blocks[i : i + 3]) for i in range(0, len(blocks), 3)],
+                          axis=1).tobytes() == want.tobytes()
+    assert all(histories[i + 1] is histories[i] for i in range(len(histories)) if i % 3 < 2)
     # a forecast of another shape is refused, also one that would broadcast
     for bad in (lambda h: h[-3:, :1], lambda h: h[-2:], lambda h: h[-3:].ravel()):
         with pytest.raises(ValueError, match="forecast block shape"):
-            ws.errors(bad, 2, 4)
+            list(ws.errors(bad, 2, 4))
+    with pytest.raises(ValueError, match="do not split into 2 equal forecast blocks"):
+        ws.errors([fn, fn], 2, 4)
     with pytest.raises(ValueError, match="outside 1..5"):
         ws.errors(fn, 4, 6)
     with pytest.raises(ValueError, match="no windows"):

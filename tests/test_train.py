@@ -858,18 +858,23 @@ def test_step_errors_refuse_blocks_that_miss_steps_first_to_last(rows):
 
 @pytest.mark.parametrize("target, n_windows", [((1, 48), 2690), ((49, 96), 592), ((3, 4), None)])
 def test_val_loss_is_the_mean_of_the_evaluation_error_block(target, n_windows):
-    # mse_loss and forecast_errors are one pass: the loss is bitwise the
-    # flat mean of the squared errors evaluation scores
+    # mse_loss and forecast_errors are one pass: the loss sums the squared
+    # errors evaluation scores chunk by chunk, in chunk order, over their
+    # count, which for one chunk is numpy's flat mean of the block
     if n_windows is None:
         ds, spec, lookback, horizon = sine_dataset(d=2, noise=0.1), LIN8, 8, 6
     else:
         ds, spec, lookback, horizon = etth_split(n_windows), ETTH_SPEC, 96, 192
     m = model.new_model(spec, head_out=target[1] - target[0] + 1, seed=3)
     wins = data.windows(ds, lookback, horizon, "val")
-    [err] = train.forecast_errors(lambda h: model.forecast(m, h), ds, lookback, horizon, "val",
-                                  *target)
-    want = float((err * err).mean())
+    err = error_array(list(train.forecast_errors(lambda h: model.forecast(m, h), ds, lookback,
+                                                 horizon, "val", *target)))
+    want = float(chunk_order_sum(err * err, wins.chunks(), None) / err.size)
     assert model.mse_loss(m, wins, target).hex() == want.hex()
+    flat_mean = float((err * err).mean())
+    if len(wins.chunks()) == 1:
+        assert want.hex() == flat_mean.hex()
+    assert abs(want - flat_mean) <= 1e-15 * flat_mean
 
 
 def test_passes_over_no_windows_raise():
@@ -933,11 +938,41 @@ def etth_mola(seed=0):
     return foundation, adapter
 
 
+def error_array(blocks, k=1):
+    """The (rows, N, D) error array of the blocks of ``forecast_errors``
+    with k forecast callables: k row blocks per window chunk."""
+    return np.concatenate([np.concatenate(blocks[i : i + k]) for i in range(0, len(blocks), k)],
+                          axis=1)
+
+
+def chunk_order_sum(values, chunks, axis):
+    """np.add.reduce over ``axis`` of each window chunk of a (rows, N, D)
+    array, as the C-contiguous block a pass holds, summed in chunk order:
+    the reduction of mse_loss (axis None) and of StepErrors (axis (1, 2))."""
+    total = 0.0
+    for part in chunks:
+        total = total + np.add.reduce(np.ascontiguousarray(values[:, part]), axis=axis)
+    return total
+
+
+def chunk_order_metrics(err, chunks, first, split):
+    """evaluate_forecaster's metrics of a (rows, N, D) error array, reduced
+    in ``chunks``."""
+    count = err.shape[1] * err.shape[2]
+    mse = chunk_order_sum(err * err, chunks, (1, 2)) / count
+    mae = chunk_order_sum(np.abs(err), chunks, (1, 2)) / count
+    return {"split": split, "n_windows": err.shape[1],
+            "per_step": [{"step": first + j, "mse": float(a), "mae": float(b)}
+                         for j, (a, b) in enumerate(zip(mse, mae))],
+            "mse": float(np.mean(mse)), "mae": float(np.mean(mae))}
+
+
 def whole_split_passes(ds, foundation, adapter):
-    """The bytes of every no-gradient pass over a split: val losses,
-    evaluation of one forecaster and of the mola forecaster, its error
-    arrays, the destandardized metrics of eval --destandardized (its second
-    StepErrors), analyze variance's loss samples and the test windows' hash."""
+    """Every no-gradient pass over a split: val losses; evaluation of one
+    forecaster and of the mola forecaster, and the destandardized metrics
+    of eval --destandardized (its second StepErrors); and as bytes, the
+    mola forecaster's test error array, analyze variance's loss samples and
+    the test windows' hash."""
     val = data.windows(ds, 96, 192, "val")
     bounds = adapter.plan.boundaries
     losses = [model.mse_loss(foundation, val), model.mse_loss(foundation, val, bounds[2]),
@@ -952,10 +987,64 @@ def whole_split_passes(ds, foundation, adapter):
         train.evaluate_forecaster(forecaster, ds, 96, 192),
         raw.metrics("test"),
     ]
-    errors = [err.tobytes() for err in train.forecast_errors(forecaster, ds, 96, 192, "test")]
-    errors += [cli._per_step_loss_samples(forecaster, ds, 96, 192, "test").tobytes(),
-               analysis.window_set_hash(data.windows(ds, 96, 192, "test"))]
-    return [x.hex() for x in losses], [_io.canonical_dumps(m) for m in metrics], errors
+    errors = error_array(list(train.forecast_errors(forecaster, ds, 96, 192, "test")), 4)
+    arrays = [errors.tobytes(), cli._per_step_loss_samples(forecaster, ds, 96, 192, "test").tobytes(),
+              analysis.window_set_hash(data.windows(ds, 96, 192, "test"))]
+    return losses, metrics, arrays
+
+
+def chunk_order_passes(ds, foundation, adapter):
+    """The losses and metrics of whole_split_passes, reduced test side from
+    the passes' error arrays in the window chunks of each split."""
+    val_chunks = data.windows(ds, 96, 192, "val").chunks()
+    test_chunks = data.windows(ds, 96, 192, "test").chunks()
+    bounds = adapter.plan.boundaries
+
+    def errors(m, split, rows):
+        return error_array(list(train.forecast_errors(lambda h: model.forecast(m, h), ds, 96, 192,
+                                                      split, *rows)))
+
+    losses = []
+    for m, rows in [(foundation, bounds[0]), (foundation, bounds[2]),
+                    *((adapt.adapted_model(foundation, adapter, k), bounds[k - 1]) for k in (1, 4))]:
+        err = errors(m, "val", rows)
+        losses.append(float(chunk_order_sum(err * err, val_chunks, None) / err.size))
+    test = error_array(list(train.forecast_errors(train.mola_forecaster(foundation, adapter), ds,
+                                                  96, 192, "test")), 4)
+    metrics = [chunk_order_metrics(errors(foundation, "val", bounds[1]), val_chunks, 49, "val"),
+               chunk_order_metrics(test, test_chunks, 1, "test"),
+               chunk_order_metrics(test * ds.norm_stats.std, test_chunks, 1, "test")]
+    return losses, metrics
+
+
+def metric_values(metrics):
+    """Every float of a metrics dict."""
+    return [*(r[key] for r in metrics["per_step"] for key in ("mse", "mae")),
+            metrics["mse"], metrics["mae"]]
+
+
+def check_chunked_passes(ds, foundation, adapter, one_chunk):
+    """The contract of chunked whole-split passes, against the same passes
+    after ``one_chunk()`` makes every split one chunk: error arrays, loss
+    samples and window hashes bytewise equal; losses and metrics exactly
+    the test-side chunk-order sums and within 1e-15 relative of one chunk,
+    and bitwise equal where every split is one chunk anyway."""
+    n_chunks = len(data.windows(ds, 96, 192, "test").chunks())
+    losses, metrics, arrays = whole_split_passes(ds, foundation, adapter)
+    want_losses, want_metrics = chunk_order_passes(ds, foundation, adapter)
+    assert [x.hex() for x in losses] == [x.hex() for x in want_losses]
+    assert [_io.canonical_dumps(m) for m in metrics] == [_io.canonical_dumps(m)
+                                                         for m in want_metrics]
+    one_chunk()
+    assert len(data.windows(ds, 96, 192, "test").chunks()) == 1
+    whole_losses, whole_metrics, whole_arrays = whole_split_passes(ds, foundation, adapter)
+    assert arrays == whole_arrays
+    got = losses + [x for m in metrics for x in metric_values(m)]
+    want = whole_losses + [x for m in whole_metrics for x in metric_values(m)]
+    gap = max(abs(a - b) / abs(b) for a, b in zip(got, want))
+    assert gap <= 1e-15, f"chunked sums {gap:.3g} relative from one chunk's"
+    if n_chunks == 1:
+        assert (got, metrics) == (want, whole_metrics)
 
 
 @pytest.mark.parametrize("n_windows, d, n_chunks", [
@@ -966,37 +1055,37 @@ def whole_split_passes(ds, foundation, adapter):
     (2690, 7, 9),  # etth_cli_soft's test split: eight of 296, the remainder merged into a ninth
 ])
 def test_chunked_passes_are_bitwise_one_chunk_passes(monkeypatch, n_windows, d, n_chunks):
+    # forecasts and errors keep their bits; losses and metrics differ from
+    # one chunk's only by summation order
     ds = etth_split(n_windows, d)
     foundation, adapter = etth_mola()
     for split in ("val", "test"):
         assert len(data.windows(ds, 96, 192, split).chunks()) == n_chunks
-    chunked = whole_split_passes(ds, foundation, adapter)
-    monkeypatch.setattr(data, "_CHUNK_COLUMNS", 10**9)
-    assert len(data.windows(ds, 96, 192, "test").chunks()) == 1
-    assert whole_split_passes(ds, foundation, adapter) == chunked
+    check_chunked_passes(ds, foundation, adapter,
+                         lambda: monkeypatch.setattr(data, "_CHUNK_COLUMNS", 10**9))
 
 
 def test_chunked_passes_are_bitwise_one_chunk_passes_on_one_blas_thread():
     # perfbench pins BLAS to one thread, where chunks too narrow for the
     # budget round differently while two threads still hide it (see
-    # data._CHUNK_COLUMNS); run the 9-chunk case in a process of its own
+    # data._CHUNK_COLUMNS); run the 9-chunk case in processes of their own
+    # on one BLAS thread and on two
     code = ("import test_train\n"
             "from mola import data\n"
             "ds, (f, a) = test_train.etth_split(2690), test_train.etth_mola()\n"
-            "chunked = test_train.whole_split_passes(ds, f, a)\n"
-            "data._CHUNK_COLUMNS = 10**9\n"
-            "assert test_train.whole_split_passes(ds, f, a) == chunked, 'chunks changed bits'\n")
+            "test_train.check_chunked_passes(ds, f, a,\n"
+            "    lambda: setattr(data, '_CHUNK_COLUMNS', 10**9))\n")
     path = os.pathsep.join([str(Path(model.__file__).resolve().parents[1]),
                             str(Path(__file__).resolve().parent)])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, f"{threads} BLAS threads: {out.stderr}"
 
 
 def test_whole_split_passes_never_hold_the_split_history_block():
     # the (L, N*D) history block of all windows is what a pass of one chunk
-    # gathers; passes over 9 chunks hold a 48-row array of the split plus
-    # one chunk's blocks and activations
+    # gathers; passes over 9 chunks hold one chunk's blocks and activations
     ds = etth_split(2690)
     foundation, adapter = etth_mola()
     val = data.windows(ds, 96, 192, "val")
@@ -1020,6 +1109,60 @@ def test_whole_split_passes_never_hold_the_split_history_block():
             assert peak < history_bytes, f"{name}: peak {peak / history_bytes:.2f} history blocks"
     finally:
         tracemalloc.stop()
+
+
+def test_whole_split_pass_peaks_stay_level_as_the_split_grows():
+    # 1184 and 4736 windows are 4 and 16 chunks of 296 at etth shapes: a
+    # pass holds one chunk's rows, so its peak does not grow with the split,
+    # where one (rows, N*D) block of the split would grow fourfold
+    peaks = {}
+    for n in (1184, 4736):
+        ds = etth_split(n)
+        foundation, adapter = etth_mola()
+        val = data.windows(ds, 96, 192, "val")
+        passes = {
+            "mse_loss": lambda: model.mse_loss(foundation, val),
+            "segment_loss": lambda: adapt.segment_loss(foundation, adapter, 2, val, (49, 96)),
+            "evaluate_forecaster": lambda: train.evaluate_forecaster(
+                train.mola_forecaster(foundation, adapter), ds, 96, 192, "val"),
+            "window_set_hash": lambda: analysis.window_set_hash(val),
+        }
+        tracemalloc.start()
+        try:
+            for name, run in passes.items():
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run()
+                peaks[name, n] = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    for name in passes:
+        small, large = peaks[name, 1184], peaks[name, 4736]
+        assert large < 1.05 * small, f"{name}: peak {small / 1e6:.2f} -> {large / 1e6:.2f} MB"
+
+
+def test_step_errors_refuse_a_stream_that_skipped_one_chunk():
+    # 600 test windows are chunks of 296 and 304, each scored in four
+    # segment blocks: a stream without any one block misses steps, and one
+    # that swaps whole blocks of chunk 1 for blocks of chunk 2 scores steps
+    # over different windows
+    ds = etth_split(600)
+    foundation, adapter = etth_mola()
+    blocks = list(train.forecast_errors(train.mola_forecaster(foundation, adapter), ds, 96, 192,
+                                        "test"))
+    assert [b.shape[:2] for b in blocks] == [(48, 296)] * 4 + [(48, 304)] * 4
+    streams = [blocks[:i] + blocks[i + 1 :] for i in range(8)] + [[blocks[0], *blocks[5:]]]
+    for stream in streams:
+        steps = train.StepErrors(1, 192)
+        for err in stream:
+            steps.add(err.copy())
+        with pytest.raises(ValueError, match=f"errors of {48 * len(stream)} steps were added "
+                                             "for steps 1..192"):
+            steps.metrics("test")
+    steps = train.StepErrors(1, 192)
+    for err in blocks:
+        steps.add(err.copy())
+    assert steps.metrics("test")["n_windows"] == 600
 
 
 @pytest.mark.parametrize("case", ["compare_onehot", "at_the_budget"])
