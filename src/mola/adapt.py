@@ -341,13 +341,15 @@ def adapted_model(
                                  head_out=foundation.head_out, params=params, frozen=True)
 
 
-def segment_loss(foundation, adapter, k, batch, target_slice) -> float:
-    return model.mse_loss(adapted_model(foundation, adapter, k), batch, target_slice)
+def segment_loss(foundation, adapter, k: int, batch) -> float:
+    """MSE of the segment-k model on its label rows ``plan.boundaries[k - 1]``."""
+    return model.mse_loss(adapted_model(foundation, adapter, k), batch,
+                          adapter.plan.boundaries[k - 1])
 
 
-def segment_grads(foundation, adapter, k, batch, target_slice):
+def segment_grads(foundation, adapter, k: int | None, batch):
     """Loss and gradients w.r.t. the segment-k adaptation parameters, keyed
-    like adaptation_params.
+    like adaptation_params, on segment k's label rows ``plan.boundaries[k - 1]``.
 
     Chain rule through W_eff = W + sum_p delta_p B_p A_p with dL/dW_eff = G,
     over the stacks of the experts the segment uses (see _segment_stacks):
@@ -362,8 +364,8 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     and G A^T, and no routing gradient is formed.
 
     With k None (one-hot routing), this is one step of all K segments at
-    once: the batch is K equal batches in segment order, target_slice holds
-    one slice per segment, W_eff is one (K, d_out, d_in) stack, and the loss
+    once: the batch is K equal batches in segment order, each scored on its
+    segment's rows, W_eff is one (K, d_out, d_in) stack, and the loss
     is the (K,) array of the segments' losses.  Each segment's loss and
     gradients are bitwise those of its own step.
 
@@ -372,12 +374,13 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     the fits of train.adapt_all_segments.
     """
     stacks = _segment_stacks(adapter, k)
+    rows = adapter.plan.boundaries if k is None else adapter.plan.boundaries[k - 1]
     if adapter.routing == "one-hot":
-        return _one_hot_grads(foundation, stacks, k is not None, batch, target_slice)
+        return _one_hot_grads(foundation, stacks, k is not None, batch, rows)
     weights = {name: normalize_weights(adapter.logits[name][k - 1]) for name in stacks}
     eff = {name: _effective_weight(foundation.params[name], a, b, weights[name])
            for name, (a, b) in stacks.items()}
-    loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
+    loss, eff_grads = model.loss_and_grads(foundation, batch, rows, overrides=eff)
     grads: dict[str, np.ndarray] = {}
     for name, (a, b) in stacks.items():
         g_eff, delta = eff_grads[name], weights[name]
@@ -390,7 +393,7 @@ def segment_grads(foundation, adapter, k, batch, target_slice):
     return loss, grads
 
 
-def _one_hot_grads(foundation, stacks, one_segment: bool, batch, target_slice):
+def _one_hot_grads(foundation, stacks, one_segment: bool, batch, rows):
     """segment_grads under one-hot routing, on stacks of one expert per
     segment: (1, ...) slices for one segment, whose W_eff and G are one
     (d_out, d_in) matrix, or the (K, ...) stacks of all K segments."""
@@ -398,7 +401,7 @@ def _one_hot_grads(foundation, stacks, one_segment: bool, batch, target_slice):
     for name, (a, b) in stacks.items():
         w_eff = foundation.params[name] + b @ a
         eff[name] = w_eff[0] if one_segment else w_eff
-    loss, eff_grads = model.loss_and_grads(foundation, batch, target_slice, overrides=eff)
+    loss, eff_grads = model.loss_and_grads(foundation, batch, rows, overrides=eff)
     grads: dict[str, np.ndarray] = {}
     for name, (a, b) in stacks.items():
         g_eff = eff_grads[name]

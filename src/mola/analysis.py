@@ -168,6 +168,11 @@ class VarianceReport:
     cov_sum: float
     identity_gap: float
 
+    def summary(self) -> dict:
+        """The report's scalars as reports carry them."""
+        return {"var_total": self.var_total, "var_sum": float(self.var_terms.sum()),
+                "cov_sum": self.cov_sum, "identity_gap": self.identity_gap}
+
 
 def variance_report(per_step_losses) -> VarianceReport:
     s = linalg.as_matrix(per_step_losses)
@@ -197,19 +202,9 @@ def variance_compare(samples_a, samples_b, label_a: str = "a", label_b: str = "b
     """
     ra = variance_report(samples_a)
     rb = variance_report(samples_b)
-
-    def side(label, r):
-        return {
-            "label": label,
-            "var_total": r.var_total,
-            "var_sum": float(r.var_terms.sum()),
-            "cov_sum": r.cov_sum,
-            "identity_gap": r.identity_gap,
-        }
-
     return {
-        "a": side(label_a, ra),
-        "b": side(label_b, rb),
+        "a": {"label": label_a, **ra.summary()},
+        "b": {"label": label_b, **rb.summary()},
         "delta_var_total": ra.var_total - rb.var_total,
         "delta_cov_sum": ra.cov_sum - rb.cov_sum,
         "lower_variance": label_a if ra.var_total <= rb.var_total else label_b,
@@ -356,12 +351,13 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
     lookback = encoder_spec.in_len
     plan = adapt.make_segment_plan(horizon, segments, lookback=lookback)
     paradigms: dict[str, dict] = {}
+    # every evaluate_forecaster call scores these same test windows
+    test_hash = window_set_hash(data.windows(ds, lookback, horizon, "test"))
 
     def eval_with_audit(forecast_fn):
-        wins = data.windows(ds, lookback, horizon, "test")
         return {
             "metrics": train.evaluate_forecaster(forecast_fn, ds, lookback, horizon, split="test"),
-            "window_hash": window_set_hash(wins),
+            "window_hash": test_hash,
         }
 
     arf_m, arf_rec = train.arf_train(ds, encoder_spec, config)

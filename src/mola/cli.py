@@ -454,8 +454,8 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     forecast_fn = _forecaster_from_checkpoints(pk, rd, cfg)
     steps = train.StepErrors(1, horizon)
     raw = train.StepErrors(1, horizon) if args.destandardized else None
-    for err in train.forecast_errors(forecast_fn, ds, cfg["dataset"]["lookback"], horizon,
-                                     args.split):
+    wins = data.windows(ds, cfg["dataset"]["lookback"], horizon, args.split)
+    for err in wins.errors(forecast_fn):
         if raw is not None:
             # the per-channel mean cancels: a raw error is the standardized one times the std
             raw.add(err * ds.norm_stats.std)
@@ -475,9 +475,10 @@ def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
     """(N, T) per-window squared error of each step, averaged over channels,
     filled one forecast block at a time: the blocks of a chunk of windows
     give its rows of the array, one block its columns."""
-    samples = np.empty((len(data.windows(ds, lookback, horizon, split)), horizon))
+    wins = data.windows(ds, lookback, horizon, split)
+    samples = np.empty((len(wins), horizon))
     step = window = 0
-    for err in train.forecast_errors(forecast_fn, ds, lookback, horizon, split):
+    for err in wins.errors(forecast_fn):
         r, n = err.shape[:2]
         samples[window : window + n, step : step + r] = np.square(err, out=err).mean(axis=2).T
         del err  # dropped before the next block is made
@@ -524,14 +525,8 @@ def cmd_variance(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
         raise UserError("no usable checkpoints in this run directory; train a paradigm first")
     blocks = {}
     for name, arr in samples.items():
-        rep = analysis.variance_report(arr)
-        blocks[name] = {
-            "n_samples": int(arr.shape[0]),
-            "var_total": rep.var_total,
-            "var_sum": float(rep.var_terms.sum()),
-            "cov_sum": rep.cov_sum,
-            "identity_gap": rep.identity_gap,
-        }
+        blocks[name] = {"n_samples": int(arr.shape[0]),
+                        **analysis.variance_report(arr).summary()}
     names = list(samples)
     comparisons = [
         analysis.variance_compare(samples[a], samples[b], label_a=a, label_b=b)

@@ -177,9 +177,10 @@ class WindowSet(Sequence):
 
     def errors(self, forecast_fn, first: int = 1, last: int | None = None) -> Iterator[np.ndarray]:
         """Yield forecast minus label rows first..last (1-based, inclusive)
-        one :meth:`chunks` slice at a time, as C-contiguous (r, n*D) blocks
-        in the column order of :meth:`history_block`: the one pass behind
-        every val loss and every evaluation.
+        one :meth:`chunks` slice at a time, each block the C-contiguous
+        (r, n, D) view of an (r, n*D) block in the column order of
+        :meth:`history_block`: window i's channel c is ``[:, i, c]``.  This
+        is the one error stream, behind every val loss and every evaluation.
 
         ``forecast_fn`` maps the (L, n*D) history block of a chunk to its
         (rows, n*D) forecast.  A sequence of k such callables splits the
@@ -218,7 +219,7 @@ class WindowSet(Sequence):
                                      f"{part.stop - part.start} windows of {d} channels")
                 np.subtract(pred, err, out=err)
                 del pred  # dropped before the block is yielded
-                yield err
+                yield err.reshape(r, -1, d)
                 del err  # the caller's, dropped before the next block is gathered
             del history  # dropped before the next chunk is gathered
 

@@ -3,11 +3,7 @@
 Matrices are plain 2-D C-order float64 numpy arrays; :func:`as_matrix` is
 the single entry point that enforces shape and finiteness.  The SVD is
 numpy's LAPACK routine (``np.linalg.svd``), the routine the floor
-benchmark checks every floor against.  A hand-rolled one-sided Jacobi
-iteration took about 30 ms per call over that benchmark's matrices
-(48x25 to 336x97, one BLAS thread), against about 1 ms here; its
-byte-for-byte contract (signed zeros, row-cyclic rotation order, sweep
-counts) is retired with it.
+benchmark checks every floor against.
 
 The input is scaled by the power of two that puts its largest entry in
 [0.5, 1) before the call, and sigma is scaled back by the same power.
@@ -19,10 +15,7 @@ give the same u and vt and exactly scaled sigma.
 
 Results are deterministic for a given numpy and BLAS build: repeated calls
 give the same bytes, and ``tests/test_linalg.py`` checks that the floor
-shapes decompose to the same bytes on one BLAS thread and on two.  The
-floor benchmark's reference fingerprints, recorded with the Jacobi
-iteration, are met to a relative 1.43e-14 at seeds 0, 7, 20 and 31, with
-the same ranks.
+shapes decompose to the same bytes on one BLAS thread and on two.
 All routines are pure functions over immutable inputs.
 """
 

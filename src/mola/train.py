@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 from pathlib import Path
 from time import perf_counter
 
@@ -419,26 +419,21 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
     val_w = data.windows(ds, lookback, plan.horizon, "val")
 
     def val_metrics(k: int) -> dict:
-        return evaluate_forecaster(
-            lambda h: model.forecast(adapt.adapted_model(foundation, adapter, k), h),
-            ds, lookback, plan.horizon, split="val", target_rows=plan.boundaries[k - 1],
-        )
+        return _step_metrics(val_w, lambda h: mola_forecast(foundation, adapter, h, k), "val",
+                             *plan.boundaries[k - 1])
 
     def stage(k: int) -> Stage:
-        return Stage(f"segment-{k}", k,
-                     lambda: adapt.segment_loss(foundation, adapter, k, val_w,
-                                                plan.boundaries[k - 1]),
+        return Stage(f"segment-{k}", k, lambda: adapt.segment_loss(foundation, adapter, k, val_w),
                      adapt.adaptation_params(adapter, k))
 
     segments = list(range(1, plan.segments + 1))
-    groups = ([(segments, None, plan.boundaries)] if adapter.routing == "one-hot"
-              else [([k], k, plan.boundaries[k - 1]) for k in segments])
+    groups = [(segments, None)] if adapter.routing == "one-hot" else [([k], k) for k in segments]
     records: list[RunRecord] = []
-    for group, step, targets in groups:
+    for group, step in groups:
         t0 = perf_counter()
         group_records = fit(
             [stage(k) for k in group], train_w,
-            lambda batch: adapt.segment_grads(foundation, adapter, step, batch, targets),
+            lambda batch: adapt.segment_grads(foundation, adapter, step, batch),
             config, adapt.adaptation_params(adapter, step),
         )
         for k, record in zip(group, group_records):
@@ -457,80 +452,54 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
 
 
 def mola_forecast(foundation: model.FoundationModel, adapter: adapt.MolaAdapter,
-                  history: np.ndarray, target_rows: tuple[int, int] | None = None) -> np.ndarray:
-    """Concatenated inference: segment k's adapted view fills rows
-    boundaries[k] of the T-step forecast.
-
-    ``target_rows=(first, last)`` asks for label rows first..last only,
-    which must start and end on segment boundaries; the default is all T
-    rows.  The rows of one segment are its view's forecast itself, not a
-    copy, so a caller that asks for one segment at a time (see
-    :func:`mola_forecaster`) never holds more than one segment's rows."""
-    plan = adapter.plan
-    first, last = (1, plan.horizon) if target_rows is None else target_rows
-    if not 1 <= first <= last <= plan.horizon or (first - 1) % plan.seg_len or last % plan.seg_len:
-        raise ValueError(f"target rows {target_rows} are not whole segments of "
-                         f"{plan.seg_len} rows within 1..{plan.horizon}")
+                  history: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Segment k's forecast: its adapted view's forecast of label rows
+    ``plan.boundaries[k - 1]``, the view's output itself, not a copy.  With
+    k None, concatenated inference: segment k's rows of the T-step forecast
+    come from its view, for every k.  A k outside 1..K raises the ValueError
+    that names the segment index."""
     history = np.asarray(history, dtype=np.float64)
-    segments = range((first - 1) // plan.seg_len + 1, last // plan.seg_len + 1)
-    pieces = [model.forecast(adapt.adapted_model(foundation, adapter, k), history)
-              for k in segments]
+    segments = range(1, adapter.plan.segments + 1) if k is None else (k,)
+    pieces = [model.forecast(adapt.adapted_model(foundation, adapter, j), history)
+              for j in segments]
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def mola_forecaster(foundation: model.FoundationModel, adapter: adapt.MolaAdapter):
     """The forecast_fn of :func:`evaluate_forecaster` for a mola model: one
-    callable per segment, each the :func:`mola_forecast` of that segment's
-    rows, so scoring holds one segment's errors at a time."""
-    return tuple(lambda history, rows=rows: mola_forecast(foundation, adapter, history,
-                                                          target_rows=rows)
-                 for rows in adapter.plan.boundaries)
+    callable per segment, each the :func:`mola_forecast` of that segment,
+    so scoring holds one segment's errors at a time."""
+    return tuple(lambda history, k=k: mola_forecast(foundation, adapter, history, k)
+                 for k in range(1, adapter.plan.segments + 1))
 
 
 # --- evaluation ---
 
 
-def forecast_errors(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
-                    split: str, first: int = 1, last: int | None = None) -> Iterator[np.ndarray]:
-    """Yield the errors of the forecasts of label rows first..last
-    (default: all T) over a split's windows, as C-ordered (r, n, D) views
-    of the (r, n*D) blocks of ``WindowSet.errors``: window chunk by window
-    chunk, and within a chunk one block per forecast callable, in row order.
-
-    ``forecast_fn`` maps the (L, n*D) history block of n windows (column
-    i*D + c is channel c of window i) to their (rows, n*D) forecast block.
-    A sequence of k such callables gives k equal blocks of consecutive rows,
-    the next callable the next block; rows that do not split into k equal
-    blocks raise ValueError.  Each callable is called once per window chunk
-    of the split, on a history gathered once for all of them, so a consumer
-    that drops each error block before asking for the next holds one
-    chunk's rows and forecast, and every error is bitwise that of
-    forecasting the whole history block at once."""
-    wins = data.windows(ds, lookback, horizon, split)
-    for err in wins.errors(forecast_fn, first, last):
-        yield err.reshape(len(err), -1, ds.d_channels)
-        del err  # dropped before the next block is made
-
-
 def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
-                        split: str = "test", target_rows: tuple[int, int] | None = None) -> dict:
-    """Per-step and step-averaged MSE/MAE of `forecast_fn` over a split.
+                        split: str = "test") -> dict:
+    """Per-step and step-averaged MSE/MAE of `forecast_fn` over all T steps
+    of a split's windows.
 
-    `forecast_fn` maps the (L, n*D) history block of n windows (column
-    i*D + c is channel c of window i) to their (rows, n*D) forecast block,
-    or is a sequence of callables that give equal consecutive row blocks of
-    it (see :func:`forecast_errors`).  Each is called once per window chunk
-    of the split.  Each block is reduced on its own and dropped before the
-    next is made, so scoring holds one chunk's rows and forecast.  The
-    averaged row is defined as the mean of the per-step values.  With
-    target_rows=(first, last), forecast_fn must return just those label
-    rows (used for per-segment evaluation) and steps keep their absolute
-    index; rows outside 1..T raise the ValueError of the window set's label
-    read.
+    `forecast_fn` is what ``WindowSet.errors``, the one error stream, takes:
+    it maps the (L, n*D) history block of n windows (column i*D + c is
+    channel c of window i) to their (T, n*D) forecast block, or is a
+    sequence of callables that give equal consecutive row blocks of it, as
+    :func:`mola_forecaster`'s one per segment.  Each is called once per
+    window chunk of the split.  Each block is reduced on its own and
+    dropped before the next is made, so scoring holds one chunk's rows and
+    forecast.  The averaged row is defined as the mean of the per-step
+    values.
     """
-    first, last = (1, horizon) if target_rows is None else target_rows
+    return _step_metrics(data.windows(ds, lookback, horizon, split), forecast_fn, split, 1,
+                         horizon)
+
+
+def _step_metrics(wins: data.WindowSet, forecast_fn, split: str, first: int, last: int) -> dict:
+    """The metrics of forecast_fn's label rows first..last over ``wins``,
+    steps keeping their absolute index."""
     steps = StepErrors(first, last)
-    for err in forecast_errors(forecast_fn, ds, lookback, horizon, split, first, last):
+    for err in wins.errors(forecast_fn, first, last):
         steps.add(err)
         del err  # dropped before the next block is made
     return steps.metrics(split)
@@ -541,12 +510,12 @@ class StepErrors:
     error block at a time, so that one stream of blocks can feed more than
     one set of metrics.
 
-    Blocks come as :func:`forecast_errors` yields them: each holds the next
-    r steps, and after step ``last`` the next block starts again at step
-    ``first`` with the next windows.  A step's MSE and MAE are the sums of
-    its blocks' sums of e**2 and |e|, in the order added, over its count of
-    errors; with one block per step that is bitwise numpy's mean of the
-    step's row."""
+    Blocks come as ``WindowSet.errors``, the one error stream, yields them:
+    each holds the next r steps, and after step ``last`` the next block
+    starts again at step ``first`` with the next windows.  A step's MSE and
+    MAE are the sums of its blocks' sums of e**2 and |e|, in the order
+    added, over its count of errors; with one block per step that is
+    bitwise numpy's mean of the step's row."""
 
     def __init__(self, first: int, last: int):
         self.first, self.last = first, last

@@ -312,16 +312,16 @@ def test_new_adapter_applies_routing():
 # --- gradients through the adapter ---
 
 
-def segment_fd(f, ad, k, batch, target_slice, arr, h=1e-5):
+def segment_fd(f, ad, k, batch, arr, h=1e-5):
     g = np.zeros_like(arr)
     it = np.nditer(arr, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
         keep = arr[idx]
         arr[idx] = keep + h
-        up = adapt.segment_loss(f, ad, k, batch, target_slice)
+        up = adapt.segment_loss(f, ad, k, batch)
         arr[idx] = keep - h
-        down = adapt.segment_loss(f, ad, k, batch, target_slice)
+        down = adapt.segment_loss(f, ad, k, batch)
         arr[idx] = keep
         g[idx] = (up - down) / (2.0 * h)
     return g
@@ -336,17 +336,16 @@ def test_segment_grads_match_finite_differences():
         ad.logits[layer][:] = rng.normal(size=ad.logits[layer].shape) * 0.5
     batch = make_batch(f.lookback, plan.horizon, d=2, n=4, seed=22)
     k = 2
-    sl = plan.boundaries[k - 1]
-    loss, grads = adapt.segment_grads(f, ad, k, batch, sl)
-    assert loss == pytest.approx(adapt.segment_loss(f, ad, k, batch, sl), rel=1e-12)
+    loss, grads = adapt.segment_grads(f, ad, k, batch)
+    assert loss == pytest.approx(adapt.segment_loss(f, ad, k, batch), rel=1e-12)
     for layer in ad.adapted_layers:
         for part, arr in (("a", ad.a[layer]), ("b", ad.b[layer])):
-            fd = segment_fd(f, ad, k, batch, sl, arr)
+            fd = segment_fd(f, ad, k, batch, arr)
             ana = grads[f"{layer}.{part}"]
             assert ana.shape == arr.shape
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(ana)), 1e-7)
             assert np.max(np.abs(ana - fd) / denom) <= 1e-4, (layer, part)
-        fd = segment_fd(f, ad, k, batch, sl, ad.logits[layer][k - 1])
+        fd = segment_fd(f, ad, k, batch, ad.logits[layer][k - 1])
         ana = grads[f"{layer}.logits.k{k}"]
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(ana)), 1e-7)
         assert np.max(np.abs(ana - fd) / denom) <= 1e-4, layer
@@ -362,7 +361,7 @@ def test_soft_routing_logit_gradient_is_inner_product_with_expert_update():
     batch = make_batch(f.lookback, plan.horizon, d=2, n=4, seed=24)
     k = 1
     sl = plan.boundaries[k - 1]
-    _, grads = adapt.segment_grads(f, ad, k, batch, sl)
+    _, grads = adapt.segment_grads(f, ad, k, batch)
     deltas = {layer: adapt.normalize_weights(ad.logits[layer][k - 1])
               for layer in ad.adapted_layers}
     eff = {
@@ -407,7 +406,7 @@ def test_frozen_one_hot_routing_trains_only_the_segment_expert():
                 assert view.shape == (1, *stack.shape[1:])
                 assert np.shares_memory(view, stack[k - 1])
                 assert not np.shares_memory(view, stack[2 - k])
-        _, grads = adapt.segment_grads(f, ad, k, batch, plan.boundaries[k - 1])
+        _, grads = adapt.segment_grads(f, ad, k, batch)
         assert {name: g.shape for name, g in grads.items()} == {
             name: v.shape for name, v in params.items()}
     # k=None: all segments at once, on the whole stacks
@@ -418,7 +417,7 @@ def test_frozen_one_hot_routing_trains_only_the_segment_expert():
             view = params[f"{layer}.{part}"]
             assert view.shape == stack.shape and np.shares_memory(view, stack)
     rows = np.concatenate([np.arange(3)] * plan.segments)
-    _, grads = adapt.segment_grads(f, ad, None, batch[rows], plan.boundaries)
+    _, grads = adapt.segment_grads(f, ad, None, batch[rows])
     assert {name: g.shape for name, g in grads.items()} == {
         name: v.shape for name, v in params.items()}
     soft = setup_adapter(experts=2, segments=2)[2]
@@ -429,7 +428,7 @@ def test_frozen_one_hot_routing_trains_only_the_segment_expert():
 def test_soft_routing_still_produces_logit_gradients():
     f, plan, ad = setup_adapter(experts=3, segments=2)
     batch = make_batch(f.lookback, plan.horizon, d=2, n=4, seed=4)
-    _, grads = adapt.segment_grads(f, ad, 1, batch, plan.boundaries[0])
+    _, grads = adapt.segment_grads(f, ad, 1, batch)
     assert set(grads) == set(adapt.adaptation_params(ad, 1))
     for layer in ad.adapted_layers:
         assert grads[f"{layer}.logits.k1"].shape == (3,)
@@ -481,7 +480,7 @@ def test_stacked_weights_and_grads_match_per_expert_loop(routing):
             if routing == "one-hot":  # one expert of weight 1: W + B_k A_k exactly
                 assert np.array_equal(view.params.get(layer), want)
             assert close(view.params.get(layer), want), (k, layer)
-        loss, grads = adapt.segment_grads(f, ad, k, batch, sl)
+        loss, grads = adapt.segment_grads(f, ad, k, batch)
         ref_loss, ref = reference_segment_grads(f, ad, k, batch, sl)
         assert abs(loss - ref_loss) <= 1e-12 * ref_loss
         for layer in ad.adapted_layers:
@@ -530,14 +529,67 @@ def test_one_hot_segment_grads_are_the_weight_one_formula_bitwise():
     lockstep = ws[np.concatenate([rng.permutation(len(ws))[:4] for _ in range(3)])]
     cases = [(k, ws, plan.boundaries[k - 1]) for k in (1, 2, 3)]
     for k, batch, sl in cases + [(None, lockstep, plan.boundaries)]:
-        loss, grads = adapt.segment_grads(f, ad, k, batch, sl)
+        loss, grads = adapt.segment_grads(f, ad, k, batch)
         want_loss, want = weight_one_grads(f, ad, k, batch, sl)
         assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
         assert grads.keys() == want.keys()
         for name, g in grads.items():
             assert g.shape == want[name].shape and g.tobytes() == want[name].tobytes(), (k, name)
     with pytest.raises(ValueError, match="segment index"):
-        adapt.segment_grads(f, ad, 4, ws, plan.boundaries[0])
+        adapt.segment_grads(f, ad, 4, ws)
+
+
+def soft_grads(f, ad, k, batch, sl):
+    """Soft segment_grads formed from model.loss_and_grads on label rows sl:
+    the chain rule through the W_eff of segment k's mixing weights."""
+    deltas = {layer: adapt.normalize_weights(ad.logits[layer][k - 1])
+              for layer in ad.adapted_layers}
+    eff = {layer: adapt.effective_weight(f.params[layer], ad.a[layer], ad.b[layer], d)
+           for layer, d in deltas.items()}
+    loss, eff_grads = model.loss_and_grads(f, batch, sl, overrides=eff)
+    grads = {}
+    for layer, delta in deltas.items():
+        a, b, g, weight = ad.a[layer], ad.b[layer], eff_grads[layer], delta[:, None, None]
+        bt_g = b.swapaxes(-1, -2) @ g
+        grads[f"{layer}.a"] = weight * bt_g
+        grads[f"{layer}.b"] = weight * (g @ a.swapaxes(-1, -2))
+        d_delta = np.einsum("prd,prd->p", bt_g, a)
+        grads[f"{layer}.logits.k{k}"] = delta * (d_delta - float(delta @ d_delta))
+    return loss, grads
+
+
+@pytest.mark.parametrize("routing", ["soft", "one-hot"])
+def test_a_segment_index_names_its_label_rows(routing):
+    # segment k's loss and step read label rows plan.boundaries[k - 1] and no
+    # others: bitwise model.mse_loss and model.loss_and_grads on those rows,
+    # and not on the rows of the next segment
+    f, plan, ad = setup_adapter(experts=3, segments=3, head_out=2)
+    rng = np.random.default_rng(29)
+    for layer in ad.adapted_layers:
+        ad.b[layer][:] = rng.normal(size=ad.b[layer].shape) * 0.3
+        ad.logits[layer][:] = rng.normal(size=ad.logits[layer].shape)
+    if routing == "one-hot":
+        adapt.freeze_one_hot_routing(ad)
+    formula = soft_grads if routing == "soft" else weight_one_grads
+    ws = make_batch(f.lookback, plan.horizon, d=2, n=5, seed=30)
+    for k in range(1, plan.segments + 1):
+        rows = plan.boundaries[k - 1]
+        loss = adapt.segment_loss(f, ad, k, ws)
+        assert loss.hex() == model.mse_loss(adapt.adapted_model(f, ad, k), ws, rows).hex()
+        step_loss, grads = adapt.segment_grads(f, ad, k, ws)
+        for sl, same in ((rows, True), (plan.boundaries[k % plan.segments], False)):
+            want_loss, want = formula(f, ad, k, ws, sl)
+            assert grads.keys() == want.keys()
+            assert (step_loss == want_loss) is same, (k, sl)
+            for name, g in grads.items():
+                assert (g.tobytes() == want[name].tobytes()) is same, (k, sl, name)
+    if routing == "one-hot":
+        # the lockstep of all K segments scores segment k's batch on segment
+        # k's rows (bitwise: the weight-one test above), not on shuffled rows
+        lockstep = ws[np.concatenate([rng.permutation(len(ws))[:4] for _ in range(3)])]
+        loss, _ = adapt.segment_grads(f, ad, None, lockstep)
+        shuffled, _ = weight_one_grads(f, ad, None, lockstep, plan.boundaries[::-1])
+        assert loss.shape == (plan.segments,) and not np.array_equal(loss, shuffled)
 
 
 def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise():

@@ -300,8 +300,8 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
         adapter.b[name][:] = rng.normal(size=adapter.b[name].shape)
         adapter.logits[name][:] = rng.normal(size=adapter.logits[name].shape)
     blocks = train.mola_forecaster(foundation, adapter)
-    [err] = train.forecast_errors(lambda h: train.mola_forecast(foundation, adapter, h),
-                                  ds, 8, horizon, "test")
+    [err] = data.windows(ds, 8, horizon, "test").errors(
+        lambda h: train.mola_forecast(foundation, adapter, h))
     want_samples = (err ** 2).mean(axis=2).T  # (N, T)
     raw = err * ds.norm_stats.std
     want_mse, want_mae = (raw * raw).mean(axis=(1, 2)), np.abs(raw).mean(axis=(1, 2))

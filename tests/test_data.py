@@ -525,7 +525,7 @@ def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch
 
     want = ws.history_block()[-3:] * 1.5 - ws.label_block(2, 4)
     blocks = list(ws.errors(fn, 2, 4))
-    assert [b.shape for b in blocks] == [(3, 3 * (c.stop - c.start)) for c in chunks]
+    assert [b.shape for b in blocks] == [(3, c.stop - c.start, 3) for c in chunks]
     assert all(b.flags.c_contiguous for b in blocks)
     assert np.concatenate(blocks, axis=1).tobytes() == want.tobytes()
     assert calls == [c.stop - c.start for c in chunks]

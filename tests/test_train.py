@@ -397,6 +397,16 @@ def make_adapted(ds, segments=2, horizon=4, experts=2, rank=2, seed=0, cfg=None,
     return foundation, plan, adapter, records
 
 
+def row_metrics(forecast_fn, ds, lookback, horizon, split, first, last):
+    """evaluate_forecaster's metrics of label rows first..last alone, steps
+    keeping their absolute index, as adapt_all_segments measures a segment:
+    StepErrors over the split's error stream of those rows."""
+    steps = train.StepErrors(first, last)
+    for err in data.windows(ds, lookback, horizon, split).errors(forecast_fn, first, last):
+        steps.add(err)
+    return steps.metrics(split)
+
+
 def test_adapt_zero_init_epoch0_val_matches_foundation():
     ds = sine_dataset()
     pre_cfg = small_config(max_epochs=1, seed=3)
@@ -482,9 +492,8 @@ def test_adapt_drift_matches_a_reloaded_adapter(tmp_path):
     adapt.save_adapter(adapter, path)
     loaded = adapt.load_adapter(path)
     for k, rec in enumerate(records, start=1):
-        again = train.evaluate_forecaster(
-            lambda h: model.forecast(adapt.adapted_model(foundation, loaded, k), h),
-            ds, 8, plan.horizon, split="val", target_rows=plan.boundaries[k - 1])
+        again = row_metrics(lambda h: model.forecast(adapt.adapted_model(foundation, loaded, k), h),
+                            ds, 8, plan.horizon, "val", *plan.boundaries[k - 1])
         drift = train.run_summary(rec)["drift"]
         assert drift == {"val_mse_at_freeze": rec.final_metrics["mse"],
                          "val_mse_final": again["mse"],
@@ -518,21 +527,23 @@ def test_last_fit_validates_its_segments_once(monkeypatch, routing, experts, pas
     adapter = adapt.new_adapter(foundation, plan, n_experts=experts, rank=2, seed=1,
                                 routing=routing)
     calls = []
-    real = train.evaluate_forecaster
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["target_rows"])
-        return real(*args, **kwargs)
+    class Counting(train.StepErrors):  # one per validation pass
+        def __init__(self, first, last):
+            calls.append((first, last))
+            super().__init__(first, last)
 
-    monkeypatch.setattr(train, "evaluate_forecaster", counting)
+    monkeypatch.setattr(train, "StepErrors", Counting)
     cfg = small_config(learning_rate=3e-2, max_epochs=3, patience=3)
     adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
-    assert len(calls) == passes
+    assert len(calls) == passes and set(calls) == set(plan.boundaries)
     monkeypatch.undo()
     for k, rec in enumerate(records, start=1):
-        again = train.evaluate_forecaster(
-            lambda h: model.forecast(adapt.adapted_model(foundation, adapter, k), h),
-            ds, 8, plan.horizon, split="val", target_rows=plan.boundaries[k - 1])
+        lo, hi = plan.boundaries[k - 1]
+        # a segment's steps keep their absolute index
+        assert [r["step"] for r in rec.final_metrics["per_step"]] == list(range(lo, hi + 1))
+        again = row_metrics(lambda h: model.forecast(adapt.adapted_model(foundation, adapter, k), h),
+                            ds, 8, plan.horizon, "val", lo, hi)
         assert rec.drift == {"val_mse_at_freeze": rec.final_metrics["mse"],
                              "val_mse_final": again["mse"],
                              "val_mse_change": again["mse"] - rec.final_metrics["mse"]}
@@ -551,9 +562,9 @@ def test_one_hot_segments_fit_in_lockstep_as_if_alone(monkeypatch):
     steps = []
     real = adapt.segment_grads
 
-    def recording(foundation, adapter, k, batch, target_slice):
+    def recording(foundation, adapter, k, batch):
         steps.append(k)
-        return real(foundation, adapter, k, batch, target_slice)
+        return real(foundation, adapter, k, batch)
 
     monkeypatch.setattr(adapt, "segment_grads", recording)
     adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
@@ -600,9 +611,9 @@ def test_soft_segments_still_train_one_after_another(monkeypatch):
     initial, first_step, after_fit = stacks(), {}, []
     real_grads, real_fit = adapt.segment_grads, train.fit
 
-    def recording_grads(foundation, adapter, k, batch, target_slice):
+    def recording_grads(foundation, adapter, k, batch):
         first_step.setdefault(k, stacks())
-        return real_grads(foundation, adapter, k, batch, target_slice)
+        return real_grads(foundation, adapter, k, batch)
 
     def recording_fit(stages, *args, **kwargs):
         records = real_fit(stages, *args, **kwargs)
@@ -674,23 +685,35 @@ def random_mola(horizon, segments, routing, seed=0):
 
 @pytest.mark.parametrize("segments", [1, 2, 4])
 def test_mola_forecast_target_rows_are_rows_of_the_whole_forecast(segments):
+    # segment k's forecast is bitwise its target rows plan.boundaries[k - 1]
+    # of the stitched T-step forecast
     foundation, adapter = random_mola(8, segments, "soft")
     hist = data.windows(sine_dataset(), 8, 8, "test").history_block()
     whole = train.mola_forecast(foundation, adapter, hist)
     assert whole.shape == (8, hist.shape[1])
-    seg = 8 // segments
-    for first in range(1, 9, seg):
-        for last in range(first + seg - 1, 9, seg):
-            rows = train.mola_forecast(foundation, adapter, hist, target_rows=(first, last))
-            assert rows.tobytes() == whole[first - 1 : last].tobytes()
+    for k, (lo, hi) in enumerate(adapter.plan.boundaries, start=1):
+        rows = train.mola_forecast(foundation, adapter, hist, k)
+        assert rows.tobytes() == whole[lo - 1 : hi].tobytes()
 
 
 @pytest.mark.parametrize("rows", [(0, 2), (1, 10), (2, 4), (3, 5), (1, 3), (5, 4), (3, 2)])
 def test_mola_forecast_rejects_rows_that_are_not_whole_segments(rows):
+    # a row range reaches a mola model's forecasts only through the error
+    # stream of its per-segment forecaster, which refuses rows outside 1..T
+    # and rows that do not split into one equal block per segment
     foundation, adapter = random_mola(8, 4, "soft")
+    ws = data.windows(sine_dataset(), 8, 8, "test")
+    with pytest.raises(ValueError, match="label rows"):
+        ws.errors(train.mola_forecaster(foundation, adapter), *rows)
+
+
+@pytest.mark.parametrize("routing", ["soft", "one-hot"])
+@pytest.mark.parametrize("k", [0, -1, 5])
+def test_mola_forecast_rejects_a_segment_index_outside_the_plan(routing, k):
+    foundation, adapter = random_mola(8, 4, routing)
     hist = data.windows(sine_dataset(), 8, 8, "test")[0].history
-    with pytest.raises(ValueError, match="whole segments"):
-        train.mola_forecast(foundation, adapter, hist, target_rows=rows)
+    with pytest.raises(ValueError, match="segment index"):
+        train.mola_forecast(foundation, adapter, hist, k)
 
 
 # --- baselines ---
@@ -757,19 +780,6 @@ def test_evaluate_forecaster_per_step_shape_and_average():
     assert out["per_step"][0]["mse"] == pytest.approx(want, rel=1e-12)
 
 
-def test_evaluate_forecaster_target_rows():
-    ds = sine_dataset()
-    m = model.new_model(LIN8, head_out=2, seed=22)
-    out = train.evaluate_forecaster(
-        lambda h: model.forecast(m, h), ds, 8, 4, split="val", target_rows=(3, 4)
-    )
-    assert [row["step"] for row in out["per_step"]] == [3, 4]
-    # rows past the horizon are refused by the window set's label read
-    with pytest.raises(ValueError, match="outside 1..4"):
-        train.evaluate_forecaster(lambda h: model.forecast(m, h), ds, 8, 4, split="val",
-                                  target_rows=(4, 5))
-
-
 def test_evaluate_forecaster_rejects_bad_shape():
     ds = sine_dataset()
     m = model.new_model(LIN8, head_out=2, seed=23)
@@ -798,22 +808,16 @@ def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, 
         want = train.evaluate_forecaster(whole, ds, 8, horizon, split=split)
         got = train.evaluate_forecaster(blocks, ds, 8, horizon, split=split)
         assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
-        [err] = train.forecast_errors(whole, ds, 8, horizon, split)
-        parts = list(train.forecast_errors(blocks, ds, 8, horizon, split))
+        wins = data.windows(ds, 8, horizon, split)
+        [err] = wins.errors(whole)
+        parts = list(wins.errors(blocks))
         assert [p.shape[0] for p in parts] == [horizon // segments] * segments
         assert np.concatenate(parts).tobytes() == err.tobytes()
-    # rows of whole segments: steps keep their absolute index
-    seg = horizon // segments
-    first, last = (seg + 1, horizon) if segments > 1 else (1, horizon)
-    rows = [b for b in adapter.plan.boundaries if b[0] >= first]
-    want = train.evaluate_forecaster(
-        lambda h: train.mola_forecast(foundation, adapter, h, target_rows=(first, last)),
-        ds, 8, horizon, target_rows=(first, last))
-    got = train.evaluate_forecaster(
-        [lambda h, b=b: train.mola_forecast(foundation, adapter, h, target_rows=b) for b in rows],
-        ds, 8, horizon, target_rows=(first, last))
-    assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
-    assert [r["step"] for r in got["per_step"]] == list(range(first, last + 1))
+    # one segment's rows alone: its steps keep their absolute index and values
+    for k, (lo, hi) in enumerate(adapter.plan.boundaries, start=1):
+        got = row_metrics(lambda h: train.mola_forecast(foundation, adapter, h, k), ds, 8,
+                          horizon, "test", lo, hi)
+        assert got["per_step"] == want["per_step"][lo - 1 : hi]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -825,7 +829,7 @@ def test_one_row_blocks_score_like_the_whole_forecast(d):
 
     want = train.evaluate_forecaster(whole, ds, 8, 7)
     # numpy's means over each step's row of the whole (T, N, D) error array
-    [err] = train.forecast_errors(whole, ds, 8, 7, "test")
+    [err] = data.windows(ds, 8, 7, "test").errors(whole)
     assert err.shape == (7, len(data.windows(ds, 8, 7, "test")), d) and err.flags.c_contiguous
     assert [r["mse"] for r in want["per_step"]] == (err * err).mean(axis=(1, 2)).tolist()
     assert [r["mae"] for r in want["per_step"]] == np.abs(err).mean(axis=(1, 2)).tolist()
@@ -858,7 +862,7 @@ def test_step_errors_refuse_blocks_that_miss_steps_first_to_last(rows):
 
 @pytest.mark.parametrize("target, n_windows", [((1, 48), 2690), ((49, 96), 592), ((3, 4), None)])
 def test_val_loss_is_the_mean_of_the_evaluation_error_block(target, n_windows):
-    # mse_loss and forecast_errors are one pass: the loss sums the squared
+    # mse_loss and evaluation are one pass: the loss sums the squared
     # errors evaluation scores chunk by chunk, in chunk order, over their
     # count, which for one chunk is numpy's flat mean of the block
     if n_windows is None:
@@ -867,8 +871,7 @@ def test_val_loss_is_the_mean_of_the_evaluation_error_block(target, n_windows):
         ds, spec, lookback, horizon = etth_split(n_windows), ETTH_SPEC, 96, 192
     m = model.new_model(spec, head_out=target[1] - target[0] + 1, seed=3)
     wins = data.windows(ds, lookback, horizon, "val")
-    err = error_array(list(train.forecast_errors(lambda h: model.forecast(m, h), ds, lookback,
-                                                 horizon, "val", *target)))
+    err = error_array(list(wins.errors(lambda h: model.forecast(m, h), *target)))
     want = float(chunk_order_sum(err * err, wins.chunks(), None) / err.size)
     assert model.mse_loss(m, wins, target).hex() == want.hex()
     flat_mean = float((err * err).mean())
@@ -939,7 +942,7 @@ def etth_mola(seed=0):
 
 
 def error_array(blocks, k=1):
-    """The (rows, N, D) error array of the blocks of ``forecast_errors``
+    """The (rows, N, D) error array of the blocks of ``WindowSet.errors``
     with k forecast callables: k row blocks per window chunk."""
     return np.concatenate([np.concatenate(blocks[i : i + k]) for i in range(0, len(blocks), k)],
                           axis=1)
@@ -973,21 +976,20 @@ def whole_split_passes(ds, foundation, adapter):
     of eval --destandardized (its second StepErrors); and as bytes, the
     mola forecaster's test error array, analyze variance's loss samples and
     the test windows' hash."""
-    val = data.windows(ds, 96, 192, "val")
+    val, test = data.windows(ds, 96, 192, "val"), data.windows(ds, 96, 192, "test")
     bounds = adapter.plan.boundaries
     losses = [model.mse_loss(foundation, val), model.mse_loss(foundation, val, bounds[2]),
-              *(adapt.segment_loss(foundation, adapter, k, val, bounds[k - 1]) for k in (1, 4))]
+              *(adapt.segment_loss(foundation, adapter, k, val) for k in (1, 4))]
     forecaster = train.mola_forecaster(foundation, adapter)
     raw = train.StepErrors(1, 192)
-    for err in train.forecast_errors(forecaster, ds, 96, 192, "test"):
+    for err in test.errors(forecaster):
         raw.add(err * ds.norm_stats.std)
     metrics = [
-        train.evaluate_forecaster(lambda h: model.forecast(foundation, h), ds, 96, 192,
-                                  split="val", target_rows=bounds[1]),
+        row_metrics(lambda h: model.forecast(foundation, h), ds, 96, 192, "val", *bounds[1]),
         train.evaluate_forecaster(forecaster, ds, 96, 192),
         raw.metrics("test"),
     ]
-    errors = error_array(list(train.forecast_errors(forecaster, ds, 96, 192, "test")), 4)
+    errors = error_array(list(test.errors(forecaster)), 4)
     arrays = [errors.tobytes(), cli._per_step_loss_samples(forecaster, ds, 96, 192, "test").tobytes(),
               analysis.window_set_hash(data.windows(ds, 96, 192, "test"))]
     return losses, metrics, arrays
@@ -1001,16 +1003,16 @@ def chunk_order_passes(ds, foundation, adapter):
     bounds = adapter.plan.boundaries
 
     def errors(m, split, rows):
-        return error_array(list(train.forecast_errors(lambda h: model.forecast(m, h), ds, 96, 192,
-                                                      split, *rows)))
+        return error_array(list(data.windows(ds, 96, 192, split).errors(
+            lambda h: model.forecast(m, h), *rows)))
 
     losses = []
     for m, rows in [(foundation, bounds[0]), (foundation, bounds[2]),
                     *((adapt.adapted_model(foundation, adapter, k), bounds[k - 1]) for k in (1, 4))]:
         err = errors(m, "val", rows)
         losses.append(float(chunk_order_sum(err * err, val_chunks, None) / err.size))
-    test = error_array(list(train.forecast_errors(train.mola_forecaster(foundation, adapter), ds,
-                                                  96, 192, "test")), 4)
+    test = error_array(list(data.windows(ds, 96, 192, "test").errors(
+        train.mola_forecaster(foundation, adapter))), 4)
     metrics = [chunk_order_metrics(errors(foundation, "val", bounds[1]), val_chunks, 49, "val"),
                chunk_order_metrics(test, test_chunks, 1, "test"),
                chunk_order_metrics(test * ds.norm_stats.std, test_chunks, 1, "test")]
@@ -1093,9 +1095,9 @@ def test_whole_split_passes_never_hold_the_split_history_block():
     history_bytes = 96 * len(val) * ds.d_channels * 8
     passes = {
         "mse_loss": lambda: model.mse_loss(foundation, val),
-        "segment_loss": lambda: adapt.segment_loss(foundation, adapter, 2, val, (49, 96)),
-        "forecast": lambda: train.evaluate_forecaster(
-            lambda h: model.forecast(foundation, h), ds, 96, 192, "val", target_rows=(1, 48)),
+        "segment_loss": lambda: adapt.segment_loss(foundation, adapter, 2, val),
+        "forecast": lambda: row_metrics(
+            lambda h: model.forecast(foundation, h), ds, 96, 192, "val", 1, 48),
         "mola": lambda: train.evaluate_forecaster(
             train.mola_forecaster(foundation, adapter), ds, 96, 192, "val"),
     }
@@ -1122,7 +1124,7 @@ def test_whole_split_pass_peaks_stay_level_as_the_split_grows():
         val = data.windows(ds, 96, 192, "val")
         passes = {
             "mse_loss": lambda: model.mse_loss(foundation, val),
-            "segment_loss": lambda: adapt.segment_loss(foundation, adapter, 2, val, (49, 96)),
+            "segment_loss": lambda: adapt.segment_loss(foundation, adapter, 2, val),
             "evaluate_forecaster": lambda: train.evaluate_forecaster(
                 train.mola_forecaster(foundation, adapter), ds, 96, 192, "val"),
             "window_set_hash": lambda: analysis.window_set_hash(val),
@@ -1148,8 +1150,8 @@ def test_step_errors_refuse_a_stream_that_skipped_one_chunk():
     # over different windows
     ds = etth_split(600)
     foundation, adapter = etth_mola()
-    blocks = list(train.forecast_errors(train.mola_forecaster(foundation, adapter), ds, 96, 192,
-                                        "test"))
+    blocks = list(data.windows(ds, 96, 192, "test").errors(train.mola_forecaster(foundation,
+                                                                                 adapter)))
     assert [b.shape[:2] for b in blocks] == [(48, 296)] * 4 + [(48, 304)] * 4
     streams = [blocks[:i] + blocks[i + 1 :] for i in range(8)] + [[blocks[0], *blocks[5:]]]
     for stream in streams:
