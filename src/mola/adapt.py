@@ -6,6 +6,10 @@ every encoder weight matrix:
 
     W_eff(k) = W + sum_p delta[k, p] * B_p @ A_p,   delta[k] = softmax(logits[k])
 
+Segment k trains and is scored on ``rows`` label rows from row ``first``:
+the seg_len rows from ``plan.first_rows[k - 1]``, the count being what the
+foundation's head predicts, so a segment is named by its index alone.
+
 Each adapted layer stores its P experts as two stacks, ``a[layer]`` of shape
 (P, r, d_in) and ``b[layer]`` of shape (P, d_out, r), next to its (K, P)
 routing logits; ``experts[layer][p]`` gives expert p's factors as views into
@@ -54,7 +58,7 @@ class SegmentPlan:
     horizon: int
     segments: int
     seg_len: int
-    boundaries: tuple[tuple[int, int], ...]  # 1-based inclusive (start, end)
+    first_rows: tuple[int, ...]  # 1-based first label row of each segment
 
 
 def make_segment_plan(horizon: int, segments: int, lookback: int | None = None) -> SegmentPlan:
@@ -75,8 +79,8 @@ def make_segment_plan(horizon: int, segments: int, lookback: int | None = None) 
             UserWarning,
             stacklevel=2,
         )
-    bounds = tuple((k * seg_len + 1, (k + 1) * seg_len) for k in range(segments))
-    return SegmentPlan(horizon=horizon, segments=segments, seg_len=seg_len, boundaries=bounds)
+    return SegmentPlan(horizon=horizon, segments=segments, seg_len=seg_len,
+                       first_rows=tuple(range(1, horizon + 1, seg_len)))
 
 
 def normalize_weights(logits: np.ndarray) -> np.ndarray:
@@ -303,8 +307,9 @@ def freeze_one_hot_routing(adapter: MolaAdapter) -> None:
 
 
 def _check_segment(adapter: MolaAdapter, k: int) -> None:
-    if not 1 <= k <= adapter.plan.segments:
-        raise ValueError(f"segment index {k} out of range 1..{adapter.plan.segments}")
+    if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+            or not 1 <= k <= adapter.plan.segments):
+        raise ValueError(f"segment index {k!r} is not an int in 1..{adapter.plan.segments}")
 
 
 def _segment_stacks(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
@@ -328,9 +333,11 @@ def _segment_stacks(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
 def adapted_model(
     foundation: model.FoundationModel, adapter: MolaAdapter, k: int
 ) -> model.FoundationModel:
-    """Materialize the frozen segment-k model.  Adapted weights are fresh
-    arrays; everything else aliases the foundation.  Training goes through
-    segment_grads, which passes W_eff as overrides instead."""
+    """Materialize the frozen segment-k model, for one segment k in 1..K.
+    Adapted weights are fresh arrays; everything else aliases the
+    foundation.  Training goes through segment_grads, which passes W_eff as
+    overrides instead."""
+    _check_segment(adapter, k)  # a view is one segment's, under either routing
     params = dict(foundation.params)
     for name, (a, b) in _segment_stacks(adapter, k).items():
         # under one-hot routing expert k alone, at the 1.0 of its softmax row
@@ -342,14 +349,16 @@ def adapted_model(
 
 
 def segment_loss(foundation, adapter, k: int, batch) -> float:
-    """MSE of the segment-k model on its label rows ``plan.boundaries[k - 1]``."""
+    """MSE of the segment-k model on its seg_len label rows from row
+    ``plan.first_rows[k - 1]``."""
     return model.mse_loss(adapted_model(foundation, adapter, k), batch,
-                          adapter.plan.boundaries[k - 1])
+                          adapter.plan.first_rows[k - 1])
 
 
 def segment_grads(foundation, adapter, k: int | None, batch):
     """Loss and gradients w.r.t. the segment-k adaptation parameters, keyed
-    like adaptation_params, on segment k's label rows ``plan.boundaries[k - 1]``.
+    like adaptation_params, on segment k's seg_len label rows from row
+    ``plan.first_rows[k - 1]``.
 
     Chain rule through W_eff = W + sum_p delta_p B_p A_p with dL/dW_eff = G,
     over the stacks of the experts the segment uses (see _segment_stacks):
@@ -374,13 +383,13 @@ def segment_grads(foundation, adapter, k: int | None, batch):
     the fits of train.adapt_all_segments.
     """
     stacks = _segment_stacks(adapter, k)
-    rows = adapter.plan.boundaries if k is None else adapter.plan.boundaries[k - 1]
+    first = adapter.plan.first_rows if k is None else adapter.plan.first_rows[k - 1]
     if adapter.routing == "one-hot":
-        return _one_hot_grads(foundation, stacks, k is not None, batch, rows)
+        return _one_hot_grads(foundation, stacks, k is not None, batch, first)
     weights = {name: normalize_weights(adapter.logits[name][k - 1]) for name in stacks}
     eff = {name: _effective_weight(foundation.params[name], a, b, weights[name])
            for name, (a, b) in stacks.items()}
-    loss, eff_grads = model.loss_and_grads(foundation, batch, rows, overrides=eff)
+    loss, eff_grads = model.loss_and_grads(foundation, batch, first, overrides=eff)
     grads: dict[str, np.ndarray] = {}
     for name, (a, b) in stacks.items():
         g_eff, delta = eff_grads[name], weights[name]
@@ -393,7 +402,7 @@ def segment_grads(foundation, adapter, k: int | None, batch):
     return loss, grads
 
 
-def _one_hot_grads(foundation, stacks, one_segment: bool, batch, rows):
+def _one_hot_grads(foundation, stacks, one_segment: bool, batch, first):
     """segment_grads under one-hot routing, on stacks of one expert per
     segment: (1, ...) slices for one segment, whose W_eff and G are one
     (d_out, d_in) matrix, or the (K, ...) stacks of all K segments."""
@@ -401,7 +410,7 @@ def _one_hot_grads(foundation, stacks, one_segment: bool, batch, rows):
     for name, (a, b) in stacks.items():
         w_eff = foundation.params[name] + b @ a
         eff[name] = w_eff[0] if one_segment else w_eff
-    loss, eff_grads = model.loss_and_grads(foundation, batch, rows, overrides=eff)
+    loss, eff_grads = model.loss_and_grads(foundation, batch, first, overrides=eff)
     grads: dict[str, np.ndarray] = {}
     for name, (a, b) in stacks.items():
         g_eff = eff_grads[name]

@@ -269,10 +269,10 @@ def per_step_probe(ds: data.SeriesDataset, lookback: int, steps,
         seed = config.seed + i
         m = model.new_model(spec, head_out=1, seed=seed)
         [record] = train.fit(
-            [train.Stage(f"probe-step-{t}", 0, lambda: model.mse_loss(m, val_w, (t, t)),
+            [train.Stage(f"probe-step-{t}", 0, lambda: model.mse_loss(m, val_w, t),
                          m.params)],
             train_w,
-            lambda batch: model.loss_and_grads(m, batch, (t, t)),
+            lambda batch: model.loss_and_grads(m, batch, t),
             replace(config, seed=seed),
         )
         seeds.append(seed)

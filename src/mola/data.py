@@ -1,8 +1,8 @@
 """Synthetic series, CSV ingestion, chronological splits, and sliding windows.
 
 Datasets are immutable after construction: an N x D float64 value matrix,
-per-channel names, and two split indices (train_end, val_end) marking the
-chronological train/val/test boundaries.  Window enumeration and
+per-channel names, and two split indices (train_end, val_end) marking where
+the chronological train and val splits end.  Window enumeration and
 standardization are pure functions that return new objects.
 
 The windows of a split form one :class:`WindowSet`: the read-only run of
@@ -12,7 +12,9 @@ set; indexing one with a slice or with window rows (a training batch)
 picks starts, not rows.  Every read of window rows beyond one window's
 views is one ``take`` of series rows into the (rows, N*D) column layout
 that models consume and errors are scored in.  This module alone knows
-where a window's rows lie and which label rows exist.  Every pass without
+where a window's rows lie and which label rows exist; every read names a
+block of them as ``rows`` label rows from row ``first`` (1-based), the
+count by default running through row T.  Every pass without
 gradients over a whole set, each val loss and each evaluation, is one
 :meth:`WindowSet.errors`, which gathers, forecasts and yields the errors
 of the set one :meth:`WindowSet.chunks` slice at a time, in chunks whose
@@ -175,12 +177,13 @@ class WindowSet(Sequence):
         bounds = [i * width for i in range(max(1, n // width))] + [n]
         return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    def errors(self, forecast_fn, first: int = 1, last: int | None = None) -> Iterator[np.ndarray]:
-        """Yield forecast minus label rows first..last (1-based, inclusive)
-        one :meth:`chunks` slice at a time, each block the C-contiguous
-        (r, n, D) view of an (r, n*D) block in the column order of
-        :meth:`history_block`: window i's channel c is ``[:, i, c]``.  This
-        is the one error stream, behind every val loss and every evaluation.
+    def errors(self, forecast_fn, first: int = 1, rows: int | None = None) -> Iterator[np.ndarray]:
+        """Yield forecast minus the ``rows`` label rows from row ``first``
+        (1-based; by default through row T) one :meth:`chunks` slice at a
+        time, each block the C-contiguous (r, n, D) view of an (r, n*D)
+        block in the column order of :meth:`history_block`: window i's
+        channel c is ``[:, i, c]``.  This is the one error stream, behind
+        every val loss and every evaluation.
 
         ``forecast_fn`` maps the (L, n*D) history block of a chunk to its
         (rows, n*D) forecast.  A sequence of k such callables splits the
@@ -197,7 +200,7 @@ class WindowSet(Sequence):
         if len(self) == 0:
             raise ValueError("no windows to score")
         fns = forecast_fn if isinstance(forecast_fn, (list, tuple)) else (forecast_fn,)
-        _, rows, _ = self._label_rows(first, last)
+        _, rows, _ = self._label_rows(_one_first_row(first), rows)
         if not fns or rows % len(fns):
             raise ValueError(f"label rows {first}..{first + rows - 1} do not split into "
                              f"{len(fns)} equal forecast blocks")
@@ -211,7 +214,7 @@ class WindowSet(Sequence):
             history = chunk.history_block()
             for i, fn in enumerate(fns):
                 a = first + i * r
-                err = chunk.label_block(a, a + r - 1)
+                err = chunk.label_block(a, r)
                 pred = np.asarray(fn(history), dtype=np.float64)
                 if pred.shape != err.shape:
                     raise ValueError(f"forecast block shape {pred.shape} is not the {err.shape} "
@@ -228,43 +231,36 @@ class WindowSet(Sequence):
         is channel c of window i.  This is the layout every model consumes."""
         return self._gather(_window_rows(0, (0,), self.lookback), None)
 
-    def label_block(self, first: int = 1, last: int | None = None) -> np.ndarray:
-        """Label rows first..last (1-based, inclusive) as a contiguous
-        (rows, N*D) block in the column order of :meth:`history_block`."""
-        starts, n_rows, _ = self._label_rows(first, last)
-        return self._gather(_window_rows(0, starts, n_rows), None)
+    def label_block(self, first: int = 1, rows: int | None = None) -> np.ndarray:
+        """The ``rows`` label rows from row ``first`` (1-based; by default
+        through row T) as a contiguous (rows, N*D) block in the column order
+        of :meth:`history_block`."""
+        starts, rows, _ = self._label_rows(_one_first_row(first), rows)
+        return self._gather(_window_rows(0, starts, rows), None)
 
-    def blocks(self, first=1, last=None) -> tuple[np.ndarray, np.ndarray]:
-        """The history block and the block of label rows first..last, both
-        from one take of the L history rows and then the label rows of every
-        window.  With K-row sequences ``first`` and ``last``, the windows are
-        K equal groups one after another, group k takes label rows first[k]
-        to last[k] (equally many in every group), and the blocks are views
-        of one (K, L + rows, N/K*D) block, each group's rows contiguous."""
-        starts, n_rows, groups = self._label_rows(first, last)
-        block = self._gather(_window_rows(self.lookback, starts, n_rows), groups)
+    def blocks(self, first=1, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """The history block and the block of the ``rows`` label rows from
+        row ``first``, both from one take of the L history rows and then the
+        label rows of every window.  With a sequence of K first rows, the
+        windows are K equal groups one after another, group k takes ``rows``
+        label rows from row first[k], and the blocks are views of one
+        (K, L + rows, N/K*D) block, each group's rows contiguous."""
+        starts, rows, groups = self._label_rows(first, rows)
+        block = self._gather(_window_rows(self.lookback, starts, rows), groups)
         return block[..., : self.lookback, :], block[..., self.lookback :, :]
 
-    def _label_rows(self, first, last) -> tuple[tuple[int, ...], int, int | None]:
-        """(starts, rows, groups) of label rows first..last (1-based,
-        inclusive): the window row of each group's first label row, counted
+    def _label_rows(self, first, rows) -> tuple[tuple[int, ...], int, int | None]:
+        """(starts, rows, groups) of the ``rows`` label rows from row
+        ``first`` (1-based; by default through row T from the largest first
+        row): the window row where each group's label rows start, counted
         from the first history row, the rows per group, and the number of
-        groups (None for one int range)."""
-        lookback, label_len = self.lookback, self.horizon
-        if isinstance(first, (int, np.integer)):
-            last = label_len if last is None else last
-            if not 1 <= first <= last <= label_len:
-                raise ValueError(f"label rows {first} to {last} outside 1..{label_len}")
-            return (lookback + first - 1,), last - first + 1, None
-        first, last = tuple(first), tuple(last)
-        n_rows = last[0] - first[0] + 1
-        if any(b - a + 1 != n_rows for a, b in zip(first, last)):
-            raise ValueError(f"label rows {list(first)} to {list(last)} "
-                             "differ in length between groups")
-        if n_rows < 1 or min(first) < 1 or max(last) > label_len:
-            raise ValueError(f"label rows {list(first)} to {list(last)} "
-                             f"outside 1..{label_len}")
-        return tuple(lookback + a - 1 for a in first), n_rows, len(first)
+        groups, None for one int ``first`` and K for a sequence of K."""
+        grouped = not isinstance(first, (int, np.integer))
+        firsts = tuple(first) if grouped else (first,)
+        rows = self.horizon + 1 - max(firsts, default=1) if rows is None else rows
+        if not firsts or rows < 1 or min(firsts) < 1 or max(firsts) + rows - 1 > self.horizon:
+            raise ValueError(f"{rows} label rows from row {first} outside 1..{self.horizon}")
+        return tuple(self.lookback + a - 1 for a in firsts), rows, len(firsts) if grouped else None
 
     def _gather(self, offsets: np.ndarray, groups: int | None) -> np.ndarray:
         """Window rows ``offsets`` (see _window_rows) of every window as one
@@ -278,6 +274,14 @@ class WindowSet(Sequence):
         # block is (K, W, N/K, D)
         n_rows, width = block.shape[1], block.shape[2] * block.shape[3]
         return block.reshape(k, n_rows, width) if groups else block.reshape(n_rows, width)
+
+
+def _one_first_row(first) -> int:
+    """``first`` if it is one first row; a sequence, such as a (first, last)
+    pair, raises the ValueError that names it."""
+    if not isinstance(first, (int, np.integer)):
+        raise ValueError(f"label rows from {first!r}: one first row expected, not a sequence")
+    return first
 
 
 @functools.lru_cache(maxsize=64)

@@ -6,7 +6,9 @@ one output per forecast step, and mean-squared-error training.  Every
 channel of a multivariate window passes through the same L -> rep_dim
 map, so a batch of B windows with D channels is processed as B*D columns.
 Gradients are derived by hand for this fixed op set (affine, relu/tanh,
-MSE); there is no general autodiff graph.
+MSE); there is no general autodiff graph.  A loss scores the model on
+``rows`` label rows from row ``first`` of each window; the head supplies
+the count (rows = head_out), so a caller names only the first row.
 
 A model's parameters are a plain name -> array dict plus one ``frozen``
 bool for the whole model.  An unfrozen model trains every entry; a frozen
@@ -245,57 +247,34 @@ def forecast(m: FoundationModel, history: np.ndarray) -> np.ndarray:
     return decode(m, encode(m, history))
 
 
-def _check_target(m: FoundationModel, target_slice) -> tuple[int, int]:
-    """The label rows (first, last) of a target slice, one per head output
-    (default: the first head_out); the window set checks that they exist."""
-    if target_slice is None:
-        target_slice = (1, m.head_out)
-    first, last = target_slice
-    if last - first + 1 != m.head_out:
-        raise ValueError(
-            f"target_slice {target_slice} selects {last - first + 1} steps "
-            f"but the head has {m.head_out} outputs"
-        )
-    return first, last
-
-
-def _stack_batch(m: FoundationModel, batch: WindowSet, target_slice):
-    """The (L, B*D) history and (rows, B*D) label blocks of a batch, copied
-    once: ``WindowSet.blocks`` gathers both from the batch's series in one
-    take, reading only the label rows the target slices select.  With one
-    target slice per group, the batch is K equal groups of windows one after
-    another, and both blocks gain a leading K axis: group k's label rows are
-    those of slice k."""
+def _stack_batch(m: FoundationModel, batch: WindowSet, first):
+    """The (L, B*D) history and (head_out, B*D) label blocks of a batch,
+    copied once: ``WindowSet.blocks`` gathers both from the batch's series
+    in one take, reading only the head_out label rows from row ``first``.
+    With K first rows, the batch is K equal groups of windows one after
+    another, and both blocks gain a leading K axis: group k's label rows
+    are the head_out from row first[k]."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     if batch.lookback != m.lookback:
         raise ValueError(f"history length {batch.lookback} != lookback {m.lookback}")
-    if target_slice is None or isinstance(target_slice[0], (int, np.integer)):
-        first, last = _check_target(m, target_slice)
-    elif len(target_slice) == 0:
-        raise ValueError("no target slices")
-    else:
-        first, last = zip(*(_check_target(m, t) for t in target_slice))
-    return batch.blocks(first, last)
+    return batch.blocks(first, m.head_out)
 
 
-def mse_loss(m: FoundationModel, batch: WindowSet, target_slice=None) -> float:
-    """Mean squared error over batch x selected steps x channels, for one
-    target slice (first, last): the sum of each chunk's sum of squared
+def mse_loss(m: FoundationModel, batch: WindowSet, first: int = 1) -> float:
+    """Mean squared error over batch x steps x channels of the head_out
+    label rows from row ``first``: the sum of each chunk's sum of squared
     errors from ``batch.errors``, in chunk order, over their count.  With
     one chunk that is bitwise numpy's mean of the block."""
-    first, last = _check_target(m, target_slice)
     total, count = 0.0, 0
-    for err in batch.errors(lambda history: forecast(m, history), first, last):
+    for err in batch.errors(lambda history: forecast(m, history), first, m.head_out):
         total += np.add.reduce(np.multiply(err, err, out=err), axis=None)
         count += err.size
         del err  # dropped before the next chunk is gathered
     return float(total / count)
 
 
-def loss_and_grads(
-    m: FoundationModel, batch: WindowSet, target_slice=None, overrides=None
-):
+def loss_and_grads(m: FoundationModel, batch: WindowSet, first=1, overrides=None):
     """Loss plus gradients: for every entry of an unfrozen model, and only
     for the ``overrides`` of a frozen one.
 
@@ -303,8 +282,9 @@ def loss_and_grads(
     entries: that is how adaptation trains the effective weights on top of
     a frozen model without building one per step.
 
-    With a sequence of K target slices, the batch is K equal groups of
-    windows (see ``_stack_batch``) and every array gains a leading K axis:
+    The loss is scored on the head_out label rows from row ``first``.  With
+    a sequence of K first rows, the batch is K equal groups of windows (see
+    ``_stack_batch``) and every array gains a leading K axis:
     overrides may be (K, ...) stacks, the loss is a (K,) array and each
     gradient is K per-group gradients, each bitwise what the group alone
     would give.
@@ -317,7 +297,7 @@ def loss_and_grads(
     else:
         overrides, weights = {}, m.params
     trained = overrides if m.frozen else weights
-    x, y = _stack_batch(m, batch, target_slice)
+    x, y = _stack_batch(m, batch, first)
     rep, caches = _encode_cols(m, x, keep_cache=True, weights=weights)
     head_w = weights["head.w"]
     diff = head_w @ rep

@@ -5,6 +5,10 @@ All stochasticity is keyed off the run seed.  Batch order for a stage draws
 from default_rng([seed, stage_key]) with stage_key 0 for whole-model
 training and k for adaptation of segment k, so stages can be reproduced in
 isolation, also when independent segments train in one lockstep fit.
+
+Losses and metrics read ``rows`` label rows from row ``first``: segment k's
+are the seg_len rows from ``plan.first_rows[k - 1]``, an evaluation's all T
+from row 1, and a :class:`StepErrors` counts its steps the same way.
 """
 
 from __future__ import annotations
@@ -420,7 +424,7 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
 
     def val_metrics(k: int) -> dict:
         return _step_metrics(val_w, lambda h: mola_forecast(foundation, adapter, h, k), "val",
-                             *plan.boundaries[k - 1])
+                             plan.first_rows[k - 1], plan.seg_len)
 
     def stage(k: int) -> Stage:
         return Stage(f"segment-{k}", k, lambda: adapt.segment_loss(foundation, adapter, k, val_w),
@@ -453,8 +457,9 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
 
 def mola_forecast(foundation: model.FoundationModel, adapter: adapt.MolaAdapter,
                   history: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Segment k's forecast: its adapted view's forecast of label rows
-    ``plan.boundaries[k - 1]``, the view's output itself, not a copy.  With
+    """Segment k's forecast: its adapted view's forecast of the seg_len label
+    rows from row ``plan.first_rows[k - 1]``, the view's output itself, not
+    a copy.  With
     k None, concatenated inference: segment k's rows of the T-step forecast
     come from its view, for every k.  A k outside 1..K raises the ValueError
     that names the segment index."""
@@ -495,36 +500,35 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
                          horizon)
 
 
-def _step_metrics(wins: data.WindowSet, forecast_fn, split: str, first: int, last: int) -> dict:
-    """The metrics of forecast_fn's label rows first..last over ``wins``,
-    steps keeping their absolute index."""
-    steps = StepErrors(first, last)
-    for err in wins.errors(forecast_fn, first, last):
+def _step_metrics(wins: data.WindowSet, forecast_fn, split: str, first: int, rows: int) -> dict:
+    """The metrics of forecast_fn's ``rows`` label rows from row ``first``
+    over ``wins``, steps keeping their absolute index."""
+    steps = StepErrors(first, rows)
+    for err in wins.errors(forecast_fn, first, rows):
         steps.add(err)
         del err  # dropped before the next block is made
     return steps.metrics(split)
 
 
 class StepErrors:
-    """Per-step MSE and MAE of steps first..last, summed one (r, n, D)
-    error block at a time, so that one stream of blocks can feed more than
-    one set of metrics.
+    """Per-step MSE and MAE of ``steps`` steps from step ``first``, summed
+    one (r, n, D) error block at a time, so that one stream of blocks can
+    feed more than one set of metrics.
 
     Blocks come as ``WindowSet.errors``, the one error stream, yields them:
-    each holds the next r steps, and after step ``last`` the next block
+    each holds the next r steps, and after the last step the next block
     starts again at step ``first`` with the next windows.  A step's MSE and
     MAE are the sums of its blocks' sums of e**2 and |e|, in the order
     added, over its count of errors; with one block per step that is
     bitwise numpy's mean of the step's row."""
 
-    def __init__(self, first: int, last: int):
-        self.first, self.last = first, last
-        steps = last - first + 1
+    def __init__(self, first: int, steps: int):
+        self.first = first
         self.sq_sum, self.abs_sum = np.zeros(steps), np.zeros(steps)
         self.windows = np.zeros(steps, dtype=np.int64)  # windows added per step
         self.count = np.zeros(steps, dtype=np.int64)  # errors added per step
         self.added = 0  # steps of every block added
-        self.overran = False  # a block ran past step last
+        self.overran = False  # a block ran past the last step
 
     def add(self, err: np.ndarray) -> None:
         """Sum the next block of errors into its steps, overwriting ``err``."""
@@ -542,13 +546,13 @@ class StepErrors:
 
     def metrics(self, split: str) -> dict:
         """The metrics dict of evaluate_forecaster for the blocks added;
-        ValueError unless they cover the steps first..last, each step over
-        the same windows."""
+        ValueError unless they cover every step, each over the same
+        windows."""
         steps = len(self.count)
         if (self.overran or not self.added or self.added % steps
                 or (self.windows != self.windows[0]).any()):
             raise ValueError(f"errors of {self.added} steps were added for steps "
-                             f"{self.first}..{self.last}, over "
+                             f"{self.first}..{self.first + steps - 1}, over "
                              f"{sorted(set(self.windows.tolist()))} windows per step")
         mse, mae = self.sq_sum / self.count, self.abs_sum / self.count
         per_step = [{"step": self.first + j, "mse": float(a), "mae": float(b)}

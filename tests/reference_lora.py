@@ -125,7 +125,7 @@ def train_all_segments(foundation, ds, horizon, segments, rank, seed, config):
     out = []
     for k in range(1, segments + 1):
         pairs = lora_init(foundation, rank, seed, k - 1, layers)
-        target = ((k - 1) * seg_len + 1, k * seg_len)
+        target = (k - 1) * seg_len + 1  # segment k's first label row
         initial_val, epochs = train_segment(
             foundation, pairs, train_w, val_w, target, config, stage_key=k
         )

@@ -37,12 +37,12 @@ def make_batch(lookback, horizon, d=2, n=6, seed=0):
 def test_segment_plan_quarters():
     plan = adapt.make_segment_plan(96, 4)
     assert plan.seg_len == 24
-    assert plan.boundaries == ((1, 24), (25, 48), (49, 72), (73, 96))
+    assert plan.first_rows == (1, 25, 49, 73)
 
 
 def test_segment_plan_single():
     plan = adapt.make_segment_plan(5, 1)
-    assert plan.boundaries == ((1, 5),)
+    assert plan.first_rows == (1,)
     assert plan.seg_len == 5
 
 
@@ -360,7 +360,7 @@ def test_soft_routing_logit_gradient_is_inner_product_with_expert_update():
         ad.logits[layer][:] = rng.normal(size=ad.logits[layer].shape) * 0.5
     batch = make_batch(f.lookback, plan.horizon, d=2, n=4, seed=24)
     k = 1
-    sl = plan.boundaries[k - 1]
+    sl = plan.first_rows[k - 1]
     _, grads = adapt.segment_grads(f, ad, k, batch)
     deltas = {layer: adapt.normalize_weights(ad.logits[layer][k - 1])
               for layer in ad.adapted_layers}
@@ -472,7 +472,7 @@ def test_stacked_weights_and_grads_match_per_expert_loop(routing):
         return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     for k in range(1, plan.segments + 1):
-        sl = plan.boundaries[k - 1]
+        sl = plan.first_rows[k - 1]
         view = adapt.adapted_model(f, ad, k)
         for layer in ad.adapted_layers:
             want = reference_effective_weight(f.params.get(layer), ad.a[layer], ad.b[layer],
@@ -527,8 +527,8 @@ def test_one_hot_segment_grads_are_the_weight_one_formula_bitwise():
         ad.b[layer][:] = rng.normal(size=ad.b[layer].shape) * 0.3
     ws = make_batch(f.lookback, plan.horizon, d=2, n=5, seed=28)
     lockstep = ws[np.concatenate([rng.permutation(len(ws))[:4] for _ in range(3)])]
-    cases = [(k, ws, plan.boundaries[k - 1]) for k in (1, 2, 3)]
-    for k, batch, sl in cases + [(None, lockstep, plan.boundaries)]:
+    cases = [(k, ws, plan.first_rows[k - 1]) for k in (1, 2, 3)]
+    for k, batch, sl in cases + [(None, lockstep, plan.first_rows)]:
         loss, grads = adapt.segment_grads(f, ad, k, batch)
         want_loss, want = weight_one_grads(f, ad, k, batch, sl)
         assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
@@ -540,8 +540,9 @@ def test_one_hot_segment_grads_are_the_weight_one_formula_bitwise():
 
 
 def soft_grads(f, ad, k, batch, sl):
-    """Soft segment_grads formed from model.loss_and_grads on label rows sl:
-    the chain rule through the W_eff of segment k's mixing weights."""
+    """Soft segment_grads formed from model.loss_and_grads on the label rows
+    from row sl: the chain rule through the W_eff of segment k's mixing
+    weights."""
     deltas = {layer: adapt.normalize_weights(ad.logits[layer][k - 1])
               for layer in ad.adapted_layers}
     eff = {layer: adapt.effective_weight(f.params[layer], ad.a[layer], ad.b[layer], d)
@@ -560,9 +561,9 @@ def soft_grads(f, ad, k, batch, sl):
 
 @pytest.mark.parametrize("routing", ["soft", "one-hot"])
 def test_a_segment_index_names_its_label_rows(routing):
-    # segment k's loss and step read label rows plan.boundaries[k - 1] and no
-    # others: bitwise model.mse_loss and model.loss_and_grads on those rows,
-    # and not on the rows of the next segment
+    # segment k's loss and step read its seg_len label rows from row
+    # plan.first_rows[k - 1] and no others: bitwise model.mse_loss and
+    # model.loss_and_grads on those rows, and not on the next segment's
     f, plan, ad = setup_adapter(experts=3, segments=3, head_out=2)
     rng = np.random.default_rng(29)
     for layer in ad.adapted_layers:
@@ -573,11 +574,11 @@ def test_a_segment_index_names_its_label_rows(routing):
     formula = soft_grads if routing == "soft" else weight_one_grads
     ws = make_batch(f.lookback, plan.horizon, d=2, n=5, seed=30)
     for k in range(1, plan.segments + 1):
-        rows = plan.boundaries[k - 1]
+        rows = plan.first_rows[k - 1]
         loss = adapt.segment_loss(f, ad, k, ws)
         assert loss.hex() == model.mse_loss(adapt.adapted_model(f, ad, k), ws, rows).hex()
         step_loss, grads = adapt.segment_grads(f, ad, k, ws)
-        for sl, same in ((rows, True), (plan.boundaries[k % plan.segments], False)):
+        for sl, same in ((rows, True), (plan.first_rows[k % plan.segments], False)):
             want_loss, want = formula(f, ad, k, ws, sl)
             assert grads.keys() == want.keys()
             assert (step_loss == want_loss) is same, (k, sl)
@@ -588,8 +589,34 @@ def test_a_segment_index_names_its_label_rows(routing):
         # k's rows (bitwise: the weight-one test above), not on shuffled rows
         lockstep = ws[np.concatenate([rng.permutation(len(ws))[:4] for _ in range(3)])]
         loss, _ = adapt.segment_grads(f, ad, None, lockstep)
-        shuffled, _ = weight_one_grads(f, ad, None, lockstep, plan.boundaries[::-1])
+        shuffled, _ = weight_one_grads(f, ad, None, lockstep, plan.first_rows[::-1])
         assert loss.shape == (plan.segments,) and not np.array_equal(loss, shuffled)
+
+
+@pytest.mark.parametrize("k", [None, True, 1.0, 0, "K+1"])
+@pytest.mark.parametrize("routing", ["soft", "one-hot"])
+def test_a_view_takes_one_int_segment_index(routing, k):
+    # an adapted view is one segment's, named by an int in 1..K under either
+    # routing: None (the one-hot lockstep's k), a bool and a float are not
+    # segment indices, so adapted_model, segment_loss and a segment's
+    # mola_forecast raise the ValueError that names the index instead of
+    # failing in the mixture, picking segment 1 or raising IndexError
+    from mola import train
+
+    f, plan, ad = setup_adapter(experts=4, segments=4, head_out=2)
+    if routing == "one-hot":
+        adapt.freeze_one_hot_routing(ad)
+    k = plan.segments + 1 if k == "K+1" else k
+    ws = make_batch(f.lookback, plan.horizon, d=2, n=4, seed=31)
+    with pytest.raises(ValueError, match="segment index"):
+        adapt.adapted_model(f, ad, k)
+    with pytest.raises(ValueError, match="segment index"):
+        adapt.segment_loss(f, ad, k, ws)
+    if k is not None:  # mola_forecast's k None is the whole-horizon stitch
+        with pytest.raises(ValueError, match="segment index"):
+            train.mola_forecast(f, ad, ws[0].history, k)
+        with pytest.raises(ValueError, match="segment index"):
+            adapt.segment_grads(f, ad, k, ws)
 
 
 def test_adapt_all_segments_one_hot_leaves_other_experts_bitwise():

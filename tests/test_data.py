@@ -383,7 +383,7 @@ def test_window_set_indexing():
 
 def test_indexed_batch_stacks_like_np_stack():
     # np.stack of the windows is the ground truth for a batch's blocks, for
-    # one label slice and for K groups with a slice each
+    # one first label row and for K groups with a first row each
     ds = make_ds(n=120, d=3)
     ws = data.windows(ds, lookback=6, horizon=6, split="train")
     m = model.new_model(model.EncoderSpec(kind="linear", in_len=6), head_out=2, seed=0)
@@ -397,88 +397,93 @@ def test_indexed_batch_stacks_like_np_stack():
 
     groups = [slice(4 * k, 4 * k + 4) for k in range(3)]
     cases = [
-        ((3, 4), cols(hist), cols(lab[:, 2:4])),
-        (((1, 2), (3, 4), (5, 6)), np.stack([cols(hist[g]) for g in groups]),
+        (3, cols(hist), cols(lab[:, 2:4])),
+        ((1, 3, 5), np.stack([cols(hist[g]) for g in groups]),
          np.stack([cols(lab[g, 2 * k : 2 * k + 2]) for k, g in enumerate(groups)])),
     ]
     batch = ws[idx]
-    for target, want_x, want_y in cases:
-        x, y = model._stack_batch(m, batch, target)
+    for first, want_x, want_y in cases:
+        x, y = model._stack_batch(m, batch, first)
         assert x.tobytes() == want_x.tobytes() and x.shape == want_x.shape
         assert y.tobytes() == want_y.tobytes() and y.shape == want_y.shape
     assert batch.history_block().tobytes() == cols(hist).tobytes()
-    assert batch.label_block(2, 5).tobytes() == cols(lab[:, 1:5]).tobytes()
+    assert batch.label_block(2, 4).tobytes() == cols(lab[:, 1:5]).tobytes()
     with pytest.raises(ValueError, match="empty batch"):
-        model._stack_batch(m, ws[idx[:0]], None)
+        model._stack_batch(m, ws[idx[:0]], 1)
 
 
 def test_grouped_blocks_stack_each_groups_block():
     # K equal groups of windows: block k is group k's own block, with its
-    # own label rows
+    # own label rows, equally many in every group
     ds = make_ds(n=120, d=3)
     ws = data.windows(ds, lookback=6, horizon=6, split="train")
     idx = np.random.default_rng(1).permutation(len(ws))[:12]
-    batch, firsts, lasts = ws[idx], (1, 3, 5), (2, 4, 6)
-    x, y = batch.blocks(firsts, lasts)
+    batch, firsts = ws[idx], (1, 3, 5)
+    x, y = batch.blocks(firsts, 2)
     assert x.shape == (3, 6, 4 * 3) and y.shape == (3, 2, 4 * 3)
     for k in range(3):
         group = ws[idx[4 * k : 4 * (k + 1)]]
         assert x[k].tobytes() == group.history_block().tobytes()
-        assert y[k].tobytes() == group.label_block(firsts[k], lasts[k]).tobytes()
+        assert y[k].tobytes() == group.label_block(firsts[k], 2).tobytes()
     with pytest.raises(ValueError, match="equal groups"):
-        ws[idx[:11]].blocks(firsts, lasts)
-    with pytest.raises(ValueError, match="differ in length"):
-        batch.blocks((1, 3, 5), (2, 4, 5))
+        ws[idx[:11]].blocks(firsts, 2)
     with pytest.raises(ValueError, match="outside 1..6"):
-        batch.blocks((1, 5), (3, 7))
+        batch.blocks((1, 5), 3)
 
 
 def test_label_rows_outside_the_horizon_are_refused():
-    # an int range of label rows is checked like the grouped ranges: rows
-    # outside 1..T, or a range that runs backwards, raise instead of
-    # giving a clipped or empty block
+    # one first row is checked like the grouped first rows: rows outside
+    # 1..T, or a count below 1, raise instead of giving a clipped or empty
+    # block
     ws = data.windows(make_ds(n=120, d=3), lookback=6, horizon=8, split="train")
-    for first, last in ((0, 3), (7, 12), (9, None), (5, 4)):
+    for first, rows in ((0, 4), (7, 6), (9, None), (5, 0), (5, -1)):
         with pytest.raises(ValueError, match="outside 1..8"):
-            ws.label_block(first, last)
+            ws.label_block(first, rows)
         with pytest.raises(ValueError, match="outside 1..8"):
-            ws.blocks(first, last)
+            ws.blocks(first, rows)
     with pytest.raises(ValueError, match="outside 1..8"):
-        ws[:4].blocks((3, 2), (2, 1))
-    assert ws.label_block(8, 8).shape == (1, len(ws) * 3)
+        ws[:4].blocks((3, 2), 0)
+    assert ws.label_block(8, 1).shape == (1, len(ws) * 3)
     assert ws.label_block(3).shape == (6, len(ws) * 3)
+    # an old (first, last) pair where one first row is read raises the
+    # ValueError that names it, not a TypeError
+    for pair in ((2, 5), [2, 5], np.array([2, 5])):
+        with pytest.raises(ValueError, match=r"label rows from .*2,? +5"):
+            ws.label_block(pair)
+        with pytest.raises(ValueError, match=r"label rows from .*2,? +5"):
+            ws.errors(lambda h: h[:4], pair)
 
 
 def test_label_block_is_each_windows_label_rows():
-    # label_block(first, last) is label rows first..last of every window in
-    # the column layout of history_block, (rows, N*D) and C-ordered, for the
-    # whole set, a slice and a set of window rows alike
+    # label_block(first, rows) is the rows label rows from row first of
+    # every window in the column layout of history_block, (rows, N*D) and
+    # C-ordered, for the whole set, a slice and a set of window rows alike
     ds = make_ds(n=120, d=3)
     ws = data.windows(ds, lookback=6, horizon=5, split="train")
     idx = np.array([7, 0, 7, 3, len(ws) - 1])
     for source in (ws, ws[2:9], ws[idx]):
-        for first, last in ((1, None), (2, 4), (5, 5)):
-            got = source.label_block(first, last)
-            stop = 5 if last is None else last
+        for first, rows in ((1, None), (2, 3), (5, 1)):
+            got = source.label_block(first, rows)
+            stop = 5 if rows is None else first + rows - 1
             want = np.stack([ds.values[n + first : n + stop + 1] for n in source.origin], axis=1)
             assert got.shape == (stop - first + 1, len(source) * 3) and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
-    for first, last in ((0, 3), (4, 6), (6, None), (4, 3)):
+    for first, rows in ((0, 3), (4, 3), (6, None), (4, 0)):
         with pytest.raises(ValueError, match="outside 1..5"):
-            ws.label_block(first, last)
+            ws.label_block(first, rows)
 
 
 def test_batch_blocks_gather_history_and_labels_in_one_take():
-    # blocks(first, last) is history_block() and label_block(first, last)
+    # blocks(first, rows) is history_block() and label_block(first, rows)
     # bitwise, for a whole window's labels and for one slice, as two views
     # of one take
     ds = make_ds(n=120, d=3)
     ws = data.windows(ds, lookback=6, horizon=6, split="train")
     idx = np.random.default_rng(4).permutation(len(ws))[:12]
     for source in (ws, ws[idx], ws[2:9]):
-        for first, last in ((1, None), (3, 4)):
-            x, y = source.blocks(first, last)
-            want_x, want_y = source.history_block(), source.label_block(first, last)
+        for first, rows in ((1, None), (3, 2)):
+            x, y = source.blocks(first, rows)
+            want_x, want_y = source.history_block(), source.label_block(first, rows)
             assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
             assert y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
             assert x.base is y.base and x.flags.c_contiguous and y.flags.c_contiguous
@@ -507,8 +512,8 @@ def test_chunks_are_window_slices_of_whole_8_column_runs(d):
 
 
 def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch):
-    # errors(fn, first, last) yields fn's forecast minus label_block(first,
-    # last) chunk by chunk, with fn called once per chunk on that chunk's
+    # errors(fn, first, rows) yields fn's forecast minus label_block(first,
+    # rows) chunk by chunk, with fn called once per chunk on that chunk's
     # history block; a columnwise fn gives every column the bits of one
     # call on the whole.  k callables give k row blocks per chunk, each
     # forecast from the chunk's one history block
@@ -523,8 +528,8 @@ def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch
         calls.append(history.shape[1] // 3)
         return history[-3:] * 1.5
 
-    want = ws.history_block()[-3:] * 1.5 - ws.label_block(2, 4)
-    blocks = list(ws.errors(fn, 2, 4))
+    want = ws.history_block()[-3:] * 1.5 - ws.label_block(2, 3)
+    blocks = list(ws.errors(fn, 2, 3))
     assert [b.shape for b in blocks] == [(3, c.stop - c.start, 3) for c in chunks]
     assert all(b.flags.c_contiguous for b in blocks)
     assert np.concatenate(blocks, axis=1).tobytes() == want.tobytes()
@@ -538,7 +543,7 @@ def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch
         return forecast
 
     calls.clear()
-    blocks = list(ws.errors([row(0), row(1), row(2)], 2, 4))
+    blocks = list(ws.errors([row(0), row(1), row(2)], 2, 3))
     assert len(blocks) == 3 * len(chunks)
     assert np.concatenate([np.concatenate(blocks[i : i + 3]) for i in range(0, len(blocks), 3)],
                           axis=1).tobytes() == want.tobytes()
@@ -546,11 +551,11 @@ def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch
     # a forecast of another shape is refused, also one that would broadcast
     for bad in (lambda h: h[-3:, :1], lambda h: h[-2:], lambda h: h[-3:].ravel()):
         with pytest.raises(ValueError, match="forecast block shape"):
-            list(ws.errors(bad, 2, 4))
+            list(ws.errors(bad, 2, 3))
     with pytest.raises(ValueError, match="do not split into 2 equal forecast blocks"):
-        ws.errors([fn, fn], 2, 4)
+        ws.errors([fn, fn], 2, 3)
     with pytest.raises(ValueError, match="outside 1..5"):
-        ws.errors(fn, 4, 6)
+        ws.errors(fn, 4, 3)
     with pytest.raises(ValueError, match="no windows"):
         ws[:0].errors(fn)
 

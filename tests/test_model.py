@@ -58,7 +58,9 @@ def forward_by_hand(m, history):
     return rep, out
 
 
-def fd_gradient(m, batch, target_slice, name, h=1e-5):
+def fd_gradient(m, batch, first, name, h=1e-5):
+    # None, as the acceptance tests pass it, is the default first row
+    first = 1 if first is None else first
     arr = m.params.get(name)
     grad = np.zeros_like(arr)
     it = np.nditer(arr, flags=["multi_index"])
@@ -66,9 +68,9 @@ def fd_gradient(m, batch, target_slice, name, h=1e-5):
         idx = it.multi_index
         keep = arr[idx]
         arr[idx] = keep + h
-        up = model.mse_loss(m, batch, target_slice)
+        up = model.mse_loss(m, batch, first)
         arr[idx] = keep - h
-        down = model.mse_loss(m, batch, target_slice)
+        down = model.mse_loss(m, batch, first)
         arr[idx] = keep
         grad[idx] = (up - down) / (2.0 * h)
     return grad
@@ -222,21 +224,24 @@ def test_gradients_match_finite_differences(spec_fn):
             assert np.max(np.abs(grads[name] - fd) / denom) <= 1e-5, name
 
 
-def test_target_slice_selects_steps():
+def test_first_row_selects_steps():
+    # the head's 2 outputs are scored on the 2 label rows from row first
     m = model.new_model(linear_spec(4), head_out=2, seed=2)
     batch = make_batch(4, 6, 1, n=3, seed=7)
-    loss_a = model.mse_loss(m, batch, target_slice=(3, 4))
+    loss_a = model.mse_loss(m, batch, first=3)
     hand = []
     for w in batch:
         pred = model.forecast(m, w.history)
         hand.append((pred - w.label[2:4]) ** 2)
     assert loss_a == pytest.approx(float(np.mean(hand)), rel=1e-12)
-    with pytest.raises(ValueError):
-        model.mse_loss(m, batch, target_slice=(1, 3))  # length 3 != head_out
     # label rows are checked where they are read
-    for past in ((6, 7), (0, 1)):
+    for past in (6, 0):
         with pytest.raises(ValueError, match="outside 1..6"):
-            model.mse_loss(m, batch, target_slice=past)
+            model.mse_loss(m, batch, first=past)
+    # an old (first, last) pair names its rows in a ValueError
+    for pair in ((3, 4), [3, 4]):
+        with pytest.raises(ValueError, match=r"label rows from \(3, 4\)|label rows from \[3, 4\]"):
+            model.mse_loss(m, batch, pair)
     with pytest.raises(ValueError):
         model.loss_and_grads(m, batch[:0])
 
@@ -244,18 +249,18 @@ def test_target_slice_selects_steps():
 @pytest.mark.parametrize("spec_fn", [lambda: linear_spec(6), lambda: mlp_spec(6, activation="relu"),
                                      lambda: mlp_spec(6)])
 def test_stacked_loss_and_grads_equal_per_group_calls_bitwise(spec_fn):
-    # K groups of windows with one target slice each, in one call, give the
+    # K groups of windows with one first row each, in one call, give the
     # K losses and gradients of K separate calls, bit for bit; for an
     # unfrozen model, and for a frozen one with (K, ...) weight overrides
     wins = make_batch(6, 12, 2, n=45, seed=4)
     k, b = 3, 15
-    slices = ((1, 4), (5, 8), (9, 12))
+    firsts = (1, 5, 9)
     groups = [wins[np.arange(i * b, (i + 1) * b)] for i in range(k)]
     m = model.new_model(spec_fn(), head_out=4, seed=2)
-    loss, grads = model.loss_and_grads(m, wins, slices)
+    loss, grads = model.loss_and_grads(m, wins, firsts)
     assert loss.shape == (k,) and set(grads) == set(m.params)
     for i in range(k):
-        want_loss, want = model.loss_and_grads(m, groups[i], slices[i])
+        want_loss, want = model.loss_and_grads(m, groups[i], firsts[i])
         assert loss[i] == want_loss
         for name, g in want.items():
             assert grads[name][i].tobytes() == g.tobytes(), name
@@ -263,16 +268,16 @@ def test_stacked_loss_and_grads_equal_per_group_calls_bitwise(spec_fn):
     rng = np.random.default_rng(9)
     stacks = {name: m.params[name] + 0.1 * rng.normal(size=(k, *m.params[name].shape))
               for name in m.params if name.endswith(".w")}
-    loss, grads = model.loss_and_grads(m, wins, slices, overrides=stacks)
+    loss, grads = model.loss_and_grads(m, wins, firsts, overrides=stacks)
     assert set(grads) == set(stacks)
     for i in range(k):
         want_loss, want = model.loss_and_grads(
-            m, groups[i], slices[i], overrides={n: w[i] for n, w in stacks.items()})
+            m, groups[i], firsts[i], overrides={n: w[i] for n, w in stacks.items()})
         assert loss[i] == want_loss
         for name, g in want.items():
             assert grads[name][i].tobytes() == g.tobytes(), name
     with pytest.raises(ValueError, match="equal groups"):
-        model.loss_and_grads(m, wins[np.arange(44)], slices, overrides=stacks)
+        model.loss_and_grads(m, wins[np.arange(44)], firsts, overrides=stacks)
 
 
 @pytest.mark.parametrize("spec_fn", [lambda: linear_spec(6), lambda: mlp_spec(6, activation="relu"),
@@ -301,8 +306,8 @@ def test_no_grad_passes_are_bitwise_the_cached_forward_and_write_only_their_own_
     assert model.decode(m, rep).tobytes() == want.tobytes()
     assert rep.tobytes() == rep_bytes
     assert model.forecast(m, x).tobytes() == want.tobytes()
-    for b, target in ((wins, None), (wins, (1, 4)), (batch, None)):
-        assert model.mse_loss(m, b, target) == model.loss_and_grads(m, b, target)[0]
+    for b, first in ((wins, ()), (wins, (1,)), (batch, ())):
+        assert model.mse_loss(m, b, *first) == model.loss_and_grads(m, b, *first)[0]
     # the batch's loss is that of the np.stack of its windows, bit for bit
     hist, lab = (np.stack([getattr(wins[int(i)], f) for i in rows]) for f in ("history", "label"))
     cols = [a.transpose(1, 0, 2).reshape(a.shape[1], -1) for a in (hist, lab)]
@@ -313,7 +318,7 @@ def test_no_grad_passes_are_bitwise_the_cached_forward_and_write_only_their_own_
     overrides = {name: arr + 0.1 * rng.normal(size=(2, *arr.shape))
                  for name, arr in m.params.items() if name.endswith(".w")}
     before = snapshot(*overrides.values())
-    loss, _ = model.loss_and_grads(m, wins[np.arange(20)], ((1, 4), (1, 4)), overrides=overrides)
+    loss, _ = model.loss_and_grads(m, wins[np.arange(20)], (1, 1), overrides=overrides)
     assert loss.shape == (2,)
     assert snapshot(*overrides.values()) == before
 

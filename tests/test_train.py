@@ -397,12 +397,13 @@ def make_adapted(ds, segments=2, horizon=4, experts=2, rank=2, seed=0, cfg=None,
     return foundation, plan, adapter, records
 
 
-def row_metrics(forecast_fn, ds, lookback, horizon, split, first, last):
-    """evaluate_forecaster's metrics of label rows first..last alone, steps
-    keeping their absolute index, as adapt_all_segments measures a segment:
-    StepErrors over the split's error stream of those rows."""
-    steps = train.StepErrors(first, last)
-    for err in data.windows(ds, lookback, horizon, split).errors(forecast_fn, first, last):
+def row_metrics(forecast_fn, ds, lookback, horizon, split, first, rows):
+    """evaluate_forecaster's metrics of the rows label rows from row first
+    alone, steps keeping their absolute index, as adapt_all_segments
+    measures a segment: StepErrors over the split's error stream of those
+    rows."""
+    steps = train.StepErrors(first, rows)
+    for err in data.windows(ds, lookback, horizon, split).errors(forecast_fn, first, rows):
         steps.add(err)
     return steps.metrics(split)
 
@@ -415,7 +416,7 @@ def test_adapt_zero_init_epoch0_val_matches_foundation():
     adapter = adapt.new_adapter(foundation, plan, n_experts=2, rank=2, seed=9)
     _, records = train.adapt_all_segments(foundation, plan, adapter, ds, small_config(max_epochs=1))
     val_windows = data.windows(ds, 8, 4, "val")
-    want = model.mse_loss(foundation, val_windows, plan.boundaries[0])
+    want = model.mse_loss(foundation, val_windows, plan.first_rows[0])
     assert records[0].initial_val == want  # zero-init adapted view is the foundation
 
 
@@ -493,7 +494,7 @@ def test_adapt_drift_matches_a_reloaded_adapter(tmp_path):
     loaded = adapt.load_adapter(path)
     for k, rec in enumerate(records, start=1):
         again = row_metrics(lambda h: model.forecast(adapt.adapted_model(foundation, loaded, k), h),
-                            ds, 8, plan.horizon, "val", *plan.boundaries[k - 1])
+                            ds, 8, plan.horizon, "val", plan.first_rows[k - 1], plan.seg_len)
         drift = train.run_summary(rec)["drift"]
         assert drift == {"val_mse_at_freeze": rec.final_metrics["mse"],
                          "val_mse_final": again["mse"],
@@ -529,21 +530,21 @@ def test_last_fit_validates_its_segments_once(monkeypatch, routing, experts, pas
     calls = []
 
     class Counting(train.StepErrors):  # one per validation pass
-        def __init__(self, first, last):
-            calls.append((first, last))
-            super().__init__(first, last)
+        def __init__(self, first, steps):
+            calls.append((first, steps))
+            super().__init__(first, steps)
 
     monkeypatch.setattr(train, "StepErrors", Counting)
     cfg = small_config(learning_rate=3e-2, max_epochs=3, patience=3)
     adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
-    assert len(calls) == passes and set(calls) == set(plan.boundaries)
+    assert len(calls) == passes and set(calls) == {(a, plan.seg_len) for a in plan.first_rows}
     monkeypatch.undo()
     for k, rec in enumerate(records, start=1):
-        lo, hi = plan.boundaries[k - 1]
+        lo = plan.first_rows[k - 1]
         # a segment's steps keep their absolute index
-        assert [r["step"] for r in rec.final_metrics["per_step"]] == list(range(lo, hi + 1))
+        assert [r["step"] for r in rec.final_metrics["per_step"]] == list(range(lo, lo + plan.seg_len))
         again = row_metrics(lambda h: model.forecast(adapt.adapted_model(foundation, adapter, k), h),
-                            ds, 8, plan.horizon, "val", lo, hi)
+                            ds, 8, plan.horizon, "val", lo, plan.seg_len)
         assert rec.drift == {"val_mse_at_freeze": rec.final_metrics["mse"],
                              "val_mse_final": again["mse"],
                              "val_mse_change": again["mse"] - rec.final_metrics["mse"]}
@@ -661,8 +662,8 @@ def test_mola_forecast_rows_come_from_their_segment():
     out = train.mola_forecast(foundation, adapter, hist)
     for k in (1, 2):
         view = adapt.adapted_model(foundation, adapter, k)
-        lo, hi = plan.boundaries[k - 1]
-        assert np.array_equal(out[lo - 1 : hi], model.forecast(view, hist))
+        lo = plan.first_rows[k - 1]
+        assert np.array_equal(out[lo - 1 : lo - 1 + plan.seg_len], model.forecast(view, hist))
     assert not np.array_equal(out[0:2], out[2:4])
 
 
@@ -685,22 +686,23 @@ def random_mola(horizon, segments, routing, seed=0):
 
 @pytest.mark.parametrize("segments", [1, 2, 4])
 def test_mola_forecast_target_rows_are_rows_of_the_whole_forecast(segments):
-    # segment k's forecast is bitwise its target rows plan.boundaries[k - 1]
-    # of the stitched T-step forecast
+    # segment k's forecast is bitwise its target rows, the seg_len rows from
+    # row plan.first_rows[k - 1], of the stitched T-step forecast
     foundation, adapter = random_mola(8, segments, "soft")
     hist = data.windows(sine_dataset(), 8, 8, "test").history_block()
     whole = train.mola_forecast(foundation, adapter, hist)
     assert whole.shape == (8, hist.shape[1])
-    for k, (lo, hi) in enumerate(adapter.plan.boundaries, start=1):
+    for k, lo in enumerate(adapter.plan.first_rows, start=1):
         rows = train.mola_forecast(foundation, adapter, hist, k)
-        assert rows.tobytes() == whole[lo - 1 : hi].tobytes()
+        assert rows.tobytes() == whole[lo - 1 : lo - 1 + adapter.plan.seg_len].tobytes()
 
 
-@pytest.mark.parametrize("rows", [(0, 2), (1, 10), (2, 4), (3, 5), (1, 3), (5, 4), (3, 2)])
+@pytest.mark.parametrize("rows", [(0, 3), (1, 10), (2, 3), (3, 3), (1, 3), (5, 0), (3, 0)])
 def test_mola_forecast_rejects_rows_that_are_not_whole_segments(rows):
-    # a row range reaches a mola model's forecasts only through the error
-    # stream of its per-segment forecaster, which refuses rows outside 1..T
-    # and rows that do not split into one equal block per segment
+    # a (first row, count) range reaches a mola model's forecasts only
+    # through the error stream of its per-segment forecaster, which refuses
+    # rows outside 1..T, no rows, and rows that do not split into one equal
+    # block per segment
     foundation, adapter = random_mola(8, 4, "soft")
     ws = data.windows(sine_dataset(), 8, 8, "test")
     with pytest.raises(ValueError, match="label rows"):
@@ -814,10 +816,11 @@ def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, 
         assert [p.shape[0] for p in parts] == [horizon // segments] * segments
         assert np.concatenate(parts).tobytes() == err.tobytes()
     # one segment's rows alone: its steps keep their absolute index and values
-    for k, (lo, hi) in enumerate(adapter.plan.boundaries, start=1):
+    seg_len = adapter.plan.seg_len
+    for k, lo in enumerate(adapter.plan.first_rows, start=1):
         got = row_metrics(lambda h: train.mola_forecast(foundation, adapter, h, k), ds, 8,
-                          horizon, "test", lo, hi)
-        assert got["per_step"] == want["per_step"][lo - 1 : hi]
+                          horizon, "test", lo, seg_len)
+        assert got["per_step"] == want["per_step"][lo - 1 : lo - 1 + seg_len]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -853,7 +856,7 @@ def test_evaluate_forecaster_rejects_blocks_that_miss_the_rows(bounds):
 @pytest.mark.parametrize("rows", [[], [2], [1, 1], [2, 2], [1, 1, 1, 1]])
 def test_step_errors_refuse_blocks_that_miss_steps_first_to_last(rows):
     # steps 3..5: a stream that stops early, or runs on, yields no metrics
-    steps = train.StepErrors(3, 5)
+    steps = train.StepErrors(3, 3)
     for r in rows:
         steps.add(np.ones((r, 4, 2)))
     with pytest.raises(ValueError, match=rf"errors of {sum(rows)} steps were added for steps 3..5"):
@@ -869,11 +872,12 @@ def test_val_loss_is_the_mean_of_the_evaluation_error_block(target, n_windows):
         ds, spec, lookback, horizon = sine_dataset(d=2, noise=0.1), LIN8, 8, 6
     else:
         ds, spec, lookback, horizon = etth_split(n_windows), ETTH_SPEC, 96, 192
-    m = model.new_model(spec, head_out=target[1] - target[0] + 1, seed=3)
+    first, last = target
+    m = model.new_model(spec, head_out=last - first + 1, seed=3)
     wins = data.windows(ds, lookback, horizon, "val")
-    err = error_array(list(wins.errors(lambda h: model.forecast(m, h), *target)))
+    err = error_array(list(wins.errors(lambda h: model.forecast(m, h), first, m.head_out)))
     want = float(chunk_order_sum(err * err, wins.chunks(), None) / err.size)
-    assert model.mse_loss(m, wins, target).hex() == want.hex()
+    assert model.mse_loss(m, wins, first).hex() == want.hex()
     flat_mean = float((err * err).mean())
     if len(wins.chunks()) == 1:
         assert want.hex() == flat_mean.hex()
@@ -977,15 +981,16 @@ def whole_split_passes(ds, foundation, adapter):
     mola forecaster's test error array, analyze variance's loss samples and
     the test windows' hash."""
     val, test = data.windows(ds, 96, 192, "val"), data.windows(ds, 96, 192, "test")
-    bounds = adapter.plan.boundaries
-    losses = [model.mse_loss(foundation, val), model.mse_loss(foundation, val, bounds[2]),
+    firsts = adapter.plan.first_rows
+    losses = [model.mse_loss(foundation, val), model.mse_loss(foundation, val, firsts[2]),
               *(adapt.segment_loss(foundation, adapter, k, val) for k in (1, 4))]
     forecaster = train.mola_forecaster(foundation, adapter)
     raw = train.StepErrors(1, 192)
     for err in test.errors(forecaster):
         raw.add(err * ds.norm_stats.std)
     metrics = [
-        row_metrics(lambda h: model.forecast(foundation, h), ds, 96, 192, "val", *bounds[1]),
+        row_metrics(lambda h: model.forecast(foundation, h), ds, 96, 192, "val", firsts[1],
+                    adapter.plan.seg_len),
         train.evaluate_forecaster(forecaster, ds, 96, 192),
         raw.metrics("test"),
     ]
@@ -1000,20 +1005,20 @@ def chunk_order_passes(ds, foundation, adapter):
     the passes' error arrays in the window chunks of each split."""
     val_chunks = data.windows(ds, 96, 192, "val").chunks()
     test_chunks = data.windows(ds, 96, 192, "test").chunks()
-    bounds = adapter.plan.boundaries
+    firsts = adapter.plan.first_rows
 
-    def errors(m, split, rows):
+    def errors(m, split, first):
         return error_array(list(data.windows(ds, 96, 192, split).errors(
-            lambda h: model.forecast(m, h), *rows)))
+            lambda h: model.forecast(m, h), first, adapter.plan.seg_len)))
 
     losses = []
-    for m, rows in [(foundation, bounds[0]), (foundation, bounds[2]),
-                    *((adapt.adapted_model(foundation, adapter, k), bounds[k - 1]) for k in (1, 4))]:
-        err = errors(m, "val", rows)
+    for m, first in [(foundation, firsts[0]), (foundation, firsts[2]),
+                     *((adapt.adapted_model(foundation, adapter, k), firsts[k - 1]) for k in (1, 4))]:
+        err = errors(m, "val", first)
         losses.append(float(chunk_order_sum(err * err, val_chunks, None) / err.size))
     test = error_array(list(data.windows(ds, 96, 192, "test").errors(
         train.mola_forecaster(foundation, adapter))), 4)
-    metrics = [chunk_order_metrics(errors(foundation, "val", bounds[1]), val_chunks, 49, "val"),
+    metrics = [chunk_order_metrics(errors(foundation, "val", firsts[1]), val_chunks, 49, "val"),
                chunk_order_metrics(test, test_chunks, 1, "test"),
                chunk_order_metrics(test * ds.norm_stats.std, test_chunks, 1, "test")]
     return losses, metrics
@@ -1192,7 +1197,7 @@ def test_a_split_within_the_budget_is_one_block(monkeypatch, case):
     model_forecast = model.forecast
     monkeypatch.setattr(model, "forecast", lambda mdl, h: calls.append(h.tobytes())
                         or model_forecast(mdl, h))
-    model.mse_loss(m, wins, (1, horizon // 4))
+    model.mse_loss(m, wins, 1)
     assert calls == [wins.history_block().tobytes()]
 
 
