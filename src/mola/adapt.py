@@ -11,21 +11,23 @@ the seg_len rows from ``plan.first_rows[k - 1]``, the count being what the
 foundation's head predicts, so a segment is named by its index alone.
 
 Each adapted layer stores its P experts as two stacks, ``a[layer]`` of shape
-(P, r, d_in) and ``b[layer]`` of shape (P, d_out, r), next to its (K, P)
-routing logits; ``experts[layer][p]`` gives expert p's factors as views into
-the stacks.  The stacks of all layers are views into one buffer, layer by
-layer A then B, so the arrays one step trains lie back to back and Adam
-updates them as one run of memory.  A training step works on whole stacks:
+(P, r, d_in) and ``b[layer]`` of shape (P, d_out, r), and under soft routing
+its (K, P) routing logits; ``experts[layer][p]`` gives expert p's factors as
+views into the stacks.  The layers, P, r and the routing are read off these
+arrays, so an adapter holds nothing that has to agree with them.  The stacks
+of all layers are views into one buffer, layer by layer A then B, so the
+arrays one step trains lie back to back and Adam updates them as one run of
+memory.  A training step works on whole stacks:
 W_eff is one product of the concatenated factors, and the expert gradients
 are stacked matmuls, one gradient per stack.
 
 An adapter's ``routing`` says how segments use the experts.  Under soft
 routing segment k uses every expert at softmax(logits[k]) and trains its
 routing row with them; the experts are shared, so segments fit one after
-another.  Under one-hot routing (P == K) segment k uses expert k alone at
-weight 1.0, which is what the softmax of its one-hot row gives, and no row
-trains.  A step then forms W + B_k @ A_k and the expert gradients B_k^T G
-and G A_k^T with no weight at all, since multiplying by 1.0 changes no bit.
+another.  Under one-hot routing (P == K) the adapter has no logits: segment
+k uses expert k alone at weight 1.0.  A step then forms W + B_k @ A_k and
+the expert gradients B_k^T G and G A_k^T with no weight at all, since
+multiplying by 1.0 changes no bit.
 The segments share nothing but the frozen foundation, and one step trains
 all K at once on the whole stacks with a K axis: their W_eff form one
 (K, d_out, d_in) array.  Biases and the prediction head are never adapted.
@@ -42,13 +44,9 @@ import numpy as np
 
 from . import _io, model, __version__
 
-ADAPTER_FORMAT_VERSION = 4
+ADAPTER_FORMAT_VERSION = 5
 
 ROUTINGS = ("soft", "one-hot")
-
-# Off-entry logit for hard routing.  exp(-1e6) underflows to exactly 0.0,
-# so the resulting mixture weights are an exact one-hot vector.
-ONE_HOT_OFF_LOGIT = -1e6
 
 
 @dataclass(frozen=True)
@@ -144,14 +142,28 @@ class MolaAdapter:
     """Mixture-of-experts low-rank adapter state for one foundation model."""
 
     plan: SegmentPlan
-    adapted_layers: tuple[str, ...]
-    n_experts: int
-    rank: int
-    a: dict[str, np.ndarray]  # per layer, shape (n_experts, rank, d_in)
-    b: dict[str, np.ndarray]  # per layer, shape (n_experts, d_out, rank)
-    logits: dict[str, np.ndarray]  # per layer, shape (segments, n_experts)
+    a: dict[str, np.ndarray]  # per adapted layer, shape (n_experts, rank, d_in)
+    b: dict[str, np.ndarray]  # per adapted layer, shape (n_experts, d_out, rank)
+    # per adapted layer, shape (segments, n_experts); None under one-hot routing
+    logits: dict[str, np.ndarray] | None
     foundation_sha256: str  # foundation_digest of the model the adapter was fitted on
-    routing: str = "soft"  # one of ROUTINGS
+
+    @property
+    def adapted_layers(self) -> tuple[str, ...]:
+        return tuple(self.a)
+
+    @property
+    def n_experts(self) -> int:
+        return next(iter(self.a.values())).shape[0]
+
+    @property
+    def rank(self) -> int:
+        return next(iter(self.a.values())).shape[1]
+
+    @property
+    def routing(self) -> str:
+        """One of ROUTINGS: "soft" with a routing table, "one-hot" without."""
+        return "one-hot" if self.logits is None else "soft"
 
     @property
     def experts(self) -> dict[str, list[LoraExpert]]:
@@ -183,23 +195,16 @@ def new_adapter(
     """B starts at zero (adapted model == foundation on step one), A is
     Gaussian with variance 1/rank.  Expert p of layer i draws from
     default_rng([seed, i, p]) so a single expert is reproducible on its own.
-    routing="one-hot" applies freeze_one_hot_routing to the new adapter.
+    Soft routing starts every segment at uniform weights (zero logits);
+    routing="one-hot" applies freeze_one_hot_routing instead.
     """
     if routing not in ROUTINGS:
         raise ValueError(f"routing must be soft or one-hot, got {routing!r}")
-    if n_experts < 1:
-        raise ValueError(f"n_experts must be >= 1, got {n_experts}")
     layers = _encoder_weights(foundation)
     for name in layers:
-        d_out, d_in = foundation.params[name].shape
-        if not 1 <= rank < min(d_out, d_in):
-            raise ValueError(
-                f"rank must satisfy 1 <= rank < min(d_out, d_in) = "
-                f"{min(d_out, d_in)} for layer {name!r}, got {rank}"
-            )
+        _check_experts(name, n_experts, rank, foundation.params[name].shape)
     a_stacks: dict[str, np.ndarray] = {}
     b_stacks: dict[str, np.ndarray] = {}
-    logits: dict[str, np.ndarray] = {}
     for i, name in enumerate(layers):
         d_out, d_in = foundation.params[name].shape
         a_stacks[name] = np.stack([
@@ -207,21 +212,14 @@ def new_adapter(
             for p in range(n_experts)
         ])
         b_stacks[name] = np.zeros((n_experts, d_out, rank))
-        logits[name] = np.zeros((plan.segments, n_experts))
     a_stacks, b_stacks = _packed_stacks(a_stacks, b_stacks)
-    adapter = MolaAdapter(
-        plan=plan,
-        adapted_layers=layers,
-        n_experts=n_experts,
-        rank=rank,
-        a=a_stacks,
-        b=b_stacks,
-        logits=logits,
-        foundation_sha256=foundation_digest(foundation),
-    )
-    check_fits(adapter, foundation)
-    if routing == "one-hot":
+    adapter = MolaAdapter(plan=plan, a=a_stacks, b=b_stacks, logits=None,
+                          foundation_sha256=foundation_digest(foundation))
+    if routing == "soft":
+        adapter.logits = {name: np.zeros((plan.segments, n_experts)) for name in layers}
+    else:
         freeze_one_hot_routing(adapter)
+    check_fits(adapter, foundation)
     return adapter
 
 
@@ -245,65 +243,83 @@ def check_settings(encoder_spec: model.EncoderSpec, horizon: int, segments: int,
     new_adapter(foundation, plan, n_experts, rank, seed=0, routing=routing)
 
 
-def _check_stacks(name: str, logits: np.ndarray, a: np.ndarray, b: np.ndarray,
-                  segments: int, n_experts: int, rank: int) -> None:
-    if (logits.shape != (segments, n_experts) or a.ndim != 3 or b.ndim != 3
-            or a.shape[:2] != (n_experts, rank) or b.shape[::2] != (n_experts, rank)):
+def _check_experts(name: str, n_experts: int, rank: int, shape: tuple[int, int]) -> None:
+    """The expert and rank rule for adapted layer ``name`` of shape
+    (d_out, d_in): at least one expert, each of rank 1 <= r < min(d_out, d_in)."""
+    if n_experts < 1:
+        raise ValueError(f"n_experts must be >= 1 for layer {name!r}, got {n_experts}")
+    if not 1 <= rank < min(shape):
+        raise ValueError(f"rank must satisfy 1 <= rank < min(d_out, d_in) = {min(shape)} "
+                         f"for layer {name!r}, got {rank}")
+
+
+def _check_stacks(adapter: MolaAdapter) -> None:
+    """Raise a ValueError unless the adapter has layers, every one with A
+    and B stacks (P, r, d_in) and (P, d_out, r) of the first layer's P and
+    r, and with (K, P) logits under soft routing or P == K under one-hot
+    routing: the arrays n_experts, rank and routing are read off."""
+    if not adapter.a:
+        raise ValueError("an adapter adapts at least one layer")
+    n_r = adapter.a[adapter.adapted_layers[0]].shape[:2]
+    want_logits = None if adapter.logits is None else (adapter.plan.segments, *n_r[:1])
+    for name in adapter.adapted_layers:
+        a, b = adapter.a[name], adapter.b[name]
+        logits = None if adapter.logits is None else adapter.logits[name].shape
+        if (a.ndim != 3 or b.ndim != 3 or a.shape[:2] != n_r or b.shape[::2] != n_r
+                or logits != want_logits):
+            raise ValueError(
+                f"adapter layer {name!r} has A {a.shape}, B {b.shape} and logits {logits}; "
+                f"every layer needs A (P, r, d_in) and B (P, d_out, r) with the first "
+                f"layer's (P, r) = {n_r}, and logits {want_logits}")
+    if adapter.logits is None:
+        _check_one_hot(adapter)
+
+
+def _check_one_hot(adapter: MolaAdapter) -> None:
+    if adapter.n_experts != adapter.plan.segments:
         raise ValueError(
-            f"adapter layer {name!r} has logits {logits.shape}, A {a.shape} and "
-            f"B {b.shape}; expected ({segments}, {n_experts}), "
-            f"({n_experts}, {rank}, d_in) and ({n_experts}, d_out, {rank})"
+            f"one-hot routing requires n_experts == segments, got "
+            f"{adapter.n_experts} experts for {adapter.plan.segments} segments"
         )
 
 
 def check_fits(adapter: MolaAdapter, foundation: model.FoundationModel) -> None:
     """The one rule for an adapter on a foundation: raise a ValueError
     unless the foundation is frozen, its head predicts one segment of the
-    plan, every adapted layer is one of its encoder weight matrices with
-    logits and expert stacks of the adapter's and that matrix's shapes (the
-    checks of effective_weight on the arrays segment_grads builds W_eff
-    from), and the adapter was fitted on it (foundation_sha256)."""
+    plan, the adapter's arrays hold together (one P and r over its layers,
+    (K, P) logits under soft routing, P == K under one-hot routing), every
+    adapted layer is one of its encoder weight matrices with stacks of that
+    matrix's shape (the checks of effective_weight on the arrays
+    segment_grads builds W_eff from) and at least one expert of rank
+    1 <= r < min(d_out, d_in), the rule new_adapter applies, and the
+    adapter was fitted on it (foundation_sha256)."""
     if not foundation.frozen:
         raise ValueError("foundation must be frozen before adaptation")
     if adapter.plan.seg_len != foundation.head_out:
         raise ValueError(f"plan segment length {adapter.plan.seg_len} != foundation head_out "
                          f"{foundation.head_out}; the head must predict exactly one segment")
+    _check_stacks(adapter)
     weights = _encoder_weights(foundation)
     for name in adapter.adapted_layers:
         if name not in weights:
             raise ValueError(f"adapter layer {name!r} is not an encoder weight matrix of the "
                              f"foundation; those are {list(weights)}")
-        _check_stacks(name, adapter.logits[name], adapter.a[name], adapter.b[name],
-                      adapter.plan.segments, adapter.n_experts, adapter.rank)
         d_out, d_in = foundation.params[name].shape
         a, b = adapter.a[name], adapter.b[name]
         if a.shape[2] != d_in or b.shape[1] != d_out:
             raise ValueError(f"adapter layer {name!r} has A {a.shape} and B {b.shape}, but the "
                              f"foundation's {name} is {d_out}x{d_in}")
+        _check_experts(name, adapter.n_experts, adapter.rank, (d_out, d_in))
     if adapter.foundation_sha256 != foundation_digest(foundation):
         raise ValueError("the adapter was fitted on another foundation")
 
 
-def _one_hot_logits(segments: int) -> np.ndarray:
-    """The (K, K) routing logits that pin segment k to expert k: 0.0 on the
-    diagonal and ONE_HOT_OFF_LOGIT elsewhere."""
-    logits = np.full((segments, segments), ONE_HOT_OFF_LOGIT)
-    np.fill_diagonal(logits, 0.0)
-    return logits
-
-
 def freeze_one_hot_routing(adapter: MolaAdapter) -> None:
-    """Pin segment k to expert k and set one-hot routing.  This turns the
-    mixture into independent per-segment rank-r updates (the ablation where
-    nothing is shared but the backbone)."""
-    if adapter.n_experts != adapter.plan.segments:
-        raise ValueError(
-            f"one-hot routing requires n_experts == segments, got "
-            f"{adapter.n_experts} experts for {adapter.plan.segments} segments"
-        )
-    for name in adapter.adapted_layers:
-        adapter.logits[name][:] = _one_hot_logits(adapter.plan.segments)
-    adapter.routing = "one-hot"
+    """Pin segment k to expert k (P == K) by dropping the routing logits.
+    This turns the mixture into independent per-segment rank-r updates (the
+    ablation where nothing is shared but the backbone)."""
+    _check_one_hot(adapter)
+    adapter.logits = None
 
 
 def _check_segment(adapter: MolaAdapter, k: int) -> None:
@@ -325,9 +341,8 @@ def _segment_stacks(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
     else:
         _check_segment(adapter, k)
         if adapter.routing == "one-hot":
-            return {name: (a[name][k - 1 : k], b[name][k - 1 : k])
-                    for name in adapter.adapted_layers}
-    return {name: (a[name], b[name]) for name in adapter.adapted_layers}
+            return {name: (a[name][k - 1 : k], b[name][k - 1 : k]) for name in a}
+    return {name: (a[name], b[name]) for name in a}
 
 
 def adapted_model(
@@ -340,7 +355,7 @@ def adapted_model(
     _check_segment(adapter, k)  # a view is one segment's, under either routing
     params = dict(foundation.params)
     for name, (a, b) in _segment_stacks(adapter, k).items():
-        # under one-hot routing expert k alone, at the 1.0 of its softmax row
+        # under one-hot routing expert k alone, at weight 1.0
         weights = (np.ones(1) if adapter.routing == "one-hot"
                    else normalize_weights(adapter.logits[name][k - 1]))
         params[name] = effective_weight(foundation.params[name], a, b, weights)
@@ -434,25 +449,22 @@ def adaptation_params(adapter: MolaAdapter, k: int | None) -> dict[str, np.ndarr
 
 
 def adapter_state(adapter: MolaAdapter) -> dict:
-    layers = [
-        {
-            "name": name,
-            "logits": _io.encode_array(adapter.logits[name]),
-            "a": _io.encode_array(adapter.a[name]),
-            "b": _io.encode_array(adapter.b[name]),
-        }
-        for name in adapter.adapted_layers
-    ]
+    """The checkpoint: the plan, the foundation digest and per layer its
+    stacks, with its logits under soft routing (their absence is one-hot
+    routing)."""
+    layers = []
+    for name in adapter.adapted_layers:
+        entry = {"name": name, "a": _io.encode_array(adapter.a[name]),
+                 "b": _io.encode_array(adapter.b[name])}
+        if adapter.logits is not None:
+            entry["logits"] = _io.encode_array(adapter.logits[name])
+        layers.append(entry)
     return {
         "format_version": ADAPTER_FORMAT_VERSION,
         "kind": "mola-adapter",
         "tool_version": __version__,
         "plan": {"horizon": adapter.plan.horizon, "segments": adapter.plan.segments},
-        "adapted_layers": list(adapter.adapted_layers),
-        "n_experts": adapter.n_experts,
-        "rank": adapter.rank,
         "foundation_sha256": adapter.foundation_sha256,
-        "routing": adapter.routing,
         "layers": layers,
     }
 
@@ -462,52 +474,31 @@ def adapter_from_state(state: dict) -> MolaAdapter:
         raise ValueError(f"not an adapter checkpoint: kind={state.get('kind')!r}")
     if state.get("format_version") != ADAPTER_FORMAT_VERSION:
         raise ValueError(f"unsupported adapter format version {state.get('format_version')!r}")
-    _io.require_keys(state, ("plan", "adapted_layers", "n_experts", "rank", "foundation_sha256",
-                             "routing", "layers"), "adapter checkpoint")
+    _io.require_keys(state, ("plan", "foundation_sha256", "layers"), "adapter checkpoint")
     _io.require_keys(state["plan"], ("horizon", "segments"), "adapter plan")
     plan = make_segment_plan(_io.require_type(state["plan"], "horizon", int, "adapter plan"),
                              _io.require_type(state["plan"], "segments", int, "adapter plan"))
-    n_experts = _io.require_type(state, "n_experts", int, "adapter checkpoint")
-    rank = _io.require_type(state, "rank", int, "adapter checkpoint")
-    adapted_layers = _io.require_type(state, "adapted_layers", list, "adapter checkpoint")
     foundation_sha256 = _io.require_type(state, "foundation_sha256", str, "adapter checkpoint")
-    routing = _io.require_type(state, "routing", str, "adapter checkpoint")
-    if routing not in ROUTINGS:
-        raise ValueError(f"adapter routing {routing!r} must be one of {list(ROUTINGS)}")
-    if routing == "one-hot" and n_experts != plan.segments:
-        raise ValueError(f"adapter routing 'one-hot' needs one expert per segment, but "
-                         f"n_experts is {n_experts} for {plan.segments} segments")
     a_stacks: dict[str, np.ndarray] = {}
     b_stacks: dict[str, np.ndarray] = {}
     logits: dict[str, np.ndarray] = {}
     for entry in _io.require_type(state, "layers", list, "adapter checkpoint"):
-        _io.require_keys(entry, ("name", "logits", "a", "b"), "adapter layer")
+        _io.require_keys(entry, ("name", "a", "b"), "adapter layer")
         name = _io.require_type(entry, "name", str, "adapter layer")
-        logits[name] = _io.decode_array(entry["logits"])
+        if name in a_stacks:
+            raise ValueError(f"adapter layer {name!r} appears twice")
         a_stacks[name] = _io.decode_array(entry["a"])
         b_stacks[name] = _io.decode_array(entry["b"])
-        _check_stacks(name, logits[name], a_stacks[name], b_stacks[name], plan.segments,
-                      n_experts, rank)
-    if adapted_layers != list(logits):
-        raise ValueError(f"adapter adapted_layers {adapted_layers} do not match "
-                         f"its layers entries {list(logits)}")
-    if routing == "one-hot":
-        for name, table in logits.items():
-            if not np.array_equal(table, _one_hot_logits(plan.segments)):
-                raise ValueError(f"adapter routing 'one-hot' does not match the logits of "
-                                 f"layer {name!r}, which must pin segment k to expert k")
+        if "logits" in entry:
+            logits[name] = _io.decode_array(entry["logits"])
+    if logits and len(logits) != len(a_stacks):
+        raise ValueError(f"adapter layers {[n for n in a_stacks if n not in logits]} have no "
+                         f"logits, but layers {list(logits)} do: soft routing needs them all")
     a_stacks, b_stacks = _packed_stacks(a_stacks, b_stacks)
-    return MolaAdapter(
-        plan=plan,
-        adapted_layers=tuple(logits),
-        n_experts=n_experts,
-        rank=rank,
-        a=a_stacks,
-        b=b_stacks,
-        logits=logits,
-        foundation_sha256=foundation_sha256,
-        routing=routing,
-    )
+    adapter = MolaAdapter(plan=plan, a=a_stacks, b=b_stacks, logits=logits or None,
+                          foundation_sha256=foundation_sha256)
+    _check_stacks(adapter)
+    return adapter
 
 
 def save_adapter(adapter: MolaAdapter, path) -> None:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -291,19 +292,22 @@ def test_one_hot_routing_requires_matching_counts():
     assert ad.routing == "soft"
     f2, plan2, ad2 = setup_adapter(experts=2, segments=2)
     adapt.freeze_one_hot_routing(ad2)
-    assert ad2.routing == "one-hot"
+    assert ad2.routing == "one-hot" and ad2.logits is None
+    rng = np.random.default_rng(3)
     for layer in ad2.adapted_layers:
-        for k in (1, 2):
-            delta = adapt.normalize_weights(ad2.logits[layer][k - 1])
-            want = np.zeros(2)
-            want[k - 1] = 1.0
-            assert np.array_equal(delta, want)
+        ad2.b[layer][:] = rng.normal(size=ad2.b[layer].shape)
+    for k in (1, 2):  # segment k is expert k alone, at weight 1.0
+        view = adapt.adapted_model(f2, ad2, k)
+        for layer in ad2.adapted_layers:
+            want = f2.params[layer] + ad2.b[layer][k - 1] @ ad2.a[layer][k - 1]
+            assert np.array_equal(view.params[layer], want)
 
 
 def test_new_adapter_applies_routing():
     f, plan, manual = setup_adapter(experts=2, segments=2)
     adapt.freeze_one_hot_routing(manual)
     built = adapt.new_adapter(f, plan, n_experts=2, rank=2, seed=1, routing="one-hot")
+    assert built.logits is None and manual.logits is None
     assert adapt.adapter_state(built) == adapt.adapter_state(manual)
     with pytest.raises(ValueError, match="routing"):
         adapt.new_adapter(f, plan, n_experts=2, rank=2, seed=1, routing="diag")
@@ -436,11 +440,18 @@ def test_soft_routing_still_produces_logit_gradients():
         assert grads[f"{layer}.b"].shape == ad.b[layer].shape
 
 
+def mixture_weights(ad, layer, k):
+    """Segment k's weights over the experts: the softmax of its logits row
+    under soft routing, expert k alone under one-hot routing."""
+    if ad.routing == "one-hot":
+        return np.eye(ad.n_experts)[k - 1]
+    return adapt.normalize_weights(ad.logits[layer][k - 1])
+
+
 def reference_segment_grads(f, ad, k, batch, sl):
     """Scalar per-expert loop over every expert with a trained weight: loss
     and gradients keyed (layer, p, part), plus the logit gradient."""
-    deltas = {layer: adapt.normalize_weights(ad.logits[layer][k - 1])
-              for layer in ad.adapted_layers}
+    deltas = {layer: mixture_weights(ad, layer, k) for layer in ad.adapted_layers}
     eff = {layer: reference_effective_weight(f.params.get(layer), ad.a[layer], ad.b[layer], d)
            for layer, d in deltas.items()}
     loss, eff_grads = model.loss_and_grads(f, batch, sl, overrides=eff)
@@ -476,7 +487,7 @@ def test_stacked_weights_and_grads_match_per_expert_loop(routing):
         view = adapt.adapted_model(f, ad, k)
         for layer in ad.adapted_layers:
             want = reference_effective_weight(f.params.get(layer), ad.a[layer], ad.b[layer],
-                                              adapt.normalize_weights(ad.logits[layer][k - 1]))
+                                              mixture_weights(ad, layer, k))
             if routing == "one-hot":  # one expert of weight 1: W + B_k A_k exactly
                 assert np.array_equal(view.params.get(layer), want)
             assert close(view.params.get(layer), want), (k, layer)
@@ -682,9 +693,9 @@ def test_one_hot_adapter_checkpoint_round_trip(tmp_path):
     adapt.freeze_one_hot_routing(ad)
     path = tmp_path / "adapter.json"
     adapt.save_adapter(ad, path)
-    assert adapt.adapter_state(ad)["routing"] == "one-hot"
+    assert all("logits" not in entry for entry in adapt.adapter_state(ad)["layers"])
     loaded = adapt.load_adapter(path)
-    assert loaded.routing == "one-hot"
+    assert loaded.routing == "one-hot" and loaded.logits is None
     assert adapt.adapter_state(loaded) == adapt.adapter_state(ad)
 
 
@@ -712,10 +723,31 @@ def test_adapter_stacks_are_views_into_one_buffer():
     assert np.array_equal(ad.a["enc0.w"][0], before + 1.0)
 
 
+@pytest.mark.parametrize("routing", ["soft", "one-hot"])
+def test_adapter_state_round_trips_byte_equal(routing):
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    if routing == "one-hot":
+        adapt.freeze_one_hot_routing(ad)
+    state = _io.canonical_dumps(adapt.adapter_state(ad))
+    again = adapt.adapter_state(adapt.adapter_from_state(json.loads(state)))
+    assert _io.canonical_dumps(again) == state
+    assert not {"adapted_layers", "n_experts", "rank", "routing"} & set(json.loads(state))
+
+
+def test_format_4_adapter_is_rejected():
+    # format 4 also stored the adapter's shape and routing next to its arrays
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    state = adapt.adapter_state(ad)
+    assert state["format_version"] == 5
+    state.update(format_version=4, adapted_layers=list(ad.adapted_layers),
+                 n_experts=ad.n_experts, rank=ad.rank, routing=ad.routing)
+    with pytest.raises(ValueError, match="unsupported adapter format version 4"):
+        adapt.adapter_from_state(state)
+
+
 def test_format_2_adapter_is_rejected():
     f, plan, ad = setup_adapter(experts=2, segments=2)
     state = adapt.adapter_state(ad)
-    assert state["format_version"] == 4
     state["format_version"] = 2  # per-expert factor lists
     for entry in state["layers"]:
         entry["experts"] = [{"a": entry.pop("a"), "b": entry.pop("b")}]
@@ -732,8 +764,56 @@ def test_adapter_with_inconsistent_stacks_is_rejected():
         adapt.adapter_from_state(state)
 
 
-@pytest.mark.parametrize("key", ["plan", "adapted_layers", "n_experts", "rank",
-                                 "foundation_sha256", "routing", "layers"])
+def _drop_logits(layers):
+    for entry in layers:
+        del entry["logits"]
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda layers: layers[1].update(a=_io.encode_array(np.zeros((4, 2, 6)))), "'enc1.w'"),
+    (lambda layers: layers[1].update(a=_io.encode_array(np.zeros((3, 1, 6)))), "'enc1.w'"),
+    (lambda layers: layers[1].update(logits=_io.encode_array(np.zeros((2, 4)))), "'enc1.w'"),
+    (lambda layers: layers[1].pop("logits"), r"\['enc1.w'\] have no logits"),
+    (_drop_logits, "one-hot routing requires n_experts == segments, got 3 experts for 2"),
+    (lambda layers: layers.append(dict(layers[0])), "'enc0.w' appears twice"),
+    (lambda layers: layers.clear(), "at least one layer"),
+])
+def test_adapter_whose_layers_do_not_hold_together_is_rejected(change, match):
+    # a second layer of another P, another r, or logits of another P; soft
+    # logits on some layers only; one-hot (no logits) with 3 experts for 2
+    # segments; a layer named twice; no layers at all
+    f, plan, ad = setup_adapter(experts=3, segments=2)
+    state = adapt.adapter_state(ad)
+    change(state["layers"])
+    with pytest.raises(ValueError, match=match):
+        adapt.adapter_from_state(state)
+
+
+@pytest.mark.parametrize("routing, n_experts, rank, match", [
+    ("soft", 0, 2, "n_experts must be >= 1"),
+    ("soft", 2, 0, "rank must satisfy"),
+    ("one-hot", 2, 0, "rank must satisfy"),
+])
+def test_check_fits_refuses_a_loaded_adapter_of_no_experts_or_rank_0(routing, n_experts, rank,
+                                                                     match):
+    # adapter_from_state reads P and r off the stacks; check_fits applies
+    # new_adapter's rule to them
+    f, plan, ad = setup_adapter(experts=2, segments=2)
+    if routing == "one-hot":
+        adapt.freeze_one_hot_routing(ad)
+    state = adapt.adapter_state(ad)
+    for entry in state["layers"]:
+        d_out, d_in = f.params[entry["name"]].shape
+        entry["a"] = _io.encode_array(np.zeros((n_experts, rank, d_in)))
+        entry["b"] = _io.encode_array(np.zeros((n_experts, d_out, rank)))
+        if routing == "soft":
+            entry["logits"] = _io.encode_array(np.zeros((plan.segments, n_experts)))
+    loaded = adapt.adapter_from_state(state)
+    with pytest.raises(ValueError, match=match):
+        adapt.check_fits(loaded, f)
+
+
+@pytest.mark.parametrize("key", ["plan", "foundation_sha256", "layers"])
 def test_adapter_with_missing_key_is_rejected(key):
     f, plan, ad = setup_adapter(experts=2, segments=2)
     state = adapt.adapter_state(ad)
@@ -743,11 +823,11 @@ def test_adapter_with_missing_key_is_rejected(key):
 
 
 @pytest.mark.parametrize("where, key, value", [
-    ((), "rank", None),
-    ((), "n_experts", "2"),
-    ((), "routing", 3),
+    (("plan",), "segments", "2"),
+    (("layers", 0, "a"), "shape", 5),
+    (("layers", 0, "b"), "data", 5),
     ((), "layers", 5),
-    ((), "adapted_layers", 5),
+    (("layers", 1, "logits"), "shape", None),
     ((), "foundation_sha256", 7),
     (("plan",), "horizon", None),
     (("layers", 0), "name", 5),
@@ -761,18 +841,4 @@ def test_adapter_with_wrong_json_types_is_rejected(where, key, value):
         obj = obj[step]
     obj[key] = value
     with pytest.raises(ValueError, match=f"'{key}' must be"):
-        adapt.adapter_from_state(state)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("routing", "diag"),
-    ("routing", "one-hot"),  # over soft logits
-    ("adapted_layers", ["enc0.w", "enc1.w", "enc2.w"]),
-    ("adapted_layers", ["enc1.w", "enc0.w"]),
-])
-def test_adapter_with_mismatched_fields_is_rejected(field, value):
-    f, plan, ad = setup_adapter(experts=2, segments=2)
-    state = adapt.adapter_state(ad)
-    state[field] = value
-    with pytest.raises(ValueError, match=f"adapter {field}"):
         adapt.adapter_from_state(state)

@@ -613,7 +613,7 @@ def test_version_1_adapter_is_rejected(ws, capsys):
         assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
     path = rd / "checkpoints" / "adapter.json"
     state = json.loads(path.read_text())
-    assert state["format_version"] == 4
+    assert state["format_version"] == 5
     state["format_version"] = 1
     del state["foundation_sha256"]
     path.write_text(json.dumps(state))
@@ -628,8 +628,7 @@ def test_malformed_adapter_exits_1_naming_the_field(ws, capsys):
         assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
     path = rd / "checkpoints" / "adapter.json"
     good = json.loads(path.read_text())
-    for field, value in (("rank", None), ("routing", "diag"),
-                         ("adapted_layers", ["enc0.w", "enc1.w"])):
+    for field, value in (("foundation_sha256", None), ("layers", "enc0.w"), ("plan", None)):
         state = dict(good)
         if value is None:
             del state[field]
@@ -649,29 +648,39 @@ def test_adapt_writes_the_routing(ws):
         for argv in (["pretrain"], ["adapt"]):
             assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
         state = json.loads((rd / "checkpoints" / "adapter.json").read_text())
-        assert state["routing"] == routing and "frozen_logits" not in state
+        # soft routing stores every layer's logits, one-hot routing none
+        assert {"logits" in entry for entry in state["layers"]} == {routing == "soft"}
+        assert "routing" not in state and "frozen_logits" not in state
+
+
+def _drop_logits(state, layers=slice(None)):
+    for entry in state["layers"][layers]:
+        del entry["logits"]
 
 
 def test_eval_refuses_an_adapter_whose_routing_does_not_hold(ws, capsys):
-    # an unknown routing, one-hot over soft logits (4 experts for 4
-    # segments), one-hot with 2 experts for 4 segments, and format 3
+    # one-hot (no logits) with 2 experts for 4 segments, logits on one of
+    # two layers only, and format 3
     runs = {}
     for experts in (4, 2):
-        cfg = write_ini(ws / f"e{experts}.ini", **base_sections(paradigm={"experts": experts}))
+        cfg = write_ini(ws / f"e{experts}.ini", **base_sections(
+            model={"kind": "mlp2", "hidden": "6,3"}, paradigm={"experts": experts}))
         rd = ws / f"e{experts}"
         for argv in (["pretrain"], ["adapt"]):
             assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
         runs[experts] = cfg, rd
     for experts, change, want in (
-        (4, {"routing": "diag"}, "routing"),
-        (4, {"routing": "one-hot"}, "routing"),
-        (2, {"routing": "one-hot"}, "routing"),
-        (4, {"format_version": 3, "frozen_logits": [True] * 4}, "format version 3"),
+        (2, _drop_logits, "one-hot routing requires n_experts == segments"),
+        (4, lambda state: _drop_logits(state, slice(1)), "have no logits"),
+        (4, lambda state: state.update(format_version=3, frozen_logits=[True] * 4),
+         "format version 3"),
     ):
         cfg, rd = runs[experts]
         path = rd / "checkpoints" / "adapter.json"
         good = path.read_text()
-        path.write_text(json.dumps({**json.loads(good), **change}))
+        state = json.loads(good)
+        change(state)
+        path.write_text(json.dumps(state))
         capsys.readouterr()
         assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1, change
         err = capsys.readouterr().err
@@ -687,11 +696,10 @@ def test_eval_refuses_adapter_layers_the_foundation_lacks(ws, capsys):
         assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
     path = rd / "checkpoints" / "adapter.json"
     good = json.loads(path.read_text())
-    assert good["adapted_layers"] == ["enc0.w", "enc1.w"]
+    assert [entry["name"] for entry in good["layers"]] == ["enc0.w", "enc1.w"]
     # an unknown layer, the head, and two encoder layers whose stacks are swapped
     for names in (["enc9.w", "enc1.w"], ["head.w", "enc1.w"], ["enc1.w", "enc0.w"]):
         state = json.loads(json.dumps(good))
-        state["adapted_layers"] = names
         for entry, name in zip(state["layers"], names):
             entry["name"] = name
         path.write_text(json.dumps(state))
@@ -701,6 +709,29 @@ def test_eval_refuses_adapter_layers_the_foundation_lacks(ws, capsys):
         assert "adapter.json" in err and repr(names[0]) in err, err
 
 
+@pytest.mark.parametrize("n_experts, rank, want", [(0, 2, "n_experts must be >= 1"),
+                                                   (2, 0, "rank must satisfy")])
+def test_eval_refuses_an_adapter_of_no_experts_or_rank_0(ws, capsys, n_experts, rank, want):
+    # the stacks say P and r; eval holds them to the rule adapt builds by
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "run"
+    for argv in (["pretrain"], ["adapt"]):
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    path = rd / "checkpoints" / "adapter.json"
+    state = json.loads(path.read_text())
+    for entry in state["layers"]:
+        (_, _, d_in), (_, d_out, _) = entry["a"]["shape"], entry["b"]["shape"]
+        entry["a"] = {"shape": [n_experts, rank, d_in], "data": []}
+        entry["b"] = {"shape": [n_experts, d_out, rank], "data": []}
+        entry["logits"] = {"shape": [4, n_experts], "data": [0.0] * (4 * n_experts)}
+    path.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1
+    err = capsys.readouterr().err
+    assert "adapter.json" in err and want in err, err
+    assert not (rd / "reports" / "eval_mola_test.json").exists()
+
+
 def test_malformed_adapter_error_names_the_file(ws, capsys):
     cfg = write_ini(ws / "cfg.ini", **base_sections())
     rd = ws / "run"
@@ -708,12 +739,12 @@ def test_malformed_adapter_error_names_the_file(ws, capsys):
         assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
     path = rd / "checkpoints" / "adapter.json"
     state = json.loads(path.read_text())
-    del state["rank"]
+    del state["foundation_sha256"]
     path.write_text(json.dumps(state))
     capsys.readouterr()
     assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1
     err = capsys.readouterr().err
-    assert str(path) in err and "'rank'" in err
+    assert str(path) in err and "'foundation_sha256'" in err
 
 
 def test_internal_errors_exit_2(ws, monkeypatch, capsys):

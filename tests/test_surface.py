@@ -5,10 +5,18 @@ A public module-level function or class of ``mola`` that no code in
 tests; such code is deleted together with its tests instead of kept.
 Each exception in ``ALLOWED`` must name a definition that still exists
 and that still only tests use.
+
+The README's statements of the checkpoint formats must name the versions
+the package writes.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
+
+from mola import adapt, model
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mola"
@@ -84,3 +92,14 @@ def test_every_allowed_name_exists_and_only_tests_use_it():
     assert missing == [], f"ALLOWED names that no longer exist: {missing}"
     in_use = sorted(ALLOWED.keys() & used)
     assert in_use == [], f"ALLOWED names that code outside the tests uses: {in_use}"
+
+
+@pytest.mark.parametrize("subject, version", [
+    (r"Model checkpoints \(`foundation\.json`, `arf\.json`, `mtf\.json`\)",
+     model.CHECKPOINT_FORMAT_VERSION),
+    (r"Adapter checkpoints \(`adapter\.json`\)", adapt.ADAPTER_FORMAT_VERSION),
+], ids=["model", "adapter"])
+def test_readme_states_the_checkpoint_formats_the_package_writes(subject, version):
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    stated = re.findall(subject + r" are format (\d+)", readme)
+    assert stated == [str(version)], f"README says format {stated}, the package writes {version}"
