@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -51,34 +51,42 @@ ROUTINGS = ("soft", "one-hot")
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Partition of a forecast horizon into equal consecutive segments."""
+    """Partition of a forecast horizon into equal consecutive segments.
+    ``seg_len`` and ``first_rows`` follow from the two fields, so a plan
+    cannot disagree with itself; a partition that does not exist raises
+    ValueError."""
 
     horizon: int
     segments: int
-    seg_len: int
-    first_rows: tuple[int, ...]  # 1-based first label row of each segment
+    seg_len: int = field(init=False)
+    first_rows: tuple[int, ...] = field(init=False)  # 1-based first label row of each segment
+
+    def __post_init__(self):
+        if self.segments < 1:
+            raise ValueError(f"segments must be >= 1, got {self.segments}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon % self.segments != 0:
+            raise ValueError(f"segments must divide horizon exactly: horizon={self.horizon}, "
+                             f"segments={self.segments}")
+        seg_len = self.horizon // self.segments
+        object.__setattr__(self, "seg_len", seg_len)
+        object.__setattr__(self, "first_rows", tuple(range(1, self.horizon + 1, seg_len)))
 
 
 def make_segment_plan(horizon: int, segments: int, lookback: int | None = None) -> SegmentPlan:
-    if segments < 1:
-        raise ValueError(f"segments must be >= 1, got {segments}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if horizon % segments != 0:
-        raise ValueError(
-            f"segments must divide horizon exactly: horizon={horizon}, segments={segments}"
-        )
-    seg_len = horizon // segments
-    if lookback is not None and seg_len > lookback + 1:
+    """The plan of ``segments`` segments of ``horizon``; with a ``lookback``,
+    a UserWarning when a segment is longer than lookback + 1 rows."""
+    plan = SegmentPlan(horizon, segments)
+    if lookback is not None and plan.seg_len > lookback + 1:
         warnings.warn(
-            f"segment length {seg_len} exceeds lookback+1 = {lookback + 1}; "
+            f"segment length {plan.seg_len} exceeds lookback+1 = {lookback + 1}; "
             "a single linear readout of the history cannot fit every step of "
             "such a segment exactly, so some residual error is unavoidable",
             UserWarning,
             stacklevel=2,
         )
-    return SegmentPlan(horizon=horizon, segments=segments, seg_len=seg_len,
-                       first_rows=tuple(range(1, horizon + 1, seg_len)))
+    return plan
 
 
 def normalize_weights(logits: np.ndarray) -> np.ndarray:
@@ -227,8 +235,8 @@ def _packed_stacks(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
     """Copies of the A and B stacks as views into one buffer, layer by layer
     A then B: the order of adaptation_params, so the stacks a one-hot step
     trains are one run of memory (see train.init_adam)."""
-    packed = model._packed({f"{name}.{part}": stacks[name]
-                            for name in a for part, stacks in (("a", a), ("b", b))})
+    packed = model.packed({f"{name}.{part}": stacks[name]
+                           for name in a for part, stacks in (("a", a), ("b", b))})
     return {name: packed[f"{name}.a"] for name in a}, {name: packed[f"{name}.b"] for name in a}
 
 
@@ -287,12 +295,13 @@ def check_fits(adapter: MolaAdapter, foundation: model.FoundationModel) -> None:
     """The one rule for an adapter on a foundation: raise a ValueError
     unless the foundation is frozen, its head predicts one segment of the
     plan, the adapter's arrays hold together (one P and r over its layers,
-    (K, P) logits under soft routing, P == K under one-hot routing), every
-    adapted layer is one of its encoder weight matrices with stacks of that
-    matrix's shape (the checks of effective_weight on the arrays
-    segment_grads builds W_eff from) and at least one expert of rank
-    1 <= r < min(d_out, d_in), the rule new_adapter applies, and the
-    adapter was fitted on it (foundation_sha256)."""
+    (K, P) logits under soft routing, P == K under one-hot routing), its
+    layers are the foundation's encoder weight matrices, all of them and in
+    their order, each with stacks of that matrix's shape (the checks of
+    effective_weight on the arrays segment_grads builds W_eff from) and at
+    least one expert of rank 1 <= r < min(d_out, d_in), the rule
+    new_adapter applies, and the adapter was fitted on it
+    (foundation_sha256)."""
     if not foundation.frozen:
         raise ValueError("foundation must be frozen before adaptation")
     if adapter.plan.seg_len != foundation.head_out:
@@ -300,10 +309,10 @@ def check_fits(adapter: MolaAdapter, foundation: model.FoundationModel) -> None:
                          f"{foundation.head_out}; the head must predict exactly one segment")
     _check_stacks(adapter)
     weights = _encoder_weights(foundation)
-    for name in adapter.adapted_layers:
-        if name not in weights:
-            raise ValueError(f"adapter layer {name!r} is not an encoder weight matrix of the "
-                             f"foundation; those are {list(weights)}")
+    if adapter.adapted_layers != weights:
+        raise ValueError(f"adapter layers {list(adapter.adapted_layers)} are not the "
+                         f"foundation's encoder weight matrices {list(weights)}")
+    for name in weights:
         d_out, d_in = foundation.params[name].shape
         a, b = adapter.a[name], adapter.b[name]
         if a.shape[2] != d_in or b.shape[1] != d_out:
@@ -499,10 +508,6 @@ def adapter_from_state(state: dict) -> MolaAdapter:
                           foundation_sha256=foundation_sha256)
     _check_stacks(adapter)
     return adapter
-
-
-def save_adapter(adapter: MolaAdapter, path) -> None:
-    _io.write_json(path, adapter_state(adapter))
 
 
 def load_adapter(path) -> MolaAdapter:

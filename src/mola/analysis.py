@@ -162,7 +162,6 @@ class VarianceReport:
     and pairwise covariances; identity_gap measures how far the two sides
     of the exact identity drift apart (should be ~machine precision)."""
 
-    per_step_loss_samples: np.ndarray
     var_total: float
     var_terms: np.ndarray
     cov_sum: float
@@ -185,7 +184,6 @@ def variance_report(per_step_losses) -> VarianceReport:
     var_total = float(np.var(s.mean(axis=1), ddof=1))
     decomposed = (float(var_terms.sum()) + 2.0 * cov_sum) / (t * t)
     return VarianceReport(
-        per_step_loss_samples=s,
         var_total=var_total,
         var_terms=var_terms,
         cov_sum=cov_sum,

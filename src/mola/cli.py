@@ -455,11 +455,11 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     steps = train.StepErrors(1, horizon)
     raw = train.StepErrors(1, horizon) if args.destandardized else None
     wins = data.windows(ds, cfg["dataset"]["lookback"], horizon, args.split)
-    for err in wins.errors(forecast_fn):
+    for row, _, err in wins.errors(forecast_fn):
         if raw is not None:
             # the per-channel mean cancels: a raw error is the standardized one times the std
-            raw.add(err * ds.norm_stats.std)
-        steps.add(err)  # overwrites err, so it comes last
+            raw.add(row, err * ds.norm_stats.std)
+        steps.add(row, err)  # overwrites err, so it comes last
         del err  # dropped before the next block is made
     metrics = steps.metrics(args.split)
     payload = {"paradigm": pk, "split": args.split, "metrics": metrics}
@@ -473,18 +473,13 @@ def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
 
 def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
     """(N, T) per-window squared error of each step, averaged over channels,
-    filled one forecast block at a time: the blocks of a chunk of windows
-    give its rows of the array, one block its columns."""
+    filled one forecast block at a time, each at its windows' rows and its
+    label rows' columns."""
     wins = data.windows(ds, lookback, horizon, split)
     samples = np.empty((len(wins), horizon))
-    step = window = 0
-    for err in wins.errors(forecast_fn):
-        r, n = err.shape[:2]
-        samples[window : window + n, step : step + r] = np.square(err, out=err).mean(axis=2).T
+    for row, windows, err in wins.errors(forecast_fn):
+        samples[windows, row - 1 : row - 1 + err.shape[0]] = np.square(err, out=err).mean(axis=2).T
         del err  # dropped before the next block is made
-        step += r
-        if step == horizon:
-            step, window = 0, window + n
     return samples
 
 

@@ -18,9 +18,10 @@ count by default running through row T.  Every pass without
 gradients over a whole set, each val loss and each evaluation, is one
 :meth:`WindowSet.errors`, which gathers, forecasts and yields the errors
 of the set one :meth:`WindowSet.chunks` slice at a time, in chunks whose
-products round as those of the whole set's block; callers reduce each
-chunk's errors before asking for the next, so no pass holds a block of the
-whole set.
+products round as those of the whole set's block.  Each block comes with
+its first label row and its window slice, so no caller infers a block's
+place from the order of the stream; callers reduce each block before
+asking for the next, so no pass holds a block of the whole set.
 
 CSV files are read once; plain records are parsed by numpy's C reader, and
 anything else (quotes, a wrong field count, a bad or non-finite cell) by a
@@ -177,12 +178,16 @@ class WindowSet(Sequence):
         bounds = [i * width for i in range(max(1, n // width))] + [n]
         return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    def errors(self, forecast_fn, first: int = 1, rows: int | None = None) -> Iterator[np.ndarray]:
-        """Yield forecast minus the ``rows`` label rows from row ``first``
-        (1-based; by default through row T) one :meth:`chunks` slice at a
-        time, each block the C-contiguous (r, n, D) view of an (r, n*D)
-        block in the column order of :meth:`history_block`: window i's
-        channel c is ``[:, i, c]``.  This is the one error stream, behind
+    def errors(self, forecast_fn, first: int = 1,
+               rows: int | None = None) -> Iterator[tuple[int, slice, np.ndarray]]:
+        """Yield ``(row, windows, err)`` for forecast minus the ``rows``
+        label rows from row ``first`` (1-based; by default through row T),
+        one :meth:`chunks` slice at a time.  ``err`` is the C-contiguous
+        (r, n, D) view of an (r, n*D) block in the column order of
+        :meth:`history_block`: window i's channel c is ``[:, i, c]``.  It
+        is ``E[row - first : row - first + r, windows]`` of the whole set's
+        (rows, N, D) error array E, so a consumer puts each block in its
+        place from the tuple alone.  This is the one error stream, behind
         every val loss and every evaluation.
 
         ``forecast_fn`` maps the (L, n*D) history block of a chunk to its
@@ -206,7 +211,7 @@ class WindowSet(Sequence):
                              f"{len(fns)} equal forecast blocks")
         return self._error_blocks(fns, first, rows // len(fns))
 
-    def _error_blocks(self, fns, first: int, r: int) -> Iterator[np.ndarray]:
+    def _error_blocks(self, fns, first: int, r: int) -> Iterator[tuple[int, slice, np.ndarray]]:
         """The blocks of :meth:`errors`, whose arguments it has checked."""
         d = self.series.shape[1]
         for part in self.chunks():
@@ -222,7 +227,7 @@ class WindowSet(Sequence):
                                      f"{part.stop - part.start} windows of {d} channels")
                 np.subtract(pred, err, out=err)
                 del pred  # dropped before the block is yielded
-                yield err.reshape(r, -1, d)
+                yield a, part, err.reshape(r, -1, d)
                 del err  # the caller's, dropped before the next block is gathered
             del history  # dropped before the next chunk is gathered
 

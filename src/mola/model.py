@@ -156,7 +156,7 @@ def _param_shapes(encoder_spec: EncoderSpec, head_out: int) -> dict[str, tuple[i
     return shapes
 
 
-def _packed(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def packed(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Copies of ``arrays`` as views into one contiguous float64 buffer, in
     their order, so that an optimizer sees a whole model as one run of
     memory (see ``train.init_adam``)."""
@@ -181,7 +181,7 @@ def new_model(encoder_spec: EncoderSpec, head_out: int, seed: int) -> Foundation
             params[name] = rng.uniform(-bound, bound, size=shape)
         else:
             params[name] = np.zeros(shape)
-    return FoundationModel(encoder_spec=encoder_spec, head_out=head_out, params=_packed(params))
+    return FoundationModel(encoder_spec=encoder_spec, head_out=head_out, params=packed(params))
 
 
 def _activate(z: np.ndarray, activation: str, out=None) -> np.ndarray:
@@ -267,7 +267,7 @@ def mse_loss(m: FoundationModel, batch: WindowSet, first: int = 1) -> float:
     errors from ``batch.errors``, in chunk order, over their count.  With
     one chunk that is bitwise numpy's mean of the block."""
     total, count = 0.0, 0
-    for err in batch.errors(lambda history: forecast(m, history), first, m.head_out):
+    for _, _, err in batch.errors(lambda history: forecast(m, history), first, m.head_out):
         total += np.add.reduce(np.multiply(err, err, out=err), axis=None)
         count += err.size
         del err  # dropped before the next chunk is gathered
@@ -376,7 +376,7 @@ def model_from_state(state: dict) -> FoundationModel:
     if len(params) != len(entries):
         raise ValueError("model checkpoint names a parameter twice")
     return FoundationModel(encoder_spec=EncoderSpec.from_dict(state["encoder_spec"]),
-                           head_out=head_out, params=_packed(params), frozen=frozen)
+                           head_out=head_out, params=packed(params), frozen=frozen)
 
 
 def save_checkpoint(m: FoundationModel, path) -> None:

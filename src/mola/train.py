@@ -491,10 +491,10 @@ def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, hori
     channel c of window i) to their (T, n*D) forecast block, or is a
     sequence of callables that give equal consecutive row blocks of it, as
     :func:`mola_forecaster`'s one per segment.  Each is called once per
-    window chunk of the split.  Each block is reduced on its own and
-    dropped before the next is made, so scoring holds one chunk's rows and
-    forecast.  The averaged row is defined as the mean of the per-step
-    values.
+    window chunk of the split.  Each error block is reduced into the steps
+    its label row names and dropped before the next is made, so scoring
+    holds one chunk's rows and forecast.  The averaged row is defined as
+    the mean of the per-step values.
     """
     return _step_metrics(data.windows(ds, lookback, horizon, split), forecast_fn, split, 1,
                          horizon)
@@ -504,8 +504,8 @@ def _step_metrics(wins: data.WindowSet, forecast_fn, split: str, first: int, row
     """The metrics of forecast_fn's ``rows`` label rows from row ``first``
     over ``wins``, steps keeping their absolute index."""
     steps = StepErrors(first, rows)
-    for err in wins.errors(forecast_fn, first, rows):
-        steps.add(err)
+    for row, _, err in wins.errors(forecast_fn, first, rows):
+        steps.add(row, err)
         del err  # dropped before the next block is made
     return steps.metrics(split)
 
@@ -515,29 +515,27 @@ class StepErrors:
     one (r, n, D) error block at a time, so that one stream of blocks can
     feed more than one set of metrics.
 
-    Blocks come as ``WindowSet.errors``, the one error stream, yields them:
-    each holds the next r steps, and after the last step the next block
-    starts again at step ``first`` with the next windows.  A step's MSE and
-    MAE are the sums of its blocks' sums of e**2 and |e|, in the order
-    added, over its count of errors; with one block per step that is
-    bitwise numpy's mean of the step's row."""
+    Each block names its first step, as ``WindowSet.errors``, the one error
+    stream, yields it with its label row.  A step's MSE and MAE are the
+    sums of its blocks' sums of e**2 and |e|, in the order added, over its
+    count of errors; with one block per step that is bitwise numpy's mean
+    of the step's row."""
 
     def __init__(self, first: int, steps: int):
         self.first = first
         self.sq_sum, self.abs_sum = np.zeros(steps), np.zeros(steps)
         self.windows = np.zeros(steps, dtype=np.int64)  # windows added per step
         self.count = np.zeros(steps, dtype=np.int64)  # errors added per step
-        self.added = 0  # steps of every block added
-        self.overran = False  # a block ran past the last step
 
-    def add(self, err: np.ndarray) -> None:
-        """Sum the next block of errors into its steps, overwriting ``err``."""
+    def add(self, row: int, err: np.ndarray) -> None:
+        """Sum a block of errors of steps ``row`` .. ``row + r - 1`` into
+        those steps, overwriting ``err``; a block outside the steps raises
+        ValueError."""
         r, n = err.shape[:2]
-        j = self.added % len(self.count)
-        self.added += r
-        if j + r > len(self.count):
-            self.overran = True
-            return
+        j = row - self.first
+        if j < 0 or j + r > len(self.count):
+            raise ValueError(f"a block of steps {row}..{row + r - 1} is outside steps "
+                             f"{self.first}..{self.first + len(self.count) - 1}")
         # |err| and then |err|**2, which is bitwise err**2, are formed in place
         self.abs_sum[j : j + r] += np.add.reduce(np.abs(err, out=err), axis=(1, 2))
         self.sq_sum[j : j + r] += np.add.reduce(np.multiply(err, err, out=err), axis=(1, 2))
@@ -548,12 +546,10 @@ class StepErrors:
         """The metrics dict of evaluate_forecaster for the blocks added;
         ValueError unless they cover every step, each over the same
         windows."""
-        steps = len(self.count)
-        if (self.overran or not self.added or self.added % steps
-                or (self.windows != self.windows[0]).any()):
-            raise ValueError(f"errors of {self.added} steps were added for steps "
-                             f"{self.first}..{self.first + steps - 1}, over "
-                             f"{sorted(set(self.windows.tolist()))} windows per step")
+        if not self.windows[0] or (self.windows != self.windows[0]).any():
+            raise ValueError(f"steps {self.first}..{self.first + len(self.count) - 1} were "
+                             f"scored over {sorted(set(self.windows.tolist()))} windows per "
+                             "step; every step needs the same windows")
         mse, mae = self.sq_sum / self.count, self.abs_sum / self.count
         per_step = [{"step": self.first + j, "mse": float(a), "mae": float(b)}
                     for j, (a, b) in enumerate(zip(mse, mae))]

@@ -39,6 +39,10 @@ def test_segment_plan_quarters():
     plan = adapt.make_segment_plan(96, 4)
     assert plan.seg_len == 24
     assert plan.first_rows == (1, 25, 49, 73)
+    # the segment length and first rows follow from horizon and segments
+    assert adapt.SegmentPlan(96, 4) == plan
+    with pytest.raises(TypeError):
+        adapt.SegmentPlan(horizon=32, segments=4, seg_len=5, first_rows=(1,))
 
 
 def test_segment_plan_single():
@@ -50,6 +54,8 @@ def test_segment_plan_single():
 def test_segment_plan_divisibility_error():
     with pytest.raises(ValueError, match="divide"):
         adapt.make_segment_plan(10, 3)
+    with pytest.raises(ValueError, match="divide"):
+        adapt.SegmentPlan(32, 5)
     with pytest.raises(ValueError):
         adapt.make_segment_plan(4, 8)
     with pytest.raises(ValueError):
@@ -221,6 +227,21 @@ def test_check_fits_is_the_whole_rule_for_an_adapter_on_its_foundation():
                          (make_foundation("mlp2", head_out=2), "head")):
         with pytest.raises(ValueError, match=match):
             adapt.check_fits(ad, other)
+
+
+@pytest.mark.parametrize("routing", ["soft", "one-hot"])
+def test_check_fits_refuses_an_adapter_that_leaves_an_encoder_weight_unadapted(routing):
+    # a checkpoint that keeps only enc0.w loads, but its views would
+    # forecast with the foundation's enc1.w as it is
+    f = make_foundation("mlp2", head_out=4, seed=0)
+    ad = adapt.new_adapter(f, adapt.make_segment_plan(8, 2), 2, 2, seed=0, routing=routing)
+    state = adapt.adapter_state(ad)
+    del state["layers"][1]
+    loaded = adapt.adapter_from_state(state)
+    assert loaded.adapted_layers == ("enc0.w",)
+    with pytest.raises(ValueError, match=r"adapter layers \['enc0.w'\] are not the foundation's "
+                                         r"encoder weight matrices \['enc0.w', 'enc1.w'\]"):
+        adapt.check_fits(loaded, f)
 
 
 # --- adapted views ---
@@ -671,7 +692,7 @@ def test_adapter_checkpoint_round_trip(tmp_path):
             e.b_mat[:] = rng.normal(size=e.b_mat.shape)
         ad.logits[layer][:] = rng.normal(size=ad.logits[layer].shape)
     path = tmp_path / "adapter.json"
-    adapt.save_adapter(ad, path)
+    _io.write_json(path, adapt.adapter_state(ad))
     loaded = adapt.load_adapter(path)
     assert loaded.plan == ad.plan
     assert loaded.adapted_layers == ad.adapted_layers
@@ -684,7 +705,7 @@ def test_adapter_checkpoint_round_trip(tmp_path):
             assert np.array_equal(e1.a_mat, e2.a_mat)
             assert np.array_equal(e1.b_mat, e2.b_mat)
     path2 = tmp_path / "again.json"
-    adapt.save_adapter(loaded, path2)
+    _io.write_json(path2, adapt.adapter_state(loaded))
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -692,7 +713,7 @@ def test_one_hot_adapter_checkpoint_round_trip(tmp_path):
     f, plan, ad = setup_adapter(experts=2, segments=2)
     adapt.freeze_one_hot_routing(ad)
     path = tmp_path / "adapter.json"
-    adapt.save_adapter(ad, path)
+    _io.write_json(path, adapt.adapter_state(ad))
     assert all("logits" not in entry for entry in adapt.adapter_state(ad)["layers"])
     loaded = adapt.load_adapter(path)
     assert loaded.routing == "one-hot" and loaded.logits is None

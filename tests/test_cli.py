@@ -286,7 +286,7 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
     # eval --destandardized and analyze variance score the mola forecast one
     # segment at a time; both must give bitwise what the whole (T, N, D)
     # error array gives, also for segments of one row
-    from mola import adapt, data, model, train
+    from mola import _io, adapt, data, model, train
 
     # the dataset of the config below
     ds = data.standardize(data.generate_synthetic(data.default_synth_spec(n_points=400, seed=3)))
@@ -300,7 +300,7 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
         adapter.b[name][:] = rng.normal(size=adapter.b[name].shape)
         adapter.logits[name][:] = rng.normal(size=adapter.logits[name].shape)
     blocks = train.mola_forecaster(foundation, adapter)
-    [err] = data.windows(ds, 8, horizon, "test").errors(
+    [(_, _, err)] = data.windows(ds, 8, horizon, "test").errors(
         lambda h: train.mola_forecast(foundation, adapter, h))
     want_samples = (err ** 2).mean(axis=2).T  # (N, T)
     raw = err * ds.norm_stats.std
@@ -309,7 +309,7 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
     rd = ws / "run"
     (rd / "checkpoints").mkdir(parents=True)
     model.save_checkpoint(foundation, rd / "checkpoints" / "foundation.json")
-    adapt.save_adapter(adapter, rd / "checkpoints" / "adapter.json")
+    _io.write_json(rd / "checkpoints" / "adapter.json", adapt.adapter_state(adapter))
     cfg = write_ini(ws / "cfg.ini", **base_sections(
         dataset={"n_points": 400, "synth_seed": 3, "noise_std": 0.1, "horizon": horizon},
         paradigm={"segments": segments}))
@@ -697,9 +697,11 @@ def test_eval_refuses_adapter_layers_the_foundation_lacks(ws, capsys):
     path = rd / "checkpoints" / "adapter.json"
     good = json.loads(path.read_text())
     assert [entry["name"] for entry in good["layers"]] == ["enc0.w", "enc1.w"]
-    # an unknown layer, the head, and two encoder layers whose stacks are swapped
-    for names in (["enc9.w", "enc1.w"], ["head.w", "enc1.w"], ["enc1.w", "enc0.w"]):
+    # an unknown layer, the head, two encoder layers whose stacks are
+    # swapped, and enc0.w alone, which would forecast with enc1.w unadapted
+    for names in (["enc9.w", "enc1.w"], ["head.w", "enc1.w"], ["enc1.w", "enc0.w"], ["enc0.w"]):
         state = json.loads(json.dumps(good))
+        del state["layers"][len(names) :]
         for entry, name in zip(state["layers"], names):
             entry["name"] = name
         path.write_text(json.dumps(state))

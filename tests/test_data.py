@@ -529,7 +529,7 @@ def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch
         return history[-3:] * 1.5
 
     want = ws.history_block()[-3:] * 1.5 - ws.label_block(2, 3)
-    blocks = list(ws.errors(fn, 2, 3))
+    blocks = [b for _, _, b in ws.errors(fn, 2, 3)]
     assert [b.shape for b in blocks] == [(3, c.stop - c.start, 3) for c in chunks]
     assert all(b.flags.c_contiguous for b in blocks)
     assert np.concatenate(blocks, axis=1).tobytes() == want.tobytes()
@@ -543,7 +543,7 @@ def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch
         return forecast
 
     calls.clear()
-    blocks = list(ws.errors([row(0), row(1), row(2)], 2, 3))
+    blocks = [b for _, _, b in ws.errors([row(0), row(1), row(2)], 2, 3)]
     assert len(blocks) == 3 * len(chunks)
     assert np.concatenate([np.concatenate(blocks[i : i + 3]) for i in range(0, len(blocks), 3)],
                           axis=1).tobytes() == want.tobytes()
@@ -558,6 +558,32 @@ def test_errors_subtract_each_chunks_forecast_from_its_label_columns(monkeypatch
         ws.errors(fn, 4, 3)
     with pytest.raises(ValueError, match="no windows"):
         ws[:0].errors(fn)
+
+
+@pytest.mark.parametrize("chunk_columns", [24, 10**9])
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_error_block_names_its_label_rows_and_windows(monkeypatch, chunk_columns, k):
+    # writing every block of errors(fn, first, rows) at rows row - first ..
+    # and columns windows rebuilds the whole set's error array bitwise,
+    # with one forecast callable and with k, over several chunks and one
+    ds = make_ds(n=200, d=3)
+    monkeypatch.setattr(data, "_CHUNK_COLUMNS", chunk_columns)
+    ws = data.windows(ds, lookback=6, horizon=8, split="train")
+    n_chunks = len(ws.chunks())
+    assert n_chunks == 1 if chunk_columns == 10**9 else n_chunks > 3
+
+    def fn(history):
+        return history[-6:] * 1.5
+
+    want = (fn(ws.history_block()) - ws.label_block(3, 6)).reshape(6, len(ws), 3)
+    fns = fn if k == 1 else [lambda h, i=i: fn(h)[2 * i : 2 * i + 2] for i in range(k)]
+    got = np.full_like(want, np.nan)
+    placed = []
+    for row, windows, err in ws.errors(fns, 3, 6):
+        got[row - 3 : row - 3 + err.shape[0], windows] = err
+        placed.append((row, windows.start, windows.stop))
+    assert got.tobytes() == want.tobytes()
+    assert len(placed) == len(set(placed)) == k * n_chunks
 
 
 def test_batch_refuses_rows_that_are_not_integers():

@@ -6,6 +6,9 @@ tests; such code is deleted together with its tests instead of kept.
 Each exception in ``ALLOWED`` must name a definition that still exists
 and that still only tests use.
 
+No module of ``mola`` reads another module's underscore names: what one
+module needs from another is public there.
+
 The README's statements of the checkpoint formats must name the versions
 the package writes.
 """
@@ -24,7 +27,6 @@ PACKAGE = ROOT / "src" / "mola"
 # name -> why it stays although only tests call it
 ALLOWED = {
     "model.save_checkpoint": "the frozen-checkpoint acceptance test writes the foundation with it",
-    "adapt.save_adapter": "the inverse of load_adapter, which the CLI reads adapters with",
 }
 
 
@@ -92,6 +94,23 @@ def test_every_allowed_name_exists_and_only_tests_use_it():
     assert missing == [], f"ALLOWED names that no longer exist: {missing}"
     in_use = sorted(ALLOWED.keys() & used)
     assert in_use == [], f"ALLOWED names that code outside the tests uses: {in_use}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                module, names = sub.value.id, [sub.attr]
+            elif isinstance(sub, ast.ImportFrom) and sub.module:
+                module, names = sub.module.rsplit(".", 1)[-1], [a.name for a in sub.names]
+            else:
+                continue
+            if module in modules - {path.stem}:
+                reads += [f"{path.stem} reads {module}.{name}" for name in names
+                          if name.startswith("_") and not name.startswith("__")]
+    assert reads == [], f"private names read across modules: {reads}"
 
 
 @pytest.mark.parametrize("subject, version", [

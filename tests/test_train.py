@@ -403,8 +403,8 @@ def row_metrics(forecast_fn, ds, lookback, horizon, split, first, rows):
     measures a segment: StepErrors over the split's error stream of those
     rows."""
     steps = train.StepErrors(first, rows)
-    for err in data.windows(ds, lookback, horizon, split).errors(forecast_fn, first, rows):
-        steps.add(err)
+    for row, _, err in data.windows(ds, lookback, horizon, split).errors(forecast_fn, first, rows):
+        steps.add(row, err)
     return steps.metrics(split)
 
 
@@ -487,7 +487,7 @@ def test_adapt_drift_matches_a_reloaded_adapter(tmp_path):
     cfg = small_config(learning_rate=3e-2, max_epochs=4, patience=4)
     foundation, plan, adapter, records = make_adapted(ds, segments=3, horizon=6, cfg=cfg)
     path = tmp_path / "adapter.json"
-    adapt.save_adapter(adapter, path)
+    _io.write_json(path, adapt.adapter_state(adapter))
     loaded = adapt.load_adapter(path)
     for k, rec in enumerate(records, start=1):
         again = row_metrics(lambda h: model.forecast(adapt.adapted_model(foundation, loaded, k), h),
@@ -808,10 +808,11 @@ def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, 
         got = train.evaluate_forecaster(blocks, ds, 8, horizon, split=split)
         assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
         wins = data.windows(ds, 8, horizon, split)
-        [err] = wins.errors(whole)
+        [(_, _, err)] = wins.errors(whole)
         parts = list(wins.errors(blocks))
-        assert [p.shape[0] for p in parts] == [horizon // segments] * segments
-        assert np.concatenate(parts).tobytes() == err.tobytes()
+        assert [(row, p.shape[0]) for row, _, p in parts] == [
+            (a, horizon // segments) for a in adapter.plan.first_rows]
+        assert np.concatenate([p for _, _, p in parts]).tobytes() == err.tobytes()
     # one segment's rows alone: its steps keep their absolute index and values
     seg_len = adapter.plan.seg_len
     for k, lo in enumerate(adapter.plan.first_rows, start=1):
@@ -829,7 +830,7 @@ def test_one_row_blocks_score_like_the_whole_forecast(d):
 
     want = train.evaluate_forecaster(whole, ds, 8, 7)
     # numpy's means over each step's row of the whole (T, N, D) error array
-    [err] = data.windows(ds, 8, 7, "test").errors(whole)
+    [(_, _, err)] = data.windows(ds, 8, 7, "test").errors(whole)
     assert err.shape == (7, len(data.windows(ds, 8, 7, "test")), d) and err.flags.c_contiguous
     assert [r["mse"] for r in want["per_step"]] == (err * err).mean(axis=(1, 2)).tolist()
     assert [r["mae"] for r in want["per_step"]] == np.abs(err).mean(axis=(1, 2)).tolist()
@@ -850,14 +851,24 @@ def test_evaluate_forecaster_rejects_blocks_that_miss_the_rows(bounds):
         train.evaluate_forecaster(blocks, ds, 8, 4)
 
 
-@pytest.mark.parametrize("rows", [[], [2], [1, 1], [2, 2], [1, 1, 1, 1]])
+@pytest.mark.parametrize("rows", [[], [(3, 2)], [(3, 1), (4, 1)], [(4, 2)], [(3, 1), (5, 1)],
+                                  [(3, 3), (3, 2)], [(3, 3), (5, 1)], [(3, 1), (4, 2), (4, 1)]])
 def test_step_errors_refuse_blocks_that_miss_steps_first_to_last(rows):
-    # steps 3..5: a stream that stops early, or runs on, yields no metrics
+    # steps 3..5: blocks of (first row, row count) that miss a step, or
+    # score one step over more windows than another, yield no metrics
     steps = train.StepErrors(3, 3)
-    for r in rows:
-        steps.add(np.ones((r, 4, 2)))
-    with pytest.raises(ValueError, match=rf"errors of {sum(rows)} steps were added for steps 3..5"):
+    for row, r in rows:
+        steps.add(row, np.ones((r, 4, 2)))
+    with pytest.raises(ValueError, match=r"steps 3..5 were scored over \[.*\] windows per step"):
         steps.metrics("test")
+
+
+@pytest.mark.parametrize("row, r", [(2, 1), (1, 3), (6, 1), (5, 2), (4, 3)])
+def test_step_errors_refuse_a_block_outside_their_steps(row, r):
+    steps = train.StepErrors(3, 3)
+    with pytest.raises(ValueError, match=rf"a block of steps {row}..{row + r - 1} is outside "
+                                         "steps 3..5"):
+        steps.add(row, np.ones((r, 4, 2)))
 
 
 @pytest.mark.parametrize("target, n_windows", [((1, 48), 2690), ((49, 96), 592), ((3, 4), None)])
@@ -872,7 +883,7 @@ def test_val_loss_is_the_mean_of_the_evaluation_error_block(target, n_windows):
     first, last = target
     m = model.new_model(spec, head_out=last - first + 1, seed=3)
     wins = data.windows(ds, lookback, horizon, "val")
-    err = error_array(list(wins.errors(lambda h: model.forecast(m, h), first, m.head_out)))
+    err = error_array(wins.errors(lambda h: model.forecast(m, h), first, m.head_out))
     want = float(chunk_order_sum(err * err, wins.chunks(), None) / err.size)
     assert model.mse_loss(m, wins, first).hex() == want.hex()
     flat_mean = float((err * err).mean())
@@ -942,11 +953,17 @@ def etth_mola(seed=0):
     return foundation, adapter
 
 
-def error_array(blocks, k=1):
-    """The (rows, N, D) error array of the blocks of ``WindowSet.errors``
-    with k forecast callables: k row blocks per window chunk."""
-    return np.concatenate([np.concatenate(blocks[i : i + k]) for i in range(0, len(blocks), k)],
-                          axis=1)
+def error_array(stream):
+    """The (rows, N, D) error array of the stream of ``WindowSet.errors``,
+    each block written at its label rows and windows."""
+    blocks = list(stream)
+    first = min(row for row, _, _ in blocks)
+    last = max(row + err.shape[0] - 1 for row, _, err in blocks)
+    n = max(windows.stop for _, windows, _ in blocks)
+    out = np.full((last - first + 1, n, blocks[0][2].shape[2]), np.nan)
+    for row, windows, err in blocks:
+        out[row - first : row - first + err.shape[0], windows] = err
+    return out
 
 
 def chunk_order_sum(values, chunks, axis):
@@ -983,15 +1000,15 @@ def whole_split_passes(ds, foundation, adapter):
               *(adapt.segment_loss(foundation, adapter, k, val) for k in (1, 4))]
     forecaster = train.mola_forecaster(foundation, adapter)
     raw = train.StepErrors(1, 192)
-    for err in test.errors(forecaster):
-        raw.add(err * ds.norm_stats.std)
+    for row, _, err in test.errors(forecaster):
+        raw.add(row, err * ds.norm_stats.std)
     metrics = [
         row_metrics(lambda h: model.forecast(foundation, h), ds, 96, 192, "val", firsts[1],
                     adapter.plan.seg_len),
         train.evaluate_forecaster(forecaster, ds, 96, 192),
         raw.metrics("test"),
     ]
-    errors = error_array(list(test.errors(forecaster)), 4)
+    errors = error_array(test.errors(forecaster))
     arrays = [errors.tobytes(), cli._per_step_loss_samples(forecaster, ds, 96, 192, "test").tobytes(),
               analysis.window_set_hash(data.windows(ds, 96, 192, "test"))]
     return losses, metrics, arrays
@@ -1005,16 +1022,16 @@ def chunk_order_passes(ds, foundation, adapter):
     firsts = adapter.plan.first_rows
 
     def errors(m, split, first):
-        return error_array(list(data.windows(ds, 96, 192, split).errors(
-            lambda h: model.forecast(m, h), first, adapter.plan.seg_len)))
+        return error_array(data.windows(ds, 96, 192, split).errors(
+            lambda h: model.forecast(m, h), first, adapter.plan.seg_len))
 
     losses = []
     for m, first in [(foundation, firsts[0]), (foundation, firsts[2]),
                      *((adapt.adapted_model(foundation, adapter, k), firsts[k - 1]) for k in (1, 4))]:
         err = errors(m, "val", first)
         losses.append(float(chunk_order_sum(err * err, val_chunks, None) / err.size))
-    test = error_array(list(data.windows(ds, 96, 192, "test").errors(
-        train.mola_forecaster(foundation, adapter))), 4)
+    test = error_array(data.windows(ds, 96, 192, "test").errors(
+        train.mola_forecaster(foundation, adapter)))
     metrics = [chunk_order_metrics(errors(foundation, "val", firsts[1]), val_chunks, 49, "val"),
                chunk_order_metrics(test, test_chunks, 1, "test"),
                chunk_order_metrics(test * ds.norm_stats.std, test_chunks, 1, "test")]
@@ -1147,25 +1164,27 @@ def test_whole_split_pass_peaks_stay_level_as_the_split_grows():
 
 def test_step_errors_refuse_a_stream_that_skipped_one_chunk():
     # 600 test windows are chunks of 296 and 304, each scored in four
-    # segment blocks: a stream without any one block misses steps, and one
-    # that swaps whole blocks of chunk 1 for blocks of chunk 2 scores steps
-    # over different windows
+    # segment blocks: a stream without any one block scores its steps over
+    # fewer windows, and one that swaps whole blocks of chunk 1 for blocks
+    # of chunk 2 scores steps over different windows
     ds = etth_split(600)
     foundation, adapter = etth_mola()
     blocks = list(data.windows(ds, 96, 192, "test").errors(train.mola_forecaster(foundation,
                                                                                  adapter)))
-    assert [b.shape[:2] for b in blocks] == [(48, 296)] * 4 + [(48, 304)] * 4
+    assert [(row, w, b.shape[:2]) for row, w, b in blocks] == [
+        (row, w, (48, w.stop - w.start)) for w in (slice(0, 296), slice(296, 600))
+        for row in (1, 49, 97, 145)]
     streams = [blocks[:i] + blocks[i + 1 :] for i in range(8)] + [[blocks[0], *blocks[5:]]]
     for stream in streams:
         steps = train.StepErrors(1, 192)
-        for err in stream:
-            steps.add(err.copy())
-        with pytest.raises(ValueError, match=f"errors of {48 * len(stream)} steps were added "
-                                             "for steps 1..192"):
+        for row, _, err in stream:
+            steps.add(row, err.copy())
+        with pytest.raises(ValueError, match=r"steps 1..192 were scored over \[.*\] windows per "
+                                             "step"):
             steps.metrics("test")
     steps = train.StepErrors(1, 192)
-    for err in blocks:
-        steps.add(err.copy())
+    for row, _, err in blocks:
+        steps.add(row, err.copy())
     assert steps.metrics("test")["n_windows"] == 600
 
 
