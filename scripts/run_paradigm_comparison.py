@@ -37,7 +37,7 @@ NAMES = ("arf", "mtf", "mola")
 def score_cell(ds, spec, horizon, segments, n_experts, rank, routing, cfg, whole_model):
     """Test metrics of arf, mtf and mola on one (T, K) cell, and mtf's
     bottleneck report under the linear encoder; ``whole_model(h)`` returns
-    the seed's frozen fit at horizon h."""
+    the seed's whole-model fit at horizon h."""
     arf, mtf = whole_model(1), whole_model(horizon)
     plan = adapt.make_segment_plan(horizon, segments)
     foundation = whole_model(plan.seg_len)
@@ -101,8 +101,7 @@ def main():
             learning_rate=args.lr, max_epochs=args.max_epochs,
             patience=args.patience, seed=seed,
         )
-        # arf, mtf and every foundation are this one fit at their horizon;
-        # pretrain's model is frozen, which adapting needs and forecasting ignores
+        # arf, mtf and every foundation are this one fit at their horizon
         whole_model = functools.cache(lambda h: train.pretrain(ds, spec, h, cfg)[0])
         for horizon, segments in cells:
             row = score_cell(ds, spec, horizon, segments, n_experts(segments), args.rank,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,14 +72,24 @@ def require_type(obj: dict, key: str, kind: type, what: str):
 
 
 def decode_array(d: dict) -> np.ndarray:
+    """The float64 array of an ``encode_array`` object; a ValueError names
+    the field unless ``shape`` is a list of integers >= 0 and ``data`` a
+    list of that many finite JSON numbers (true and false are not numbers)."""
     require_keys(d, ("shape", "data"), "encoded array")
     shape = require_type(d, "shape", list, "encoded array")
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in shape):
-        raise ValueError(f"encoded array 'shape' must hold integers, got {shape!r}")
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"encoded array 'shape' must be a list of integers >= 0, got {shape!r}")
+    values = require_type(d, "data", list, "encoded array")
+    if not set(map(type, values)) <= {float, int}:
+        bad = next(x for x in values if type(x) not in (float, int))
+        raise ValueError(f"encoded array 'data' must be a list of numbers, got {bad!r}")
+    if len(values) != math.prod(shape):
+        raise ValueError(f"encoded array 'data' must be {math.prod(shape)} numbers for "
+                         f"'shape' {shape}, got {len(values)}")
     try:
-        array = np.array(require_type(d, "data", list, "encoded array"), dtype=np.float64)
-    except TypeError as e:
-        raise ValueError(f"encoded array 'data' must hold numbers: {e}") from None
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64's range
+        array = np.full(1, np.inf)
     if not np.isfinite(array).all():
-        raise ValueError("encoded array 'data' must hold finite numbers")
+        raise ValueError("encoded array 'data' must be finite numbers")
     return array.reshape(shape)

@@ -113,26 +113,11 @@ def effective_weight(base: np.ndarray, a: np.ndarray, b: np.ndarray,
     [delta_1 B_1 ... delta_P B_P] (d_out, P*r) and [A_1; ...; A_P] (P*r, d_in).
     A zero weight zeroes its expert's columns exactly.  For one expert of
     weight 1 this is exactly W + B @ A.  Leading axes of a, b and delta
-    (K segments, say) carry over to the result: (K, d_out, d_in)."""
-    base = np.asarray(base, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if a.ndim < 3 or b.ndim != a.ndim or delta.ndim != a.ndim - 2:
-        raise ValueError(f"expected (..., P, r, d_in) and (..., P, d_out, r) stacks and "
-                         f"(..., P) weights, got {a.shape}, {b.shape} and {delta.shape}")
-    lead, (n, d_out, rank), d_in = b.shape[:-3], b.shape[-3:], a.shape[-1]
-    if a.shape[:-1] != lead + (n, rank) or delta.shape != lead + (n,):
-        raise ValueError(f"expert stacks {a.shape} and {b.shape} do not match mixture "
-                         f"weights {delta.shape} of rank-{rank} experts")
-    if (d_out, d_in) != base.shape:
-        raise ValueError(
-            f"expert update is {d_out}x{d_in}, base weight is {base.shape[0]}x{base.shape[1]}"
-        )
-    return _effective_weight(base, a, b, delta)
+    (K segments, say) carry over to the result: (K, d_out, d_in).
 
-
-def _effective_weight(base, a, b, delta):
-    """effective_weight without its checks, for the stacks of an adapter
-    that check_fits passed on this foundation."""
+    The shapes are not checked here: adapted_model and segment_grads form
+    W_eff from adapters that check_fits, the whole rule for an adapter on
+    its foundation, has passed."""
     *lead, n, d_out, rank = b.shape
     b_cat = (b.swapaxes(-3, -2) * delta[..., None, :, None]).reshape(*lead, d_out, n * rank)
     return base + b_cat @ a.reshape(*lead, n * rank, a.shape[-1])
@@ -243,11 +228,10 @@ def _packed_stacks(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
 def check_settings(encoder_spec: model.EncoderSpec, horizon: int, segments: int,
                    n_experts: int, rank: int, routing: str = "soft") -> None:
     """Raise the ValueError that adapting with these settings would raise, by
-    building the segment plan, a fresh frozen foundation and the adapter.
-    Their random draws are local, so no later result changes."""
+    building the segment plan, a fresh foundation and the adapter.  Their
+    random draws are local, so no later result changes."""
     plan = make_segment_plan(horizon, segments)
     foundation = model.new_model(encoder_spec, plan.seg_len, seed=0)
-    foundation.freeze()
     new_adapter(foundation, plan, n_experts, rank, seed=0, routing=routing)
 
 
@@ -293,17 +277,16 @@ def _check_one_hot(adapter: MolaAdapter) -> None:
 
 def check_fits(adapter: MolaAdapter, foundation: model.FoundationModel) -> None:
     """The one rule for an adapter on a foundation: raise a ValueError
-    unless the foundation is frozen, its head predicts one segment of the
-    plan, the adapter's arrays hold together (one P and r over its layers,
-    (K, P) logits under soft routing, P == K under one-hot routing), its
-    layers are the foundation's encoder weight matrices, all of them and in
-    their order, each with stacks of that matrix's shape (the checks of
-    effective_weight on the arrays segment_grads builds W_eff from) and at
-    least one expert of rank 1 <= r < min(d_out, d_in), the rule
-    new_adapter applies, and the adapter was fitted on it
-    (foundation_sha256)."""
-    if not foundation.frozen:
-        raise ValueError("foundation must be frozen before adaptation")
+    unless the foundation's head predicts one segment of the plan, the
+    adapter's arrays hold together (one P and r over its layers, (K, P)
+    logits under soft routing, P == K under one-hot routing), its layers are
+    the foundation's encoder weight matrices, all of them and in their
+    order, each with stacks of that matrix's shape (the shapes
+    effective_weight relies on) and at least one expert of rank
+    1 <= r < min(d_out, d_in), the rule new_adapter applies, and the
+    adapter was fitted on it (foundation_sha256).  Adapting never writes
+    into the foundation; the digest check refuses a foundation that changed
+    after the adapter was fitted."""
     if adapter.plan.seg_len != foundation.head_out:
         raise ValueError(f"plan segment length {adapter.plan.seg_len} != foundation head_out "
                          f"{foundation.head_out}; the head must predict exactly one segment")
@@ -357,7 +340,7 @@ def _segment_stacks(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
 def adapted_model(
     foundation: model.FoundationModel, adapter: MolaAdapter, k: int
 ) -> model.FoundationModel:
-    """Materialize the frozen segment-k model, for one segment k in 1..K.
+    """Materialize the segment-k model, for one segment k in 1..K.
     Adapted weights are fresh arrays; everything else aliases the
     foundation.  Training goes through segment_grads, which passes W_eff as
     overrides instead."""
@@ -369,7 +352,7 @@ def adapted_model(
                    else normalize_weights(adapter.logits[name][k - 1]))
         params[name] = effective_weight(foundation.params[name], a, b, weights)
     return model.FoundationModel(encoder_spec=foundation.encoder_spec,
-                                 head_out=foundation.head_out, params=params, frozen=True)
+                                 head_out=foundation.head_out, params=params)
 
 
 def segment_loss(foundation, adapter, k: int, batch) -> float:
@@ -402,16 +385,16 @@ def segment_grads(foundation, adapter, k: int | None, batch):
     is the (K,) array of the segments' losses.  Each segment's loss and
     gradients are bitwise those of its own step.
 
-    W_eff is formed without effective_weight's shape checks: check_fits,
-    the whole rule for an adapter on its foundation, runs them once before
-    the fits of train.adapt_all_segments.
+    Shapes are not checked per step: check_fits, the whole rule for an
+    adapter on its foundation, runs once before the fits of
+    train.adapt_all_segments.
     """
     stacks = _segment_stacks(adapter, k)
     first = adapter.plan.first_rows if k is None else adapter.plan.first_rows[k - 1]
     if adapter.routing == "one-hot":
         return _one_hot_grads(foundation, stacks, k is not None, batch, first)
     weights = {name: normalize_weights(adapter.logits[name][k - 1]) for name in stacks}
-    eff = {name: _effective_weight(foundation.params[name], a, b, weights[name])
+    eff = {name: effective_weight(foundation.params[name], a, b, weights[name])
            for name, (a, b) in stacks.items()}
     loss, eff_grads = model.loss_and_grads(foundation, batch, first, overrides=eff)
     grads: dict[str, np.ndarray] = {}

@@ -10,10 +10,12 @@ MSE); there is no general autodiff graph.  A loss scores the model on
 ``rows`` label rows from row ``first`` of each window; the head supplies
 the count (rows = head_out), so a caller names only the first row.
 
-A model's parameters are a plain name -> array dict plus one ``frozen``
-bool for the whole model.  An unfrozen model trains every entry; a frozen
-one trains only what a caller passes in as ``overrides``, which is how
-adaptation puts low-rank updates on top of it.
+A model is its parameters, a plain name -> array dict, and its
+activation: the encoder's kind, widths and the head length are read off
+the arrays' shapes, and a checkpoint stores nothing else.  A loss forms
+gradients for the ``overrides`` a caller passes in place of parameters,
+and for every parameter when there are none: that is how adaptation
+trains low-rank updates on top of a foundation it never changes.
 
 Passes without gradients (encode, decode, forecast, mse_loss) keep no
 cache, so each layer's output is formed in place in the array its matmul
@@ -41,7 +43,7 @@ from .data import WindowSet
 
 ENCODER_KINDS = ("linear", "mlp2")
 ACTIVATIONS = ("relu", "tanh")
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -96,19 +98,6 @@ class EncoderSpec:
             "activation": self.activation,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "EncoderSpec":
-        require_keys(d, ("kind", "in_len", "hidden", "activation"), "encoder_spec")
-        hidden = require_type(d, "hidden", list, "encoder_spec")
-        if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
-            raise ValueError(f"encoder_spec 'hidden' must hold integers, got {hidden!r}")
-        return EncoderSpec(
-            kind=require_type(d, "kind", str, "encoder_spec"),
-            in_len=require_type(d, "in_len", int, "encoder_spec"),
-            hidden=tuple(hidden),
-            activation=require_type(d, "activation", str, "encoder_spec"),
-        )
-
 
 @dataclass(eq=False)
 class FoundationModel:
@@ -118,7 +107,6 @@ class FoundationModel:
     encoder_spec: EncoderSpec
     head_out: int
     params: dict[str, np.ndarray]
-    frozen: bool = False
 
     def __post_init__(self):
         if self.head_out < 1:
@@ -135,9 +123,6 @@ class FoundationModel:
     @property
     def lookback(self) -> int:
         return self.encoder_spec.in_len
-
-    def freeze(self) -> None:
-        self.frozen = True
 
 
 # (weight, bias) names of encoder layers 0 and 1, spelled once
@@ -275,12 +260,12 @@ def mse_loss(m: FoundationModel, batch: WindowSet, first: int = 1) -> float:
 
 
 def loss_and_grads(m: FoundationModel, batch: WindowSet, first=1, overrides=None):
-    """Loss plus gradients: for every entry of an unfrozen model, and only
-    for the ``overrides`` of a frozen one.
+    """Loss plus gradients: for the ``overrides`` when there are some, and
+    for every parameter of m otherwise.
 
     ``overrides`` maps parameter names to arrays used in place of m's
     entries: that is how adaptation trains the effective weights on top of
-    a frozen model without building one per step.
+    a foundation without building a model per step.
 
     The loss is scored on the head_out label rows from row ``first``.  With
     a sequence of K first rows, the batch is K equal groups of windows (see
@@ -293,10 +278,9 @@ def loss_and_grads(m: FoundationModel, batch: WindowSet, first=1, overrides=None
         unknown = overrides.keys() - m.params.keys()
         if unknown:
             raise ValueError(f"overrides name unknown parameters {sorted(unknown)}")
-        weights = {**m.params, **overrides}
+        trained, weights = overrides, {**m.params, **overrides}
     else:
-        overrides, weights = {}, m.params
-    trained = overrides if m.frozen else weights
+        trained = weights = m.params
     x, y = _stack_batch(m, batch, first)
     rep, caches = _encode_cols(m, x, keep_cache=True, weights=weights)
     head_w = weights["head.w"]
@@ -349,25 +333,26 @@ def ar_f_forecast(m: FoundationModel, history: np.ndarray, horizon: int) -> np.n
 
 
 def model_state(m: FoundationModel) -> dict:
+    """The checkpoint: the activation and the arrays, which say the rest."""
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "tool_version": __version__,
         "kind": "foundation-model",
-        "encoder_spec": m.encoder_spec.to_dict(),
-        "head_out": m.head_out,
-        "frozen": m.frozen,
+        "activation": m.encoder_spec.activation,
         "params": [{"name": name, **encode_array(array)} for name, array in m.params.items()],
     }
 
 
 def model_from_state(state: dict) -> FoundationModel:
+    """The model of a checkpoint.  One encoder layer is linear and two are
+    mlp2; enc0.w is (hidden[0], in_len), enc1.w (hidden[1], hidden[0]) and
+    head.w (head_out, rep_dim), and FoundationModel checks every shape."""
     if state.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {state.get('format_version')!r}")
     if state.get("kind") != "foundation-model":
         raise ValueError(f"not a model checkpoint (kind={state.get('kind')!r})")
-    require_keys(state, ("encoder_spec", "head_out", "frozen", "params"), "model checkpoint")
-    head_out = require_type(state, "head_out", int, "model checkpoint")
-    frozen = require_type(state, "frozen", bool, "model checkpoint")
+    require_keys(state, ("activation", "params"), "model checkpoint")
+    activation = require_type(state, "activation", str, "model checkpoint")
     entries = require_type(state, "params", list, "model checkpoint")
     for entry in entries:
         require_keys(entry, ("name",), "model checkpoint parameter")
@@ -375,8 +360,17 @@ def model_from_state(state: dict) -> FoundationModel:
     params = {entry["name"]: decode_array(entry) for entry in entries}
     if len(params) != len(entries):
         raise ValueError("model checkpoint names a parameter twice")
-    return FoundationModel(encoder_spec=EncoderSpec.from_dict(state["encoder_spec"]),
-                           head_out=head_out, params=packed(params), frozen=frozen)
+    mlp2 = "enc1.w" in params
+    matrices = ("enc0.w", "enc1.w", "head.w") if mlp2 else ("enc0.w", "head.w")
+    if any(name not in params or params[name].ndim != 2 for name in matrices):
+        raise ValueError(f"model checkpoint parameters {list(params)} give no encoder and head: "
+                         f"{', '.join(map(repr, matrices))} must be matrices")
+    h1, in_len = params["enc0.w"].shape
+    spec = EncoderSpec(kind="mlp2" if mlp2 else "linear", in_len=in_len,
+                       hidden=(h1, params["enc1.w"].shape[0]) if mlp2 else (),
+                       activation=activation)
+    return FoundationModel(encoder_spec=spec, head_out=params["head.w"].shape[0],
+                           params=packed(params))
 
 
 def save_checkpoint(m: FoundationModel, path) -> None:

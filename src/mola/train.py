@@ -369,10 +369,10 @@ def _train_model(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, horizo
 
 def pretrain(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, s_steps: int,
              config: TrainConfig | None = None):
-    """Train the S-step foundation model; returned frozen at its best epoch."""
-    m, record = _train_model(ds, encoder_spec, s_steps, config or TrainConfig(), stage="pretrain")
-    m.freeze()
-    return m, record
+    """Train the S-step foundation model, returned at its best epoch.  It
+    is mtf_train at horizon S under another stage name: adaptation never
+    writes into it (see adapt.check_fits)."""
+    return _train_model(ds, encoder_spec, s_steps, config or TrainConfig(), stage="pretrain")
 
 
 def mtf_train(ds, encoder_spec, horizon: int, config: TrainConfig | None = None):

@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from mola import _io, adapt, data, model
 
 
-def make_foundation(kind="mlp2", lookback=8, head_out=4, seed=0, frozen=True):
+def make_foundation(kind="mlp2", lookback=8, head_out=4, seed=0):
     if kind == "mlp2":
         spec = model.EncoderSpec(kind="mlp2", in_len=lookback, hidden=(6, 3), activation="tanh")
     else:
         spec = model.EncoderSpec(kind="linear", in_len=lookback)
-    m = model.new_model(spec, head_out=head_out, seed=seed)
-    if frozen:
-        m.freeze()
-    return m
+    return model.new_model(spec, head_out=head_out, seed=seed)
 
 
 def make_batch(lookback, horizon, d=2, n=6, seed=0):
@@ -139,18 +136,6 @@ def test_effective_weight_matches_term_expansion():
     assert np.max(np.abs(out - hand)) <= 1e-12 * np.max(np.abs(hand))
 
 
-def test_effective_weight_shape_check():
-    base = np.zeros((4, 6))
-    a, b = make_stacks(4, 5, 2, 1)
-    with pytest.raises(ValueError):
-        adapt.effective_weight(base, a, b, np.array([1.0]))
-    a, b = make_stacks(4, 6, 2, 2)
-    with pytest.raises(ValueError):
-        adapt.effective_weight(base, a, b, np.array([1.0]))
-    with pytest.raises(ValueError):
-        adapt.effective_weight(base, a[0], b[0], np.array([1.0]))
-
-
 # --- placement ---
 
 
@@ -202,13 +187,6 @@ def test_new_adapter_rank_validation():
         adapt.new_adapter(f, plan, n_experts=0, rank=1, seed=0)
 
 
-def test_new_adapter_requires_frozen_foundation():
-    f = make_foundation("mlp2", frozen=False)
-    plan = adapt.make_segment_plan(8, 2)
-    with pytest.raises(ValueError, match="frozen"):
-        adapt.new_adapter(f, plan, 2, 2, seed=0)
-
-
 def test_plan_head_mismatch_rejected():
     f = make_foundation("mlp2", head_out=4)
     plan = adapt.make_segment_plan(9, 3)  # seg_len 3 != head_out 4
@@ -220,11 +198,14 @@ def test_check_fits_is_the_whole_rule_for_an_adapter_on_its_foundation():
     f = make_foundation("mlp2", head_out=4, seed=0)
     ad = adapt.new_adapter(f, adapt.make_segment_plan(8, 2), 2, 2, seed=0)
     adapt.check_fits(ad, f)
-    # a frozen foundation of the same shapes and other values, the same one
-    # unfrozen, and one whose head predicts another segment length
+    # a foundation of the same shapes and other values, one whose head
+    # predicts another segment length, and one whose encoder weights are
+    # wider than the adapter's stacks
     for other, match in ((make_foundation("mlp2", seed=1), "fitted on another foundation"),
-                         (make_foundation("mlp2", frozen=False), "frozen"),
-                         (make_foundation("mlp2", head_out=2), "head")):
+                         (make_foundation("mlp2", head_out=2), "head"),
+                         (make_foundation("mlp2", lookback=9),
+                          r"'enc0.w' has A \(2, 2, 8\) and B \(2, 6, 2\), but the "
+                          r"foundation's enc0.w is 6x9")):
         with pytest.raises(ValueError, match=match):
             adapt.check_fits(ad, other)
 
@@ -270,7 +251,6 @@ def test_adapted_view_aliases_frozen_entries_and_trains_effective_weights():
     assert view.params.get("enc0.b") is f.params.get("enc0.b")
     assert view.params.get("head.w") is f.params.get("head.w")
     assert view.params.get("enc0.w") is not f.params.get("enc0.w")
-    assert view.frozen
     with pytest.raises(ValueError):
         adapt.adapted_model(f, ad, 0)
     with pytest.raises(ValueError):
@@ -798,11 +778,12 @@ def _drop_logits(layers):
     (_drop_logits, "one-hot routing requires n_experts == segments, got 3 experts for 2"),
     (lambda layers: layers.append(dict(layers[0])), "'enc0.w' appears twice"),
     (lambda layers: layers.clear(), "at least one layer"),
+    (lambda layers: layers[1].update(a=_io.encode_array(np.zeros((2, 6)))), "'enc1.w'"),
 ])
 def test_adapter_whose_layers_do_not_hold_together_is_rejected(change, match):
     # a second layer of another P, another r, or logits of another P; soft
     # logits on some layers only; one-hot (no logits) with 3 experts for 2
-    # segments; a layer named twice; no layers at all
+    # segments; a layer named twice; no layers at all; a 2-D A stack
     f, plan, ad = setup_adapter(experts=3, segments=2)
     state = adapt.adapter_state(ad)
     change(state["layers"])
@@ -852,6 +833,9 @@ def test_adapter_with_missing_key_is_rejected(key):
     ((), "foundation_sha256", 7),
     (("plan",), "horizon", None),
     (("layers", 0), "name", 5),
+    (("layers", 0, "a"), "data", [True]),
+    (("layers", 0, "b"), "data", ["1"]),
+    (("layers", 1, "logits"), "shape", [-1, 2]),
 ])
 def test_adapter_with_wrong_json_types_is_rejected(where, key, value):
     # a malformed file is a ValueError naming the field (mola exits 1), not a TypeError

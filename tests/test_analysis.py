@@ -401,9 +401,7 @@ def test_comparison_script_checks_expert_count_before_training(monkeypatch, caps
 
     def untrained(ds, spec, horizon, cfg):
         fitted.append(horizon)
-        m = model.new_model(spec, head_out=horizon, seed=cfg.seed)
-        m.freeze()
-        return m, None
+        return model.new_model(spec, head_out=horizon, seed=cfg.seed), None
 
     def recorded(foundation, plan, adapter, ds, cfg):
         adapters.append((adapter.n_experts, adapter.routing))

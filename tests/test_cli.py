@@ -292,7 +292,6 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
     ds = data.standardize(data.generate_synthetic(data.default_synth_spec(n_points=400, seed=3)))
     foundation = model.new_model(model.EncoderSpec(kind="linear", in_len=8),
                                  head_out=horizon // segments, seed=1)
-    foundation.freeze()
     adapter = adapt.new_adapter(foundation, adapt.make_segment_plan(horizon, segments),
                                 n_experts=2, rank=2, seed=1)
     rng = np.random.default_rng(1)
@@ -393,8 +392,8 @@ def test_version_1_checkpoint_is_rejected(ws, capsys):
     assert cli.main(["pretrain", "--config", cfg, "--run-dir", str(rd)]) == 0
     path = rd / "checkpoints" / "foundation.json"
     state = json.loads(path.read_text())
-    assert state["format_version"] == 3
-    for version in (1, 2):
+    assert state["format_version"] == 4
+    for version in (1, 2, 3):
         state["format_version"] = version
         path.write_text(json.dumps(state))
         assert cli.main(["adapt", "--config", cfg, "--run-dir", str(rd)]) == 1
@@ -747,6 +746,22 @@ def test_malformed_adapter_error_names_the_file(ws, capsys):
     assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "'foundation_sha256'" in err
+
+
+def test_foundation_with_a_non_number_in_an_array_exits_1_naming_the_file(ws, capsys):
+    # json would read true as 1.0; the loader refuses it, naming the field
+    cfg = write_ini(ws / "cfg.ini", **base_sections())
+    rd = ws / "run"
+    for argv in (["pretrain"], ["adapt"]):
+        assert cli.main([*argv, "--config", cfg, "--run-dir", str(rd)]) == 0
+    path = rd / "checkpoints" / "foundation.json"
+    state = json.loads(path.read_text())
+    state["params"][0]["data"][0] = True
+    path.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "'data' must be a list of numbers, got True" in err
 
 
 def test_internal_errors_exit_2(ws, monkeypatch, capsys):

@@ -187,11 +187,10 @@ def test_loss_zero_at_perfect_fit():
 
 
 def test_closed_form_single_linear_layer():
-    # freeze the encoder at identity so the head is the only live layer
+    # fix the encoder at identity so the head is the only live layer
     m = model.new_model(linear_spec(3), head_out=2, seed=0)
     m.params.get("enc0.w")[:] = np.eye(3)
     m.params.get("enc0.b")[:] = 0.0
-    m.freeze()
     rng = np.random.default_rng(6)
     hist = rng.normal(size=(3, 1))
     label = rng.normal(size=(2, 1))
@@ -251,7 +250,7 @@ def test_first_row_selects_steps():
 def test_stacked_loss_and_grads_equal_per_group_calls_bitwise(spec_fn):
     # K groups of windows with one first row each, in one call, give the
     # K losses and gradients of K separate calls, bit for bit; for an
-    # unfrozen model, and for a frozen one with (K, ...) weight overrides
+    # whole model, and for (K, ...) weight overrides
     wins = make_batch(6, 12, 2, n=45, seed=4)
     k, b = 3, 15
     firsts = (1, 5, 9)
@@ -264,7 +263,6 @@ def test_stacked_loss_and_grads_equal_per_group_calls_bitwise(spec_fn):
         assert loss[i] == want_loss
         for name, g in want.items():
             assert grads[name][i].tobytes() == g.tobytes(), name
-    m.freeze()
     rng = np.random.default_rng(9)
     stacks = {name: m.params[name] + 0.1 * rng.normal(size=(k, *m.params[name].shape))
               for name in m.params if name.endswith(".w")}
@@ -314,7 +312,6 @@ def test_no_grad_passes_are_bitwise_the_cached_forward_and_write_only_their_own_
     err = model.forecast(m, cols[0]) - cols[1]
     assert model.mse_loss(m, batch) == float((err**2).mean())
     assert snapshot() == before
-    m.freeze()
     overrides = {name: arr + 0.1 * rng.normal(size=(2, *arr.shape))
                  for name, arr in m.params.items() if name.endswith(".w")}
     before = snapshot(*overrides.values())
@@ -323,17 +320,19 @@ def test_no_grad_passes_are_bitwise_the_cached_forward_and_write_only_their_own_
     assert snapshot(*overrides.values()) == before
 
 
-def test_frozen_entries_get_no_gradient_buffer():
+def test_gradients_are_for_the_overrides_or_else_every_parameter():
     m = model.new_model(mlp_spec(5, 4, 2), head_out=2, seed=0)
     batch = make_batch(5, 2, 2, n=4, seed=8)
     _, grads = model.loss_and_grads(m, batch)
     assert list(grads) == ["head.w", "head.b", "enc1.w", "enc1.b", "enc0.w", "enc0.b"]
-    m.freeze()
-    assert model.loss_and_grads(m, batch)[1] == {}
-    overrides = {"enc1.w": m.params["enc1.w"].copy()}
-    _, frozen_grads = model.loss_and_grads(m, batch, overrides=overrides)
-    assert list(frozen_grads) == ["enc1.w"]
-    assert np.array_equal(frozen_grads["enc1.w"], grads["enc1.w"])
+    for names in (["enc1.w"], ["enc0.w", "head.b"], list(m.params)):
+        overrides = {name: m.params[name].copy() for name in names}
+        _, got = model.loss_and_grads(m, batch, overrides=overrides)
+        assert sorted(got) == sorted(names)
+        for name in names:
+            assert got[name].tobytes() == grads[name].tobytes(), name
+    # an empty overrides dict overrides nothing, so every parameter trains
+    assert list(model.loss_and_grads(m, batch, overrides={})[1]) == list(grads)
 
 
 def test_loss_and_grads_deterministic():
@@ -415,13 +414,11 @@ def test_ar_f_exact_recursion_stays_exact_and_misfit_accumulates():
 
 def test_checkpoint_round_trip_exact(tmp_path):
     m = model.new_model(mlp_spec(9, 7, 4, "relu"), head_out=5, seed=42)
-    m.freeze()
     path = tmp_path / "model.json"
     model.save_checkpoint(m, path)
     loaded = model.load_checkpoint(path)
     assert loaded.encoder_spec == m.encoder_spec
     assert loaded.head_out == m.head_out
-    assert loaded.frozen
     assert list(loaded.params) == list(m.params)
     for name in m.params:
         assert np.array_equal(loaded.params.get(name), m.params.get(name))
@@ -431,6 +428,48 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("spec", [linear_spec(6, "tanh"), mlp_spec(6, 5, 3, "relu")])
+def test_model_state_round_trips_byte_equal(spec):
+    # the state is the activation and the arrays; the loader reads the
+    # encoder spec and head length back off the arrays' shapes
+    m = model.new_model(spec, head_out=4, seed=3)
+    state = model.model_state(m)
+    assert set(state) == {"format_version", "tool_version", "kind", "activation", "params"}
+    loaded = model.model_from_state(json.loads(json.dumps(state)))
+    assert loaded.encoder_spec == spec and loaded.head_out == 4
+    assert json.dumps(model.model_state(loaded)) == json.dumps(state)
+
+
+def test_format_3_model_checkpoint_is_rejected():
+    state = model.model_state(model.new_model(mlp_spec(5), head_out=2, seed=0))
+    state["format_version"] = 3
+    with pytest.raises(ValueError, match="unsupported checkpoint format_version 3"):
+        model.model_from_state(state)
+
+
+def _without(name):
+    """A change to a state that drops parameter ``name``."""
+    return lambda state: state.update(params=[e for e in state["params"] if e["name"] != name])
+
+
+@pytest.mark.parametrize("spec, change, match", [
+    (mlp_spec(5), _without("head.w"), r"give no encoder and head"),
+    (mlp_spec(5), lambda s: s["params"][0].update(shape=[15], data=[0.5] * 15),
+     r"give no encoder and head: 'enc0.w', 'enc1.w', 'head.w' must be matrices"),
+    (mlp_spec(5), _without("enc1.b"), r"do not match"),
+    (linear_spec(5), lambda s: s["params"][0].update(shape=[4, 5], data=[0.5] * 20),
+     r"'enc0.w' has shape \(4, 5\).*imply \(5, 5\)"),
+    (mlp_spec(5), lambda s: s.update(activation="gelu"), r"activation must be one of"),
+])
+def test_checkpoint_whose_arrays_do_not_form_a_model_is_rejected(spec, change, match):
+    # no head, a 1-D enc0.w, enc1.w without enc1.b, a non-square linear
+    # encoder, an unknown activation
+    state = model.model_state(model.new_model(spec, head_out=2, seed=0))
+    change(state)
+    with pytest.raises(ValueError, match=match):
+        model.model_from_state(state)
+
+
 def test_checkpoint_with_wrong_parameter_shape_is_rejected(tmp_path):
     m = model.new_model(mlp_spec(9, 7, 4, "relu"), head_out=5, seed=42)
     state = model.model_state(m)
@@ -438,12 +477,12 @@ def test_checkpoint_with_wrong_parameter_shape_is_rejected(tmp_path):
     entry.update(shape=[5, 3], data=[0.0] * 15)  # rep_dim is 4
     with pytest.raises(ValueError, match=r"'head\.w' has shape \(5, 3\).*\(5, 4\)"):
         model.model_from_state(state)
-    state["params"] = [e for e in state["params"] if e["name"] != "head.w"]
+    state["params"] = [e for e in state["params"] if e["name"] != "head.b"]
     with pytest.raises(ValueError, match="do not match"):
         model.model_from_state(state)
 
 
-@pytest.mark.parametrize("key", ["encoder_spec", "head_out", "frozen", "params"])
+@pytest.mark.parametrize("key", ["activation", "params"])
 def test_checkpoint_with_missing_key_is_rejected(key):
     state = model.model_state(model.new_model(mlp_spec(5, 4, 2), head_out=2, seed=0))
     del state[key]
@@ -452,13 +491,18 @@ def test_checkpoint_with_missing_key_is_rejected(key):
 
 
 @pytest.mark.parametrize("where, key, value", [
-    ((), "head_out", None),
+    ((), "activation", None),
     ((), "params", 5),
-    (("encoder_spec",), "in_len", "5"),
-    (("encoder_spec",), "hidden", 4),
+    (("params", 1), "shape", [-1]),
+    (("params", 0), "data", [True] + [0.5] * 14),
     (("params", 0), "name", 3),
     (("params", 0), "shape", "3x5"),
     (("params", 0), "data", [None] * 15),
+    (("params", 0), "data", ["1"] + [0.5] * 14),
+    (("params", 0), "shape", [-1, 5]),
+    (("params", 0), "shape", [3, 5.0]),
+    (("params", 0), "data", [0.5] * 14),
+    (("params", 0), "data", [10**400] + [0.5] * 14),
 ])
 def test_checkpoint_with_wrong_json_types_is_rejected(where, key, value):
     # a malformed file is a ValueError naming the field (mola exits 1), not a TypeError
@@ -473,10 +517,10 @@ def test_checkpoint_with_wrong_json_types_is_rejected(where, key, value):
 
 def test_checkpoint_load_errors_name_the_file(tmp_path):
     state = model.model_state(model.new_model(mlp_spec(5, 3, 2), head_out=2, seed=0))
-    state["head_out"] = None
+    state["activation"] = None
     path = tmp_path / "foundation.json"
     path.write_text(json.dumps(state))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'head_out'"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'activation'"):
         model.load_checkpoint(path)
 
 
@@ -487,10 +531,6 @@ def test_checkpoint_with_malformed_entries_is_rejected():
     with pytest.raises(ValueError, match="missing 'data'"):
         model.model_from_state(state)
     state = model.model_state(m)
-    del state["encoder_spec"]["activation"]
-    with pytest.raises(ValueError, match="encoder_spec is missing 'activation'"):
-        model.model_from_state(state)
-    state = model.model_state(m)
-    state["frozen"] = 0
-    with pytest.raises(ValueError, match="'frozen' must be true or false"):
+    del state["params"][1]["shape"]
+    with pytest.raises(ValueError, match="missing 'shape'"):
         model.model_from_state(state)

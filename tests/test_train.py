@@ -179,7 +179,6 @@ def test_adam_runs_follow_memory():
     assert [run.shape for run, _ in train.init_adam(apart).runs] == [(5, 6), (4, 5), (3,)]
     backwards = {name: m.params[name] for name in ("enc0.b", "enc0.w")}
     assert len(train.init_adam(backwards).runs) == 2
-    m.freeze()
     plan = adapt.make_segment_plan(6, 2, lookback=6)
     # an adapter's stacks share one buffer, layer by layer A then B: a soft
     # step's A and B of a layer are one run and its logits row another, and
@@ -210,7 +209,7 @@ def test_adam_step_refuses_another_params_dict():
 def separate_storage(m):
     """m with each array in a buffer of its own."""
     return model.FoundationModel(m.encoder_spec, m.head_out,
-                                 {name: p.copy() for name, p in m.params.items()}, m.frozen)
+                                 {name: p.copy() for name, p in m.params.items()})
 
 
 def test_packed_storage_trains_bitwise_as_separate_arrays(monkeypatch):
@@ -302,10 +301,14 @@ def test_early_stopper_patience_validation():
 
 def test_pretrain_reduces_val_loss_and_freezes():
     ds = sine_dataset()
-    m, rec = train.pretrain(ds, LIN8, 2, small_config(max_epochs=4, learning_rate=1e-2))
-    assert m.frozen
+    config = small_config(max_epochs=4, learning_rate=1e-2)
+    m, rec = train.pretrain(ds, LIN8, 2, config)
     assert m.head_out == 2
     assert rec.stage == "pretrain"
+    # the foundation is the whole-model fit at horizon S, under its own stage name
+    mtf, mtf_rec = train.mtf_train(ds, LIN8, 2, config)
+    assert all(mtf.params[n].tobytes() == p.tobytes() for n, p in m.params.items())
+    assert mtf_rec.best_val == rec.best_val
     assert rec.best_val < rec.initial_val
     assert len(rec.epochs) <= 4
     assert rec.stop_reason in ("early_stop", "max_epochs")
@@ -448,12 +451,10 @@ def test_adapt_plan_mismatch_errors():
 
 @pytest.mark.parametrize("routing", ["soft", "one-hot"])
 def test_adapt_refuses_an_adapter_built_on_another_foundation(routing):
-    # two frozen foundations of the same shapes but different values
+    # two foundations of the same shapes but different values
     ds = sine_dataset()
     plan = adapt.make_segment_plan(4, 2, lookback=8)
     built_on, other = (model.new_model(LIN8, head_out=2, seed=seed) for seed in (0, 1))
-    for foundation in (built_on, other):
-        foundation.freeze()
     adapter = adapt.new_adapter(built_on, plan, n_experts=2, rank=2, seed=0, routing=routing)
     before = adapt.adapter_state(adapter)  # every array, bit for bit
     with pytest.raises(ValueError, match="fitted on another foundation"):
@@ -665,11 +666,10 @@ def test_mola_forecast_rows_come_from_their_segment():
 
 
 def random_mola(horizon, segments, routing, seed=0):
-    """An untrained frozen linear foundation and an adapter whose experts
+    """An untrained linear foundation and an adapter whose experts
     (and, under soft routing, mixing rows) are random, so that every
     segment's rows come from a different view."""
     foundation = model.new_model(LIN8, head_out=horizon // segments, seed=seed)
-    foundation.freeze()
     plan = adapt.make_segment_plan(horizon, segments, lookback=8)
     adapter = adapt.new_adapter(foundation, plan, n_experts=segments if routing == "one-hot" else 2,
                                 rank=2, seed=seed, routing=routing)
@@ -940,11 +940,10 @@ def etth_split(n_windows, d=7, seed=0):
 
 
 def etth_mola(seed=0):
-    """An untrained frozen foundation of etth_cli_soft's shapes (mlp2
+    """An untrained foundation of etth_cli_soft's shapes (mlp2
     (32, 16) relu, lookback 96, 48-row head) and a soft adapter (K = P = 4,
     rank 4) with random experts and mixing rows."""
     foundation = model.new_model(ETTH_SPEC, head_out=48, seed=seed)
-    foundation.freeze()
     adapter = adapt.new_adapter(foundation, adapt.make_segment_plan(192, 4), 4, 4, seed=seed)
     rng = np.random.default_rng(seed)
     for name in adapter.adapted_layers:
