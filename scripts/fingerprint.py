@@ -14,9 +14,11 @@ loaded from its file) at their full size, on input seeds 0 and 7:
   routing and 4 experts (the workload itself), and with soft routing and
   2 experts;
 - etth_cli_soft: every file of the run directory after ``mola pretrain``,
-  ``adapt`` and ``eval`` through ``cli.main``, in a temporary directory.
-  The last line of each ``records/*.jsonl`` is hashed without its
-  ``wall_time_s``, the one value that changes from run to run.
+  ``adapt`` and ``eval`` (the workload itself), then ``mola eval --split
+  val --destandardized`` and ``mola analyze variance``, all through the
+  workload's ``cli.main`` call, in a temporary directory.  The last line
+  of each ``records/*.jsonl`` is hashed without its ``wall_time_s``, the
+  one value that changes from run to run.
 
 OpenBLAS is pinned to one thread before numpy loads, since the thread
 count can change the order of floating-point sums.  The script takes no
@@ -69,6 +71,8 @@ def cli_run_files(workloads, seed: int, workdir: Path):
     wl.setup(seed, workdir)
     for _, phase in wl.phases():
         phase()
+    wl._cli("eval", "--split", "val", "--destandardized")
+    wl._cli("analyze", "variance")
     for path in sorted(p for p in wl.run_dir.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if path.parent.name == "records" and path.suffix == ".jsonl":

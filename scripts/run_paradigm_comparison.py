@@ -48,8 +48,8 @@ def score_cell(ds, spec, horizon, segments, n_experts, rank, routing, cfg, whole
         "mtf": lambda h: model.forecast(mtf, h),
         "mola": train.mola_forecaster(foundation, adapter),
     }
-    row = {n: train.evaluate_forecaster(f, ds, spec.in_len, horizon, split="test")
-           for n, f in forecasters.items()}
+    test_w = data.windows(ds, spec.in_len, horizon, "test")
+    row = {n: train.evaluate_forecaster(f, test_w) for n, f in forecasters.items()}
     if spec.kind == "linear":
         row["floor"] = analysis.dataset_bottleneck(mtf, ds, "test")
     return row

@@ -58,13 +58,12 @@ def require_keys(obj, keys, what: str) -> None:
         raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}")
 
 
-_KINDS = {int: "an integer", bool: "true or false", str: "a string", list: "a list"}
+_KINDS = {int: "an integer", str: "a string", list: "a list"}
 
 
 def require_type(obj: dict, key: str, kind: type, what: str):
     """``obj[key]``, or a ValueError naming the field when it is not a JSON
-    value of ``kind`` (int, bool, str or list; true and false are not
-    integers)."""
+    value of ``kind`` (int, str or list; true and false are not integers)."""
     value = obj[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"{what} {key!r} must be {_KINDS[kind]}, got {value!r}")

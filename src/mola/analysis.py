@@ -349,14 +349,12 @@ def paradigm_compare(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec,
     lookback = encoder_spec.in_len
     plan = adapt.make_segment_plan(horizon, segments, lookback=lookback)
     paradigms: dict[str, dict] = {}
-    # every evaluate_forecaster call scores these same test windows
-    test_hash = window_set_hash(data.windows(ds, lookback, horizon, "test"))
+    test_w = data.windows(ds, lookback, horizon, "test")
+    test_hash = window_set_hash(test_w)
 
     def eval_with_audit(forecast_fn):
-        return {
-            "metrics": train.evaluate_forecaster(forecast_fn, ds, lookback, horizon, split="test"),
-            "window_hash": test_hash,
-        }
+        return {"metrics": train.evaluate_forecaster(forecast_fn, test_w),
+                "window_hash": test_hash}
 
     arf_m, arf_rec = train.arf_train(ds, encoder_spec, config)
     paradigms["arf"] = eval_with_audit(lambda h: model.ar_f_forecast(arf_m, h, horizon))

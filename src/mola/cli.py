@@ -450,33 +450,31 @@ def _forecaster_from_checkpoints(pk: str, rd: Path, cfg: dict):
 def cmd_eval(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
     pk = cfg["paradigm"]["kind"]
     ds = _dataset(cfg)
-    horizon = cfg["dataset"]["horizon"]
     forecast_fn = _forecaster_from_checkpoints(pk, rd, cfg)
-    steps = train.StepErrors(1, horizon)
-    raw = train.StepErrors(1, horizon) if args.destandardized else None
-    wins = data.windows(ds, cfg["dataset"]["lookback"], horizon, args.split)
+    wins = data.windows(ds, cfg["dataset"]["lookback"], cfg["dataset"]["horizon"], args.split)
+    steps = train.StepErrors(wins)
+    raw = train.StepErrors(wins) if args.destandardized else None
     for row, _, err in wins.errors(forecast_fn):
         if raw is not None:
             # the per-channel mean cancels: a raw error is the standardized one times the std
             raw.add(row, err * ds.norm_stats.std)
         steps.add(row, err)  # overwrites err, so it comes last
         del err  # dropped before the next block is made
-    metrics = steps.metrics(args.split)
+    metrics = steps.metrics()
     payload = {"paradigm": pk, "split": args.split, "metrics": metrics}
     if raw is not None:
-        payload["destandardized_metrics"] = raw.metrics(args.split)
+        payload["destandardized_metrics"] = raw.metrics()
     _write_report(rd, f"eval_{pk}_{args.split}.json", cfg_hash, payload)
     _write_report_csv(rd, f"eval_{pk}_{args.split}.csv", _step_rows(metrics), cfg_hash)
     print(f"{pk} {args.split}: mse={metrics['mse']:.6g} mae={metrics['mae']:.6g}")
     return 0
 
 
-def _per_step_loss_samples(forecast_fn, ds, lookback, horizon, split):
-    """(N, T) per-window squared error of each step, averaged over channels,
-    filled one forecast block at a time, each at its windows' rows and its
-    label rows' columns."""
-    wins = data.windows(ds, lookback, horizon, split)
-    samples = np.empty((len(wins), horizon))
+def _per_step_loss_samples(forecast_fn, wins: data.WindowSet):
+    """(N, T) per-window squared error of each step over the windows
+    ``wins``, averaged over channels, filled one forecast block at a time,
+    each at its windows' rows and its label rows' columns."""
+    samples = np.empty((len(wins), wins.horizon))
     for row, windows, err in wins.errors(forecast_fn):
         samples[windows, row - 1 : row - 1 + err.shape[0]] = np.square(err, out=err).mean(axis=2).T
         del err  # dropped before the next block is made
@@ -506,13 +504,11 @@ def cmd_bottleneck(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
 
 
 def cmd_variance(args, cfg: dict, cfg_hash: str, rd: Path) -> int:
-    ds = _dataset(cfg)
-    lookback = cfg["dataset"]["lookback"]
     horizon = cfg["dataset"]["horizon"]
+    wins = data.windows(_dataset(cfg), cfg["dataset"]["lookback"], horizon, "test")
     # a paradigm with a checkpoint not yet written is skipped
     samples = {
-        pk: _per_step_loss_samples(_forecaster_from_checkpoints(pk, rd, cfg), ds, lookback,
-                                   horizon, "test")
+        pk: _per_step_loss_samples(_forecaster_from_checkpoints(pk, rd, cfg), wins)
         for pk, names in CHECKPOINTS.items()
         if all((rd / "checkpoints" / f"{name}.json").exists() for name in names)
     }

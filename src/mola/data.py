@@ -6,12 +6,13 @@ the chronological train and val splits end.  Window enumeration and
 standardization are pure functions that return new objects.
 
 The windows of a split form one :class:`WindowSet`: the read-only run of
-dataset rows they slide over plus the row where each window starts, so
-enumerating a split copies nothing.  :func:`windows` makes every window
-set; indexing one with a slice or with window rows (a training batch)
-picks starts, not rows.  Every read of window rows beyond one window's
-views is one ``take`` of series rows into the (rows, N*D) column layout
-that models consume and errors are scored in.  This module alone knows
+dataset rows they slide over, the row where each window starts and the
+split's name, so enumerating a split copies nothing.  :func:`windows`
+makes every window set; indexing one with a slice or with window rows (a
+training batch) picks starts, not rows, and keeps the split.  Every read
+of window rows beyond one window's views is one ``take`` of series rows
+into the (rows, N*D) column layout that models consume and errors are
+scored in; every scorer takes the set it scores.  This module alone knows
 where a window's rows lie and which label rows exist; every read names a
 block of them as ``rows`` label rows from row ``first`` (1-based), the
 count by default running through row T.  Every pass without
@@ -125,8 +126,9 @@ class WindowSet(Sequence):
     starts[i] .. starts[i] + L - 1 of it and the T label rows after them.
 
     Every set comes from :func:`windows` or from indexing one, so the series
-    is a run of dataset rows starting at row ``series_start``, and a
-    window's origin is its start plus a constant.
+    is a run of dataset rows starting at row ``series_start``, a window's
+    origin is its start plus a constant, and ``split`` names the split the
+    windows were enumerated from.
 
     A sequence of WindowSample: an int index gives one window (views, no
     copy); a slice or a 1-D integer array gives the WindowSet of those
@@ -141,6 +143,7 @@ class WindowSet(Sequence):
     series_start: int  # dataset row of series row 0
     lookback: int
     horizon: int
+    split: str  # "train", "val" or "test"
 
     def __len__(self) -> int:
         return self.starts.shape[0]
@@ -161,7 +164,7 @@ class WindowSet(Sequence):
                 raise IndexError(f"window rows must be a 1-D array of window indices "
                                  f"0..{len(self) - 1}")
         return WindowSet(self.series, self.starts[idx], self.series_start, self.lookback,
-                         self.horizon)
+                         self.horizon, self.split)
 
     @property
     def origin(self) -> np.ndarray:
@@ -568,4 +571,5 @@ def windows(ds: SeriesDataset, lookback: int, horizon: int, split: str) -> Windo
     series = ds.values[lo - lookback + 1 : hi + horizon + 1]
     series.flags.writeable = False
     return WindowSet(series=series, starts=np.arange(hi - lo + 1, dtype=np.intp),
-                     series_start=lo - lookback + 1, lookback=lookback, horizon=horizon)
+                     series_start=lo - lookback + 1, lookback=lookback, horizon=horizon,
+                     split=split)

@@ -6,9 +6,12 @@ from default_rng([seed, stage_key]) with stage_key 0 for whole-model
 training and k for adaptation of segment k, so stages can be reproduced in
 isolation, also when independent segments train in one lockstep fit.
 
-Losses and metrics read ``rows`` label rows from row ``first``: segment k's
-are the seg_len rows from ``plan.first_rows[k - 1]``, an evaluation's all T
-from row 1, and a :class:`StepErrors` counts its steps the same way.
+Losses and metrics read ``rows`` label rows from row ``first`` of the
+window set they score: segment k's are the seg_len rows from
+``plan.first_rows[k - 1]``, an evaluation's by default all T from row 1, and
+a :class:`StepErrors` counts its steps the same way.  Every scorer takes the
+``data.WindowSet`` it scores, so one set can be scored at any of its label
+rows, and the metrics name the set's split and window count.
 """
 
 from __future__ import annotations
@@ -357,9 +360,7 @@ def _train_model(ds: data.SeriesDataset, encoder_spec: model.EncoderSpec, horizo
         lambda batch: model.loss_and_grads(m, batch),
         config,
     )
-    record.final_metrics = evaluate_forecaster(
-        lambda h: model.forecast(m, h), ds, lookback, horizon, split="val"
-    )
+    record.final_metrics = evaluate_forecaster(lambda h: model.forecast(m, h), val_w)
     record.wall_time_s = perf_counter() - t0
     return m, record
 
@@ -423,8 +424,8 @@ def adapt_all_segments(foundation: model.FoundationModel, plan: adapt.SegmentPla
     val_w = data.windows(ds, lookback, plan.horizon, "val")
 
     def val_metrics(k: int) -> dict:
-        return _step_metrics(val_w, lambda h: mola_forecast(foundation, adapter, h, k), "val",
-                             plan.first_rows[k - 1], plan.seg_len)
+        return evaluate_forecaster(lambda h: mola_forecast(foundation, adapter, h, k), val_w,
+                                   plan.first_rows[k - 1], plan.seg_len)
 
     def stage(k: int) -> Stage:
         return Stage(f"segment-{k}", k, lambda: adapt.segment_loss(foundation, adapter, k, val_w),
@@ -481,77 +482,78 @@ def mola_forecaster(foundation: model.FoundationModel, adapter: adapt.MolaAdapte
 # --- evaluation ---
 
 
-def evaluate_forecaster(forecast_fn, ds: data.SeriesDataset, lookback: int, horizon: int,
-                        split: str = "test") -> dict:
-    """Per-step and step-averaged MSE/MAE of `forecast_fn` over all T steps
-    of a split's windows.
+def evaluate_forecaster(forecast_fn, wins: data.WindowSet, first: int = 1,
+                        rows: int | None = None) -> dict:
+    """Per-step and step-averaged MSE/MAE of `forecast_fn` over the ``rows``
+    label rows from row ``first`` (1-based; by default through row T) of
+    the windows ``wins``, steps keeping their absolute index.
 
     `forecast_fn` is what ``WindowSet.errors``, the one error stream, takes:
     it maps the (L, n*D) history block of n windows (column i*D + c is
-    channel c of window i) to their (T, n*D) forecast block, or is a
+    channel c of window i) to their (rows, n*D) forecast block, or is a
     sequence of callables that give equal consecutive row blocks of it, as
     :func:`mola_forecaster`'s one per segment.  Each is called once per
-    window chunk of the split.  Each error block is reduced into the steps
+    window chunk of the set.  Each error block is reduced into the steps
     its label row names and dropped before the next is made, so scoring
     holds one chunk's rows and forecast.  The averaged row is defined as
     the mean of the per-step values.
     """
-    return _step_metrics(data.windows(ds, lookback, horizon, split), forecast_fn, split, 1,
-                         horizon)
-
-
-def _step_metrics(wins: data.WindowSet, forecast_fn, split: str, first: int, rows: int) -> dict:
-    """The metrics of forecast_fn's ``rows`` label rows from row ``first``
-    over ``wins``, steps keeping their absolute index."""
-    steps = StepErrors(first, rows)
-    for row, _, err in wins.errors(forecast_fn, first, rows):
+    blocks = wins.errors(forecast_fn, first, rows)  # checks the rows before they size the steps
+    steps = StepErrors(wins, first, rows)
+    for row, _, err in blocks:
         steps.add(row, err)
         del err  # dropped before the next block is made
-    return steps.metrics(split)
+    return steps.metrics()
 
 
 class StepErrors:
-    """Per-step MSE and MAE of ``steps`` steps from step ``first``, summed
-    one (r, n, D) error block at a time, so that one stream of blocks can
-    feed more than one set of metrics.
+    """Per-step MSE and MAE of the ``rows`` label rows from row ``first``
+    (by default through row T) over the windows ``wins``, summed one
+    (r, n, D) error block at a time, so that one stream of blocks can feed
+    more than one set of metrics.
 
     Each block names its first step, as ``WindowSet.errors``, the one error
-    stream, yields it with its label row.  A step's MSE and MAE are the
-    sums of its blocks' sums of e**2 and |e|, in the order added, over its
-    count of errors; with one block per step that is bitwise numpy's mean
-    of the step's row."""
+    stream, yields it with its label row.  Every step needs the set's N
+    windows, so a step's MSE and MAE are the sums of its blocks' sums of
+    e**2 and |e|, in the order added, over N*D; with one block per step
+    that is bitwise numpy's mean of the step's row."""
 
-    def __init__(self, first: int, steps: int):
-        self.first = first
-        self.sq_sum, self.abs_sum = np.zeros(steps), np.zeros(steps)
-        self.windows = np.zeros(steps, dtype=np.int64)  # windows added per step
-        self.count = np.zeros(steps, dtype=np.int64)  # errors added per step
+    def __init__(self, wins: data.WindowSet, first: int = 1, rows: int | None = None):
+        if len(wins) == 0:
+            raise ValueError("no windows to score")
+        rows = wins.horizon + 1 - first if rows is None else rows
+        self.first, self.split = first, wins.split
+        self.n, self.d = len(wins), wins.series.shape[1]
+        self.sq_sum, self.abs_sum = np.zeros(rows), np.zeros(rows)
+        self.windows = np.zeros(rows, dtype=np.int64)  # windows added per step
 
     def add(self, row: int, err: np.ndarray) -> None:
         """Sum a block of errors of steps ``row`` .. ``row + r - 1`` into
-        those steps, overwriting ``err``; a block outside the steps raises
-        ValueError."""
-        r, n = err.shape[:2]
+        those steps, overwriting ``err``; a block outside the steps, or of
+        another channel count than the set's, raises ValueError."""
+        r, n, d = err.shape
         j = row - self.first
-        if j < 0 or j + r > len(self.count):
+        if j < 0 or j + r > len(self.windows):
             raise ValueError(f"a block of steps {row}..{row + r - 1} is outside steps "
-                             f"{self.first}..{self.first + len(self.count) - 1}")
+                             f"{self.first}..{self.first + len(self.windows) - 1}")
+        if d != self.d:
+            raise ValueError(f"a block of {d} channels, not the {self.d} of the windows scored")
         # |err| and then |err|**2, which is bitwise err**2, are formed in place
         self.abs_sum[j : j + r] += np.add.reduce(np.abs(err, out=err), axis=(1, 2))
         self.sq_sum[j : j + r] += np.add.reduce(np.multiply(err, err, out=err), axis=(1, 2))
         self.windows[j : j + r] += n
-        self.count[j : j + r] += err[0].size
 
-    def metrics(self, split: str) -> dict:
+    def metrics(self) -> dict:
         """The metrics dict of evaluate_forecaster for the blocks added;
-        ValueError unless they cover every step, each over the same
+        ValueError unless every step was scored over exactly the set's N
         windows."""
-        if not self.windows[0] or (self.windows != self.windows[0]).any():
-            raise ValueError(f"steps {self.first}..{self.first + len(self.count) - 1} were "
+        if (self.windows != self.n).any():
+            raise ValueError(f"steps {self.first}..{self.first + len(self.windows) - 1} were "
                              f"scored over {sorted(set(self.windows.tolist()))} windows per "
-                             "step; every step needs the same windows")
-        mse, mae = self.sq_sum / self.count, self.abs_sum / self.count
+                             f"step; every step needs the {self.n} windows of the set")
+        count = self.n * self.d
+        mse, mae = self.sq_sum / count, self.abs_sum / count
         per_step = [{"step": self.first + j, "mse": float(a), "mae": float(b)}
                     for j, (a, b) in enumerate(zip(mse, mae))]
-        return {"split": split, "n_windows": int(self.windows[0]), "per_step": per_step,
+        return {"split": self.split, "n_windows": self.n, "per_step": per_step,
                 "mse": float(np.mean(mse)), "mae": float(np.mean(mae))}

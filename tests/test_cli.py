@@ -315,14 +315,15 @@ def test_destandardized_and_loss_samples_of_segment_blocks_match_the_whole_forec
     assert cli.main(["eval", "--config", cfg, "--run-dir", str(rd), "--destandardized"]) == 0
     report = json.loads((rd / "reports" / "eval_mola_test.json").read_text())
     # JSON floats round-trip exactly, so these compare bits
-    assert report["metrics"] == train.evaluate_forecaster(blocks, ds, 8, horizon, "test")
+    test_w = data.windows(ds, 8, horizon, "test")
+    assert report["metrics"] == train.evaluate_forecaster(blocks, test_w)
     got = report["destandardized_metrics"]
     assert got["n_windows"] == err.shape[1]
     assert [r["step"] for r in got["per_step"]] == list(range(1, horizon + 1))
     assert [r["mse"] for r in got["per_step"]] == want_mse.tolist()
     assert [r["mae"] for r in got["per_step"]] == want_mae.tolist()
     assert (got["mse"], got["mae"]) == (float(np.mean(want_mse)), float(np.mean(want_mae)))
-    samples = cli._per_step_loss_samples(blocks, ds, 8, horizon, "test")
+    samples = cli._per_step_loss_samples(blocks, test_w)
     assert samples.shape == want_samples.shape and samples.flags.c_contiguous
     assert samples.tobytes() == want_samples.tobytes()
 

@@ -371,6 +371,9 @@ def test_window_set_indexing():
     assert not np.shares_memory(picked.history_block(), ds.values)
     assert not np.shares_memory(picked.label_block(), ds.values)
     assert [w.origin for w in picked] == [ws[int(i)].origin for i in idx]
+    # a slice and a set of window rows keep the split the set was made from
+    assert ws.split == part.split == picked.split == "train"
+    assert data.windows(ds, 5, 3, "val")[np.array([1, 0])][1:].split == "val"
     # origins derive from the starts, also through an index of an index
     assert picked.origin.dtype == np.int64
     assert picked[1:3].origin.tolist() == ws.origin[idx[1:3]].tolist()
@@ -497,7 +500,7 @@ def test_chunks_are_window_slices_of_whole_8_column_runs(d):
     budget = data._CHUNK_COLUMNS
     width = 8 * math.ceil(budget / (8 * d))
     for n in (0, 1, budget // d, width, 2 * width - 1, 2 * width, 2 * width + 1, 5 * width + 7):
-        ws = data.WindowSet(np.zeros((n + 3, d)), np.arange(n, dtype=np.intp), 0, 2, 2)
+        ws = data.WindowSet(np.zeros((n + 3, d)), np.arange(n, dtype=np.intp), 0, 2, 2, "test")
         chunks = ws.chunks()
         assert [c.step for c in chunks] == [None] * len(chunks)
         assert chunks[0].start == 0 and chunks[-1].stop == n

@@ -400,17 +400,6 @@ def make_adapted(ds, segments=2, horizon=4, experts=2, rank=2, seed=0, cfg=None,
     return foundation, plan, adapter, records
 
 
-def row_metrics(forecast_fn, ds, lookback, horizon, split, first, rows):
-    """evaluate_forecaster's metrics of the rows label rows from row first
-    alone, steps keeping their absolute index, as adapt_all_segments
-    measures a segment: StepErrors over the split's error stream of those
-    rows."""
-    steps = train.StepErrors(first, rows)
-    for row, _, err in data.windows(ds, lookback, horizon, split).errors(forecast_fn, first, rows):
-        steps.add(row, err)
-    return steps.metrics(split)
-
-
 def test_adapt_zero_init_epoch0_val_matches_foundation():
     ds = sine_dataset()
     pre_cfg = small_config(max_epochs=1, seed=3)
@@ -491,8 +480,9 @@ def test_adapt_drift_matches_a_reloaded_adapter(tmp_path):
     _io.write_json(path, adapt.adapter_state(adapter))
     loaded = adapt.load_adapter(path)
     for k, rec in enumerate(records, start=1):
-        again = row_metrics(lambda h: model.forecast(adapt.adapted_model(foundation, loaded, k), h),
-                            ds, 8, plan.horizon, "val", plan.first_rows[k - 1], plan.seg_len)
+        again = train.evaluate_forecaster(
+            lambda h: model.forecast(adapt.adapted_model(foundation, loaded, k), h),
+            data.windows(ds, 8, plan.horizon, "val"), plan.first_rows[k - 1], plan.seg_len)
         drift = train.run_summary(rec)["drift"]
         assert drift == {"val_mse_at_freeze": rec.final_metrics["mse"],
                          "val_mse_final": again["mse"],
@@ -528,21 +518,23 @@ def test_last_fit_validates_its_segments_once(monkeypatch, routing, experts, pas
     calls = []
 
     class Counting(train.StepErrors):  # one per validation pass
-        def __init__(self, first, steps):
-            calls.append((first, steps))
-            super().__init__(first, steps)
+        def __init__(self, wins, first, rows):
+            calls.append((wins.split, first, rows))
+            super().__init__(wins, first, rows)
 
     monkeypatch.setattr(train, "StepErrors", Counting)
     cfg = small_config(learning_rate=3e-2, max_epochs=3, patience=3)
     adapter, records = train.adapt_all_segments(foundation, plan, adapter, ds, cfg)
-    assert len(calls) == passes and set(calls) == {(a, plan.seg_len) for a in plan.first_rows}
+    assert len(calls) == passes
+    assert set(calls) == {("val", a, plan.seg_len) for a in plan.first_rows}
     monkeypatch.undo()
     for k, rec in enumerate(records, start=1):
         lo = plan.first_rows[k - 1]
         # a segment's steps keep their absolute index
         assert [r["step"] for r in rec.final_metrics["per_step"]] == list(range(lo, lo + plan.seg_len))
-        again = row_metrics(lambda h: model.forecast(adapt.adapted_model(foundation, adapter, k), h),
-                            ds, 8, plan.horizon, "val", lo, plan.seg_len)
+        again = train.evaluate_forecaster(
+            lambda h: model.forecast(adapt.adapted_model(foundation, adapter, k), h),
+            data.windows(ds, 8, plan.horizon, "val"), lo, plan.seg_len)
         assert rec.drift == {"val_mse_at_freeze": rec.final_metrics["mse"],
                              "val_mse_final": again["mse"],
                              "val_mse_change": again["mse"] - rec.final_metrics["mse"]}
@@ -768,11 +760,12 @@ def test_arf_train_is_single_step_foundation():
 def test_evaluate_forecaster_per_step_shape_and_average():
     ds = sine_dataset()
     m = model.new_model(LIN8, head_out=3, seed=21)
-    out = train.evaluate_forecaster(lambda h: model.forecast(m, h), ds, 8, 3, split="test")
+    wins = data.windows(ds, 8, 3, "test")
+    out = train.evaluate_forecaster(lambda h: model.forecast(m, h), wins)
+    assert (out["split"], out["n_windows"]) == ("test", len(wins))
     assert [row["step"] for row in out["per_step"]] == [1, 2, 3]
     assert out["mse"] == pytest.approx(np.mean([r["mse"] for r in out["per_step"]]), abs=1e-15)
     assert out["mae"] == pytest.approx(np.mean([r["mae"] for r in out["per_step"]]), abs=1e-15)
-    wins = data.windows(ds, 8, 3, "test")
     preds = np.stack([model.forecast(m, w.history) for w in wins])
     labels = np.stack([w.label for w in wins])
     want = float(np.mean((preds[:, 0, :] - labels[:, 0, :]) ** 2))
@@ -783,7 +776,21 @@ def test_evaluate_forecaster_rejects_bad_shape():
     ds = sine_dataset()
     m = model.new_model(LIN8, head_out=2, seed=23)
     with pytest.raises(ValueError):
-        train.evaluate_forecaster(lambda h: model.forecast(m, h), ds, 8, 3, split="test")
+        train.evaluate_forecaster(lambda h: model.forecast(m, h), data.windows(ds, 8, 3, "test"))
+
+
+def test_label_rows_of_a_longer_horizon_score_on_its_shared_window_starts():
+    # rows 1..8 of the T=32 test set are the T=8 scores of the windows both
+    # horizons allow, so every horizon can be scored on the same starts
+    ds = data.standardize(data.generate_synthetic(data.default_synth_spec()))
+    m = model.new_model(model.EncoderSpec("linear", 16), head_out=8, seed=0)
+    def fn(h):
+        return model.forecast(m, h)
+
+    short = data.windows(ds, 16, 8, "test")
+    shared = train.evaluate_forecaster(fn, data.windows(ds, 16, 32, "test"), 1, 8)
+    assert shared == train.evaluate_forecaster(fn, short[:369])
+    assert shared["n_windows"] == 369 < len(short)
 
 
 def row_blocks(forecast_fn, bounds):
@@ -804,10 +811,10 @@ def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, 
 
     blocks = train.mola_forecaster(foundation, adapter)
     for split in ("val", "test"):
-        want = train.evaluate_forecaster(whole, ds, 8, horizon, split=split)
-        got = train.evaluate_forecaster(blocks, ds, 8, horizon, split=split)
-        assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
         wins = data.windows(ds, 8, horizon, split)
+        want = train.evaluate_forecaster(whole, wins)
+        got = train.evaluate_forecaster(blocks, wins)
+        assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
         [(_, _, err)] = wins.errors(whole)
         parts = list(wins.errors(blocks))
         assert [(row, p.shape[0]) for row, _, p in parts] == [
@@ -816,8 +823,8 @@ def test_block_scoring_is_bitwise_one_array_scoring(routing, horizon, segments, 
     # one segment's rows alone: its steps keep their absolute index and values
     seg_len = adapter.plan.seg_len
     for k, lo in enumerate(adapter.plan.first_rows, start=1):
-        got = row_metrics(lambda h: train.mola_forecast(foundation, adapter, h, k), ds, 8,
-                          horizon, "test", lo, seg_len)
+        got = train.evaluate_forecaster(lambda h: train.mola_forecast(foundation, adapter, h, k),
+                                        wins, lo, seg_len)
         assert got["per_step"] == want["per_step"][lo - 1 : lo - 1 + seg_len]
 
 
@@ -828,15 +835,16 @@ def test_one_row_blocks_score_like_the_whole_forecast(d):
     def whole(h):
         return model.forecast(m, h)
 
-    want = train.evaluate_forecaster(whole, ds, 8, 7)
+    wins = data.windows(ds, 8, 7, "test")
+    want = train.evaluate_forecaster(whole, wins)
     # numpy's means over each step's row of the whole (T, N, D) error array
-    [(_, _, err)] = data.windows(ds, 8, 7, "test").errors(whole)
-    assert err.shape == (7, len(data.windows(ds, 8, 7, "test")), d) and err.flags.c_contiguous
+    [(_, _, err)] = wins.errors(whole)
+    assert err.shape == (7, len(wins), d) and err.flags.c_contiguous
     assert [r["mse"] for r in want["per_step"]] == (err * err).mean(axis=(1, 2)).tolist()
     assert [r["mae"] for r in want["per_step"]] == np.abs(err).mean(axis=(1, 2)).tolist()
     # seven one-row blocks, and a sequence of one block
     for bounds in ([(t, t) for t in range(1, 8)], [(1, 7)]):
-        got = train.evaluate_forecaster(row_blocks(whole, bounds), ds, 8, 7)
+        got = train.evaluate_forecaster(row_blocks(whole, bounds), wins)
         assert _io.canonical_dumps(got) == _io.canonical_dumps(want)
 
 
@@ -848,27 +856,38 @@ def test_evaluate_forecaster_rejects_blocks_that_miss_the_rows(bounds):
     m = model.new_model(LIN8, head_out=4, seed=25)
     blocks = row_blocks(lambda h: model.forecast(m, h), bounds)
     with pytest.raises(ValueError, match="forecast block"):
-        train.evaluate_forecaster(blocks, ds, 8, 4)
+        train.evaluate_forecaster(blocks, data.windows(ds, 8, 4, "test"))
+
+
+def four_windows():
+    """A test set of 4 windows of 2 channels, lookback 1 and horizon 5."""
+    return data.WindowSet(np.zeros((9, 2)), np.arange(4, dtype=np.intp), 0, 1, 5, "test")
 
 
 @pytest.mark.parametrize("rows", [[], [(3, 2)], [(3, 1), (4, 1)], [(4, 2)], [(3, 1), (5, 1)],
-                                  [(3, 3), (3, 2)], [(3, 3), (5, 1)], [(3, 1), (4, 2), (4, 1)]])
+                                  [(3, 3), (3, 2)], [(3, 3), (5, 1)], [(3, 1), (4, 2), (4, 1)],
+                                  [(3, 3), (4, 2), (3, 1)]])
 def test_step_errors_refuse_blocks_that_miss_steps_first_to_last(rows):
-    # steps 3..5: blocks of (first row, row count) that miss a step, or
-    # score one step over more windows than another, yield no metrics
-    steps = train.StepErrors(3, 3)
+    # steps 3..5 of 4 windows: blocks of (first row, row count) that miss a
+    # step, score one step over more windows than another, or score every
+    # step twice (8 windows each), yield no metrics
+    steps = train.StepErrors(four_windows(), 3, 3)
     for row, r in rows:
         steps.add(row, np.ones((r, 4, 2)))
     with pytest.raises(ValueError, match=r"steps 3..5 were scored over \[.*\] windows per step"):
-        steps.metrics("test")
+        steps.metrics()
 
 
-@pytest.mark.parametrize("row, r", [(2, 1), (1, 3), (6, 1), (5, 2), (4, 3)])
-def test_step_errors_refuse_a_block_outside_their_steps(row, r):
-    steps = train.StepErrors(3, 3)
-    with pytest.raises(ValueError, match=rf"a block of steps {row}..{row + r - 1} is outside "
-                                         "steps 3..5"):
-        steps.add(row, np.ones((r, 4, 2)))
+@pytest.mark.parametrize("row, r, d", [(2, 1, 2), (1, 3, 2), (6, 1, 2), (5, 2, 2), (4, 3, 2),
+                                       (3, 3, 3)],
+                         ids=["2-1", "1-3", "6-1", "5-2", "4-3", "3-channels"])
+def test_step_errors_refuse_a_block_outside_their_steps(row, r, d):
+    # steps 3..5 of 4 windows of 2 channels: a block of other steps, or of
+    # another channel count, is refused
+    steps = train.StepErrors(four_windows(), 3, 3)
+    outside = rf"a block of steps {row}..{row + r - 1} is outside steps 3..5"
+    with pytest.raises(ValueError, match=outside if d == 2 else "a block of 3 channels, not the 2"):
+        steps.add(row, np.ones((r, 4, d)))
 
 
 @pytest.mark.parametrize("target, n_windows", [((1, 48), 2690), ((49, 96), 592), ((3, 4), None)])
@@ -900,6 +919,8 @@ def test_passes_over_no_windows_raise():
         model.mse_loss(m, wins)
     with pytest.raises(ValueError, match="no windows"):
         wins.errors(lambda h: model.forecast(m, h))
+    with pytest.raises(ValueError, match="no windows"):
+        train.StepErrors(wins)
 
 
 def test_scoring_segment_blocks_never_holds_a_whole_horizon_array():
@@ -908,14 +929,15 @@ def test_scoring_segment_blocks_never_holds_a_whole_horizon_array():
     # one segment's forecast and its errors are 8 rows each
     ds = sine_dataset(n_points=20_000, d=4, noise=0.1)
     foundation, adapter = random_mola(32, 4, "one-hot")
-    n = len(data.windows(ds, 8, 32, "test"))
+    wins = data.windows(ds, 8, 32, "test")
+    n = len(wins)
     row = n * ds.d_channels * 8  # bytes of one float64 row of the (., N*D) blocks
     forecaster = train.mola_forecaster(foundation, adapter)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        metrics = train.evaluate_forecaster(forecaster, ds, 8, 32)
+        metrics = train.evaluate_forecaster(forecaster, wins)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -998,18 +1020,18 @@ def whole_split_passes(ds, foundation, adapter):
     losses = [model.mse_loss(foundation, val), model.mse_loss(foundation, val, firsts[2]),
               *(adapt.segment_loss(foundation, adapter, k, val) for k in (1, 4))]
     forecaster = train.mola_forecaster(foundation, adapter)
-    raw = train.StepErrors(1, 192)
+    raw = train.StepErrors(test)
     for row, _, err in test.errors(forecaster):
         raw.add(row, err * ds.norm_stats.std)
     metrics = [
-        row_metrics(lambda h: model.forecast(foundation, h), ds, 96, 192, "val", firsts[1],
-                    adapter.plan.seg_len),
-        train.evaluate_forecaster(forecaster, ds, 96, 192),
-        raw.metrics("test"),
+        train.evaluate_forecaster(lambda h: model.forecast(foundation, h), val, firsts[1],
+                                  adapter.plan.seg_len),
+        train.evaluate_forecaster(forecaster, test),
+        raw.metrics(),
     ]
     errors = error_array(test.errors(forecaster))
-    arrays = [errors.tobytes(), cli._per_step_loss_samples(forecaster, ds, 96, 192, "test").tobytes(),
-              analysis.window_set_hash(data.windows(ds, 96, 192, "test"))]
+    arrays = [errors.tobytes(), cli._per_step_loss_samples(forecaster, test).tobytes(),
+              analysis.window_set_hash(test)]
     return losses, metrics, arrays
 
 
@@ -1114,10 +1136,9 @@ def test_whole_split_passes_never_hold_the_split_history_block():
     passes = {
         "mse_loss": lambda: model.mse_loss(foundation, val),
         "segment_loss": lambda: adapt.segment_loss(foundation, adapter, 2, val),
-        "forecast": lambda: row_metrics(
-            lambda h: model.forecast(foundation, h), ds, 96, 192, "val", 1, 48),
-        "mola": lambda: train.evaluate_forecaster(
-            train.mola_forecaster(foundation, adapter), ds, 96, 192, "val"),
+        "forecast": lambda: train.evaluate_forecaster(
+            lambda h: model.forecast(foundation, h), val, 1, 48),
+        "mola": lambda: train.evaluate_forecaster(train.mola_forecaster(foundation, adapter), val),
     }
     tracemalloc.start()
     try:
@@ -1144,7 +1165,7 @@ def test_whole_split_pass_peaks_stay_level_as_the_split_grows():
             "mse_loss": lambda: model.mse_loss(foundation, val),
             "segment_loss": lambda: adapt.segment_loss(foundation, adapter, 2, val),
             "evaluate_forecaster": lambda: train.evaluate_forecaster(
-                train.mola_forecaster(foundation, adapter), ds, 96, 192, "val"),
+                train.mola_forecaster(foundation, adapter), val),
             "window_set_hash": lambda: analysis.window_set_hash(val),
         }
         tracemalloc.start()
@@ -1168,23 +1189,23 @@ def test_step_errors_refuse_a_stream_that_skipped_one_chunk():
     # of chunk 2 scores steps over different windows
     ds = etth_split(600)
     foundation, adapter = etth_mola()
-    blocks = list(data.windows(ds, 96, 192, "test").errors(train.mola_forecaster(foundation,
-                                                                                 adapter)))
+    test = data.windows(ds, 96, 192, "test")
+    blocks = list(test.errors(train.mola_forecaster(foundation, adapter)))
     assert [(row, w, b.shape[:2]) for row, w, b in blocks] == [
         (row, w, (48, w.stop - w.start)) for w in (slice(0, 296), slice(296, 600))
         for row in (1, 49, 97, 145)]
     streams = [blocks[:i] + blocks[i + 1 :] for i in range(8)] + [[blocks[0], *blocks[5:]]]
     for stream in streams:
-        steps = train.StepErrors(1, 192)
+        steps = train.StepErrors(test)
         for row, _, err in stream:
             steps.add(row, err.copy())
         with pytest.raises(ValueError, match=r"steps 1..192 were scored over \[.*\] windows per "
                                              "step"):
-            steps.metrics("test")
-    steps = train.StepErrors(1, 192)
+            steps.metrics()
+    steps = train.StepErrors(test)
     for row, _, err in blocks:
         steps.add(row, err.copy())
-    assert steps.metrics("test")["n_windows"] == 600
+    assert steps.metrics()["n_windows"] == 600
 
 
 @pytest.mark.parametrize("case", ["compare_onehot", "at_the_budget"])
@@ -1206,7 +1227,7 @@ def test_a_split_within_the_budget_is_one_block(monkeypatch, case):
         calls.append(h.tobytes())
         return model.forecast(m, h)
 
-    train.evaluate_forecaster([forecast] * 4, ds, lookback, horizon)
+    train.evaluate_forecaster([forecast] * 4, wins)
     assert calls == [wins.history_block().tobytes()] * 4
     calls.clear()
     model_forecast = model.forecast
