@@ -19,6 +19,11 @@ loaded from its file) at their full size, on input seeds 0 and 7:
   workload's ``cli.main`` call, in a temporary directory.  The last line
   of each ``records/*.jsonl`` is hashed without its ``wall_time_s``, the
   one value that changes from run to run.
+- floor_svd: each phase of the workload run once: the canonical-JSON
+  ``analysis.dataset_bottleneck`` report of each linear model, and for
+  the ``min_attainable_error`` instances each one's rank, the ``repr`` of
+  its ``min_error_sq`` and ``ls_residual_sq`` and the bytes of its
+  ``svd.sigma``, one line for all of them.
 
 OpenBLAS is pinned to one thread before numpy loads, since the thread
 count can change the order of floating-point sums.  The script takes no
@@ -83,6 +88,19 @@ def cli_run_files(workloads, seed: int, workdir: Path):
         yield path.relative_to(wl.run_dir).as_posix(), data
 
 
+def floor_reports(workloads, seed: int, workdir: Path):
+    wl = workloads.FloorSvd(tiny=False)
+    wl.setup(seed, workdir)
+    for name, phase in wl.phases():
+        out = phase()
+        if name == "min_attainable_error":
+            yield name, b"".join(
+                f"{rep.rank} {rep.min_error_sq!r} {rep.ls_residual_sq!r} ".encode("utf-8")
+                + rep.svd.sigma.tobytes() for rep in out)
+        else:
+            yield name, workloads.canonical(out)
+
+
 def main() -> int:
     workloads = load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
@@ -94,6 +112,10 @@ def main() -> int:
             workdir = Path(tmp) / f"etth-{seed}"
             for name, data in cli_run_files(workloads, seed, workdir):
                 print(f"etth_cli_soft/seed{seed}/{name} {sha256(data)}")
+        for seed in SEEDS:
+            workdir = Path(tmp) / f"floor-{seed}"
+            for name, data in floor_reports(workloads, seed, workdir):
+                print(f"floor_svd/seed{seed}/{name} {sha256(data)}")
     return 0
 
 

@@ -340,10 +340,10 @@ def _segment_stacks(adapter: MolaAdapter, k: int | None) -> dict[str, tuple]:
 def adapted_model(
     foundation: model.FoundationModel, adapter: MolaAdapter, k: int
 ) -> model.FoundationModel:
-    """Materialize the segment-k model, for one segment k in 1..K.
-    Adapted weights are fresh arrays; everything else aliases the
-    foundation.  Training goes through segment_grads, which passes W_eff as
-    overrides instead."""
+    """Materialize the segment-k model, for one segment k in 1..K: the
+    foundation's arrays with each adapted weight swapped for a fresh W_eff,
+    so its shape is the foundation's and everything else aliases it.
+    Training goes through segment_grads, which passes W_eff as overrides."""
     _check_segment(adapter, k)  # a view is one segment's, under either routing
     params = dict(foundation.params)
     for name, (a, b) in _segment_stacks(adapter, k).items():
@@ -351,8 +351,7 @@ def adapted_model(
         weights = (np.ones(1) if adapter.routing == "one-hot"
                    else normalize_weights(adapter.logits[name][k - 1]))
         params[name] = effective_weight(foundation.params[name], a, b, weights)
-    return model.FoundationModel(encoder_spec=foundation.encoder_spec,
-                                 head_out=foundation.head_out, params=params)
+    return model.FoundationModel(params, foundation.activation)
 
 
 def segment_loss(foundation, adapter, k: int, batch) -> float:

@@ -36,12 +36,10 @@ class BottleneckReport:
     col([W b]).  Both are kept so the agreement stays checkable.
     """
 
-    wbar: np.ndarray
     svd: linalg.SvdResult
     rank: int
     min_error_sq: float
     ls_residual_sq: float
-    per_direction_energy: list[float]
 
 
 def min_attainable_error(w, b, y) -> BottleneckReport:
@@ -68,12 +66,10 @@ def min_attainable_error(w, b, y) -> BottleneckReport:
     resid -= y
     np.multiply(resid, resid, out=resid)
     return BottleneckReport(
-        wbar=wbar,
         svd=res,
         rank=res.rank,
         min_error_sq=float(sum(energies)),
         ls_residual_sq=float(np.sum(resid)),
-        per_direction_energy=energies,
     )
 
 

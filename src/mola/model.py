@@ -11,8 +11,9 @@ MSE); there is no general autodiff graph.  A loss scores the model on
 the count (rows = head_out), so a caller names only the first row.
 
 A model is its parameters, a plain name -> array dict, and its
-activation: the encoder's kind, widths and the head length are read off
-the arrays' shapes, and a checkpoint stores nothing else.  A loss forms
+activation: whenever a model is made (built, loaded or adapted), the
+encoder's kind, widths, lookback and the head length are read off the
+arrays' shapes, and a checkpoint stores nothing else.  A loss forms
 gradients for the ``overrides`` a caller passes in place of parameters,
 and for every parameter when there are none: that is how adaptation
 trains low-rank updates on top of a foundation it never changes.
@@ -32,7 +33,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,23 +102,36 @@ class EncoderSpec:
 
 @dataclass(eq=False)
 class FoundationModel:
-    """Encoder + linear head predicting ``head_out`` future steps at once;
-    ``params`` holds the arrays of ``_param_shapes`` in its order."""
+    """Encoder + linear head predicting ``head_out`` future steps at once: the
+    arrays of ``_param_shapes`` in its order, and the activation.  The spec,
+    head length and lookback are read off the arrays, for every model."""
 
-    encoder_spec: EncoderSpec
-    head_out: int
     params: dict[str, np.ndarray]
+    activation: str
+    encoder_spec: EncoderSpec = field(init=False)
+    head_out: int = field(init=False)
 
     def __post_init__(self):
+        params = self.params
+        mlp2 = "enc1.w" in params
+        matrices = ("enc0.w", "enc1.w", "head.w") if mlp2 else ("enc0.w", "head.w")
+        if any(name not in params or params[name].ndim != 2 for name in matrices):
+            raise ValueError(f"parameters {list(params)} give no encoder and head: "
+                             f"{', '.join(map(repr, matrices))} must be matrices")
+        h1, in_len = params["enc0.w"].shape
+        self.encoder_spec = EncoderSpec(kind="mlp2" if mlp2 else "linear", in_len=in_len,
+                                        hidden=(h1, params["enc1.w"].shape[0]) if mlp2 else (),
+                                        activation=self.activation)
+        self.head_out = params["head.w"].shape[0]
         if self.head_out < 1:
             raise ValueError(f"head_out must be >= 1, got {self.head_out}")
         expected = _param_shapes(self.encoder_spec, self.head_out)
-        if list(self.params) != list(expected):
-            raise ValueError(f"parameters {list(self.params)} do not match the {list(expected)} "
+        if list(params) != list(expected):
+            raise ValueError(f"parameters {list(params)} do not match the {list(expected)} "
                              f"of the encoder spec and head_out={self.head_out}")
         for name, shape in expected.items():
-            if self.params[name].shape != shape:
-                raise ValueError(f"parameter {name!r} has shape {self.params[name].shape}, but "
+            if params[name].shape != shape:
+                raise ValueError(f"parameter {name!r} has shape {params[name].shape}, but "
                                  f"the encoder spec and head_out={self.head_out} imply {shape}")
 
     @property
@@ -166,7 +180,7 @@ def new_model(encoder_spec: EncoderSpec, head_out: int, seed: int) -> Foundation
             params[name] = rng.uniform(-bound, bound, size=shape)
         else:
             params[name] = np.zeros(shape)
-    return FoundationModel(encoder_spec=encoder_spec, head_out=head_out, params=packed(params))
+    return FoundationModel(packed(params), encoder_spec.activation)
 
 
 def _activate(z: np.ndarray, activation: str, out=None) -> np.ndarray:
@@ -182,9 +196,8 @@ def _activation_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarra
 
 
 def _encode_cols(m: FoundationModel, x: np.ndarray, keep_cache: bool, weights=None):
-    spec = m.encoder_spec
     weights = m.params if weights is None else weights
-    n_layers = spec.n_layers
+    n_layers = m.encoder_spec.n_layers
     caches = []
     for i, (w_name, b_name) in enumerate(_LAYERS[:n_layers]):
         z = weights[w_name] @ x
@@ -192,7 +205,7 @@ def _encode_cols(m: FoundationModel, x: np.ndarray, keep_cache: bool, weights=No
         activated = i < n_layers - 1
         if activated:
             # without a cache nothing reads z again, so it is activated in place
-            a = _activate(z, spec.activation, out=None if keep_cache else z)
+            a = _activate(z, m.activation, out=None if keep_cache else z)
         else:
             a = z
         if keep_cache:
@@ -298,7 +311,7 @@ def loss_and_grads(m: FoundationModel, batch: WindowSet, first=1, overrides=None
     if "head.b" in trained:
         grads["head.b"] = np.add.reduce(d_out, axis=-1)
     d_x = head_w.swapaxes(-1, -2) @ d_out
-    activation = m.encoder_spec.activation
+    activation = m.activation
     for i in reversed(range(len(caches))):
         x_in, z, a, activated = caches[i]
         w_name, b_name = _LAYERS[i]
@@ -338,15 +351,14 @@ def model_state(m: FoundationModel) -> dict:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "tool_version": __version__,
         "kind": "foundation-model",
-        "activation": m.encoder_spec.activation,
+        "activation": m.activation,
         "params": [{"name": name, **encode_array(array)} for name, array in m.params.items()],
     }
 
 
 def model_from_state(state: dict) -> FoundationModel:
-    """The model of a checkpoint.  One encoder layer is linear and two are
-    mlp2; enc0.w is (hidden[0], in_len), enc1.w (hidden[1], hidden[0]) and
-    head.w (head_out, rep_dim), and FoundationModel checks every shape."""
+    """The model of a checkpoint: its JSON is checked here, and
+    FoundationModel reads the spec off the arrays and checks every shape."""
     if state.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {state.get('format_version')!r}")
     if state.get("kind") != "foundation-model":
@@ -360,17 +372,7 @@ def model_from_state(state: dict) -> FoundationModel:
     params = {entry["name"]: decode_array(entry) for entry in entries}
     if len(params) != len(entries):
         raise ValueError("model checkpoint names a parameter twice")
-    mlp2 = "enc1.w" in params
-    matrices = ("enc0.w", "enc1.w", "head.w") if mlp2 else ("enc0.w", "head.w")
-    if any(name not in params or params[name].ndim != 2 for name in matrices):
-        raise ValueError(f"model checkpoint parameters {list(params)} give no encoder and head: "
-                         f"{', '.join(map(repr, matrices))} must be matrices")
-    h1, in_len = params["enc0.w"].shape
-    spec = EncoderSpec(kind="mlp2" if mlp2 else "linear", in_len=in_len,
-                       hidden=(h1, params["enc1.w"].shape[0]) if mlp2 else (),
-                       activation=activation)
-    return FoundationModel(encoder_spec=spec, head_out=params["head.w"].shape[0],
-                           params=packed(params))
+    return FoundationModel(packed(params), activation)
 
 
 def save_checkpoint(m: FoundationModel, path) -> None:

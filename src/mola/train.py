@@ -113,14 +113,15 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
     """In-place Adam update with bias correction (ADAM_BETA1, ADAM_BETA2,
     ADAM_EPS), one vectorised update over all registered tensors and one
     subtraction per run of them in memory.  ``params`` must be the dict
-    given to init_adam.  Gradient entries whose name was not registered at
-    init time are ignored: that is the frozen mask contract, untracked
-    parameters never move.  Every registered name needs a gradient."""
+    given to init_adam, and ``grads`` must name exactly its entries: a
+    missing or an unregistered name is refused before anything moves."""
     if params is not state.params:
         raise ValueError("adam_step needs the params dict its state was made for")
-    if not grads.keys() >= params.keys():
+    if grads.keys() != params.keys():
         missing = [name for name in params if name not in grads]
-        raise ValueError(f"no gradient for registered parameters {missing}")
+        unregistered = [name for name in grads if name not in params]
+        raise ValueError(f"gradients must name exactly the registered parameters: "
+                         f"no gradient for {missing}, unregistered names {unregistered}")
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     g, step = state.grad, state.step
     np.concatenate([grads[name].ravel() for name in params], out=g)

@@ -46,11 +46,7 @@ def compose(foundation, pairs):
             ps[name] = eff
         else:
             ps[name] = arr
-    return model.FoundationModel(
-        encoder_spec=foundation.encoder_spec,
-        head_out=foundation.head_out,
-        params=ps,
-    )
+    return model.FoundationModel(ps, foundation.activation)
 
 
 def train_segment(foundation, pairs, train_w, val_w, target, config, stage_key):

@@ -50,7 +50,7 @@ def test_bottleneck_zero_when_wide_and_full_rank():
     assert rep.rank == 3
     assert rep.min_error_sq == 0.0
     assert rep.ls_residual_sq <= 1e-10
-    assert rep.per_direction_energy == []
+    assert rep.svd.u.shape[0] - rep.rank == 0
 
 
 def test_bottleneck_zero_for_labels_in_range():
@@ -85,7 +85,7 @@ def test_bottleneck_strictly_positive_when_tall():
     rep = analysis.min_attainable_error(w, rng.normal(size=8), rng.normal(size=(8, 2)))
     assert rep.rank == 4
     assert rep.min_error_sq > 0.1  # generic labels always leave energy outside a 4-d range
-    assert len(rep.per_direction_energy) == 8 - 4
+    assert rep.svd.u.shape[0] - rep.rank == 8 - 4
 
 
 def test_bottleneck_formula_matches_projection_oracle_50_draws():
@@ -105,12 +105,11 @@ def test_bottleneck_refuses_a_map_whose_singular_values_overflow():
 def test_bottleneck_energy_recomputation_and_fields():
     w, b, y = random_case(7)
     rep = analysis.min_attainable_error(w, b, y)
-    t = rep.wbar.shape[0]
+    t = w.shape[0]
     total = 0.0
     for i in range(rep.rank, t):
         total += float(np.sum((rep.svd.u[:, i] @ y) ** 2))
     assert abs(rep.min_error_sq - total) <= 1e-10 * max(1.0, total)
-    assert abs(rep.min_error_sq - sum(rep.per_direction_energy)) <= 1e-12
 
 
 def test_bottleneck_scaling_by_two_is_exact():

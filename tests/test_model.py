@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mola import data, model
+from mola import _io, adapt, data, model
 
 
 def make_batch(lookback, horizon, d, n, seed):
@@ -440,6 +440,23 @@ def test_model_state_round_trips_byte_equal(spec):
     assert json.dumps(model.model_state(loaded)) == json.dumps(state)
 
 
+@pytest.mark.parametrize("spec", [linear_spec(6), mlp_spec(6, 5, 3, "relu"),
+                                  mlp_spec(6, 5, 3, "tanh")])
+def test_built_loaded_and_adapted_models_read_one_shape_off_their_arrays(spec):
+    m = model.new_model(spec, head_out=4, seed=3)
+    loaded = model.model_from_state(model.model_state(m))
+    adapter = adapt.new_adapter(m, adapt.make_segment_plan(8, 2), n_experts=2, rank=2, seed=4)
+    view = adapt.adapted_model(m, adapter, 2)
+    for made in (m, loaded, view):
+        assert made.encoder_spec == spec and made.head_out == 4
+        assert made.lookback == spec.in_len and made.activation == spec.activation
+    # the view is the foundation's arrays with the encoder weights swapped
+    adapted = {"enc0.w", "enc1.w"}
+    assert list(view.params) == list(m.params)
+    for name, array in m.params.items():
+        assert (view.params[name] is array) == (name not in adapted), name
+
+
 def test_format_3_model_checkpoint_is_rejected():
     state = model.model_state(model.new_model(mlp_spec(5), head_out=2, seed=0))
     state["format_version"] = 3
@@ -452,6 +469,21 @@ def _without(name):
     return lambda state: state.update(params=[e for e in state["params"] if e["name"] != name])
 
 
+def _zero_row_head(state):
+    """A change to a state that leaves head.w with 0 rows and head.b empty."""
+    for entry in state["params"]:
+        if entry["name"].startswith("head."):
+            entry.update(shape=[0, *entry["shape"][1:]], data=[])
+
+
+def _construct(state):
+    """FoundationModel of a state's arrays and activation, without the loader."""
+    return model.FoundationModel({e["name"]: _io.decode_array(e) for e in state["params"]},
+                                 state["activation"])
+
+
+@pytest.mark.parametrize("make", [model.model_from_state, _construct],
+                         ids=["model_from_state", "FoundationModel"])
 @pytest.mark.parametrize("spec, change, match", [
     (mlp_spec(5), _without("head.w"), r"give no encoder and head"),
     (mlp_spec(5), lambda s: s["params"][0].update(shape=[15], data=[0.5] * 15),
@@ -460,14 +492,17 @@ def _without(name):
     (linear_spec(5), lambda s: s["params"][0].update(shape=[4, 5], data=[0.5] * 20),
      r"'enc0.w' has shape \(4, 5\).*imply \(5, 5\)"),
     (mlp_spec(5), lambda s: s.update(activation="gelu"), r"activation must be one of"),
+    (mlp_spec(5), _zero_row_head, r"head_out must be >= 1, got 0"),
 ])
-def test_checkpoint_whose_arrays_do_not_form_a_model_is_rejected(spec, change, match):
+def test_checkpoint_whose_arrays_do_not_form_a_model_is_rejected(spec, change, match, make):
     # no head, a 1-D enc0.w, enc1.w without enc1.b, a non-square linear
-    # encoder, an unknown activation
+    # encoder, an unknown activation, a head of no rows; each is refused by
+    # the loader and by the constructor alike, since both go through the
+    # one shape rule of FoundationModel
     state = model.model_state(model.new_model(spec, head_out=2, seed=0))
     change(state)
     with pytest.raises(ValueError, match=match):
-        model.model_from_state(state)
+        make(state)
 
 
 def test_checkpoint_with_wrong_parameter_shape_is_rejected(tmp_path):
